@@ -33,6 +33,7 @@ from .fluctuations import (
     FluctuationSet,
     InteriorPoint,
     ab_values,
+    expectation_columns,
     expectation_set,
     phi_squared,
     phi_squared_single_plate,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dimreg import MasterIntegralSpec, master_integral
 from .errors import ConsistencyError
-from .fluctuations import InteriorPoint, ab_values, expectation_set
+from .fluctuations import expectation_columns
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import canonical_T00, improved_energy_density
@@ -112,13 +112,9 @@ def integrated_density_check(
         raise ValueError("need at least two quadrature points")
     h = config.L / grid_points
     centers = (np.arange(grid_points) + 0.5) * h
-    acc = 0.0
-    for z in centers:
-        point = InteriorPoint.from_z(config, float(z))
-        acc += improved_energy_density(
-            expectation_set(bc, config, point), ab_values(config, point)
-        )
-    integral = acc * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, fluct, ab = expectation_columns(bc, config, centers)
+        integral = float(np.sum(improved_energy_density(fluct, ab))) * h
     return integral, abs(integral - total_energy(config, bc))
 
 
@@ -140,8 +136,6 @@ def canonical_density_integral(
     width = config.L - 2.0 * lo
     h = width / grid_points
     centers = lo + (np.arange(grid_points) + 0.5) * h
-    acc = 0.0
-    for z in centers:
-        point = InteriorPoint.from_z(config, float(z))
-        acc += canonical_T00(expectation_set(bc, config, point))
-    return acc * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, fluct, _ = expectation_columns(bc, config, centers)
+        return float(np.sum(canonical_T00(fluct))) * h

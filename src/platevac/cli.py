@@ -27,7 +27,8 @@ import numpy as np
 
 from . import casimir, dimreg, oracle, regsum, spectrum, stress
 from .errors import InvalidConfigError, PlateVacError
-from .fluctuations import InteriorPoint, ab_values, expectation_set, phi_squared, phi_squared_single_plate
+from .fluctuations import (InteriorPoint, ab_values, expectation_columns, expectation_set,
+                           phi_squared, phi_squared_single_plate)
 from .regsum import EpsilonSchedule
 from .spectrum import BoundaryCondition, PlateConfig
 
@@ -39,6 +40,8 @@ PROFILE_COLUMNS = (
 
 _CSV_SIG_DIGITS = 12
 _JSON_SIG_DIGITS = 17
+# Profile rows rendered per write; bounds the size of each output string.
+_ROW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,9 @@ class RunConfig:
         if self.output_format not in ("csv", "json"):
             raise InvalidConfigError(f"unknown output format {self.output_format!r}")
 
-    def grid(self) -> list[float]:
+    def grid(self) -> np.ndarray:
         n = self.grid_points
-        return [
-            self.L * (self.z_margin + (1.0 - 2.0 * self.z_margin) * i / (n - 1))
-            for i in range(n)
-        ]
+        return self.L * (self.z_margin + (1.0 - 2.0 * self.z_margin) * np.arange(n) / (n - 1))
 
 
 def _fmt(value: float, sig: int) -> str:
@@ -94,29 +94,27 @@ def _json_render(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _profile_rows(config: RunConfig) -> list[dict[str, float]]:
-    plate = PlateConfig(config.L)
-    rows = []
-    for z in config.grid():
-        point = InteriorPoint.from_z(plate, z)
-        fluct = expectation_set(config.bc, plate, point)
-        report = stress.stress_report(fluct, ab_values(plate, point))
-        rows.append({
-            "z": z,
-            "theta": point.theta,
-            "phi2": fluct.phi2,
-            "phidot2": fluct.phidot2,
-            "dzphi2": fluct.dzphi2,
-            "gradTphi2": fluct.gradTphi2,
-            "dlambda_phi2": fluct.dlambda_phi2,
-            "E_canonical": report.energy_density_canonical,
-            "huggins00": report.huggins_00,
-            "E_improved": report.energy_density_improved,
-            "T_zz": report.t_zz,
-            "trace_canonical": report.trace_canonical,
-            "trace_improved": report.trace_improved,
-        })
-    return rows
+def _profile_rows(config: RunConfig) -> dict[str, np.ndarray]:
+    """Every profile column over the whole grid, keyed by PROFILE_COLUMNS."""
+    z = config.grid()
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, fluct, ab = expectation_columns(config.bc, PlateConfig(config.L), z)
+        report = stress.stress_report(fluct, ab)
+    return {
+        "z": z,
+        "theta": theta,
+        "phi2": fluct.phi2,
+        "phidot2": fluct.phidot2,
+        "dzphi2": fluct.dzphi2,
+        "gradTphi2": fluct.gradTphi2,
+        "dlambda_phi2": fluct.dlambda_phi2,
+        "E_canonical": report.energy_density_canonical,
+        "huggins00": report.huggins_00,
+        "E_improved": report.energy_density_improved,
+        "T_zz": report.t_zz,
+        "trace_canonical": report.trace_canonical,
+        "trace_improved": report.trace_improved,
+    }
 
 
 def _globals_payload(config: RunConfig) -> dict[str, float]:
@@ -144,19 +142,38 @@ def _config_payload(config: RunConfig) -> dict:
     }
 
 
+def _write_rows(out, table: np.ndarray, row: str, sep: str) -> None:
+    """Write each row of ``table`` through the %-template ``row``, joined by ``sep``.
+
+    ``'%.17g' % v`` prints exactly what ``format(v, '.17g')`` prints, so
+    the rows match :func:`_fmt` digit for digit.
+    """
+    for start in range(0, len(table), _ROW_CHUNK):
+        chunk = table[start:start + _ROW_CHUNK]
+        if start:
+            out.write(sep)
+        out.write(sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def cmd_profile(config: RunConfig, out) -> int:
-    rows = _profile_rows(config)
+    columns = _profile_rows(config)
+    table = np.column_stack([columns[c] for c in PROFILE_COLUMNS])
+    finite = np.isfinite(table)
+    if not finite.all():
+        value = float(table.flat[np.argmin(finite)])
+        raise InvalidConfigError(f"non-finite value {value!r} in output")
     if config.output_format == "csv":
-        out.write(",".join(PROFILE_COLUMNS) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(row[c], _CSV_SIG_DIGITS) for c in PROFILE_COLUMNS) + "\n")
+        head, tail, sep = ",".join(PROFILE_COLUMNS) + "\n", "", ""
+        row = ",".join([f"%.{_CSV_SIG_DIGITS}g"] * len(PROFILE_COLUMNS)) + "\n"
     else:
-        doc = {
-            "config": _config_payload(config),
-            "rows": rows,
-            "globals": _globals_payload(config),
-        }
-        out.write(_json_render(doc) + "\n")
+        # The same document _json_render gives for {"config", "rows", "globals"}.
+        head = '{"config":' + _json_render(_config_payload(config)) + ',"rows":['
+        tail = '],"globals":' + _json_render(_globals_payload(config)) + "}\n"
+        sep = ","
+        row = "{" + ",".join(f"{json.dumps(c)}:%.{_JSON_SIG_DIGITS}g" for c in PROFILE_COLUMNS) + "}"
+    out.write(head)
+    _write_rows(out, table, row, sep)
+    out.write(tail)
     return 0
 
 

@@ -13,6 +13,14 @@ with every boundary-condition dependence carried by the single sign
 s = sign_upper (+1 Dirichlet, -1 Neumann).  The individual fluctuations
 diverge on the plates; the surfaces are therefore excluded from the
 domain rather than mapped to infinities.
+
+Every formula is written once, in terms of L, s and s2 = sin^2 theta,
+and is shared by the scalar API (one point, Python floats, no numpy)
+and by :func:`expectation_columns` (a whole grid of points at once,
+float64 arrays).  Only the sine differs between the two: ``math.sin``
+or ``np.sin``, which the tests check agree to the bit.  s2 is taken as
+``s * s``, which is correctly rounded, where ``s ** 2`` can be one ulp
+off.
 """
 
 from __future__ import annotations
@@ -20,12 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .regsum import f_theta
+from .regsum import _f_of_sin2
 from .spectrum import BoundaryCondition, PlateConfig
 
 __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "ab_values",
-           "phi_squared", "phi_squared_single_plate", "expectation_set"]
+           "phi_squared", "phi_squared_single_plate", "expectation_set",
+           "expectation_columns"]
 
 
 @dataclass(frozen=True)
@@ -86,10 +97,38 @@ class FluctuationSet:
         return abs(self.phidot2 - self.dzphi2 - self.gradTphi2 - self.dlambda_phi2)
 
 
+def _sin2(theta: float) -> float:
+    s = math.sin(theta)
+    s2 = s * s
+    if not s2 > 0.0:
+        raise DomainError(f"sin^2 theta underflows to 0 at theta = {theta!r}")
+    return s2
+
+
+def _ab(L, s2) -> ABPair:
+    scale = math.pi ** 2 / L ** 4
+    return ABPair(A=scale / 1440.0, B=scale / 96.0 * _f_of_sin2(s2))
+
+
+def _phi2(s: int, L, s2):
+    return (1.0 - s * 3.0 / s2) / (48.0 * L ** 2)
+
+
+def _fluctuations(s: int, L, s2, ab: ABPair) -> FluctuationSet:
+    t = s * ab.B
+    return FluctuationSet(
+        phi2=_phi2(s, L, s2),
+        phidot2=-(ab.A - t),
+        dzphi2=-3.0 * (ab.A + t),
+        gradTphi2=2.0 * (ab.A - t),
+        dlambda_phi2=6.0 * t,
+        phi_d2z_phi=3.0 * (ab.A - t),
+    )
+
+
 def ab_values(config: PlateConfig, point: InteriorPoint) -> ABPair:
     """A = pi^2/(1440 L^4) and B = pi^2/(96 L^4) f(theta)."""
-    scale = math.pi ** 2 / config.L ** 4
-    return ABPair(A=scale / 1440.0, B=scale / 96.0 * f_theta(point.theta))
+    return _ab(config.L, _sin2(point.theta))
 
 
 def phi_squared(bc: BoundaryCondition, config: PlateConfig, point: InteriorPoint) -> float:
@@ -98,8 +137,7 @@ def phi_squared(bc: BoundaryCondition, config: PlateConfig, point: InteriorPoint
     Diverges toward -inf (Dirichlet) or +inf (Neumann) as the point
     approaches either plate.
     """
-    s2 = math.sin(point.theta) ** 2
-    return (1.0 - bc.sign_upper * 3.0 / s2) / (48.0 * config.L ** 2)
+    return _phi2(bc.sign_upper, config.L, _sin2(point.theta))
 
 
 def phi_squared_single_plate(bc: BoundaryCondition, z: float) -> float:
@@ -125,13 +163,36 @@ def expectation_set(
     which satisfies the Lorentzian contraction identity
     phidot2 - dzphi2 - gradTphi2 = dlambda_phi2 identically.
     """
-    ab = ab_values(config, point)
-    t = bc.sign_upper * ab.B
-    return FluctuationSet(
-        phi2=phi_squared(bc, config, point),
-        phidot2=-(ab.A - t),
-        dzphi2=-3.0 * (ab.A + t),
-        gradTphi2=2.0 * (ab.A - t),
-        dlambda_phi2=6.0 * t,
-        phi_d2z_phi=3.0 * (ab.A - t),
-    )
+    s2 = _sin2(point.theta)
+    return _fluctuations(bc.sign_upper, config.L, s2, _ab(config.L, s2))
+
+
+def _require_everywhere(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    if not ok.all():
+        raise DomainError(message.format(float(values[np.argmin(ok)])))
+
+
+def expectation_columns(
+    bc: BoundaryCondition, config: PlateConfig, z
+) -> tuple[np.ndarray, FluctuationSet, ABPair]:
+    """:func:`expectation_set` and :func:`ab_values` at many points at once.
+
+    ``z`` is a 1-D array of positions.  Returns theta = pi z / L and the
+    set and pair whose fields are float64 arrays over ``z`` (``A`` stays
+    a float), equal bit for bit to the scalar functions point by point.
+    Every point must pass the scalar domain checks.  Points close enough
+    to a plate for B to overflow give infinities here, not warnings; the
+    stress layer's cancellation checks reject them.
+    """
+    L = config.L
+    z = np.asarray(z, dtype=float)
+    _require_everywhere((z > 0.0) & (z < L), z, f"z = {{}} is not strictly inside (0, {L})")
+    theta = math.pi * z / L
+    _require_everywhere((theta > 0.0) & (theta < math.pi), theta,
+                        "interior points need 0 < theta < pi, got theta = {!r}")
+    s = np.sin(theta)
+    s2 = s * s
+    _require_everywhere(s2 > 0.0, theta, "sin^2 theta underflows to 0 at theta = {!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = _ab(L, s2)
+        return theta, _fluctuations(bc.sign_upper, L, s2, ab), ab

@@ -109,11 +109,20 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
+def _f_of_sin2(s2):
+    """The profile function f as a function of s2 = sin^2(theta).
+
+    Shared by the scalar and the array paths: s2 may be a float or a
+    float64 array, and the arithmetic is the same element by element.
+    """
+    return (3.0 / s2 - 2.0) / s2
+
+
 def f_theta(theta: float) -> float:
     """Profile function 3/sin^4(theta) - 2/sin^2(theta), minimum 1 at pi/2."""
     _check_theta(theta)
-    s2 = math.sin(theta) ** 2
-    return (3.0 / s2 - 2.0) / s2
+    s = math.sin(theta)
+    return _f_of_sin2(s * s)
 
 
 def trig_sum_n_cos(theta: float) -> float:

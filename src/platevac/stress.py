@@ -15,6 +15,10 @@ internal consistency probes, so they are computed and checked rather
 than simplified away; the checks are scaled by the magnitude that
 cancels, since near the plates B dwarfs A and double precision cannot
 cancel more accurately than round-off on B.
+
+Every function takes either one point (float fields) or a whole grid
+(the float64-array fields of :func:`fluctuations.expectation_columns`);
+the checks then hold element by element.
 """
 
 from __future__ import annotations
@@ -83,6 +87,24 @@ class TensorForm:
         return float(c)
 
 
+def _require(err, bound, message: str, *values) -> None:
+    """Raise ConsistencyError unless err <= bound, element by element.
+
+    Written as ``not err <= bound`` so that a NaN fails the check
+    instead of passing it.  On arrays the message quotes the values at
+    the first failing element.
+    """
+    if isinstance(err, np.ndarray):
+        passed = err <= bound
+        if passed.all():
+            return
+        i = int(np.argmin(passed))
+        values = tuple(v[i] if isinstance(v, np.ndarray) else v for v in values)
+    elif err <= bound:
+        return
+    raise ConsistencyError(message.format(*map(float, values)))
+
+
 def canonical_T00(fluct: FluctuationSet) -> float:
     """Hamiltonian density (1/2) (<phidot^2> + <(grad phi)^2>) = -(A + 2 s B)."""
     return 0.5 * (fluct.phidot2 + fluct.dzphi2 + fluct.gradTphi2)
@@ -103,25 +125,30 @@ def huggins_delta_T00(fluct: FluctuationSet) -> float:
     and since <phi d_t^2 phi> = -<phidot^2> the first two parts cancel,
     leaving (1/3) <(d_lam phi)^2> = 2 s B.
     """
-    subtractive = -(canonical_T00(fluct) + _recovered_A(fluct))
+    return _huggins(fluct, canonical_T00(fluct))
+
+
+def _huggins(fluct: FluctuationSet, canonical):
+    subtractive = -(canonical + _recovered_A(fluct))
     constructive = fluct.dlambda_phi2 / 3.0
     scale = abs(constructive) + abs(_recovered_A(fluct))
-    if abs(subtractive - constructive) > CANCELLATION_RTOL * scale:
-        raise ConsistencyError(
-            "improvement term disagrees between its subtractive and "
-            f"constructive forms: {subtractive!r} vs {constructive!r}"
-        )
+    _require(abs(subtractive - constructive), CANCELLATION_RTOL * scale,
+             "improvement term disagrees between its subtractive and "
+             "constructive forms: {!r} vs {!r}", subtractive, constructive)
     return subtractive
 
 
 def improved_energy_density(fluct: FluctuationSet, ab: ABPair) -> float:
     """Conformally improved energy density; equals -A for any theta and bc."""
-    value = canonical_T00(fluct) + huggins_delta_T00(fluct)
+    canonical = canonical_T00(fluct)
+    return _improved(ab, canonical, _huggins(fluct, canonical))
+
+
+def _improved(ab: ABPair, canonical, huggins):
+    value = canonical + huggins
     cancelled = ab.A + 2.0 * abs(ab.B)
-    if abs(value + ab.A) > CANCELLATION_RTOL * cancelled:
-        raise ConsistencyError(
-            f"improved energy density {value!r} failed to settle at -A = {-ab.A!r}"
-        )
+    _require(abs(value + ab.A), CANCELLATION_RTOL * cancelled,
+             "improved energy density {!r} failed to settle at -A = {!r}", value, -ab.A)
     return value
 
 
@@ -137,10 +164,9 @@ def t_zz(fluct: FluctuationSet, ab: ABPair) -> float:
         + fluct.dlambda_phi2 / 6.0
     )
     cancelled = 3.0 * ab.A + 4.0 * abs(ab.B)
-    if abs(value + 3.0 * ab.A) > CANCELLATION_RTOL * cancelled:
-        raise ConsistencyError(
-            f"T_zz = {value!r} failed to cancel its theta dependence (-3A = {-3.0 * ab.A!r})"
-        )
+    _require(abs(value + 3.0 * ab.A), CANCELLATION_RTOL * cancelled,
+             "T_zz = {!r} failed to cancel its theta dependence (-3A = {!r})",
+             value, -3.0 * ab.A)
     return value
 
 
@@ -159,12 +185,12 @@ def traces(fluct: FluctuationSet) -> tuple[float, float]:
 def stress_report(fluct: FluctuationSet, ab: ABPair) -> StressReport:
     """Assemble every tensor component the profile tables emit."""
     canonical = canonical_T00(fluct)
-    huggins = huggins_delta_T00(fluct)
+    huggins = _huggins(fluct, canonical)
     trace_canonical, trace_improved = traces(fluct)
     return StressReport(
         energy_density_canonical=canonical,
         huggins_00=huggins,
-        energy_density_improved=improved_energy_density(fluct, ab),
+        energy_density_improved=_improved(ab, canonical, huggins),
         t_zz=t_zz(fluct, ab),
         trace_canonical=trace_canonical,
         trace_improved=trace_improved,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from platevac.casimir import (
@@ -14,8 +15,10 @@ from platevac.casimir import (
     total_energy,
 )
 from platevac.errors import ConsistencyError
+from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.regsum import zeta_neg_int
 from platevac.spectrum import BoundaryCondition, PlateConfig
+from platevac.stress import canonical_T00, improved_energy_density
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -111,6 +114,37 @@ class TestIntegratedDensity:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             integrated_density_check(PlateConfig(1.0), D, grid_points=1)
+
+
+class TestMidpointSums:
+    """The array midpoint sums against per-point scalar evaluation."""
+
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_canonical_integral_matches_point_loop(self, bc):
+        config = PlateConfig(1.7)
+        margin, n = 0.001, 2000
+        h = config.L * (1.0 - 2.0 * margin) / n
+        loop = sum(
+            canonical_T00(expectation_set(bc, config, InteriorPoint.from_z(
+                config, config.L * margin + (i + 0.5) * h)))
+            for i in range(n)
+        ) * h
+        # same-sign terms summed in another order: each sum is within
+        # n ulp of the exact one
+        assert canonical_density_integral(config, bc, margin) == pytest.approx(
+            loop, rel=n * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_improved_integral_matches_point_loop(self, bc):
+        config = PlateConfig(2.3)
+        h = config.L / 4
+        loop = 0.0
+        for i in range(4):
+            point = InteriorPoint.from_z(config, (i + 0.5) * h)
+            loop += improved_energy_density(expectation_set(bc, config, point),
+                                            ab_values(config, point))
+        # four terms: numpy adds them in order, as the loop does
+        assert integrated_density_check(config, bc)[0] == loop * h
 
 
 class TestCanonicalDivergence:

@@ -3,12 +3,30 @@
 import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from platevac.cli import PROFILE_COLUMNS, RunConfig, cmd_energy, cmd_profile, cmd_verify, main
-from platevac.errors import InvalidConfigError
-from platevac.spectrum import BoundaryCondition
+from platevac import cli
+from platevac.cli import (
+    PROFILE_COLUMNS,
+    RunConfig,
+    _fmt,
+    _json_render,
+    _profile_rows,
+    cmd_energy,
+    cmd_profile,
+    cmd_verify,
+    main,
+)
+from platevac.errors import InvalidConfigError, PlateVacError
+from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
+from platevac.spectrum import BoundaryCondition, PlateConfig
+from platevac.stress import stress_report
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(argv, capsys):
@@ -90,12 +108,124 @@ class TestProfileCommand:
         _, out, _ = _run(
             ["profile", "--bc", "dirichlet", "--points", "9", "--format", "json"], capsys)
         doc = json.loads(out)
-        from platevac.cli import RunConfig, _profile_rows
-        from platevac.spectrum import BoundaryCondition
-        rows = _profile_rows(RunConfig(bc=BoundaryCondition.DIRICHLET, grid_points=9))
-        for parsed, computed in zip(doc["rows"], rows):
-            for key, value in computed.items():
-                assert float(parsed[key]) == value
+        columns = _profile_rows(RunConfig(bc=BoundaryCondition.DIRICHLET, grid_points=9))
+        assert tuple(columns) == PROFILE_COLUMNS
+        assert len(doc["rows"]) == 9
+        for i, parsed in enumerate(doc["rows"]):
+            assert tuple(parsed) == PROFILE_COLUMNS
+            for key in PROFILE_COLUMNS:
+                assert float(parsed[key]) == columns[key][i]
+
+
+def _assert_same_text(actual: str, expected: str) -> None:
+    # A plain == on megabyte strings makes pytest build a very slow diff.
+    mismatch = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+                    min(len(actual), len(expected)))
+    window = slice(max(mismatch - 40, 0), mismatch + 40)
+    assert len(actual) == len(expected) and mismatch == len(actual), (
+        f"outputs differ from character {mismatch}: {actual[window]!r} vs {expected[window]!r}"
+    )
+
+
+def _scalar_rows(config: RunConfig) -> list[dict[str, float]]:
+    """The profile evaluated one point at a time through the scalar API."""
+    plate = PlateConfig(config.L)
+    rows = []
+    for z in config.grid().tolist():
+        point = InteriorPoint.from_z(plate, z)
+        fluct = expectation_set(config.bc, plate, point)
+        report = stress_report(fluct, ab_values(plate, point))
+        rows.append({
+            "z": z, "theta": point.theta, "phi2": fluct.phi2, "phidot2": fluct.phidot2,
+            "dzphi2": fluct.dzphi2, "gradTphi2": fluct.gradTphi2,
+            "dlambda_phi2": fluct.dlambda_phi2,
+            "E_canonical": report.energy_density_canonical, "huggins00": report.huggins_00,
+            "E_improved": report.energy_density_improved, "T_zz": report.t_zz,
+            "trace_canonical": report.trace_canonical, "trace_improved": report.trace_improved,
+        })
+    return rows
+
+
+def _scalar_render(config: RunConfig) -> str:
+    """cmd_profile's output rebuilt from the scalar rows with _fmt/_json_render."""
+    rows = _scalar_rows(config)
+    if config.output_format == "csv":
+        lines = [",".join(PROFILE_COLUMNS)]
+        lines += [",".join(_fmt(row[c], 12) for c in PROFILE_COLUMNS) for row in rows]
+        return "\n".join(lines) + "\n"
+    doc = {"config": cli._config_payload(config), "rows": rows,
+           "globals": cli._globals_payload(config)}
+    return _json_render(doc) + "\n"
+
+
+class TestColumnarProfile:
+    @given(st.sampled_from(list(BoundaryCondition)),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+           st.integers(min_value=3, max_value=300))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_equal_scalar_path_bit_for_bit(self, bc, L, margin, n):
+        config = RunConfig(bc=bc, L=L, grid_points=n, z_margin=margin)
+        try:
+            scalar = _scalar_rows(config)
+        except PlateVacError:
+            with pytest.raises(PlateVacError):
+                _profile_rows(config)
+            return
+        columns = _profile_rows(config)
+        assert tuple(columns) == PROFILE_COLUMNS
+        for key in PROFILE_COLUMNS:
+            expected = np.array([row[key] for row in scalar])
+            assert columns[key].dtype == np.float64
+            assert np.array_equal(columns[key].view(np.uint64), expected.view(np.uint64)), key
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bc, L, n, margin", [
+        (BoundaryCondition.DIRICHLET, 1.0, 64, 0.02),
+        (BoundaryCondition.NEUMANN, 2.37, 5000, 0.02),
+        (BoundaryCondition.DIRICHLET, 0.1239, 9000, 0.02),
+        (BoundaryCondition.NEUMANN, 7.5, 4097, 0.31),
+    ])
+    def test_output_equals_scalar_rendering(self, bc, L, n, margin, fmt):
+        # n > 4096 spans more than one write chunk
+        config = RunConfig(bc=bc, L=L, grid_points=n, z_margin=margin, output_format=fmt)
+        buffer = io.StringIO()
+        assert cmd_profile(config, buffer) == 0
+        _assert_same_text(buffer.getvalue(), _scalar_render(config))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_golden_output(self, fmt, capsys):
+        code, out, _ = _run(["profile", "--bc", "neumann", "--length", "2.37", "--points", "7",
+                             "--margin", "0.05", "--format", fmt], capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"profile_neumann_L2.37_n7.{fmt}").read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_column_exits_2_before_writing(self, fmt, monkeypatch, capsys):
+        computed = cli._profile_rows
+
+        def poisoned(config):
+            columns = computed(config)
+            columns["T_zz"][3] = math.nan
+            return columns
+
+        monkeypatch.setattr(cli, "_profile_rows", poisoned)
+        code, out, err = _run(["profile", "--points", "8", "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert "non-finite value nan" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_profile_exits_2(self, fmt, capsys):
+        # At L = 1e-70 the profile part B overflows at the first grid
+        # point, and the cancellation checks see NaN, which must fail
+        # them; a smaller margin would put the last point on the plate.
+        code, out, err = _run(["profile", "--length", "1e-70", "--margin", "2e-16",
+                               "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: improvement term disagrees")
+        assert "Traceback" not in err
 
 
 class TestEnergyCommand:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from platevac.errors import DomainError
 from platevac.fluctuations import (
     InteriorPoint,
     ab_values,
+    expectation_columns,
     expectation_set,
     phi_squared,
     phi_squared_single_plate,
@@ -192,3 +194,36 @@ class TestExpectationSet:
             tol = 1e-13 * (abs(a_part) + abs(b_part))
             assert abs(avg - a_part) <= tol
             assert abs(half_diff - b_part) <= tol
+
+
+class TestExpectationColumns:
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_equals_scalar_path_point_by_point(self, bc):
+        config = PlateConfig(0.37)
+        z = np.linspace(1e-7, 0.37 - 1e-7, 257)
+        theta, fs, ab = expectation_columns(bc, config, z)
+        for i, zi in enumerate(z.tolist()):
+            point = InteriorPoint.from_z(config, zi)
+            assert theta[i] == point.theta
+            assert ab.B[i] == ab_values(config, point).B
+            for name, value in vars(expectation_set(bc, config, point)).items():
+                assert getattr(fs, name)[i] == value, name
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
+    def test_every_point_checked(self, bad):
+        z = np.array([0.1, 0.5, bad, 0.9])
+        with pytest.raises(DomainError):
+            expectation_columns(D, PlateConfig(1.0), z)
+
+    def test_plate_position_rejected_even_when_theta_rounds_below_pi(self):
+        L = 0.7000000000000001
+        assert math.pi * L / L < math.pi
+        with pytest.raises(DomainError, match="not strictly inside"):
+            expectation_columns(D, PlateConfig(L), np.array([0.5 * L, L]))
+
+    def test_underflowing_sine_rejected_in_both_paths(self):
+        config = PlateConfig(1.0)
+        with pytest.raises(DomainError):
+            expectation_set(D, config, InteriorPoint.from_theta(config, 1e-200))
+        with pytest.raises(DomainError):
+            expectation_columns(D, config, np.array([0.5, 1e-200 / math.pi]))

@@ -6,8 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platevac.errors import ConsistencyError
-from platevac.fluctuations import FluctuationSet, InteriorPoint, ab_values, expectation_set
+from platevac.errors import ConsistencyError, PlateVacError
+from platevac.fluctuations import (
+    ABPair,
+    FluctuationSet,
+    InteriorPoint,
+    ab_values,
+    expectation_columns,
+    expectation_set,
+)
 from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import (
     FieldType,
@@ -221,3 +228,39 @@ class TestStressReport:
         )
         assert report.trace_improved == 0.0
         assert report.t_zz == pytest.approx(-math.pi**2 / 480.0, rel=1e-12)
+
+
+class TestGuards:
+    def test_overflowing_point_raises_instead_of_nan(self):
+        # B overflows at theta = 1e-80; the cancellation residual is NaN,
+        # which must fail its check rather than slip through it
+        fs, ab = _setup(D, 1e-80)
+        with pytest.raises(PlateVacError):
+            stress_report(fs, ab)
+
+    @pytest.mark.parametrize("check", [huggins_delta_T00, improved_energy_density, t_zz])
+    def test_nan_fails_every_guard(self, check):
+        fs, ab = _setup(D, 0.9)
+        broken = replace(fs, dlambda_phi2=math.nan, dzphi2=math.nan)
+        with pytest.raises(ConsistencyError):
+            check(broken) if check is huggins_delta_T00 else check(broken, ab)
+
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_columns_checked_element_by_element(self, bc):
+        config = PlateConfig(1.3)
+        z = np.linspace(0.05, 1.25, 11)
+        _, fs, ab = expectation_columns(bc, config, z)
+        report = stress_report(fs, ab)
+        assert np.all(np.abs(report.t_zz + 3.0 * ab.A) <= 1e-12 * (3.0 * ab.A + 4.0 * ab.B))
+        corrupted = fs.dzphi2.copy()
+        corrupted[7] *= 1.0 + 1e-6
+        broken = replace(fs, dzphi2=corrupted)
+        # the array check fails with the scalar check's message at the bad point
+        point = FluctuationSet(**{k: float(v[7]) for k, v in vars(broken).items()})
+        point_ab = ABPair(A=ab.A, B=float(ab.B[7]))
+        for check in (improved_energy_density, t_zz):
+            with pytest.raises(ConsistencyError) as scalar_error:
+                check(point, point_ab)
+            with pytest.raises(ConsistencyError) as array_error:
+                check(broken, ab)
+            assert str(array_error.value) == str(scalar_error.value)
