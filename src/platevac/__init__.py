@@ -25,8 +25,8 @@ from .errors import (
     InvalidConfigError,
     PlateVacError,
     PoleError,
+    PrecisionError,
     QuadratureError,
-    TruncationError,
 )
 from .fluctuations import (
     ABPair,

@@ -59,7 +59,7 @@ def total_energy(config: PlateConfig, bc: BoundaryCondition = BoundaryCondition.
     )
     energy = per_mode * float(zeta_neg_int(3))
     closed = -math.pi ** 2 / (1440.0 * config.L ** 3)
-    if abs(energy - closed) > _PIPELINE_RTOL * abs(closed):
+    if not abs(energy - closed) <= _PIPELINE_RTOL * abs(closed):
         raise ConsistencyError(
             f"regularization pipeline gave {energy!r}, closed form {closed!r}"
         )

@@ -58,8 +58,7 @@ class RunConfig:
     epsilon_schedule: EpsilonSchedule | None = None
 
     def __post_init__(self) -> None:
-        if not self.L > 0.0:
-            raise InvalidConfigError(f"plate separation must be positive, got {self.L}")
+        PlateConfig(self.L)  # the one place the separation is validated
         if self.grid_points < 3:
             raise InvalidConfigError(f"need at least 3 grid points, got {self.grid_points}")
         if not 0.0 < self.z_margin < 0.5:

@@ -26,8 +26,8 @@ class IllConditionedFitError(PlateVacError, ArithmeticError):
     """The least-squares system for a finite part is numerically singular."""
 
 
-class TruncationError(PlateVacError, ValueError):
-    """A mode sum was truncated before the cutoff weight reached round-off."""
+class PrecisionError(PlateVacError, ArithmeticError):
+    """The platform's long double is too short for an oracle's cancellations."""
 
 
 class QuadratureError(PlateVacError, ArithmeticError):

@@ -1,4 +1,4 @@
-"""Brute-force mode-sum oracle for the fluctuation profiles.
+"""Mode-sum oracle for the fluctuation profiles.
 
 Independently of every closed form elsewhere in the package, the raw
 mode sums are rebuilt here with an exponential frequency cutoff
@@ -18,9 +18,17 @@ radial form (substituting omega d omega = k dk):
 (the second is d^2/d eps^2 of the first's kernel).  Both radial forms
 are unit-tested against adaptive quadrature of the original integrand.
 
-Summing n <= n_max and expanding in small eps, the weight sums behave
-like 1/(e^(a eps) - 1) and its derivatives (a = pi/L), so the divergent
-bases are known analytically per observable:
+Each kernel is e^(-eps k_n) times a polynomial sum_j c_j k_n^j with
+j <= 2, and k_n = n pi / L, so the regulated sum over every mode n >= 1
+with the boundary-condition weight (1 - s cos 2 n theta) is exact and
+finite: with q = e^(-eps pi / L) and z = q e^(2 i theta),
+
+    sum_n n^j q^n (1 - s cos 2 n theta) = Li_j(q) - s Re Li_j(z),
+
+where Li_j(x) = sum_n n^j x^n is the Eulerian closed form shared with
+the cutoff oracle.  Nothing is truncated.  Expanding in small eps, these
+sums behave like 1/(e^(a eps) - 1) and its derivatives (a = pi/L), so
+the divergent bases are known analytically per observable:
 
     phi2:    eps^-2, eps^-1   (constant, then all integer powers)
     phidot2: eps^-4, eps^-3, eps^-2, eps^-1
@@ -40,23 +48,21 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import QuadratureError, TruncationError
-from .regsum import EpsilonSchedule, FinitePartResult, fit_finite_part
+from .errors import PrecisionError, QuadratureError
+from .regsum import EpsilonSchedule, FinitePartResult, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition
 
 __all__ = ["Observable", "ModeSumSpec", "mode_sum_finite_part",
-           "transverse_integral_unit_test", "default_schedule", "required_n_max"]
-
-# Truncation target for the bare cutoff weight e^(-eps k_n) of the last
-# retained mode at the smallest scheduled cutoff.  The weight bound must
-# undercut round-off by a wide margin because the phidot2 summand grows
-# like k_n^2/eps on top of the weight; 1e-32 leaves the truncated tail
-# far below everything the finite-part fit can resolve.
-_TRUNCATION_WEIGHT = 1e-32
+           "transverse_integral_unit_test", "default_schedule"]
 
 _DIVERGENT_POWERS = {"phi2": 2, "phidot2": 4}
+
+# At the small end of the phidot2 schedule the regulated sums exceed the
+# finite part by ~1e11 (the eps^-4 divergence): 80-bit long double
+# (eps 1.1e-19) leaves the fit the digits it needs, a long double that
+# is only a double (eps 2.2e-16) does not.
+_LONGDOUBLE_EPS_MAX = 1e-18
 
 
 class Observable(Enum):
@@ -85,18 +91,12 @@ def default_schedule(observable: Observable, L: float = 1.0) -> EpsilonSchedule:
     return EpsilonSchedule.log_spaced(2e-3 * L, 2e-2 * L, 16, fit_basis_degree=5)
 
 
-def required_n_max(L: float, eps_min: float) -> int:
-    """Smallest truncation satisfying e^(-eps_min n pi / L) < 1e-16."""
-    return math.ceil(-math.log(_TRUNCATION_WEIGHT) * L / (eps_min * math.pi))
-
-
 @dataclass(frozen=True)
 class ModeSumSpec:
-    """What to sum: geometry, point, observable, cutoff schedule, truncation.
+    """What to sum: geometry, point, observable and cutoff schedule.
 
-    ``n_max`` and ``epsilon_schedule`` may be omitted; the truncation
-    then satisfies the weight bound automatically and the schedule falls
-    back to :func:`default_schedule` for the observable.
+    ``epsilon_schedule`` may be omitted; it then falls back to
+    :func:`default_schedule` for the observable.
     """
 
     bc: BoundaryCondition
@@ -104,7 +104,6 @@ class ModeSumSpec:
     theta: float
     observable: Observable
     epsilon_schedule: EpsilonSchedule | None = None
-    n_max: int | None = None
 
     def __post_init__(self) -> None:
         if not self.L > 0.0:
@@ -115,55 +114,64 @@ class ModeSumSpec:
             object.__setattr__(
                 self, "epsilon_schedule", default_schedule(self.observable, self.L)
             )
-        if self.n_max is None:
-            object.__setattr__(
-                self, "n_max", required_n_max(self.L, min(self.epsilon_schedule.values))
-            )
-
-    def validate_truncation(self) -> None:
-        needed = required_n_max(self.L, min(self.epsilon_schedule.values))
-        if self.n_max < needed:
-            raise TruncationError(
-                f"n_max = {self.n_max} leaves weight above round-off at the "
-                f"smallest cutoff; need at least {needed}"
-            )
 
 
-def _transverse_closed(observable: Observable, kn: np.ndarray, eps: float) -> np.ndarray:
-    damp = np.exp(-eps * kn)
+def _kernel_coefficients(observable: Observable, eps):
+    """(c_0, c_1, ...) of the transverse integral e^(-eps k) sum_j c_j k^j."""
     if observable is Observable.PHI2:
-        return damp / (2.0 * math.pi * eps)
-    return damp * (kn**2 / eps + 2.0 * kn / eps**2 + 2.0 / eps**3) / (2.0 * math.pi)
+        return (1.0 / (2.0 * math.pi * eps),)
+    return tuple(c / (2.0 * math.pi) for c in (2.0 / eps**3, 2.0 / eps**2, 1.0 / eps))
+
+
+def _transverse_closed(observable: Observable, kn, eps):
+    coeffs = _kernel_coefficients(observable, eps)
+    return np.exp(-eps * kn) * sum(c * kn**j for j, c in enumerate(coeffs))
+
+
+def _regulated_sums(spec: ModeSumSpec) -> np.ndarray:
+    """The cutoff-regulated mode sum at every scheduled eps, summed exactly.
+
+    sum_{n>=1} (1 - s cos 2 n theta) T(k_n, eps) / (2 L) with T the
+    transverse kernel, as Li_j(q) - s Re Li_j(z) per power of k_n.
+    """
+    eps = np.asarray(spec.epsilon_schedule.values, dtype=np.longdouble)
+    a = np.longdouble(math.pi) / np.longdouble(spec.L)
+    q = np.exp(-eps * a)
+    one_minus_q = -np.expm1(-eps * a)
+    z = q * np.exp(1j * np.longdouble(2.0 * spec.theta))
+    one_minus_z = 1.0 - z
+    s = spec.bc.sign_upper
+    total = np.zeros_like(eps)
+    for j, c in enumerate(_kernel_coefficients(spec.observable, eps)):
+        weighted = _power_series(j, q, one_minus_q) - s * _power_series(j, z, one_minus_z).real
+        total += c * a**j * weighted
+    return total / (2.0 * np.longdouble(spec.L))
 
 
 def mode_sum_finite_part(spec: ModeSumSpec) -> FinitePartResult:
     """Finite part of the cutoff-regulated mode sum at one point.
 
-    For each scheduled eps the transverse integrals are summed over
-    n <= n_max with the boundary-condition weight (1 - s cos(2 n theta)),
-    then the divergent powers are fitted away; the constant term
-    reproduces the closed-form phi2 or phidot2 profile.
+    For each scheduled eps the transverse integrals are summed over all
+    n >= 1 with the boundary-condition weight (1 - s cos(2 n theta)),
+    in closed form, then the divergent powers are fitted away; the
+    constant term reproduces the closed-form phi2 or phidot2 profile.
 
     The sums run in extended precision.  At the small end of the
     schedule they reach ~ eps^-4 while the finite part is O(1), so
-    double-precision round-off on the summands would already be
-    comparable to the quantity being extracted; x86 long double buys
-    the three extra digits the fit needs.
+    double-precision round-off would already be comparable to the
+    quantity being extracted; x86 long double buys the three extra
+    digits the fit needs, and a platform without it raises
+    :class:`PrecisionError` instead of returning a degraded value.
     """
-    spec.validate_truncation()
-    s = spec.bc.sign_upper
-    n = np.arange(1, spec.n_max + 1, dtype=np.longdouble)
-    kn = n * (np.longdouble(math.pi) / np.longdouble(spec.L))
-    weights = 1.0 - s * np.cos(np.longdouble(2.0 * spec.theta) * n)
-    eps_values = spec.epsilon_schedule.values
-    sums = tuple(
-        np.sum(weights * _transverse_closed(spec.observable, kn, np.longdouble(eps)))
-        / (2.0 * np.longdouble(spec.L))
-        for eps in eps_values
-    )
+    ld_eps = float(np.finfo(np.longdouble).eps)
+    if not ld_eps <= _LONGDOUBLE_EPS_MAX:
+        raise PrecisionError(
+            f"long double eps {ld_eps:.3g} exceeds {_LONGDOUBLE_EPS_MAX:g}; "
+            "the mode-sum oracle needs 80-bit or wider extended precision"
+        )
     return fit_finite_part(
-        eps_values,
-        sums,
+        spec.epsilon_schedule.values,
+        tuple(_regulated_sums(spec)),
         _DIVERGENT_POWERS[spec.observable.value],
         spec.epsilon_schedule.fit_basis_degree,
     )
@@ -182,7 +190,9 @@ def transverse_integral_unit_test(
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
-    closed = float(_transverse_closed(observable, np.array([k_n]), epsilon)[0])
+    from scipy.integrate import quad
+
+    closed = float(_transverse_closed(observable, k_n, epsilon))
 
     def integrand(k: float) -> float:
         w = math.hypot(k, k_n)
@@ -191,7 +201,7 @@ def transverse_integral_unit_test(
         return k * radial / (2.0 * math.pi)
 
     value, abserr = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=rtol, limit=200)
-    if abserr > 1e-6 * abs(value):
+    if not abserr <= 1e-6 * abs(value):
         raise QuadratureError(
             f"transverse quadrature did not converge: {value} +- {abserr}"
         )

@@ -143,8 +143,8 @@ def trig_sum_n3_cos(theta: float) -> float:
 
 @lru_cache(maxsize=None)
 def _eulerian_row(k: int) -> tuple[int, ...]:
-    """Eulerian numbers A(k, m) for m = 0 .. k-1 (k >= 1)."""
-    if k == 1:
+    """Eulerian numbers A(k, m) for m = 0 .. k-1 (k >= 1); (1,) for k = 0."""
+    if k <= 1:
         return (1,)
     prev = _eulerian_row(k - 1)
     row = []
@@ -153,6 +153,20 @@ def _eulerian_row(k: int) -> tuple[int, ...]:
         right = (m + 1) * prev[m] if m < k - 1 else 0
         row.append(left + right)
     return tuple(row)
+
+
+def _power_series(k: int, x, one_minus_x):
+    """sum_{n>=1} n^k x^n = x P_k(x) / (1-x)^(k+1), P_k the Eulerian polynomial.
+
+    The one place this closed form is written.  ``x`` may be a float, a
+    complex number or a numpy array of any float or complex dtype, and
+    the arithmetic is the same element by element; ``1 - x`` is passed
+    in so that callers near x = 1 can form it without cancellation.
+    """
+    poly = 0
+    for a in reversed(_eulerian_row(k)):
+        poly = poly * x + a
+    return x * poly / one_minus_x ** (k + 1)
 
 
 def geometric_power_sum(k: int, z: complex) -> complex:
@@ -165,12 +179,7 @@ def geometric_power_sum(k: int, z: complex) -> complex:
         raise ValueError(f"power must be non-negative, got {k}")
     if abs(z) >= 1.0:
         raise DomainError(f"geometric_power_sum needs |z| < 1, got |z| = {abs(z)}")
-    if k == 0:
-        return z / (1.0 - z)
-    poly = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-    for a in reversed(_eulerian_row(k)):
-        poly = poly * z + a
-    return z * poly / (1.0 - z) ** (k + 1)
+    return _power_series(k, z, 1.0 - z)
 
 
 def exp_cutoff_power_sum(k: int, eps: float) -> float:
@@ -183,14 +192,7 @@ def exp_cutoff_power_sum(k: int, eps: float) -> float:
     """
     if eps <= 0.0:
         raise DomainError(f"cutoff eps must be positive, got {eps}")
-    z = math.exp(-eps)
-    one_minus_z = -math.expm1(-eps)
-    if k == 0:
-        return z / one_minus_z
-    poly = 0.0
-    for a in reversed(_eulerian_row(k)):
-        poly = poly * z + a
-    return z * poly / one_minus_z ** (k + 1)
+    return _power_series(k, math.exp(-eps), -math.expm1(-eps))
 
 
 # ---------------------------------------------------------------------------

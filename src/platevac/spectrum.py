@@ -22,9 +22,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidConfigError
 
-__all__ = ["BoundaryCondition", "PlateConfig", "ModeIndex", "k_n", "omega",
+__all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "ModeIndex", "k_n", "omega",
            "mode_profile", "orthonormality_check"]
 
 
@@ -38,15 +38,25 @@ class BoundaryCondition(Enum):
         return 1 if self is BoundaryCondition.DIRICHLET else -1
 
 
+# The separations every closed form accepts: the densities scale as L^-4
+# and the energies as L^-3, so L^4 and L^-4 must both be finite doubles.
+# They overflow below about 8.6e-78 and above 1.2e77; the factor 1e5 of
+# headroom keeps the sin^-4 theta profile factors finite on the CLI's
+# default grid as well.
+L_MIN, L_MAX = 1e-72, 1e72
+
+
 @dataclass(frozen=True)
 class PlateConfig:
-    """Plate separation L (length units)."""
+    """Plate separation L (length units), within [L_MIN, L_MAX]."""
 
     L: float
 
     def __post_init__(self) -> None:
-        if not self.L > 0.0:
-            raise ValueError(f"plate separation must be positive, got {self.L}")
+        if not L_MIN <= self.L <= L_MAX:
+            raise InvalidConfigError(
+                f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {self.L}"
+            )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from platevac import casimir
 from platevac.casimir import (
     GlobalResult,
     canonical_density_integral,
@@ -40,6 +41,11 @@ class TestTotalEnergy:
     @pytest.mark.parametrize("L,denominator", [(2.0, 11520.0), (0.5, 180.0)])
     def test_length_scaling(self, L, denominator):
         assert total_energy(PlateConfig(L)) == pytest.approx(-math.pi**2 / denominator, rel=1e-13)
+
+    def test_nan_pipeline_raises(self, monkeypatch):
+        monkeypatch.setattr(casimir, "master_integral", lambda spec: math.nan)
+        with pytest.raises(ConsistencyError):
+            total_energy(PlateConfig(1.0))
 
     def test_boundary_condition_independent(self):
         config = PlateConfig(1.7)

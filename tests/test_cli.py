@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -272,11 +275,45 @@ class TestVerifyCommand:
             capsys)
         assert code == 0
 
+    def test_tiny_smallest_cutoff_finishes(self, capsys):
+        # a truncated mode sum would need 2.3e10 modes at this cutoff; the
+        # closed form needs none, and the fit reports what it can resolve
+        code, _, _ = _run(["verify", "--eps-smallest", "1e-9"], capsys)
+        assert code in (0, 1, 2)
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
         code, _, _ = _run(["verify", "--quick", "--output", str(target)], capsys)
         assert code == 0
         assert "checks passed" in target.read_text()
+
+
+class TestSeparationDomain:
+    @pytest.mark.parametrize("command", ["energy", "verify", "profile"])
+    @pytest.mark.parametrize("length", ["inf", "nan", "1e100", "1e-100"])
+    def test_out_of_range_length_exits_2(self, command, length, capsys):
+        code, out, err = _run([command, "--length", length], capsys)
+        assert code == 2
+        assert out == ""
+        assert "plate separation" in err
+
+    @pytest.mark.parametrize("length", ["1e-72", "1e72"])
+    def test_range_ends_accepted(self, length, capsys):
+        code, out, _ = _run(["energy", "--length", length], capsys)
+        assert code == 0
+        assert "total_energy" in out
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the two quadrature cross-checks, which import it
+    # when they run
+    root = Path(__file__).resolve().parents[1]
+    probe = "import sys, platevac.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDirectInvocation:

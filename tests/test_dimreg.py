@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platevac.dimreg import MasterIntegralSpec, gamma_real, master_integral, quadrature_reference
-from platevac.errors import PoleError
+from platevac.errors import PlateVacError, PoleError, QuadratureError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -48,6 +48,14 @@ class TestGammaReal:
             gamma_real(math.inf)
         with pytest.raises(ValueError):
             gamma_real(math.nan)
+
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e300, 5e-324])
+    def test_overflow_raises_library_error(self, x):
+        with pytest.raises(PlateVacError):
+            gamma_real(x)
+
+    def test_largest_finite_value(self):
+        assert gamma_real(171.6) == math.gamma(171.6)
 
     @given(st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=60, deadline=None)
@@ -138,3 +146,10 @@ class TestQuadratureReference:
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             quadrature_reference(2, 2.0, 0.0)
+
+    def test_nan_quadrature_raises(self, monkeypatch):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+        with pytest.raises(QuadratureError):
+            quadrature_reference(2, 2.0, 1.0)

@@ -1,17 +1,19 @@
-"""Tests for the brute-force mode-sum oracle."""
+"""Tests for the mode-sum oracle."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from platevac.errors import TruncationError
+from platevac import oracle
+from platevac.errors import PrecisionError, QuadratureError
 from platevac.fluctuations import InteriorPoint, expectation_set
 from platevac.oracle import (
     ModeSumSpec,
     Observable,
     default_schedule,
     mode_sum_finite_part,
-    required_n_max,
     transverse_integral_unit_test,
 )
 from platevac.regsum import EpsilonSchedule
@@ -49,6 +51,13 @@ class TestTransverseIntegral:
             transverse_integral_unit_test(0.0, 0.1, Observable.PHI2)
         with pytest.raises(ValueError):
             transverse_integral_unit_test(1.0, 0.0, Observable.PHI2)
+
+    def test_nan_quadrature_raises(self, monkeypatch):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+        with pytest.raises(QuadratureError):
+            transverse_integral_unit_test(math.pi, 0.1, Observable.PHI2)
 
 
 class TestModeSumFinitePart:
@@ -135,21 +144,64 @@ class TestModeSumFinitePart:
         assert phidot2.divergent_coeffs[0] > 0.0  # leading eps^-4 weight
 
 
-class TestSpecValidation:
-    def test_auto_truncation_satisfies_invariant(self):
-        spec = ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHI2)
-        eps_min = min(spec.epsilon_schedule.values)
-        assert math.exp(-eps_min * spec.n_max * math.pi / spec.L) < 1e-16
-        spec.validate_truncation()
+def _truncated_mode_sums(spec):
+    """The regulated mode sums by brute force: n <= n_max, one term per mode.
 
-    def test_insufficient_truncation_raises(self):
-        spec = ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHI2, n_max=100)
-        with pytest.raises(TruncationError):
+    Test-only reference for the oracle's closed-form sums.  n_max puts the
+    cutoff weight e^(-eps k_n) of the last mode below 1e-32 at the
+    smallest cutoff, far below long double round-off on the sum.
+    """
+    eps_min = min(spec.epsilon_schedule.values)
+    n_max = math.ceil(-math.log(1e-32) * spec.L / (eps_min * math.pi))
+    n = np.arange(1, n_max + 1, dtype=np.longdouble)
+    kn = n * (np.longdouble(math.pi) / np.longdouble(spec.L))
+    weights = 1.0 - spec.bc.sign_upper * np.cos(np.longdouble(2.0 * spec.theta) * n)
+    return np.array([
+        np.sum(weights * oracle._transverse_closed(spec.observable, kn, np.longdouble(eps)))
+        / (2.0 * np.longdouble(spec.L))
+        for eps in spec.epsilon_schedule.values
+    ])
+
+
+class TestClosedFormSums:
+    @pytest.mark.parametrize("bc,L,theta,observable", [
+        (D, 1.0, 1.0, Observable.PHI2),
+        (N, 0.3, 0.45, Observable.PHI2),
+        (D, 2.0, 2.6, Observable.PHIDOT2),
+        (N, 1.0, math.pi / 2.0, Observable.PHIDOT2),
+    ])
+    def test_match_truncated_brute_force(self, bc, L, theta, observable):
+        spec = ModeSumSpec(bc=bc, L=L, theta=theta, observable=observable)
+        exact = oracle._regulated_sums(spec)
+        brute = _truncated_mode_sums(spec)
+        assert exact.dtype == np.longdouble
+        assert float(np.max(np.abs(exact - brute) / np.abs(brute))) <= 1e-15
+
+    @given(
+        st.sampled_from(BOTH),
+        st.floats(min_value=0.1, max_value=10.0),
+        st.floats(min_value=0.3, max_value=math.pi - 0.3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_finite_parts_within_documented_tolerance(self, bc, L, theta):
+        for observable, rtol in ((Observable.PHI2, 1e-4), (Observable.PHIDOT2, 1e-3)):
+            spec = ModeSumSpec(bc=bc, L=L, theta=theta, observable=observable)
+            finite = mode_sum_finite_part(spec).finite_part
+            assert finite == pytest.approx(_closed_form(bc, L, theta, observable), rel=rtol)
+
+    def test_short_long_double_raises(self, monkeypatch):
+        # a platform whose long double is a plain double
+        real_finfo = np.finfo
+        monkeypatch.setattr(
+            oracle.np, "finfo",
+            lambda dtype: real_finfo(np.float64) if dtype is np.longdouble else real_finfo(dtype),
+        )
+        spec = ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHI2)
+        with pytest.raises(PrecisionError):
             mode_sum_finite_part(spec)
 
-    def test_required_n_max_scales_with_length(self):
-        assert required_n_max(2.0, 1e-3) == pytest.approx(2 * required_n_max(1.0, 1e-3), abs=1.0)
 
+class TestSpecValidation:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             ModeSumSpec(bc=D, L=0.0, theta=1.0, observable=Observable.PHI2)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac.errors import DomainError
+from platevac.errors import DomainError, InvalidConfigError
 from platevac.spectrum import (
+    L_MAX,
+    L_MIN,
     BoundaryCondition,
     ModeIndex,
     PlateConfig,
@@ -31,6 +33,17 @@ class TestTypes:
             PlateConfig(0.0)
         with pytest.raises(ValueError):
             PlateConfig(-1.0)
+
+    @pytest.mark.parametrize("L", [math.inf, -math.inf, math.nan, 1e100, 1e-100,
+                                   L_MAX * 1.0000001, L_MIN * 0.9999999])
+    def test_plate_config_rejects_out_of_range(self, L):
+        with pytest.raises(InvalidConfigError):
+            PlateConfig(L)
+
+    def test_range_keeps_fourth_powers_finite(self):
+        for L in (L_MIN, L_MAX):
+            assert PlateConfig(L).L == L
+            assert math.isfinite(L**4) and math.isfinite(L**-4)
 
     def test_mode_index_validation(self):
         with pytest.raises(ValueError):
