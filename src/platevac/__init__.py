@@ -8,10 +8,8 @@ brute-force summation oracles.
 """
 
 from .casimir import (
-    GlobalResult,
     canonical_density_integral,
     em_reference,
-    global_result,
     integrated_density_check,
     pressure,
     total_energy,
@@ -52,24 +50,11 @@ from .regsum import (
 )
 from .spectrum import (
     BoundaryCondition,
-    ModeIndex,
     PlateConfig,
     k_n,
     mode_profile,
-    omega,
     orthonormality_check,
 )
-from .stress import (
-    FieldType,
-    StressReport,
-    TensorForm,
-    brown_maclay_form,
-    canonical_T00,
-    huggins_delta_T00,
-    improved_energy_density,
-    stress_report,
-    t_zz,
-    traces,
-)
+from .stress import StressReport, stress_report
 
 __version__ = "0.1.0"

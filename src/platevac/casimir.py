@@ -15,7 +15,6 @@ is asserted against the closed constant on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,35 +23,21 @@ from .errors import ConsistencyError
 from .fluctuations import expectation_columns
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
-from .stress import canonical_T00, improved_energy_density
+from .stress import stress_report
 
-__all__ = ["GlobalResult", "total_energy", "pressure", "em_reference",
-           "global_result", "integrated_density_check", "canonical_density_integral"]
+__all__ = ["total_energy", "pressure", "em_reference", "integrated_density_check",
+           "canonical_density_integral"]
 
 _PIPELINE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GlobalResult:
-    """Energy per unit area, pressure, and the boundary condition used."""
-
-    energy_per_area: float
-    pressure: float
-    bc: BoundaryCondition
-
-    def __post_init__(self) -> None:
-        if not (self.energy_per_area < 0.0 and self.pressure < 0.0):
-            raise ConsistencyError("plate interaction must be attractive")
-
-
-def total_energy(config: PlateConfig, bc: BoundaryCondition = BoundaryCondition.DIRICHLET) -> float:
+def total_energy(config: PlateConfig) -> float:
     """Casimir energy per unit plate area, -pi^2/(1440 L^3).
 
-    Identical for Dirichlet and Neumann plates (the ``bc`` argument only
-    records which spectrum was summed; both give the same continued
-    value).  The value is produced by the master-integral coefficient
-    times the exact zeta(-3) and cross-checked against the closed
-    constant.
+    Identical for Dirichlet and Neumann plates: both spectra give the
+    same continued value.  The value is produced by the master-integral
+    coefficient times the exact zeta(-3) and cross-checked against the
+    closed constant.
     """
     per_mode = 0.5 * master_integral(
         MasterIntegralSpec(d=2.0, N=-0.5, m_sq=k_n(config, 1) ** 2)
@@ -84,38 +69,21 @@ def em_reference(config: PlateConfig) -> tuple[float, float, float]:
     return 2.0 * scalar_energy, 2.0 * scalar_density, 2.0 * scalar_pressure
 
 
-def global_result(config: PlateConfig, bc: BoundaryCondition) -> GlobalResult:
-    """Bundle the global quantities for one boundary condition."""
-    return GlobalResult(energy_per_area=total_energy(config, bc),
-                        pressure=pressure(config), bc=bc)
-
-
-def integrated_density_check(
-    config: PlateConfig, bc: BoundaryCondition, grid_points: int = 4
-) -> tuple[float, float]:
+def integrated_density_check(config: PlateConfig, bc: BoundaryCondition) -> tuple[float, float]:
     """Integrate the improved energy density across the gap by quadrature.
 
     The density is constant, so the integral must reproduce the total
-    energy; the midpoint rule on the open interval makes this a genuine
-    numerical test rather than -A * L by construction.  Returns the
-    integral and its absolute mismatch against :func:`total_energy`.
-
-    The default grid is deliberately coarse.  Each density evaluation
-    carries round-off proportional to the profile part B it cancels,
-    which grows like the inverse fourth power of the distance to the
-    nearest plate; refining the midpoint grid therefore pushes the
-    innermost points into a regime where accumulated round-off
-    (~ grid_points^3 ulp) swamps the 1e-12 mismatch contract, while the
-    midpoint rule is already exact for a constant at any resolution.
+    energy: this ties the local closed forms to the independent zeta
+    pipeline of :func:`total_energy`.  Returns the integral and its
+    absolute mismatch against :func:`total_energy`.  The density is -A
+    to the bit at every point, so the midpoint rule is exact at any
+    resolution; four points keep the summation round-off to a few ulp.
     """
-    if grid_points < 2:
-        raise ValueError("need at least two quadrature points")
-    h = config.L / grid_points
-    centers = (np.arange(grid_points) + 0.5) * h
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, fluct, ab = expectation_columns(bc, config, centers)
-        integral = float(np.sum(improved_energy_density(fluct, ab))) * h
-    return integral, abs(integral - total_energy(config, bc))
+    h = config.L / 4
+    centers = (np.arange(4) + 0.5) * h
+    _, fluct, ab = expectation_columns(bc, config, centers)
+    integral = float(np.sum(stress_report(fluct, ab).energy_density_improved)) * h
+    return integral, abs(integral - total_energy(config))
 
 
 def canonical_density_integral(
@@ -136,6 +104,5 @@ def canonical_density_integral(
     width = config.L - 2.0 * lo
     h = width / grid_points
     centers = lo + (np.arange(grid_points) + 0.5) * h
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, fluct, _ = expectation_columns(bc, config, centers)
-        return float(np.sum(canonical_T00(fluct))) * h
+    _, fluct, ab = expectation_columns(bc, config, centers)
+    return float(np.sum(stress_report(fluct, ab).energy_density_canonical)) * h

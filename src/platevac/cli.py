@@ -96,9 +96,8 @@ def _json_render(obj) -> str:
 def _profile_rows(config: RunConfig) -> dict[str, np.ndarray]:
     """Every profile column over the whole grid, keyed by PROFILE_COLUMNS."""
     z = config.grid()
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta, fluct, ab = expectation_columns(config.bc, PlateConfig(config.L), z)
-        report = stress.stress_report(fluct, ab)
+    theta, fluct, ab = expectation_columns(config.bc, PlateConfig(config.L), z)
+    report = stress.stress_report(fluct, ab)
     return {
         "z": z,
         "theta": theta,
@@ -121,7 +120,7 @@ def _globals_payload(config: RunConfig) -> dict[str, float]:
     em_energy, em_density, em_pressure = casimir.em_reference(plate)
     integral, mismatch = casimir.integrated_density_check(plate, config.bc)
     return {
-        "total_energy": casimir.total_energy(plate, config.bc),
+        "total_energy": casimir.total_energy(plate),
         "pressure": casimir.pressure(plate),
         "em_energy_per_area": em_energy,
         "em_energy_density": em_density,
@@ -300,17 +299,19 @@ def run_verification(config: RunConfig) -> list[Check]:
             point = InteriorPoint.from_theta(plate, theta)
             ab = ab_values(plate, point)
             fluct = expectation_set(_eval_bc(bc, inject), plate, point)
-            trace_canonical, trace_improved = stress.traces(fluct)
+            report = stress.stress_report(fluct, ab)
+            trace_canonical = report.trace_canonical
             expected_trace = -6.0 * sign * ab.B
             worst_trace_sign = max(
                 worst_trace_sign, abs(trace_canonical - expected_trace) / abs(expected_trace)
             )
             if trace_canonical != 0.0:
-                worst_trace_zero = max(worst_trace_zero, abs(trace_improved) / abs(trace_canonical))
-            improved = stress.improved_energy_density(fluct, ab)
+                worst_trace_zero = max(worst_trace_zero,
+                                       abs(report.trace_improved) / abs(trace_canonical))
+            improved = report.energy_density_improved
             improved_values.append(improved)
             worst_density = max(worst_density, abs(improved + a_const) / a_const)
-            worst_tzz = max(worst_tzz, abs(stress.t_zz(fluct, ab) - p_ref) / abs(p_ref))
+            worst_tzz = max(worst_tzz, abs(report.t_zz - p_ref) / abs(p_ref))
 
             mirror = expectation_set(_eval_bc(bc, inject), plate,
                                      InteriorPoint.from_theta(plate, math.pi - theta))
@@ -428,8 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_energy = sub.add_parser("energy", help="total energy, pressure, and reference values")
     common(p_energy, needs_grid=False)
 
+    # verify checks both boundary conditions and writes a text report
     p_verify = sub.add_parser("verify", help="run all oracle cross-checks and invariants")
-    common(p_verify, needs_grid=False)
+    p_verify.add_argument("--length", type=float, default=1.0, help="plate separation L")
+    p_verify.add_argument("--output", default=None, help="output path (default stdout)")
     p_verify.add_argument("--quick", action="store_true",
                           help="reduce oracle grids to 3 points for a fast pass")
     p_verify.add_argument("--inject-sign-flip", action="store_true",
@@ -454,11 +457,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         schedule = EpsilonSchedule.log_spaced(smallest, largest, args.eps_count,
                                               fit_basis_degree=args.eps_degree)
     return RunConfig(
-        bc=BoundaryCondition(args.bc),
+        bc=BoundaryCondition(getattr(args, "bc", "dirichlet")),
         L=args.length,
         grid_points=getattr(args, "points", 64),
         z_margin=getattr(args, "margin", 0.02),
-        output_format=args.format,
+        output_format=getattr(args, "format", "csv"),
         quick=getattr(args, "quick", False),
         inject_sign_flip=getattr(args, "inject_sign_flip", False),
         epsilon_schedule=schedule,

@@ -35,8 +35,9 @@ class QuadratureError(PlateVacError, ArithmeticError):
 
 
 class ConsistencyError(PlateVacError, ArithmeticError):
-    """An internal cross-check failed (for instance, a position-dependent
-    part that must cancel exceeded its cancellation tolerance)."""
+    """An internal cross-check failed (for instance, a table of exact
+    pairs that breaks a proved cancellation, or a pipeline value off its
+    closed form)."""
 
 
 class InvalidConfigError(PlateVacError, ValueError):

@@ -14,6 +14,10 @@ s = sign_upper (+1 Dirichlet, -1 Neumann).  The individual fluctuations
 diverge on the plates; the surfaces are therefore excluded from the
 domain rather than mapped to infinities.
 
+Every 1/length^4 field is an exact rational combination alpha A + beta t
+with t = s B, held as a :class:`Pair` in :data:`FIELD_PAIRS`;
+:func:`evaluate` is the one place a pair meets floating point.
+
 Every formula is written once, in terms of L, s and s2 = sin^2 theta,
 and is shared by the scalar API (one point, Python floats, no numpy)
 and by :func:`expectation_columns` (a whole grid of points at once,
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +40,9 @@ from .errors import DomainError
 from .regsum import _f_of_sin2
 from .spectrum import BoundaryCondition, PlateConfig
 
-__all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "ab_values",
-           "phi_squared", "phi_squared_single_plate", "expectation_set",
-           "expectation_columns"]
+__all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
+           "evaluate", "ab_values", "phi_squared", "phi_squared_single_plate",
+           "expectation_set", "expectation_columns"]
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,76 @@ class FluctuationSet:
     dlambda_phi2: float
     phi_d2z_phi: float
 
-    def contraction_residual(self) -> float:
-        """|phidot2 - dzphi2 - gradTphi2 - dlambda_phi2|, zero up to round-off."""
-        return abs(self.phidot2 - self.dzphi2 - self.gradTphi2 - self.dlambda_phi2)
+
+@dataclass(frozen=True)
+class Pair:
+    """alpha A + beta t, t = s B, with exact rational (int or Fraction) alpha, beta.
+
+    Rational combinations of pairs are pairs, computed exactly.
+    """
+
+    alpha: Fraction
+    beta: Fraction
+
+    def __add__(self, other: "Pair") -> "Pair":
+        return Pair(self.alpha + other.alpha, self.beta + other.beta)
+
+    def __sub__(self, other: "Pair") -> "Pair":
+        return self + -1 * other
+
+    def __rmul__(self, c: Fraction) -> "Pair":
+        return Pair(c * self.alpha, c * self.beta)
+
+    @cached_property
+    def _plan(self) -> tuple[float, float]:
+        """The floats evaluate() uses: (alpha, beta/alpha), or (alpha, beta) if either is 0."""
+        ratio = Fraction(self.beta, self.alpha) if self.alpha and self.beta else self.beta
+        return float(self.alpha), float(ratio)
+
+
+# The five 1/length^4 fields of FluctuationSet in field order, as listed
+# in the expectation_set docstring (phi2 scales as 1/length^2 and is no
+# such combination).
+FIELD_PAIRS = {
+    "phidot2": Pair(-1, 1),
+    "dzphi2": Pair(-3, -3),
+    "gradTphi2": Pair(2, -2),
+    "dlambda_phi2": Pair(0, 6),
+    "phi_d2z_phi": Pair(3, -3),
+}
+
+
+def evaluate(pairs, A, t) -> list:
+    """alpha A + beta t of each pair in ``pairs``, from the floats A and t.
+
+    ``t`` may be a float or a float64 array (``A`` is a float); every
+    value has t's type and shape.  Pairs with both coefficients nonzero
+    are evaluated as alpha (A + (beta/alpha) t), the form every field
+    above is written in; beta = 0 gives alpha A without touching t,
+    alpha = 0 gives beta t, and (0, 0) gives +0.0.
+    """
+    array = isinstance(t, np.ndarray)
+    values = []
+    for pair in pairs:
+        scale, ratio = pair._plan
+        if not ratio:
+            values.append(np.full_like(t, scale * A) if array else scale * A)
+        elif not scale:
+            values.append(ratio * t)
+        else:
+            values.append(scale * (A + ratio * t))
+    return values
+
+
+def _require(ok, values, message: str) -> None:
+    """DomainError quoting ``values`` unless ``ok``; on arrays, at the first failure."""
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        values = values[np.argmin(ok)]
+    elif ok:
+        return
+    raise DomainError(message.format(float(values)))
 
 
 def _sin2(theta: float) -> float:
@@ -107,7 +180,13 @@ def _sin2(theta: float) -> float:
 
 def _ab(L, s2) -> ABPair:
     scale = math.pi ** 2 / L ** 4
-    return ABPair(A=scale / 1440.0, B=scale / 96.0 * _f_of_sin2(s2))
+    B = scale / 96.0 * _f_of_sin2(s2)
+    # No field or tensor component exceeds 6 t, so a finite 6 B keeps
+    # every value finite; a NaN fails this too.
+    _require(6.0 * B < math.inf, s2,
+             "the profile part B overflows at sin^2 theta = {!r}: "
+             "the point is too close to a plate")
+    return ABPair(A=scale / 1440.0, B=B)
 
 
 def _phi2(s: int, L, s2):
@@ -115,15 +194,7 @@ def _phi2(s: int, L, s2):
 
 
 def _fluctuations(s: int, L, s2, ab: ABPair) -> FluctuationSet:
-    t = s * ab.B
-    return FluctuationSet(
-        phi2=_phi2(s, L, s2),
-        phidot2=-(ab.A - t),
-        dzphi2=-3.0 * (ab.A + t),
-        gradTphi2=2.0 * (ab.A - t),
-        dlambda_phi2=6.0 * t,
-        phi_d2z_phi=3.0 * (ab.A - t),
-    )
+    return FluctuationSet(_phi2(s, L, s2), *evaluate(FIELD_PAIRS.values(), ab.A, s * ab.B))
 
 
 def ab_values(config: PlateConfig, point: InteriorPoint) -> ABPair:
@@ -167,11 +238,6 @@ def expectation_set(
     return _fluctuations(bc.sign_upper, config.L, s2, _ab(config.L, s2))
 
 
-def _require_everywhere(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    if not ok.all():
-        raise DomainError(message.format(float(values[np.argmin(ok)])))
-
-
 def expectation_columns(
     bc: BoundaryCondition, config: PlateConfig, z
 ) -> tuple[np.ndarray, FluctuationSet, ABPair]:
@@ -180,19 +246,19 @@ def expectation_columns(
     ``z`` is a 1-D array of positions.  Returns theta = pi z / L and the
     set and pair whose fields are float64 arrays over ``z`` (``A`` stays
     a float), equal bit for bit to the scalar functions point by point.
-    Every point must pass the scalar domain checks.  Points close enough
-    to a plate for B to overflow give infinities here, not warnings; the
-    stress layer's cancellation checks reject them.
+    Every point must pass the scalar domain checks, including the one
+    on B: a point close enough to a plate for B to overflow raises
+    :class:`DomainError` here as it does there.
     """
     L = config.L
     z = np.asarray(z, dtype=float)
-    _require_everywhere((z > 0.0) & (z < L), z, f"z = {{}} is not strictly inside (0, {L})")
+    _require((z > 0.0) & (z < L), z, f"z = {{}} is not strictly inside (0, {L})")
     theta = math.pi * z / L
-    _require_everywhere((theta > 0.0) & (theta < math.pi), theta,
-                        "interior points need 0 < theta < pi, got theta = {!r}")
+    _require((theta > 0.0) & (theta < math.pi), theta,
+             "interior points need 0 < theta < pi, got theta = {!r}")
     s = np.sin(theta)
     s2 = s * s
-    _require_everywhere(s2 > 0.0, theta, "sin^2 theta underflows to 0 at theta = {!r}")
+    _require(s2 > 0.0, theta, "sin^2 theta underflows to 0 at theta = {!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         ab = _ab(L, s2)
-        return theta, _fluctuations(bc.sign_upper, L, s2, ab), ab
+    return theta, _fluctuations(bc.sign_upper, L, s2, ab), ab

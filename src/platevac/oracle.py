@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PrecisionError, QuadratureError
+from .errors import QuadratureError
 from .regsum import EpsilonSchedule, FinitePartResult, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition
 
@@ -57,12 +57,6 @@ __all__ = ["Observable", "ModeSumSpec", "mode_sum_finite_part",
            "transverse_integral_unit_test", "default_schedule"]
 
 _DIVERGENT_POWERS = {"phi2": 2, "phidot2": 4}
-
-# At the small end of the phidot2 schedule the regulated sums exceed the
-# finite part by ~1e11 (the eps^-4 divergence): 80-bit long double
-# (eps 1.1e-19) leaves the fit the digits it needs, a long double that
-# is only a double (eps 2.2e-16) does not.
-_LONGDOUBLE_EPS_MAX = 1e-18
 
 
 class Observable(Enum):
@@ -160,15 +154,9 @@ def mode_sum_finite_part(spec: ModeSumSpec) -> FinitePartResult:
     schedule they reach ~ eps^-4 while the finite part is O(1), so
     double-precision round-off would already be comparable to the
     quantity being extracted; x86 long double buys the three extra
-    digits the fit needs, and a platform without it raises
+    digits the fit needs, and on a platform without it the fit raises
     :class:`PrecisionError` instead of returning a degraded value.
     """
-    ld_eps = float(np.finfo(np.longdouble).eps)
-    if not ld_eps <= _LONGDOUBLE_EPS_MAX:
-        raise PrecisionError(
-            f"long double eps {ld_eps:.3g} exceeds {_LONGDOUBLE_EPS_MAX:g}; "
-            "the mode-sum oracle needs 80-bit or wider extended precision"
-        )
     return fit_finite_part(
         spec.epsilon_schedule.values,
         tuple(_regulated_sums(spec)),

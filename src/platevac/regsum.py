@@ -42,6 +42,8 @@ from .errors import (
     DomainError,
     ExtrapolationDivergenceError,
     IllConditionedFitError,
+    InvalidConfigError,
+    PrecisionError,
 )
 
 __all__ = [
@@ -328,13 +330,13 @@ class EpsilonSchedule:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if not vals:
-            raise ValueError("epsilon schedule cannot be empty")
+            raise InvalidConfigError("epsilon schedule cannot be empty")
         if any(v <= 0.0 for v in vals):
-            raise ValueError("all cutoff values must be positive")
+            raise InvalidConfigError("all cutoff values must be positive")
         if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("cutoff values must decrease strictly")
+            raise InvalidConfigError("cutoff values must decrease strictly")
         if self.fit_basis_degree < 0:
-            raise ValueError("fit basis degree must be non-negative")
+            raise InvalidConfigError("fit basis degree must be non-negative")
 
     @classmethod
     def log_spaced(
@@ -345,10 +347,31 @@ class EpsilonSchedule:
         fit_basis_degree: int = 2,
     ) -> "EpsilonSchedule":
         """Logarithmically spaced schedule, returned largest-to-smallest."""
-        if not 0.0 < smallest < largest:
-            raise ValueError("need 0 < smallest < largest")
+        if not 0.0 < smallest < largest < math.inf:
+            raise InvalidConfigError(
+                f"need 0 < smallest < largest < inf, got {smallest!r} and {largest!r}"
+            )
+        if count < 1:
+            raise InvalidConfigError(f"need at least one cutoff, got {count}")
         grid = np.geomspace(largest, smallest, count)
         return cls(values=tuple(float(v) for v in grid), fit_basis_degree=fit_basis_degree)
+
+
+# At the small end of the phidot2 mode-sum schedule the regulated sums
+# exceed the finite part by ~1e11 (the eps^-4 divergence): 80-bit long
+# double (eps 1.1e-19) leaves the fit the digits it needs, a long double
+# that is only a double (eps 2.2e-16) does not.
+_LONGDOUBLE_EPS_MAX = 1e-18
+
+
+def _require_long_double() -> None:
+    """Raise PrecisionError unless long double is 80-bit or wider."""
+    ld_eps = float(np.finfo(np.longdouble).eps)
+    if not ld_eps <= _LONGDOUBLE_EPS_MAX:
+        raise PrecisionError(
+            f"long double eps {ld_eps:.3g} exceeds {_LONGDOUBLE_EPS_MAX:g}; "
+            "finite-part fits need 80-bit or wider extended precision"
+        )
 
 
 def _householder_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -404,15 +427,18 @@ def fit_finite_part(
     are normalized and the solve runs in extended precision, which the
     constant term needs: its column is eps^P-suppressed against the
     leading divergence, so double-precision round-off in the
-    triangularization would feed straight into the finite part.
+    triangularization would feed straight into the finite part; a
+    platform without an extended long double raises
+    :class:`PrecisionError` instead of returning a degraded value.
     """
+    _require_long_double()
     eps = np.asarray(eps_values, dtype=np.longdouble)
     y = np.asarray(data, dtype=np.longdouble)
     if eps.shape != y.shape:
         raise ValueError("schedule and data length mismatch")
     n_basis = max_divergent_power + 1 + fit_basis_degree
     if eps.size < n_basis:
-        raise ValueError(
+        raise InvalidConfigError(
             f"schedule has {eps.size} points but the basis needs {n_basis}"
         )
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfigError
 
-__all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "ModeIndex", "k_n", "omega",
-           "mode_profile", "orthonormality_check"]
+__all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "k_n", "mode_profile",
+           "orthonormality_check"]
 
 
 class BoundaryCondition(Enum):
@@ -59,35 +59,15 @@ class PlateConfig:
             )
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """Longitudinal quantum number n >= 1 plus a transverse wavevector.
+def k_n(config: PlateConfig, n: int) -> float:
+    """Longitudinal wavenumber k_n = n pi / L, n >= 1.
 
     The n = 0 Neumann mode is constant in space and contributes nothing,
     so n starts at 1 for both boundary conditions.
     """
-
-    n: int
-    k_T: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"mode number must be >= 1, got {self.n}")
-        if len(self.k_T) != 2:
-            raise ValueError("transverse wavevector needs exactly two components")
-
-
-def k_n(config: PlateConfig, n: int) -> float:
-    """Longitudinal wavenumber k_n = n pi / L."""
     if n < 1:
         raise ValueError(f"mode number must be >= 1, got {n}")
     return n * math.pi / config.L
-
-
-def omega(config: PlateConfig, mode: ModeIndex) -> float:
-    """Mode frequency (k_T^2 + k_n^2)^(1/2); strictly positive."""
-    kx, ky = mode.k_T
-    return math.sqrt(kx * kx + ky * ky + k_n(config, mode.n) ** 2)
 
 
 def mode_profile(bc: BoundaryCondition, config: PlateConfig, n: int, z: float) -> float:

@@ -7,10 +7,8 @@ import pytest
 
 from platevac import casimir
 from platevac.casimir import (
-    GlobalResult,
     canonical_density_integral,
     em_reference,
-    global_result,
     integrated_density_check,
     pressure,
     total_energy,
@@ -19,7 +17,7 @@ from platevac.errors import ConsistencyError
 from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.regsum import zeta_neg_int
 from platevac.spectrum import BoundaryCondition, PlateConfig
-from platevac.stress import canonical_T00, improved_energy_density
+from platevac.stress import stress_report
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -46,10 +44,6 @@ class TestTotalEnergy:
         monkeypatch.setattr(casimir, "master_integral", lambda spec: math.nan)
         with pytest.raises(ConsistencyError):
             total_energy(PlateConfig(1.0))
-
-    def test_boundary_condition_independent(self):
-        config = PlateConfig(1.7)
-        assert total_energy(config, D) == total_energy(config, N)
 
 
 class TestPressure:
@@ -91,18 +85,6 @@ class TestEmReference:
         assert energy == pytest.approx(-math.pi**2 / 5760.0, rel=1e-13)
 
 
-class TestGlobalResult:
-    def test_bundle(self):
-        result = global_result(PlateConfig(1.0), N)
-        assert result.bc is N
-        assert result.energy_per_area < 0.0
-        assert result.pressure == pytest.approx(3.0 * result.energy_per_area / 1.0, rel=1e-14)
-
-    def test_attractive_invariant_enforced(self):
-        with pytest.raises(ConsistencyError):
-            GlobalResult(energy_per_area=1.0, pressure=-1.0, bc=D)
-
-
 class TestIntegratedDensity:
     @pytest.mark.parametrize("bc", BOTH)
     @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, 10.0])
@@ -117,10 +99,6 @@ class TestIntegratedDensity:
         integral, _ = integrated_density_check(PlateConfig(5.0), D)
         assert integral == pytest.approx(-math.pi**2 / 180000.0, rel=1e-12)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            integrated_density_check(PlateConfig(1.0), D, grid_points=1)
-
 
 class TestMidpointSums:
     """The array midpoint sums against per-point scalar evaluation."""
@@ -130,11 +108,12 @@ class TestMidpointSums:
         config = PlateConfig(1.7)
         margin, n = 0.001, 2000
         h = config.L * (1.0 - 2.0 * margin) / n
-        loop = sum(
-            canonical_T00(expectation_set(bc, config, InteriorPoint.from_z(
-                config, config.L * margin + (i + 0.5) * h)))
-            for i in range(n)
-        ) * h
+        loop = 0.0
+        for i in range(n):
+            point = InteriorPoint.from_z(config, config.L * margin + (i + 0.5) * h)
+            loop += stress_report(expectation_set(bc, config, point),
+                                  ab_values(config, point)).energy_density_canonical
+        loop *= h
         # same-sign terms summed in another order: each sum is within
         # n ulp of the exact one
         assert canonical_density_integral(config, bc, margin) == pytest.approx(
@@ -147,8 +126,8 @@ class TestMidpointSums:
         loop = 0.0
         for i in range(4):
             point = InteriorPoint.from_z(config, (i + 0.5) * h)
-            loop += improved_energy_density(expectation_set(bc, config, point),
-                                            ab_values(config, point))
+            loop += stress_report(expectation_set(bc, config, point),
+                                  ab_values(config, point)).energy_density_improved
         # four terms: numpy adds them in order, as the loop does
         assert integrated_density_check(config, bc)[0] == loop * h
 

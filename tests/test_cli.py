@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import io
 import json
 import math
@@ -221,14 +222,25 @@ class TestColumnarProfile:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_overflowing_profile_exits_2(self, fmt, capsys):
         # At L = 1e-70 the profile part B overflows at the first grid
-        # point, and the cancellation checks see NaN, which must fail
-        # them; a smaller margin would put the last point on the plate.
+        # point; a smaller margin would put the last point on the plate.
         code, out, err = _run(["profile", "--length", "1e-70", "--margin", "2e-16",
                                "--format", fmt], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: improvement term disagrees")
+        assert err.startswith("error: the profile part B overflows")
         assert "Traceback" not in err
+
+    @given(st.floats(), st.floats(), st.sampled_from(["csv", "json"]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_length_and_margin_exit_0_or_2(self, length, margin, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["profile", f"--length={length!r}", f"--margin={margin!r}",
+                         "--points", "16", "--format", fmt])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
 
 
 class TestEnergyCommand:
@@ -280,6 +292,29 @@ class TestVerifyCommand:
         # closed form needs none, and the fit reports what it can resolve
         code, _, _ = _run(["verify", "--eps-smallest", "1e-9"], capsys)
         assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["--eps-smallest", "0.5"],
+        ["--eps-count", "3", "--eps-smallest", "1e-3"],
+        ["--eps-count", "0", "--eps-smallest", "1e-3"],
+        ["--eps-count", "-4", "--eps-smallest", "1e-3"],
+        ["--eps-degree", "-1", "--eps-smallest", "1e-3"],
+        ["--eps-largest", "inf"],
+    ])
+    def test_bad_schedule_exits_2(self, argv, capsys):
+        code, out, err = _run(["verify", "--quick", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [["--bc", "neumann"], ["--format", "json"]])
+    def test_ignored_options_rejected(self, option, capsys):
+        # verify checks both boundary conditions and writes text
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--quick", *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"

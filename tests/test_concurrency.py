@@ -7,7 +7,7 @@ from platevac.casimir import total_energy
 from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.regsum import bernoulli, cutoff_sum_oracle
 from platevac.spectrum import BoundaryCondition, PlateConfig
-from platevac.stress import improved_energy_density
+from platevac.stress import stress_report
 
 
 def _profile_point(i: int) -> float:
@@ -16,7 +16,7 @@ def _profile_point(i: int) -> float:
     bc = BoundaryCondition.DIRICHLET if i % 2 else BoundaryCondition.NEUMANN
     point = InteriorPoint.from_theta(config, theta)
     fluct = expectation_set(bc, config, point)
-    return improved_energy_density(fluct, ab_values(config, point))
+    return stress_report(fluct, ab_values(config, point)).energy_density_improved
 
 
 def test_parallel_profile_evaluation_is_deterministic():

@@ -1,6 +1,7 @@
 """Tests for the local expectation values between the plates."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from platevac.errors import DomainError
 from platevac.fluctuations import (
+    FIELD_PAIRS,
+    ABPair,
+    FluctuationSet,
     InteriorPoint,
+    _fluctuations,
     ab_values,
     expectation_columns,
     expectation_set,
@@ -147,7 +152,26 @@ class TestExpectationSet:
         config = PlateConfig(L)
         fs = expectation_set(bc, config, InteriorPoint.from_theta(config, theta))
         scale = abs(fs.phidot2) + abs(fs.dzphi2) + abs(fs.gradTphi2) + abs(fs.dlambda_phi2)
-        assert fs.contraction_residual() <= 5e-15 * scale
+        residual = abs(fs.phidot2 - fs.dzphi2 - fs.gradTphi2 - fs.dlambda_phi2)
+        assert residual <= 5e-15 * scale
+
+    @given(st.floats(min_value=1e-300, max_value=1e300),
+           st.floats(min_value=-1e300, max_value=1e300), st.sampled_from((1, -1)))
+    @settings(max_examples=300, deadline=None)
+    def test_pair_table_matches_the_written_forms_bit_for_bit(self, A, B, s):
+        assert tuple(FIELD_PAIRS) == tuple(f.name for f in fields(FluctuationSet))[1:]
+        fs = _fluctuations(s, 1.0, 0.5, ABPair(A=A, B=B))
+        t = s * B
+        written = {
+            "phidot2": -(A - t),
+            "dzphi2": -3.0 * (A + t),
+            "gradTphi2": 2.0 * (A - t),
+            "dlambda_phi2": 6.0 * t,
+            "phi_d2z_phi": 3.0 * (A - t),
+        }
+        for name, value in written.items():
+            got = getattr(fs, name)
+            assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value), name
 
     @given(interior_theta, st.sampled_from(BOTH))
     @settings(max_examples=80, deadline=None)
@@ -220,6 +244,18 @@ class TestExpectationColumns:
         assert math.pi * L / L < math.pi
         with pytest.raises(DomainError, match="not strictly inside"):
             expectation_columns(D, PlateConfig(L), np.array([0.5 * L, L]))
+
+    def test_overflowing_profile_part_rejected_in_both_paths(self):
+        # sin^2 theta is positive but B = pi^2 f / (96 L^4) overflows
+        config = PlateConfig(1e-40)
+        theta = 1e-80
+        with pytest.raises(DomainError, match="B overflows"):
+            ab_values(config, InteriorPoint.from_theta(config, theta))
+        with pytest.raises(DomainError, match="B overflows"):
+            expectation_set(N, config, InteriorPoint.from_theta(config, theta))
+        z = np.array([0.5e-40, theta * 1e-40 / math.pi])
+        with pytest.raises(DomainError, match="B overflows"):
+            expectation_columns(D, config, z)
 
     def test_underflowing_sine_rejected_in_both_paths(self):
         config = PlateConfig(1.0)

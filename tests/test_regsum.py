@@ -3,10 +3,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac.errors import DomainError, ExtrapolationDivergenceError, IllConditionedFitError
+from platevac.errors import (
+    DomainError,
+    ExtrapolationDivergenceError,
+    IllConditionedFitError,
+    InvalidConfigError,
+    PrecisionError,
+)
 from platevac.regsum import (
     DEFAULT_ABEL_RADII,
     EpsilonSchedule,
@@ -201,14 +208,20 @@ class TestEpsilonSchedule:
         assert sched.values[-1] == pytest.approx(1e-3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             EpsilonSchedule(values=())
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             EpsilonSchedule(values=(0.1, 0.2))  # increasing
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             EpsilonSchedule(values=(0.1, -0.01))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             EpsilonSchedule(values=(0.1, 0.01), fit_basis_degree=-1)
+
+    @pytest.mark.parametrize("args", [(0.5, 0.1), (0.0, 0.1), (1e-3, math.inf),
+                                      (math.nan, 0.1), (1e-3, 0.1, 0), (1e-3, 0.1, -3)])
+    def test_log_spaced_validation(self, args):
+        with pytest.raises(InvalidConfigError):
+            EpsilonSchedule.log_spaced(*args)
 
     def test_finite_part_result_validation(self):
         with pytest.raises(ValueError):
@@ -260,8 +273,18 @@ class TestCutoffOracle:
             cutoff_sum_oracle(k)
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             cutoff_sum_oracle(3, EpsilonSchedule(values=(0.1, 0.05, 0.01)))
+
+    def test_short_long_double_raises(self, monkeypatch):
+        # a platform whose long double is a plain double
+        real_finfo = np.finfo
+        monkeypatch.setattr(
+            np, "finfo",
+            lambda dtype: real_finfo(np.float64) if dtype is np.longdouble else real_finfo(dtype),
+        )
+        with pytest.raises(PrecisionError):
+            cutoff_sum_oracle(3)
 
     def test_rank_deficient_fit_raises(self):
         # near-coincident cutoffs collapse the design matrix

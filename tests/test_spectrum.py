@@ -11,11 +11,9 @@ from platevac.spectrum import (
     L_MAX,
     L_MIN,
     BoundaryCondition,
-    ModeIndex,
     PlateConfig,
     k_n,
     mode_profile,
-    omega,
     orthonormality_check,
 )
 
@@ -45,12 +43,6 @@ class TestTypes:
             assert PlateConfig(L).L == L
             assert math.isfinite(L**4) and math.isfinite(L**-4)
 
-    def test_mode_index_validation(self):
-        with pytest.raises(ValueError):
-            ModeIndex(0)
-        with pytest.raises(ValueError):
-            ModeIndex(1, (1.0, 2.0, 3.0))
-
 
 class TestWavenumbers:
     @pytest.mark.parametrize("L,n,expected", [(1.0, 1, math.pi), (2.0, 4, 2.0 * math.pi),
@@ -62,28 +54,12 @@ class TestWavenumbers:
         with pytest.raises(ValueError):
             k_n(PlateConfig(1.0), 0)
 
-    def test_omega_pure_longitudinal(self):
-        assert omega(PlateConfig(1.0), ModeIndex(1)) == pytest.approx(math.pi, rel=1e-15)
-
-    def test_omega_with_transverse(self):
-        value = omega(PlateConfig(1.0), ModeIndex(3, (4.0, 0.0)))
-        assert value == pytest.approx(math.sqrt(16.0 + 9.0 * math.pi**2), rel=1e-15)
-
-    @given(st.floats(min_value=-20.0, max_value=20.0), st.floats(min_value=-20.0, max_value=20.0))
-    @settings(max_examples=60, deadline=None)
-    def test_omega_bounded_below_by_k_n(self, kx, ky):
-        config = PlateConfig(1.0)
-        assert omega(config, ModeIndex(2, (kx, ky))) >= k_n(config, 2)
-
     @given(st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=40, deadline=None)
     def test_inverse_length_scaling(self, lam):
         base = PlateConfig(1.0)
         scaled = PlateConfig(lam)
         assert k_n(scaled, 5) == pytest.approx(k_n(base, 5) / lam, rel=1e-14)
-        mode = ModeIndex(2, (3.0, 0.0))
-        mode_scaled = ModeIndex(2, (3.0 / lam, 0.0))
-        assert omega(scaled, mode_scaled) == pytest.approx(omega(base, mode) / lam, rel=1e-14)
 
 
 class TestModeProfile:

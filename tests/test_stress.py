@@ -1,32 +1,26 @@
 """Tests for the energy-momentum tensor assembly."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from platevac.errors import ConsistencyError, PlateVacError
+from platevac import stress
+from platevac.errors import ConsistencyError, DomainError, PlateVacError
 from platevac.fluctuations import (
-    ABPair,
-    FluctuationSet,
+    FIELD_PAIRS,
     InteriorPoint,
+    Pair,
     ab_values,
+    evaluate,
     expectation_columns,
     expectation_set,
 )
-from platevac.spectrum import BoundaryCondition, PlateConfig
-from platevac.stress import (
-    FieldType,
-    TensorForm,
-    brown_maclay_form,
-    canonical_T00,
-    huggins_delta_T00,
-    improved_energy_density,
-    stress_report,
-    t_zz,
-    traces,
-)
+from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
+from platevac.stress import StressReport, stress_report
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -42,225 +36,213 @@ def _setup(bc, theta=math.pi / 2.0, L=1.0):
     return expectation_set(bc, config, point), ab_values(config, point)
 
 
+def _report(bc, theta=math.pi / 2.0, L=1.0):
+    return stress_report(*_setup(bc, theta, L))
+
+
+class TestPairAlgebra:
+    def test_proved_components(self):
+        pairs = stress._COMPONENTS
+        assert tuple(pairs) == tuple(f.name for f in fields(StressReport))
+        assert pairs["energy_density_canonical"] == Pair(-1, -2)
+        assert pairs["huggins_00"] == Pair(0, 2)
+        assert pairs["energy_density_improved"] == Pair(-1, 0)
+        assert pairs["t_zz"] == Pair(-3, 0)
+        assert pairs["trace_canonical"] == Pair(0, -6)
+        assert pairs["trace_improved"] == Pair(0, 0)
+
+    @pytest.mark.parametrize("name, corrupted", [
+        ("dzphi2", Pair(-3, -2)),
+        ("phi_d2z_phi", Pair(3, -2)),
+        ("gradTphi2", Pair(Fraction(5, 2), -2)),
+        ("dlambda_phi2", Pair(0, 5)),
+    ])
+    def test_corrupted_table_fails_the_proof(self, name, corrupted):
+        with pytest.raises(ConsistencyError):
+            stress._derive({**FIELD_PAIRS, name: corrupted})
+
+    def test_beta_zero_never_touches_t(self):
+        # the improved density and T_zz read A alone, whatever t holds
+        pairs = [stress._COMPONENTS["energy_density_improved"], stress._COMPONENTS["t_zz"]]
+        assert evaluate(pairs, 0.25, math.nan) == [-0.25, -0.75]
+        assert evaluate(pairs, 0.25, math.inf) == [-0.25, -0.75]
+
+    def test_zero_pair_is_positive_zero(self):
+        [value] = evaluate([Pair(0, 0)], 0.25, -3.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_array_results_take_the_shape_of_t(self):
+        t = np.array([1.0, -2.0, 3.0])
+        for value in evaluate(stress._COMPONENTS.values(), 0.25, t):
+            assert isinstance(value, np.ndarray) and value.shape == t.shape
+            assert value.dtype == np.float64
+
+    @pytest.mark.parametrize("bc", BOTH)
+    @pytest.mark.parametrize("L, margin", [(2.37, 0.05), (0.1239, 0.02), (1.825, 0.02),
+                                           (0.6891, 0.2488), (3.3, 0.001)])
+    def test_canonical_and_improvement_correctly_rounded(self, bc, L, margin):
+        config = PlateConfig(L)
+        z = L * np.linspace(margin, 1.0 - margin, 2001)
+        _, fluct, ab = expectation_columns(bc, config, z)
+        report = stress_report(fluct, ab)
+        A = Fraction(ab.A)
+        for B, canonical, huggins in zip(ab.B.tolist(), report.energy_density_canonical.tolist(),
+                                         report.huggins_00.tolist()):
+            t = bc.sign_upper * Fraction(B)
+            assert canonical == float(-(A + 2 * t))
+            assert huggins == float(2 * t)
+
+
 class TestCanonicalDensity:
     def test_dirichlet_midpoint(self):
-        fs, _ = _setup(D)
-        assert canonical_T00(fs) == pytest.approx(-(A_REF + 2.0 * B_REF), rel=1e-13)
-        assert canonical_T00(fs) == pytest.approx(-0.212471, rel=1e-5)
+        value = _report(D).energy_density_canonical
+        assert value == pytest.approx(-(A_REF + 2.0 * B_REF), rel=1e-13)
+        assert value == pytest.approx(-0.212471, rel=1e-5)
 
     def test_neumann_midpoint(self):
-        fs, _ = _setup(N)
-        assert canonical_T00(fs) == pytest.approx(2.0 * B_REF - A_REF, rel=1e-13)
-        assert canonical_T00(fs) == pytest.approx(0.198763, rel=1e-5)
+        value = _report(N).energy_density_canonical
+        assert value == pytest.approx(2.0 * B_REF - A_REF, rel=1e-13)
+        assert value == pytest.approx(0.198763, rel=1e-5)
 
-    def test_profile_free_set_gives_minus_A(self):
-        # with the B-parts removed by hand, both conditions reduce to -A
-        flat = FluctuationSet(
-            phi2=0.0, phidot2=-A_REF, dzphi2=-3.0 * A_REF,
-            gradTphi2=2.0 * A_REF, dlambda_phi2=0.0, phi_d2z_phi=3.0 * A_REF,
-        )
-        assert canonical_T00(flat) == pytest.approx(-A_REF, rel=1e-14)
+    def test_equals_half_the_field_sum(self):
+        for bc in BOTH:
+            for theta in (0.3, 0.8, 1.6, 2.6):
+                fs, ab = _setup(bc, theta)
+                field_sum = 0.5 * (fs.phidot2 + fs.dzphi2 + fs.gradTphi2)
+                assert stress_report(fs, ab).energy_density_canonical == pytest.approx(
+                    field_sum, rel=1e-14)
 
     def test_bc_average_is_minus_two_A(self):
         for theta in (0.3, 0.8, 1.6, 2.6):
-            fd, ab = _setup(D, theta)
-            fn, _ = _setup(N, theta)
-            total = canonical_T00(fd) + canonical_T00(fn)
+            _, ab = _setup(D, theta)
+            total = _report(D, theta).energy_density_canonical + _report(N, theta).energy_density_canonical
             assert total == pytest.approx(-2.0 * ab.A, abs=1e-13 * ab.B)
 
 
 class TestHugginsTerm:
     def test_midpoint_values(self):
-        fs, _ = _setup(D)
-        assert huggins_delta_T00(fs) == pytest.approx(2.0 * B_REF, rel=1e-12)
-        assert huggins_delta_T00(fs) == pytest.approx(0.205617, rel=1e-5)
-        fs, _ = _setup(N)
-        assert huggins_delta_T00(fs) == pytest.approx(-2.0 * B_REF, rel=1e-12)
+        assert _report(D).huggins_00 == pytest.approx(2.0 * B_REF, rel=1e-12)
+        assert _report(D).huggins_00 == pytest.approx(0.205617, rel=1e-5)
+        assert _report(N).huggins_00 == pytest.approx(-2.0 * B_REF, rel=1e-12)
 
     @pytest.mark.parametrize("bc", BOTH)
     @pytest.mark.parametrize("theta", [0.1, 0.7, 1.5, 2.5])
-    def test_subtractive_equals_constructive(self, bc, theta):
-        fs, _ = _setup(bc, theta)
-        value = huggins_delta_T00(fs)
-        constructive = fs.dlambda_phi2 / 3.0
-        assert value == pytest.approx(constructive, rel=1e-12)
-
-    def test_inconsistent_set_rejected(self):
-        fs, _ = _setup(D)
-        corrupted = replace(fs, dlambda_phi2=-fs.dlambda_phi2)
-        with pytest.raises(ConsistencyError):
-            huggins_delta_T00(corrupted)
+    def test_third_of_dlambda(self, bc, theta):
+        fs, ab = _setup(bc, theta)
+        assert stress_report(fs, ab).huggins_00 == pytest.approx(fs.dlambda_phi2 / 3.0, rel=1e-15)
 
 
 class TestImprovedDensity:
     @pytest.mark.parametrize("bc", BOTH)
-    @pytest.mark.parametrize("theta", [0.05, 0.4, 1.0, math.pi / 2.0, 2.8])
+    @pytest.mark.parametrize("theta", [1e-5, 0.05, 0.4, 1.0, math.pi / 2.0, 2.8])
     def test_constant_minus_A(self, bc, theta):
+        # at theta = 1e-5, B/A ~ 1e20: cancelling B in floats would leave
+        # nothing of A
         fs, ab = _setup(bc, theta)
-        value = improved_energy_density(fs, ab)
-        # tolerance scaled by the cancelling magnitude: near the plates B
-        # dwarfs A and round-off on B is the accuracy floor
-        assert abs(value + ab.A) <= 1e-12 * (ab.A + 2.0 * ab.B)
+        report = stress_report(fs, ab)
+        assert report.energy_density_improved == -ab.A
+        assert report.t_zz == -3.0 * ab.A
 
     def test_reference_value(self):
-        fs, ab = _setup(D)
-        assert improved_energy_density(fs, ab) == pytest.approx(-A_REF, rel=1e-12)
-        assert improved_energy_density(fs, ab) == pytest.approx(-6.85389e-3, rel=1e-5)
+        value = _report(D).energy_density_improved
+        assert value == pytest.approx(-A_REF, rel=1e-15)
+        assert value == pytest.approx(-6.85389e-3, rel=1e-5)
 
     def test_length_scaling(self):
-        fs, ab = _setup(N, 1.0, L=2.0)
-        assert improved_energy_density(fs, ab) == pytest.approx(-math.pi**2 / 23040.0, rel=1e-12)
+        assert _report(N, 1.0, L=2.0).energy_density_improved == pytest.approx(
+            -math.pi**2 / 23040.0, rel=1e-15)
 
     def test_theta_independence(self):
-        near, ab_near = _setup(D, 0.05)
-        mid, _ = _setup(D, math.pi / 2.0)
-        a = improved_energy_density(near, ab_near)
-        b = improved_energy_density(mid, ab_values(PlateConfig(1.0),
-                                                   InteriorPoint.from_theta(PlateConfig(1.0), math.pi / 2.0)))
-        assert abs(a - b) <= 1e-12 * (ab_near.A + 2.0 * ab_near.B)
-
-    def test_corrupted_cancellation_rejected(self):
-        fs, ab = _setup(D, 0.9)
-        broken = replace(fs, dzphi2=fs.dzphi2 * (1.0 + 1e-6))
-        with pytest.raises(ConsistencyError):
-            improved_energy_density(broken, ab)
+        assert _report(D, 0.05).energy_density_improved == _report(D).energy_density_improved
 
 
 class TestPressureComponent:
     def test_reference_value(self):
-        fs, ab = _setup(D)
-        assert t_zz(fs, ab) == pytest.approx(-math.pi**2 / 480.0, rel=1e-12)
-        assert t_zz(fs, ab) == pytest.approx(-3.0 * A_REF, rel=1e-12)
+        value = _report(D).t_zz
+        assert value == pytest.approx(-math.pi**2 / 480.0, rel=1e-15)
+        assert value == -3.0 * _setup(D)[1].A
 
     def test_bc_independent(self):
-        fd, ab = _setup(D, 0.3)
-        fn, _ = _setup(N, 0.3)
-        assert abs(t_zz(fd, ab) - t_zz(fn, ab)) <= 1e-12 * (3.0 * ab.A + 4.0 * ab.B)
+        assert _report(D, 0.3).t_zz == _report(N, 0.3).t_zz
 
     def test_length_scaling(self):
-        fs, ab = _setup(D, 1.2, L=2.0)
-        assert t_zz(fs, ab) == pytest.approx(-math.pi**2 / 7680.0, rel=1e-12)
+        assert _report(D, 1.2, L=2.0).t_zz == pytest.approx(-math.pi**2 / 7680.0, rel=1e-15)
 
     def test_is_three_times_energy_density(self):
-        fs, ab = _setup(N, 0.8)
-        assert t_zz(fs, ab) == pytest.approx(3.0 * improved_energy_density(fs, ab), rel=1e-11)
+        report = _report(N, 0.8)
+        assert report.t_zz == 3.0 * report.energy_density_improved
 
 
 class TestTraces:
     def test_midpoint_values(self):
-        fs, _ = _setup(D)
-        canonical, improved = traces(fs)
-        assert canonical == pytest.approx(-math.pi**2 / 16.0, rel=1e-13)
-        assert improved == 0.0
-        fs, _ = _setup(N)
-        canonical, improved = traces(fs)
-        assert canonical == pytest.approx(math.pi**2 / 16.0, rel=1e-13)
-        assert improved == 0.0
+        report = _report(D)
+        assert report.trace_canonical == pytest.approx(-math.pi**2 / 16.0, rel=1e-13)
+        assert report.trace_improved == 0.0
+        report = _report(N)
+        assert report.trace_canonical == pytest.approx(math.pi**2 / 16.0, rel=1e-13)
+        assert report.trace_improved == 0.0
 
     @pytest.mark.parametrize("bc", BOTH)
     @pytest.mark.parametrize("theta", [0.1, 0.6, 1.1, 2.0, 3.0])
     def test_improved_trace_vanishes_everywhere(self, bc, theta):
         fs, ab = _setup(bc, theta)
-        canonical, improved = traces(fs)
-        assert canonical == pytest.approx(-6.0 * bc.sign_upper * ab.B, rel=1e-12)
-        assert improved == 0.0
-
-
-class TestBrownMaclayForm:
-    def test_electromagnetic_components(self):
-        form = brown_maclay_form(1.0, FieldType.ELECTROMAGNETIC)
-        assert form.components[0, 0] == pytest.approx(-math.pi**2 / 720.0, rel=1e-15)
-        assert form.components[3, 3] == pytest.approx(-math.pi**2 / 240.0, rel=1e-15)
-
-    def test_scalar_components_match_stress(self):
-        form = brown_maclay_form(1.0, FieldType.SCALAR)
-        fs, ab = _setup(D, 1.3)
-        assert form.components[0, 0] == pytest.approx(improved_energy_density(fs, ab), rel=1e-12)
-        assert form.components[3, 3] == pytest.approx(t_zz(fs, ab), rel=1e-12)
-
-    def test_transverse_entries(self):
-        # eta_xx = -1 with n_x = 0 flips the coefficient's sign
-        form = brown_maclay_form(1.0, FieldType.SCALAR)
-        c = form.coefficient()
-        assert form.components[1, 1] == -c
-        assert form.components[2, 2] == -c
-
-    def test_structure_recovered_from_00_entry(self):
-        for source in FieldType:
-            form = brown_maclay_form(2.0, source)
-            expected = -math.pi**2 / (1440.0 * 16.0)
-            if source is FieldType.ELECTROMAGNETIC:
-                expected *= 2.0
-            assert form.coefficient() == pytest.approx(expected, rel=1e-15)
-
-    def test_em_is_exactly_twice_scalar(self):
-        scalar = brown_maclay_form(1.5, FieldType.SCALAR)
-        em = brown_maclay_form(1.5, FieldType.ELECTROMAGNETIC)
-        assert np.array_equal(em.components, 2.0 * scalar.components)
-
-    def test_off_diagonal_zero_and_symmetric(self):
-        form = brown_maclay_form(1.0, FieldType.SCALAR)
-        comp = form.components
-        assert np.array_equal(comp, comp.T)
-        assert np.all(comp[~np.eye(4, dtype=bool)] == 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            brown_maclay_form(0.0, FieldType.SCALAR)
-        with pytest.raises(ValueError):
-            TensorForm(components=np.ones((3, 3)))
-        bad = np.diag([1.0, 1.0, 1.0, 1.0])
-        bad[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            TensorForm(components=bad)
-        lopsided = np.diag([1.0, -1.0, -1.0, 2.9])
-        with pytest.raises(ConsistencyError):
-            TensorForm(components=lopsided).coefficient()
+        report = stress_report(fs, ab)
+        assert report.trace_canonical == -fs.dlambda_phi2
+        assert report.trace_canonical == pytest.approx(-6.0 * bc.sign_upper * ab.B, rel=1e-15)
+        assert report.trace_improved == 0.0
 
 
 class TestStressReport:
     @pytest.mark.parametrize("bc", BOTH)
     def test_assembly(self, bc):
-        fs, ab = _setup(bc, 0.9)
-        report = stress_report(fs, ab)
+        report = _report(bc, 0.9)
         assert report.energy_density_improved == pytest.approx(
             report.energy_density_canonical + report.huggins_00, rel=1e-12
         )
         assert report.trace_improved == 0.0
-        assert report.t_zz == pytest.approx(-math.pi**2 / 480.0, rel=1e-12)
-
-
-class TestGuards:
-    def test_overflowing_point_raises_instead_of_nan(self):
-        # B overflows at theta = 1e-80; the cancellation residual is NaN,
-        # which must fail its check rather than slip through it
-        fs, ab = _setup(D, 1e-80)
-        with pytest.raises(PlateVacError):
-            stress_report(fs, ab)
-
-    @pytest.mark.parametrize("check", [huggins_delta_T00, improved_energy_density, t_zz])
-    def test_nan_fails_every_guard(self, check):
-        fs, ab = _setup(D, 0.9)
-        broken = replace(fs, dlambda_phi2=math.nan, dzphi2=math.nan)
-        with pytest.raises(ConsistencyError):
-            check(broken) if check is huggins_delta_T00 else check(broken, ab)
+        assert report.t_zz == pytest.approx(-math.pi**2 / 480.0, rel=1e-15)
 
     @pytest.mark.parametrize("bc", BOTH)
-    def test_columns_checked_element_by_element(self, bc):
+    def test_columns_equal_points(self, bc):
         config = PlateConfig(1.3)
-        z = np.linspace(0.05, 1.25, 11)
+        z = np.linspace(1e-6, 1.3 - 1e-6, 11)
         _, fs, ab = expectation_columns(bc, config, z)
-        report = stress_report(fs, ab)
-        assert np.all(np.abs(report.t_zz + 3.0 * ab.A) <= 1e-12 * (3.0 * ab.A + 4.0 * ab.B))
-        corrupted = fs.dzphi2.copy()
-        corrupted[7] *= 1.0 + 1e-6
-        broken = replace(fs, dzphi2=corrupted)
-        # the array check fails with the scalar check's message at the bad point
-        point = FluctuationSet(**{k: float(v[7]) for k, v in vars(broken).items()})
-        point_ab = ABPair(A=ab.A, B=float(ab.B[7]))
-        for check in (improved_energy_density, t_zz):
-            with pytest.raises(ConsistencyError) as scalar_error:
-                check(point, point_ab)
-            with pytest.raises(ConsistencyError) as array_error:
-                check(broken, ab)
-            assert str(array_error.value) == str(scalar_error.value)
+        columns = stress_report(fs, ab)
+        for i, zi in enumerate(z.tolist()):
+            point = InteriorPoint.from_z(config, zi)
+            report = stress_report(expectation_set(bc, config, point), ab_values(config, point))
+            for name, value in vars(report).items():
+                assert getattr(columns, name)[i] == value, name
+        assert np.all(columns.energy_density_improved == -ab.A)
+        assert np.all(columns.t_zz == -3.0 * ab.A)
+
+
+class TestDomain:
+    def test_overflowing_point_raises(self):
+        # B overflows at theta = 1e-80
+        with pytest.raises(DomainError, match="B overflows"):
+            _setup(D, 1e-80)
+
+    @given(st.sampled_from(BOTH),
+           st.floats(min_value=math.log10(L_MIN), max_value=math.log10(L_MAX)),
+           st.floats(min_value=-330.0, max_value=math.log10(math.pi / 2.0)),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_values_or_a_library_error(self, bc, log_L, log_distance, upper):
+        # over the whole separation range and down to subnormal distances
+        # from either plate: finite values with the exact constants, or a
+        # PlateVacError, never a NaN, an infinity or another exception
+        L = min(max(10.0 ** log_L, L_MIN), L_MAX)
+        distance = 10.0 ** log_distance
+        theta = math.pi - distance if upper else distance
+        try:
+            config = PlateConfig(L)
+            point = InteriorPoint.from_theta(config, theta)
+            fluct, ab = expectation_set(bc, config, point), ab_values(config, point)
+            report = stress_report(fluct, ab)
+        except PlateVacError:
+            return
+        values = [*vars(fluct).values(), *vars(report).values()]
+        assert all(math.isfinite(v) for v in values)
+        assert report.energy_density_improved == -ab.A
+        assert report.t_zz == -3.0 * ab.A
