@@ -86,10 +86,12 @@ def integrated_density_check(config: PlateConfig, bc: BoundaryCondition) -> tupl
     return integral, abs(integral - total_energy(config))
 
 
-def canonical_density_integral(
-    config: PlateConfig, bc: BoundaryCondition, margin: float, grid_points: int = 2000
-) -> float:
-    """Quadrature of the canonical energy density over [m L, (1-m) L].
+# Midpoints of the canonical density quadrature.
+_CANONICAL_GRID_POINTS = 2000
+
+
+def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margin: float) -> float:
+    """Midpoint quadrature of the canonical energy density over [m L, (1-m) L].
 
     The canonical density grows like theta^-4 toward the plates, so this
     integral has no margin -> 0 limit; shrinking the margin makes it
@@ -98,11 +100,9 @@ def canonical_density_integral(
     """
     if not 0.0 < margin < 0.5:
         raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
-    if grid_points < 2:
-        raise ValueError("need at least two quadrature points")
     lo = margin * config.L
     width = config.L - 2.0 * lo
-    h = width / grid_points
-    centers = lo + (np.arange(grid_points) + 0.5) * h
+    h = width / _CANONICAL_GRID_POINTS
+    centers = lo + (np.arange(_CANONICAL_GRID_POINTS) + 0.5) * h
     _, fluct, ab = expectation_columns(bc, config, centers)
     return float(np.sum(stress_report(fluct, ab).energy_density_canonical)) * h

@@ -21,13 +21,14 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import casimir, dimreg, oracle, regsum, spectrum, stress
 from .errors import InvalidConfigError, PlateVacError
-from .fluctuations import (InteriorPoint, ab_values, expectation_columns, expectation_set,
+from .fluctuations import (InteriorPoint, expectation_columns, expectation_set,
                            phi_squared, phi_squared_single_plate)
 from .regsum import EpsilonSchedule
 from .spectrum import BoundaryCondition, PlateConfig
@@ -206,6 +207,29 @@ class Check:
         return self.measured <= self.tolerance
 
 
+@dataclass(frozen=True)
+class VerifyCheck:
+    """One entry of :data:`VERIFY_CHECKS`: a claim and the bound it must meet."""
+
+    name: str
+    tolerance: float
+    measure: Callable[[RunConfig], float]
+    direction: str = "le"
+
+    def run(self, config: RunConfig) -> Check:
+        return Check(self.name, self.measure(config), self.tolerance, self.direction)
+
+
+def _worst(num, den) -> float:
+    """max |num| / |den| over arrays; a zero or NaN den reads inf, a NaN num NaN.
+
+    Either way the check fails: no comparison with a tolerance holds for NaN.
+    """
+    num, den = np.abs(num), np.abs(den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(den > 0.0, num / den, np.inf)))
+
+
 def _theta_grid(quick: bool) -> list[float]:
     if quick:
         return [0.5, 1.5, 2.5]
@@ -217,175 +241,220 @@ def _oracle_thetas(quick: bool) -> list[float]:
     return [float(t) for t in np.linspace(0.3, math.pi - 0.3, count)]
 
 
-def _eval_bc(bc: BoundaryCondition, inject: bool) -> BoundaryCondition:
+def _eval_bc(bc: BoundaryCondition, config: RunConfig) -> BoundaryCondition:
     # Test-harness corruption: evaluate Neumann points with the Dirichlet
     # sign so the sign-sensitive checks demonstrably catch a flip.
-    if inject and bc is BoundaryCondition.NEUMANN:
+    if config.inject_sign_flip and bc is BoundaryCondition.NEUMANN:
         return BoundaryCondition.DIRICHLET
     return bc
 
 
-def run_verification(config: RunConfig) -> list[Check]:
-    checks: list[Check] = []
-    plate = PlateConfig(config.L)
-    inject = config.inject_sign_flip
-    both_bc = (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN)
+def _cutoff_error(k: int) -> float:
+    return abs(regsum.cutoff_sum_oracle(k).finite_part - float(regsum.zeta_neg_int(k)))
 
-    # Regularized power sums against the exponential-cutoff oracle.
-    for k, name in ((1, "zeta_cutoff_k1"), (3, "zeta_cutoff_k3")):
-        result = regsum.cutoff_sum_oracle(k)
-        checks.append(Check(name, abs(result.finite_part - float(regsum.zeta_neg_int(k))), 1e-6))
 
-    # Oscillatory sums against the Abel oracle.
+def _abel_error(k: int, closed, config: RunConfig) -> float:
     thetas = _theta_grid(config.quick)
-    err1 = max(abs(regsum.abel_sum_oracle(1, t) - regsum.trig_sum_n_cos(t)) for t in thetas)
-    err3 = max(abs(regsum.abel_sum_oracle(3, t) - regsum.trig_sum_n3_cos(t)) for t in thetas)
-    err0 = max(abs(regsum.abel_sum_oracle(0, t) + 0.5) for t in thetas)
-    checks.append(Check("abel_n_cos", err1, 1e-8))
-    checks.append(Check("abel_n3_cos", err3, 1e-8))
-    checks.append(Check("abel_constant", err0, 1e-8))
+    return _worst([regsum.abel_sum_oracle(k, t) - closed(t) for t in thetas], 1.0)
 
-    # Continued master integral against direct quadrature plus identities.
-    worst = 0.0
+
+def _dimreg_quadrature(config: RunConfig) -> float:
+    analytic, numeric = [], []
     for N in (1.5, 2.0, 3.0):
         for m_sq in (0.5, 1.0, 4.0):
-            analytic = dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=N, m_sq=m_sq))
-            numeric = dimreg.quadrature_reference(2, N, m_sq)
-            worst = max(worst, abs(analytic - numeric) / abs(analytic))
-    checks.append(Check("dimreg_quadrature", worst, 1e-8))
+            analytic.append(dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=N, m_sq=m_sq)))
+            numeric.append(dimreg.quadrature_reference(2, N, m_sq))
+    return _worst(np.subtract(analytic, numeric), analytic)
 
+
+def _dimreg_scaling(config: RunConfig) -> float:
     lam = 3.7
     a = dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=2.0, m_sq=lam * 1.3))
     b = lam ** (1.0 - 2.0) * dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=2.0, m_sq=1.3))
-    checks.append(Check("dimreg_scaling", abs(a - b) / abs(a), 1e-12))
-    worst = 0.0
+    return _worst(a - b, a)
+
+
+def _dimreg_recursion(config: RunConfig) -> float:
+    ratio, expected = [], []
     for d, N in ((2.0, 3.0), (2.0, -0.5), (3.0, 3.0), (2.5, 0.3)):
-        ratio = (
-            dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N, m_sq=1.3))
-            / dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N - 1.0, m_sq=1.3))
-        )
-        expected = (N - 1.0 - d / 2.0) / ((N - 1.0) * 1.3)
-        worst = max(worst, abs(ratio - expected) / abs(expected))
-    checks.append(Check("dimreg_recursion", worst, 1e-10))
+        ratio.append(dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N, m_sq=1.3))
+                     / dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N - 1.0, m_sq=1.3)))
+        expected.append((N - 1.0 - d / 2.0) / ((N - 1.0) * 1.3))
+    return _worst(np.subtract(ratio, expected), expected)
 
-    # Mode-sum oracle against the closed-form profiles.
-    for observable, tol, name in (
-        (oracle.Observable.PHI2, 1e-4, "mode_sum_phi2"),
-        (oracle.Observable.PHIDOT2, 1e-3, "mode_sum_phidot2"),
-    ):
-        worst = 0.0
-        for bc in both_bc:
-            for theta in _oracle_thetas(config.quick):
-                spec = oracle.ModeSumSpec(
-                    bc=bc, L=config.L, theta=theta, observable=observable,
-                    epsilon_schedule=config.epsilon_schedule,
-                )
-                finite = oracle.mode_sum_finite_part(spec).finite_part
-                point = InteriorPoint.from_theta(plate, theta)
-                fluct = expectation_set(_eval_bc(bc, inject), plate, point)
-                closed = fluct.phi2 if observable is oracle.Observable.PHI2 else fluct.phidot2
-                worst = max(worst, abs(finite - closed) / abs(closed))
-        checks.append(Check(name, worst, tol))
 
-    # Stress-tensor invariants on the interior grid.
-    grid = [float(t) for t in np.linspace(0.4, math.pi - 0.4, 7 if config.quick else 40)]
-    p_ref = casimir.pressure(plate)
-    a_const = math.pi ** 2 / (1440.0 * config.L ** 4)
-    worst_trace_sign = worst_trace_zero = worst_density = worst_tzz = worst_mirror = 0.0
-    improved_values = []
-    for bc in both_bc:
-        sign = bc.sign_upper
-        for theta in grid:
-            point = InteriorPoint.from_theta(plate, theta)
-            ab = ab_values(plate, point)
-            fluct = expectation_set(_eval_bc(bc, inject), plate, point)
-            report = stress.stress_report(fluct, ab)
-            trace_canonical = report.trace_canonical
-            expected_trace = -6.0 * sign * ab.B
-            worst_trace_sign = max(
-                worst_trace_sign, abs(trace_canonical - expected_trace) / abs(expected_trace)
-            )
-            if trace_canonical != 0.0:
-                worst_trace_zero = max(worst_trace_zero,
-                                       abs(report.trace_improved) / abs(trace_canonical))
-            improved = report.energy_density_improved
-            improved_values.append(improved)
-            worst_density = max(worst_density, abs(improved + a_const) / a_const)
-            worst_tzz = max(worst_tzz, abs(report.t_zz - p_ref) / abs(p_ref))
+def _mode_sum_error(observable: oracle.Observable, config: RunConfig) -> float:
+    """Mode-sum oracle against the closed-form profile, both conditions."""
+    plate = PlateConfig(config.L)
+    finite, closed = [], []
+    for bc in BoundaryCondition:
+        for theta in _oracle_thetas(config.quick):
+            spec = oracle.ModeSumSpec(bc=bc, L=config.L, theta=theta, observable=observable,
+                                      epsilon_schedule=config.epsilon_schedule)
+            finite.append(oracle.mode_sum_finite_part(spec).finite_part)
+            fluct = expectation_set(_eval_bc(bc, config), plate, InteriorPoint.from_theta(plate, theta))
+            closed.append(getattr(fluct, observable.value))
+    return _worst(np.subtract(finite, closed), closed)
 
-            mirror = expectation_set(_eval_bc(bc, inject), plate,
-                                     InteriorPoint.from_theta(plate, math.pi - theta))
-            scale = abs(fluct.phidot2) + abs(fluct.dzphi2)
-            worst_mirror = max(worst_mirror, abs(fluct.phidot2 - mirror.phidot2) / scale)
-    spread = (max(improved_values) - min(improved_values)) / a_const
-    checks.append(Check("trace_canonical_sign", worst_trace_sign, 1e-10))
-    checks.append(Check("trace_improved_zero", worst_trace_zero, 1e-12))
-    checks.append(Check("improved_density_value", worst_density, 1e-12))
-    checks.append(Check("improved_density_spread", spread, 1e-12))
-    checks.append(Check("tzz_equals_pressure", worst_tzz, 1e-12))
-    checks.append(Check("mirror_symmetry", worst_mirror, 1e-12))
 
-    # Scaling of the closed forms under L -> 2L.
-    doubled = PlateConfig(2.0 * config.L)
-    point = InteriorPoint.from_theta(plate, 1.1)
-    point2 = InteriorPoint.from_theta(doubled, 1.1)
-    f1 = expectation_set(BoundaryCondition.DIRICHLET, plate, point)
-    f2 = expectation_set(BoundaryCondition.DIRICHLET, doubled, point2)
-    worst = max(
-        abs(f2.phidot2 * 16.0 - f1.phidot2) / abs(f1.phidot2),
-        abs(f2.phi2 * 4.0 - f1.phi2) / abs(f1.phi2),
-    )
-    checks.append(Check("length_scaling", worst, 1e-12))
+def _stress_grid(config: RunConfig, mirror: bool = False) -> dict[str, np.ndarray]:
+    """Every field and stress component on verify's interior grid, by name.
 
-    # Global quantities.
-    energy = casimir.total_energy(plate)
+    The grid is 100 angles in [0.4, pi - 0.4] (7 with ``quick``), or
+    their mirror images pi - theta, for Dirichlet then Neumann plates.
+    ``trace_expected`` is -6 s B, s the sign of the plates' true condition.
+    """
+    plate = PlateConfig(config.L)
+    theta = np.linspace(0.4, math.pi - 0.4, 7 if config.quick else 100)
+    if mirror:
+        theta = math.pi - theta
+    parts = []
+    for bc in BoundaryCondition:
+        _, fluct, ab = expectation_columns(_eval_bc(bc, config), plate, theta * config.L / math.pi)
+        parts.append({**vars(fluct), **vars(stress.stress_report(fluct, ab)),
+                      "trace_expected": -6.0 * bc.sign_upper * ab.B})
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _density_closed(config: RunConfig) -> float:
+    """A = pi^2/(1440 L^4): minus the improved energy density."""
+    return math.pi ** 2 / (1440.0 * config.L ** 4)
+
+
+def _trace_canonical_sign(config: RunConfig) -> float:
+    grid = _stress_grid(config)
+    return _worst(grid["trace_canonical"] - grid["trace_expected"], grid["trace_expected"])
+
+
+def _trace_improved_zero(config: RunConfig) -> float:
+    grid = _stress_grid(config)
+    return _worst(grid["trace_improved"], grid["trace_canonical"])
+
+
+def _improved_density_value(config: RunConfig) -> float:
+    a_const = _density_closed(config)
+    return _worst(_stress_grid(config)["energy_density_improved"] + a_const, a_const)
+
+
+def _improved_density_spread(config: RunConfig) -> float:
+    values = _stress_grid(config)["energy_density_improved"]
+    return _worst(np.max(values) - np.min(values), _density_closed(config))
+
+
+def _tzz_equals_pressure(config: RunConfig) -> float:
+    """T_zz on the grid against the pressure, and the pressure against its closed form."""
+    p_ref = casimir.pressure(PlateConfig(config.L))
+    closed = -math.pi ** 2 / (480.0 * config.L ** 4)
+    return max(_worst(_stress_grid(config)["t_zz"] - p_ref, p_ref), _worst(p_ref - closed, closed))
+
+
+def _mirror_symmetry(config: RunConfig) -> float:
+    grid, mirror = _stress_grid(config), _stress_grid(config, mirror=True)
+    return _worst(grid["phidot2"] - mirror["phidot2"],
+                  np.abs(grid["phidot2"]) + np.abs(grid["dzphi2"]))
+
+
+def _length_scaling(config: RunConfig) -> float:
+    """phi2 ~ L^-2 and phidot2 ~ L^-4 under L -> 2L."""
+    plate, doubled = PlateConfig(config.L), PlateConfig(2.0 * config.L)
+    f1 = expectation_set(BoundaryCondition.DIRICHLET, plate, InteriorPoint.from_theta(plate, 1.1))
+    f2 = expectation_set(BoundaryCondition.DIRICHLET, doubled,
+                         InteriorPoint.from_theta(doubled, 1.1))
+    return _worst([f2.phidot2 * 16.0 - f1.phidot2, f2.phi2 * 4.0 - f1.phi2],
+                  [f1.phidot2, f1.phi2])
+
+
+def _energy_pipeline(config: RunConfig) -> float:
     closed = -math.pi ** 2 / (1440.0 * config.L ** 3)
-    checks.append(Check("energy_pipeline", abs(energy - closed) / abs(closed), 1e-14))
+    return _worst(casimir.total_energy(PlateConfig(config.L)) - closed, closed)
 
-    h = 1e-5 * config.L
-    fd = -(casimir.total_energy(PlateConfig(config.L + h))
-           - casimir.total_energy(PlateConfig(config.L - h))) / (2.0 * h)
-    checks.append(Check("pressure_finite_difference", abs(fd - p_ref) / abs(p_ref), 1e-8))
 
-    em = casimir.em_reference(plate)
-    scalar = (energy, energy / config.L, p_ref)
-    worst = max(abs(e - 2.0 * s) for e, s in zip(em, scalar))
-    checks.append(Check("em_factor_two", worst, 0.0))
+def _pressure_finite_difference(config: RunConfig) -> float:
+    L, h = config.L, 1e-5 * config.L
+    fd = -(casimir.total_energy(PlateConfig(L + h)) - casimir.total_energy(PlateConfig(L - h))) / (2.0 * h)
+    p_ref = casimir.pressure(PlateConfig(L))
+    return _worst(fd - p_ref, p_ref)
 
-    z_near = 0.01 * config.L
-    wide_plate = PlateConfig(100.0 * config.L)
-    worst = 0.0
-    for bc in both_bc:
-        wide = phi_squared(bc, wide_plate, InteriorPoint.from_z(wide_plate, z_near))
-        single = phi_squared_single_plate(bc, z_near)
-        worst = max(worst, abs(wide - single) / abs(single))
-    checks.append(Check("single_plate_limit", worst, 1e-4))
 
-    worst = 0.0
-    for bc in both_bc:
-        _, mismatch = casimir.integrated_density_check(plate, bc)
-        worst = max(worst, mismatch / abs(energy))
-    checks.append(Check("integrated_density", worst, 1e-12))
+def _em_factor_two(config: RunConfig) -> float:
+    plate = PlateConfig(config.L)
+    energy = casimir.total_energy(plate)
+    scalar = (energy, energy / config.L, casimir.pressure(plate))
+    return _worst(np.subtract(casimir.em_reference(plate), np.multiply(2.0, scalar)), 1.0)
 
-    # Canonical density has no finite margin -> 0 limit: quadrature must
-    # grow monotonically, by at least 10x from margin 0.01 to 0.0001.
-    margins = (0.01, 0.001, 0.0001)
-    growth = math.inf
-    for bc in both_bc:
-        values = [abs(casimir.canonical_density_integral(plate, bc, m)) for m in margins]
-        ratios = [b / a for a, b in zip(values, values[1:])]
-        growth = min(growth, min(ratios))
-    checks.append(Check("canonical_density_divergence", growth, 10.0, direction="ge"))
 
-    # Mode orthonormality.
-    worst = 0.0
+def _single_plate_limit(config: RunConfig) -> float:
+    """phi2 at 0.01 L from one plate of a 100 L gap against the single-plate form."""
+    z_near, wide_plate = 0.01 * config.L, PlateConfig(100.0 * config.L)
+    wide = [phi_squared(bc, wide_plate, InteriorPoint.from_z(wide_plate, z_near)) for bc in BoundaryCondition]
+    single = [phi_squared_single_plate(bc, z_near) for bc in BoundaryCondition]
+    return _worst(np.subtract(wide, single), single)
+
+
+def _integrated_density(config: RunConfig) -> float:
+    plate = PlateConfig(config.L)
+    mismatch = [casimir.integrated_density_check(plate, bc)[1] for bc in BoundaryCondition]
+    return _worst(mismatch, casimir.total_energy(plate))
+
+
+def _canonical_density_divergence(config: RunConfig) -> float:
+    """Smallest growth of the canonical density integral per tenfold smaller margin.
+
+    The canonical density has no finite margin -> 0 limit, so each step
+    from margin 0.01 to 0.001 to 0.0001 must grow the quadrature tenfold.
+    """
+    plate = PlateConfig(config.L)
+    values = np.abs([[casimir.canonical_density_integral(plate, bc, m) for m in (0.01, 0.001, 0.0001)]
+                     for bc in BoundaryCondition])
+    return float(np.min(values[:, 1:] / values[:, :-1]))
+
+
+def _mode_orthonormality(config: RunConfig) -> float:
     n_modes, panels = (8, 1024) if config.quick else (20, 2048)
-    for bc in both_bc:
-        gram = spectrum.orthonormality_check(bc, plate, n_modes, panels)
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(n_modes)))))
-    checks.append(Check("mode_orthonormality", worst, 1e-10))
+    plate = PlateConfig(config.L)
+    gram = [spectrum.orthonormality_check(bc, plate, n_modes, panels) for bc in BoundaryCondition]
+    return _worst(np.subtract(gram, np.eye(n_modes)), 1.0)
 
-    return checks
+
+# Every claim `verify` checks, in report order; the acceptance suite runs
+# the same table.  Relative errors unless noted.
+VERIFY_CHECKS = (
+    # Regularized power sums against the exponential-cutoff oracle (absolute).
+    VerifyCheck("zeta_cutoff_k1", 1e-6, lambda config: _cutoff_error(1)),
+    VerifyCheck("zeta_cutoff_k3", 1e-6, lambda config: _cutoff_error(3)),
+    # Oscillatory sums against the Abel oracle (absolute).
+    VerifyCheck("abel_n_cos", 1e-8, lambda config: _abel_error(1, regsum.trig_sum_n_cos, config)),
+    VerifyCheck("abel_n3_cos", 1e-8, lambda config: _abel_error(3, regsum.trig_sum_n3_cos, config)),
+    VerifyCheck("abel_constant", 1e-8, lambda config: _abel_error(0, lambda t: -0.5, config)),
+    # Continued master integral against direct quadrature plus identities.
+    VerifyCheck("dimreg_quadrature", 1e-8, _dimreg_quadrature),
+    VerifyCheck("dimreg_scaling", 1e-12, _dimreg_scaling),
+    VerifyCheck("dimreg_recursion", 1e-10, _dimreg_recursion),
+    # Mode-sum oracle against the closed-form profiles.
+    VerifyCheck("mode_sum_phi2", 1e-4, lambda config: _mode_sum_error(oracle.Observable.PHI2, config)),
+    VerifyCheck("mode_sum_phidot2", 1e-3,
+                lambda config: _mode_sum_error(oracle.Observable.PHIDOT2, config)),
+    # Stress-tensor invariants on the interior grid.
+    VerifyCheck("trace_canonical_sign", 1e-10, _trace_canonical_sign),
+    VerifyCheck("trace_improved_zero", 1e-12, _trace_improved_zero),
+    VerifyCheck("improved_density_value", 1e-12, _improved_density_value),
+    VerifyCheck("improved_density_spread", 1e-12, _improved_density_spread),
+    VerifyCheck("tzz_equals_pressure", 1e-12, _tzz_equals_pressure),
+    VerifyCheck("mirror_symmetry", 1e-12, _mirror_symmetry),
+    VerifyCheck("length_scaling", 1e-12, _length_scaling),
+    # Global quantities.
+    VerifyCheck("energy_pipeline", 1e-14, _energy_pipeline),
+    VerifyCheck("pressure_finite_difference", 1e-8, _pressure_finite_difference),
+    VerifyCheck("em_factor_two", 0.0, _em_factor_two),  # absolute: exactly twice
+    VerifyCheck("single_plate_limit", 1e-4, _single_plate_limit),
+    VerifyCheck("integrated_density", 1e-12, _integrated_density),
+    VerifyCheck("canonical_density_divergence", 10.0, _canonical_density_divergence, "ge"),
+    VerifyCheck("mode_orthonormality", 1e-10, _mode_orthonormality),  # absolute
+)
+
+
+def run_verification(config: RunConfig) -> list[Check]:
+    return [check.run(config) for check in VERIFY_CHECKS]
 
 
 def cmd_verify(config: RunConfig, out) -> int:
@@ -470,18 +539,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except PlateVacError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     command = {"profile": cmd_profile, "energy": cmd_energy, "verify": cmd_verify}[args.command]
     try:
-        if args.output is not None:
-            with open(args.output, "w") as handle:
-                return command(config, handle)
-        return command(config, sys.stdout)
+        config = _config_from_args(args)
+        if args.output is None:
+            return command(config, sys.stdout)
+        try:
+            handle = open(args.output, "w")
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot open the output file: {exc}") from exc
+        with handle:
+            return command(config, handle)
     except PlateVacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -222,39 +222,28 @@ def extrapolate_to_zero(hs: list[float], ys: list[float]) -> tuple[float, list[f
     return p[0], diagonal
 
 
+# r = 1 - 2^-j, j = 3 .. 14: the Abel limits have expansions in integer
+# powers of 1 - r, and twelve halving steps push the extrapolation error
+# below 1e-11 on the whole working range of theta.
 DEFAULT_ABEL_RADII: tuple[float, ...] = tuple(1.0 - 0.5 ** j for j in range(3, 15))
+# Sensitivity of the divergence detector on the extrapolation diagonal.
+_DIVERGENCE_RTOL = 1e-9
 
 
-def abel_sum_oracle(
-    k: int,
-    theta: float | None = None,
-    radii: tuple[float, ...] | None = None,
-    divergence_rtol: float = 1e-9,
-) -> float:
+def abel_sum_oracle(k: int, theta: float) -> float:
     """Abel-summation oracle for sum_{n>=1} n^k r^n cos(2 n theta), r -> 1-.
 
     Parameters
     ----------
     k : int
         Power of n; one of 0, 1, 3 (the powers the closed forms cover).
-    theta : float, optional
-        Half the phase step of the cosine.  When omitted the cosine
-        factor is dropped, i.e. the plain sum n^k r^n is extrapolated
-        (which has no Abel limit for any k and reports divergence).
-    radii : tuple of float, optional
-        Strictly increasing radii below 1, at least four of them.
-        Defaults to r = 1 - 2^-j, j = 3 .. 14, chosen because the Abel
-        limits have expansions in integer powers of 1 - r and twelve
-        halving steps push the extrapolation error below 1e-11 on the
-        whole working range of theta.
-    divergence_rtol : float
-        Sensitivity of the divergence detector on the extrapolation
-        diagonal; configuration rather than a hard-coded constant.
+    theta : float
+        Half the phase step of the cosine.
 
     Returns
     -------
     float
-        The extrapolated r -> 1- limit.
+        The r -> 1- limit, extrapolated from :data:`DEFAULT_ABEL_RADII`.
 
     Raises
     ------
@@ -265,28 +254,15 @@ def abel_sum_oracle(
     """
     if k not in (0, 1, 3):
         raise ValueError(f"supported powers are 0, 1 and 3, got {k}")
-    if radii is None:
-        radii = DEFAULT_ABEL_RADII
-    radii = tuple(float(r) for r in radii)
-    if len(radii) < 4:
-        raise ValueError("need at least four radii for a stable extrapolation")
-    if any(not 0.0 < r < 1.0 for r in radii):
-        raise ValueError("all radii must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must increase strictly toward 1")
-
-    hs = [1.0 - r for r in radii]  # decreasing toward 0
-    if theta is None:
-        ys = [float(geometric_power_sum(k, r).real) for r in radii]
-    else:
-        phase = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
-        ys = [(geometric_power_sum(k, r * phase)).real for r in radii]
+    hs = [1.0 - r for r in DEFAULT_ABEL_RADII]  # decreasing toward 0
+    phase = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
+    ys = [(geometric_power_sum(k, r * phase)).real for r in DEFAULT_ABEL_RADII]
 
     value, diagonal = extrapolate_to_zero(hs, ys)
 
     deltas = [abs(b - a) for a, b in zip(diagonal, diagonal[1:])]
     scale = 1.0 + abs(diagonal[-1])
-    if deltas and deltas[-1] > divergence_rtol * scale and deltas[-1] >= deltas[0]:
+    if deltas[-1] > _DIVERGENCE_RTOL * scale and deltas[-1] >= deltas[0]:
         raise ExtrapolationDivergenceError(
             f"extrapolants for k={k}, theta={theta!r} keep growing "
             f"(last step {deltas[-1]:.3e}); the sum has no Abel limit"

@@ -70,15 +70,20 @@ def k_n(config: PlateConfig, n: int) -> float:
     return n * math.pi / config.L
 
 
-def mode_profile(bc: BoundaryCondition, config: PlateConfig, n: int, z: float) -> float:
-    """Longitudinal factor of the orthonormal mode: sqrt(2/L) sin or cos(k_n z)."""
-    if not 0.0 <= z <= config.L:
+def mode_profile(bc: BoundaryCondition, config: PlateConfig, n, z):
+    """Longitudinal factor of the orthonormal mode: sqrt(2/L) sin or cos(k_n z).
+
+    ``n >= 1`` and ``0 <= z <= L`` are numbers or arrays that broadcast
+    together, e.g. a column of mode numbers against a row of positions.
+    """
+    n, z = np.asarray(n), np.asarray(z, dtype=float)
+    if np.any(n < 1):
+        raise ValueError(f"mode number must be >= 1, got {n}")
+    if not np.all((0.0 <= z) & (z <= config.L)):
         raise DomainError(f"z = {z} outside the slab [0, {config.L}]")
-    arg = k_n(config, n) * z
-    amp = math.sqrt(2.0 / config.L)
-    if bc is BoundaryCondition.DIRICHLET:
-        return amp * math.sin(arg)
-    return amp * math.cos(arg)
+    arg = n * z * (math.pi / config.L)
+    wave = np.sin(arg) if bc is BoundaryCondition.DIRICHLET else np.cos(arg)
+    return math.sqrt(2.0 / config.L) * wave
 
 
 def orthonormality_check(
@@ -108,8 +113,5 @@ def orthonormality_check(
     weights[0] = weights[-1] = 1.0
     weights *= h / 3.0
 
-    ns = np.arange(1, n_max + 1)
-    arg = np.outer(ns, z) * (math.pi / config.L)
-    amp = math.sqrt(2.0 / config.L)
-    profiles = amp * (np.sin(arg) if bc is BoundaryCondition.DIRICHLET else np.cos(arg))
+    profiles = mode_profile(bc, config, np.arange(1, n_max + 1)[:, None], z)
     return (profiles * weights) @ profiles.T

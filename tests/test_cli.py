@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import cli
+from platevac import cli, stress
 from platevac.cli import (
     PROFILE_COLUMNS,
+    VERIFY_CHECKS,
     RunConfig,
     _fmt,
     _json_render,
@@ -31,6 +34,8 @@ from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import stress_report
 
 GOLDEN = Path(__file__).parent / "golden"
+# One verify report line, as the benchmark in perfbench/checks.py parses it.
+CHECK_LINE = re.compile(r"^(PASS|FAIL) (\S+) +measured=(\S+) (tol|floor)=(\S+)$")
 
 
 def _run(argv, capsys):
@@ -269,17 +274,42 @@ class TestEnergyCommand:
 
 
 class TestVerifyCommand:
-    def test_quick_pass(self, capsys):
+    def test_quick_output_contract(self, capsys):
+        # the line format the benchmark parses, one line per table entry
         code, out, _ = _run(["verify", "--quick"], capsys)
         assert code == 0
-        lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert lines and all(l.startswith("PASS") for l in lines)
-        assert "checks passed" in out
+        *lines, summary = out.splitlines()
+        matches = [CHECK_LINE.match(line) for line in lines]
+        assert all(matches)
+        assert [m.group(1, 2, 4, 5) for m in matches] == [
+            ("PASS", c.name, "floor" if c.direction == "ge" else "tol", f"{c.tolerance:.3e}")
+            for c in VERIFY_CHECKS
+        ]
+        assert summary == "24/24 checks passed"
 
-    def test_injected_sign_flip_fails(self, capsys):
-        code, out, _ = _run(["verify", "--quick", "--inject-sign-flip"], capsys)
+    @pytest.mark.parametrize("mode", [["--quick"], []])
+    def test_injected_sign_flip_fails(self, mode, capsys):
+        code, out, _ = _run(["verify", *mode, "--inject-sign-flip"], capsys)
         assert code == 1
-        assert any(l.startswith("FAIL trace_canonical_sign") for l in out.splitlines())
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["mode_sum_phi2", "mode_sum_phidot2", "trace_canonical_sign"]
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("trace_canonical", 0.0, "inf"),  # used to be skipped, so the check passed
+        ("trace_improved", math.nan, "nan"),
+    ])
+    def test_trace_check_cannot_pass_vacuously(self, field, value, shown, monkeypatch):
+        real = stress.stress_report
+
+        def corrupted(fluct, ab):
+            report = real(fluct, ab)
+            return dataclasses.replace(report, **{field: np.full_like(report.trace_canonical, value)})
+
+        monkeypatch.setattr(stress, "stress_report", corrupted)
+        check = next(c for c in VERIFY_CHECKS if c.name == "trace_improved_zero")
+        result = check.run(RunConfig(bc=BoundaryCondition.DIRICHLET, quick=True))
+        assert f"{result.measured:.3e}" == shown
+        assert not result.ok
 
     def test_schedule_override(self, capsys):
         code, out, _ = _run(
@@ -321,6 +351,16 @@ class TestVerifyCommand:
         code, _, _ = _run(["verify", "--quick", "--output", str(target)], capsys)
         assert code == 0
         assert "checks passed" in target.read_text()
+
+
+@pytest.mark.parametrize("command", [["profile"], ["energy"], ["verify", "--quick"]])
+@pytest.mark.parametrize("target", ["missing/report.txt", "."])
+def test_unopenable_output_exits_2(command, target, tmp_path, capsys):
+    code, out, err = _run([*command, "--output", str(tmp_path / target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot open the output file")
+    assert "Traceback" not in err
 
 
 class TestSeparationDomain:

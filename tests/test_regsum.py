@@ -178,20 +178,14 @@ class TestAbelOracle:
                 continue
             assert abel_sum_oracle(k, theta) == pytest.approx(closed(theta), abs=1e-8)
 
-    @pytest.mark.parametrize("args", [(1, 0.0), (3, 0.0), (1, None), (0, None)])
+    @pytest.mark.parametrize("args", [(1, 0.0), (3, 0.0)])
     def test_divergence_detected(self, args):
         with pytest.raises(ExtrapolationDivergenceError):
             abel_sum_oracle(*args)
 
-    def test_radii_validation(self):
+    def test_unsupported_power(self):
         with pytest.raises(ValueError):
-            abel_sum_oracle(1, 1.0, radii=(0.5, 0.6, 0.7))  # too few
-        with pytest.raises(ValueError):
-            abel_sum_oracle(1, 1.0, radii=(0.5, 0.4, 0.6, 0.7))  # not increasing
-        with pytest.raises(ValueError):
-            abel_sum_oracle(1, 1.0, radii=(0.5, 0.6, 0.7, 1.0))  # touches 1
-        with pytest.raises(ValueError):
-            abel_sum_oracle(2, 1.0)  # unsupported power
+            abel_sum_oracle(2, 1.0)
 
     def test_default_radii_shape(self):
         assert len(DEFAULT_ABEL_RADII) == 12

@@ -88,11 +88,25 @@ class TestModeProfile:
         assert abs(left) < 1e-6 * kn
         assert abs(right) < 1e-6 * kn
 
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_broadcasts_like_scalar_calls(self, bc):
+        config = PlateConfig(2.5)
+        ns, zs = [1, 2, 7], [0.0, 0.3, 1.9, 2.5]
+        table = mode_profile(bc, config, np.array(ns)[:, None], np.array(zs))
+        assert table.shape == (3, 4)
+        assert table.tolist() == [[mode_profile(bc, config, n, z) for z in zs] for n in ns]
+
     def test_out_of_slab_rejected(self):
         with pytest.raises(DomainError):
             mode_profile(D, PlateConfig(1.0), 1, -0.1)
         with pytest.raises(DomainError):
             mode_profile(D, PlateConfig(1.0), 1, 1.1)
+        with pytest.raises(DomainError):
+            mode_profile(D, PlateConfig(1.0), 1, np.array([0.5, 1.1]))
+
+    def test_mode_number_validated(self):
+        with pytest.raises(ValueError):
+            mode_profile(D, PlateConfig(1.0), np.array([[1], [0]]), 0.5)
 
 
 class TestOrthonormality:
