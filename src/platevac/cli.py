@@ -31,7 +31,7 @@ from .errors import InvalidConfigError, PlateVacError
 from .fluctuations import (InteriorPoint, expectation_columns, expectation_set,
                            phi_squared, phi_squared_single_plate)
 from .regsum import EpsilonSchedule
-from .spectrum import BoundaryCondition, PlateConfig
+from .spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 PROFILE_COLUMNS = (
     "z", "theta", "phi2", "phidot2", "dzphi2", "gradTphi2", "dlambda_phi2",
@@ -283,6 +283,18 @@ def _dimreg_recursion(config: RunConfig) -> float:
     return _worst(np.subtract(ratio, expected), expected)
 
 
+def _oracle_transverse_kernel(config: RunConfig) -> float:
+    """The oracle's radial kernels against quadrature of k omega^(-+1) e^(-omega) / 2 pi.
+
+    In units of eps, k_n eps from pi 1e-3 (first mode, smallest cutoff) to 40: any L."""
+    kn, closed, numeric = np.geomspace(math.pi * 1e-3, 40.0, 8), [], []
+    for observable, power in ((oracle.Observable.PHI2, -1), (oracle.Observable.PHIDOT2, 1)):
+        closed.extend(oracle._transverse_closed(observable, kn, 1.0))
+        numeric.extend(dimreg._half_line_integral(
+            lambda k: k * np.hypot(k, q) ** power * np.exp(-np.hypot(k, q)) / (2.0 * math.pi)) for q in kn)
+    return _worst(np.subtract(closed, numeric), closed)
+
+
 def _mode_sum_error(observable: oracle.Observable, config: RunConfig) -> float:
     """Mode-sum oracle against the closed-form profile, both conditions."""
     plate = PlateConfig(config.L)
@@ -355,12 +367,13 @@ def _mirror_symmetry(config: RunConfig) -> float:
 
 
 def _length_scaling(config: RunConfig) -> float:
-    """phi2 ~ L^-2 and phidot2 ~ L^-4 under L -> 2L."""
-    plate, doubled = PlateConfig(config.L), PlateConfig(2.0 * config.L)
+    """phi2 ~ L^-2 and phidot2 ~ L^-4 under L -> 2L (L -> L/2 where 2L > L_MAX)."""
+    ratio = 2.0 if 2.0 * config.L <= L_MAX else 0.5
+    plate, scaled = PlateConfig(config.L), PlateConfig(ratio * config.L)
     f1 = expectation_set(BoundaryCondition.DIRICHLET, plate, InteriorPoint.from_theta(plate, 1.1))
-    f2 = expectation_set(BoundaryCondition.DIRICHLET, doubled,
-                         InteriorPoint.from_theta(doubled, 1.1))
-    return _worst([f2.phidot2 * 16.0 - f1.phidot2, f2.phi2 * 4.0 - f1.phi2],
+    f2 = expectation_set(BoundaryCondition.DIRICHLET, scaled,
+                         InteriorPoint.from_theta(scaled, 1.1))
+    return _worst([f2.phidot2 * ratio ** 4 - f1.phidot2, f2.phi2 * ratio ** 2 - f1.phi2],
                   [f1.phidot2, f1.phi2])
 
 
@@ -370,7 +383,9 @@ def _energy_pipeline(config: RunConfig) -> float:
 
 
 def _pressure_finite_difference(config: RunConfig) -> float:
-    L, h = config.L, 1e-5 * config.L
+    # centred at least 1e-4 inside [L_MIN, L_MAX], so that L +- h are valid plates
+    L = min(max(config.L, L_MIN * (1.0 + 1e-4)), L_MAX * (1.0 - 1e-4))
+    h = 1e-5 * L
     fd = -(casimir.total_energy(PlateConfig(L + h)) - casimir.total_energy(PlateConfig(L - h))) / (2.0 * h)
     p_ref = casimir.pressure(PlateConfig(L))
     return _worst(fd - p_ref, p_ref)
@@ -384,11 +399,11 @@ def _em_factor_two(config: RunConfig) -> float:
 
 
 def _single_plate_limit(config: RunConfig) -> float:
-    """phi2 at 0.01 L from one plate of a 100 L gap against the single-plate form."""
-    z_near, wide_plate = 0.01 * config.L, PlateConfig(100.0 * config.L)
-    wide = [phi_squared(bc, wide_plate, InteriorPoint.from_z(wide_plate, z_near)) for bc in BoundaryCondition]
+    """phi2 at 1e-4 L from one plate of the gap against the single-plate form."""
+    plate, z_near = PlateConfig(config.L), 1e-4 * config.L
+    gap = [phi_squared(bc, plate, InteriorPoint.from_z(plate, z_near)) for bc in BoundaryCondition]
     single = [phi_squared_single_plate(bc, z_near) for bc in BoundaryCondition]
-    return _worst(np.subtract(wide, single), single)
+    return _worst(np.subtract(gap, single), single)
 
 
 def _integrated_density(config: RunConfig) -> float:
@@ -430,7 +445,8 @@ VERIFY_CHECKS = (
     VerifyCheck("dimreg_quadrature", 1e-8, _dimreg_quadrature),
     VerifyCheck("dimreg_scaling", 1e-12, _dimreg_scaling),
     VerifyCheck("dimreg_recursion", 1e-10, _dimreg_recursion),
-    # Mode-sum oracle against the closed-form profiles.
+    # Mode-sum oracle: radial kernels against quadrature, finite parts against closed forms.
+    VerifyCheck("oracle_transverse_kernel", 1e-9, _oracle_transverse_kernel),
     VerifyCheck("mode_sum_phi2", 1e-4, lambda config: _mode_sum_error(oracle.Observable.PHI2, config)),
     VerifyCheck("mode_sum_phidot2", 1e-3,
                 lambda config: _mode_sum_error(oracle.Observable.PHIDOT2, config)),

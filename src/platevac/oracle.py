@@ -15,8 +15,8 @@ radial form (substituting omega d omega = k dk):
                  = (1/2pi) int_{k_n}^inf w^2 e^(-eps w) dw
                  = e^(-eps k_n) (k_n^2/eps + 2 k_n/eps^2 + 2/eps^3) / (2 pi)
 
-(the second is d^2/d eps^2 of the first's kernel).  Both radial forms
-are unit-tested against adaptive quadrature of the original integrand.
+(the second is d^2/d eps^2 of the first's kernel).  ``verify`` checks
+both against quadrature of the original integrand.
 
 Each kernel is e^(-eps k_n) times a polynomial sum_j c_j k_n^j with
 j <= 2, and k_n = n pi / L, so the regulated sum over every mode n >= 1
@@ -49,12 +49,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import QuadratureError
-from .regsum import EpsilonSchedule, FinitePartResult, _power_series, fit_finite_part
-from .spectrum import BoundaryCondition
+from .regsum import EpsilonSchedule, FinitePartResult, _check_theta, _power_series, fit_finite_part
+from .spectrum import BoundaryCondition, PlateConfig
 
-__all__ = ["Observable", "ModeSumSpec", "mode_sum_finite_part",
-           "transverse_integral_unit_test", "default_schedule"]
+__all__ = ["Observable", "ModeSumSpec", "mode_sum_finite_part", "default_schedule"]
 
 _DIVERGENT_POWERS = {"phi2": 2, "phidot2": 4}
 
@@ -78,8 +76,7 @@ def default_schedule(observable: Observable, L: float = 1.0) -> EpsilonSchedule:
     schedule higher, its eps^-4 divergence being the fit's worst
     conditioning case.
     """
-    if not L > 0.0:
-        raise ValueError(f"plate separation must be positive, got {L}")
+    PlateConfig(L)  # the one place the separation is validated
     if observable is Observable.PHI2:
         return EpsilonSchedule.log_spaced(1e-3 * L, 2e-2 * L, 12, fit_basis_degree=4)
     return EpsilonSchedule.log_spaced(2e-3 * L, 2e-2 * L, 16, fit_basis_degree=5)
@@ -100,10 +97,8 @@ class ModeSumSpec:
     epsilon_schedule: EpsilonSchedule | None = None
 
     def __post_init__(self) -> None:
-        if not self.L > 0.0:
-            raise ValueError(f"plate separation must be positive, got {self.L}")
-        if not 0.0 < self.theta < math.pi:
-            raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
+        PlateConfig(self.L)  # the one place the separation is validated
+        _check_theta(self.theta)
         if self.epsilon_schedule is None:
             object.__setattr__(
                 self, "epsilon_schedule", default_schedule(self.observable, self.L)
@@ -163,34 +158,3 @@ def mode_sum_finite_part(spec: ModeSumSpec) -> FinitePartResult:
         _DIVERGENT_POWERS[spec.observable.value],
         spec.epsilon_schedule.fit_basis_degree,
     )
-
-
-def transverse_integral_unit_test(
-    k_n: float, epsilon: float, observable: Observable, rtol: float = 1e-11
-) -> tuple[float, float]:
-    """(closed form, adaptive quadrature) of one transverse integral.
-
-    Validates the oracle's own radial reductions; the two values must
-    agree to better than 1e-9 relative for any positive k_n and eps.
-    """
-    if not k_n > 0.0:
-        raise ValueError(f"k_n must be positive, got {k_n}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-
-    from scipy.integrate import quad
-
-    closed = float(_transverse_closed(observable, k_n, epsilon))
-
-    def integrand(k: float) -> float:
-        w = math.hypot(k, k_n)
-        damp = math.exp(-epsilon * w)
-        radial = damp / w if observable is Observable.PHI2 else damp * w
-        return k * radial / (2.0 * math.pi)
-
-    value, abserr = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=rtol, limit=200)
-    if not abserr <= 1e-6 * abs(value):
-        raise QuadratureError(
-            f"transverse quadrature did not converge: {value} +- {abserr}"
-        )
-    return closed, value

@@ -247,13 +247,17 @@ def abel_sum_oracle(k: int, theta: float) -> float:
 
     Raises
     ------
+    DomainError
+        If k is not a supported power or theta is not finite.
     ExtrapolationDivergenceError
         If successive extrapolants grow instead of settling, which is
         how a sum with no Abel limit (for example theta = 0 with k >= 1)
         manifests here.
     """
     if k not in (0, 1, 3):
-        raise ValueError(f"supported powers are 0, 1 and 3, got {k}")
+        raise DomainError(f"supported powers are 0, 1 and 3, got {k}")
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     hs = [1.0 - r for r in DEFAULT_ABEL_RADII]  # decreasing toward 0
     phase = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
     ys = [(geometric_power_sum(k, r * phase)).real for r in DEFAULT_ABEL_RADII]

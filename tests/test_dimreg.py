@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from platevac import dimreg
 from platevac.dimreg import MasterIntegralSpec, gamma_real, master_integral, quadrature_reference
 from platevac.errors import PlateVacError, PoleError, QuadratureError
 
@@ -147,9 +149,83 @@ class TestQuadratureReference:
         with pytest.raises(ValueError):
             quadrature_reference(2, 2.0, 0.0)
 
-    def test_nan_quadrature_raises(self, monkeypatch):
-        import scipy.integrate
+    @pytest.mark.parametrize("call", [
+        lambda: quadrature_reference(4, 3.0, 1.0),
+        lambda: quadrature_reference(0, 3.0, 1.0),
+        lambda: quadrature_reference(2, 1.0, 1.0),  # 2N <= d diverges
+        lambda: quadrature_reference(2, math.nan, 1.0),
+        lambda: quadrature_reference(2, 2.0, 0.0),
+        lambda: quadrature_reference(2, 2.0, -1.0),
+        lambda: quadrature_reference(2, 2.0, math.nan),
+        lambda: quadrature_reference(2, 2.0, math.inf),
+        lambda: MasterIntegralSpec(d=2.0, N=1.0, m_sq=0.0),
+        lambda: MasterIntegralSpec(d=2.0, N=1.0, m_sq=math.nan),
+        lambda: MasterIntegralSpec(d=2.0, N=1.0, m_sq=math.inf),
+    ])
+    def test_bad_input_raises_library_error(self, call):
+        with pytest.raises(PlateVacError):
+            call()
 
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.floats(min_value=0.75, max_value=10.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gamma_form(self, d, N, log_m_sq):
+        # the documented range: 2N - d >= 1/2, N <= 10, m_sq in [1e-6, 1e6]
+        assume(2.0 * N - d >= 0.5)
+        m_sq = 10.0 ** log_m_sq
+        exact = master_integral(MasterIntegralSpec(d=float(d), N=N, m_sq=m_sq))
+        assert quadrature_reference(d, N, m_sq) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m_sq", [1e-300, 1e300])
+    @pytest.mark.parametrize("d,N", [(1, 0.75), (2, 2.0), (3, 3.0)])
+    def test_unresolvable_mass_raises(self, d, N, m_sq):
+        # the mass scale lies beyond the nodes: no value rather than a wrong one
+        with pytest.raises(QuadratureError):
+            quadrature_reference(d, N, m_sq)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("excess", [0.02, 0.08])
+    def test_slow_tail_raises(self, d, excess):
+        # k^(d-1-2N) with 2N - d = excess leaves more than 1e-11 of the
+        # integral beyond the last node, and both step sizes miss it alike
+        with pytest.raises(QuadratureError):
+            quadrature_reference(d, (d + excess) / 2.0, 1.0)
+
+    @pytest.mark.parametrize("N,m_sq", [(1.55, 1e-6), (1.56, 1.0), (1.56, 1e6)])
+    def test_slow_tail_does_not_overflow(self, N, m_sq):
+        # (k^2 + m_sq)^N overflows beyond k ~ 1e99 here; evaluated that
+        # way, the integrand reads 0 there and the value misses the tail
+        exact = master_integral(MasterIntegralSpec(d=3.0, N=N, m_sq=m_sq))
+        assert quadrature_reference(3, N, m_sq) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_nan_quadrature_raises(self, monkeypatch):
+        real = dimreg._half_line_integral
+        monkeypatch.setattr(dimreg, "_half_line_integral", lambda f: real(lambda k: f(k) * math.nan))
         with pytest.raises(QuadratureError):
             quadrature_reference(2, 2.0, 1.0)
+
+
+class TestHalfLineIntegral:
+    @pytest.mark.parametrize("f,exact", [
+        (lambda x: np.exp(-x), 1.0),
+        (lambda x: 1.0 / (1.0 + x * x), math.pi / 2.0),
+        (lambda x: np.exp(-x) / np.sqrt(x), math.sqrt(math.pi)),  # end-point singularity
+        (lambda x: (1.0 + x) ** -1.2, 5.0),  # algebraic tail
+    ])
+    def test_known_integrals(self, f, exact):
+        assert dimreg._half_line_integral(f) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 0.0 * x,  # a zero sum has no relative accuracy
+        lambda x: x * math.nan,
+        lambda x: x * math.inf,
+        lambda x: 1.0 / (1.0 + x),  # divergent
+        lambda x: (1.0 + x) ** -1.01,  # convergent, but beyond the last node
+        lambda x: np.sin(x) * np.exp(-x / 100.0),  # oscillatory
+    ])
+    def test_unconverged_raises(self, f):
+        with pytest.raises(QuadratureError):
+            dimreg._half_line_integral(f)

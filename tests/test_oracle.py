@@ -6,18 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import oracle
-from platevac.errors import PrecisionError, QuadratureError
+from platevac import dimreg, oracle
+from platevac.cli import VERIFY_CHECKS, RunConfig
+from platevac.errors import PlateVacError, PrecisionError, QuadratureError
 from platevac.fluctuations import InteriorPoint, expectation_set
-from platevac.oracle import (
-    ModeSumSpec,
-    Observable,
-    default_schedule,
-    mode_sum_finite_part,
-    transverse_integral_unit_test,
-)
+from platevac.oracle import ModeSumSpec, Observable, default_schedule, mode_sum_finite_part
 from platevac.regsum import EpsilonSchedule
-from platevac.spectrum import BoundaryCondition, PlateConfig
+from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -30,34 +25,19 @@ def _closed_form(bc, L, theta, observable):
     return fs.phi2 if observable is Observable.PHI2 else fs.phidot2
 
 
-class TestTransverseIntegral:
+class TestTransverseKernel:
     def test_phi2_closed_form_value(self):
-        closed, numeric = transverse_integral_unit_test(math.pi, 0.1, Observable.PHI2)
+        closed = oracle._transverse_closed(Observable.PHI2, math.pi, 0.1)
         assert closed == pytest.approx(math.exp(-0.1 * math.pi) / (0.2 * math.pi), rel=1e-14)
-        assert numeric == pytest.approx(closed, rel=1e-9)
-
-    @pytest.mark.parametrize("k_n,eps", [(2.0 * math.pi, 0.05), (math.pi, 0.3), (7.0, 0.02)])
-    def test_phi2_matches_quadrature(self, k_n, eps):
-        closed, numeric = transverse_integral_unit_test(k_n, eps, Observable.PHI2)
-        assert numeric == pytest.approx(closed, rel=1e-9)
-
-    @pytest.mark.parametrize("k_n,eps", [(math.pi, 0.1), (2.0 * math.pi, 0.05), (5.0, 0.2)])
-    def test_phidot2_matches_quadrature(self, k_n, eps):
-        closed, numeric = transverse_integral_unit_test(k_n, eps, Observable.PHIDOT2)
-        assert numeric == pytest.approx(closed, rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            transverse_integral_unit_test(0.0, 0.1, Observable.PHI2)
-        with pytest.raises(ValueError):
-            transverse_integral_unit_test(1.0, 0.0, Observable.PHI2)
 
     def test_nan_quadrature_raises(self, monkeypatch):
-        import scipy.integrate
-
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+        # the verify entry that checks the kernels must not pass on a
+        # quadrature that does not converge
+        real = dimreg._half_line_integral
+        monkeypatch.setattr(dimreg, "_half_line_integral", lambda f: real(lambda k: f(k) * math.nan))
+        check = next(c for c in VERIFY_CHECKS if c.name == "oracle_transverse_kernel")
         with pytest.raises(QuadratureError):
-            transverse_integral_unit_test(math.pi, 0.1, Observable.PHI2)
+            check.run(RunConfig(bc=D))
 
 
 class TestModeSumFinitePart:
@@ -89,7 +69,7 @@ class TestModeSumFinitePart:
             closed = _closed_form(bc, 1.0, theta, observable)
             assert result.finite_part == pytest.approx(closed, rel=rtol)
 
-    @pytest.mark.parametrize("L", [0.1, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("L", [L_MIN, 0.1, 0.5, 2.0, 10.0, L_MAX])
     def test_other_separations(self, L):
         # the default schedule scales with L, so the oracle's relative
         # accuracy is separation independent
@@ -202,6 +182,20 @@ class TestClosedFormSums:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("field,value", [
+        *(("L", L) for L in (0.0, -1.0, 1e-200, 1e200, math.nan, math.inf)),
+        *(("theta", theta) for theta in (0.0, math.pi, -1.0, math.nan)),
+    ])
+    def test_bad_spec_raises_library_error(self, field, value):
+        spec = {"bc": D, "L": 1.0, "theta": 1.0, "observable": Observable.PHI2, field: value}
+        with pytest.raises(PlateVacError):
+            ModeSumSpec(**spec)
+
+    @pytest.mark.parametrize("L", [0.0, 1e-200, 1e200, math.nan])
+    def test_bad_schedule_length_raises_library_error(self, L):
+        with pytest.raises(PlateVacError):
+            default_schedule(Observable.PHIDOT2, L)
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             ModeSumSpec(bc=D, L=0.0, theta=1.0, observable=Observable.PHI2)

@@ -178,9 +178,14 @@ class TestAbelOracle:
                 continue
             assert abel_sum_oracle(k, theta) == pytest.approx(closed(theta), abs=1e-8)
 
-    @pytest.mark.parametrize("args", [(1, 0.0), (3, 0.0)])
-    def test_divergence_detected(self, args):
-        with pytest.raises(ExtrapolationDivergenceError):
+    @pytest.mark.parametrize("args,error", [
+        ((1, 0.0), ExtrapolationDivergenceError),
+        ((3, 0.0), ExtrapolationDivergenceError),
+        ((1, math.nan), DomainError),  # rejected before it can extrapolate a NaN
+        ((1, math.inf), DomainError),
+    ])
+    def test_divergence_detected(self, args, error):
+        with pytest.raises(error):
             abel_sum_oracle(*args)
 
     def test_unsupported_power(self):
