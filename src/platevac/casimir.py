@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .dimreg import MasterIntegralSpec, master_integral
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .fluctuations import expectation_columns
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
@@ -81,7 +81,7 @@ def integrated_density_check(config: PlateConfig, bc: BoundaryCondition) -> tupl
     """
     h = config.L / 4
     centers = (np.arange(4) + 0.5) * h
-    _, fluct, ab = expectation_columns(bc, config, centers)
+    fluct, ab = expectation_columns(bc, config, math.pi * centers / config.L)
     integral = float(np.sum(stress_report(fluct, ab).energy_density_improved)) * h
     return integral, abs(integral - total_energy(config))
 
@@ -99,10 +99,10 @@ def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margi
     can integrate up to the total energy.
     """
     if not 0.0 < margin < 0.5:
-        raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
+        raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
     lo = margin * config.L
     width = config.L - 2.0 * lo
     h = width / _CANONICAL_GRID_POINTS
     centers = lo + (np.arange(_CANONICAL_GRID_POINTS) + 0.5) * h
-    _, fluct, ab = expectation_columns(bc, config, centers)
+    fluct, ab = expectation_columns(bc, config, math.pi * centers / config.L)
     return float(np.sum(stress_report(fluct, ab).energy_density_canonical)) * h

@@ -23,21 +23,49 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import casimir, dimreg, oracle, regsum, spectrum, stress
-from .errors import InvalidConfigError, PlateVacError
-from .fluctuations import (InteriorPoint, expectation_columns, expectation_set,
-                           phi_squared, phi_squared_single_plate)
+from .errors import ConsistencyError, InvalidConfigError, PlateVacError
+from .fluctuations import (FIELD_PAIRS, InteriorPoint, _theta_of_z, expectation_columns,
+                           expectation_set, phi_squared, phi_squared_single_plate)
 from .regsum import EpsilonSchedule
 from .spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
-PROFILE_COLUMNS = (
-    "z", "theta", "phi2", "phidot2", "dzphi2", "gradTphi2", "dlambda_phi2",
-    "E_canonical", "huggins00", "E_improved", "T_zz",
-    "trace_canonical", "trace_improved",
-)
+# Each profile column after z and theta, and the FluctuationSet or
+# StressReport field it shows.
+_COLUMN_FIELDS = {
+    "phi2": "phi2", "phidot2": "phidot2", "dzphi2": "dzphi2", "gradTphi2": "gradTphi2",
+    "dlambda_phi2": "dlambda_phi2", "E_canonical": "energy_density_canonical",
+    "huggins00": "huggins_00", "E_improved": "energy_density_improved", "T_zz": "t_zz",
+    "trace_canonical": "trace_canonical", "trace_improved": "trace_improved",
+}
+PROFILE_COLUMNS = ("z", "theta", *_COLUMN_FIELDS)
+# The proved pair alpha A + beta t of each column that is one (phi2, which
+# scales as 1/length^2, is not).
+_PAIRS = {**FIELD_PAIRS, **stress._COMPONENTS}
+_COLUMN_PAIRS = {column: _PAIRS[field] for column, field in _COLUMN_FIELDS.items()
+                 if field in _PAIRS}
+
+
+def _shared_leads(pairs: dict) -> dict[str, str]:
+    """Each column that prints another's magnitude, mapped to that column.
+
+    A pair beta t (alpha = 0) is beta s B with B > 0, so it has the sign
+    of beta s at every point.  Columns whose betas differ only in sign
+    therefore print one magnitude |beta t|, behind a fixed sign each; the
+    first of them in column order leads.
+    """
+    groups: dict = {}
+    for column, pair in pairs.items():
+        if pair.alpha == 0 and pair.beta != 0:
+            groups.setdefault(abs(pair.beta), []).append(column)
+    return {column: group[0] for group in groups.values() if len(group) > 1 for column in group}
+
+
+_SHARED_LEADS = _shared_leads(_COLUMN_PAIRS)
 
 _CSV_SIG_DIGITS = 12
 _JSON_SIG_DIGITS = 17
@@ -96,24 +124,12 @@ def _json_render(obj) -> str:
 
 def _profile_rows(config: RunConfig) -> dict[str, np.ndarray]:
     """Every profile column over the whole grid, keyed by PROFILE_COLUMNS."""
+    plate = PlateConfig(config.L)
     z = config.grid()
-    theta, fluct, ab = expectation_columns(config.bc, PlateConfig(config.L), z)
-    report = stress.stress_report(fluct, ab)
-    return {
-        "z": z,
-        "theta": theta,
-        "phi2": fluct.phi2,
-        "phidot2": fluct.phidot2,
-        "dzphi2": fluct.dzphi2,
-        "gradTphi2": fluct.gradTphi2,
-        "dlambda_phi2": fluct.dlambda_phi2,
-        "E_canonical": report.energy_density_canonical,
-        "huggins00": report.huggins_00,
-        "E_improved": report.energy_density_improved,
-        "T_zz": report.t_zz,
-        "trace_canonical": report.trace_canonical,
-        "trace_improved": report.trace_improved,
-    }
+    theta = _theta_of_z(plate, z)
+    fluct, ab = expectation_columns(config.bc, plate, theta)
+    fields = {**vars(fluct), **vars(stress.stress_report(fluct, ab))}
+    return {"z": z, "theta": theta, **{c: fields[f] for c, f in _COLUMN_FIELDS.items()}}
 
 
 def _globals_payload(config: RunConfig) -> dict[str, float]:
@@ -141,37 +157,93 @@ def _config_payload(config: RunConfig) -> dict:
     }
 
 
-def _write_rows(out, table: np.ndarray, row: str, sep: str) -> None:
-    """Write each row of ``table`` through the %-template ``row``, joined by ``sep``.
+def _require_bitwise(column: str, values: np.ndarray, expected: np.ndarray, claim: str) -> None:
+    """ConsistencyError unless ``values`` equals ``expected`` (which broadcasts) bit for bit."""
+    expected = np.broadcast_to(expected, values.shape)
+    same = values.view(np.uint64) == expected.view(np.uint64)
+    if not same.all():
+        row = int(np.argmin(same))
+        raise ConsistencyError(f"{column} is proved {claim}, but row {row} reads "
+                               f"{float(values[row])!r}, not {float(expected[row])!r}")
+
+
+def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], list, list[int]]:
+    """Each column's cell in the row %-template, and what fills the cells.
+
+    Derived from the proved pairs: a constant column (beta = 0) is
+    converted once and written as literal text; a column in
+    :data:`_SHARED_LEADS` writes its lead's magnitude, converted once
+    per row and filled in through %s, behind a literal sign; every other
+    column is converted per row.  The facts this relies on are checked
+    on the values first, bit for bit, and a breach raises
+    :class:`ConsistencyError`.  Returns the cells, the sources (an array
+    and whether it fills %s) and each conversion's source index.
+    """
+    cells, sources, slots, shared = [], [], [], {}
+    for column, values in columns.items():
+        pair, lead = _COLUMN_PAIRS.get(column), _SHARED_LEADS.get(column)
+        if pair is not None and pair.beta == 0:
+            _require_bitwise(column, values, values[:1], "constant")
+            cells.append(_fmt(float(values[0]), sig))
+            continue
+        if lead is None:
+            cells.append(f"%.{sig}g")
+            slots.append(len(sources))
+            sources.append((values, False))
+            continue
+        if lead not in shared:
+            sign = np.copysign(1.0, columns[lead])
+            _require_bitwise(lead, sign, sign[:1], "of one sign")
+            shared[lead] = len(sources), bool(sign[0] < 0.0)
+            sources.append((np.abs(columns[lead]), True))
+        index, negative = shared[lead]
+        flip = (pair.beta < 0) != (_COLUMN_PAIRS[lead].beta < 0)
+        if flip:
+            _require_bitwise(column, values, -columns[lead], f"minus {lead}")
+        cells.append(("-" if negative != flip else "") + "%s")
+        slots.append(index)
+    return cells, sources, slots
+
+
+def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: int) -> None:
+    """Write every row through the %-template ``row``, joined by ``sep``.
 
     ``'%.17g' % v`` prints exactly what ``format(v, '.17g')`` prints, so
-    the rows match :func:`_fmt` digit for digit.
+    the rows match :func:`_fmt` digit for digit.  A source that fills %s
+    is converted once per row, however many cells show it.
     """
-    for start in range(0, len(table), _ROW_CHUNK):
-        chunk = table[start:start + _ROW_CHUNK]
+    conv = f"%.{sig}g"
+    for start in range(0, len(sources[0][0]), _ROW_CHUNK):
+        filled = []
+        for values, text in sources:
+            chunk = values[start:start + _ROW_CHUNK].tolist()
+            filled.append((" ".join([conv] * len(chunk)) % tuple(chunk)).split(" ") if text else chunk)
         if start:
             out.write(sep)
-        out.write(sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+        out.write(sep.join([row] * len(filled[0]))
+                  % tuple(chain.from_iterable(zip(*[filled[i] for i in slots]))))
 
 
 def cmd_profile(config: RunConfig, out) -> int:
     columns = _profile_rows(config)
-    table = np.column_stack([columns[c] for c in PROFILE_COLUMNS])
-    finite = np.isfinite(table)
-    if not finite.all():
-        value = float(table.flat[np.argmin(finite)])
-        raise InvalidConfigError(f"non-finite value {value!r} in output")
-    if config.output_format == "csv":
+    for values in columns.values():
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise InvalidConfigError(f"non-finite value {float(values[np.argmin(finite)])!r} in output")
+    csv = config.output_format == "csv"
+    sig = _CSV_SIG_DIGITS if csv else _JSON_SIG_DIGITS
+    cells, sources, slots = _render_plan(columns, sig)
+    if csv:
         head, tail, sep = ",".join(PROFILE_COLUMNS) + "\n", "", ""
-        row = ",".join([f"%.{_CSV_SIG_DIGITS}g"] * len(PROFILE_COLUMNS)) + "\n"
+        row = ",".join(cells) + "\n"
     else:
         # The same document _json_render gives for {"config", "rows", "globals"}.
         head = '{"config":' + _json_render(_config_payload(config)) + ',"rows":['
         tail = '],"globals":' + _json_render(_globals_payload(config)) + "}\n"
         sep = ","
-        row = "{" + ",".join(f"{json.dumps(c)}:%.{_JSON_SIG_DIGITS}g" for c in PROFILE_COLUMNS) + "}"
+        row = "{" + ",".join(f"{json.dumps(c)}:{cell}" for c, cell in zip(PROFILE_COLUMNS, cells)) + "}"
     out.write(head)
-    _write_rows(out, table, row, sep)
+    _write_rows(out, row, sep, sources, slots, sig)
     out.write(tail)
     return 0
 
@@ -322,7 +394,7 @@ def _stress_grid(config: RunConfig, mirror: bool = False) -> dict[str, np.ndarra
         theta = math.pi - theta
     parts = []
     for bc in BoundaryCondition:
-        _, fluct, ab = expectation_columns(_eval_bc(bc, config), plate, theta * config.L / math.pi)
+        fluct, ab = expectation_columns(_eval_bc(bc, config), plate, theta)
         parts.append({**vars(fluct), **vars(stress.stress_report(fluct, ab)),
                       "trace_expected": -6.0 * bc.sign_upper * ab.B})
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

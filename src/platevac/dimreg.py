@@ -57,6 +57,8 @@ class MasterIntegralSpec:
     m_sq: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.d) and math.isfinite(self.N)):
+            raise DomainError(f"d and N must be finite, got d = {self.d}, N = {self.N}")
         if not 0.0 < self.m_sq < math.inf:
             raise DomainError(f"m_sq must be positive and finite, got {self.m_sq}")
 
@@ -67,7 +69,8 @@ def master_integral(spec: MasterIntegralSpec) -> float:
     Raises :class:`PoleError` when N - d/2 hits a non-positive integer;
     that signals a case needing a different regularization, not a
     numerical failure.  When N itself is a non-positive integer the
-    reciprocal gamma vanishes and the continued value is zero.
+    reciprocal gamma vanishes and the continued value is zero.  A value
+    that is not a finite double raises :class:`DomainError`.
     """
     a = spec.N - spec.d / 2.0
     if _is_nonpositive_integer(a):
@@ -76,8 +79,15 @@ def master_integral(spec: MasterIntegralSpec) -> float:
         )
     if _is_nonpositive_integer(spec.N):
         return 0.0
-    prefactor = gamma_real(a) / ((4.0 * math.pi) ** (spec.d / 2.0) * gamma_real(spec.N))
-    return prefactor * spec.m_sq ** (spec.d / 2.0 - spec.N)
+    try:
+        prefactor = gamma_real(a) / ((4.0 * math.pi) ** (spec.d / 2.0) * gamma_real(spec.N))
+        # float(): a numpy m_sq would overflow to inf instead of raising
+        value = prefactor * float(spec.m_sq) ** (spec.d / 2.0 - spec.N)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the master integral at {spec} is not a finite double")
+    return value
 
 
 def _half_line_integral(f) -> float:

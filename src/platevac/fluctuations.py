@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .regsum import _f_of_sin2
+from .regsum import _check_theta, _f_of_sin2, _require
 from .spectrum import BoundaryCondition, PlateConfig
 
 __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
@@ -57,16 +57,11 @@ class InteriorPoint:
     theta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta < math.pi:
-            raise DomainError(
-                f"interior points need 0 < theta < pi, got theta = {self.theta!r}"
-            )
+        _check_theta(self.theta)
 
     @classmethod
     def from_z(cls, config: PlateConfig, z: float) -> "InteriorPoint":
-        if not 0.0 < z < config.L:
-            raise DomainError(f"z = {z} is not strictly inside (0, {config.L})")
-        return cls(z=z, theta=math.pi * z / config.L)
+        return cls(z=z, theta=_theta_of_z(config, z))
 
     @classmethod
     def from_theta(cls, config: PlateConfig, theta: float) -> "InteriorPoint":
@@ -159,15 +154,14 @@ def evaluate(pairs, A, t) -> list:
     return values
 
 
-def _require(ok, values, message: str) -> None:
-    """DomainError quoting ``values`` unless ``ok``; on arrays, at the first failure."""
-    if isinstance(ok, np.ndarray):
-        if ok.all():
-            return
-        values = values[np.argmin(ok)]
-    elif ok:
-        return
-    raise DomainError(message.format(float(values)))
+def _theta_of_z(config: PlateConfig, z):
+    """theta = pi z / L of a position ``z`` strictly inside (0, L), a float or an array.
+
+    A position on a plate can round to an angle just inside (0, pi), so
+    the position itself is checked; DomainError quotes the first bad one.
+    """
+    _require((z > 0.0) & (z < config.L), z, f"z = {{}} is not strictly inside (0, {config.L})")
+    return math.pi * z / config.L
 
 
 def _sin2(theta: float) -> float:
@@ -239,26 +233,22 @@ def expectation_set(
 
 
 def expectation_columns(
-    bc: BoundaryCondition, config: PlateConfig, z
-) -> tuple[np.ndarray, FluctuationSet, ABPair]:
+    bc: BoundaryCondition, config: PlateConfig, theta
+) -> tuple[FluctuationSet, ABPair]:
     """:func:`expectation_set` and :func:`ab_values` at many points at once.
 
-    ``z`` is a 1-D array of positions.  Returns theta = pi z / L and the
-    set and pair whose fields are float64 arrays over ``z`` (``A`` stays
-    a float), equal bit for bit to the scalar functions point by point.
-    Every point must pass the scalar domain checks, including the one
-    on B: a point close enough to a plate for B to overflow raises
-    :class:`DomainError` here as it does there.
+    ``theta`` is a 1-D array of angles, authoritative as in
+    :class:`InteriorPoint`.  Returns the set and pair whose fields are
+    float64 arrays over ``theta`` (``A`` stays a float), equal bit for
+    bit to the scalar functions point by point.  Every point must pass
+    the scalar domain checks, including the one on B: a point close
+    enough to a plate for B to overflow raises :class:`DomainError`
+    here as it does there.
     """
-    L = config.L
-    z = np.asarray(z, dtype=float)
-    _require((z > 0.0) & (z < L), z, f"z = {{}} is not strictly inside (0, {L})")
-    theta = math.pi * z / L
-    _require((theta > 0.0) & (theta < math.pi), theta,
-             "interior points need 0 < theta < pi, got theta = {!r}")
+    theta = _check_theta(np.asarray(theta, dtype=float))
     s = np.sin(theta)
     s2 = s * s
     _require(s2 > 0.0, theta, "sin^2 theta underflows to 0 at theta = {!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        ab = _ab(L, s2)
-    return theta, _fluctuations(bc.sign_upper, L, s2, ab), ab
+        ab = _ab(config.L, s2)
+    return _fluctuations(bc.sign_upper, config.L, s2, ab), ab

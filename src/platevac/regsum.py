@@ -76,7 +76,7 @@ def bernoulli(n: int) -> Fraction:
     is exact in rational arithmetic for any n.
     """
     if n < 0:
-        raise ValueError(f"Bernoulli index must be non-negative, got {n}")
+        raise DomainError(f"Bernoulli index must be non-negative, got {n}")
     if n == 0:
         return Fraction(1)
     acc = Fraction(0)
@@ -93,7 +93,7 @@ def zeta_neg_int(k: int) -> Fraction:
     zeros zeta(-2m) = 0 through the vanishing odd Bernoulli numbers.
     """
     if k < 0:
-        raise ValueError(f"zeta_neg_int expects k >= 0, got {k}")
+        raise DomainError(f"zeta_neg_int expects k >= 0, got {k}")
     value = bernoulli(k + 1) / (k + 1)
     return -value if k % 2 else value
 
@@ -102,12 +102,28 @@ def zeta_neg_int(k: int) -> Fraction:
 # Closed forms of the regularized oscillatory sums
 # ---------------------------------------------------------------------------
 
-def _check_theta(theta: float) -> float:
-    if not 0.0 < theta < math.pi:
-        raise DomainError(
-            f"theta must lie strictly between 0 and pi, got {theta!r}; "
-            "the sums diverge on the plate surfaces"
-        )
+def _require(ok, values, message: str) -> None:
+    """DomainError quoting ``values`` unless ``ok``; on arrays, at the first failure."""
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        values = values[np.argmin(ok)]
+    elif ok:
+        return
+    raise DomainError(message.format(float(values)))
+
+
+def _check_theta(theta):
+    """``theta``, a float or a float64 array, if it lies strictly inside (0, pi).
+
+    The one place an angle is validated: every scalar and array path
+    calls it.  DomainError quotes the first angle outside.
+    """
+    if not isinstance(theta, np.ndarray) and 0.0 < theta < math.pi:
+        return theta  # the scalar path, kept to one comparison
+    _require((theta > 0.0) & (theta < math.pi), theta,
+             "theta must lie strictly between 0 and pi, got {!r}; "
+             "the sums diverge on the plate surfaces")
     return theta
 
 
@@ -178,7 +194,7 @@ def geometric_power_sum(k: int, z: complex) -> complex:
     Eulerian polynomial; for k = 0 it is the plain geometric series.
     """
     if k < 0:
-        raise ValueError(f"power must be non-negative, got {k}")
+        raise DomainError(f"power must be non-negative, got {k}")
     if abs(z) >= 1.0:
         raise DomainError(f"geometric_power_sum needs |z| < 1, got |z| = {abs(z)}")
     return _power_series(k, z, 1.0 - z)
@@ -210,7 +226,7 @@ def extrapolate_to_zero(hs: list[float], ys: list[float]) -> tuple[float, list[f
     convergence.
     """
     if len(hs) != len(ys):
-        raise ValueError("node and value lists must have equal length")
+        raise InvalidConfigError("node and value lists must have equal length")
     n = len(hs)
     p = list(ys)
     diagonal = [p[0]]
@@ -292,7 +308,7 @@ class FinitePartResult:
 
     def __post_init__(self) -> None:
         if self.fit_residual < 0.0:
-            raise ValueError("fit residual cannot be negative")
+            raise InvalidConfigError("fit residual cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -415,7 +431,7 @@ def fit_finite_part(
     eps = np.asarray(eps_values, dtype=np.longdouble)
     y = np.asarray(data, dtype=np.longdouble)
     if eps.shape != y.shape:
-        raise ValueError("schedule and data length mismatch")
+        raise InvalidConfigError("schedule and data length mismatch")
     n_basis = max_divergent_power + 1 + fit_basis_degree
     if eps.size < n_basis:
         raise InvalidConfigError(
@@ -461,7 +477,7 @@ def cutoff_sum_oracle(k: int, schedule: EpsilonSchedule | None = None) -> Finite
     leading divergent coefficient stays sharp.
     """
     if k < 1 or k % 2 == 0:
-        raise ValueError(f"oracle supports positive odd powers, got {k}")
+        raise DomainError(f"oracle supports positive odd powers, got {k}")
     if schedule is None:
         schedule = EpsilonSchedule.log_spaced()
     values = tuple(exp_cutoff_power_sum(k, e) for e in schedule.values)

@@ -66,7 +66,7 @@ def k_n(config: PlateConfig, n: int) -> float:
     so n starts at 1 for both boundary conditions.
     """
     if n < 1:
-        raise ValueError(f"mode number must be >= 1, got {n}")
+        raise DomainError(f"mode number must be >= 1, got {n}")
     return n * math.pi / config.L
 
 
@@ -78,7 +78,7 @@ def mode_profile(bc: BoundaryCondition, config: PlateConfig, n, z):
     """
     n, z = np.asarray(n), np.asarray(z, dtype=float)
     if np.any(n < 1):
-        raise ValueError(f"mode number must be >= 1, got {n}")
+        raise DomainError(f"mode number must be >= 1, got {n}")
     if not np.all((0.0 <= z) & (z <= config.L)):
         raise DomainError(f"z = {z} outside the slab [0, {config.L}]")
     arg = n * z * (math.pi / config.L)
@@ -101,9 +101,9 @@ def orthonormality_check(
     with 2048 or more panels.
     """
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise DomainError("n_max must be at least 1")
     if quadrature_points < 64:
-        raise ValueError("need at least 64 quadrature points")
+        raise InvalidConfigError("need at least 64 quadrature points")
     panels = 1 << (quadrature_points - 1).bit_length()
     z = np.linspace(0.0, config.L, panels + 1)
     h = config.L / panels

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -34,6 +35,15 @@ from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import stress_report
 
 GOLDEN = Path(__file__).parent / "golden"
+# SHA-256 of `profile --points 20001` (five write chunks), taken while
+# every cell was still converted per row: the plan that writes constant
+# columns once and shares magnitudes must reproduce these bytes.
+PROFILE_DIGESTS = {
+    ("dirichlet", "0.1808", "json"): "6cf34cc929543d2da3e0a114bd037646524af7b14693bdd1e385f35e39df6192",
+    ("neumann", "0.9967", "json"): "d82c67b78dfdb2ccf9be795590cecb18a1bf0f4f0b9ee583eac1c88c41c34495",
+    ("dirichlet", "6.229", "csv"): "6f4d7c715f8db479bfbf2be6d87265721a1dc227e7a1378530f35ce149d50b1c",
+    ("neumann", "0.2821", "csv"): "2258506e1cb2ba28390b3cdebe6c5b9c2c971f0d75c385e601a04196d502d840",
+}
 # One verify report line, as the benchmark in perfbench/checks.py parses it.
 CHECK_LINE = re.compile(r"^(PASS|FAIL) (\S+) +measured=(\S+) (tol|floor)=(\S+)$")
 
@@ -224,6 +234,53 @@ class TestColumnarProfile:
         assert out == ""
         assert "non-finite value nan" in err
 
+    @pytest.mark.parametrize("bc, length, fmt", list(PROFILE_DIGESTS))
+    def test_multi_chunk_bytes_pinned(self, bc, length, fmt, capsys):
+        code, out, _ = _run(["profile", "--bc", bc, "--length", length, "--points", "20001",
+                             "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[bc, length, fmt]
+
+    def test_render_plan_follows_the_pair_table(self):
+        # constants: E_improved (-1, 0), T_zz (-3, 0), trace_improved (0, 0);
+        # trace_canonical (0, -6) prints the magnitude of dlambda_phi2 (0, 6)
+        assert cli._SHARED_LEADS == {"dlambda_phi2": "dlambda_phi2",
+                                     "trace_canonical": "dlambda_phi2"}
+        config = RunConfig(bc=BoundaryCondition.NEUMANN, grid_points=5)
+        cells, sources, slots = cli._render_plan(_profile_rows(config), 17)
+        literal = {c for c, cell in zip(PROFILE_COLUMNS, cells) if "%" not in cell}
+        assert literal == {"E_improved", "T_zz", "trace_improved"}
+        assert len(slots) == 10 and len(sources) == 9  # nine conversions per row
+        shown = dict(zip(PROFILE_COLUMNS, cells))
+        assert (shown["dlambda_phi2"], shown["trace_canonical"]) == ("-%s", "%s")  # s = -1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("poison, claim", [
+        # a finite value off the proved constant
+        (lambda c: c["E_improved"].__setitem__(3, np.nextafter(c["E_improved"][3], 0.0)),
+         "E_improved is proved constant"),
+        # trace_canonical one ulp away from -dlambda_phi2
+        (lambda c: c["trace_canonical"].__setitem__(5, np.nextafter(c["trace_canonical"][5], 0.0)),
+         "trace_canonical is proved minus dlambda_phi2"),
+        # both signs flipped in one row: still negatives, but s is not uniform
+        (lambda c: [c[k].__setitem__(2, -c[k][2]) for k in ("dlambda_phi2", "trace_canonical")],
+         "dlambda_phi2 is proved of one sign"),
+    ])
+    def test_broken_plan_fact_exits_2_before_writing(self, poison, claim, fmt, monkeypatch, capsys):
+        computed = cli._profile_rows
+
+        def poisoned(config):
+            columns = computed(config)
+            poison(columns)
+            return columns
+
+        monkeypatch.setattr(cli, "_profile_rows", poisoned)
+        code, out, err = _run(["profile", "--points", "8", "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {claim}, but row ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_overflowing_profile_exits_2(self, fmt, capsys):
         # At L = 1e-70 the profile part B overflows at the first grid
@@ -310,6 +367,26 @@ class TestVerifyCommand:
         result = check.run(RunConfig(bc=BoundaryCondition.DIRICHLET, quick=True))
         assert f"{result.measured:.3e}" == shown
         assert not result.ok
+
+    @pytest.mark.parametrize("quick", [True, False])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_stress_grid_evaluates_at_the_linspace_angles(self, quick, mirror, monkeypatch):
+        # the angles go to expectation_columns as they are, with no trip through z
+        seen = []
+        real = cli.expectation_columns
+
+        def recording(bc, config, theta):
+            seen.append(np.array(theta))
+            return real(bc, config, theta)
+
+        monkeypatch.setattr(cli, "expectation_columns", recording)
+        cli._stress_grid(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77, quick=quick), mirror)
+        expected = np.linspace(0.4, math.pi - 0.4, 7 if quick else 100)
+        if mirror:
+            expected = math.pi - expected
+        assert len(seen) == len(BoundaryCondition)
+        for theta in seen:
+            assert np.array_equal(theta.view(np.uint64), expected.view(np.uint64))
 
     def test_schedule_override(self, capsys):
         code, out, _ = _run(

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from platevac import dimreg
 from platevac.dimreg import MasterIntegralSpec, gamma_real, master_integral, quadrature_reference
-from platevac.errors import PlateVacError, PoleError, QuadratureError
+from platevac.errors import DomainError, PlateVacError, PoleError, QuadratureError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -134,6 +134,30 @@ class TestMasterIntegral:
             MasterIntegralSpec(d=2.0, N=1.0, m_sq=0.0)
         with pytest.raises(ValueError):
             MasterIntegralSpec(d=2.0, N=1.0, m_sq=-1.0)
+
+    @pytest.mark.parametrize("d, N", [(math.inf, 1.0), (2.0, -math.inf), (math.nan, 1.0)])
+    def test_non_finite_dimension_or_power_rejected(self, d, N):
+        # -inf used to reach round() in the pole test and raise OverflowError
+        with pytest.raises(DomainError):
+            MasterIntegralSpec(d=d, N=N, m_sq=1.0)
+
+    @pytest.mark.parametrize("spec", [(3.0, 10.0, 1e-300), (2.0, -0.5, 1e300)])
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_overflowing_power_raises_domain_error(self, spec, number):
+        # m_sq ** (d/2 - N) overflows: a float raised OverflowError, a numpy float returned inf
+        d, N, m_sq = spec
+        with pytest.raises(DomainError, match="not a finite double"):
+            master_integral(MasterIntegralSpec(d=d, N=N, m_sq=number(m_sq)))
+
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_any_spec_is_finite_or_library_error(self, d, N, m_sq):
+        try:
+            value = master_integral(MasterIntegralSpec(d=d, N=N, m_sq=m_sq))
+        except PlateVacError:
+            return
+        assert math.isfinite(value)
 
 
 class TestQuadratureReference:

@@ -14,13 +14,15 @@ from platevac.fluctuations import (
     FluctuationSet,
     InteriorPoint,
     _fluctuations,
+    _theta_of_z,
     ab_values,
     expectation_columns,
     expectation_set,
     phi_squared,
     phi_squared_single_plate,
 )
-from platevac.regsum import abel_sum_oracle, trig_sum_n_cos, zeta_neg_int
+from platevac.oracle import ModeSumSpec, Observable
+from platevac.regsum import abel_sum_oracle, f_theta, trig_sum_n_cos, zeta_neg_int
 from platevac.spectrum import BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
@@ -48,6 +50,23 @@ class TestInteriorPoint:
     def test_theta_range(self, theta):
         with pytest.raises(DomainError):
             InteriorPoint.from_theta(PlateConfig(1.0), theta)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi, -1.0, math.nan])
+    def test_every_angle_path_shares_one_check(self, theta):
+        config = PlateConfig(1.0)
+        paths = [
+            lambda: InteriorPoint.from_theta(config, theta),
+            lambda: expectation_columns(D, config, np.array([1.0, theta])),
+            lambda: ModeSumSpec(bc=D, L=1.0, theta=theta, observable=Observable.PHI2),
+            lambda: f_theta(theta),
+        ]
+        messages = set()
+        for path in paths:
+            with pytest.raises(DomainError) as info:
+                path()
+            messages.add(str(info.value))
+        assert messages == {f"theta must lie strictly between 0 and pi, got {theta!r}; "
+                            "the sums diverge on the plate surfaces"}
 
 
 class TestABValues:
@@ -225,7 +244,8 @@ class TestExpectationColumns:
     def test_equals_scalar_path_point_by_point(self, bc):
         config = PlateConfig(0.37)
         z = np.linspace(1e-7, 0.37 - 1e-7, 257)
-        theta, fs, ab = expectation_columns(bc, config, z)
+        theta = _theta_of_z(config, z)
+        fs, ab = expectation_columns(bc, config, theta)
         for i, zi in enumerate(z.tolist()):
             point = InteriorPoint.from_z(config, zi)
             assert theta[i] == point.theta
@@ -233,17 +253,25 @@ class TestExpectationColumns:
             for name, value in vars(expectation_set(bc, config, point)).items():
                 assert getattr(fs, name)[i] == value, name
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.2, 4.0, math.nan])
     def test_every_point_checked(self, bad):
+        theta = np.array([0.3, 1.5, bad, 2.8])
+        with pytest.raises(DomainError):
+            expectation_columns(D, PlateConfig(1.0), theta)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
+    def test_every_position_checked(self, bad):
         z = np.array([0.1, 0.5, bad, 0.9])
         with pytest.raises(DomainError):
-            expectation_columns(D, PlateConfig(1.0), z)
+            _theta_of_z(PlateConfig(1.0), z)
 
     def test_plate_position_rejected_even_when_theta_rounds_below_pi(self):
         L = 0.7000000000000001
         assert math.pi * L / L < math.pi
         with pytest.raises(DomainError, match="not strictly inside"):
-            expectation_columns(D, PlateConfig(L), np.array([0.5 * L, L]))
+            _theta_of_z(PlateConfig(L), np.array([0.5 * L, L]))
+        with pytest.raises(DomainError, match="not strictly inside"):
+            InteriorPoint.from_z(PlateConfig(L), L)
 
     def test_overflowing_profile_part_rejected_in_both_paths(self):
         # sin^2 theta is positive but B = pi^2 f / (96 L^4) overflows
@@ -253,13 +281,12 @@ class TestExpectationColumns:
             ab_values(config, InteriorPoint.from_theta(config, theta))
         with pytest.raises(DomainError, match="B overflows"):
             expectation_set(N, config, InteriorPoint.from_theta(config, theta))
-        z = np.array([0.5e-40, theta * 1e-40 / math.pi])
         with pytest.raises(DomainError, match="B overflows"):
-            expectation_columns(D, config, z)
+            expectation_columns(D, config, np.array([0.5 * math.pi, theta]))
 
     def test_underflowing_sine_rejected_in_both_paths(self):
         config = PlateConfig(1.0)
         with pytest.raises(DomainError):
             expectation_set(D, config, InteriorPoint.from_theta(config, 1e-200))
         with pytest.raises(DomainError):
-            expectation_columns(D, config, np.array([0.5, 1e-200 / math.pi]))
+            expectation_columns(D, config, np.array([0.5 * math.pi, 1e-200]))

@@ -83,7 +83,7 @@ class TestPairAlgebra:
     def test_canonical_and_improvement_correctly_rounded(self, bc, L, margin):
         config = PlateConfig(L)
         z = L * np.linspace(margin, 1.0 - margin, 2001)
-        _, fluct, ab = expectation_columns(bc, config, z)
+        fluct, ab = expectation_columns(bc, config, math.pi * z / L)
         report = stress_report(fluct, ab)
         A = Fraction(ab.A)
         for B, canonical, huggins in zip(ab.B.tolist(), report.energy_density_canonical.tolist(),
@@ -206,7 +206,7 @@ class TestStressReport:
     def test_columns_equal_points(self, bc):
         config = PlateConfig(1.3)
         z = np.linspace(1e-6, 1.3 - 1e-6, 11)
-        _, fs, ab = expectation_columns(bc, config, z)
+        fs, ab = expectation_columns(bc, config, math.pi * z / 1.3)
         columns = stress_report(fs, ab)
         for i, zi in enumerate(z.tolist()):
             point = InteriorPoint.from_z(config, zi)
