@@ -225,7 +225,10 @@ def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: i
 
 
 def cmd_profile(config: RunConfig, out) -> int:
-    columns = _profile_rows(config)
+    try:
+        columns = _profile_rows(config)
+    except MemoryError as exc:
+        raise InvalidConfigError(f"{config.grid_points} grid points do not fit in memory") from exc
     for values in columns.values():
         finite = np.isfinite(values)
         if not finite.all():

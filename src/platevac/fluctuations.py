@@ -68,7 +68,7 @@ class InteriorPoint:
         return cls(z=theta * config.L / math.pi, theta=theta)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ABPair:
     """Position-independent part A and profile part B, both 1/length^4."""
 
@@ -76,7 +76,7 @@ class ABPair:
     B: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class FluctuationSet:
     """The quadratic expectation values at one interior point.
 
@@ -141,16 +141,14 @@ def evaluate(pairs, A, t) -> list:
     above is written in; beta = 0 gives alpha A without touching t,
     alpha = 0 gives beta t, and (0, 0) gives +0.0.
     """
-    array = isinstance(t, np.ndarray)
     values = []
     for pair in pairs:
         scale, ratio = pair._plan
-        if not ratio:
-            values.append(np.full_like(t, scale * A) if array else scale * A)
-        elif not scale:
-            values.append(ratio * t)
-        else:
-            values.append(scale * (A + ratio * t))
+        values.append(scale * A if not ratio else ratio * t if not scale
+                      else scale * (A + ratio * t))
+    if isinstance(t, np.ndarray):
+        # alpha A of a beta = 0 pair is a float: give it t's shape
+        return [v if isinstance(v, np.ndarray) else np.full_like(t, v) for v in values]
     return values
 
 
@@ -172,44 +170,60 @@ def _sin2(theta: float) -> float:
     return s2
 
 
-def _ab(L, s2) -> ABPair:
+def _ab(L, s2) -> tuple:
+    """(A, B) at sin^2 theta = ``s2``, a float or an array; B is checked."""
     scale = math.pi ** 2 / L ** 4
     B = scale / 96.0 * _f_of_sin2(s2)
     # No field or tensor component exceeds 6 t, so a finite 6 B keeps
     # every value finite; a NaN fails this too.
-    _require(6.0 * B < math.inf, s2,
-             "the profile part B overflows at sin^2 theta = {!r}: "
-             "the point is too close to a plate")
-    return ABPair(A=scale / 1440.0, B=B)
+    if isinstance(B, np.ndarray) or not 6.0 * B < math.inf:
+        _require(6.0 * B < math.inf, s2,
+                 "the profile part B overflows at sin^2 theta = {!r}: "
+                 "the point is too close to a plate")
+    return scale / 1440.0, B
 
 
 def _phi2(s: int, L, s2):
     return (1.0 - s * 3.0 / s2) / (48.0 * L ** 2)
 
 
-def _fluctuations(s: int, L, s2, ab: ABPair) -> FluctuationSet:
-    return FluctuationSet(_phi2(s, L, s2), *evaluate(FIELD_PAIRS.values(), ab.A, s * ab.B))
+def _fluctuations(s: int, L, s2, A, B) -> FluctuationSet:
+    return FluctuationSet(_phi2(s, L, s2), *evaluate(FIELD_PAIRS.values(), A, s * B))
 
 
 def ab_values(config: PlateConfig, point: InteriorPoint) -> ABPair:
     """A = pi^2/(1440 L^4) and B = pi^2/(96 L^4) f(theta)."""
-    return _ab(config.L, _sin2(point.theta))
+    return ABPair(*_ab(config.L, _sin2(point.theta)))
 
 
 def phi_squared(bc: BoundaryCondition, config: PlateConfig, point: InteriorPoint) -> float:
     """Field fluctuation (1/(48 L^2)) (1 -+ 3/sin^2 theta) between the plates.
 
     Diverges toward -inf (Dirichlet) or +inf (Neumann) as the point
-    approaches either plate.
+    approaches either plate; where it overflows, DomainError.
     """
-    return _phi2(bc.sign_upper, config.L, _sin2(point.theta))
+    value = _phi2(bc.sign_upper, config.L, _sin2(point.theta))
+    if not abs(value) < math.inf:
+        raise DomainError(f"<phi^2> overflows at theta = {point.theta!r}: "
+                          "the point is too close to a plate")
+    return value
 
 
 def phi_squared_single_plate(bc: BoundaryCondition, z: float) -> float:
-    """Fluctuation outside a single plate, -+ 1/(16 pi^2 z^2)."""
-    if not z > 0.0:
-        raise DomainError(f"distance from the plate must be positive, got {z}")
-    return -bc.sign_upper / (16.0 * math.pi ** 2 * z * z)
+    """Fluctuation outside a single plate, -+ 1/(16 pi^2 z^2).
+
+    ``z`` must be positive and finite; where the value overflows,
+    DomainError.
+    """
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"distance from the plate must be positive and finite, got {z}")
+    denominator = 16.0 * math.pi ** 2 * z * z
+    if denominator > 0.0:  # z * z underflows to 0 below z ~ 1e-162
+        value = -bc.sign_upper / denominator
+        if abs(value) < math.inf:
+            return value
+    raise DomainError(f"<phi^2> overflows at distance {z!r} from the plate: "
+                      "the point is too close to it")
 
 
 def expectation_set(
@@ -228,8 +242,9 @@ def expectation_set(
     which satisfies the Lorentzian contraction identity
     phidot2 - dzphi2 - gradTphi2 = dlambda_phi2 identically.
     """
+    L = config.L
     s2 = _sin2(point.theta)
-    return _fluctuations(bc.sign_upper, config.L, s2, _ab(config.L, s2))
+    return _fluctuations(bc.sign_upper, L, s2, *_ab(L, s2))
 
 
 def expectation_columns(
@@ -250,5 +265,5 @@ def expectation_columns(
     s2 = s * s
     _require(s2 > 0.0, theta, "sin^2 theta underflows to 0 at theta = {!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        ab = _ab(config.L, s2)
-    return _fluctuations(bc.sign_upper, config.L, s2, ab), ab
+        A, B = _ab(config.L, s2)
+    return _fluctuations(bc.sign_upper, config.L, s2, A, B), ABPair(A, B)

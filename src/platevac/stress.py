@@ -39,7 +39,7 @@ from .fluctuations import FIELD_PAIRS, ABPair, FluctuationSet, Pair, evaluate
 __all__ = ["StressReport", "stress_report"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class StressReport:
     """Canonical, improvement, and improved tensor components at a point."""
 

@@ -292,6 +292,13 @@ class TestColumnarProfile:
         assert err.startswith("error: the profile part B overflows")
         assert "Traceback" not in err
 
+    def test_unallocatable_grid_exits_2(self, capsys):
+        # numpy refuses 10^12 points (8 TB per column) at once
+        code, out, err = _run(["profile", "--points", "1000000000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: 1000000000000 grid points do not fit in memory\n"
+
     @given(st.floats(), st.floats(), st.sampled_from(["csv", "json"]))
     @settings(max_examples=150, deadline=None)
     def test_any_length_and_margin_exit_0_or_2(self, length, margin, fmt):

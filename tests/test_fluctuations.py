@@ -105,6 +105,13 @@ class TestPhiSquared:
         assert phi_squared(N, config, mid) == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     @pytest.mark.parametrize("bc", BOTH)
+    def test_near_plate_overflow_raises(self, bc):
+        # the formula gives -inf at (L, theta) = (1, 1e-155), +inf at (1e-72, 1e-120)
+        config, theta = (PlateConfig(1.0), 1e-155) if bc is D else (PlateConfig(1e-72), 1e-120)
+        with pytest.raises(DomainError, match="overflows"):
+            phi_squared(bc, config, InteriorPoint.from_theta(config, theta))
+
+    @pytest.mark.parametrize("bc", BOTH)
     def test_near_plate_divergence(self, bc):
         config = PlateConfig(1.0)
         near = phi_squared(bc, config, InteriorPoint.from_theta(config, 0.01))
@@ -141,6 +148,27 @@ class TestSinglePlate:
     def test_surface_rejected(self):
         with pytest.raises(DomainError):
             phi_squared_single_plate(D, 0.0)
+
+    @pytest.mark.parametrize("z, match", [(math.inf, "positive and finite"),
+                                          (1e-160, "overflows"), (1e-200, "overflows")])
+    def test_infinite_distance_and_overflow_rejected(self, z, match):
+        # the formula gives -0.0, -inf and a division by 0 at these distances
+        with pytest.raises(DomainError, match=match):
+            phi_squared_single_plate(D, z)
+
+    @given(st.sampled_from(BOTH),
+           st.floats(min_value=-330.0, max_value=300.0).map(lambda e: 10.0 ** e)
+           | st.sampled_from([math.inf, math.nan]))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_value_or_a_library_error(self, bc, z):
+        try:
+            value = phi_squared_single_plate(bc, z)
+        except DomainError:
+            assert not 1e-150 < z < 1e150
+            return
+        assert z < math.inf
+        assert math.isfinite(value)
+        assert value == -bc.sign_upper / (16.0 * math.pi**2 * z * z)
 
 
 class TestExpectationSet:
@@ -179,7 +207,7 @@ class TestExpectationSet:
     @settings(max_examples=300, deadline=None)
     def test_pair_table_matches_the_written_forms_bit_for_bit(self, A, B, s):
         assert tuple(FIELD_PAIRS) == tuple(f.name for f in fields(FluctuationSet))[1:]
-        fs = _fluctuations(s, 1.0, 0.5, ABPair(A=A, B=B))
+        fs = _fluctuations(s, 1.0, 0.5, A, B)
         t = s * B
         written = {
             "phidot2": -(A - t),

@@ -1,6 +1,9 @@
 """Tests for the energy-momentum tensor assembly."""
 
+import hashlib
 import math
+import random
+import struct
 from dataclasses import fields
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from platevac.fluctuations import (
     evaluate,
     expectation_columns,
     expectation_set,
+    phi_squared,
 )
 from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 from platevac.stress import StressReport, stress_report
@@ -38,6 +42,30 @@ def _setup(bc, theta=math.pi / 2.0, L=1.0):
 
 def _report(bc, theta=math.pi / 2.0, L=1.0):
     return stress_report(*_setup(bc, theta, L))
+
+
+# SHA-256 of every FluctuationSet, ABPair and StressReport value, packed
+# as '<d' in field order, over the points of _scalar_records(); taken
+# while the records were frozen and expectation_set built its own ABPair,
+# so the leaner scalar path is held to the same bits.
+SCALAR_PATH_DIGEST = "e06ce74eea1ce4929f22dc7f77640994170abee6cf255cca6318a334bfd92513"
+
+
+def _scalar_records(count=2000):
+    """(FluctuationSet, ABPair, StressReport) at seeded points: both BCs,
+    L log-uniform in [1e-3, 1e3], distance to either plate log-uniform
+    in [1e-6, pi/2]."""
+    rng = random.Random("scalar-path")
+    top = math.log10(math.pi / 2.0)
+    for _ in range(count):
+        bc = rng.choice(BOTH)
+        L = 10.0 ** rng.uniform(-3.0, 3.0)
+        distance = 10.0 ** rng.uniform(-6.0, top)
+        config = PlateConfig(L)
+        point = InteriorPoint.from_theta(
+            config, distance if rng.random() < 0.5 else math.pi - distance)
+        fluct, ab = expectation_set(bc, config, point), ab_values(config, point)
+        yield fluct, ab, stress_report(fluct, ab)
 
 
 class TestPairAlgebra:
@@ -238,11 +266,38 @@ class TestDomain:
         try:
             config = PlateConfig(L)
             point = InteriorPoint.from_theta(config, theta)
+        except PlateVacError:
+            return
+        try:
+            phi2 = phi_squared(bc, config, point)
+        except PlateVacError:
+            phi2 = None
+        else:
+            assert math.isfinite(phi2)
+        try:
             fluct, ab = expectation_set(bc, config, point), ab_values(config, point)
             report = stress_report(fluct, ab)
         except PlateVacError:
             return
         values = [*vars(fluct).values(), *vars(report).values()]
         assert all(math.isfinite(v) for v in values)
+        assert phi2 == fluct.phi2
         assert report.energy_density_improved == -ab.A
         assert report.t_zz == -3.0 * ab.A
+
+
+class TestScalarPath:
+    def test_records_pinned_bit_for_bit(self):
+        digest = hashlib.sha256()
+        for records in _scalar_records():
+            for record in records:
+                for field in fields(record):
+                    value = getattr(record, field.name)
+                    assert type(value) is float, field.name
+                    digest.update(struct.pack("<d", value))
+        assert digest.hexdigest() == SCALAR_PATH_DIGEST
+
+    def test_vars_lists_the_fields_in_order(self):
+        # cli and the benchmark's point checks read the records through vars()
+        for record in next(_scalar_records(1)):
+            assert list(vars(record)) == [field.name for field in fields(record)]
