@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
@@ -69,7 +71,8 @@ _SHARED_LEADS = _shared_leads(_COLUMN_PAIRS)
 
 _CSV_SIG_DIGITS = 12
 _JSON_SIG_DIGITS = 17
-# Profile rows rendered per write; bounds the size of each output string.
+# Profile rows rendered per write, and per turn of each rendering process;
+# bounds the size of each output string.
 _ROW_CHUNK = 4096
 
 
@@ -205,23 +208,130 @@ def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], l
     return cells, sources, slots
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(render: Callable[[int], str], starts: range, earlier: list) -> tuple:
+    """Fork a process that sends ``render(start)`` for each of ``starts`` down a pipe.
+
+    Each chunk goes as its ASCII bytes behind an 8-byte length.  The
+    worker closes the pipes of the ``earlier`` workers' (pid, reader)
+    pairs and leaves through ``os._exit``: status 0 once every chunk is
+    sent, 1 on any error, with nothing on stderr.  Returns its pid and
+    the reading end of its pipe.
+    """
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that fork in a threaded process (numpy's BLAS
+        # threads) may deadlock the child.  The worker takes no lock those
+        # threads hold: it only formats floats, writes to its pipe and
+        # calls os._exit.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for _, reader in earlier:
+                reader.close()
+            with open(write_fd, "wb") as pipe:
+                for start in starts:
+                    data = render(start).encode("ascii")
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _copy_chunk(reader, out) -> bool:
+    """Copy one length-prefixed chunk from ``reader`` to ``out`` in 64 KiB pieces.
+
+    False if the pipe ends first.
+    """
+    header = reader.read(8)
+    if len(header) < 8:
+        return False
+    left = int.from_bytes(header, "little")
+    while left:
+        piece = reader.read(min(left, 1 << 16))
+        if not piece:
+            return False
+        out.write(piece.decode("ascii"))
+        left -= len(piece)
+    return True
+
+
+def _reap(pid: int, reader) -> None:
+    """Close a worker's pipe and wait for it; PlateVacError unless it exited 0."""
+    reader.close()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code > 0:
+        raise PlateVacError(f"profile worker {pid} exited with status {code}")
+    if code < 0:
+        raise PlateVacError(f"profile worker {pid} was killed by signal {-code}")
+
+
 def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: int) -> None:
     """Write every row through the %-template ``row``, joined by ``sep``.
 
     ``'%.17g' % v`` prints exactly what ``format(v, '.17g')`` prints, so
     the rows match :func:`_fmt` digit for digit.  A source that fills %s
     is converted once per row, however many cells show it.
+
+    The rows go in chunks of :data:`_ROW_CHUNK`, dealt round-robin to W
+    processes, W = min(usable CPUs, chunks): this one renders chunks 0,
+    W, 2W, ... straight to ``out``, and forked worker k renders chunks
+    k, W + k, ... into its own pipe, which this process copies to
+    ``out`` in chunk order.  Each process holds one chunk at a time, and
+    a worker renders its next chunk while this process renders its own.
+    With W = 1 nothing is forked.  A worker that fails raises
+    :class:`PlateVacError`; any error here kills and reaps every worker
+    before it propagates.
     """
     conv = f"%.{sig}g"
-    for start in range(0, len(sources[0][0]), _ROW_CHUNK):
+    starts = range(0, len(sources[0][0]), _ROW_CHUNK)
+
+    def render(start: int) -> str:
         filled = []
         for values, text in sources:
             chunk = values[start:start + _ROW_CHUNK].tolist()
             filled.append((" ".join([conv] * len(chunk)) % tuple(chunk)).split(" ") if text else chunk)
+        template = sep.join([row] * len(filled[0]))
         if start:
-            out.write(sep)
-        out.write(sep.join([row] * len(filled[0]))
-                  % tuple(chain.from_iterable(zip(*[filled[i] for i in slots]))))
+            template = sep + template
+        return template % tuple(chain.from_iterable(zip(*[filled[i] for i in slots])))
+
+    procs = min(_usable_cpus(), len(starts))
+    workers: list = []  # (pid, reader) of every worker not yet reaped
+    try:
+        for k in range(1, procs):
+            workers.append(_fork_worker(render, starts[k::procs], workers))
+        for i, start in enumerate(starts):
+            if i % procs == 0:
+                out.write(render(start))
+            elif not _copy_chunk(workers[i % procs - 1][1], out):
+                _reap(*workers.pop(i % procs - 1))
+                raise PlateVacError("a profile worker stopped before sending all its rows")
+        while workers:
+            _reap(*workers.pop())
+    finally:
+        if workers:
+            from signal import SIGKILL
+
+            for pid, reader in workers:
+                reader.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def cmd_profile(config: RunConfig, out) -> int:

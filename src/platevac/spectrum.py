@@ -32,10 +32,10 @@ class BoundaryCondition(Enum):
     DIRICHLET = "dirichlet"
     NEUMANN = "neumann"
 
-    @property
-    def sign_upper(self) -> int:
-        """+1 for Dirichlet (upper sign), -1 for Neumann (lower sign)."""
-        return 1 if self is BoundaryCondition.DIRICHLET else -1
+    def __init__(self, value: str) -> None:
+        # sign_upper: +1 for Dirichlet (upper sign), -1 for Neumann (lower
+        # sign); a plain attribute, read once per point.
+        self.sign_upper = 1 if value == "dirichlet" else -1
 
 
 # The separations every closed form accepts: the densities scale as L^-4

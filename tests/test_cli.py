@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,40 @@ def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker the CLI forks in this test."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _FailingOut(io.StringIO):
+    """A stream whose ``fail_at``-th write raises a broken pipe."""
+
+    def __init__(self, fail_at: int) -> None:
+        super().__init__()
+        self.writes, self.fail_at = 0, fail_at
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
 
 
 class TestRunConfig:
@@ -234,12 +269,17 @@ class TestColumnarProfile:
         assert out == ""
         assert "non-finite value nan" in err
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bc, length, fmt", list(PROFILE_DIGESTS))
-    def test_multi_chunk_bytes_pinned(self, bc, length, fmt, capsys):
+    def test_multi_chunk_bytes_pinned(self, bc, length, fmt, workers, forks, monkeypatch, capsys):
+        # the bytes do not depend on how many processes render the rows
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
         code, out, _ = _run(["profile", "--bc", bc, "--length", length, "--points", "20001",
                              "--format", fmt], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[bc, length, fmt]
+        assert len(forks) == workers - 1  # five chunks: every process renders one
+        _assert_no_child_left()
 
     def test_render_plan_follows_the_pair_table(self):
         # constants: E_improved (-1, 0), T_zz (-3, 0), trace_improved (0, 0);
@@ -310,6 +350,61 @@ class TestColumnarProfile:
         if code == 2:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
+
+
+class TestParallelRendering:
+    """Rows rendered by forked workers, W = min(usable CPUs, 4096-row chunks)."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("points", [64, 4096])
+    def test_one_chunk_never_forks(self, points, fmt, monkeypatch, capsys):
+        def fork():
+            raise AssertionError("forked for a single chunk")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork)
+        code, out, _ = _run(["profile", "--points", str(points), "--format", fmt], capsys)
+        assert code == 0
+        assert (out.count("\n") - 1 if fmt == "csv" else len(json.loads(out)["rows"])) == points
+
+    def test_no_fork_means_one_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert cli._usable_cpus() == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("die, reason", [
+        # an exception inside the worker's rendering
+        (lambda: setattr(cli, "_ROW_CHUNK", None), "exited with status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL}"),
+    ])
+    def test_failed_worker_exits_2(self, die, reason, fmt, monkeypatch, capfd):
+        fork = os.fork
+
+        def dying():
+            pid = fork()
+            if pid == 0:
+                try:
+                    die()
+                except BaseException:
+                    os._exit(99)
+            return pid
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", dying)
+        code = main(["profile", "--points", "20001", "--format", fmt])
+        _, err = capfd.readouterr()
+        assert code == 2
+        assert re.fullmatch(rf"error: profile worker \d+ {reason}\n", err)  # and no traceback
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fail_at", [2, 3])  # this process's first chunk; a worker's
+    def test_failed_write_reaps_every_worker(self, fail_at, forks, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        config = RunConfig(bc=BoundaryCondition.NEUMANN, grid_points=20001, output_format="json")
+        with pytest.raises(BrokenPipeError):
+            cmd_profile(config, _FailingOut(fail_at))
+        assert len(forks) == 2
+        _assert_no_child_left()
 
 
 class TestEnergyCommand:

@@ -26,6 +26,12 @@ class TestTypes:
         assert D.sign_upper == 1
         assert N.sign_upper == -1
 
+    def test_sign_is_a_member_attribute(self):
+        # set once per member, not recomputed on every read
+        assert vars(D)["sign_upper"] == 1 and vars(N)["sign_upper"] == -1
+        assert BoundaryCondition("neumann") is N and N.value == "neumann"
+        assert list(BoundaryCondition) == [D, N]
+
     def test_plate_config_validation(self):
         with pytest.raises(ValueError):
             PlateConfig(0.0)
