@@ -33,7 +33,6 @@ from . import casimir, dimreg, oracle, regsum, spectrum, stress
 from .errors import ConsistencyError, InvalidConfigError, PlateVacError
 from .fluctuations import (FIELD_PAIRS, InteriorPoint, _theta_of_z, expectation_columns,
                            expectation_set, phi_squared, phi_squared_single_plate)
-from .regsum import EpsilonSchedule
 from .spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 # Each profile column after z and theta, and the FluctuationSet or
@@ -85,9 +84,7 @@ class RunConfig:
     grid_points: int = 64
     z_margin: float = 0.02
     output_format: str = "csv"
-    quick: bool = False
     inject_sign_flip: bool = False
-    epsilon_schedule: EpsilonSchedule | None = None
 
     def __post_init__(self) -> None:
         PlateConfig(self.L)  # the one place the separation is validated
@@ -415,15 +412,9 @@ def _worst(num, den) -> float:
         return float(np.max(np.where(den > 0.0, num / den, np.inf)))
 
 
-def _theta_grid(quick: bool) -> list[float]:
-    if quick:
-        return [0.5, 1.5, 2.5]
-    return [0.1 * k for k in range(1, 31) if 0.0 < 0.1 * k < math.pi]
-
-
-def _oracle_thetas(quick: bool) -> list[float]:
-    count = 3 if quick else 5
-    return [float(t) for t in np.linspace(0.3, math.pi - 0.3, count)]
+# The angles of the Abel checks, and of the mode-sum checks.
+_ABEL_THETAS = [0.1 * k for k in range(1, 31)]
+_MODE_SUM_THETAS = [float(t) for t in np.linspace(0.3, math.pi - 0.3, 5)]
 
 
 def _eval_bc(bc: BoundaryCondition, config: RunConfig) -> BoundaryCondition:
@@ -438,9 +429,8 @@ def _cutoff_error(k: int) -> float:
     return abs(regsum.cutoff_sum_oracle(k).finite_part - float(regsum.zeta_neg_int(k)))
 
 
-def _abel_error(k: int, closed, config: RunConfig) -> float:
-    thetas = _theta_grid(config.quick)
-    return _worst([regsum.abel_sum_oracle(k, t) - closed(t) for t in thetas], 1.0)
+def _abel_error(k: int, closed) -> float:
+    return _worst([regsum.abel_sum_oracle(k, t) - closed(t) for t in _ABEL_THETAS], 1.0)
 
 
 def _dimreg_quadrature(config: RunConfig) -> float:
@@ -485,9 +475,8 @@ def _mode_sum_error(observable: oracle.Observable, config: RunConfig) -> float:
     plate = PlateConfig(config.L)
     finite, closed = [], []
     for bc in BoundaryCondition:
-        for theta in _oracle_thetas(config.quick):
-            spec = oracle.ModeSumSpec(bc=bc, L=config.L, theta=theta, observable=observable,
-                                      epsilon_schedule=config.epsilon_schedule)
+        for theta in _MODE_SUM_THETAS:
+            spec = oracle.ModeSumSpec(bc=bc, L=config.L, theta=theta, observable=observable)
             finite.append(oracle.mode_sum_finite_part(spec).finite_part)
             fluct = expectation_set(_eval_bc(bc, config), plate, InteriorPoint.from_theta(plate, theta))
             closed.append(getattr(fluct, observable.value))
@@ -497,12 +486,12 @@ def _mode_sum_error(observable: oracle.Observable, config: RunConfig) -> float:
 def _stress_grid(config: RunConfig, mirror: bool = False) -> dict[str, np.ndarray]:
     """Every field and stress component on verify's interior grid, by name.
 
-    The grid is 100 angles in [0.4, pi - 0.4] (7 with ``quick``), or
-    their mirror images pi - theta, for Dirichlet then Neumann plates.
+    The grid is 100 angles in [0.4, pi - 0.4], or their mirror images
+    pi - theta, for Dirichlet then Neumann plates.
     ``trace_expected`` is -6 s B, s the sign of the plates' true condition.
     """
     plate = PlateConfig(config.L)
-    theta = np.linspace(0.4, math.pi - 0.4, 7 if config.quick else 100)
+    theta = np.linspace(0.4, math.pi - 0.4, 100)
     if mirror:
         theta = math.pi - theta
     parts = []
@@ -610,10 +599,9 @@ def _canonical_density_divergence(config: RunConfig) -> float:
 
 
 def _mode_orthonormality(config: RunConfig) -> float:
-    n_modes, panels = (8, 1024) if config.quick else (20, 2048)
     plate = PlateConfig(config.L)
-    gram = [spectrum.orthonormality_check(bc, plate, n_modes, panels) for bc in BoundaryCondition]
-    return _worst(np.subtract(gram, np.eye(n_modes)), 1.0)
+    gram = [spectrum.orthonormality_check(bc, plate, 20, 2048) for bc in BoundaryCondition]
+    return _worst(np.subtract(gram, np.eye(20)), 1.0)
 
 
 # Every claim `verify` checks, in report order; the acceptance suite runs
@@ -623,9 +611,9 @@ VERIFY_CHECKS = (
     VerifyCheck("zeta_cutoff_k1", 1e-6, lambda config: _cutoff_error(1)),
     VerifyCheck("zeta_cutoff_k3", 1e-6, lambda config: _cutoff_error(3)),
     # Oscillatory sums against the Abel oracle (absolute).
-    VerifyCheck("abel_n_cos", 1e-8, lambda config: _abel_error(1, regsum.trig_sum_n_cos, config)),
-    VerifyCheck("abel_n3_cos", 1e-8, lambda config: _abel_error(3, regsum.trig_sum_n3_cos, config)),
-    VerifyCheck("abel_constant", 1e-8, lambda config: _abel_error(0, lambda t: -0.5, config)),
+    VerifyCheck("abel_n_cos", 1e-8, lambda config: _abel_error(1, regsum.trig_sum_n_cos)),
+    VerifyCheck("abel_n3_cos", 1e-8, lambda config: _abel_error(3, regsum.trig_sum_n3_cos)),
+    VerifyCheck("abel_constant", 1e-8, lambda config: _abel_error(0, lambda t: -0.5)),
     # Continued master integral against direct quadrature plus identities.
     VerifyCheck("dimreg_quadrature", 1e-8, _dimreg_quadrature),
     VerifyCheck("dimreg_scaling", 1e-12, _dimreg_scaling),
@@ -704,37 +692,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--length", type=float, default=1.0, help="plate separation L")
     p_verify.add_argument("--output", default=None, help="output path (default stdout)")
     p_verify.add_argument("--quick", action="store_true",
-                          help="reduce oracle grids to 3 points for a fast pass")
+                          help="accepted and ignored: verify has one configuration")
     p_verify.add_argument("--inject-sign-flip", action="store_true",
                           help="testing aid: corrupt the Neumann sign convention to "
                                "demonstrate the checks catch it")
-    p_verify.add_argument("--eps-smallest", type=float, default=None,
-                          help="override the smallest mode-sum cutoff")
-    p_verify.add_argument("--eps-largest", type=float, default=None,
-                          help="override the largest mode-sum cutoff")
-    p_verify.add_argument("--eps-count", type=int, default=16,
-                          help="cutoff count when overriding the schedule")
-    p_verify.add_argument("--eps-degree", type=int, default=5,
-                          help="positive fit degree when overriding the schedule")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    schedule = None
-    if getattr(args, "eps_smallest", None) is not None or getattr(args, "eps_largest", None) is not None:
-        smallest = args.eps_smallest if args.eps_smallest is not None else 2e-3
-        largest = args.eps_largest if args.eps_largest is not None else 2e-2
-        schedule = EpsilonSchedule.log_spaced(smallest, largest, args.eps_count,
-                                              fit_basis_degree=args.eps_degree)
     return RunConfig(
         bc=BoundaryCondition(getattr(args, "bc", "dirichlet")),
         L=args.length,
         grid_points=getattr(args, "points", 64),
         z_margin=getattr(args, "margin", 0.02),
         output_format=getattr(args, "format", "csv"),
-        quick=getattr(args, "quick", False),
         inject_sign_flip=getattr(args, "inject_sign_flip", False),
-        epsilon_schedule=schedule,
     )
 
 

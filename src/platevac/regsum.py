@@ -187,17 +187,34 @@ def _power_series(k: int, x, one_minus_x):
     return x * poly / one_minus_x ** (k + 1)
 
 
+def _scalar_power_series(k: int, x, one_minus_x, what: str, arg):
+    """:func:`_power_series` on one number; DomainError unless the value is finite.
+
+    A value past the double range either raises inside the arithmetic
+    (a huge Eulerian coefficient, a power of 1 - x that underflows to 0)
+    or comes out infinite; a NaN argument comes out NaN.  The message
+    is ``what.format(k=k, arg=arg)``, formed only on failure.
+    """
+    if k < 0:
+        raise DomainError(f"power must be non-negative, got {k}")
+    try:
+        value = _power_series(k, x, one_minus_x)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(what.format(k=k, arg=arg) + " is not a finite double")
+    return value
+
+
 def geometric_power_sum(k: int, z: complex) -> complex:
     """sum_{n>=1} n^k z^n for |z| < 1, via the Eulerian closed form.
 
     For k >= 1 the sum equals z P_k(z) / (1-z)^(k+1) with P_k the
     Eulerian polynomial; for k = 0 it is the plain geometric series.
     """
-    if k < 0:
-        raise DomainError(f"power must be non-negative, got {k}")
     if abs(z) >= 1.0:
         raise DomainError(f"geometric_power_sum needs |z| < 1, got |z| = {abs(z)}")
-    return _power_series(k, z, 1.0 - z)
+    return _scalar_power_series(k, z, 1.0 - z, "sum_n n^{k} z^n at z = {arg!r}", z)
 
 
 def exp_cutoff_power_sum(k: int, eps: float) -> float:
@@ -210,7 +227,8 @@ def exp_cutoff_power_sum(k: int, eps: float) -> float:
     """
     if eps <= 0.0:
         raise DomainError(f"cutoff eps must be positive, got {eps}")
-    return _power_series(k, math.exp(-eps), -math.expm1(-eps))
+    return _scalar_power_series(k, math.exp(-eps), -math.expm1(-eps),
+                                "sum_n n^{k} e^(-eps n) at eps = {arg!r}", eps)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +325,15 @@ class FinitePartResult:
     fit_residual: float
 
     def __post_init__(self) -> None:
-        if self.fit_residual < 0.0:
-            raise InvalidConfigError("fit residual cannot be negative")
+        if not self.fit_residual >= 0.0:
+            raise InvalidConfigError(f"fit residual must be non-negative, got {self.fit_residual!r}")
+
+
+# The most float64 elements a numpy array can hold: its byte size must fit
+# in a signed pointer-sized integer.  Past it numpy's constructors raise
+# assorted errors or wrap the size around, so a larger size is refused
+# before numpy sees it.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -349,7 +374,13 @@ class EpsilonSchedule:
             )
         if count < 1:
             raise InvalidConfigError(f"need at least one cutoff, got {count}")
-        grid = np.geomspace(largest, smallest, count)
+        too_many = InvalidConfigError(f"{count} cutoffs do not fit in memory")
+        if count > _MAX_FLOATS:
+            raise too_many
+        try:
+            grid = np.geomspace(largest, smallest, count)
+        except MemoryError as exc:
+            raise too_many from exc
         return cls(values=tuple(float(v) for v in grid), fit_basis_degree=fit_basis_degree)
 
 
@@ -432,6 +463,8 @@ def fit_finite_part(
     y = np.asarray(data, dtype=np.longdouble)
     if eps.shape != y.shape:
         raise InvalidConfigError("schedule and data length mismatch")
+    if not (np.isfinite(eps).all() and np.isfinite(y).all()):
+        raise DomainError("finite-part fit needs finite cutoffs and data")
     n_basis = max_divergent_power + 1 + fit_basis_degree
     if eps.size < n_basis:
         raise InvalidConfigError(

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidConfigError
+from .regsum import _MAX_FLOATS
 
 __all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "k_n", "mode_profile",
            "orthonormality_check"]
@@ -105,13 +106,19 @@ def orthonormality_check(
     if quadrature_points < 64:
         raise InvalidConfigError("need at least 64 quadrature points")
     panels = 1 << (quadrature_points - 1).bit_length()
-    z = np.linspace(0.0, config.L, panels + 1)
-    h = config.L / panels
+    too_big = InvalidConfigError(f"{n_max} modes on {panels} panels do not fit in memory")
+    if max(n_max, panels + 1) * n_max > _MAX_FLOATS:
+        raise too_big
+    try:
+        z = np.linspace(0.0, config.L, panels + 1)
+        h = config.L / panels
 
-    weights = np.full(panels + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= h / 3.0
+        weights = np.full(panels + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        weights *= h / 3.0
 
-    profiles = mode_profile(bc, config, np.arange(1, n_max + 1)[:, None], z)
-    return (profiles * weights) @ profiles.T
+        profiles = mode_profile(bc, config, np.arange(1, n_max + 1)[:, None], z)
+        return (profiles * weights) @ profiles.T
+    except MemoryError as exc:
+        raise too_big from exc

@@ -1,9 +1,9 @@
 """Acceptance suite: every ``verify`` check at four plate separations.
 
 The checks, their tolerances and their directions are ``cli.VERIFY_CHECKS``,
-the table ``platevac verify`` runs, evaluated here on the full (non-quick)
-grids.  ``pytest tests/test_acceptance.py -v`` lists one case per check
-and separation.
+the table ``platevac verify`` runs, evaluated here on the same grids.
+``pytest tests/test_acceptance.py -v`` lists one case per check and
+separation.
 """
 
 import pytest

@@ -433,9 +433,9 @@ class TestEnergyCommand:
 
 
 class TestVerifyCommand:
-    def test_quick_output_contract(self, capsys):
+    def test_output_contract(self, capsys):
         # the line format the benchmark parses, one line per table entry
-        code, out, _ = _run(["verify", "--quick"], capsys)
+        code, out, _ = _run(["verify"], capsys)
         assert code == 0
         *lines, summary = out.splitlines()
         matches = [CHECK_LINE.match(line) for line in lines]
@@ -446,9 +446,8 @@ class TestVerifyCommand:
         ]
         assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
 
-    @pytest.mark.parametrize("mode", [["--quick"], []])
-    def test_injected_sign_flip_fails(self, mode, capsys):
-        code, out, _ = _run(["verify", *mode, "--inject-sign-flip"], capsys)
+    def test_injected_sign_flip_fails(self, capsys):
+        code, out, _ = _run(["verify", "--inject-sign-flip"], capsys)
         assert code == 1
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == ["mode_sum_phi2", "mode_sum_phidot2", "trace_canonical_sign"]
@@ -466,13 +465,12 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(stress, "stress_report", corrupted)
         check = next(c for c in VERIFY_CHECKS if c.name == "trace_improved_zero")
-        result = check.run(RunConfig(bc=BoundaryCondition.DIRICHLET, quick=True))
+        result = check.run(RunConfig(bc=BoundaryCondition.DIRICHLET))
         assert f"{result.measured:.3e}" == shown
         assert not result.ok
 
-    @pytest.mark.parametrize("quick", [True, False])
     @pytest.mark.parametrize("mirror", [False, True])
-    def test_stress_grid_evaluates_at_the_linspace_angles(self, quick, mirror, monkeypatch):
+    def test_stress_grid_evaluates_at_the_linspace_angles(self, mirror, monkeypatch):
         # the angles go to expectation_columns as they are, with no trip through z
         seen = []
         real = cli.expectation_columns
@@ -482,57 +480,40 @@ class TestVerifyCommand:
             return real(bc, config, theta)
 
         monkeypatch.setattr(cli, "expectation_columns", recording)
-        cli._stress_grid(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77, quick=quick), mirror)
-        expected = np.linspace(0.4, math.pi - 0.4, 7 if quick else 100)
+        cli._stress_grid(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77), mirror)
+        expected = np.linspace(0.4, math.pi - 0.4, 100)
         if mirror:
             expected = math.pi - expected
         assert len(seen) == len(BoundaryCondition)
         for theta in seen:
             assert np.array_equal(theta.view(np.uint64), expected.view(np.uint64))
 
-    def test_schedule_override(self, capsys):
-        code, out, _ = _run(
-            ["verify", "--quick", "--eps-smallest", "2e-3", "--eps-largest", "2e-2"],
-            capsys)
-        assert code == 0
+    @pytest.mark.parametrize("flags", [[], ["--inject-sign-flip"]])
+    def test_quick_is_ignored(self, flags, capsys):
+        # verify has one configuration; --quick is still accepted
+        assert _run(["verify", "--quick", *flags], capsys) == _run(["verify", *flags], capsys)
 
-    def test_tiny_smallest_cutoff_finishes(self, capsys):
-        # a truncated mode sum would need 2.3e10 modes at this cutoff; the
-        # closed form needs none, and the fit reports what it can resolve
-        code, _, _ = _run(["verify", "--eps-smallest", "1e-9"], capsys)
-        assert code in (0, 1, 2)
-
-    @pytest.mark.parametrize("argv", [
-        ["--eps-smallest", "0.5"],
-        ["--eps-count", "3", "--eps-smallest", "1e-3"],
-        ["--eps-count", "0", "--eps-smallest", "1e-3"],
-        ["--eps-count", "-4", "--eps-smallest", "1e-3"],
-        ["--eps-degree", "-1", "--eps-smallest", "1e-3"],
-        ["--eps-largest", "inf"],
+    @pytest.mark.parametrize("option", [
+        ["--bc", "neumann"], ["--format", "json"],
+        ["--eps-smallest", "2e-3"], ["--eps-largest", "2e-2"],
+        ["--eps-count", "16"], ["--eps-degree", "5"],
     ])
-    def test_bad_schedule_exits_2(self, argv, capsys):
-        code, out, err = _run(["verify", "--quick", *argv], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("option", [["--bc", "neumann"], ["--format", "json"]])
     def test_ignored_options_rejected(self, option, capsys):
-        # verify checks both boundary conditions and writes text
+        # verify checks both boundary conditions with the default cutoff
+        # schedules, and writes text
         with pytest.raises(SystemExit) as exit_info:
-            main(["verify", "--quick", *option])
+            main(["verify", *option])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
-        code, _, _ = _run(["verify", "--quick", "--output", str(target)], capsys)
+        code, _, _ = _run(["verify", "--output", str(target)], capsys)
         assert code == 0
         assert "checks passed" in target.read_text()
 
 
-@pytest.mark.parametrize("command", [["profile"], ["energy"], ["verify", "--quick"]])
+@pytest.mark.parametrize("command", [["profile"], ["energy"], ["verify"]])
 @pytest.mark.parametrize("target", ["missing/report.txt", "."])
 def test_unopenable_output_exits_2(command, target, tmp_path, capsys):
     code, out, err = _run([*command, "--output", str(tmp_path / target)], capsys)
@@ -598,6 +579,6 @@ class TestDirectInvocation:
         json.loads(buffer.getvalue())
 
     def test_cmd_verify_stream(self):
-        config = RunConfig(bc=BoundaryCondition.DIRICHLET, quick=True)
+        config = RunConfig(bc=BoundaryCondition.DIRICHLET)
         buffer = io.StringIO()
         assert cmd_verify(config, buffer) == 0

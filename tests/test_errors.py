@@ -1,5 +1,6 @@
 """Every public entry point reports a bad argument as a PlateVacError."""
 
+import math
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from platevac.spectrum import BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
 PLATE = PlateConfig(1.0)
+EPS5 = (0.1, 0.05, 0.02, 0.01, 0.005)  # enough cutoffs for one divergent power
 
 
 @pytest.mark.parametrize("call", [
@@ -19,19 +21,37 @@ PLATE = PlateConfig(1.0)
     lambda: regsum.bernoulli(-1),
     lambda: regsum.zeta_neg_int(-1),
     lambda: regsum.geometric_power_sum(-1, 0.5),
+    lambda: regsum.geometric_power_sum(3, complex(math.nan, 0.0)),
+    lambda: regsum.exp_cutoff_power_sum(-1, 0.1),
+    lambda: regsum.exp_cutoff_power_sum(3, 1e-200),
+    lambda: regsum.exp_cutoff_power_sum(200, 1e-3),
+    lambda: regsum.exp_cutoff_power_sum(3, math.nan),
     lambda: regsum.extrapolate_to_zero([0.5, 0.25], [1.0]),
     lambda: regsum.FinitePartResult(0.0, (), -1.0),
+    lambda: regsum.FinitePartResult(0.0, (), math.nan),
     lambda: regsum.fit_finite_part((0.1, 0.05, 0.02), (1.0, 2.0), 1),
+    lambda: regsum.fit_finite_part(EPS5, (math.nan, 1.0, 1.0, 1.0, 1.0), 1),
+    lambda: regsum.fit_finite_part(EPS5, (math.inf, 1.0, 1.0, 1.0, 1.0), 1),
     lambda: regsum.cutoff_sum_oracle(2),
+    lambda: regsum.cutoff_sum_oracle(3, regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)),
+    # numpy refuses these sizes at once, without allocating anything
+    lambda: regsum.EpsilonSchedule.log_spaced(1e-3, 1e-1, 10**15),
     lambda: spectrum.k_n(PLATE, 0),
     lambda: spectrum.mode_profile(D, PLATE, 0, 0.5),
     lambda: spectrum.orthonormality_check(D, PLATE, 0),
     lambda: spectrum.orthonormality_check(D, PLATE, 4, 32),
+    lambda: spectrum.orthonormality_check(D, PLATE, 10**15, 64),
+    lambda: spectrum.orthonormality_check(D, PLATE, 3, 10**18),
     lambda: dimreg.master_integral(dimreg.MasterIntegralSpec(3.0, 10.0, 1e-300)),
 ], ids=[
     "canonical_density_integral", "bernoulli", "zeta_neg_int", "geometric_power_sum",
-    "extrapolate_to_zero", "FinitePartResult", "fit_finite_part", "cutoff_sum_oracle",
+    "geometric_power_sum-nan", "exp_cutoff_power_sum-negative-k",
+    "exp_cutoff_power_sum-underflow", "exp_cutoff_power_sum-overflow",
+    "exp_cutoff_power_sum-nan", "extrapolate_to_zero", "FinitePartResult",
+    "FinitePartResult-nan", "fit_finite_part", "fit_finite_part-nan", "fit_finite_part-inf",
+    "cutoff_sum_oracle", "cutoff_sum_oracle-tiny-cutoffs", "log_spaced-count",
     "k_n", "mode_profile", "orthonormality_check-n_max", "orthonormality_check-points",
+    "orthonormality_check-modes-memory", "orthonormality_check-panels-memory",
     "master_integral",
 ])
 def test_bad_argument_raises_library_error(call):

@@ -112,6 +112,20 @@ class TestModeSumFinitePart:
             )
             assert 0.5 * total == pytest.approx(1.0 / 48.0, rel=1e-6)
 
+    @pytest.mark.parametrize("observable", list(Observable))
+    def test_tiny_smallest_cutoff_finishes(self, observable):
+        # a truncated mode sum would need 2.3e10 modes at this cutoff; the
+        # closed form needs none, and the fit returns finite values or
+        # reports what it cannot resolve
+        schedule = EpsilonSchedule.log_spaced(1e-9, 2e-2, 16, fit_basis_degree=5)
+        spec = ModeSumSpec(bc=D, L=1.0, theta=0.3, observable=observable,
+                           epsilon_schedule=schedule)
+        try:
+            result = mode_sum_finite_part(spec)
+        except PlateVacError:
+            return
+        assert all(map(math.isfinite, (result.finite_part, *result.divergent_coeffs)))
+
     def test_divergent_coefficients_by_observable(self):
         phi2 = mode_sum_finite_part(
             ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHI2)

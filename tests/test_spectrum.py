@@ -131,3 +131,11 @@ class TestOrthonormality:
             orthonormality_check(D, PlateConfig(1.0), 0, 2048)
         with pytest.raises(ValueError):
             orthonormality_check(D, PlateConfig(1.0), 3, 32)
+
+    def test_unallocatable_gram_matrix_raises(self, monkeypatch):
+        # stands in for a profile matrix too large to allocate
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr("platevac.spectrum.mode_profile", out_of_memory)
+        with pytest.raises(InvalidConfigError, match="do not fit in memory"):
+            orthonormality_check(D, PlateConfig(1.0), 3, 2048)
