@@ -48,13 +48,7 @@ from .regsum import (
     trig_sum_n_cos,
     zeta_neg_int,
 )
-from .spectrum import (
-    BoundaryCondition,
-    PlateConfig,
-    k_n,
-    mode_profile,
-    orthonormality_check,
-)
+from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import StressReport, stress_report
 
 __version__ = "0.1.0"

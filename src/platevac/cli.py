@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import casimir, dimreg, oracle, regsum, spectrum, stress
+from . import casimir, dimreg, oracle, regsum, stress
 from .errors import ConsistencyError, InvalidConfigError, PlateVacError
 from .fluctuations import (FIELD_PAIRS, InteriorPoint, _theta_of_z, expectation_columns,
                            expectation_set, phi_squared, phi_squared_single_plate)
@@ -502,29 +502,15 @@ def _stress_grid(config: RunConfig, mirror: bool = False) -> dict[str, np.ndarra
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
-def _density_closed(config: RunConfig) -> float:
-    """A = pi^2/(1440 L^4): minus the improved energy density."""
-    return math.pi ** 2 / (1440.0 * config.L ** 4)
-
-
 def _trace_canonical_sign(config: RunConfig) -> float:
     grid = _stress_grid(config)
     return _worst(grid["trace_canonical"] - grid["trace_expected"], grid["trace_expected"])
 
 
-def _trace_improved_zero(config: RunConfig) -> float:
-    grid = _stress_grid(config)
-    return _worst(grid["trace_improved"], grid["trace_canonical"])
-
-
 def _improved_density_value(config: RunConfig) -> float:
-    a_const = _density_closed(config)
+    """The improved energy density on the grid against -A, A = pi^2/(1440 L^4)."""
+    a_const = math.pi ** 2 / (1440.0 * config.L ** 4)
     return _worst(_stress_grid(config)["energy_density_improved"] + a_const, a_const)
-
-
-def _improved_density_spread(config: RunConfig) -> float:
-    values = _stress_grid(config)["energy_density_improved"]
-    return _worst(np.max(values) - np.min(values), _density_closed(config))
 
 
 def _tzz_equals_pressure(config: RunConfig) -> float:
@@ -565,13 +551,6 @@ def _pressure_finite_difference(config: RunConfig) -> float:
     return _worst(fd - p_ref, p_ref)
 
 
-def _em_factor_two(config: RunConfig) -> float:
-    plate = PlateConfig(config.L)
-    energy = casimir.total_energy(plate)
-    scalar = (energy, energy / config.L, casimir.pressure(plate))
-    return _worst(np.subtract(casimir.em_reference(plate), np.multiply(2.0, scalar)), 1.0)
-
-
 def _single_plate_limit(config: RunConfig) -> float:
     """phi2 at 1e-4 L from one plate of the gap against the single-plate form."""
     plate, z_near = PlateConfig(config.L), 1e-4 * config.L
@@ -598,14 +577,11 @@ def _canonical_density_divergence(config: RunConfig) -> float:
     return float(np.min(values[:, 1:] / values[:, :-1]))
 
 
-def _mode_orthonormality(config: RunConfig) -> float:
-    plate = PlateConfig(config.L)
-    gram = [spectrum.orthonormality_check(bc, plate, 20, 2048) for bc in BoundaryCondition]
-    return _worst(np.subtract(gram, np.eye(20)), 1.0)
-
-
 # Every claim `verify` checks, in report order; the acceptance suite runs
-# the same table.  Relative errors unless noted.
+# the same table.  Relative errors unless noted.  A check belongs here
+# only if it compares two independently computed routes and some
+# transcription error in tests/test_mutations.py makes it FAIL; raising a
+# PlateVacError there does not count.
 VERIFY_CHECKS = (
     # Regularized power sums against the exponential-cutoff oracle (absolute).
     VerifyCheck("zeta_cutoff_k1", 1e-6, lambda config: _cutoff_error(1)),
@@ -625,20 +601,16 @@ VERIFY_CHECKS = (
                 lambda config: _mode_sum_error(oracle.Observable.PHIDOT2, config)),
     # Stress-tensor invariants on the interior grid.
     VerifyCheck("trace_canonical_sign", 1e-10, _trace_canonical_sign),
-    VerifyCheck("trace_improved_zero", 1e-12, _trace_improved_zero),
     VerifyCheck("improved_density_value", 1e-12, _improved_density_value),
-    VerifyCheck("improved_density_spread", 1e-12, _improved_density_spread),
     VerifyCheck("tzz_equals_pressure", 1e-12, _tzz_equals_pressure),
     VerifyCheck("mirror_symmetry", 1e-12, _mirror_symmetry),
     VerifyCheck("length_scaling", 1e-12, _length_scaling),
     # Global quantities.
     VerifyCheck("energy_pipeline", 1e-14, _energy_pipeline),
     VerifyCheck("pressure_finite_difference", 1e-8, _pressure_finite_difference),
-    VerifyCheck("em_factor_two", 0.0, _em_factor_two),  # absolute: exactly twice
     VerifyCheck("single_plate_limit", 1e-4, _single_plate_limit),
     VerifyCheck("integrated_density", 1e-12, _integrated_density),
     VerifyCheck("canonical_density_divergence", 10.0, _canonical_density_divergence, "ge"),
-    VerifyCheck("mode_orthonormality", 1e-10, _mode_orthonormality),  # absolute
 )
 
 

@@ -129,7 +129,10 @@ def _regulated_sums(spec: ModeSumSpec) -> np.ndarray:
     one_minus_q = -np.expm1(-eps * a)
     z = q * np.exp(1j * np.longdouble(2.0 * spec.theta))
     one_minus_z = 1.0 - z
-    s = spec.bc.sign_upper
+    # s comes from the modes summed, not from BoundaryCondition.sign_upper,
+    # so the oracle shares no sign convention with the closed forms:
+    # Dirichlet sin^2 gives 1 - cos 2 n theta, Neumann cos^2 1 + cos 2 n theta.
+    s = 1 if spec.bc is BoundaryCondition.DIRICHLET else -1
     total = np.zeros_like(eps)
     for j, c in enumerate(_kernel_coefficients(spec.observable, eps)):
         weighted = _power_series(j, q, one_minus_q) - s * _power_series(j, z, one_minus_z).real

@@ -187,16 +187,23 @@ def _power_series(k: int, x, one_minus_x):
     return x * poly / one_minus_x ** (k + 1)
 
 
+# The largest power the scalar sums evaluate: every Eulerian number of
+# row 171 is a finite double, and row 172 holds one past the double range.
+_MAX_SCALAR_POWER = 171
+
+
 def _scalar_power_series(k: int, x, one_minus_x, what: str, arg):
     """:func:`_power_series` on one number; DomainError unless the value is finite.
 
-    A value past the double range either raises inside the arithmetic
-    (a huge Eulerian coefficient, a power of 1 - x that underflows to 0)
-    or comes out infinite; a NaN argument comes out NaN.  The message
-    is ``what.format(k=k, arg=arg)``, formed only on failure.
+    A power above :data:`_MAX_SCALAR_POWER` is refused before any
+    Eulerian row is built.  A value past the double range either raises
+    inside the arithmetic (a power of 1 - x that underflows to 0) or
+    comes out infinite; a NaN argument comes out NaN.  The message is
+    ``what.format(k=k, arg=arg)``, formed only on failure.
     """
-    if k < 0:
-        raise DomainError(f"power must be non-negative, got {k}")
+    if not 0 <= k <= _MAX_SCALAR_POWER:
+        raise DomainError(f"power must lie in [0, {_MAX_SCALAR_POWER}], got {k}: above it "
+                          "an Eulerian coefficient is past the double range")
     try:
         value = _power_series(k, x, one_minus_x)
     except (OverflowError, ZeroDivisionError):

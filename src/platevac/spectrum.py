@@ -1,15 +1,14 @@
-"""Plate geometry, mode spectrum, and longitudinal mode profiles.
+"""Plate geometry and the longitudinal mode spectrum.
 
 A massless scalar field lives between two infinite parallel plates a
 distance L apart.  Dirichlet plates force the field to vanish on the
-surfaces and select sine profiles; Neumann plates force the normal
-derivative to vanish and select cosines.  Only the longitudinal factor
-of each mode is materialized here: every expectation value downstream
-reduces to longitudinal sums once the transverse integrals are done in
-continued dimension, so a complex time/transverse-plane-wave layer
-would go unused.
+surfaces and select sine modes; Neumann plates force the normal
+derivative to vanish and select cosines.  Both have the wavenumbers
+k_n = n pi / L.  No mode function is materialized: every expectation
+value reduces to sums over n, and the mode-sum oracle writes the
+squared profiles' weights 1 -+ cos 2 n theta itself.
 
-The sign convention that threads every downstream formula is owned by
+The sign convention that threads every closed form is owned by
 :class:`BoundaryCondition.sign_upper`: +1 selects the upper sign of a
 plus-minus pair (Dirichlet), -1 the lower sign (Neumann).
 """
@@ -20,13 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, InvalidConfigError
-from .regsum import _MAX_FLOATS
 
-__all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "k_n", "mode_profile",
-           "orthonormality_check"]
+__all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "k_n"]
 
 
 class BoundaryCondition(Enum):
@@ -69,56 +64,3 @@ def k_n(config: PlateConfig, n: int) -> float:
     if n < 1:
         raise DomainError(f"mode number must be >= 1, got {n}")
     return n * math.pi / config.L
-
-
-def mode_profile(bc: BoundaryCondition, config: PlateConfig, n, z):
-    """Longitudinal factor of the orthonormal mode: sqrt(2/L) sin or cos(k_n z).
-
-    ``n >= 1`` and ``0 <= z <= L`` are numbers or arrays that broadcast
-    together, e.g. a column of mode numbers against a row of positions.
-    """
-    n, z = np.asarray(n), np.asarray(z, dtype=float)
-    if np.any(n < 1):
-        raise DomainError(f"mode number must be >= 1, got {n}")
-    if not np.all((0.0 <= z) & (z <= config.L)):
-        raise DomainError(f"z = {z} outside the slab [0, {config.L}]")
-    arg = n * z * (math.pi / config.L)
-    wave = np.sin(arg) if bc is BoundaryCondition.DIRICHLET else np.cos(arg)
-    return math.sqrt(2.0 / config.L) * wave
-
-
-def orthonormality_check(
-    bc: BoundaryCondition,
-    config: PlateConfig,
-    n_max: int,
-    quadrature_points: int = 2048,
-) -> np.ndarray:
-    """Gram matrix of the first n_max profiles by composite Simpson quadrature.
-
-    The panel count is rounded up to a power of two; the integrands are
-    trigonometric polynomials whose odd derivatives vanish at both
-    endpoints, so the equal-spaced rule is exact up to round-off and the
-    result is the identity matrix to better than 1e-10 for n_max <= 20
-    with 2048 or more panels.
-    """
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
-    if quadrature_points < 64:
-        raise InvalidConfigError("need at least 64 quadrature points")
-    panels = 1 << (quadrature_points - 1).bit_length()
-    too_big = InvalidConfigError(f"{n_max} modes on {panels} panels do not fit in memory")
-    if max(n_max, panels + 1) * n_max > _MAX_FLOATS:
-        raise too_big
-    try:
-        z = np.linspace(0.0, config.L, panels + 1)
-        h = config.L / panels
-
-        weights = np.full(panels + 1, 2.0)
-        weights[1::2] = 4.0
-        weights[0] = weights[-1] = 1.0
-        weights *= h / 3.0
-
-        profiles = mode_profile(bc, config, np.arange(1, n_max + 1)[:, None], z)
-        return (profiles * weights) @ profiles.T
-    except MemoryError as exc:
-        raise too_big from exc

@@ -452,19 +452,28 @@ class TestVerifyCommand:
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == ["mode_sum_phi2", "mode_sum_phidot2", "trace_canonical_sign"]
 
-    @pytest.mark.parametrize("field, value, shown", [
-        ("trace_canonical", 0.0, "inf"),  # used to be skipped, so the check passed
-        ("trace_improved", math.nan, "nan"),
+    @pytest.mark.parametrize("corrupt, value, shown", [
+        ("B", 0.0, "inf"),  # a zero denominator: used to be skipped, so the check passed
+        ("trace_canonical", math.nan, "nan"),
     ])
-    def test_trace_check_cannot_pass_vacuously(self, field, value, shown, monkeypatch):
-        real = stress.stress_report
+    def test_trace_check_cannot_pass_vacuously(self, corrupt, value, shown, monkeypatch):
+        if corrupt == "B":
+            real = cli.expectation_columns
 
-        def corrupted(fluct, ab):
-            report = real(fluct, ab)
-            return dataclasses.replace(report, **{field: np.full_like(report.trace_canonical, value)})
+            def corrupted(bc, config, theta):
+                fluct, ab = real(bc, config, theta)
+                return fluct, dataclasses.replace(ab, B=np.full_like(ab.B, value))
 
-        monkeypatch.setattr(stress, "stress_report", corrupted)
-        check = next(c for c in VERIFY_CHECKS if c.name == "trace_improved_zero")
+            monkeypatch.setattr(cli, "expectation_columns", corrupted)
+        else:
+            real = stress.stress_report
+
+            def corrupted(fluct, ab):
+                report = real(fluct, ab)
+                return dataclasses.replace(report, **{corrupt: np.full_like(report.trace_canonical, value)})
+
+            monkeypatch.setattr(stress, "stress_report", corrupted)
+        check = next(c for c in VERIFY_CHECKS if c.name == "trace_canonical_sign")
         result = check.run(RunConfig(bc=BoundaryCondition.DIRICHLET))
         assert f"{result.measured:.3e}" == shown
         assert not result.ok

@@ -1,0 +1,225 @@
+"""Transcription errors that ``verify`` must catch, applied one at a time.
+
+Each :class:`Edit` rewrites the source of one platevac function (``old``
+must occur in it exactly once), compiles it in its module and rebinds it
+in every ``platevac`` namespace that holds the original, as
+``perfbench/spans.py`` does for its timing wrappers.  Every ``verify``
+check then runs on its own at L = 1, as in the acceptance suite, and the
+test pins two exact sets: the checks that FAIL, and the checks that
+raise a :class:`PlateVacError` (here always ``total_energy``'s pipeline
+guard, which makes ``platevac verify`` exit 2 rather than 1).
+
+The keep rule for ``cli.VERIFY_CHECKS``: a check stays only if it
+compares two independently computed routes and some mutation here makes
+it FAIL.  A raise does not count.  The rows with empty sets are errors
+no check sees at L = 1; the comment on each says what pins it instead.
+"""
+
+from __future__ import annotations
+
+import __future__
+import inspect
+import sys
+import textwrap
+from typing import NamedTuple
+
+import pytest
+
+from platevac import cli, regsum
+from platevac.cli import VERIFY_CHECKS, RunConfig
+from platevac.errors import PlateVacError
+from platevac.spectrum import BoundaryCondition
+
+
+class Edit(NamedTuple):
+    """Replace ``old`` by ``new`` in the source of ``platevac.<module>.<function>``."""
+
+    module: str
+    function: str
+    old: str
+    new: str
+
+    def apply(self, monkeypatch) -> None:
+        module = sys.modules[f"platevac.{self.module}"]
+        original = getattr(module, self.function)
+        source = textwrap.dedent(inspect.getsource(original))
+        assert source.count(self.old) == 1, f"{self.old!r} is not once in {self.function}"
+        code = compile(source.replace(self.old, self.new), f"<mutant {self.function}>", "exec",
+                       flags=__future__.annotations.compiler_flag, dont_inherit=True)
+        namespace: dict = {}
+        exec(code, vars(module), namespace)
+        for name, holder in list(sys.modules.items()):
+            if name == "platevac" or name.startswith("platevac."):
+                for attr, value in list(vars(holder).items()):
+                    if value is original:
+                        monkeypatch.setattr(holder, attr, namespace[self.function])
+
+
+class SwapLabels(NamedTuple):
+    """Give Dirichlet plates the Neumann sign and Neumann plates the Dirichlet one."""
+
+    def apply(self, monkeypatch) -> None:
+        for bc in BoundaryCondition:
+            monkeypatch.setattr(bc, "sign_upper", -bc.sign_upper)
+
+
+def outcome(mutation, monkeypatch) -> tuple[set[str], set[str]]:
+    """The checks that FAIL and the checks that raise under ``mutation``, at L = 1."""
+    fails, raises = set(), set()
+    with monkeypatch.context() as patch:
+        mutation.apply(patch)
+        _clear_caches()
+        for check in VERIFY_CHECKS:
+            try:
+                if not check.run(RunConfig(bc=BoundaryCondition.DIRICHLET, L=1.0)).ok:
+                    fails.add(check.name)
+            except PlateVacError:
+                raises.add(check.name)
+    _clear_caches()
+    return fails, raises
+
+
+def _clear_caches() -> None:
+    # a mutant reached through a cached function must neither see nor leave
+    # a cached value of the other version
+    regsum.bernoulli.cache_clear()
+    regsum._eulerian_row.cache_clear()
+
+
+# The checks that call total_energy, whose pipeline guard raises
+# ConsistencyError when the zeta pipeline leaves the closed constant.
+GUARDED = {"tzz_equals_pressure", "energy_pipeline", "pressure_finite_difference",
+           "integrated_density"}
+MODE_SUMS = {"mode_sum_phi2", "mode_sum_phidot2"}
+ZETA = {"zeta_cutoff_k1", "zeta_cutoff_k3"}
+
+# name: (mutation, FAIL set, raise set)
+MUTATIONS = {
+    # Literals of the closed forms.
+    "A-1440": (Edit("fluctuations", "_ab", "1440.0", "1400.0"),
+               {"mode_sum_phidot2", "improved_density_value", "tzz_equals_pressure",
+                "integrated_density"}, set()),
+    "B-96": (Edit("fluctuations", "_ab", "96.0", "69.0"), {"mode_sum_phidot2"}, set()),
+    "phi2-48": (Edit("fluctuations", "_phi2", "48.0", "24.0"),
+                {"mode_sum_phi2", "single_plate_limit"}, set()),
+    "phi2-3": (Edit("fluctuations", "_phi2", "s * 3.0", "s * 2.0"),
+               {"mode_sum_phi2", "single_plate_limit"}, set()),
+    "f-3": (Edit("regsum", "_f_of_sin2", "3.0 / s2", "2.0 / s2"),
+            {"abel_n3_cos", "mode_sum_phidot2"}, set()),
+    "f-2": (Edit("regsum", "_f_of_sin2", "- 2.0", "- 3.0"),
+            {"abel_n3_cos", "mode_sum_phidot2"}, set()),
+    # f bounded: the canonical density integral no longer grows at the plates
+    "f-outer-division": (Edit("regsum", "_f_of_sin2", ") / s2", ") * s2"),
+                         {"abel_n3_cos", "mode_sum_phidot2", "canonical_density_divergence"},
+                         set()),
+    "trig-quarter": (Edit("regsum", "trig_sum_n_cos", "-0.25", "-0.5"), {"abel_n_cos"}, set()),
+    "trig-eighth": (Edit("regsum", "trig_sum_n3_cos", "0.125", "0.25"), {"abel_n3_cos"}, set()),
+    "pressure-3": (Edit("casimir", "pressure", "3.0 *", "4.0 *"),
+                   {"tzz_equals_pressure", "pressure_finite_difference"}, set()),
+    "single-plate-16": (Edit("fluctuations", "phi_squared_single_plate", "16.0", "8.0"),
+                        {"single_plate_limit"}, set()),
+    "energy-closed-1440": (Edit("casimir", "total_energy", "1440.0", "1400.0"), set(), GUARDED),
+    # verify reads no EM value: test_casimir.py's test_exactly_twice_scalar pins it
+    "em-2": (Edit("casimir", "em_reference", "2.0 * scalar_pressure", "4.0 * scalar_pressure"),
+             set(), set()),
+    # Signs.
+    "phi2-sign": (Edit("fluctuations", "_phi2", "1.0 - s", "1.0 + s"),
+                  {"mode_sum_phi2", "single_plate_limit"}, set()),
+    "f-sign": (Edit("regsum", "_f_of_sin2", "- 2.0", "+ 2.0"),
+               {"abel_n3_cos", "mode_sum_phidot2"}, set()),
+    "trig-quarter-sign": (Edit("regsum", "trig_sum_n_cos", "-0.25", "0.25"), {"abel_n_cos"}, set()),
+    "single-plate-sign": (Edit("fluctuations", "phi_squared_single_plate", "-bc.sign_upper",
+                               "bc.sign_upper"), {"single_plate_limit"}, set()),
+    "pressure-sign": (Edit("casimir", "pressure", "3.0 *", "-3.0 *"),
+                      {"tzz_equals_pressure", "pressure_finite_difference"}, set()),
+    "t-unsigned": (Edit("fluctuations", "_fluctuations", "s * B", "B"),
+                   {"mode_sum_phidot2", "trace_canonical_sign"}, set()),
+    "stress-t-unsigned": (Edit("stress", "stress_report", "np.copysign(ab.B, d)", "ab.B"),
+                          {"trace_canonical_sign"}, set()),
+    "pair-sign": (Edit("fluctuations", "evaluate", "(A + ratio * t)", "(A - ratio * t)"),
+                  {"mode_sum_phidot2"}, set()),
+    "energy-closed-sign": (Edit("casimir", "total_energy", "-math.pi", "math.pi"), set(), GUARDED),
+    # The boundary-condition sign.
+    "bc-label-swap": (SwapLabels(), MODE_SUMS, set()),
+    "oracle-bc-swap": (Edit("oracle", "_regulated_sums", "s = 1 if", "s = -1 if"), MODE_SUMS, set()),
+    "oracle-weight-sign": (Edit("oracle", "_regulated_sums", "- s *", "+ s *"), MODE_SUMS, set()),
+    # L exponents: verify evaluates the closed forms at one L, so only
+    # length_scaling FAILs; the guard raises where the pressure's finite
+    # difference steps off L = 1.
+    "A-L4": (Edit("fluctuations", "_ab", "L ** 4", "L ** 3"), {"length_scaling"}, set()),
+    "phi2-L2": (Edit("fluctuations", "_phi2", "L ** 2", "L ** 3"), {"length_scaling"}, set()),
+    "energy-closed-L3": (Edit("casimir", "total_energy", "config.L ** 3", "config.L ** 4"),
+                         set(), {"pressure_finite_difference"}),
+    "k_n-L": (Edit("spectrum", "k_n", "/ config.L", "* config.L"),
+              set(), {"pressure_finite_difference"}),
+    # unseen at L = 1; tzz_equals_pressure fails at any other L
+    "pressure-L": (Edit("casimir", "pressure", "/ config.L", "/ config.L ** 2"), set(), set()),
+    # unseen at L = 1; the mode-sum checks fail at any other L
+    "oracle-L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(spec.L))",
+                      "/ (2.0 * np.longdouble(spec.L) ** 2)"), set(), set()),
+    # The oracle's kernel coefficients, and its other literals.
+    "kernel-2pi": (Edit("oracle", "_kernel_coefficients", "(1.0 / (2.0 * math.pi * eps),)",
+                        "(1.0 / (math.pi * eps),)"),
+                   {"oracle_transverse_kernel", "mode_sum_phi2"}, set()),
+    "kernel-c0": (Edit("oracle", "_kernel_coefficients", "2.0 / eps**3", "1.0 / eps**3"),
+                  {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
+    # k^1/eps^2 becomes k^1/eps: the kernel at eps = 1 is unchanged
+    "kernel-c1": (Edit("oracle", "_kernel_coefficients", "2.0 / eps**2", "2.0 / eps"),
+                  {"mode_sum_phidot2"}, set()),
+    "kernel-c2": (Edit("oracle", "_kernel_coefficients", "1.0 / eps)", "2.0 / eps)"),
+                  {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
+    "oracle-half-angle": (Edit("oracle", "_regulated_sums", "2.0 * spec.theta", "spec.theta"),
+                          MODE_SUMS, set()),
+    "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(spec.L))",
+                       "/ np.longdouble(spec.L)"), MODE_SUMS, set()),
+    # Zeta, Bernoulli, Eulerian and master-integral inputs.
+    "zeta-sign": (Edit("regsum", "zeta_neg_int", "-value if k % 2 else value",
+                       "value if k % 2 else -value"), ZETA, GUARDED),
+    "zeta-denominator": (Edit("regsum", "zeta_neg_int", "/ (k + 1)", "/ (k + 2)"), ZETA, GUARDED),
+    "bernoulli-comb": (Edit("regsum", "bernoulli", "math.comb(n + 1, j)", "math.comb(n, j)"),
+                       ZETA, GUARDED),
+    "eulerian-left": (Edit("regsum", "_eulerian_row", "(k - m) * prev[m - 1]",
+                           "(k - m + 1) * prev[m - 1]"),
+                      {"zeta_cutoff_k3", "abel_n3_cos", "mode_sum_phidot2"}, set()),
+    "power-series-exponent": (Edit("regsum", "_power_series", "one_minus_x ** (k + 1)",
+                                   "one_minus_x ** k"),
+                              ZETA | MODE_SUMS | {"abel_n_cos", "abel_n3_cos", "abel_constant"},
+                              set()),
+    "master-4pi": (Edit("dimreg", "master_integral", "(4.0 * math.pi)", "(2.0 * math.pi)"),
+                   {"dimreg_quadrature"}, GUARDED),
+    "master-gamma-N": (Edit("dimreg", "master_integral", "gamma_real(spec.N)",
+                            "gamma_real(spec.N + 1.0)"),
+                       {"dimreg_quadrature", "dimreg_recursion"}, GUARDED),
+    "master-exponent-sign": (Edit("dimreg", "master_integral", "spec.d / 2.0 - spec.N",
+                                  "spec.N - spec.d / 2.0"),
+                             {"dimreg_quadrature", "dimreg_scaling", "dimreg_recursion"}, GUARDED),
+    "energy-N": (Edit("casimir", "total_energy", "N=-0.5", "N=0.5"), set(), GUARDED),
+    "energy-zeta3": (Edit("casimir", "total_energy", "zeta_neg_int(3)", "zeta_neg_int(1)"),
+                     set(), GUARDED),
+    # A hand-typed pi: 1.97e-13 off, under the guard's 1e-12.
+    "k_n-pi": (Edit("spectrum", "k_n", "math.pi", "3.14159265359"), {"energy_pipeline"}, set()),
+    # Half angles.
+    "columns-half-angle": (Edit("fluctuations", "expectation_columns", "np.sin(theta)",
+                                "np.sin(0.5 * theta)"), {"mirror_symmetry"}, set()),
+    "scalar-half-angle": (Edit("fluctuations", "_sin2", "math.sin(theta)", "math.sin(0.5 * theta)"),
+                          MODE_SUMS | {"single_plate_limit"}, set()),
+    "abel-angle": (Edit("regsum", "abel_sum_oracle", "math.cos(2.0 * theta), math.sin(2.0 * theta)",
+                        "math.cos(theta), math.sin(theta)"), {"abel_n_cos", "abel_n3_cos"}, set()),
+}
+
+
+@pytest.mark.parametrize("mutation, fails, raises", MUTATIONS.values(), ids=MUTATIONS)
+def test_mutation_outcome(mutation, fails, raises, monkeypatch):
+    assert outcome(mutation, monkeypatch) == (fails, raises)
+
+
+def test_a_raising_check_makes_verify_exit_2(monkeypatch, capsys):
+    MUTATIONS["zeta-sign"][0].apply(monkeypatch)
+    assert cli.main(["verify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: regularization pipeline gave")
+
+
+def test_every_check_fails_under_some_mutation():
+    failed = set().union(*(fails for _, fails, _ in MUTATIONS.values()))
+    assert [check.name for check in VERIFY_CHECKS if check.name not in failed] == []

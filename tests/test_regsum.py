@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from platevac import regsum
 from platevac.errors import (
     DomainError,
     ExtrapolationDivergenceError,
@@ -157,6 +158,15 @@ class TestGeometricPowerSum:
     def test_exp_cutoff_needs_positive_eps(self):
         with pytest.raises(DomainError):
             exp_cutoff_power_sum(3, 0.0)
+
+    def test_power_bound_is_the_last_row_of_doubles(self):
+        bound = regsum._MAX_SCALAR_POWER
+        assert all(math.isfinite(float(a)) for a in regsum._eulerian_row(bound))
+        with pytest.raises(OverflowError):
+            [float(a) for a in regsum._eulerian_row(bound + 1)]
+        assert exp_cutoff_power_sum(bound, 100.0) > 0.0
+        with pytest.raises(DomainError, match=r"power must lie in \[0, 171\]"):
+            exp_cutoff_power_sum(bound + 1, 100.0)
 
 
 class TestAbelOracle:

@@ -1,21 +1,12 @@
-"""Tests for the plate geometry and mode basis."""
+"""Tests for the plate geometry and mode spectrum."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac.errors import DomainError, InvalidConfigError
-from platevac.spectrum import (
-    L_MAX,
-    L_MIN,
-    BoundaryCondition,
-    PlateConfig,
-    k_n,
-    mode_profile,
-    orthonormality_check,
-)
+from platevac.errors import InvalidConfigError
+from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig, k_n
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -66,76 +57,3 @@ class TestWavenumbers:
         base = PlateConfig(1.0)
         scaled = PlateConfig(lam)
         assert k_n(scaled, 5) == pytest.approx(k_n(base, 5) / lam, rel=1e-14)
-
-
-class TestModeProfile:
-    def test_dirichlet_vanishes_on_plates(self):
-        config = PlateConfig(1.0)
-        assert mode_profile(D, config, 1, 0.0) == 0.0
-        assert abs(mode_profile(D, config, 1, 1.0)) < 1e-15
-        assert abs(mode_profile(D, config, 7, 1.0)) < 1e-14
-
-    def test_neumann_plate_value(self):
-        assert mode_profile(N, PlateConfig(1.0), 2, 0.0) == pytest.approx(math.sqrt(2.0))
-
-    def test_dirichlet_midpoint(self):
-        assert mode_profile(D, PlateConfig(1.0), 1, 0.5) == pytest.approx(math.sqrt(2.0))
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    @pytest.mark.parametrize("L", [1.0, 2.5])
-    def test_neumann_derivative_vanishes_on_plates(self, n, L):
-        config = PlateConfig(L)
-        # the stencil cannot leave the slab, so the difference is one-sided
-        # with O(k^2 h) truncation; h must sit below 2e-6/k^2 per mode
-        h = 1e-8 * L
-        kn = k_n(config, n)
-        left = (mode_profile(N, config, n, h) - mode_profile(N, config, n, 0.0)) / h
-        right = (mode_profile(N, config, n, L) - mode_profile(N, config, n, L - h)) / h
-        assert abs(left) < 1e-6 * kn
-        assert abs(right) < 1e-6 * kn
-
-    @pytest.mark.parametrize("bc", [D, N])
-    def test_broadcasts_like_scalar_calls(self, bc):
-        config = PlateConfig(2.5)
-        ns, zs = [1, 2, 7], [0.0, 0.3, 1.9, 2.5]
-        table = mode_profile(bc, config, np.array(ns)[:, None], np.array(zs))
-        assert table.shape == (3, 4)
-        assert table.tolist() == [[mode_profile(bc, config, n, z) for z in zs] for n in ns]
-
-    def test_out_of_slab_rejected(self):
-        with pytest.raises(DomainError):
-            mode_profile(D, PlateConfig(1.0), 1, -0.1)
-        with pytest.raises(DomainError):
-            mode_profile(D, PlateConfig(1.0), 1, 1.1)
-        with pytest.raises(DomainError):
-            mode_profile(D, PlateConfig(1.0), 1, np.array([0.5, 1.1]))
-
-    def test_mode_number_validated(self):
-        with pytest.raises(ValueError):
-            mode_profile(D, PlateConfig(1.0), np.array([[1], [0]]), 0.5)
-
-
-class TestOrthonormality:
-    @pytest.mark.parametrize("bc", [D, N])
-    @pytest.mark.parametrize("L,n_max", [(1.0, 2), (3.0, 3), (1.0, 20), (0.25, 20)])
-    def test_gram_is_identity(self, bc, L, n_max):
-        gram = orthonormality_check(bc, PlateConfig(L), n_max, 2048)
-        assert np.max(np.abs(gram - np.eye(n_max))) < 1e-10
-
-    def test_mixed_entry_is_zero(self):
-        gram = orthonormality_check(D, PlateConfig(1.0), 2, 2048)
-        assert abs(gram[0, 1]) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            orthonormality_check(D, PlateConfig(1.0), 0, 2048)
-        with pytest.raises(ValueError):
-            orthonormality_check(D, PlateConfig(1.0), 3, 32)
-
-    def test_unallocatable_gram_matrix_raises(self, monkeypatch):
-        # stands in for a profile matrix too large to allocate
-        def out_of_memory(*args):
-            raise MemoryError
-        monkeypatch.setattr("platevac.spectrum.mode_profile", out_of_memory)
-        with pytest.raises(InvalidConfigError, match="do not fit in memory"):
-            orthonormality_check(D, PlateConfig(1.0), 3, 2048)
