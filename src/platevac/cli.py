@@ -459,14 +459,17 @@ def _dimreg_recursion(config: RunConfig) -> float:
 
 
 def _oracle_transverse_kernel(config: RunConfig) -> float:
-    """The oracle's radial kernels against quadrature of k omega^(-+1) e^(-omega) / 2 pi.
+    """The oracle's radial kernels against quadrature of k omega^(-+1) e^(-eps omega) / 2 pi.
 
-    In units of eps, k_n eps from pi 1e-3 (first mode, smallest cutoff) to 40: any L."""
+    k_n from pi 1e-3 to 40 at eps = 1 and 1/2 in turn, so that a wrong
+    power of eps shows: any L."""
     kn, closed, numeric = np.geomspace(math.pi * 1e-3, 40.0, 8), [], []
+    eps = np.resize([1.0, 0.5], kn.size)
     for observable, power in ((oracle.Observable.PHI2, -1), (oracle.Observable.PHIDOT2, 1)):
-        closed.extend(oracle._transverse_closed(observable, kn, 1.0))
+        closed.extend(oracle._transverse_closed(observable, kn, eps))
         numeric.extend(dimreg._half_line_integral(
-            lambda k: k * np.hypot(k, q) ** power * np.exp(-np.hypot(k, q)) / (2.0 * math.pi)) for q in kn)
+            lambda k: k * np.hypot(k, q) ** power * np.exp(-e * np.hypot(k, q)) / (2.0 * math.pi))
+            for q, e in zip(kn, eps))
     return _worst(np.subtract(closed, numeric), closed)
 
 
@@ -527,14 +530,15 @@ def _mirror_symmetry(config: RunConfig) -> float:
 
 
 def _length_scaling(config: RunConfig) -> float:
-    """phi2 ~ L^-2 and phidot2 ~ L^-4 under L -> 2L (L -> L/2 where 2L > L_MAX)."""
+    """phi2 ~ L^-2, phidot2 and the pressure ~ L^-4 under L -> 2L (L -> L/2 where 2L > L_MAX)."""
     ratio = 2.0 if 2.0 * config.L <= L_MAX else 0.5
     plate, scaled = PlateConfig(config.L), PlateConfig(ratio * config.L)
     f1 = expectation_set(BoundaryCondition.DIRICHLET, plate, InteriorPoint.from_theta(plate, 1.1))
     f2 = expectation_set(BoundaryCondition.DIRICHLET, scaled,
                          InteriorPoint.from_theta(scaled, 1.1))
-    return _worst([f2.phidot2 * ratio ** 4 - f1.phidot2, f2.phi2 * ratio ** 2 - f1.phi2],
-                  [f1.phidot2, f1.phi2])
+    p1, p2 = casimir.pressure(plate), casimir.pressure(scaled)
+    return _worst([f2.phidot2 * ratio ** 4 - f1.phidot2, f2.phi2 * ratio ** 2 - f1.phi2,
+                   p2 * ratio ** 4 - p1], [f1.phidot2, f1.phi2, p1])
 
 
 def _energy_pipeline(config: RunConfig) -> float:

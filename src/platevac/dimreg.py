@@ -94,19 +94,22 @@ def _half_line_integral(f) -> float:
     """Integral of the vectorised ``f`` over [0, inf) by the exp-sinh rule.
 
     x = exp(pi/2 sinh t) (Takahasi and Mori, Publ. RIMS 9, 721, 1974), then
-    the trapezoid rule on t in [-6, 6] at steps 1/32 and 1/64 (``math.fsum``).
-    The two sums' difference plus the integrand at t = +-6, which estimates
-    what lies beyond the nodes, must be below 1e-11 of the value, or it
-    raises :class:`QuadratureError`.
+    the trapezoid rule on t in [-6, 6] at steps 1/32 and 1/64.  ``f`` is
+    evaluated once, on the 1/64 nodes; the 1/32 nodes are every other one
+    (k/32 = 2k/64 exactly).  Each sum is a ``math.fsum``, which is
+    correctly rounded in any order; taking the largest terms first keeps
+    its partials few, as the terms span some 300 decades.  The two sums'
+    difference plus the integrand at t = +-6, which estimates what lies
+    beyond the nodes, must be below 1e-11 of the value, or it raises
+    :class:`QuadratureError`.
     """
-    sums = []
-    for steps_per_unit in (32, 64):
-        t = np.arange(-6 * steps_per_unit, 6 * steps_per_unit + 1) / steps_per_unit
-        x = np.exp(0.5 * math.pi * np.sinh(t))
-        with np.errstate(all="ignore"):
-            integrand = f(x) * x * (0.5 * math.pi) * np.cosh(t)
-        sums.append(math.fsum(integrand) / steps_per_unit)
-    coarse, value = sums
+    t = np.arange(-6 * 64, 6 * 64 + 1) / 64
+    x = np.exp(0.5 * math.pi * np.sinh(t))
+    with np.errstate(all="ignore"):
+        integrand = f(x) * x * (0.5 * math.pi) * np.cosh(t)
+    largest_first = np.argsort(-np.abs(integrand))
+    coarse = math.fsum(integrand[largest_first[largest_first % 2 == 0]]) / 32
+    value = math.fsum(integrand[largest_first]) / 64
     err = abs(value - coarse) + abs(integrand[0]) + abs(integrand[-1])
     if not err < 1e-11 * abs(value):  # a zero or NaN sum never passes
         raise QuadratureError(f"half-line quadrature did not converge: {value} +- {err}")

@@ -408,17 +408,19 @@ def _require_long_double() -> None:
         )
 
 
-def _householder_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least squares by Householder QR, dtype-preserving.
+def _householder_factor(design: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Householder QR of ``design``, dtype-preserving: (reflectors, R).
 
     LAPACK only solves in single or double precision, so extended-
     precision fits (the x86 80-bit long double the oracles accumulate
     in) need their own triangularization.  Straight textbook QR; raises
     when a diagonal of R collapses, which is the rank-deficiency signal.
+    ``reflectors`` holds (j, v_j, 2/|v_j|^2) for each column j whose
+    reflector is applied, in order, for :func:`_householder_solve`.
     """
     a = design.copy()
-    b = rhs.copy()
     m, n = a.shape
+    reflectors = []
     for j in range(n):
         x = a[j:, j]
         norm = np.sqrt(np.sum(x * x))
@@ -429,8 +431,9 @@ def _householder_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         v[0] -= alpha
         vnorm2 = np.sum(v * v)
         if vnorm2 > 0.0:
-            a[j:, j:] -= np.outer(v, (2.0 / vnorm2) * (v @ a[j:, j:]))
-            b[j:] -= v * ((2.0 / vnorm2) * (v @ b[j:]))
+            scale = 2.0 / vnorm2
+            a[j:, j:] -= np.outer(v, scale * (v @ a[j:, j:]))
+            reflectors.append((j, v, scale))
         a[j, j] = alpha
     diag = np.abs(np.diagonal(a)[:n])
     eps_machine = float(np.finfo(a.dtype).eps)
@@ -438,10 +441,55 @@ def _householder_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise IllConditionedFitError(
             "finite-part design matrix is numerically rank deficient"
         )
-    coeffs = np.zeros(n, dtype=a.dtype)
+    return tuple(reflectors), np.triu(a[:n])
+
+
+def _householder_solve(factor: tuple[tuple, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients for ``rhs`` from a :func:`_householder_factor`.
+
+    Applies the reflectors to ``rhs`` as the factorization applied them
+    to the design, then back-substitutes through R.
+    """
+    reflectors, r = factor
+    b = rhs.copy()
+    for j, v, scale in reflectors:
+        b[j:] -= v * (scale * (v @ b[j:]))
+    n = r.shape[0]
+    coeffs = np.zeros(n, dtype=r.dtype)
     for i in reversed(range(n)):
-        coeffs[i] = (b[i] - a[i, i + 1:] @ coeffs[i + 1:]) / a[i, i]
+        coeffs[i] = (b[i] - r[i, i + 1:] @ coeffs[i + 1:]) / r[i, i]
     return coeffs
+
+
+def _householder_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least squares by Householder QR, dtype-preserving: factor, then solve."""
+    return _householder_solve(_householder_factor(design), rhs)
+
+
+# Schedules whose fit is kept factored; verify fits on four.
+_FIT_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_FIT_CACHE_SIZE)
+def _schedule_fit(eps_values: tuple, degree: int) -> tuple:
+    """What a finite-part fit computes from the schedule alone, read-only.
+
+    (design, column norms, Householder factor of the column-normalised
+    design, eps_max^j for j = 0 .. degree) for the polynomial basis of
+    ``degree`` in tau = eps/eps_max.  Filled on first use; a schedule
+    that cannot be factored raises on every call, as nothing is cached.
+    """
+    eps = np.asarray(eps_values, dtype=np.longdouble)
+    tau = eps / eps.max()
+    design = np.vander(tau, degree + 1, increasing=True)
+    col_norms = np.sqrt(np.sum(design * design, axis=0))
+    if np.any(col_norms == 0.0):
+        raise IllConditionedFitError("degenerate column in finite-part fit")
+    reflectors, r = _householder_factor(design / col_norms)
+    eps_max_powers = eps.max() ** np.arange(degree + 1)
+    for array in (design, col_norms, r, eps_max_powers, *(v for _, v, _ in reflectors)):
+        array.flags.writeable = False
+    return design, col_norms, (reflectors, r), eps_max_powers
 
 
 def fit_finite_part(
@@ -464,12 +512,16 @@ def fit_finite_part(
     triangularization would feed straight into the finite part; a
     platform without an extended long double raises
     :class:`PrecisionError` instead of returning a degraded value.
+
+    The factorization depends on the schedule and P + D alone, so it is
+    done once per schedule (:func:`_schedule_fit`); each call replays its
+    reflectors on the data, the same operations a one-pass solve does.
     """
     _require_long_double()
     eps = np.asarray(eps_values, dtype=np.longdouble)
     y = np.asarray(data, dtype=np.longdouble)
-    if eps.shape != y.shape:
-        raise InvalidConfigError("schedule and data length mismatch")
+    if eps.ndim != 1 or eps.shape != y.shape:
+        raise InvalidConfigError("schedule and data must be sequences of equal length")
     if not (np.isfinite(eps).all() and np.isfinite(y).all()):
         raise DomainError("finite-part fit needs finite cutoffs and data")
     n_basis = max_divergent_power + 1 + fit_basis_degree
@@ -478,23 +530,18 @@ def fit_finite_part(
             f"schedule has {eps.size} points but the basis needs {n_basis}"
         )
 
-    # Scaled problem: eps^P * data = polynomial of degree P + D in eps.
-    tau = eps / eps.max()
+    # Scaled problem: eps^P * data = polynomial of degree P + D in eps,
+    # factored once per schedule; only the data is new on each call.
     degree = max_divergent_power + fit_basis_degree
-    design = np.vander(tau, degree + 1, increasing=True)
+    design, col_norms, factor, eps_max_powers = _schedule_fit(tuple(eps_values), degree)
     scaled_y = y * eps ** max_divergent_power
-
-    col_norms = np.sqrt(np.sum(design * design, axis=0))
-    if np.any(col_norms == 0.0):
-        raise IllConditionedFitError("degenerate column in finite-part fit")
-    coeffs_tau = _householder_lstsq(design / col_norms, scaled_y) / col_norms
+    coeffs_tau = _householder_solve(factor, scaled_y) / col_norms
 
     residuals = design @ coeffs_tau - scaled_y
     rms = float(np.sqrt(np.mean(residuals**2)))
 
     # Back to coefficients of eps^j, then split into the contract layout.
-    powers = np.arange(degree + 1)
-    coeffs_eps = coeffs_tau / eps.max() ** powers
+    coeffs_eps = coeffs_tau / eps_max_powers
     divergent = tuple(float(c) for c in coeffs_eps[:max_divergent_power])
     finite = float(coeffs_eps[max_divergent_power])
     return FinitePartResult(finite_part=finite, divergent_coeffs=divergent, fit_residual=rms)

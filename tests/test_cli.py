@@ -446,6 +446,13 @@ class TestVerifyCommand:
         ]
         assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
 
+    def test_golden_report(self, capsys):
+        # every measured value to the printed digit, at an L where a wrong
+        # power of L shows
+        code, out, _ = _run(["verify", "--length", "0.77"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "verify_L0.77.txt").read_text()
+
     def test_injected_sign_flip_fails(self, capsys):
         code, out, _ = _run(["verify", "--inject-sign-flip"], capsys)
         assert code == 1

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from platevac import dimreg
+from platevac.cli import VERIFY_CHECKS, RunConfig
 from platevac.dimreg import MasterIntegralSpec, gamma_real, master_integral, quadrature_reference
 from platevac.errors import DomainError, PlateVacError, PoleError, QuadratureError
+from platevac.spectrum import BoundaryCondition
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -232,24 +234,73 @@ class TestQuadratureReference:
             quadrature_reference(2, 2.0, 1.0)
 
 
+KNOWN_INTEGRALS = [
+    (lambda x: np.exp(-x), 1.0),
+    (lambda x: 1.0 / (1.0 + x * x), math.pi / 2.0),
+    (lambda x: np.exp(-x) / np.sqrt(x), math.sqrt(math.pi)),  # end-point singularity
+    (lambda x: (1.0 + x) ** -1.2, 5.0),  # algebraic tail
+]
+UNCONVERGED = [
+    lambda x: 0.0 * x,  # a zero sum has no relative accuracy
+    lambda x: x * math.nan,
+    lambda x: x * math.inf,
+    lambda x: 1.0 / (1.0 + x),  # divergent
+    lambda x: (1.0 + x) ** -1.01,  # convergent, but beyond the last node
+    lambda x: np.sin(x) * np.exp(-x / 100.0),  # oscillatory
+]
+
+
+def _two_grid_rule(f) -> float:
+    """The exp-sinh rule as first written: f on each grid, fsum in t order."""
+    sums = []
+    for steps_per_unit in (32, 64):
+        t = np.arange(-6 * steps_per_unit, 6 * steps_per_unit + 1) / steps_per_unit
+        x = np.exp(0.5 * math.pi * np.sinh(t))
+        with np.errstate(all="ignore"):
+            integrand = f(x) * x * (0.5 * math.pi) * np.cosh(t)
+        sums.append(math.fsum(integrand) / steps_per_unit)
+    coarse, value = sums
+    err = abs(value - coarse) + abs(integrand[0]) + abs(integrand[-1])
+    if not err < 1e-11 * abs(value):
+        raise QuadratureError(f"half-line quadrature did not converge: {value} +- {err}")
+    return value
+
+
+def _outcome(rule, f) -> str:
+    """The value's exact bits, or the message of the QuadratureError."""
+    try:
+        return rule(f).hex()
+    except QuadratureError as exc:
+        return str(exc)
+
+
 class TestHalfLineIntegral:
-    @pytest.mark.parametrize("f,exact", [
-        (lambda x: np.exp(-x), 1.0),
-        (lambda x: 1.0 / (1.0 + x * x), math.pi / 2.0),
-        (lambda x: np.exp(-x) / np.sqrt(x), math.sqrt(math.pi)),  # end-point singularity
-        (lambda x: (1.0 + x) ** -1.2, 5.0),  # algebraic tail
-    ])
+    @pytest.mark.parametrize("f,exact", KNOWN_INTEGRALS)
     def test_known_integrals(self, f, exact):
         assert dimreg._half_line_integral(f) == pytest.approx(exact, rel=1e-14)
 
-    @pytest.mark.parametrize("f", [
-        lambda x: 0.0 * x,  # a zero sum has no relative accuracy
-        lambda x: x * math.nan,
-        lambda x: x * math.inf,
-        lambda x: 1.0 / (1.0 + x),  # divergent
-        lambda x: (1.0 + x) ** -1.01,  # convergent, but beyond the last node
-        lambda x: np.sin(x) * np.exp(-x / 100.0),  # oscillatory
-    ])
+    @pytest.mark.parametrize("f", UNCONVERGED)
     def test_unconverged_raises(self, f):
         with pytest.raises(QuadratureError):
             dimreg._half_line_integral(f)
+
+    @pytest.mark.parametrize("f", [f for f, _ in KNOWN_INTEGRALS] + UNCONVERGED)
+    def test_same_bits_as_two_grid_rule(self, f):
+        # one node set, summed largest first: the same value and error estimate
+        assert _outcome(dimreg._half_line_integral, f) == _outcome(_two_grid_rule, f)
+
+    def test_verify_integrands_same_bits(self, monkeypatch):
+        # the integrands are compared as they are passed: the oracle's close
+        # over loop variables, so they cannot be replayed afterwards
+        real, seen = dimreg._half_line_integral, []
+
+        def compared(f):
+            seen.append(_outcome(_two_grid_rule, f))
+            assert _outcome(real, f) == seen[-1]
+            return real(f)
+
+        monkeypatch.setattr(dimreg, "_half_line_integral", compared)
+        for check in VERIFY_CHECKS:
+            if check.name in ("dimreg_quadrature", "oracle_transverse_kernel"):
+                assert check.run(RunConfig(bc=BoundaryCondition.DIRICHLET)).ok
+        assert len(seen) == 25

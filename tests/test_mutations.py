@@ -88,8 +88,8 @@ def _clear_caches() -> None:
 
 # The checks that call total_energy, whose pipeline guard raises
 # ConsistencyError when the zeta pipeline leaves the closed constant.
-GUARDED = {"tzz_equals_pressure", "energy_pipeline", "pressure_finite_difference",
-           "integrated_density"}
+GUARDED = {"tzz_equals_pressure", "length_scaling", "energy_pipeline",
+           "pressure_finite_difference", "integrated_density"}
 MODE_SUMS = {"mode_sum_phi2", "mode_sum_phidot2"}
 ZETA = {"zeta_cutoff_k1", "zeta_cutoff_k3"}
 
@@ -144,16 +144,16 @@ MUTATIONS = {
     "oracle-bc-swap": (Edit("oracle", "_regulated_sums", "s = 1 if", "s = -1 if"), MODE_SUMS, set()),
     "oracle-weight-sign": (Edit("oracle", "_regulated_sums", "- s *", "+ s *"), MODE_SUMS, set()),
     # L exponents: verify evaluates the closed forms at one L, so only
-    # length_scaling FAILs; the guard raises where the pressure's finite
-    # difference steps off L = 1.
+    # length_scaling FAILs; the guard raises where length_scaling and the
+    # pressure's finite difference step off L = 1.
     "A-L4": (Edit("fluctuations", "_ab", "L ** 4", "L ** 3"), {"length_scaling"}, set()),
     "phi2-L2": (Edit("fluctuations", "_phi2", "L ** 2", "L ** 3"), {"length_scaling"}, set()),
     "energy-closed-L3": (Edit("casimir", "total_energy", "config.L ** 3", "config.L ** 4"),
-                         set(), {"pressure_finite_difference"}),
+                         set(), {"pressure_finite_difference", "length_scaling"}),
     "k_n-L": (Edit("spectrum", "k_n", "/ config.L", "* config.L"),
-              set(), {"pressure_finite_difference"}),
-    # unseen at L = 1; tzz_equals_pressure fails at any other L
-    "pressure-L": (Edit("casimir", "pressure", "/ config.L", "/ config.L ** 2"), set(), set()),
+              set(), {"pressure_finite_difference", "length_scaling"}),
+    "pressure-L": (Edit("casimir", "pressure", "/ config.L", "/ config.L ** 2"),
+                   {"length_scaling"}, set()),
     # unseen at L = 1; the mode-sum checks fail at any other L
     "oracle-L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(spec.L))",
                       "/ (2.0 * np.longdouble(spec.L) ** 2)"), set(), set()),
@@ -163,9 +163,9 @@ MUTATIONS = {
                    {"oracle_transverse_kernel", "mode_sum_phi2"}, set()),
     "kernel-c0": (Edit("oracle", "_kernel_coefficients", "2.0 / eps**3", "1.0 / eps**3"),
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
-    # k^1/eps^2 becomes k^1/eps: the kernel at eps = 1 is unchanged
+    # k^1/eps^2 becomes k^1/eps: the kernel is unchanged at eps = 1, not at 1/2
     "kernel-c1": (Edit("oracle", "_kernel_coefficients", "2.0 / eps**2", "2.0 / eps"),
-                  {"mode_sum_phidot2"}, set()),
+                  {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
     "kernel-c2": (Edit("oracle", "_kernel_coefficients", "1.0 / eps)", "2.0 / eps)"),
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
     "oracle-half-angle": (Edit("oracle", "_regulated_sums", "2.0 * spec.theta", "spec.theta"),

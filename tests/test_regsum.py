@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platevac import regsum
+from platevac.cli import RunConfig, run_verification
 from platevac.errors import (
     DomainError,
     ExtrapolationDivergenceError,
@@ -15,6 +16,7 @@ from platevac.errors import (
     InvalidConfigError,
     PrecisionError,
 )
+from platevac.oracle import _DIVERGENT_POWERS, Observable, default_schedule
 from platevac.regsum import (
     DEFAULT_ABEL_RADII,
     EpsilonSchedule,
@@ -30,6 +32,7 @@ from platevac.regsum import (
     trig_sum_n_cos,
     zeta_neg_int,
 )
+from platevac.spectrum import BoundaryCondition
 
 # Classic table values, exact rationals.
 BERNOULLI_TABLE = {
@@ -301,5 +304,129 @@ class TestCutoffOracle:
                1e-2 * (1 - 4e-15), 1e-2 * (1 - 5e-15), 1e-2 * (1 - 6e-15),
                1e-2 * (1 - 7e-15))
         data = tuple(exp_cutoff_power_sum(1, e) for e in eps)
-        with pytest.raises(IllConditionedFitError):
-            fit_finite_part(eps, data, 2, 2)
+        # on every call: a failed factorization leaves nothing in the cache
+        regsum._schedule_fit.cache_clear()
+        for _ in range(3):
+            with pytest.raises(IllConditionedFitError):
+                fit_finite_part(eps, data, 2, 2)
+        assert regsum._schedule_fit.cache_info().currsize == 0
+
+
+def _one_pass_lstsq(design, rhs):
+    """Householder least squares in one sweep over design and data together:
+    the reference that factor-then-solve must match bit for bit."""
+    a = design.copy()
+    b = rhs.copy()
+    m, n = a.shape
+    for j in range(n):
+        x = a[j:, j]
+        norm = np.sqrt(np.sum(x * x))
+        alpha = -norm if x[0] >= 0 else norm
+        v = x.copy()
+        v[0] -= alpha
+        vnorm2 = np.sum(v * v)
+        if vnorm2 > 0.0:
+            a[j:, j:] -= np.outer(v, (2.0 / vnorm2) * (v @ a[j:, j:]))
+            b[j:] -= v * ((2.0 / vnorm2) * (v @ b[j:]))
+        a[j, j] = alpha
+    coeffs = np.zeros(n, dtype=a.dtype)
+    for i in reversed(range(n)):
+        coeffs[i] = (b[i] - a[i, i + 1:] @ coeffs[i + 1:]) / a[i, i]
+    return coeffs
+
+
+def _uncached_fit(eps_values, data, max_divergent_power, fit_basis_degree):
+    """fit_finite_part with nothing cached: the design is built and swept
+    together with the data on every call."""
+    eps = np.asarray(eps_values, dtype=np.longdouble)
+    y = np.asarray(data, dtype=np.longdouble)
+    tau = eps / eps.max()
+    degree = max_divergent_power + fit_basis_degree
+    design = np.vander(tau, degree + 1, increasing=True)
+    scaled_y = y * eps ** max_divergent_power
+    col_norms = np.sqrt(np.sum(design * design, axis=0))
+    coeffs_tau = _one_pass_lstsq(design / col_norms, scaled_y) / col_norms
+    residuals = design @ coeffs_tau - scaled_y
+    rms = float(np.sqrt(np.mean(residuals**2)))
+    coeffs_eps = coeffs_tau / eps.max() ** np.arange(degree + 1)
+    return FinitePartResult(finite_part=float(coeffs_eps[max_divergent_power]),
+                            divergent_coeffs=tuple(float(c) for c in coeffs_eps[:max_divergent_power]),
+                            fit_residual=rms)
+
+
+def _bits(result: FinitePartResult) -> list[str]:
+    return [float(v).hex() for v in (result.finite_part, *result.divergent_coeffs, result.fit_residual)]
+
+
+def _fit_cases():
+    for observable in Observable:
+        for L in (1e-3, 1.0, 1e3):
+            schedule = default_schedule(observable, L)
+            yield (f"{observable.value}-L{L:g}", schedule, _DIVERGENT_POWERS[observable.value])
+    for k in (1, 3):  # the cutoff oracle's degrees 4 and 6
+        yield f"cutoff-k{k}", EpsilonSchedule.log_spaced(), k + 1
+
+
+FIT_CASES = {name: (schedule, power) for name, schedule, power in _fit_cases()}
+
+
+class TestFactoredFit:
+    """fit_finite_part factors each schedule once; the data's arithmetic is unchanged."""
+
+    @pytest.mark.parametrize("schedule, power", FIT_CASES.values(), ids=FIT_CASES)
+    def test_bit_identical_to_uncached_fit(self, schedule, power):
+        rng = np.random.default_rng(power + len(schedule.values))
+        eps = np.asarray(schedule.values)
+        regsum._schedule_fit.cache_clear()
+        for draw in range(3):  # the first call fills the cache, the others hit it
+            # a leading eps^-P divergence over an O(1) remainder, as in the oracles
+            data = tuple(rng.standard_normal() / eps ** power + rng.standard_normal(eps.size))
+            expected = _uncached_fit(schedule.values, data, power, schedule.fit_basis_degree)
+            fitted = fit_finite_part(schedule.values, data, power, schedule.fit_basis_degree)
+            assert _bits(fitted) == _bits(expected)
+        assert regsum._schedule_fit.cache_info().misses == 1
+
+    def test_lstsq_is_factor_then_solve(self):
+        rng = np.random.default_rng(7)
+        design = rng.standard_normal((12, 6)).astype(np.longdouble)
+        rhs = rng.standard_normal(12).astype(np.longdouble)
+        assert regsum._householder_lstsq(design, rhs).tobytes() == \
+            _one_pass_lstsq(design, rhs).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        schedule = EpsilonSchedule.log_spaced()
+        design, col_norms, (reflectors, r), eps_max_powers = regsum._schedule_fit(schedule.values, 4)
+        arrays = [design, col_norms, r, eps_max_powers, *(v for _, v, _ in reflectors)]
+        assert len(reflectors) == 5
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        regsum._schedule_fit.cache_clear()
+        for count in range(8, 8 + 2 * regsum._FIT_CACHE_SIZE):
+            schedule = EpsilonSchedule.log_spaced(count=count)
+            fit_finite_part(schedule.values, (1.0,) * count, 1, 2)
+        info = regsum._schedule_fit.cache_info()
+        assert info.maxsize == regsum._FIT_CACHE_SIZE
+        assert info.currsize == info.maxsize
+
+    def test_verify_factors_four_schedules(self):
+        # 22 fits: two cutoff-oracle schedules, and the phi2 and phidot2 schedules
+        regsum._schedule_fit.cache_clear()
+        run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
+        info = regsum._schedule_fit.cache_info()
+        assert (info.misses, info.hits) == (4, 18)
+
+    def test_sequence_types_share_a_factor(self):
+        schedule = EpsilonSchedule.log_spaced()
+        data = tuple(exp_cutoff_power_sum(1, e) for e in schedule.values)
+        as_tuple = fit_finite_part(schedule.values, data, 2, 2)
+        for eps in (list(schedule.values), np.asarray(schedule.values)):
+            assert _bits(fit_finite_part(eps, data, 2, 2)) == _bits(as_tuple)
+
+    @pytest.mark.parametrize("eps", [np.full((2, 8), 0.1), 0.1])
+    def test_schedule_must_be_one_dimensional(self, eps):
+        with pytest.raises(InvalidConfigError):
+            fit_finite_part(eps, np.ones_like(eps), 1, 2)
