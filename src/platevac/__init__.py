@@ -36,7 +36,7 @@ from .fluctuations import (
     phi_squared,
     phi_squared_single_plate,
 )
-from .oracle import ModeSumSpec, Observable, mode_sum_finite_part
+from .oracle import mode_sum_finite_part
 from .regsum import (
     EpsilonSchedule,
     FinitePartResult,

@@ -465,24 +465,23 @@ def _oracle_transverse_kernel(config: RunConfig) -> float:
     power of eps shows: any L."""
     kn, closed, numeric = np.geomspace(math.pi * 1e-3, 40.0, 8), [], []
     eps = np.resize([1.0, 0.5], kn.size)
-    for observable, power in ((oracle.Observable.PHI2, -1), (oracle.Observable.PHIDOT2, 1)):
-        closed.extend(oracle._transverse_closed(observable, kn, eps))
+    for field, power in (("phi2", -1), ("phidot2", 1)):
+        closed.extend(oracle._transverse_closed(field, kn, eps))
         numeric.extend(dimreg._half_line_integral(
             lambda k: k * np.hypot(k, q) ** power * np.exp(-e * np.hypot(k, q)) / (2.0 * math.pi))
             for q, e in zip(kn, eps))
     return _worst(np.subtract(closed, numeric), closed)
 
 
-def _mode_sum_error(observable: oracle.Observable, config: RunConfig) -> float:
-    """Mode-sum oracle against the closed-form profile, both conditions."""
+def _mode_sum_error(field: str, config: RunConfig) -> float:
+    """Mode-sum oracle against the closed-form profile of ``field``, both conditions."""
     plate = PlateConfig(config.L)
     finite, closed = [], []
     for bc in BoundaryCondition:
         for theta in _MODE_SUM_THETAS:
-            spec = oracle.ModeSumSpec(bc=bc, L=config.L, theta=theta, observable=observable)
-            finite.append(oracle.mode_sum_finite_part(spec).finite_part)
-            fluct = expectation_set(_eval_bc(bc, config), plate, InteriorPoint.from_theta(plate, theta))
-            closed.append(getattr(fluct, observable.value))
+            point = InteriorPoint.from_theta(plate, theta)
+            finite.append(oracle.mode_sum_finite_part(field, bc, plate, point).finite_part)
+            closed.append(getattr(expectation_set(_eval_bc(bc, config), plate, point), field))
     return _worst(np.subtract(finite, closed), closed)
 
 
@@ -600,9 +599,8 @@ VERIFY_CHECKS = (
     VerifyCheck("dimreg_recursion", 1e-10, _dimreg_recursion),
     # Mode-sum oracle: radial kernels against quadrature, finite parts against closed forms.
     VerifyCheck("oracle_transverse_kernel", 1e-9, _oracle_transverse_kernel),
-    VerifyCheck("mode_sum_phi2", 1e-4, lambda config: _mode_sum_error(oracle.Observable.PHI2, config)),
-    VerifyCheck("mode_sum_phidot2", 1e-3,
-                lambda config: _mode_sum_error(oracle.Observable.PHIDOT2, config)),
+    VerifyCheck("mode_sum_phi2", 1e-4, lambda config: _mode_sum_error("phi2", config)),
+    VerifyCheck("mode_sum_phidot2", 1e-3, lambda config: _mode_sum_error("phidot2", config)),
     # Stress-tensor invariants on the interior grid.
     VerifyCheck("trace_canonical_sign", 1e-10, _trace_canonical_sign),
     VerifyCheck("improved_density_value", 1e-12, _improved_density_value),

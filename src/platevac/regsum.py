@@ -347,20 +347,24 @@ _MAX_FLOATS = np.iinfo(np.intp).max // 8
 class EpsilonSchedule:
     """Cutoff schedule for finite-part fits.
 
-    ``values`` must be positive and strictly decreasing; ``fit_basis_degree``
-    is the highest positive power of eps kept in the fit basis.
+    ``values`` must be positive, finite and strictly decreasing;
+    ``fit_basis_degree`` is the highest positive power of eps kept in the
+    fit basis.  :func:`fit_finite_part` trusts both.
     """
 
     values: tuple[float, ...]
     fit_basis_degree: int = 2
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(f"cutoff values must be a sequence of numbers: {exc}") from None
         object.__setattr__(self, "values", vals)
         if not vals:
             raise InvalidConfigError("epsilon schedule cannot be empty")
-        if any(v <= 0.0 for v in vals):
-            raise InvalidConfigError("all cutoff values must be positive")
+        if not all(0.0 < v < math.inf for v in vals):
+            raise InvalidConfigError("all cutoff values must be positive and finite")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise InvalidConfigError("cutoff values must decrease strictly")
         if self.fit_basis_degree < 0:
@@ -461,11 +465,6 @@ def _householder_solve(factor: tuple[tuple, np.ndarray], rhs: np.ndarray) -> np.
     return coeffs
 
 
-def _householder_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least squares by Householder QR, dtype-preserving: factor, then solve."""
-    return _householder_solve(_householder_factor(design), rhs)
-
-
 # Schedules whose fit is kept factored; verify fits on four.
 _FIT_CACHE_SIZE = 16
 
@@ -493,18 +492,16 @@ def _schedule_fit(eps_values: tuple, degree: int) -> tuple:
 
 
 def fit_finite_part(
-    eps_values: tuple[float, ...],
-    data: tuple[float, ...],
-    max_divergent_power: int,
-    fit_basis_degree: int = 2,
+    schedule: EpsilonSchedule, data, max_divergent_power: int
 ) -> FinitePartResult:
     """Strip divergent powers from data(eps) and return the constant term.
 
-    The model is data(eps) = sum_{p=1}^{P} c_{-p} eps^-p + c_0 + c_1 eps
-    + ... + c_D eps^D with P = ``max_divergent_power`` and D =
-    ``fit_basis_degree``.  Internally every row is multiplied by eps^P,
-    turning the problem into an ordinary polynomial fit whose dynamic
-    range floating point can actually represent; the basis and the
+    ``data`` holds one value per cutoff of ``schedule``.  The model is
+    data(eps) = sum_{p=1}^{P} c_{-p} eps^-p + c_0 + c_1 eps + ... +
+    c_D eps^D with P = ``max_divergent_power`` and D =
+    ``schedule.fit_basis_degree``.  Internally every row is multiplied
+    by eps^P, turning the problem into an ordinary polynomial fit whose
+    dynamic range floating point can actually represent; the basis and the
     minimizing coefficients are unchanged in exact arithmetic.  Columns
     are normalized and the solve runs in extended precision, which the
     constant term needs: its column is eps^P-suppressed against the
@@ -518,22 +515,21 @@ def fit_finite_part(
     reflectors on the data, the same operations a one-pass solve does.
     """
     _require_long_double()
-    eps = np.asarray(eps_values, dtype=np.longdouble)
+    eps = np.asarray(schedule.values, dtype=np.longdouble)
     y = np.asarray(data, dtype=np.longdouble)
-    if eps.ndim != 1 or eps.shape != y.shape:
-        raise InvalidConfigError("schedule and data must be sequences of equal length")
-    if not (np.isfinite(eps).all() and np.isfinite(y).all()):
-        raise DomainError("finite-part fit needs finite cutoffs and data")
-    n_basis = max_divergent_power + 1 + fit_basis_degree
-    if eps.size < n_basis:
+    if y.shape != eps.shape:
+        raise InvalidConfigError("data must hold one value per cutoff of the schedule")
+    if not np.isfinite(y).all():
+        raise DomainError("finite-part fit needs finite data")
+    degree = max_divergent_power + schedule.fit_basis_degree
+    if eps.size <= degree:
         raise InvalidConfigError(
-            f"schedule has {eps.size} points but the basis needs {n_basis}"
+            f"schedule has {eps.size} points but the basis needs {degree + 1}"
         )
 
     # Scaled problem: eps^P * data = polynomial of degree P + D in eps,
     # factored once per schedule; only the data is new on each call.
-    degree = max_divergent_power + fit_basis_degree
-    design, col_norms, factor, eps_max_powers = _schedule_fit(tuple(eps_values), degree)
+    design, col_norms, factor, eps_max_powers = _schedule_fit(schedule.values, degree)
     scaled_y = y * eps ** max_divergent_power
     coeffs_tau = _householder_solve(factor, scaled_y) / col_norms
 
@@ -547,7 +543,7 @@ def fit_finite_part(
     return FinitePartResult(finite_part=finite, divergent_coeffs=divergent, fit_residual=rms)
 
 
-def cutoff_sum_oracle(k: int, schedule: EpsilonSchedule | None = None) -> FinitePartResult:
+def cutoff_sum_oracle(k: int) -> FinitePartResult:
     """Exponential-cutoff oracle for the zeta-regularized power sum.
 
     Evaluates S(eps) = sum_{n>=1} n^k e^(-eps n) exactly on the schedule
@@ -557,15 +553,15 @@ def cutoff_sum_oracle(k: int, schedule: EpsilonSchedule | None = None) -> Finite
 
     Accuracy degrades steeply with k: the constant hides under a
     k!/eps^(k+1) divergence, costing roughly three digits per extra
-    power.  The default schedule resolves zeta(-1) and zeta(-3) to
-    better than 1e-7; k = 5 reaches ~2e-5 with a higher, denser
-    schedule such as log_spaced(0.03, 0.5, 20, fit_basis_degree=4);
-    beyond that the finite part is qualitative only, although the
-    leading divergent coefficient stays sharp.
+    power.  Its schedule resolves zeta(-1) and zeta(-3) to better than
+    1e-7; k = 5 reaches ~2e-5 only with a higher, denser schedule such
+    as log_spaced(0.03, 0.5, 20, fit_basis_degree=4), through
+    :func:`fit_finite_part` directly; beyond that the finite part is
+    qualitative only, although the leading divergent coefficient stays
+    sharp.
     """
     if k < 1 or k % 2 == 0:
         raise DomainError(f"oracle supports positive odd powers, got {k}")
-    if schedule is None:
-        schedule = EpsilonSchedule.log_spaced()
+    schedule = EpsilonSchedule.log_spaced(1e-3, 1e-1, 12, 2)
     values = tuple(exp_cutoff_power_sum(k, e) for e in schedule.values)
-    return fit_finite_part(schedule.values, values, k + 1, schedule.fit_basis_degree)
+    return fit_finite_part(schedule, values, k + 1)

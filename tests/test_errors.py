@@ -13,7 +13,8 @@ from platevac.spectrum import BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
 PLATE = PlateConfig(1.0)
-EPS5 = (0.1, 0.05, 0.02, 0.01, 0.005)  # enough cutoffs for one divergent power
+EPS5 = regsum.EpsilonSchedule((0.1, 0.05, 0.02, 0.01, 0.005))  # enough for one divergent power
+TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
 
 
 @pytest.mark.parametrize("call", [
@@ -31,11 +32,12 @@ EPS5 = (0.1, 0.05, 0.02, 0.01, 0.005)  # enough cutoffs for one divergent power
     lambda: regsum.extrapolate_to_zero([0.5, 0.25], [1.0]),
     lambda: regsum.FinitePartResult(0.0, (), -1.0),
     lambda: regsum.FinitePartResult(0.0, (), math.nan),
-    lambda: regsum.fit_finite_part((0.1, 0.05, 0.02), (1.0, 2.0), 1),
+    lambda: regsum.fit_finite_part(regsum.EpsilonSchedule((0.1, 0.05, 0.02)), (1.0, 2.0), 1),
+    lambda: regsum.fit_finite_part(EPS5, [[1.0] * 5] * 2, 1),
     lambda: regsum.fit_finite_part(EPS5, (math.nan, 1.0, 1.0, 1.0, 1.0), 1),
     lambda: regsum.fit_finite_part(EPS5, (math.inf, 1.0, 1.0, 1.0, 1.0), 1),
     lambda: regsum.cutoff_sum_oracle(2),
-    lambda: regsum.cutoff_sum_oracle(3, regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)),
+    lambda: regsum.fit_finite_part(TINY, [regsum.exp_cutoff_power_sum(3, e) for e in TINY.values], 4),
     # numpy refuses these sizes at once, without allocating anything
     lambda: regsum.EpsilonSchedule.log_spaced(1e-3, 1e-1, 10**15),
     lambda: spectrum.k_n(PLATE, 0),
@@ -46,8 +48,8 @@ EPS5 = (0.1, 0.05, 0.02, 0.01, 0.005)  # enough cutoffs for one divergent power
     "exp_cutoff_power_sum-underflow", "exp_cutoff_power_sum-overflow",
     "exp_cutoff_power_sum-power-200", "exp_cutoff_power_sum-power-1500",
     "exp_cutoff_power_sum-nan", "extrapolate_to_zero", "FinitePartResult",
-    "FinitePartResult-nan", "fit_finite_part", "fit_finite_part-nan", "fit_finite_part-inf",
-    "cutoff_sum_oracle", "cutoff_sum_oracle-tiny-cutoffs", "log_spaced-count",
+    "FinitePartResult-nan", "fit_finite_part", "fit_finite_part-2d", "fit_finite_part-nan",
+    "fit_finite_part-inf", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs", "log_spaced-count",
     "k_n", "master_integral",
 ])
 def test_bad_argument_raises_library_error(call):

@@ -21,7 +21,6 @@ from platevac.fluctuations import (
     phi_squared,
     phi_squared_single_plate,
 )
-from platevac.oracle import ModeSumSpec, Observable
 from platevac.regsum import abel_sum_oracle, f_theta, trig_sum_n_cos, zeta_neg_int
 from platevac.spectrum import BoundaryCondition, PlateConfig
 
@@ -57,7 +56,6 @@ class TestInteriorPoint:
         paths = [
             lambda: InteriorPoint.from_theta(config, theta),
             lambda: expectation_columns(D, config, np.array([1.0, theta])),
-            lambda: ModeSumSpec(bc=D, L=1.0, theta=theta, observable=Observable.PHI2),
             lambda: f_theta(theta),
         ]
         messages = set()

@@ -63,15 +63,15 @@ class SwapLabels(NamedTuple):
             monkeypatch.setattr(bc, "sign_upper", -bc.sign_upper)
 
 
-def outcome(mutation, monkeypatch) -> tuple[set[str], set[str]]:
-    """The checks that FAIL and the checks that raise under ``mutation``, at L = 1."""
+def outcome(mutation, monkeypatch, L: float = 1.0) -> tuple[set[str], set[str]]:
+    """The checks that FAIL and the checks that raise under ``mutation``, at L = 1 by default."""
     fails, raises = set(), set()
     with monkeypatch.context() as patch:
         mutation.apply(patch)
         _clear_caches()
         for check in VERIFY_CHECKS:
             try:
-                if not check.run(RunConfig(bc=BoundaryCondition.DIRICHLET, L=1.0)).ok:
+                if not check.run(RunConfig(bc=BoundaryCondition.DIRICHLET, L=L)).ok:
                     fails.add(check.name)
             except PlateVacError:
                 raises.add(check.name)
@@ -154,9 +154,9 @@ MUTATIONS = {
               set(), {"pressure_finite_difference", "length_scaling"}),
     "pressure-L": (Edit("casimir", "pressure", "/ config.L", "/ config.L ** 2"),
                    {"length_scaling"}, set()),
-    # unseen at L = 1; the mode-sum checks fail at any other L
-    "oracle-L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(spec.L))",
-                      "/ (2.0 * np.longdouble(spec.L) ** 2)"), set(), set()),
+    # unseen at L = 1; test_oracle_L_fails_the_mode_sums_off_L_1 runs it at L = 0.77
+    "oracle-L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(L))",
+                      "/ (2.0 * np.longdouble(L) ** 2)"), set(), set()),
     # The oracle's kernel coefficients, and its other literals.
     "kernel-2pi": (Edit("oracle", "_kernel_coefficients", "(1.0 / (2.0 * math.pi * eps),)",
                         "(1.0 / (math.pi * eps),)"),
@@ -168,10 +168,10 @@ MUTATIONS = {
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
     "kernel-c2": (Edit("oracle", "_kernel_coefficients", "1.0 / eps)", "2.0 / eps)"),
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
-    "oracle-half-angle": (Edit("oracle", "_regulated_sums", "2.0 * spec.theta", "spec.theta"),
+    "oracle-half-angle": (Edit("oracle", "_regulated_sums", "2.0 * theta", "theta"),
                           MODE_SUMS, set()),
-    "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(spec.L))",
-                       "/ np.longdouble(spec.L)"), MODE_SUMS, set()),
+    "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(L))",
+                       "/ np.longdouble(L)"), MODE_SUMS, set()),
     # Zeta, Bernoulli, Eulerian and master-integral inputs.
     "zeta-sign": (Edit("regsum", "zeta_neg_int", "-value if k % 2 else value",
                        "value if k % 2 else -value"), ZETA, GUARDED),
@@ -211,6 +211,10 @@ MUTATIONS = {
 @pytest.mark.parametrize("mutation, fails, raises", MUTATIONS.values(), ids=MUTATIONS)
 def test_mutation_outcome(mutation, fails, raises, monkeypatch):
     assert outcome(mutation, monkeypatch) == (fails, raises)
+
+
+def test_oracle_L_fails_the_mode_sums_off_L_1(monkeypatch):
+    assert outcome(MUTATIONS["oracle-L"][0], monkeypatch, L=0.77) == (MODE_SUMS, set())
 
 
 def test_a_raising_check_makes_verify_exit_2(monkeypatch, capsys):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import dimreg, oracle
-from platevac.cli import VERIFY_CHECKS, RunConfig
-from platevac.errors import PlateVacError, PrecisionError, QuadratureError
+from platevac import dimreg, oracle, regsum
+from platevac.cli import VERIFY_CHECKS, RunConfig, run_verification
+from platevac.errors import InvalidConfigError, PlateVacError, PrecisionError, QuadratureError
 from platevac.fluctuations import InteriorPoint, expectation_set
-from platevac.oracle import ModeSumSpec, Observable, default_schedule, mode_sum_finite_part
-from platevac.regsum import EpsilonSchedule
+from platevac.oracle import default_schedule, mode_sum_finite_part
+from platevac.regsum import EpsilonSchedule, fit_finite_part
 from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
@@ -19,15 +19,26 @@ N = BoundaryCondition.NEUMANN
 BOTH = (D, N)
 
 
-def _closed_form(bc, L, theta, observable):
+def _closed_form(bc, L, theta, field):
     config = PlateConfig(L)
-    fs = expectation_set(bc, config, InteriorPoint.from_theta(config, theta))
-    return fs.phi2 if observable is Observable.PHI2 else fs.phidot2
+    return getattr(expectation_set(bc, config, InteriorPoint.from_theta(config, theta)), field)
+
+
+def _oracle(field, bc, L, theta):
+    """The oracle's finite part, called as expectation_set is called."""
+    config = PlateConfig(L)
+    return mode_sum_finite_part(field, bc, config, InteriorPoint.from_theta(config, theta))
+
+
+def _fit_on(schedule, field, bc, L, theta):
+    """The oracle's finite part on another cutoff schedule than the field's own."""
+    sums = oracle._regulated_sums(field, bc, L, theta, schedule.values)
+    return fit_finite_part(schedule, sums, oracle._FIELDS[field].divergent_powers)
 
 
 class TestTransverseKernel:
     def test_phi2_closed_form_value(self):
-        closed = oracle._transverse_closed(Observable.PHI2, math.pi, 0.1)
+        closed = oracle._transverse_closed("phi2", math.pi, 0.1)
         assert closed == pytest.approx(math.exp(-0.1 * math.pi) / (0.2 * math.pi), rel=1e-14)
 
     def test_nan_quadrature_raises(self, monkeypatch):
@@ -42,132 +53,105 @@ class TestTransverseKernel:
 
 class TestModeSumFinitePart:
     def test_phi2_dirichlet_midpoint(self):
-        spec = ModeSumSpec(bc=D, L=1.0, theta=math.pi / 2.0, observable=Observable.PHI2)
-        result = mode_sum_finite_part(spec)
+        result = _oracle("phi2", D, 1.0, math.pi / 2.0)
         assert result.finite_part == pytest.approx(-1.0 / 24.0, rel=1e-4)
 
     def test_phi2_neumann_midpoint(self):
-        spec = ModeSumSpec(bc=N, L=1.0, theta=math.pi / 2.0, observable=Observable.PHI2)
-        result = mode_sum_finite_part(spec)
+        result = _oracle("phi2", N, 1.0, math.pi / 2.0)
         assert result.finite_part == pytest.approx(1.0 / 12.0, rel=1e-4)
 
     def test_phidot2_dirichlet_midpoint(self):
-        spec = ModeSumSpec(bc=D, L=1.0, theta=math.pi / 2.0, observable=Observable.PHIDOT2)
-        result = mode_sum_finite_part(spec)
+        result = _oracle("phidot2", D, 1.0, math.pi / 2.0)
         a = math.pi**2 / 1440.0
         b = math.pi**2 / 96.0
         assert result.finite_part == pytest.approx(b - a, rel=1e-3)
 
     @pytest.mark.parametrize("bc", BOTH)
-    @pytest.mark.parametrize("observable,rtol", [(Observable.PHI2, 1e-4), (Observable.PHIDOT2, 1e-3)])
-    def test_profile_window(self, bc, observable, rtol):
+    @pytest.mark.parametrize("field,rtol", [("phi2", 1e-4), ("phidot2", 1e-3)])
+    def test_profile_window(self, bc, field, rtol):
         # the documented tolerance window theta in [0.3, pi - 0.3]
         for i in range(5):
             theta = 0.3 + i * (math.pi - 0.6) / 4.0
-            spec = ModeSumSpec(bc=bc, L=1.0, theta=theta, observable=observable)
-            result = mode_sum_finite_part(spec)
-            closed = _closed_form(bc, 1.0, theta, observable)
+            result = _oracle(field, bc, 1.0, theta)
+            closed = _closed_form(bc, 1.0, theta, field)
             assert result.finite_part == pytest.approx(closed, rel=rtol)
 
     @pytest.mark.parametrize("L", [L_MIN, 0.1, 0.5, 2.0, 10.0, L_MAX])
     def test_other_separations(self, L):
         # the default schedule scales with L, so the oracle's relative
         # accuracy is separation independent
-        spec = ModeSumSpec(bc=D, L=L, theta=1.0, observable=Observable.PHI2)
-        result = mode_sum_finite_part(spec)
-        assert result.finite_part == pytest.approx(_closed_form(D, L, 1.0, Observable.PHI2), rel=1e-4)
+        result = _oracle("phi2", D, L, 1.0)
+        assert result.finite_part == pytest.approx(_closed_form(D, L, 1.0, "phi2"), rel=1e-4)
 
     def test_schedule_independence(self):
         # disjoint cutoff windows must agree on the finite part
         first = EpsilonSchedule.log_spaced(1e-3, 1e-2, 12, fit_basis_degree=4)
         second = EpsilonSchedule.log_spaced(5e-3, 5e-2, 12, fit_basis_degree=4)
-        results = [
-            mode_sum_finite_part(
-                ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHI2,
-                            epsilon_schedule=schedule)
-            ).finite_part
-            for schedule in (first, second)
-        ]
+        results = [_fit_on(schedule, "phi2", D, 1.0, 1.0).finite_part for schedule in (first, second)]
         assert results[0] == pytest.approx(results[1], rel=2e-4)
 
     @pytest.mark.parametrize("bc", BOTH)
     def test_mirror_symmetry(self, bc):
         theta = 0.7
-        a = mode_sum_finite_part(
-            ModeSumSpec(bc=bc, L=1.0, theta=theta, observable=Observable.PHI2)
-        ).finite_part
-        b = mode_sum_finite_part(
-            ModeSumSpec(bc=bc, L=1.0, theta=math.pi - theta, observable=Observable.PHI2)
-        ).finite_part
+        a = _oracle("phi2", bc, 1.0, theta).finite_part
+        b = _oracle("phi2", bc, 1.0, math.pi - theta).finite_part
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_boundary_condition_duality_average(self):
         # (oracle_D + oracle_N)/2 isolates the profile-free part 1/(48 L^2)
         for theta in (0.5, 1.0, 2.0):
-            total = sum(
-                mode_sum_finite_part(
-                    ModeSumSpec(bc=bc, L=1.0, theta=theta, observable=Observable.PHI2)
-                ).finite_part
-                for bc in BOTH
-            )
+            total = sum(_oracle("phi2", bc, 1.0, theta).finite_part for bc in BOTH)
             assert 0.5 * total == pytest.approx(1.0 / 48.0, rel=1e-6)
 
-    @pytest.mark.parametrize("observable", list(Observable))
-    def test_tiny_smallest_cutoff_finishes(self, observable):
+    @pytest.mark.parametrize("field", list(oracle._FIELDS))
+    def test_tiny_smallest_cutoff_finishes(self, field):
         # a truncated mode sum would need 2.3e10 modes at this cutoff; the
         # closed form needs none, and the fit returns finite values or
         # reports what it cannot resolve
         schedule = EpsilonSchedule.log_spaced(1e-9, 2e-2, 16, fit_basis_degree=5)
-        spec = ModeSumSpec(bc=D, L=1.0, theta=0.3, observable=observable,
-                           epsilon_schedule=schedule)
         try:
-            result = mode_sum_finite_part(spec)
+            result = _fit_on(schedule, field, D, 1.0, 0.3)
         except PlateVacError:
             return
         assert all(map(math.isfinite, (result.finite_part, *result.divergent_coeffs)))
 
     def test_divergent_coefficients_by_observable(self):
-        phi2 = mode_sum_finite_part(
-            ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHI2)
-        )
+        phi2 = _oracle("phi2", D, 1.0, 1.0)
         assert len(phi2.divergent_coeffs) == 2
-        phidot2 = mode_sum_finite_part(
-            ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHIDOT2)
-        )
+        phidot2 = _oracle("phidot2", D, 1.0, 1.0)
         assert len(phidot2.divergent_coeffs) == 4
         assert phidot2.divergent_coeffs[0] > 0.0  # leading eps^-4 weight
 
 
-def _truncated_mode_sums(spec):
+def _truncated_mode_sums(field, bc, L, theta, eps_values):
     """The regulated mode sums by brute force: n <= n_max, one term per mode.
 
     Test-only reference for the oracle's closed-form sums.  n_max puts the
     cutoff weight e^(-eps k_n) of the last mode below 1e-32 at the
     smallest cutoff, far below long double round-off on the sum.
     """
-    eps_min = min(spec.epsilon_schedule.values)
-    n_max = math.ceil(-math.log(1e-32) * spec.L / (eps_min * math.pi))
+    n_max = math.ceil(-math.log(1e-32) * L / (min(eps_values) * math.pi))
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
-    kn = n * (np.longdouble(math.pi) / np.longdouble(spec.L))
-    weights = 1.0 - spec.bc.sign_upper * np.cos(np.longdouble(2.0 * spec.theta) * n)
+    kn = n * (np.longdouble(math.pi) / np.longdouble(L))
+    weights = 1.0 - bc.sign_upper * np.cos(np.longdouble(2.0 * theta) * n)
     return np.array([
-        np.sum(weights * oracle._transverse_closed(spec.observable, kn, np.longdouble(eps)))
-        / (2.0 * np.longdouble(spec.L))
-        for eps in spec.epsilon_schedule.values
+        np.sum(weights * oracle._transverse_closed(field, kn, np.longdouble(eps)))
+        / (2.0 * np.longdouble(L))
+        for eps in eps_values
     ])
 
 
 class TestClosedFormSums:
-    @pytest.mark.parametrize("bc,L,theta,observable", [
-        (D, 1.0, 1.0, Observable.PHI2),
-        (N, 0.3, 0.45, Observable.PHI2),
-        (D, 2.0, 2.6, Observable.PHIDOT2),
-        (N, 1.0, math.pi / 2.0, Observable.PHIDOT2),
+    @pytest.mark.parametrize("bc,L,theta,field", [
+        (D, 1.0, 1.0, "phi2"),
+        (N, 0.3, 0.45, "phi2"),
+        (D, 2.0, 2.6, "phidot2"),
+        (N, 1.0, math.pi / 2.0, "phidot2"),
     ])
-    def test_match_truncated_brute_force(self, bc, L, theta, observable):
-        spec = ModeSumSpec(bc=bc, L=L, theta=theta, observable=observable)
-        exact = oracle._regulated_sums(spec)
-        brute = _truncated_mode_sums(spec)
+    def test_match_truncated_brute_force(self, bc, L, theta, field):
+        eps_values = default_schedule(field, PlateConfig(L)).values
+        exact = oracle._regulated_sums(field, bc, L, theta, eps_values)
+        brute = _truncated_mode_sums(field, bc, L, theta, eps_values)
         assert exact.dtype == np.longdouble
         assert float(np.max(np.abs(exact - brute) / np.abs(brute))) <= 1e-15
 
@@ -178,10 +162,9 @@ class TestClosedFormSums:
     )
     @settings(max_examples=40, deadline=None)
     def test_finite_parts_within_documented_tolerance(self, bc, L, theta):
-        for observable, rtol in ((Observable.PHI2, 1e-4), (Observable.PHIDOT2, 1e-3)):
-            spec = ModeSumSpec(bc=bc, L=L, theta=theta, observable=observable)
-            finite = mode_sum_finite_part(spec).finite_part
-            assert finite == pytest.approx(_closed_form(bc, L, theta, observable), rel=rtol)
+        for field, rtol in (("phi2", 1e-4), ("phidot2", 1e-3)):
+            finite = _oracle(field, bc, L, theta).finite_part
+            assert finite == pytest.approx(_closed_form(bc, L, theta, field), rel=rtol)
 
     def test_short_long_double_raises(self, monkeypatch):
         # a platform whose long double is a plain double
@@ -190,45 +173,45 @@ class TestClosedFormSums:
             oracle.np, "finfo",
             lambda dtype: real_finfo(np.float64) if dtype is np.longdouble else real_finfo(dtype),
         )
-        spec = ModeSumSpec(bc=D, L=1.0, theta=1.0, observable=Observable.PHI2)
         with pytest.raises(PrecisionError):
-            mode_sum_finite_part(spec)
+            _oracle("phi2", D, 1.0, 1.0)
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("field,value", [
+    @pytest.mark.parametrize("name,value", [
         *(("L", L) for L in (0.0, -1.0, 1e-200, 1e200, math.nan, math.inf)),
         *(("theta", theta) for theta in (0.0, math.pi, -1.0, math.nan)),
     ])
-    def test_bad_spec_raises_library_error(self, field, value):
-        spec = {"bc": D, "L": 1.0, "theta": 1.0, "observable": Observable.PHI2, field: value}
+    def test_bad_spec_raises_library_error(self, name, value):
+        # PlateConfig and InteriorPoint are the oracle's only validation
+        args = {"L": 1.0, "theta": 1.0, name: value}
         with pytest.raises(PlateVacError):
-            ModeSumSpec(**spec)
+            _oracle("phi2", D, args["L"], args["theta"])
 
-    @pytest.mark.parametrize("L", [0.0, 1e-200, 1e200, math.nan])
-    def test_bad_schedule_length_raises_library_error(self, L):
-        with pytest.raises(PlateVacError):
-            default_schedule(Observable.PHIDOT2, L)
-
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            ModeSumSpec(bc=D, L=0.0, theta=1.0, observable=Observable.PHI2)
-        with pytest.raises(ValueError):
-            ModeSumSpec(bc=D, L=1.0, theta=0.0, observable=Observable.PHI2)
-        with pytest.raises(ValueError):
-            ModeSumSpec(bc=D, L=1.0, theta=math.pi, observable=Observable.PHI2)
+    @pytest.mark.parametrize("field", ["dzphi2", "PHI2", "", None, ["phi2"]])
+    def test_unknown_field_raises_invalid_config(self, field):
+        config = PlateConfig(1.0)
+        point = InteriorPoint.from_theta(config, 1.0)
+        with pytest.raises(InvalidConfigError):
+            mode_sum_finite_part(field, D, config, point)
 
     def test_default_schedules_differ_by_observable(self):
-        phi2 = default_schedule(Observable.PHI2)
-        phidot2 = default_schedule(Observable.PHIDOT2)
+        phi2 = default_schedule("phi2", PlateConfig(1.0))
+        phidot2 = default_schedule("phidot2", PlateConfig(1.0))
         assert min(phi2.values) < min(phidot2.values)
         assert phidot2.fit_basis_degree >= phi2.fit_basis_degree
 
     def test_default_schedule_scales_with_separation(self):
         # eps carries length units: the schedule follows the separation
-        unit = default_schedule(Observable.PHI2, 1.0)
-        scaled = default_schedule(Observable.PHI2, 3.0)
+        unit = default_schedule("phi2", PlateConfig(1.0))
+        scaled = default_schedule("phi2", PlateConfig(3.0))
         for a, b in zip(unit.values, scaled.values):
             assert b == pytest.approx(3.0 * a, rel=1e-14)
-        with pytest.raises(ValueError):
-            default_schedule(Observable.PHI2, 0.0)
+
+    def test_verify_builds_each_schedule_once(self):
+        # 20 mode-sum points over two fields at one separation
+        default_schedule.cache_clear()
+        run_verification(RunConfig(bc=D, L=0.77))
+        info = default_schedule.cache_info()
+        assert info.maxsize == regsum._FIT_CACHE_SIZE
+        assert (info.misses, info.hits) == (2, 18)

@@ -16,7 +16,7 @@ from platevac.errors import (
     InvalidConfigError,
     PrecisionError,
 )
-from platevac.oracle import _DIVERGENT_POWERS, Observable, default_schedule
+from platevac.oracle import _FIELDS, default_schedule
 from platevac.regsum import (
     DEFAULT_ABEL_RADII,
     EpsilonSchedule,
@@ -32,7 +32,7 @@ from platevac.regsum import (
     trig_sum_n_cos,
     zeta_neg_int,
 )
-from platevac.spectrum import BoundaryCondition
+from platevac.spectrum import BoundaryCondition, PlateConfig
 
 # Classic table values, exact rationals.
 BERNOULLI_TABLE = {
@@ -228,6 +228,16 @@ class TestEpsilonSchedule:
             EpsilonSchedule(values=(0.1, -0.01))
         with pytest.raises(InvalidConfigError):
             EpsilonSchedule(values=(0.1, 0.01), fit_basis_degree=-1)
+        for values in [(math.nan,), (math.inf, 1.0), (1.0, math.nan), (-math.inf,),
+                       # a fit on these cutoffs once returned finite_part=1.0
+                       (0.3, 0.2, 0.1, 0.0, -0.1, -0.2, -0.3, -0.4)]:
+            with pytest.raises(InvalidConfigError):
+                EpsilonSchedule(values=values)
+
+    @pytest.mark.parametrize("eps", [np.full((2, 8), 0.1), 0.1, ("0.1", "x")])
+    def test_values_must_be_one_dimensional(self, eps):
+        with pytest.raises(InvalidConfigError):
+            EpsilonSchedule(values=eps)
 
     @pytest.mark.parametrize("args", [(0.5, 0.1), (0.0, 0.1), (1e-3, math.inf),
                                       (math.nan, 0.1), (1e-3, 0.1, 0), (1e-3, 0.1, -3)])
@@ -238,6 +248,11 @@ class TestEpsilonSchedule:
     def test_finite_part_result_validation(self):
         with pytest.raises(ValueError):
             FinitePartResult(finite_part=0.0, divergent_coeffs=(), fit_residual=-1.0)
+
+
+def _cutoff_sums(k, schedule):
+    """S(eps) = sum_n n^k e^(-eps n) at every cutoff of ``schedule``, as the cutoff oracle sums it."""
+    return tuple(exp_cutoff_power_sum(k, e) for e in schedule.values)
 
 
 class TestCutoffOracle:
@@ -261,7 +276,7 @@ class TestCutoffOracle:
     def test_coarse_schedule_degrades_gracefully(self):
         coarse = EpsilonSchedule.log_spaced(0.5, 0.9, 12, fit_basis_degree=4)
         default = cutoff_sum_oracle(3)
-        degraded = cutoff_sum_oracle(3, coarse)
+        degraded = fit_finite_part(coarse, _cutoff_sums(3, coarse), 4)
         assert degraded.finite_part == pytest.approx(1.0 / 120.0, abs=1e-3)
         assert degraded.fit_residual > default.fit_residual
 
@@ -275,7 +290,7 @@ class TestCutoffOracle:
         # k = 5 needs a higher, denser schedule; accuracy drops with each
         # added divergent power but zeta(-5) is still clearly resolved
         schedule = EpsilonSchedule.log_spaced(0.03, 0.5, 20, fit_basis_degree=4)
-        result = cutoff_sum_oracle(5, schedule)
+        result = fit_finite_part(schedule, _cutoff_sums(5, schedule), 6)
         assert result.finite_part == pytest.approx(float(zeta_neg_int(5)), abs=1e-4)
         assert result.divergent_coeffs[0] == pytest.approx(math.factorial(5), rel=1e-8)
 
@@ -285,8 +300,9 @@ class TestCutoffOracle:
             cutoff_sum_oracle(k)
 
     def test_too_few_points(self):
+        schedule = EpsilonSchedule(values=(0.1, 0.05, 0.01))
         with pytest.raises(InvalidConfigError):
-            cutoff_sum_oracle(3, EpsilonSchedule(values=(0.1, 0.05, 0.01)))
+            fit_finite_part(schedule, _cutoff_sums(3, schedule), 4)
 
     def test_short_long_double_raises(self, monkeypatch):
         # a platform whose long double is a plain double
@@ -303,12 +319,13 @@ class TestCutoffOracle:
         eps = (1e-2, 1e-2 * (1 - 1e-15), 1e-2 * (1 - 2e-15), 1e-2 * (1 - 3e-15),
                1e-2 * (1 - 4e-15), 1e-2 * (1 - 5e-15), 1e-2 * (1 - 6e-15),
                1e-2 * (1 - 7e-15))
-        data = tuple(exp_cutoff_power_sum(1, e) for e in eps)
+        schedule = EpsilonSchedule(eps)
+        data = _cutoff_sums(1, schedule)
         # on every call: a failed factorization leaves nothing in the cache
         regsum._schedule_fit.cache_clear()
         for _ in range(3):
             with pytest.raises(IllConditionedFitError):
-                fit_finite_part(eps, data, 2, 2)
+                fit_finite_part(schedule, data, 2)
         assert regsum._schedule_fit.cache_info().currsize == 0
 
 
@@ -359,10 +376,9 @@ def _bits(result: FinitePartResult) -> list[str]:
 
 
 def _fit_cases():
-    for observable in Observable:
+    for field, row in _FIELDS.items():
         for L in (1e-3, 1.0, 1e3):
-            schedule = default_schedule(observable, L)
-            yield (f"{observable.value}-L{L:g}", schedule, _DIVERGENT_POWERS[observable.value])
+            yield f"{field}-L{L:g}", default_schedule(field, PlateConfig(L)), row.divergent_powers
     for k in (1, 3):  # the cutoff oracle's degrees 4 and 6
         yield f"cutoff-k{k}", EpsilonSchedule.log_spaced(), k + 1
 
@@ -382,7 +398,7 @@ class TestFactoredFit:
             # a leading eps^-P divergence over an O(1) remainder, as in the oracles
             data = tuple(rng.standard_normal() / eps ** power + rng.standard_normal(eps.size))
             expected = _uncached_fit(schedule.values, data, power, schedule.fit_basis_degree)
-            fitted = fit_finite_part(schedule.values, data, power, schedule.fit_basis_degree)
+            fitted = fit_finite_part(schedule, data, power)
             assert _bits(fitted) == _bits(expected)
         assert regsum._schedule_fit.cache_info().misses == 1
 
@@ -390,8 +406,8 @@ class TestFactoredFit:
         rng = np.random.default_rng(7)
         design = rng.standard_normal((12, 6)).astype(np.longdouble)
         rhs = rng.standard_normal(12).astype(np.longdouble)
-        assert regsum._householder_lstsq(design, rhs).tobytes() == \
-            _one_pass_lstsq(design, rhs).tobytes()
+        factored = regsum._householder_solve(regsum._householder_factor(design), rhs)
+        assert factored.tobytes() == _one_pass_lstsq(design, rhs).tobytes()
 
     def test_cached_arrays_are_read_only(self):
         schedule = EpsilonSchedule.log_spaced()
@@ -407,7 +423,7 @@ class TestFactoredFit:
         regsum._schedule_fit.cache_clear()
         for count in range(8, 8 + 2 * regsum._FIT_CACHE_SIZE):
             schedule = EpsilonSchedule.log_spaced(count=count)
-            fit_finite_part(schedule.values, (1.0,) * count, 1, 2)
+            fit_finite_part(schedule, (1.0,) * count, 1)
         info = regsum._schedule_fit.cache_info()
         assert info.maxsize == regsum._FIT_CACHE_SIZE
         assert info.currsize == info.maxsize
@@ -420,13 +436,11 @@ class TestFactoredFit:
         assert (info.misses, info.hits) == (4, 18)
 
     def test_sequence_types_share_a_factor(self):
+        # a schedule holds its cutoffs as a tuple of floats, whatever it was given
         schedule = EpsilonSchedule.log_spaced()
-        data = tuple(exp_cutoff_power_sum(1, e) for e in schedule.values)
-        as_tuple = fit_finite_part(schedule.values, data, 2, 2)
+        data = _cutoff_sums(1, schedule)
+        regsum._schedule_fit.cache_clear()
+        as_tuple = fit_finite_part(schedule, data, 2)
         for eps in (list(schedule.values), np.asarray(schedule.values)):
-            assert _bits(fit_finite_part(eps, data, 2, 2)) == _bits(as_tuple)
-
-    @pytest.mark.parametrize("eps", [np.full((2, 8), 0.1), 0.1])
-    def test_schedule_must_be_one_dimensional(self, eps):
-        with pytest.raises(InvalidConfigError):
-            fit_finite_part(eps, np.ones_like(eps), 1, 2)
+            assert _bits(fit_finite_part(EpsilonSchedule(eps), data, 2)) == _bits(as_tuple)
+        assert regsum._schedule_fit.cache_info().misses == 1
