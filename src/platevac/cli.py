@@ -25,7 +25,6 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -168,16 +167,16 @@ def _require_bitwise(column: str, values: np.ndarray, expected: np.ndarray, clai
 
 
 def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], list, list[int]]:
-    """Each column's cell in the row %-template, and what fills the cells.
+    """Each column's cell in the row template, and what fills the cells.
 
     Derived from the proved pairs: a constant column (beta = 0) is
     converted once and written as literal text; a column in
     :data:`_SHARED_LEADS` writes its lead's magnitude, converted once
-    per row and filled in through %s, behind a literal sign; every other
-    column is converted per row.  The facts this relies on are checked
-    on the values first, bit for bit, and a breach raises
-    :class:`ConsistencyError`.  Returns the cells, the sources (an array
-    and whether it fills %s) and each conversion's source index.
+    per row, behind a literal sign; every other column is converted per
+    row.  Each converted cell is a %s.  The facts this relies on are
+    checked on the values first, bit for bit, and a breach raises
+    :class:`ConsistencyError`.  Returns the cells, the arrays to convert
+    and each %s cell's index into them.
     """
     cells, sources, slots, shared = [], [], [], {}
     for column, values in columns.items():
@@ -187,15 +186,15 @@ def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], l
             cells.append(_fmt(float(values[0]), sig))
             continue
         if lead is None:
-            cells.append(f"%.{sig}g")
+            cells.append("%s")
             slots.append(len(sources))
-            sources.append((values, False))
+            sources.append(values)
             continue
         if lead not in shared:
             sign = np.copysign(1.0, columns[lead])
             _require_bitwise(lead, sign, sign[:1], "of one sign")
             shared[lead] = len(sources), bool(sign[0] < 0.0)
-            sources.append((np.abs(columns[lead]), True))
+            sources.append(np.abs(columns[lead]))
         index, negative = shared[lead]
         flip = (pair.beta < 0) != (_COLUMN_PAIRS[lead].beta < 0)
         if flip:
@@ -214,14 +213,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_worker(render: Callable[[int], str], starts: range, earlier: list) -> tuple:
+def _fork_worker(render: Callable[[int], np.ndarray], starts: range, earlier: list) -> tuple:
     """Fork a process that sends ``render(start)`` for each of ``starts`` down a pipe.
 
-    Each chunk goes as its ASCII bytes behind an 8-byte length.  The
-    worker closes the pipes of the ``earlier`` workers' (pid, reader)
-    pairs and leaves through ``os._exit``: status 0 once every chunk is
-    sent, 1 on any error, with nothing on stderr.  Returns its pid and
-    the reading end of its pipe.
+    Each chunk goes as its bytes, a uint8 array, behind an 8-byte
+    length.  The worker closes the pipes of the ``earlier`` workers'
+    (pid, reader) pairs and leaves through ``os._exit``: status 0 once
+    every chunk is sent, 1 on any error, with nothing on stderr.
+    Returns its pid and the reading end of its pipe.
     """
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
@@ -240,7 +239,7 @@ def _fork_worker(render: Callable[[int], str], starts: range, earlier: list) -> 
                 reader.close()
             with open(write_fd, "wb") as pipe:
                 for start in starts:
-                    data = render(start).encode("ascii")
+                    data = render(start)
                     pipe.write(len(data).to_bytes(8, "little"))
                     pipe.write(data)
             status = 0
@@ -279,11 +278,14 @@ def _reap(pid: int, reader) -> None:
 
 
 def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: int) -> None:
-    """Write every row through the %-template ``row``, joined by ``sep``.
+    """Write every row of the template ``row``, joined by ``sep``.
 
-    ``'%.17g' % v`` prints exactly what ``format(v, '.17g')`` prints, so
-    the rows match :func:`_fmt` digit for digit.  A source that fills %s
-    is converted once per row, however many cells show it.
+    Each source is converted once per row by :func:`render.format_g`,
+    which gives the bytes of ``'%.{sig}g' % v``, so the rows match
+    :func:`_fmt` digit for digit; ``slots`` names the source of each %s
+    in ``row``.  A chunk's rows are laid out as one byte matrix, the
+    template's text in every row and each cell at its full width, and
+    written without the cells' NUL padding.
 
     The rows go in chunks of :data:`_ROW_CHUNK`, dealt round-robin to W
     processes, W = min(usable CPUs, chunks): this one renders chunks 0,
@@ -295,18 +297,35 @@ def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: i
     :class:`PlateVacError`; any error here kills and reaps every worker
     before it propagates.
     """
-    conv = f"%.{sig}g"
-    starts = range(0, len(sources[0][0]), _ROW_CHUNK)
+    # imported here, so that energy and verify, which print no rows, start
+    # without loading the formatter
+    from .render import format_g
 
-    def render(start: int) -> str:
-        filled = []
-        for values, text in sources:
-            chunk = values[start:start + _ROW_CHUNK].tolist()
-            filled.append((" ".join([conv] * len(chunk)) % tuple(chunk)).split(" ") if text else chunk)
-        template = sep.join([row] * len(filled[0]))
-        if start:
-            template = sep + template
-        return template % tuple(chain.from_iterable(zip(*[filled[i] for i in slots])))
+    pieces = [np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+              for piece in (sep + row).split("%s")]
+    skip = len(sep)  # the first row has no separator before it
+    starts = range(0, len(sources[0]), _ROW_CHUNK)
+
+    def lay_out(start: int) -> np.ndarray:
+        """The chunk's rows as one byte matrix, each cell NUL-padded to its full width."""
+        chunk = np.stack([values[start:start + _ROW_CHUNK] for values in sources], axis=1)
+        cells = format_g(chunk.ravel(), sig)
+        width = cells.itemsize
+        cells = cells.view(np.uint8).reshape(*chunk.shape, width)
+        text = np.empty((len(chunk), sum(map(len, pieces)) + width * len(slots)), dtype=np.uint8)
+        at = 0
+        for slot, piece in enumerate(pieces):
+            text[:, at:at + len(piece)] = piece
+            at += len(piece)
+            if slot < len(slots):
+                text[:, at:at + width] = cells[:, slots[slot]]
+                at += width
+        return text
+
+    def render(start: int) -> np.ndarray:
+        """The chunk's ASCII bytes: its byte matrix without the NULs."""
+        text = lay_out(start).ravel()[0 if start else skip:]
+        return text[text != 0]
 
     procs = min(_usable_cpus(), len(starts))
     workers: list = []  # (pid, reader) of every worker not yet reaped
@@ -315,7 +334,7 @@ def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: i
             workers.append(_fork_worker(render, starts[k::procs], workers))
         for i, start in enumerate(starts):
             if i % procs == 0:
-                out.write(render(start))
+                out.write(str(render(start), "ascii"))
             elif not _copy_chunk(workers[i % procs - 1][1], out):
                 _reap(*workers.pop(i % procs - 1))
                 raise PlateVacError("a profile worker stopped before sending all its rows")

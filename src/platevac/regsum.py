@@ -32,6 +32,7 @@ expressions; only the oracles involve fits or extrapolation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -343,6 +344,11 @@ class FinitePartResult:
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Cutoff schedule for finite-part fits.
@@ -367,8 +373,10 @@ class EpsilonSchedule:
             raise InvalidConfigError("all cutoff values must be positive and finite")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise InvalidConfigError("cutoff values must decrease strictly")
-        if self.fit_basis_degree < 0:
-            raise InvalidConfigError("fit basis degree must be non-negative")
+        if not _is_count(self.fit_basis_degree):
+            raise InvalidConfigError(
+                f"fit basis degree must be a non-negative integer, got {self.fit_basis_degree!r}"
+            )
 
     @classmethod
     def log_spaced(
@@ -514,6 +522,10 @@ def fit_finite_part(
     done once per schedule (:func:`_schedule_fit`); each call replays its
     reflectors on the data, the same operations a one-pass solve does.
     """
+    if not _is_count(max_divergent_power):
+        raise InvalidConfigError(
+            f"max divergent power must be a non-negative integer, got {max_divergent_power!r}"
+        )
     _require_long_double()
     eps = np.asarray(schedule.values, dtype=np.longdouble)
     y = np.asarray(data, dtype=np.longdouble)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import cli, stress
+from platevac import cli, render, stress
 from platevac.cli import (
     PROFILE_COLUMNS,
     VERIFY_CHECKS,
@@ -280,6 +280,23 @@ class TestColumnarProfile:
         assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[bc, length, fmt]
         assert len(forks) == workers - 1  # five chunks: every process renders one
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("bc, length, fmt", list(PROFILE_DIGESTS))
+    def test_python_path_bytes_pinned(self, bc, length, fmt, monkeypatch, capsys):
+        # every value converted by Python's own '%.{sig-1}e', none by the fast path
+        scaled = render._scaled_digits
+
+        def all_to_python(a, sig):
+            digits, exponent, fallback = scaled(a, sig)
+            fallback[:] = True
+            return digits, exponent, fallback
+
+        monkeypatch.setattr(render, "_scaled_digits", all_to_python)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        code, out, _ = _run(["profile", "--bc", bc, "--length", length, "--points", "20001",
+                             "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[bc, length, fmt]
 
     def test_render_plan_follows_the_pair_table(self):
         # constants: E_improved (-1, 0), T_zz (-3, 0), trace_improved (0, 0);

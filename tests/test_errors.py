@@ -36,6 +36,10 @@ TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
     lambda: regsum.fit_finite_part(EPS5, [[1.0] * 5] * 2, 1),
     lambda: regsum.fit_finite_part(EPS5, (math.nan, 1.0, 1.0, 1.0, 1.0), 1),
     lambda: regsum.fit_finite_part(EPS5, (math.inf, 1.0, 1.0, 1.0, 1.0), 1),
+    lambda: regsum.fit_finite_part(EPS5, (1.0,) * 5, -1),
+    lambda: regsum.fit_finite_part(EPS5, (1.0,) * 5, 1.5),
+    lambda: regsum.fit_finite_part(regsum.EpsilonSchedule.log_spaced(1e-3, 1e-1, 12, 2.5),
+                                   (1.0,) * 12, 1),
     lambda: regsum.cutoff_sum_oracle(2),
     lambda: regsum.fit_finite_part(TINY, [regsum.exp_cutoff_power_sum(3, e) for e in TINY.values], 4),
     # numpy refuses these sizes at once, without allocating anything
@@ -49,7 +53,9 @@ TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
     "exp_cutoff_power_sum-power-200", "exp_cutoff_power_sum-power-1500",
     "exp_cutoff_power_sum-nan", "extrapolate_to_zero", "FinitePartResult",
     "FinitePartResult-nan", "fit_finite_part", "fit_finite_part-2d", "fit_finite_part-nan",
-    "fit_finite_part-inf", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs", "log_spaced-count",
+    "fit_finite_part-inf", "fit_finite_part-negative-power", "fit_finite_part-fractional-power",
+    "log_spaced-fractional-degree", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs",
+    "log_spaced-count",
     "k_n", "master_integral",
 ])
 def test_bad_argument_raises_library_error(call):
