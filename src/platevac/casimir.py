@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .dimreg import MasterIntegralSpec, master_integral
 from .errors import ConsistencyError, DomainError
-from .fluctuations import expectation_columns
+from .fluctuations import InteriorPoint, ab_values, expectation_columns, expectation_set
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import stress_report
@@ -77,12 +75,16 @@ def integrated_density_check(config: PlateConfig, bc: BoundaryCondition) -> tupl
     pipeline of :func:`total_energy`.  Returns the integral and its
     absolute mismatch against :func:`total_energy`.  The density is -A
     to the bit at every point, so the midpoint rule is exact at any
-    resolution; four points keep the summation round-off to a few ulp.
+    resolution; four points, evaluated one at a time and added in order,
+    keep the summation round-off to a few ulp.
     """
     h = config.L / 4
-    centers = (np.arange(4) + 0.5) * h
-    fluct, ab = expectation_columns(bc, config, math.pi * centers / config.L)
-    integral = float(np.sum(stress_report(fluct, ab).energy_density_improved)) * h
+    integral = 0.0
+    for i in range(4):
+        point = InteriorPoint.from_theta(config, math.pi * ((i + 0.5) * h) / config.L)
+        fluct = expectation_set(bc, config, point)
+        integral += stress_report(fluct, ab_values(config, point)).energy_density_improved
+    integral *= h
     return integral, abs(integral - total_energy(config))
 
 
@@ -98,6 +100,8 @@ def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margi
     grow without bound, which is precisely why only the improved density
     can integrate up to the total energy.
     """
+    import numpy as np
+
     if not 0.0 < margin < 0.5:
         raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
     lo = margin * config.L

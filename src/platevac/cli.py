@@ -25,14 +25,16 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import casimir, dimreg, oracle, regsum, stress
 from .errors import ConsistencyError, InvalidConfigError, PlateVacError
 from .fluctuations import (FIELD_PAIRS, InteriorPoint, _theta_of_z, expectation_columns,
                            expectation_set, phi_squared, phi_squared_single_plate)
 from .spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Each profile column after z and theta, and the FluctuationSet or
 # StressReport field it shows.
@@ -97,6 +99,8 @@ class RunConfig:
             raise InvalidConfigError(f"unknown output format {self.output_format!r}")
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         n = self.grid_points
         return self.L * (self.z_margin + (1.0 - 2.0 * self.z_margin) * np.arange(n) / (n - 1))
 
@@ -158,6 +162,8 @@ def _config_payload(config: RunConfig) -> dict:
 
 def _require_bitwise(column: str, values: np.ndarray, expected: np.ndarray, claim: str) -> None:
     """ConsistencyError unless ``values`` equals ``expected`` (which broadcasts) bit for bit."""
+    import numpy as np
+
     expected = np.broadcast_to(expected, values.shape)
     same = values.view(np.uint64) == expected.view(np.uint64)
     if not same.all():
@@ -178,6 +184,8 @@ def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], l
     :class:`ConsistencyError`.  Returns the cells, the arrays to convert
     and each %s cell's index into them.
     """
+    import numpy as np
+
     cells, sources, slots, shared = [], [], [], {}
     for column, values in columns.items():
         pair, lead = _COLUMN_PAIRS.get(column), _SHARED_LEADS.get(column)
@@ -299,6 +307,8 @@ def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: i
     """
     # imported here, so that energy and verify, which print no rows, start
     # without loading the formatter
+    import numpy as np
+
     from .render import format_g
 
     pieces = [np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
@@ -351,6 +361,8 @@ def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: i
 
 
 def cmd_profile(config: RunConfig, out) -> int:
+    import numpy as np
+
     try:
         columns = _profile_rows(config)
     except MemoryError as exc:
@@ -426,6 +438,8 @@ def _worst(num, den) -> float:
 
     Either way the check fails: no comparison with a tolerance holds for NaN.
     """
+    import numpy as np
+
     num, den = np.abs(num), np.abs(den)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.max(np.where(den > 0.0, num / den, np.inf)))
@@ -433,7 +447,8 @@ def _worst(num, den) -> float:
 
 # The angles of the Abel checks, and of the mode-sum checks.
 _ABEL_THETAS = [0.1 * k for k in range(1, 31)]
-_MODE_SUM_THETAS = [float(t) for t in np.linspace(0.3, math.pi - 0.3, 5)]
+# The second list is np.linspace(0.3, math.pi - 0.3, 5), bit for bit.
+_MODE_SUM_THETAS = [i * ((math.pi - 0.3 - 0.3) / 4) + 0.3 for i in range(4)] + [math.pi - 0.3]
 
 
 def _eval_bc(bc: BoundaryCondition, config: RunConfig) -> BoundaryCondition:
@@ -458,7 +473,7 @@ def _dimreg_quadrature(config: RunConfig) -> float:
         for m_sq in (0.5, 1.0, 4.0):
             analytic.append(dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=N, m_sq=m_sq)))
             numeric.append(dimreg.quadrature_reference(2, N, m_sq))
-    return _worst(np.subtract(analytic, numeric), analytic)
+    return _worst([a - n for a, n in zip(analytic, numeric)], analytic)
 
 
 def _dimreg_scaling(config: RunConfig) -> float:
@@ -474,7 +489,7 @@ def _dimreg_recursion(config: RunConfig) -> float:
         ratio.append(dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N, m_sq=1.3))
                      / dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N - 1.0, m_sq=1.3)))
         expected.append((N - 1.0 - d / 2.0) / ((N - 1.0) * 1.3))
-    return _worst(np.subtract(ratio, expected), expected)
+    return _worst([r - e for r, e in zip(ratio, expected)], expected)
 
 
 def _oracle_transverse_kernel(config: RunConfig) -> float:
@@ -482,6 +497,8 @@ def _oracle_transverse_kernel(config: RunConfig) -> float:
 
     k_n from pi 1e-3 to 40 at eps = 1 and 1/2 in turn, so that a wrong
     power of eps shows: any L."""
+    import numpy as np
+
     kn, closed, numeric = np.geomspace(math.pi * 1e-3, 40.0, 8), [], []
     eps = np.resize([1.0, 0.5], kn.size)
     for field, power in (("phi2", -1), ("phidot2", 1)):
@@ -501,7 +518,7 @@ def _mode_sum_error(field: str, config: RunConfig) -> float:
             point = InteriorPoint.from_theta(plate, theta)
             finite.append(oracle.mode_sum_finite_part(field, bc, plate, point).finite_part)
             closed.append(getattr(expectation_set(_eval_bc(bc, config), plate, point), field))
-    return _worst(np.subtract(finite, closed), closed)
+    return _worst([f - c for f, c in zip(finite, closed)], closed)
 
 
 def _stress_grid(config: RunConfig, mirror: bool = False) -> dict[str, np.ndarray]:
@@ -511,6 +528,8 @@ def _stress_grid(config: RunConfig, mirror: bool = False) -> dict[str, np.ndarra
     pi - theta, for Dirichlet then Neumann plates.
     ``trace_expected`` is -6 s B, s the sign of the plates' true condition.
     """
+    import numpy as np
+
     plate = PlateConfig(config.L)
     theta = np.linspace(0.4, math.pi - 0.4, 100)
     if mirror:
@@ -543,8 +562,7 @@ def _tzz_equals_pressure(config: RunConfig) -> float:
 
 def _mirror_symmetry(config: RunConfig) -> float:
     grid, mirror = _stress_grid(config), _stress_grid(config, mirror=True)
-    return _worst(grid["phidot2"] - mirror["phidot2"],
-                  np.abs(grid["phidot2"]) + np.abs(grid["dzphi2"]))
+    return _worst(grid["phidot2"] - mirror["phidot2"], abs(grid["phidot2"]) + abs(grid["dzphi2"]))
 
 
 def _length_scaling(config: RunConfig) -> float:
@@ -578,7 +596,7 @@ def _single_plate_limit(config: RunConfig) -> float:
     plate, z_near = PlateConfig(config.L), 1e-4 * config.L
     gap = [phi_squared(bc, plate, InteriorPoint.from_z(plate, z_near)) for bc in BoundaryCondition]
     single = [phi_squared_single_plate(bc, z_near) for bc in BoundaryCondition]
-    return _worst(np.subtract(gap, single), single)
+    return _worst([g - s for g, s in zip(gap, single)], single)
 
 
 def _integrated_density(config: RunConfig) -> float:
@@ -593,6 +611,8 @@ def _canonical_density_divergence(config: RunConfig) -> float:
     The canonical density has no finite margin -> 0 limit, so each step
     from margin 0.01 to 0.001 to 0.0001 must grow the quadrature tenfold.
     """
+    import numpy as np
+
     plate = PlateConfig(config.L)
     values = np.abs([[casimir.canonical_density_integral(plate, bc, m) for m in (0.01, 0.001, 0.0001)]
                      for bc in BoundaryCondition])

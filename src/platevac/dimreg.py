@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, PoleError, QuadratureError
 
 __all__ = ["MasterIntegralSpec", "gamma_real", "master_integral", "quadrature_reference"]
@@ -103,6 +101,8 @@ def _half_line_integral(f) -> float:
     beyond the nodes, must be below 1e-11 of the value, or it raises
     :class:`QuadratureError`.
     """
+    import numpy as np
+
     t = np.arange(-6 * 64, 6 * 64 + 1) / 64
     x = np.exp(0.5 * math.pi * np.sinh(t))
     with np.errstate(all="ignore"):
@@ -128,6 +128,8 @@ def quadrature_reference(d: int, N: float, m_sq: float) -> float:
     identities instead.  Requires 2N > d; for 2N - d >= 1/2, N <= 10 and
     m_sq in [1e-6, 1e6] it agrees with the gamma-function form to 2e-15.
     """
+    import numpy as np
+
     if d not in _SPHERE_SURFACE:
         raise DomainError(f"direct quadrature supports d in {{1, 2, 3}}, got {d}")
     if not 2.0 * N > d:

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DomainError
 from .regsum import _check_theta, _f_of_sin2, _require
 from .spectrum import BoundaryCondition, PlateConfig
@@ -146,10 +144,12 @@ def evaluate(pairs, A, t) -> list:
         scale, ratio = pair._plan
         values.append(scale * A if not ratio else ratio * t if not scale
                       else scale * (A + ratio * t))
-    if isinstance(t, np.ndarray):
-        # alpha A of a beta = 0 pair is a float: give it t's shape
-        return [v if isinstance(v, np.ndarray) else np.full_like(t, v) for v in values]
-    return values
+    if isinstance(t, float):
+        return values
+    import numpy as np
+
+    # alpha A of a beta = 0 pair is a float: give it t's shape
+    return [v if isinstance(v, np.ndarray) else np.full_like(t, v) for v in values]
 
 
 def _theta_of_z(config: PlateConfig, z):
@@ -176,7 +176,7 @@ def _ab(L, s2) -> tuple:
     B = scale / 96.0 * _f_of_sin2(s2)
     # No field or tensor component exceeds 6 t, so a finite 6 B keeps
     # every value finite; a NaN fails this too.
-    if isinstance(B, np.ndarray) or not 6.0 * B < math.inf:
+    if not (isinstance(B, float) and 6.0 * B < math.inf):
         _require(6.0 * B < math.inf, s2,
                  "the profile part B overflows at sin^2 theta = {!r}: "
                  "the point is too close to a plate")
@@ -260,6 +260,8 @@ def expectation_columns(
     enough to a plate for B to overflow raises :class:`DomainError`
     here as it does there.
     """
+    import numpy as np
+
     theta = _check_theta(np.asarray(theta, dtype=float))
     s = np.sin(theta)
     s2 = s * s

@@ -47,14 +47,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidConfigError
 from .fluctuations import InteriorPoint
 from .regsum import _FIT_CACHE_SIZE, EpsilonSchedule, FinitePartResult, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition, PlateConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["mode_sum_finite_part", "default_schedule"]
 
@@ -108,6 +109,8 @@ def _kernel_coefficients(field: str, eps):
 
 
 def _transverse_closed(field: str, kn, eps):
+    import numpy as np
+
     coeffs = _kernel_coefficients(field, eps)
     return np.exp(-eps * kn) * sum(c * kn**j for j, c in enumerate(coeffs))
 
@@ -119,6 +122,8 @@ def _regulated_sums(field: str, bc: BoundaryCondition, L: float, theta: float,
     sum_{n>=1} (1 - s cos 2 n theta) T(k_n, eps) / (2 L) with T the
     transverse kernel, as Li_j(q) - s Re Li_j(z) per power of k_n.
     """
+    import numpy as np
+
     eps = np.asarray(eps_values, dtype=np.longdouble)
     a = np.longdouble(math.pi) / np.longdouble(L)
     q = np.exp(-eps * a)

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DomainError,
@@ -46,6 +46,9 @@ from .errors import (
     InvalidConfigError,
     PrecisionError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FinitePartResult",
@@ -69,15 +72,29 @@ __all__ = [
 # Exact rational machinery
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# The largest power the scalar sums evaluate: every Eulerian number of
+# row 171 is a finite double, and row 172 holds one past the double range.
+# zeta_neg_int takes the same powers, so bernoulli stops at index 172.
+_MAX_SCALAR_POWER = 171
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+# typed: a cached B_3 must not answer bernoulli(3.0), which is refused
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n as an exact rational (convention B_1 = -1/2).
 
     Uses the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0, which
-    is exact in rational arithmetic for any n.
+    is exact in rational arithmetic.  Its cost grows as about n^2.6, so
+    n must be an integer in [0, _MAX_SCALAR_POWER + 1], or DomainError.
     """
-    if n < 0:
-        raise DomainError(f"Bernoulli index must be non-negative, got {n}")
+    if not (_is_count(n) and n <= _MAX_SCALAR_POWER + 1):
+        raise DomainError(f"Bernoulli index must be an integer in [0, {_MAX_SCALAR_POWER + 1}], "
+                          f"got {n!r}")
     if n == 0:
         return Fraction(1)
     acc = Fraction(0)
@@ -92,9 +109,11 @@ def zeta_neg_int(k: int) -> Fraction:
     zeta(-k) = (-1)^k B_{k+1} / (k+1).  With B_1 = -1/2 this yields
     zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-3) = 1/120, and the trivial
     zeros zeta(-2m) = 0 through the vanishing odd Bernoulli numbers.
+    k must be an integer in [0, _MAX_SCALAR_POWER], the powers of the
+    scalar sums, or DomainError.
     """
-    if k < 0:
-        raise DomainError(f"zeta_neg_int expects k >= 0, got {k}")
+    if not (_is_count(k) and k <= _MAX_SCALAR_POWER):
+        raise DomainError(f"zeta_neg_int expects an integer k in [0, {_MAX_SCALAR_POWER}], got {k!r}")
     value = bernoulli(k + 1) / (k + 1)
     return -value if k % 2 else value
 
@@ -104,11 +123,15 @@ def zeta_neg_int(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _require(ok, values, message: str) -> None:
-    """DomainError quoting ``values`` unless ``ok``; on arrays, at the first failure."""
-    if isinstance(ok, np.ndarray):
+    """DomainError quoting ``values`` unless ``ok``; on arrays, at the first failure.
+
+    Only an array needs numpy, and none exists before numpy is imported.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(ok, np.ndarray):
         if ok.all():
             return
-        values = values[np.argmin(ok)]
+        values = values[ok.argmin()]
     elif ok:
         return
     raise DomainError(message.format(float(values)))
@@ -120,7 +143,7 @@ def _check_theta(theta):
     The one place an angle is validated: every scalar and array path
     calls it.  DomainError quotes the first angle outside.
     """
-    if not isinstance(theta, np.ndarray) and 0.0 < theta < math.pi:
+    if isinstance(theta, float) and 0.0 < theta < math.pi:
         return theta  # the scalar path, kept to one comparison
     _require((theta > 0.0) & (theta < math.pi), theta,
              "theta must lie strictly between 0 and pi, got {!r}; "
@@ -137,18 +160,30 @@ def _f_of_sin2(s2):
     return (3.0 / s2 - 2.0) / s2
 
 
-def f_theta(theta: float) -> float:
-    """Profile function 3/sin^4(theta) - 2/sin^2(theta), minimum 1 at pi/2."""
+def _scalar_of_sin2(theta: float, of_sin2) -> float:
+    """``of_sin2(sin^2 theta)`` at one angle inside (0, pi), if it is a finite double.
+
+    DomainError where sin^2 theta underflows to 0 or the value
+    overflows: the angle is too close to a plate.
+    """
     _check_theta(theta)
     s = math.sin(theta)
-    return _f_of_sin2(s * s)
+    s2 = s * s
+    value = of_sin2(s2) if s2 > 0.0 else math.inf
+    if not abs(value) < math.inf:
+        raise DomainError(f"the sum overflows at theta = {theta!r}: the angle is too close "
+                          "to a plate")
+    return value
+
+
+def f_theta(theta: float) -> float:
+    """Profile function 3/sin^4(theta) - 2/sin^2(theta), minimum 1 at pi/2."""
+    return _scalar_of_sin2(theta, _f_of_sin2)
 
 
 def trig_sum_n_cos(theta: float) -> float:
     """Regularized value of sum_{n>=1} n cos(2 n theta) = -1/(4 sin^2 theta)."""
-    _check_theta(theta)
-    s = math.sin(theta)
-    return -0.25 / (s * s)
+    return _scalar_of_sin2(theta, lambda s2: -0.25 / s2)
 
 
 def trig_sum_n3_cos(theta: float) -> float:
@@ -186,11 +221,6 @@ def _power_series(k: int, x, one_minus_x):
     for a in reversed(_eulerian_row(k)):
         poly = poly * x + a
     return x * poly / one_minus_x ** (k + 1)
-
-
-# The largest power the scalar sums evaluate: every Eulerian number of
-# row 171 is a finite double, and row 172 holds one past the double range.
-_MAX_SCALAR_POWER = 171
 
 
 def _scalar_power_series(k: int, x, one_minus_x, what: str, arg):
@@ -249,10 +279,16 @@ def extrapolate_to_zero(hs: list[float], ys: list[float]) -> tuple[float, list[f
     Nodes must be ordered with h decreasing.  Returns the highest-order
     extrapolant together with the diagonal of the tableau (the sequence
     of estimates of increasing order), which callers use to judge
-    convergence.
+    convergence.  Raises InvalidConfigError for no nodes or for steps
+    that do not decrease strictly, DomainError for a value that is not
+    a finite double, given or extrapolated.
     """
     if len(hs) != len(ys):
         raise InvalidConfigError("node and value lists must have equal length")
+    if not hs or any(b >= a for a, b in zip(hs, hs[1:])):
+        raise InvalidConfigError(f"steps must be given and decrease strictly, got {hs!r}")
+    if not all(math.isfinite(v) for v in (*hs, *ys)):
+        raise DomainError("extrapolation needs finite steps and values")
     n = len(hs)
     p = list(ys)
     diagonal = [p[0]]
@@ -261,6 +297,8 @@ def extrapolate_to_zero(hs: list[float], ys: list[float]) -> tuple[float, list[f
             denom = hs[i + m] - hs[i]
             p[i] = (hs[i + m] * p[i] - hs[i] * p[i + 1]) / denom
         diagonal.append(p[0])
+    if not math.isfinite(p[0]):
+        raise DomainError(f"the extrapolant {p[0]!r} is not a finite double")
     return p[0], diagonal
 
 
@@ -338,15 +376,10 @@ class FinitePartResult:
 
 
 # The most float64 elements a numpy array can hold: its byte size must fit
-# in a signed pointer-sized integer.  Past it numpy's constructors raise
+# in a signed pointer-sized integer (numpy's intp, sys.maxsize).  Past it numpy's constructors raise
 # assorted errors or wrap the size around, so a larger size is refused
 # before numpy sees it.
-_MAX_FLOATS = np.iinfo(np.intp).max // 8
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is a non-negative integer (a bool is not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+_MAX_FLOATS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -387,6 +420,8 @@ class EpsilonSchedule:
         fit_basis_degree: int = 2,
     ) -> "EpsilonSchedule":
         """Logarithmically spaced schedule, returned largest-to-smallest."""
+        import numpy as np
+
         if not 0.0 < smallest < largest < math.inf:
             raise InvalidConfigError(
                 f"need 0 < smallest < largest < inf, got {smallest!r} and {largest!r}"
@@ -412,6 +447,8 @@ _LONGDOUBLE_EPS_MAX = 1e-18
 
 def _require_long_double() -> None:
     """Raise PrecisionError unless long double is 80-bit or wider."""
+    import numpy as np
+
     ld_eps = float(np.finfo(np.longdouble).eps)
     if not ld_eps <= _LONGDOUBLE_EPS_MAX:
         raise PrecisionError(
@@ -430,6 +467,8 @@ def _householder_factor(design: np.ndarray) -> tuple[tuple, np.ndarray]:
     ``reflectors`` holds (j, v_j, 2/|v_j|^2) for each column j whose
     reflector is applied, in order, for :func:`_householder_solve`.
     """
+    import numpy as np
+
     a = design.copy()
     m, n = a.shape
     reflectors = []
@@ -462,6 +501,8 @@ def _householder_solve(factor: tuple[tuple, np.ndarray], rhs: np.ndarray) -> np.
     Applies the reflectors to ``rhs`` as the factorization applied them
     to the design, then back-substitutes through R.
     """
+    import numpy as np
+
     reflectors, r = factor
     b = rhs.copy()
     for j, v, scale in reflectors:
@@ -486,6 +527,8 @@ def _schedule_fit(eps_values: tuple, degree: int) -> tuple:
     ``degree`` in tau = eps/eps_max.  Filled on first use; a schedule
     that cannot be factored raises on every call, as nothing is cached.
     """
+    import numpy as np
+
     eps = np.asarray(eps_values, dtype=np.longdouble)
     tau = eps / eps.max()
     design = np.vander(tau, degree + 1, increasing=True)
@@ -522,6 +565,8 @@ def fit_finite_part(
     done once per schedule (:func:`_schedule_fit`); each call replays its
     reflectors on the data, the same operations a one-pass solve does.
     """
+    import numpy as np
+
     if not _is_count(max_divergent_power):
         raise InvalidConfigError(
             f"max divergent power must be a non-negative integer, got {max_divergent_power!r}"

@@ -16,6 +16,7 @@ plus-minus pair (Dirichlet), -1 the lower sign (Neumann).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,11 +57,18 @@ class PlateConfig:
 
 
 def k_n(config: PlateConfig, n: int) -> float:
-    """Longitudinal wavenumber k_n = n pi / L, n >= 1.
+    """Longitudinal wavenumber k_n = n pi / L, for an integer n >= 1 (not a bool).
 
     The n = 0 Neumann mode is constant in space and contributes nothing,
-    so n starts at 1 for both boundary conditions.
+    so n starts at 1 for both boundary conditions.  A k_n past the
+    double range raises DomainError.
     """
-    if n < 1:
-        raise DomainError(f"mode number must be >= 1, got {n}")
-    return n * math.pi / config.L
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"mode number must be an integer >= 1, got {n!r}")
+    try:
+        value = n * math.pi / config.L
+    except OverflowError:  # an int past the double range
+        value = math.inf
+    if not value < math.inf:
+        raise DomainError(f"k_n is past the double range for L = {config.L!r}")
+    return value

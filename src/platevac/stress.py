@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConsistencyError
 from .fluctuations import FIELD_PAIRS, ABPair, FluctuationSet, Pair, evaluate
 
@@ -93,5 +91,10 @@ def stress_report(fluct: FluctuationSet, ab: ABPair) -> StressReport:
     B >= pi^2/(96 L^4) > 0.
     """
     d = fluct.dlambda_phi2
-    t = np.copysign(ab.B, d) if isinstance(d, np.ndarray) else math.copysign(ab.B, d)
+    if isinstance(d, float):
+        t = math.copysign(ab.B, d)
+    else:
+        import numpy as np
+
+        t = np.copysign(ab.B, d)
     return StressReport(*evaluate(_COMPONENTS.values(), ab.A, t))

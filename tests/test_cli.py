@@ -448,6 +448,14 @@ class TestEnergyCommand:
         _, second, _ = _run(argv, capsys)
         assert first == second
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bc, length", [("dirichlet", "0.77"), ("neumann", "3.1")])
+    def test_golden_output(self, bc, length, fmt, capsys):
+        # pinned while the density integral still summed a numpy array
+        code, out, _ = _run(["energy", "--bc", bc, "--length", length, "--format", fmt], capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"energy_{bc}_L{length}.{fmt}").read_text()
+
 
 class TestVerifyCommand:
     def test_output_contract(self, capsys):
@@ -462,6 +470,12 @@ class TestVerifyCommand:
             for c in VERIFY_CHECKS
         ]
         assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
+
+    def test_mode_sum_angles_are_linspace(self):
+        # written without numpy, bit for bit what np.linspace gives
+        expected = np.linspace(0.3, math.pi - 0.3, 5)
+        assert np.array(cli._MODE_SUM_THETAS).view(np.uint64).tolist() == \
+            expected.view(np.uint64).tolist()
 
     def test_golden_report(self, capsys):
         # every measured value to the printed digit, at an L where a wrong
@@ -581,21 +595,72 @@ class TestSeparationDomain:
         assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
 
 
+def _probe(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports platevac and perfbench from this tree."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=root, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
 def test_import_leaves_scipy_unloaded():
     # platevac needs numpy alone: a full verify runs where importing scipy fails
-    root = Path(__file__).resolve().parents[1]
     probe = ("import sys; sys.modules['scipy'] = None; import platevac.cli; "
              "code = platevac.cli.main(['verify']); "
              "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod)); "
              "sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-                          timeout=60)
+    proc = _probe(probe)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *report, summary, modules = proc.stdout.splitlines()
     assert all(line.startswith("PASS ") for line in report)
     assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
     assert modules == "[]"
+
+
+# Where importing numpy fails: the scalar API, in point_worker's call
+# sequence and through every other scalar entry point, and energy in both
+# formats.  Prints the numpy modules loaded at the end.
+NUMPY_FREE_PROBE = """
+import random, sys
+sys.modules["numpy"] = None
+import platevac, platevac.cli, point_worker
+bcs = {1: platevac.BoundaryCondition.DIRICHLET, -1: platevac.BoundaryCondition.NEUMANN}
+points = point_worker.make_points(random.Random(16), 200)
+failed = [r for r in point_worker.evaluate(platevac, bcs, points) if isinstance(r, Exception)]
+assert failed == [], failed
+plate = platevac.PlateConfig(0.77)
+point = platevac.InteriorPoint.from_theta(plate, 1.1)
+for bc in platevac.BoundaryCondition:
+    platevac.phi_squared(bc, plate, point)
+    platevac.phi_squared_single_plate(bc, 0.1)
+    platevac.integrated_density_check(plate, bc)
+platevac.total_energy(plate), platevac.pressure(plate), platevac.em_reference(plate)
+platevac.f_theta(1.1), platevac.trig_sum_n_cos(1.1), platevac.trig_sum_n3_cos(1.1)
+platevac.zeta_neg_int(3), platevac.abel_sum_oracle(3, 1.1)
+platevac.master_integral(platevac.MasterIntegralSpec(2.0, -0.5, 1.0))
+for fmt in ("csv", "json"):
+    assert platevac.cli.main(["energy", "--length", "0.77", "--format", fmt]) == 0
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod))
+"""
+
+
+def test_scalar_api_and_energy_run_without_numpy():
+    proc = _probe(NUMPY_FREE_PROBE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *energy, modules = proc.stdout.splitlines()
+    golden = [(GOLDEN / f"energy_dirichlet_L0.77.{fmt}").read_text() for fmt in ("csv", "json")]
+    assert "\n".join(energy) + "\n" == "".join(golden)
+    assert modules == "[]"
+
+
+@pytest.mark.parametrize("argv", [["profile", "--points", "3"], ["verify"]])
+def test_array_commands_import_numpy(argv):
+    # import platevac.cli alone leaves numpy unloaded; profile and verify load it
+    proc = _probe("import sys, platevac.cli; before = 'numpy' in sys.modules; "
+                  f"code = platevac.cli.main({argv!r}); "
+                  "print(before, 'numpy' in sys.modules); sys.exit(code)")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True"
 
 
 class TestDirectInvocation:

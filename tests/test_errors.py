@@ -46,6 +46,27 @@ TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
     lambda: regsum.EpsilonSchedule.log_spaced(1e-3, 1e-1, 10**15),
     lambda: spectrum.k_n(PLATE, 0),
     lambda: dimreg.master_integral(dimreg.MasterIntegralSpec(3.0, 10.0, 1e-300)),
+    # sin^2 theta underflows to 0, or the value overflows, near a plate
+    *(lambda f=f, theta=theta: f(theta)
+      for f in (regsum.f_theta, regsum.trig_sum_n_cos, regsum.trig_sum_n3_cos)
+      for theta in (1e-200, 1e-320)),
+    lambda: regsum.f_theta(1e-100),
+    lambda: spectrum.k_n(PLATE, math.inf),
+    lambda: spectrum.k_n(PLATE, math.nan),
+    lambda: spectrum.k_n(PLATE, 1.5),
+    lambda: spectrum.k_n(PLATE, True),
+    lambda: spectrum.k_n(PLATE, 10**400),
+    lambda: regsum.extrapolate_to_zero([], []),
+    lambda: regsum.extrapolate_to_zero([0.5, 0.5], [1.0, 2.0]),
+    lambda: regsum.extrapolate_to_zero([0.5, 0.25], [math.nan, 1.0]),
+    lambda: regsum.extrapolate_to_zero([1.0, 0.5], [1e308, -1e308]),
+    lambda: regsum.zeta_neg_int(3.0),
+    lambda: regsum.zeta_neg_int(regsum._MAX_SCALAR_POWER + 1),
+    # refused before any recursion: the recurrence would never return
+    lambda: regsum.zeta_neg_int(10**400),
+    lambda: regsum.bernoulli(2.0),
+    lambda: regsum.bernoulli(True),
+    lambda: regsum.bernoulli(regsum._MAX_SCALAR_POWER + 2),
 ], ids=[
     "canonical_density_integral", "bernoulli", "zeta_neg_int", "geometric_power_sum",
     "geometric_power_sum-nan", "exp_cutoff_power_sum-negative-k",
@@ -57,10 +78,28 @@ TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
     "log_spaced-fractional-degree", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs",
     "log_spaced-count",
     "k_n", "master_integral",
+    *(f"{name}-{theta}" for name in ("f_theta", "trig_sum_n_cos", "trig_sum_n3_cos")
+      for theta in ("1e-200", "1e-320")),
+    "f_theta-overflow", "k_n-inf", "k_n-nan", "k_n-fractional", "k_n-bool", "k_n-huge",
+    "extrapolate_to_zero-empty", "extrapolate_to_zero-repeated-step", "extrapolate_to_zero-nan",
+    "extrapolate_to_zero-overflow", "zeta_neg_int-float", "zeta_neg_int-above-bound",
+    "zeta_neg_int-huge", "bernoulli-float", "bernoulli-bool", "bernoulli-above-bound",
 ])
 def test_bad_argument_raises_library_error(call):
     with pytest.raises(PlateVacError):
         call()
+
+
+def test_a_cached_bernoulli_number_does_not_answer_a_float_index():
+    assert regsum.bernoulli(3) == 0
+    with pytest.raises(PlateVacError):
+        regsum.bernoulli(3.0)
+
+
+def test_the_bound_itself_is_evaluated():
+    # zeta(-171) = -B_172 / 172 > 0: B_172, the last Bernoulli number the
+    # bound admits, is negative
+    assert regsum.zeta_neg_int(regsum._MAX_SCALAR_POWER) > 0
 
 
 def test_no_bare_value_error_in_the_package():

@@ -170,7 +170,7 @@ class TestClosedFormSums:
         # a platform whose long double is a plain double
         real_finfo = np.finfo
         monkeypatch.setattr(
-            oracle.np, "finfo",
+            np, "finfo",
             lambda dtype: real_finfo(np.float64) if dtype is np.longdouble else real_finfo(dtype),
         )
         with pytest.raises(PrecisionError):
