@@ -14,7 +14,7 @@ from .casimir import (
     pressure,
     total_energy,
 )
-from .dimreg import MasterIntegralSpec, gamma_real, master_integral, quadrature_reference
+from .dimreg import gamma_real, master_integral, quadrature_reference
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -50,5 +50,17 @@ from .regsum import (
 )
 from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import StressReport, stress_report
+
+__all__ = [
+    "canonical_density_integral", "em_reference", "integrated_density_check", "pressure",
+    "total_energy", "gamma_real", "master_integral", "quadrature_reference", "ConsistencyError",
+    "DomainError", "ExtrapolationDivergenceError", "IllConditionedFitError", "InvalidConfigError",
+    "PlateVacError", "PoleError", "PrecisionError", "QuadratureError", "ABPair", "FluctuationSet",
+    "InteriorPoint", "ab_values", "expectation_columns", "expectation_set", "phi_squared",
+    "phi_squared_single_plate", "mode_sum_finite_part", "EpsilonSchedule", "FinitePartResult",
+    "abel_sum_oracle", "bernoulli", "cutoff_sum_oracle", "f_theta", "trig_sum_n3_cos",
+    "trig_sum_n_cos", "zeta_neg_int", "BoundaryCondition", "PlateConfig", "k_n", "StressReport",
+    "stress_report",
+]
 
 __version__ = "0.1.0"

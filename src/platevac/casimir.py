@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .dimreg import MasterIntegralSpec, master_integral
-from .errors import ConsistencyError, DomainError
+from .dimreg import master_integral
+from .errors import ConsistencyError, DomainError, _quoted
 from .fluctuations import InteriorPoint, ab_values, expectation_columns, expectation_set
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
@@ -37,9 +37,7 @@ def total_energy(config: PlateConfig) -> float:
     coefficient times the exact zeta(-3) and cross-checked against the
     closed constant.
     """
-    per_mode = 0.5 * master_integral(
-        MasterIntegralSpec(d=2.0, N=-0.5, m_sq=k_n(config, 1) ** 2)
-    )
+    per_mode = 0.5 * master_integral(2.0, -0.5, k_n(config, 1) ** 2)
     energy = per_mode * float(zeta_neg_int(3))
     closed = -math.pi ** 2 / (1440.0 * config.L ** 3)
     if not abs(energy - closed) <= _PIPELINE_RTOL * abs(closed):
@@ -103,7 +101,7 @@ def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margi
     import numpy as np
 
     if not 0.0 < margin < 0.5:
-        raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
+        raise DomainError(f"margin must lie in (0, 0.5), got {_quoted(margin)}")
     lo = margin * config.L
     width = config.L - 2.0 * lo
     h = width / _CANONICAL_GRID_POINTS

@@ -471,23 +471,22 @@ def _dimreg_quadrature(config: RunConfig) -> float:
     analytic, numeric = [], []
     for N in (1.5, 2.0, 3.0):
         for m_sq in (0.5, 1.0, 4.0):
-            analytic.append(dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=N, m_sq=m_sq)))
+            analytic.append(dimreg.master_integral(2.0, N, m_sq))
             numeric.append(dimreg.quadrature_reference(2, N, m_sq))
     return _worst([a - n for a, n in zip(analytic, numeric)], analytic)
 
 
 def _dimreg_scaling(config: RunConfig) -> float:
     lam = 3.7
-    a = dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=2.0, m_sq=lam * 1.3))
-    b = lam ** (1.0 - 2.0) * dimreg.master_integral(dimreg.MasterIntegralSpec(d=2.0, N=2.0, m_sq=1.3))
+    a = dimreg.master_integral(2.0, 2.0, lam * 1.3)
+    b = lam ** (1.0 - 2.0) * dimreg.master_integral(2.0, 2.0, 1.3)
     return _worst(a - b, a)
 
 
 def _dimreg_recursion(config: RunConfig) -> float:
     ratio, expected = [], []
     for d, N in ((2.0, 3.0), (2.0, -0.5), (3.0, 3.0), (2.5, 0.3)):
-        ratio.append(dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N, m_sq=1.3))
-                     / dimreg.master_integral(dimreg.MasterIntegralSpec(d=d, N=N - 1.0, m_sq=1.3)))
+        ratio.append(dimreg.master_integral(d, N, 1.3) / dimreg.master_integral(d, N - 1.0, 1.3))
         expected.append((N - 1.0 - d / 2.0) / ((N - 1.0) * 1.3))
     return _worst([r - e for r, e in zip(ratio, expected)], expected)
 

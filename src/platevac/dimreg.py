@@ -12,16 +12,17 @@ itself rather than through subtractions of divergent integrands.
 
 For genuinely convergent integer-dimensional cases a direct radial
 quadrature, by the double-exponential rule, is an independent cross-check.
+Both take d, N and m^2 as plain numbers and share one argument check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, PoleError, QuadratureError
+from .errors import DomainError, PoleError, QuadratureError, _quoted
+from .regsum import _is_finite
 
-__all__ = ["MasterIntegralSpec", "gamma_real", "master_integral", "quadrature_reference"]
+__all__ = ["gamma_real", "master_integral", "quadrature_reference"]
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -36,8 +37,8 @@ def gamma_real(x: float) -> float:
     whose Gamma overflows a double (x above about 171.6) or that are not
     finite raise :class:`DomainError`.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"gamma_real needs a finite argument, got {x}")
+    if not _is_finite(x):
+        raise DomainError(f"gamma_real needs a finite argument, got {_quoted(x)}")
     if _is_nonpositive_integer(x):
         raise PoleError(f"Gamma has a pole at {x}")
     try:
@@ -46,45 +47,42 @@ def gamma_real(x: float) -> float:
         raise DomainError(f"Gamma({x}) overflows a double") from None
 
 
-@dataclass(frozen=True)
-class MasterIntegralSpec:
-    """Continued dimension d, propagator power N, and mass parameter m^2."""
-
-    d: float
-    N: float
-    m_sq: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.d) and math.isfinite(self.N)):
-            raise DomainError(f"d and N must be finite, got d = {self.d}, N = {self.N}")
-        if not 0.0 < self.m_sq < math.inf:
-            raise DomainError(f"m_sq must be positive and finite, got {self.m_sq}")
+def _check_integral(d: float, N: float, m_sq: float) -> None:
+    """DomainError unless d and N are finite and m_sq lies in (0, inf); 10**400 is not finite."""
+    if not (_is_finite(d) and _is_finite(N)):
+        raise DomainError(f"d and N must be finite, got d = {_quoted(d)}, N = {_quoted(N)}")
+    if not (_is_finite(m_sq) and m_sq > 0.0):
+        raise DomainError(f"m_sq must be positive and finite, got {_quoted(m_sq)}")
 
 
-def master_integral(spec: MasterIntegralSpec) -> float:
-    """Evaluate the continued momentum integral for the given spec.
+def master_integral(d: float, N: float, m_sq: float) -> float:
+    """The continued momentum integral I(d, N, m^2) in closed form.
 
-    Raises :class:`PoleError` when N - d/2 hits a non-positive integer;
-    that signals a case needing a different regularization, not a
-    numerical failure.  When N itself is a non-positive integer the
-    reciprocal gamma vanishes and the continued value is zero.  A value
-    that is not a finite double raises :class:`DomainError`.
+    d and N must be finite and m_sq must lie in (0, inf), or
+    :class:`DomainError`.  Raises :class:`PoleError` when N - d/2 hits a
+    non-positive integer; that signals a case needing a different
+    regularization, not a numerical failure.  When N itself is a
+    non-positive integer the reciprocal gamma vanishes and the continued
+    value is zero.  A value that is not a finite double raises
+    :class:`DomainError`.
     """
-    a = spec.N - spec.d / 2.0
+    _check_integral(d, N, m_sq)
+    a = N - d / 2.0
     if _is_nonpositive_integer(a):
         raise PoleError(
             f"master integral pole: N - d/2 = {a} is a non-positive integer"
         )
-    if _is_nonpositive_integer(spec.N):
+    if _is_nonpositive_integer(N):
         return 0.0
     try:
-        prefactor = gamma_real(a) / ((4.0 * math.pi) ** (spec.d / 2.0) * gamma_real(spec.N))
+        prefactor = gamma_real(a) / ((4.0 * math.pi) ** (d / 2.0) * gamma_real(N))
         # float(): a numpy m_sq would overflow to inf instead of raising
-        value = prefactor * float(spec.m_sq) ** (spec.d / 2.0 - spec.N)
+        value = prefactor * float(m_sq) ** (d / 2.0 - N)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"the master integral at {spec} is not a finite double")
+        raise DomainError(f"the master integral at (d, N, m_sq) = {d, N, m_sq} "
+                          "is not a finite double")
     return value
 
 
@@ -131,10 +129,10 @@ def quadrature_reference(d: int, N: float, m_sq: float) -> float:
     import numpy as np
 
     if d not in _SPHERE_SURFACE:
-        raise DomainError(f"direct quadrature supports d in {{1, 2, 3}}, got {d}")
+        raise DomainError(f"direct quadrature supports d in {{1, 2, 3}}, got {_quoted(d)}")
+    _check_integral(d, N, m_sq)
     if not 2.0 * N > d:
         raise DomainError(f"integral diverges for 2N <= d (N={N}, d={d})")
-    MasterIntegralSpec(d, N, m_sq)  # the one place m_sq is validated
 
     def integrand(k):  # k^(d-1) (k^2 + m_sq)^-N, no power overflowing for k^2 > m_sq
         k_sq = k * k

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all platevac modules."""
+"""Exception hierarchy shared by all platevac modules, and how an error quotes an argument."""
 
 
 class PlateVacError(Exception):
@@ -42,3 +42,15 @@ class ConsistencyError(PlateVacError, ArithmeticError):
 
 class InvalidConfigError(PlateVacError, ValueError):
     """A runtime configuration violates its declared invariants."""
+
+
+def _quoted(value) -> str:
+    """``repr(value)`` for an error message, a numpy float as a plain float.
+
+    An int too long for Python to write out (past 4300 digits) is quoted by its size.
+    """
+    try:
+        return repr(float(value) if isinstance(value, float) else value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError
-from .regsum import _check_theta, _f_of_sin2, _require
+from .errors import DomainError, _quoted
+from .regsum import _check_theta, _f_of_sin2, _is_finite, _require
 from .spectrum import BoundaryCondition, PlateConfig
 
 __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
@@ -63,7 +63,11 @@ class InteriorPoint:
 
     @classmethod
     def from_theta(cls, config: PlateConfig, theta: float) -> "InteriorPoint":
-        return cls(z=theta * config.L / math.pi, theta=theta)
+        try:
+            z = theta * config.L / math.pi
+        except OverflowError:  # an int past the double range, which the check refuses
+            z = math.inf
+        return cls(z=z, theta=theta)
 
 
 @dataclass
@@ -178,7 +182,7 @@ def _ab(L, s2) -> tuple:
     # every value finite; a NaN fails this too.
     if not (isinstance(B, float) and 6.0 * B < math.inf):
         _require(6.0 * B < math.inf, s2,
-                 "the profile part B overflows at sin^2 theta = {!r}: "
+                 "the profile part B overflows at sin^2 theta = {}: "
                  "the point is too close to a plate")
     return scale / 1440.0, B
 
@@ -215,8 +219,8 @@ def phi_squared_single_plate(bc: BoundaryCondition, z: float) -> float:
     ``z`` must be positive and finite; where the value overflows,
     DomainError.
     """
-    if not 0.0 < z < math.inf:
-        raise DomainError(f"distance from the plate must be positive and finite, got {z}")
+    if not (_is_finite(z) and z > 0.0):
+        raise DomainError(f"distance from the plate must be positive and finite, got {_quoted(z)}")
     denominator = 16.0 * math.pi ** 2 * z * z
     if denominator > 0.0:  # z * z underflows to 0 below z ~ 1e-162
         value = -bc.sign_upper / denominator
@@ -265,7 +269,7 @@ def expectation_columns(
     theta = _check_theta(np.asarray(theta, dtype=float))
     s = np.sin(theta)
     s2 = s * s
-    _require(s2 > 0.0, theta, "sin^2 theta underflows to 0 at theta = {!r}")
+    _require(s2 > 0.0, theta, "sin^2 theta underflows to 0 at theta = {}")
     with np.errstate(over="ignore", invalid="ignore"):
         A, B = _ab(config.L, s2)
     return _fluctuations(bc.sign_upper, config.L, s2, A, B), ABPair(A, B)

@@ -20,7 +20,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, InvalidConfigError
+from .errors import DomainError, InvalidConfigError, _quoted
 
 __all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "k_n"]
 
@@ -52,7 +52,7 @@ class PlateConfig:
     def __post_init__(self) -> None:
         if not L_MIN <= self.L <= L_MAX:
             raise InvalidConfigError(
-                f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {self.L}"
+                f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {_quoted(self.L)}"
             )
 
 
@@ -64,7 +64,7 @@ def k_n(config: PlateConfig, n: int) -> float:
     double range raises DomainError.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"mode number must be an integer >= 1, got {n!r}")
+        raise DomainError(f"mode number must be an integer >= 1, got {_quoted(n)}")
     try:
         value = n * math.pi / config.L
     except OverflowError:  # an int past the double range

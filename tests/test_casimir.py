@@ -41,7 +41,7 @@ class TestTotalEnergy:
         assert total_energy(PlateConfig(L)) == pytest.approx(-math.pi**2 / denominator, rel=1e-13)
 
     def test_nan_pipeline_raises(self, monkeypatch):
-        monkeypatch.setattr(casimir, "master_integral", lambda spec: math.nan)
+        monkeypatch.setattr(casimir, "master_integral", lambda d, N, m_sq: math.nan)
         with pytest.raises(ConsistencyError):
             total_energy(PlateConfig(1.0))
 

@@ -637,7 +637,7 @@ for bc in platevac.BoundaryCondition:
 platevac.total_energy(plate), platevac.pressure(plate), platevac.em_reference(plate)
 platevac.f_theta(1.1), platevac.trig_sum_n_cos(1.1), platevac.trig_sum_n3_cos(1.1)
 platevac.zeta_neg_int(3), platevac.abel_sum_oracle(3, 1.1)
-platevac.master_integral(platevac.MasterIntegralSpec(2.0, -0.5, 1.0))
+platevac.master_integral(2.0, -0.5, 1.0)
 for fmt in ("csv", "json"):
     assert platevac.cli.main(["energy", "--length", "0.77", "--format", fmt]) == 0
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod))

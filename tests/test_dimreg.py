@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from platevac import dimreg
 from platevac.cli import VERIFY_CHECKS, RunConfig
-from platevac.dimreg import MasterIntegralSpec, gamma_real, master_integral, quadrature_reference
+from platevac.dimreg import gamma_real, master_integral, quadrature_reference
 from platevac.errors import DomainError, PlateVacError, PoleError, QuadratureError
 from platevac.spectrum import BoundaryCondition
 
@@ -73,16 +73,16 @@ class TestMasterIntegral:
     def test_vacuum_energy_case(self):
         # d=2, N=-1/2: Gamma(-3/2)/Gamma(-1/2) = -2/3 gives -m^3/(6 pi)
         m = 1.7
-        value = master_integral(MasterIntegralSpec(d=2.0, N=-0.5, m_sq=m * m))
+        value = master_integral(2.0, -0.5, m * m)
         assert value == pytest.approx(-(m**3) / (6.0 * math.pi), rel=1e-13)
 
     def test_half_power_case(self):
         m = 0.6
-        value = master_integral(MasterIntegralSpec(d=2.0, N=0.5, m_sq=m * m))
+        value = master_integral(2.0, 0.5, m * m)
         assert value == pytest.approx(-m / (2.0 * math.pi), rel=1e-13)
 
     def test_convergent_case_against_quadrature(self):
-        analytic = master_integral(MasterIntegralSpec(d=2.0, N=2.0, m_sq=1.0))
+        analytic = master_integral(2.0, 2.0, 1.0)
         assert analytic == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13)
         numeric = quadrature_reference(2, 2.0, 1.0)
         assert analytic == pytest.approx(numeric, rel=1e-8)
@@ -90,13 +90,13 @@ class TestMasterIntegral:
     @pytest.mark.parametrize("N", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("m_sq", [0.5, 1.0, 4.0])
     def test_quadrature_grid(self, N, m_sq):
-        analytic = master_integral(MasterIntegralSpec(d=2.0, N=N, m_sq=m_sq))
+        analytic = master_integral(2.0, N, m_sq)
         numeric = quadrature_reference(2, N, m_sq)
         assert analytic == pytest.approx(numeric, rel=1e-8)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_quadrature_other_integer_dimensions(self, d):
-        analytic = master_integral(MasterIntegralSpec(d=float(d), N=2.0, m_sq=1.3))
+        analytic = master_integral(float(d), 2.0, 1.3)
         numeric = quadrature_reference(d, 2.0, 1.3)
         assert analytic == pytest.approx(numeric, rel=1e-8)
 
@@ -104,9 +104,7 @@ class TestMasterIntegral:
     @pytest.mark.parametrize("m_sq", [0.5, 2.0])
     def test_recursion_identity(self, d, N, m_sq):
         # I(d, N) / I(d, N-1) = (N - 1 - d/2) / ((N - 1) m^2)
-        ratio = master_integral(MasterIntegralSpec(d=d, N=N, m_sq=m_sq)) / master_integral(
-            MasterIntegralSpec(d=d, N=N - 1.0, m_sq=m_sq)
-        )
+        ratio = master_integral(d, N, m_sq) / master_integral(d, N - 1.0, m_sq)
         expected = (N - 1.0 - d / 2.0) / ((N - 1.0) * m_sq)
         assert ratio == pytest.approx(expected, rel=1e-10)
 
@@ -116,32 +114,30 @@ class TestMasterIntegral:
     )
     @settings(max_examples=60, deadline=None)
     def test_dimensional_scaling(self, lam, m_sq):
-        spec = MasterIntegralSpec(d=2.0, N=2.0, m_sq=m_sq)
-        scaled = MasterIntegralSpec(d=2.0, N=2.0, m_sq=lam * m_sq)
-        expected = lam ** (2.0 / 2.0 - 2.0) * master_integral(spec)
-        assert master_integral(scaled) == pytest.approx(expected, rel=1e-12)
+        expected = lam ** (2.0 / 2.0 - 2.0) * master_integral(2.0, 2.0, m_sq)
+        assert master_integral(2.0, 2.0, lam * m_sq) == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_pole_raises(self):
         with pytest.raises(PoleError):
-            master_integral(MasterIntegralSpec(d=4.0, N=2.0, m_sq=1.0))
+            master_integral(4.0, 2.0, 1.0)
         with pytest.raises(PoleError):
-            master_integral(MasterIntegralSpec(d=6.0, N=1.0, m_sq=1.0))
+            master_integral(6.0, 1.0, 1.0)
 
     def test_reciprocal_gamma_zero(self):
         # 1/Gamma(N) vanishes at non-positive integer N: continued value 0
-        assert master_integral(MasterIntegralSpec(d=3.0, N=0.0, m_sq=1.0)) == 0.0
+        assert master_integral(3.0, 0.0, 1.0) == 0.0
 
-    def test_spec_validation(self):
+    def test_mass_validation(self):
         with pytest.raises(ValueError):
-            MasterIntegralSpec(d=2.0, N=1.0, m_sq=0.0)
+            master_integral(2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            MasterIntegralSpec(d=2.0, N=1.0, m_sq=-1.0)
+            master_integral(2.0, 1.0, -1.0)
 
     @pytest.mark.parametrize("d, N", [(math.inf, 1.0), (2.0, -math.inf), (math.nan, 1.0)])
     def test_non_finite_dimension_or_power_rejected(self, d, N):
         # -inf used to reach round() in the pole test and raise OverflowError
         with pytest.raises(DomainError):
-            MasterIntegralSpec(d=d, N=N, m_sq=1.0)
+            master_integral(d, N, 1.0)
 
     @pytest.mark.parametrize("spec", [(3.0, 10.0, 1e-300), (2.0, -0.5, 1e300)])
     @pytest.mark.parametrize("number", [float, np.float64])
@@ -149,14 +145,14 @@ class TestMasterIntegral:
         # m_sq ** (d/2 - N) overflows: a float raised OverflowError, a numpy float returned inf
         d, N, m_sq = spec
         with pytest.raises(DomainError, match="not a finite double"):
-            master_integral(MasterIntegralSpec(d=d, N=N, m_sq=number(m_sq)))
+            master_integral(d, N, number(m_sq))
 
     @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     @settings(max_examples=300, deadline=None)
     def test_any_spec_is_finite_or_library_error(self, d, N, m_sq):
         try:
-            value = master_integral(MasterIntegralSpec(d=d, N=N, m_sq=m_sq))
+            value = master_integral(d, N, m_sq)
         except PlateVacError:
             return
         assert math.isfinite(value)
@@ -184,9 +180,9 @@ class TestQuadratureReference:
         lambda: quadrature_reference(2, 2.0, -1.0),
         lambda: quadrature_reference(2, 2.0, math.nan),
         lambda: quadrature_reference(2, 2.0, math.inf),
-        lambda: MasterIntegralSpec(d=2.0, N=1.0, m_sq=0.0),
-        lambda: MasterIntegralSpec(d=2.0, N=1.0, m_sq=math.nan),
-        lambda: MasterIntegralSpec(d=2.0, N=1.0, m_sq=math.inf),
+        lambda: master_integral(2.0, 1.0, 0.0),
+        lambda: master_integral(2.0, 1.0, math.nan),
+        lambda: master_integral(2.0, 1.0, math.inf),
     ])
     def test_bad_input_raises_library_error(self, call):
         with pytest.raises(PlateVacError):
@@ -202,7 +198,7 @@ class TestQuadratureReference:
         # the documented range: 2N - d >= 1/2, N <= 10, m_sq in [1e-6, 1e6]
         assume(2.0 * N - d >= 0.5)
         m_sq = 10.0 ** log_m_sq
-        exact = master_integral(MasterIntegralSpec(d=float(d), N=N, m_sq=m_sq))
+        exact = master_integral(float(d), N, m_sq)
         assert quadrature_reference(d, N, m_sq) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m_sq", [1e-300, 1e300])
@@ -224,7 +220,7 @@ class TestQuadratureReference:
     def test_slow_tail_does_not_overflow(self, N, m_sq):
         # (k^2 + m_sq)^N overflows beyond k ~ 1e99 here; evaluated that
         # way, the integrand reads 0 there and the value misses the tail
-        exact = master_integral(MasterIntegralSpec(d=3.0, N=N, m_sq=m_sq))
+        exact = master_integral(3.0, N, m_sq)
         assert quadrature_reference(3, N, m_sq) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_nan_quadrature_raises(self, monkeypatch):

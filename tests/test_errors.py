@@ -4,31 +4,29 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import platevac
-from platevac import casimir, dimreg, regsum, spectrum
-from platevac.errors import PlateVacError
+from platevac import casimir, dimreg, fluctuations, regsum, spectrum
+from platevac.errors import DomainError, PlateVacError
 from platevac.spectrum import BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
 PLATE = PlateConfig(1.0)
 EPS5 = regsum.EpsilonSchedule((0.1, 0.05, 0.02, 0.01, 0.005))  # enough for one divergent power
 TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
+# S(eps) = sum_n n^3 e^(-eps n) on TINY, finite only in long double
+TINY_EPS = np.asarray(TINY.values, dtype=np.longdouble)
+TINY_SUMS = regsum._power_series(3, np.exp(-TINY_EPS), -np.expm1(-TINY_EPS))
+HUGE = 10**400  # past the double range
+LONG = 10**5000  # past the 4300 digits Python writes out
 
 
 @pytest.mark.parametrize("call", [
     lambda: casimir.canonical_density_integral(PLATE, D, 0.5),
     lambda: regsum.bernoulli(-1),
     lambda: regsum.zeta_neg_int(-1),
-    lambda: regsum.geometric_power_sum(-1, 0.5),
-    lambda: regsum.geometric_power_sum(3, complex(math.nan, 0.0)),
-    lambda: regsum.exp_cutoff_power_sum(-1, 0.1),
-    lambda: regsum.exp_cutoff_power_sum(3, 1e-200),
-    lambda: regsum.exp_cutoff_power_sum(171, 1e-3),
-    lambda: regsum.exp_cutoff_power_sum(200, 100.0),
-    lambda: regsum.exp_cutoff_power_sum(1500, 1e3),
-    lambda: regsum.exp_cutoff_power_sum(3, math.nan),
     lambda: regsum.extrapolate_to_zero([0.5, 0.25], [1.0]),
     lambda: regsum.FinitePartResult(0.0, (), -1.0),
     lambda: regsum.FinitePartResult(0.0, (), math.nan),
@@ -41,11 +39,11 @@ TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
     lambda: regsum.fit_finite_part(regsum.EpsilonSchedule.log_spaced(1e-3, 1e-1, 12, 2.5),
                                    (1.0,) * 12, 1),
     lambda: regsum.cutoff_sum_oracle(2),
-    lambda: regsum.fit_finite_part(TINY, [regsum.exp_cutoff_power_sum(3, e) for e in TINY.values], 4),
+    lambda: regsum.fit_finite_part(TINY, TINY_SUMS, 4),
     # numpy refuses these sizes at once, without allocating anything
     lambda: regsum.EpsilonSchedule.log_spaced(1e-3, 1e-1, 10**15),
     lambda: spectrum.k_n(PLATE, 0),
-    lambda: dimreg.master_integral(dimreg.MasterIntegralSpec(3.0, 10.0, 1e-300)),
+    lambda: dimreg.master_integral(3.0, 10.0, 1e-300),
     # sin^2 theta underflows to 0, or the value overflows, near a plate
     *(lambda f=f, theta=theta: f(theta)
       for f in (regsum.f_theta, regsum.trig_sum_n_cos, regsum.trig_sum_n3_cos)
@@ -67,12 +65,33 @@ TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
     lambda: regsum.bernoulli(2.0),
     lambda: regsum.bernoulli(True),
     lambda: regsum.bernoulli(regsum._MAX_SCALAR_POWER + 2),
+    # an int too long to write out is quoted by its size
+    lambda: regsum.zeta_neg_int(LONG),
+    lambda: regsum.bernoulli(LONG),
+    lambda: spectrum.k_n(PLATE, -LONG),
+    # an int past the double range is refused, not converted
+    lambda: fluctuations.InteriorPoint(HUGE, HUGE),
+    lambda: fluctuations.InteriorPoint.from_z(PLATE, HUGE),
+    lambda: fluctuations.InteriorPoint.from_theta(PLATE, HUGE),
+    lambda: regsum.f_theta(HUGE),
+    lambda: fluctuations.phi_squared_single_plate(D, HUGE),
+    lambda: dimreg.gamma_real(HUGE),
+    lambda: regsum.abel_sum_oracle(1, HUGE),
+    lambda: dimreg.master_integral(2.0, HUGE, 1.0),
+    lambda: dimreg.quadrature_reference(2, HUGE, 1.0),
+    lambda: regsum.EpsilonSchedule((HUGE,)),
+    lambda: regsum.extrapolate_to_zero([1.0, 0.5], [HUGE, 1.0]),
+    lambda: PlateConfig(LONG),
+    lambda: regsum.EpsilonSchedule.log_spaced(LONG, 0.1, 3),
+    lambda: regsum.EpsilonSchedule.log_spaced(1e-3, 0.1, LONG),
+    lambda: regsum.EpsilonSchedule.log_spaced(1e-3, 0.1, 2.5),
+    lambda: regsum.EpsilonSchedule.log_spaced(1e-3, 0.1, math.nan),
+    lambda: regsum.fit_finite_part(EPS5, (1.0,) * 5, LONG),
+    lambda: regsum.fit_finite_part(regsum.EpsilonSchedule((0.1,), LONG), (1.0,), 1),
+    lambda: casimir.canonical_density_integral(PLATE, D, LONG),
 ], ids=[
-    "canonical_density_integral", "bernoulli", "zeta_neg_int", "geometric_power_sum",
-    "geometric_power_sum-nan", "exp_cutoff_power_sum-negative-k",
-    "exp_cutoff_power_sum-underflow", "exp_cutoff_power_sum-overflow",
-    "exp_cutoff_power_sum-power-200", "exp_cutoff_power_sum-power-1500",
-    "exp_cutoff_power_sum-nan", "extrapolate_to_zero", "FinitePartResult",
+    "canonical_density_integral", "bernoulli", "zeta_neg_int", "extrapolate_to_zero",
+    "FinitePartResult",
     "FinitePartResult-nan", "fit_finite_part", "fit_finite_part-2d", "fit_finite_part-nan",
     "fit_finite_part-inf", "fit_finite_part-negative-power", "fit_finite_part-fractional-power",
     "log_spaced-fractional-degree", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs",
@@ -84,10 +103,30 @@ TINY = regsum.EpsilonSchedule.log_spaced(1e-120, 1e-100, 12)
     "extrapolate_to_zero-empty", "extrapolate_to_zero-repeated-step", "extrapolate_to_zero-nan",
     "extrapolate_to_zero-overflow", "zeta_neg_int-float", "zeta_neg_int-above-bound",
     "zeta_neg_int-huge", "bernoulli-float", "bernoulli-bool", "bernoulli-above-bound",
+    "zeta_neg_int-long", "bernoulli-long", "k_n-long",
+    *(f"{name}-huge" for name in ("InteriorPoint", "from_z", "from_theta", "f_theta",
+                                  "phi_squared_single_plate", "gamma_real", "abel_sum_oracle",
+                                  "master_integral", "quadrature_reference",
+                                  "EpsilonSchedule", "extrapolate_to_zero")),
+    *(f"{name}-long" for name in ("PlateConfig", "log_spaced-smallest", "log_spaced-count")),
+    "log_spaced-fractional-count", "log_spaced-nan-count", "fit_finite_part-long-power",
+    "fit_finite_part-long-degree", "canonical_density_integral-long",
 ])
 def test_bad_argument_raises_library_error(call):
     with pytest.raises(PlateVacError):
         call()
+
+
+@pytest.mark.parametrize("k", [9, 171, HUGE, 2, True], ids=["9", "171", "huge", "2", "True"])
+def test_cutoff_oracle_refuses_a_power_before_summing(k, monkeypatch):
+    # up to 7 the 12 cutoffs fit the k + 4 coefficients; any other power is
+    # refused before an Eulerian row is built
+    def never(*args):
+        raise AssertionError("summed a refused power")
+
+    monkeypatch.setattr(regsum, "_power_series", never)
+    with pytest.raises(DomainError, match=r"odd powers in \[1, 7\] on its 12 cutoffs"):
+        regsum.cutoff_sum_oracle(k)
 
 
 def test_a_cached_bernoulli_number_does_not_answer_a_float_index():

@@ -187,13 +187,13 @@ MUTATIONS = {
                               set()),
     "master-4pi": (Edit("dimreg", "master_integral", "(4.0 * math.pi)", "(2.0 * math.pi)"),
                    {"dimreg_quadrature"}, GUARDED),
-    "master-gamma-N": (Edit("dimreg", "master_integral", "gamma_real(spec.N)",
-                            "gamma_real(spec.N + 1.0)"),
+    "master-gamma-N": (Edit("dimreg", "master_integral", "gamma_real(N)",
+                            "gamma_real(N + 1.0)"),
                        {"dimreg_quadrature", "dimreg_recursion"}, GUARDED),
-    "master-exponent-sign": (Edit("dimreg", "master_integral", "spec.d / 2.0 - spec.N",
-                                  "spec.N - spec.d / 2.0"),
+    "master-exponent-sign": (Edit("dimreg", "master_integral", "d / 2.0 - N",
+                                  "N - d / 2.0"),
                              {"dimreg_quadrature", "dimreg_scaling", "dimreg_recursion"}, GUARDED),
-    "energy-N": (Edit("casimir", "total_energy", "N=-0.5", "N=0.5"), set(), GUARDED),
+    "energy-N": (Edit("casimir", "total_energy", "2.0, -0.5", "2.0, 0.5"), set(), GUARDED),
     "energy-zeta3": (Edit("casimir", "total_energy", "zeta_neg_int(3)", "zeta_neg_int(1)"),
                      set(), GUARDED),
     # A hand-typed pi: 1.97e-13 off, under the guard's 1e-12.

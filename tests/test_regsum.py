@@ -24,10 +24,8 @@ from platevac.regsum import (
     abel_sum_oracle,
     bernoulli,
     cutoff_sum_oracle,
-    exp_cutoff_power_sum,
     f_theta,
     fit_finite_part,
-    geometric_power_sum,
     trig_sum_n3_cos,
     trig_sum_n_cos,
     zeta_neg_int,
@@ -132,44 +130,31 @@ def _brute_force_power_sum(k, z, terms=4000):
 
 
 class TestGeometricPowerSum:
+    """``regsum._power_series``, sum_n n^k x^n, as the oracles call it."""
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("z", [0.5, -0.8, 0.9, 0.3 + 0.6j, -0.2 + 0.85j])
     def test_against_brute_force(self, k, z):
         # the term-by-term sum loses ~6 digits to cancellation for
         # oscillating z at high k, so it bounds the check, not us
-        closed = geometric_power_sum(k, z)
+        closed = regsum._power_series(k, z, 1.0 - z)
         brute = _brute_force_power_sum(k, z)
         assert closed == pytest.approx(brute, rel=1e-9)
-
-    def test_outside_disk_rejected(self):
-        with pytest.raises(DomainError):
-            geometric_power_sum(1, 1.0)
-        with pytest.raises(DomainError):
-            geometric_power_sum(2, 1.2j)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_power_sum(-1, 0.5)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.7])
     def test_exp_cutoff_matches_geometric(self, k, eps):
-        assert exp_cutoff_power_sum(k, eps) == pytest.approx(
-            geometric_power_sum(k, math.exp(-eps)).real, rel=1e-10
+        # the cutoff oracle's 1 - e^(-eps) through expm1 against direct subtraction
+        x = math.exp(-eps)
+        assert regsum._power_series(k, x, -math.expm1(-eps)) == pytest.approx(
+            regsum._power_series(k, x, 1.0 - x), rel=1e-10
         )
-
-    def test_exp_cutoff_needs_positive_eps(self):
-        with pytest.raises(DomainError):
-            exp_cutoff_power_sum(3, 0.0)
 
     def test_power_bound_is_the_last_row_of_doubles(self):
         bound = regsum._MAX_SCALAR_POWER
         assert all(math.isfinite(float(a)) for a in regsum._eulerian_row(bound))
         with pytest.raises(OverflowError):
             [float(a) for a in regsum._eulerian_row(bound + 1)]
-        assert exp_cutoff_power_sum(bound, 100.0) > 0.0
-        with pytest.raises(DomainError, match=r"power must lie in \[0, 171\]"):
-            exp_cutoff_power_sum(bound + 1, 100.0)
 
 
 class TestAbelOracle:
@@ -252,7 +237,7 @@ class TestEpsilonSchedule:
 
 def _cutoff_sums(k, schedule):
     """S(eps) = sum_n n^k e^(-eps n) at every cutoff of ``schedule``, as the cutoff oracle sums it."""
-    return tuple(exp_cutoff_power_sum(k, e) for e in schedule.values)
+    return [regsum._power_series(k, math.exp(-e), -math.expm1(-e)) for e in schedule.values]
 
 
 class TestCutoffOracle:
@@ -298,6 +283,13 @@ class TestCutoffOracle:
     def test_even_or_nonpositive_rejected(self, k):
         with pytest.raises(ValueError):
             cutoff_sum_oracle(k)
+
+    def test_power_bound_is_the_last_the_schedule_fits(self):
+        bound = regsum._MAX_CUTOFF_POWER
+        assert math.isfinite(cutoff_sum_oracle(bound).finite_part)
+        schedule = EpsilonSchedule.log_spaced(1e-3, 1e-1, 12, 2)
+        with pytest.raises(InvalidConfigError, match="basis needs 13"):
+            fit_finite_part(schedule, _cutoff_sums(bound + 2, schedule), bound + 3)
 
     def test_too_few_points(self):
         schedule = EpsilonSchedule(values=(0.1, 0.05, 0.01))
