@@ -38,7 +38,6 @@ from .fluctuations import (
 )
 from .oracle import mode_sum_finite_part
 from .regsum import (
-    EpsilonSchedule,
     FinitePartResult,
     abel_sum_oracle,
     bernoulli,
@@ -57,7 +56,7 @@ __all__ = [
     "DomainError", "ExtrapolationDivergenceError", "IllConditionedFitError", "InvalidConfigError",
     "PlateVacError", "PoleError", "PrecisionError", "QuadratureError", "ABPair", "FluctuationSet",
     "InteriorPoint", "ab_values", "expectation_columns", "expectation_set", "phi_squared",
-    "phi_squared_single_plate", "mode_sum_finite_part", "EpsilonSchedule", "FinitePartResult",
+    "phi_squared_single_plate", "mode_sum_finite_part", "FinitePartResult",
     "abel_sum_oracle", "bernoulli", "cutoff_sum_oracle", "f_theta", "trig_sum_n3_cos",
     "trig_sum_n_cos", "zeta_neg_int", "BoundaryCondition", "PlateConfig", "k_n", "StressReport",
     "stress_report",

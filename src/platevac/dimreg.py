@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PoleError, QuadratureError, _quoted
-from .regsum import _is_finite
+from .errors import DomainError, PoleError, QuadratureError, _is_finite, _quoted
 
 __all__ = ["gamma_real", "master_integral", "quadrature_reference"]
 

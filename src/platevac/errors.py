@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all platevac modules, and how an error quotes an argument."""
+"""Exception hierarchy shared by all platevac modules, the argument predicates
+they share, and how an error quotes an argument."""
+
+import math
+import numbers
+import sys
 
 
 class PlateVacError(Exception):
@@ -54,3 +59,30 @@ def _quoted(value) -> str:
     except ValueError:
         return f"an integer of {value.bit_length()} bits"
 
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a finite number; an int past the double range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _require(ok, values, message: str) -> None:
+    """DomainError quoting ``values`` unless ``ok``; on arrays, at the first failure.
+
+    Only an array needs numpy, and none exists before numpy is imported.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        values = values[ok.argmin()]
+    elif ok:
+        return
+    raise DomainError(message.format(_quoted(values)))

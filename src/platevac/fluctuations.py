@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, _quoted
-from .regsum import _check_theta, _f_of_sin2, _is_finite, _require
+from .errors import DomainError, _is_finite, _quoted, _require
+from .regsum import _check_theta, _f_of_sin2
 from .spectrum import BoundaryCondition, PlateConfig
 
 __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",

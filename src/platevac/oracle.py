@@ -2,8 +2,8 @@
 
 Independently of every closed form elsewhere in the package, the raw
 mode sums are rebuilt here with an exponential frequency cutoff
-e^(-eps omega) and the finite part is extracted from a schedule of
-cutoffs.  :func:`mode_sum_finite_part` takes the name of a
+e^(-eps omega) and the finite part is extracted from a fixed set of
+cutoffs per field.  :func:`mode_sum_finite_part` takes the name of a
 ``FluctuationSet`` field and the arguments of ``expectation_set``.  The
 cutoff is applied to omega, not to n alone, so the transverse momentum
 integral converges absolutely and reduces in closed radial form
@@ -37,10 +37,11 @@ the divergent bases are known analytically per field:
 
 The least-squares machinery shared with the cutoff oracle strips those
 powers plus a low-degree polynomial tail, both per field in the one
-table :data:`_FIELDS`; the constant is the finite part and must land on
-the closed-form field.  phidot2 carries a stronger eps^-4 divergence
-and correspondingly worse fit conditioning, hence its looser documented
-tolerance (1e-3 relative against 1e-4 for phi2).
+table :data:`_FIELDS`, which also fixes the field's cutoffs; the
+constant is the finite part and must land on the closed-form field.
+phidot2 carries a stronger eps^-4 divergence and correspondingly worse
+fit conditioning, hence its looser documented tolerance (1e-3 relative
+against 1e-4 for phi2).
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidConfigError
 from .fluctuations import InteriorPoint
-from .regsum import _FIT_CACHE_SIZE, EpsilonSchedule, FinitePartResult, _power_series, fit_finite_part
+from .regsum import _FIT_CACHE_SIZE, FinitePartResult, _log_spaced, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition, PlateConfig
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["mode_sum_finite_part", "default_schedule"]
+__all__ = ["mode_sum_finite_part"]
 
 
 class _Field(NamedTuple):
@@ -68,17 +69,17 @@ class _Field(NamedTuple):
     tail_degree: int
 
 
-# Per field: P of the divergent basis eps^-P ... eps^-1, and a schedule of
-# ``count`` cutoffs from ``smallest`` to ``largest`` per unit L fitted
-# with a tail up to eps^``tail_degree``; the kernel is _kernel_coefficients.
-# The cutoff eps carries length units (it multiplies a frequency), so
-# each schedule scales with L.  The oscillatory weight sums are analytic
+# Per field: P of the divergent basis eps^-P ... eps^-1, and ``count``
+# cutoffs from ``smallest`` to ``largest`` per unit L fitted with a tail
+# up to eps^``tail_degree``; the kernel is _kernel_coefficients.  The
+# cutoff eps carries length units (it multiplies a frequency), so the
+# cutoffs scale with L.  The oscillatory weight sums are analytic
 # in a disk of radius 2 theta in pi eps / L around zero cutoff, so the
 # largest cutoff must stay well inside it for the working range
 # theta >= 0.3, which caps it at 0.02 L; and the basis needs a quartic
 # (phi2) or quintic (phidot2) tail because those sums contribute every
 # integer power of eps with pole-driven coefficient growth.  phidot2
-# starts its schedule higher, its eps^-4 divergence being the fit's
+# starts its cutoffs higher, its eps^-4 divergence being the fit's
 # worst conditioning case.
 _FIELDS = {
     "phi2": _Field(2, 1e-3, 2e-2, 12, 4),
@@ -94,11 +95,10 @@ def _field(field: str) -> _Field:
 
 
 @lru_cache(maxsize=_FIT_CACHE_SIZE)
-def default_schedule(field: str, config: PlateConfig) -> EpsilonSchedule:
-    """The cutoff schedule of ``field`` at the separation of ``config``."""
+def _cutoffs(field: str, config: PlateConfig) -> tuple[float, ...]:
+    """The cutoffs of ``field`` at the separation of ``config``, largest first."""
     row, L = _field(field), config.L
-    return EpsilonSchedule.log_spaced(row.smallest * L, row.largest * L, row.count,
-                                      fit_basis_degree=row.tail_degree)
+    return _log_spaced(row.smallest * L, row.largest * L, row.count)
 
 
 def _kernel_coefficients(field: str, eps):
@@ -149,18 +149,18 @@ def mode_sum_finite_part(
     ``field`` names a ``FluctuationSet`` field in :data:`_FIELDS`; the
     other arguments are those of ``expectation_set``, whose ``field``
     the constant term reproduces.  For each cutoff of
-    :func:`default_schedule` the transverse integrals are summed over all
+    :func:`_cutoffs` the transverse integrals are summed over all
     n >= 1 with the boundary-condition weight (1 - s cos(2 n theta)),
     in closed form, then the divergent powers are fitted away.
 
-    The sums run in extended precision.  At the small end of the
-    schedule they reach ~ eps^-4 while the finite part is O(1), so
+    The sums run in extended precision.  At the smallest cutoff they
+    reach ~ eps^-4 while the finite part is O(1), so
     double-precision round-off would already be comparable to the
     quantity being extracted; x86 long double buys the three extra
     digits the fit needs, and on a platform without it the fit raises
     :class:`PrecisionError` instead of returning a degraded value.
     """
     row = _field(field)
-    schedule = default_schedule(field, config)
-    sums = _regulated_sums(field, bc, config.L, point.theta, schedule.values)
-    return fit_finite_part(schedule, sums, row.divergent_powers)
+    cutoffs = _cutoffs(field, config)
+    sums = _regulated_sums(field, bc, config.L, point.theta, cutoffs)
+    return fit_finite_part(cutoffs, sums, row.divergent_powers, row.tail_degree)

@@ -12,28 +12,29 @@ Two independent numerical routes to the same finite parts are provided
 for cross-validation:
 
 * ``cutoff_sum_oracle`` evaluates S(eps) = sum_n n^k e^(-eps n) exactly
-  (closed form through Eulerian polynomials), then strips the divergent
-  powers eps^-(k+1) ... eps^-1 by a least-squares fit and returns the
-  constant term.  The small-eps expansion of S has a single divergent
-  power k!/eps^(k+1) followed by the constant zeta(-k), so the fitted
-  intermediate coefficients are expected to come out near zero.
+  (closed form through Eulerian polynomials) at twelve fixed cutoffs,
+  then strips the divergent powers eps^-(k+1) ... eps^-1 by a
+  least-squares fit and returns the constant term.  The small-eps
+  expansion of S has a single divergent power k!/eps^(k+1) followed by
+  the constant zeta(-k), so the fitted intermediate coefficients are
+  expected to come out near zero.
 
 * ``abel_sum_oracle`` evaluates sum_n n^k r^n cos(2 n theta) in closed
-  form below the circle of convergence and extrapolates r -> 1- by
-  polynomial (Richardson) extrapolation in h = 1 - r.  The Abel limits
-  of the oscillatory sums exist for theta away from 0 and pi and have
-  expansions in integer powers of h, which is what makes polynomial
-  extrapolation the right accelerator.
+  form at twelve fixed radii below the circle of convergence and
+  extrapolates r -> 1- by polynomial (Richardson) extrapolation in
+  h = 1 - r.  The Abel limits of the oscillatory sums exist for theta
+  away from 0 and pi and have expansions in integer powers of h, which
+  is what makes polynomial extrapolation the right accelerator.
 
 All closed-form evaluations are exact rational or elementary-function
-expressions; only the oracles involve fits or extrapolation.
+expressions; only the oracles involve fits or extrapolation.  Each
+oracle fixes its own cutoffs or radii, and the fit (shared with the
+mode-sum oracle in ``oracle``) and the extrapolation trust them.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,9 +44,11 @@ from .errors import (
     DomainError,
     ExtrapolationDivergenceError,
     IllConditionedFitError,
-    InvalidConfigError,
     PrecisionError,
+    _is_count,
+    _is_finite,
     _quoted,
+    _require,
 )
 
 if TYPE_CHECKING:
@@ -53,7 +56,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FinitePartResult",
-    "EpsilonSchedule",
     "bernoulli",
     "zeta_neg_int",
     "f_theta",
@@ -61,9 +63,6 @@ __all__ = [
     "trig_sum_n3_cos",
     "abel_sum_oracle",
     "cutoff_sum_oracle",
-    "fit_finite_part",
-    "extrapolate_to_zero",
-    "DEFAULT_ABEL_RADII",
 ]
 
 
@@ -76,19 +75,6 @@ __all__ = [
 # alone; 171 keeps a cold call under 0.1 s (2-vCPU Xeon).  It is also the
 # last row of Eulerian numbers that are all finite doubles.
 _MAX_SCALAR_POWER = 171
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is a non-negative integer (a bool is not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
-
-
-def _is_finite(value) -> bool:
-    """Whether ``value`` is a finite number; an int past the double range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 # typed: a cached B_3 must not answer bernoulli(3.0), which is refused
@@ -129,21 +115,6 @@ def zeta_neg_int(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Closed forms of the regularized oscillatory sums
 # ---------------------------------------------------------------------------
-
-def _require(ok, values, message: str) -> None:
-    """DomainError quoting ``values`` unless ``ok``; on arrays, at the first failure.
-
-    Only an array needs numpy, and none exists before numpy is imported.
-    """
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(ok, np.ndarray):
-        if ok.all():
-            return
-        values = values[ok.argmin()]
-    elif ok:
-        return
-    raise DomainError(message.format(_quoted(values)))
-
 
 def _check_theta(theta):
     """``theta``, a float or a float64 array, if it lies strictly inside (0, pi).
@@ -237,22 +208,14 @@ def _power_series(k: int, x, one_minus_x):
 # Richardson / Neville extrapolation to h = 0
 # ---------------------------------------------------------------------------
 
-def extrapolate_to_zero(hs: list[float], ys: list[float]) -> tuple[float, list[float]]:
+def _neville(hs: list[float], ys: list[float]) -> tuple[float, list[float]]:
     """Neville polynomial extrapolation of (h_i, y_i) to h = 0.
 
-    Nodes must be ordered with h decreasing.  Returns the highest-order
-    extrapolant together with the diagonal of the tableau (the sequence
-    of estimates of increasing order), which callers use to judge
-    convergence.  Raises InvalidConfigError for no nodes or for steps
-    that do not decrease strictly, DomainError for a value that is not
-    a finite double, given or extrapolated.
+    Returns the highest-order extrapolant together with the diagonal of
+    the tableau (the sequence of estimates of increasing order), which
+    the caller uses to judge convergence.  Unchecked: its one caller
+    passes the fixed, strictly decreasing steps of :data:`_ABEL_RADII`.
     """
-    if len(hs) != len(ys):
-        raise InvalidConfigError("node and value lists must have equal length")
-    if not hs or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise InvalidConfigError(f"steps must be given and decrease strictly, got {hs!r}")
-    if not all(_is_finite(v) for v in (*hs, *ys)):
-        raise DomainError("extrapolation needs finite steps and values")
     n = len(hs)
     p = list(ys)
     diagonal = [p[0]]
@@ -261,15 +224,13 @@ def extrapolate_to_zero(hs: list[float], ys: list[float]) -> tuple[float, list[f
             denom = hs[i + m] - hs[i]
             p[i] = (hs[i + m] * p[i] - hs[i] * p[i + 1]) / denom
         diagonal.append(p[0])
-    if not math.isfinite(p[0]):
-        raise DomainError(f"the extrapolant {p[0]!r} is not a finite double")
     return p[0], diagonal
 
 
 # r = 1 - 2^-j, j = 3 .. 14: the Abel limits have expansions in integer
 # powers of 1 - r, and twelve halving steps push the extrapolation error
 # below 1e-11 on the whole working range of theta.
-DEFAULT_ABEL_RADII: tuple[float, ...] = tuple(1.0 - 0.5 ** j for j in range(3, 15))
+_ABEL_RADII: tuple[float, ...] = tuple(1.0 - 0.5 ** j for j in range(3, 15))
 # Sensitivity of the divergence detector on the extrapolation diagonal.
 _DIVERGENCE_RTOL = 1e-9
 
@@ -287,7 +248,8 @@ def abel_sum_oracle(k: int, theta: float) -> float:
     Returns
     -------
     float
-        The r -> 1- limit, extrapolated from :data:`DEFAULT_ABEL_RADII`.
+        The r -> 1- limit, extrapolated from twelve radii r = 1 - 2^-j,
+        j = 3 .. 14.
 
     Raises
     ------
@@ -298,16 +260,17 @@ def abel_sum_oracle(k: int, theta: float) -> float:
         how a sum with no Abel limit (for example theta = 0 with k >= 1)
         manifests here.
     """
-    if k not in (0, 1, 3):
+    if not (_is_count(k) and k in (0, 1, 3)):
         raise DomainError(f"supported powers are 0, 1 and 3, got {_quoted(k)}")
     if not _is_finite(theta):
         raise DomainError(f"theta must be finite, got {_quoted(theta)}")
-    hs = [1.0 - r for r in DEFAULT_ABEL_RADII]  # decreasing toward 0
+    k = int(k)  # a numpy integer would take the powers through numpy's pow
+    hs = [1.0 - r for r in _ABEL_RADII]  # decreasing toward 0
     phase = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
-    zs = [r * phase for r in DEFAULT_ABEL_RADII]
+    zs = [r * phase for r in _ABEL_RADII]
     ys = [_power_series(k, z, 1.0 - z).real for z in zs]
 
-    value, diagonal = extrapolate_to_zero(hs, ys)
+    value, diagonal = _neville(hs, ys)
 
     deltas = [abs(b - a) for a, b in zip(diagonal, diagonal[1:])]
     scale = 1.0 + abs(diagonal[-1])
@@ -328,80 +291,20 @@ class FinitePartResult:
     """Finite part of a cutoff-regulated sum plus the fitted divergences.
 
     ``divergent_coeffs`` are ordered from the most divergent power down,
-    eps^-(p) ... eps^-1 for p = number of negative-power basis elements.
+    eps^-(p) ... eps^-1 for p = number of negative-power basis elements;
+    ``fit_residual`` is the root mean square of the scaled fit's residuals.
     """
 
     finite_part: float
     divergent_coeffs: tuple[float, ...]
     fit_residual: float
 
-    def __post_init__(self) -> None:
-        if not self.fit_residual >= 0.0:
-            raise InvalidConfigError(f"fit residual must be non-negative, got {self.fit_residual!r}")
 
+def _log_spaced(smallest: float, largest: float, count: int) -> tuple[float, ...]:
+    """``count`` cutoffs spaced logarithmically, from ``largest`` down to ``smallest``."""
+    import numpy as np
 
-# The most float64 elements a numpy array can hold: its byte size must fit
-# in a signed pointer-sized integer (numpy's intp, sys.maxsize).  Past it numpy's constructors raise
-# assorted errors or wrap the size around, so a larger size is refused
-# before numpy sees it.
-_MAX_FLOATS = sys.maxsize // 8
-
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Cutoff schedule for finite-part fits.
-
-    ``values`` must be positive, finite and strictly decreasing;
-    ``fit_basis_degree`` is the highest positive power of eps kept in the
-    fit basis.  :func:`fit_finite_part` trusts both.
-    """
-
-    values: tuple[float, ...]
-    fit_basis_degree: int = 2
-
-    def __post_init__(self) -> None:
-        try:
-            vals = tuple(float(v) for v in self.values)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidConfigError(f"cutoff values must be a sequence of numbers: {exc}") from None
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise InvalidConfigError("epsilon schedule cannot be empty")
-        if not all(0.0 < v < math.inf for v in vals):
-            raise InvalidConfigError("all cutoff values must be positive and finite")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise InvalidConfigError("cutoff values must decrease strictly")
-        if not _is_count(self.fit_basis_degree):
-            raise InvalidConfigError(
-                f"fit basis degree must be a non-negative integer, "
-                f"got {_quoted(self.fit_basis_degree)}"
-            )
-
-    @classmethod
-    def log_spaced(
-        cls,
-        smallest: float = 1e-3,
-        largest: float = 1e-1,
-        count: int = 12,
-        fit_basis_degree: int = 2,
-    ) -> "EpsilonSchedule":
-        """Logarithmically spaced schedule, returned largest-to-smallest."""
-        import numpy as np
-
-        if not 0.0 < smallest < largest < math.inf:
-            raise InvalidConfigError(
-                f"need 0 < smallest < largest < inf, got {_quoted(smallest)} and {_quoted(largest)}"
-            )
-        if not (_is_count(count) and count >= 1):
-            raise InvalidConfigError(f"need a whole number of cutoffs, got {_quoted(count)}")
-        too_many = InvalidConfigError(f"{_quoted(count)} cutoffs do not fit in memory")
-        if count > _MAX_FLOATS:
-            raise too_many
-        try:
-            grid = np.geomspace(largest, smallest, count)
-        except MemoryError as exc:
-            raise too_many from exc
-        return cls(values=tuple(float(v) for v in grid), fit_basis_degree=fit_basis_degree)
+    return tuple(float(v) for v in np.geomspace(largest, smallest, count))
 
 
 # At the small end of the phidot2 mode-sum schedule the regulated sums
@@ -480,18 +383,19 @@ def _householder_solve(factor: tuple[tuple, np.ndarray], rhs: np.ndarray) -> np.
     return coeffs
 
 
-# Schedules whose fit is kept factored; verify fits on four.
+# Cutoff tuples whose fit is kept factored; verify fits on four.
 _FIT_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_FIT_CACHE_SIZE)
 def _schedule_fit(eps_values: tuple, degree: int) -> tuple:
-    """What a finite-part fit computes from the schedule alone, read-only.
+    """What a finite-part fit computes from the cutoffs alone, read-only.
 
     (design, column norms, Householder factor of the column-normalised
     design, eps_max^j for j = 0 .. degree) for the polynomial basis of
-    ``degree`` in tau = eps/eps_max.  Filled on first use; a schedule
-    that cannot be factored raises on every call, as nothing is cached.
+    ``degree`` in tau = eps/eps_max.  Every column holds tau = 1 at the
+    largest cutoff, so none is zero.  Filled on first use; cutoffs that
+    cannot be factored raise on every call, as nothing is cached.
     """
     import numpy as np
 
@@ -499,8 +403,6 @@ def _schedule_fit(eps_values: tuple, degree: int) -> tuple:
     tau = eps / eps.max()
     design = np.vander(tau, degree + 1, increasing=True)
     col_norms = np.sqrt(np.sum(design * design, axis=0))
-    if np.any(col_norms == 0.0):
-        raise IllConditionedFitError("degenerate column in finite-part fit")
     reflectors, r = _householder_factor(design / col_norms)
     eps_max_powers = eps.max() ** np.arange(degree + 1)
     for array in (design, col_norms, r, eps_max_powers, *(v for _, v, _ in reflectors)):
@@ -509,52 +411,47 @@ def _schedule_fit(eps_values: tuple, degree: int) -> tuple:
 
 
 def fit_finite_part(
-    schedule: EpsilonSchedule, data, max_divergent_power: int
+    cutoffs: tuple[float, ...], data, max_divergent_power: int, tail_degree: int
 ) -> FinitePartResult:
     """Strip divergent powers from data(eps) and return the constant term.
 
-    ``data`` holds one value per cutoff of ``schedule``.  The model is
-    data(eps) = sum_{p=1}^{P} c_{-p} eps^-p + c_0 + c_1 eps + ... +
-    c_D eps^D with P = ``max_divergent_power`` and D =
-    ``schedule.fit_basis_degree``.  Internally every row is multiplied
-    by eps^P, turning the problem into an ordinary polynomial fit whose
-    dynamic range floating point can actually represent; the basis and the
-    minimizing coefficients are unchanged in exact arithmetic.  Columns
-    are normalized and the solve runs in extended precision, which the
-    constant term needs: its column is eps^P-suppressed against the
-    leading divergence, so double-precision round-off in the
-    triangularization would feed straight into the finite part; a
-    platform without an extended long double raises
-    :class:`PrecisionError` instead of returning a degraded value.
+    ``data`` holds one value per cutoff.  The model is data(eps) =
+    sum_{p=1}^{P} c_{-p} eps^-p + c_0 + c_1 eps + ... + c_D eps^D with
+    P = ``max_divergent_power`` and D = ``tail_degree``.  Internally
+    every row is multiplied by eps^P, turning the problem into an
+    ordinary polynomial fit whose dynamic range floating point can
+    actually represent; the basis and the minimizing coefficients are
+    unchanged in exact arithmetic.  Columns are normalized and the solve
+    runs in extended precision, which the constant term needs: its
+    column is eps^P-suppressed against the leading divergence, so
+    double-precision round-off in the triangularization would feed
+    straight into the finite part; a platform without an extended long
+    double raises :class:`PrecisionError` instead of returning a
+    degraded value.
 
-    The factorization depends on the schedule and P + D alone, so it is
-    done once per schedule (:func:`_schedule_fit`); each call replays its
-    reflectors on the data, the same operations a one-pass solve does.
+    Its two callers, :func:`cutoff_sum_oracle` and
+    ``oracle.mode_sum_finite_part``, fit on fixed cutoffs, and it trusts
+    them: a tuple of positive, strictly decreasing floats, at least
+    P + D + 1 of them, with one datum each.  It checks only what is
+    computed: non-finite data raise :class:`DomainError`, cutoffs that
+    cannot resolve the basis :class:`IllConditionedFitError`.
+
+    The factorization depends on the cutoffs and P + D alone, so it is
+    done once per cutoff tuple (:func:`_schedule_fit`); each call replays
+    its reflectors on the data, the same operations a one-pass solve does.
     """
     import numpy as np
 
-    if not _is_count(max_divergent_power):
-        raise InvalidConfigError(
-            f"max divergent power must be a non-negative integer, "
-            f"got {_quoted(max_divergent_power)}"
-        )
     _require_long_double()
-    eps = np.asarray(schedule.values, dtype=np.longdouble)
     y = np.asarray(data, dtype=np.longdouble)
-    if y.shape != eps.shape:
-        raise InvalidConfigError("data must hold one value per cutoff of the schedule")
     if not np.isfinite(y).all():
         raise DomainError("finite-part fit needs finite data")
-    degree = max_divergent_power + schedule.fit_basis_degree
-    if eps.size <= degree:
-        raise InvalidConfigError(
-            f"schedule has {eps.size} points but the basis needs {_quoted(degree + 1)}"
-        )
 
     # Scaled problem: eps^P * data = polynomial of degree P + D in eps,
-    # factored once per schedule; only the data is new on each call.
-    design, col_norms, factor, eps_max_powers = _schedule_fit(schedule.values, degree)
-    scaled_y = y * eps ** max_divergent_power
+    # factored once per cutoff tuple; only the data is new on each call.
+    design, col_norms, factor, eps_max_powers = _schedule_fit(
+        cutoffs, max_divergent_power + tail_degree)
+    scaled_y = y * np.asarray(cutoffs, dtype=np.longdouble) ** max_divergent_power
     coeffs_tau = _householder_solve(factor, scaled_y) / col_norms
 
     residuals = design @ coeffs_tau - scaled_y
@@ -567,32 +464,27 @@ def fit_finite_part(
     return FinitePartResult(finite_part=finite, divergent_coeffs=divergent, fit_residual=rms)
 
 
-# The largest power cutoff_sum_oracle fits: power k leaves k + 1 divergent
-# and 3 regular coefficients to its 12 cutoffs, and the powers are odd.
-_MAX_CUTOFF_POWER = 7
-
-
 def cutoff_sum_oracle(k: int) -> FinitePartResult:
     """Exponential-cutoff oracle for the zeta-regularized power sum.
 
-    Evaluates S(eps) = sum_{n>=1} n^k e^(-eps n) exactly on the schedule,
-    with 1 - e^(-eps) taken through expm1, and fits away the divergent
-    basis {eps^-(k+1) ... eps^-1}; the constant term of the fit is the
-    finite part, which must agree with zeta(-k).  k must be an odd
-    integer in [1, _MAX_CUTOFF_POWER], or DomainError before any sum.
+    Evaluates S(eps) = sum_{n>=1} n^k e^(-eps n) exactly at twelve
+    cutoffs from 0.1 down to 0.001, with 1 - e^(-eps) taken through
+    expm1, and fits away the divergent basis {eps^-(k+1) ... eps^-1}
+    plus a quadratic tail; the constant term of the fit is the finite
+    part, which must agree with zeta(-k).  k must be 1 or 3, or
+    DomainError before any sum.
 
     Accuracy degrades steeply with k: the constant hides under a
     k!/eps^(k+1) divergence, costing roughly three digits per extra
-    power.  Its schedule resolves zeta(-1) and zeta(-3) to better than
-    1e-7; k = 5 reaches ~2e-5 only with a higher, denser schedule such
-    as log_spaced(0.03, 0.5, 20, fit_basis_degree=4), through
-    :func:`fit_finite_part` directly; beyond that the finite part is
-    qualitative only, although the leading divergent coefficient stays
-    sharp.
+    power.  These cutoffs resolve zeta(-1) and zeta(-3) to better than
+    1e-7 and no higher power: k = 5 misses zeta(-5) by 0.12 on them and
+    reaches ~2e-5 only on twenty cutoffs from 0.5 down to 0.03 with a
+    quartic tail.
     """
-    if not (_is_count(k) and k % 2 == 1 and k <= _MAX_CUTOFF_POWER):
-        raise DomainError(f"the cutoff oracle fits the odd powers in [1, {_MAX_CUTOFF_POWER}] on "
-                          f"its 12 cutoffs, got {_quoted(k)}")
-    schedule = EpsilonSchedule.log_spaced(1e-3, 1e-1, 12, 2)
-    values = [_power_series(k, math.exp(-e), -math.expm1(-e)) for e in schedule.values]
-    return fit_finite_part(schedule, values, k + 1)
+    if not (_is_count(k) and k in (1, 3)):
+        raise DomainError(f"the cutoff oracle resolves the powers 1 and 3 alone on its 12 "
+                          f"cutoffs, got {_quoted(k)}")
+    k = int(k)  # a numpy integer would take the powers through numpy's pow
+    cutoffs = _log_spaced(1e-3, 1e-1, 12)
+    values = [_power_series(k, math.exp(-e), -math.expm1(-e)) for e in cutoffs]
+    return fit_finite_part(cutoffs, values, k + 1, 2)

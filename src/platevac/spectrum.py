@@ -16,11 +16,10 @@ plus-minus pair (Dirichlet), -1 the lower sign (Neumann).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, InvalidConfigError, _quoted
+from .errors import DomainError, InvalidConfigError, _is_count, _quoted
 
 __all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "k_n"]
 
@@ -63,7 +62,7 @@ def k_n(config: PlateConfig, n: int) -> float:
     so n starts at 1 for both boundary conditions.  A k_n past the
     double range raises DomainError.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    if not (_is_count(n) and n >= 1):
         raise DomainError(f"mode number must be an integer >= 1, got {_quoted(n)}")
     try:
         value = n * math.pi / config.L

@@ -10,8 +10,8 @@ from platevac import dimreg, oracle, regsum
 from platevac.cli import VERIFY_CHECKS, RunConfig, run_verification
 from platevac.errors import InvalidConfigError, PlateVacError, PrecisionError, QuadratureError
 from platevac.fluctuations import InteriorPoint, expectation_set
-from platevac.oracle import default_schedule, mode_sum_finite_part
-from platevac.regsum import EpsilonSchedule, fit_finite_part
+from platevac.oracle import _cutoffs, mode_sum_finite_part
+from platevac.regsum import _log_spaced, fit_finite_part
 from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
@@ -30,10 +30,10 @@ def _oracle(field, bc, L, theta):
     return mode_sum_finite_part(field, bc, config, InteriorPoint.from_theta(config, theta))
 
 
-def _fit_on(schedule, field, bc, L, theta):
-    """The oracle's finite part on another cutoff schedule than the field's own."""
-    sums = oracle._regulated_sums(field, bc, L, theta, schedule.values)
-    return fit_finite_part(schedule, sums, oracle._FIELDS[field].divergent_powers)
+def _fit_on(cutoffs, tail_degree, field, bc, L, theta):
+    """The oracle's finite part on other cutoffs and tail than the field's own."""
+    sums = oracle._regulated_sums(field, bc, L, theta, cutoffs)
+    return fit_finite_part(cutoffs, sums, oracle._FIELDS[field].divergent_powers, tail_degree)
 
 
 class TestTransverseKernel:
@@ -85,9 +85,9 @@ class TestModeSumFinitePart:
 
     def test_schedule_independence(self):
         # disjoint cutoff windows must agree on the finite part
-        first = EpsilonSchedule.log_spaced(1e-3, 1e-2, 12, fit_basis_degree=4)
-        second = EpsilonSchedule.log_spaced(5e-3, 5e-2, 12, fit_basis_degree=4)
-        results = [_fit_on(schedule, "phi2", D, 1.0, 1.0).finite_part for schedule in (first, second)]
+        first = _log_spaced(1e-3, 1e-2, 12)
+        second = _log_spaced(5e-3, 5e-2, 12)
+        results = [_fit_on(cutoffs, 4, "phi2", D, 1.0, 1.0).finite_part for cutoffs in (first, second)]
         assert results[0] == pytest.approx(results[1], rel=2e-4)
 
     @pytest.mark.parametrize("bc", BOTH)
@@ -108,9 +108,8 @@ class TestModeSumFinitePart:
         # a truncated mode sum would need 2.3e10 modes at this cutoff; the
         # closed form needs none, and the fit returns finite values or
         # reports what it cannot resolve
-        schedule = EpsilonSchedule.log_spaced(1e-9, 2e-2, 16, fit_basis_degree=5)
         try:
-            result = _fit_on(schedule, field, D, 1.0, 0.3)
+            result = _fit_on(_log_spaced(1e-9, 2e-2, 16), 5, field, D, 1.0, 0.3)
         except PlateVacError:
             return
         assert all(map(math.isfinite, (result.finite_part, *result.divergent_coeffs)))
@@ -149,7 +148,7 @@ class TestClosedFormSums:
         (N, 1.0, math.pi / 2.0, "phidot2"),
     ])
     def test_match_truncated_brute_force(self, bc, L, theta, field):
-        eps_values = default_schedule(field, PlateConfig(L)).values
+        eps_values = _cutoffs(field, PlateConfig(L))
         exact = oracle._regulated_sums(field, bc, L, theta, eps_values)
         brute = _truncated_mode_sums(field, bc, L, theta, eps_values)
         assert exact.dtype == np.longdouble
@@ -195,23 +194,23 @@ class TestSpecValidation:
         with pytest.raises(InvalidConfigError):
             mode_sum_finite_part(field, D, config, point)
 
-    def test_default_schedules_differ_by_observable(self):
-        phi2 = default_schedule("phi2", PlateConfig(1.0))
-        phidot2 = default_schedule("phidot2", PlateConfig(1.0))
-        assert min(phi2.values) < min(phidot2.values)
-        assert phidot2.fit_basis_degree >= phi2.fit_basis_degree
+    def test_cutoffs_differ_by_observable(self):
+        phi2 = _cutoffs("phi2", PlateConfig(1.0))
+        phidot2 = _cutoffs("phidot2", PlateConfig(1.0))
+        assert min(phi2) < min(phidot2)
+        assert oracle._FIELDS["phidot2"].tail_degree >= oracle._FIELDS["phi2"].tail_degree
 
-    def test_default_schedule_scales_with_separation(self):
-        # eps carries length units: the schedule follows the separation
-        unit = default_schedule("phi2", PlateConfig(1.0))
-        scaled = default_schedule("phi2", PlateConfig(3.0))
-        for a, b in zip(unit.values, scaled.values):
+    def test_cutoffs_scale_with_separation(self):
+        # eps carries length units: the cutoffs follow the separation
+        unit = _cutoffs("phi2", PlateConfig(1.0))
+        scaled = _cutoffs("phi2", PlateConfig(3.0))
+        for a, b in zip(unit, scaled):
             assert b == pytest.approx(3.0 * a, rel=1e-14)
 
     def test_verify_builds_each_schedule_once(self):
         # 20 mode-sum points over two fields at one separation
-        default_schedule.cache_clear()
+        _cutoffs.cache_clear()
         run_verification(RunConfig(bc=D, L=0.77))
-        info = default_schedule.cache_info()
+        info = _cutoffs.cache_info()
         assert info.maxsize == regsum._FIT_CACHE_SIZE
         assert (info.misses, info.hits) == (2, 18)

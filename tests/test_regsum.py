@@ -13,13 +13,10 @@ from platevac.errors import (
     DomainError,
     ExtrapolationDivergenceError,
     IllConditionedFitError,
-    InvalidConfigError,
     PrecisionError,
 )
-from platevac.oracle import _FIELDS, default_schedule
+from platevac.oracle import _FIELDS, _cutoffs
 from platevac.regsum import (
-    DEFAULT_ABEL_RADII,
-    EpsilonSchedule,
     FinitePartResult,
     abel_sum_oracle,
     bernoulli,
@@ -190,57 +187,80 @@ class TestAbelOracle:
         with pytest.raises(ValueError):
             abel_sum_oracle(2, 1.0)
 
+    def test_numpy_integer_power_accepted(self):
+        assert abel_sum_oracle(np.int64(1), 1.0).hex() == abel_sum_oracle(1, 1.0).hex()
+
     def test_default_radii_shape(self):
-        assert len(DEFAULT_ABEL_RADII) == 12
-        assert all(0.0 < r < 1.0 for r in DEFAULT_ABEL_RADII)
-        assert list(DEFAULT_ABEL_RADII) == sorted(DEFAULT_ABEL_RADII)
+        radii = regsum._ABEL_RADII
+        assert len(radii) == 12
+        assert all(0.0 < r < 1.0 for r in radii)
+        assert list(radii) == sorted(radii)
 
 
-class TestEpsilonSchedule:
-    def test_log_spaced_is_decreasing(self):
-        sched = EpsilonSchedule.log_spaced()
-        assert len(sched.values) == 12
-        assert all(b < a for a, b in zip(sched.values, sched.values[1:]))
-        assert sched.values[0] == pytest.approx(1e-1)
-        assert sched.values[-1] == pytest.approx(1e-3)
+class TestNeville:
+    """``regsum._neville``, the Abel oracle's extrapolation to h = 0, on its own steps."""
 
-    def test_validation(self):
-        with pytest.raises(InvalidConfigError):
-            EpsilonSchedule(values=())
-        with pytest.raises(InvalidConfigError):
-            EpsilonSchedule(values=(0.1, 0.2))  # increasing
-        with pytest.raises(InvalidConfigError):
-            EpsilonSchedule(values=(0.1, -0.01))
-        with pytest.raises(InvalidConfigError):
-            EpsilonSchedule(values=(0.1, 0.01), fit_basis_degree=-1)
-        for values in [(math.nan,), (math.inf, 1.0), (1.0, math.nan), (-math.inf,),
-                       # a fit on these cutoffs once returned finite_part=1.0
-                       (0.3, 0.2, 0.1, 0.0, -0.1, -0.2, -0.3, -0.4)]:
-            with pytest.raises(InvalidConfigError):
-                EpsilonSchedule(values=values)
+    HS = [1.0 - r for r in regsum._ABEL_RADII]
 
-    @pytest.mark.parametrize("eps", [np.full((2, 8), 0.1), 0.1, ("0.1", "x")])
-    def test_values_must_be_one_dimensional(self, eps):
-        with pytest.raises(InvalidConfigError):
-            EpsilonSchedule(values=eps)
+    @pytest.mark.parametrize("degree", range(6))
+    def test_exact_on_polynomials(self, degree):
+        # a polynomial of degree m is its own extrapolant: every estimate
+        # of order m and above lands on its value at h = 0
+        coeffs = [(-1) ** j * (j + 1) / 7.0 for j in range(degree + 1)]
+        ys = [sum(c * h**j for j, c in enumerate(coeffs)) for h in self.HS]
+        value, diagonal = regsum._neville(self.HS, ys)
+        assert value == pytest.approx(coeffs[0], abs=1e-15)
+        assert diagonal[degree:] == pytest.approx([coeffs[0]] * (12 - degree), abs=1e-15)
 
-    @pytest.mark.parametrize("args", [(0.5, 0.1), (0.0, 0.1), (1e-3, math.inf),
-                                      (math.nan, 0.1), (1e-3, 0.1, 0), (1e-3, 0.1, -3)])
-    def test_log_spaced_validation(self, args):
-        with pytest.raises(InvalidConfigError):
-            EpsilonSchedule.log_spaced(*args)
+    def test_one_estimate_per_step(self):
+        value, diagonal = regsum._neville(self.HS, [1.0 + h for h in self.HS])
+        assert len(diagonal) == len(self.HS)
+        assert diagonal[0] == 1.0 + self.HS[0]  # order zero is the first datum
+        assert diagonal[-1] == value
 
-    def test_finite_part_result_validation(self):
-        with pytest.raises(ValueError):
-            FinitePartResult(finite_part=0.0, divergent_coeffs=(), fit_residual=-1.0)
+    def test_analytic_limit(self):
+        # 1/(1 + h) -> 1, with every power of h present
+        value, _ = regsum._neville(self.HS, [1.0 / (1.0 + h) for h in self.HS])
+        assert value == pytest.approx(1.0, abs=1e-15)
 
 
-def _cutoff_sums(k, schedule):
-    """S(eps) = sum_n n^k e^(-eps n) at every cutoff of ``schedule``, as the cutoff oracle sums it."""
-    return [regsum._power_series(k, math.exp(-e), -math.expm1(-e)) for e in schedule.values]
+# (smallest, largest, count) of every cutoff tuple the package and its tests build
+LOG_SPACED_CASES = [(1e-3, 1e-1, 12), (1e-3, 2e-2, 12), (2e-3, 2e-2, 16), (1e-120, 1e-100, 12)]
+
+
+class TestLogSpaced:
+    @pytest.mark.parametrize("smallest, largest, count", LOG_SPACED_CASES)
+    def test_same_floats_as_geomspace(self, smallest, largest, count):
+        cutoffs = regsum._log_spaced(smallest, largest, count)
+        expected = np.geomspace(largest, smallest, count)
+        assert [v.hex() for v in cutoffs] == [float(v).hex() for v in expected]
+
+    @pytest.mark.parametrize("smallest, largest, count", LOG_SPACED_CASES)
+    def test_plain_floats_largest_first(self, smallest, largest, count):
+        cutoffs = regsum._log_spaced(smallest, largest, count)
+        assert isinstance(cutoffs, tuple) and len(cutoffs) == count
+        assert all(type(v) is float for v in cutoffs)
+        assert all(b < a for a, b in zip(cutoffs, cutoffs[1:]))
+        assert cutoffs[0] == pytest.approx(largest, rel=1e-14)
+        assert cutoffs[-1] == pytest.approx(smallest, rel=1e-14)
+
+
+# The cutoff oracle's own cutoffs, 0.1 down to 0.001.
+ORACLE_CUTOFFS = regsum._log_spaced(1e-3, 1e-1, 12)
+
+
+def _cutoff_sums(k, cutoffs):
+    """S(eps) = sum_n n^k e^(-eps n) at every one of ``cutoffs``, as the cutoff oracle sums it."""
+    return [regsum._power_series(k, math.exp(-e), -math.expm1(-e)) for e in cutoffs]
 
 
 class TestCutoffOracle:
+    def test_cutoffs_run_largest_first(self):
+        assert len(ORACLE_CUTOFFS) == 12
+        assert all(b < a for a, b in zip(ORACLE_CUTOFFS, ORACLE_CUTOFFS[1:]))
+        assert ORACLE_CUTOFFS[0] == pytest.approx(1e-1)
+        assert ORACLE_CUTOFFS[-1] == pytest.approx(1e-3)
+
     def test_k1_finite_part(self):
         result = cutoff_sum_oracle(1)
         assert result.finite_part == pytest.approx(-1.0 / 12.0, abs=1e-6)
@@ -259,9 +279,9 @@ class TestCutoffOracle:
         assert abs(result.divergent_coeffs[2]) < 1e-6
 
     def test_coarse_schedule_degrades_gracefully(self):
-        coarse = EpsilonSchedule.log_spaced(0.5, 0.9, 12, fit_basis_degree=4)
+        coarse = regsum._log_spaced(0.5, 0.9, 12)
         default = cutoff_sum_oracle(3)
-        degraded = fit_finite_part(coarse, _cutoff_sums(3, coarse), 4)
+        degraded = fit_finite_part(coarse, _cutoff_sums(3, coarse), 4, 4)
         assert degraded.finite_part == pytest.approx(1.0 / 120.0, abs=1e-3)
         assert degraded.fit_residual > default.fit_residual
 
@@ -272,29 +292,21 @@ class TestCutoffOracle:
             )
 
     def test_larger_odd_power(self):
-        # k = 5 needs a higher, denser schedule; accuracy drops with each
-        # added divergent power but zeta(-5) is still clearly resolved
-        schedule = EpsilonSchedule.log_spaced(0.03, 0.5, 20, fit_basis_degree=4)
-        result = fit_finite_part(schedule, _cutoff_sums(5, schedule), 6)
+        # k = 5 needs higher, denser cutoffs than the oracle's; accuracy drops
+        # with each added divergent power but zeta(-5) is still clearly resolved
+        cutoffs = regsum._log_spaced(0.03, 0.5, 20)
+        result = fit_finite_part(cutoffs, _cutoff_sums(5, cutoffs), 6, 4)
         assert result.finite_part == pytest.approx(float(zeta_neg_int(5)), abs=1e-4)
         assert result.divergent_coeffs[0] == pytest.approx(math.factorial(5), rel=1e-8)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_numpy_integer_power_accepted(self, k):
+        assert cutoff_sum_oracle(np.int64(k)) == cutoff_sum_oracle(k)
 
     @pytest.mark.parametrize("k", [0, 2, 4, -1])
     def test_even_or_nonpositive_rejected(self, k):
         with pytest.raises(ValueError):
             cutoff_sum_oracle(k)
-
-    def test_power_bound_is_the_last_the_schedule_fits(self):
-        bound = regsum._MAX_CUTOFF_POWER
-        assert math.isfinite(cutoff_sum_oracle(bound).finite_part)
-        schedule = EpsilonSchedule.log_spaced(1e-3, 1e-1, 12, 2)
-        with pytest.raises(InvalidConfigError, match="basis needs 13"):
-            fit_finite_part(schedule, _cutoff_sums(bound + 2, schedule), bound + 3)
-
-    def test_too_few_points(self):
-        schedule = EpsilonSchedule(values=(0.1, 0.05, 0.01))
-        with pytest.raises(InvalidConfigError):
-            fit_finite_part(schedule, _cutoff_sums(3, schedule), 4)
 
     def test_short_long_double_raises(self, monkeypatch):
         # a platform whose long double is a plain double
@@ -311,13 +323,12 @@ class TestCutoffOracle:
         eps = (1e-2, 1e-2 * (1 - 1e-15), 1e-2 * (1 - 2e-15), 1e-2 * (1 - 3e-15),
                1e-2 * (1 - 4e-15), 1e-2 * (1 - 5e-15), 1e-2 * (1 - 6e-15),
                1e-2 * (1 - 7e-15))
-        schedule = EpsilonSchedule(eps)
-        data = _cutoff_sums(1, schedule)
+        data = _cutoff_sums(1, eps)
         # on every call: a failed factorization leaves nothing in the cache
         regsum._schedule_fit.cache_clear()
         for _ in range(3):
             with pytest.raises(IllConditionedFitError):
-                fit_finite_part(schedule, data, 2)
+                fit_finite_part(eps, data, 2, 2)
         assert regsum._schedule_fit.cache_info().currsize == 0
 
 
@@ -370,27 +381,28 @@ def _bits(result: FinitePartResult) -> list[str]:
 def _fit_cases():
     for field, row in _FIELDS.items():
         for L in (1e-3, 1.0, 1e3):
-            yield f"{field}-L{L:g}", default_schedule(field, PlateConfig(L)), row.divergent_powers
+            yield (f"{field}-L{L:g}", _cutoffs(field, PlateConfig(L)), row.divergent_powers,
+                   row.tail_degree)
     for k in (1, 3):  # the cutoff oracle's degrees 4 and 6
-        yield f"cutoff-k{k}", EpsilonSchedule.log_spaced(), k + 1
+        yield f"cutoff-k{k}", ORACLE_CUTOFFS, k + 1, 2
 
 
-FIT_CASES = {name: (schedule, power) for name, schedule, power in _fit_cases()}
+FIT_CASES = {name: case for name, *case in _fit_cases()}
 
 
 class TestFactoredFit:
-    """fit_finite_part factors each schedule once; the data's arithmetic is unchanged."""
+    """fit_finite_part factors each cutoff tuple once; the data's arithmetic is unchanged."""
 
-    @pytest.mark.parametrize("schedule, power", FIT_CASES.values(), ids=FIT_CASES)
-    def test_bit_identical_to_uncached_fit(self, schedule, power):
-        rng = np.random.default_rng(power + len(schedule.values))
-        eps = np.asarray(schedule.values)
+    @pytest.mark.parametrize("cutoffs, power, tail_degree", FIT_CASES.values(), ids=FIT_CASES)
+    def test_bit_identical_to_uncached_fit(self, cutoffs, power, tail_degree):
+        rng = np.random.default_rng(power + len(cutoffs))
+        eps = np.asarray(cutoffs)
         regsum._schedule_fit.cache_clear()
         for draw in range(3):  # the first call fills the cache, the others hit it
             # a leading eps^-P divergence over an O(1) remainder, as in the oracles
             data = tuple(rng.standard_normal() / eps ** power + rng.standard_normal(eps.size))
-            expected = _uncached_fit(schedule.values, data, power, schedule.fit_basis_degree)
-            fitted = fit_finite_part(schedule, data, power)
+            expected = _uncached_fit(cutoffs, data, power, tail_degree)
+            fitted = fit_finite_part(cutoffs, data, power, tail_degree)
             assert _bits(fitted) == _bits(expected)
         assert regsum._schedule_fit.cache_info().misses == 1
 
@@ -402,8 +414,7 @@ class TestFactoredFit:
         assert factored.tobytes() == _one_pass_lstsq(design, rhs).tobytes()
 
     def test_cached_arrays_are_read_only(self):
-        schedule = EpsilonSchedule.log_spaced()
-        design, col_norms, (reflectors, r), eps_max_powers = regsum._schedule_fit(schedule.values, 4)
+        design, col_norms, (reflectors, r), eps_max_powers = regsum._schedule_fit(ORACLE_CUTOFFS, 4)
         arrays = [design, col_norms, r, eps_max_powers, *(v for _, v, _ in reflectors)]
         assert len(reflectors) == 5
         for array in arrays:
@@ -414,8 +425,8 @@ class TestFactoredFit:
     def test_cache_is_bounded(self):
         regsum._schedule_fit.cache_clear()
         for count in range(8, 8 + 2 * regsum._FIT_CACHE_SIZE):
-            schedule = EpsilonSchedule.log_spaced(count=count)
-            fit_finite_part(schedule, (1.0,) * count, 1)
+            cutoffs = regsum._log_spaced(1e-3, 1e-1, count)
+            fit_finite_part(cutoffs, (1.0,) * count, 1, 2)
         info = regsum._schedule_fit.cache_info()
         assert info.maxsize == regsum._FIT_CACHE_SIZE
         assert info.currsize == info.maxsize
@@ -427,12 +438,50 @@ class TestFactoredFit:
         info = regsum._schedule_fit.cache_info()
         assert (info.misses, info.hits) == (4, 18)
 
-    def test_sequence_types_share_a_factor(self):
-        # a schedule holds its cutoffs as a tuple of floats, whatever it was given
-        schedule = EpsilonSchedule.log_spaced()
-        data = _cutoff_sums(1, schedule)
-        regsum._schedule_fit.cache_clear()
-        as_tuple = fit_finite_part(schedule, data, 2)
-        for eps in (list(schedule.values), np.asarray(schedule.values)):
-            assert _bits(fit_finite_part(EpsilonSchedule(eps), data, 2)) == _bits(as_tuple)
-        assert regsum._schedule_fit.cache_info().misses == 1
+
+# The fit's model on cutoffs 0.1 down to 0.01: eps^-P ... eps^-1 with
+# coefficients P ... 1, the constant 0.3 and a tail 0.5^j eps^j, j = 1 .. D.
+MODEL_CUTOFFS = regsum._log_spaced(1e-2, 1e-1, 12)
+MODEL_FINITE_PART = 0.3
+
+
+def _model_data(power, tail_degree):
+    eps = np.asarray(MODEL_CUTOFFS, dtype=np.longdouble)
+    divergent = [float(power - i) for i in range(power)]
+    data = sum(c * eps ** -(power - i) for i, c in enumerate(divergent)) + MODEL_FINITE_PART
+    return data + sum(0.5**j * eps**j for j in range(1, tail_degree + 1)), divergent
+
+
+class TestFitContract:
+    """What fit_finite_part trusts of its callers, and what it returns on its model."""
+
+    @pytest.mark.parametrize("cutoffs, power, tail_degree", FIT_CASES.values(), ids=FIT_CASES)
+    def test_callers_pass_decreasing_positive_cutoffs(self, cutoffs, power, tail_degree):
+        # the fit checks none of this: each caller's fixed cutoffs must hold it
+        assert isinstance(cutoffs, tuple)
+        assert all(type(e) is float and e > 0.0 for e in cutoffs)
+        assert all(b < a for a, b in zip(cutoffs, cutoffs[1:]))
+        assert len(cutoffs) >= power + tail_degree + 1
+
+    @pytest.mark.parametrize("tail_degree", [1, 2, 3])
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_recovers_the_model(self, power, tail_degree):
+        data, divergent = _model_data(power, tail_degree)
+        result = fit_finite_part(MODEL_CUTOFFS, data, power, tail_degree)
+        assert result.finite_part == pytest.approx(MODEL_FINITE_PART, abs=1e-9)
+        assert result.divergent_coeffs == pytest.approx(divergent, abs=1e-10)
+        assert 0.0 <= result.fit_residual < 1e-16
+
+    def test_residual_measures_the_misfit(self):
+        # data off the model leave a residual; exact model data leave none
+        data, _ = _model_data(2, 2)
+        exact = fit_finite_part(MODEL_CUTOFFS, data, 2, 2)
+        noisy = fit_finite_part(MODEL_CUTOFFS, data + np.resize([1e-3, -1e-3], 12), 2, 2)
+        assert noisy.fit_residual > 1e6 * exact.fit_residual
+
+    @pytest.mark.parametrize("as_data", [tuple, list, np.asarray, lambda v: np.asarray(v, np.longdouble)],
+                             ids=["tuple", "list", "float64", "longdouble"])
+    def test_data_types_give_the_same_bits(self, as_data):
+        values = _cutoff_sums(3, ORACLE_CUTOFFS)
+        expected = fit_finite_part(ORACLE_CUTOFFS, values, 4, 2)
+        assert _bits(fit_finite_part(ORACLE_CUTOFFS, as_data(values), 4, 2)) == _bits(expected)
