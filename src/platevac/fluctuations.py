@@ -15,8 +15,10 @@ diverge on the plates; the surfaces are therefore excluded from the
 domain rather than mapped to infinities.
 
 Every 1/length^4 field is an exact rational combination alpha A + beta t
-with t = s B, held as a :class:`Pair` in :data:`FIELD_PAIRS`;
-:func:`evaluate` is the one place a pair meets floating point.
+with t = s B, held as a :class:`Pair` in :data:`FIELD_PAIRS`.
+A pair meets floating point in one place: :func:`_kernel` compiles a
+table of pairs into one straight-line function of A and t, built once
+for this table at import, and :func:`evaluate` runs it on arrays.
 
 Every formula is written once, in terms of L, s and s2 = sin^2 theta,
 and is shared by the scalar API (one point, Python floats, no numpy)
@@ -30,9 +32,10 @@ off.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 from .errors import DomainError, _is_finite, _quoted, _require
 from .regsum import _check_theta, _f_of_sin2
@@ -42,13 +45,16 @@ __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
            "evaluate", "ab_values", "phi_squared", "phi_squared_single_plate",
            "expectation_set", "expectation_columns"]
 
+_DOUBLE_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class InteriorPoint:
     """A point strictly between the plates; theta = pi z / L is authoritative.
 
     Both coordinates are stored so that emitted tables are
-    self-describing, but every formula is a function of theta alone.
+    self-describing, but every formula is a function of theta alone;
+    z need only be a finite double.
     """
 
     z: float
@@ -56,6 +62,8 @@ class InteriorPoint:
 
     def __post_init__(self) -> None:
         _check_theta(self.theta)
+        if not abs(self.z) <= _DOUBLE_MAX:  # NaN, an infinity or an int past the double range
+            raise DomainError(f"z must be a finite double, got {_quoted(self.z)}")
 
     @classmethod
     def from_z(cls, config: PlateConfig, z: float) -> "InteriorPoint":
@@ -115,12 +123,6 @@ class Pair:
     def __rmul__(self, c: Fraction) -> "Pair":
         return Pair(c * self.alpha, c * self.beta)
 
-    @cached_property
-    def _plan(self) -> tuple[float, float]:
-        """The floats evaluate() uses: (alpha, beta/alpha), or (alpha, beta) if either is 0."""
-        ratio = Fraction(self.beta, self.alpha) if self.alpha and self.beta else self.beta
-        return float(self.alpha), float(ratio)
-
 
 # The five 1/length^4 fields of FluctuationSet in field order, as listed
 # in the expectation_set docstring (phi2 scales as 1/length^2 and is no
@@ -134,22 +136,44 @@ FIELD_PAIRS = {
 }
 
 
+@lru_cache(maxsize=8)
+def _kernel(pairs: tuple):
+    """One compiled function (A, t) -> the tuple of alpha A + beta t of each pair.
+
+    A pair with both coefficients nonzero becomes the term
+    alpha (A + (beta/alpha) t), the form every field above is written
+    in; beta = 0 gives alpha A, which never reads t, alpha = 0 gives
+    beta t, and (0, 0) gives 0.0 A.  Each coefficient is the float of
+    its exact rational, written into the source by ``repr``, which reads
+    back as the same double; nothing else enters the source.  Kernels
+    are cached by table: compiling one costs tens of microseconds and
+    raises the process's peak memory.
+    """
+    terms = []
+    for pair in pairs:
+        ratio = Fraction(pair.beta, pair.alpha) if pair.alpha and pair.beta else pair.beta
+        scale, ratio = float(pair.alpha), float(ratio)
+        terms.append(f"{scale!r} * A" if not ratio else f"{ratio!r} * t" if not scale
+                     else f"{scale!r} * (A + {ratio!r} * t)")
+    body = "".join(f"{term}, " for term in terms)  # a tuple, of any length
+    namespace: dict = {}
+    exec(f"def kernel(A, t):\n    return ({body})", {}, namespace)
+    return namespace["kernel"]
+
+
+_FIELD_KERNEL = _kernel(tuple(FIELD_PAIRS.values()))
+
+
 def evaluate(pairs, A, t) -> list:
     """alpha A + beta t of each pair in ``pairs``, from the floats A and t.
 
     ``t`` may be a float or a float64 array (``A`` is a float); every
-    value has t's type and shape.  Pairs with both coefficients nonzero
-    are evaluated as alpha (A + (beta/alpha) t), the form every field
-    above is written in; beta = 0 gives alpha A without touching t,
-    alpha = 0 gives beta t, and (0, 0) gives +0.0.
+    value has t's type and shape.  The values are those of the pairs'
+    kernel (:func:`_kernel`).
     """
-    values = []
-    for pair in pairs:
-        scale, ratio = pair._plan
-        values.append(scale * A if not ratio else ratio * t if not scale
-                      else scale * (A + ratio * t))
+    values = _kernel(tuple(pairs))(A, t)
     if isinstance(t, float):
-        return values
+        return list(values)
     import numpy as np
 
     # alpha A of a beta = 0 pair is a float: give it t's shape
@@ -192,7 +216,9 @@ def _phi2(s: int, L, s2):
 
 
 def _fluctuations(s: int, L, s2, A, B) -> FluctuationSet:
-    return FluctuationSet(_phi2(s, L, s2), *evaluate(FIELD_PAIRS.values(), A, s * B))
+    t = s * B
+    values = _FIELD_KERNEL(A, t) if isinstance(t, float) else evaluate(FIELD_PAIRS.values(), A, t)
+    return FluctuationSet(_phi2(s, L, s2), *values)
 
 
 def ab_values(config: PlateConfig, point: InteriorPoint) -> ABPair:

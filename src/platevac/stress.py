@@ -22,7 +22,10 @@ proved once, at import, in exact rational arithmetic on the table
 breaks one raises :class:`ConsistencyError`.  Only A and t are floats,
 so the improved density is -A and T_zz is -3A to the bit, however close
 the point is to a plate.  :func:`stress_report` takes one point (float
-fields) or a grid (:func:`fluctuations.expectation_columns`).
+fields), which it evaluates through the components' kernel
+(``fluctuations._kernel``, built once at import), or a grid
+(:func:`fluctuations.expectation_columns`), through
+:func:`fluctuations.evaluate`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .fluctuations import FIELD_PAIRS, ABPair, FluctuationSet, Pair, evaluate
+from .fluctuations import FIELD_PAIRS, ABPair, FluctuationSet, Pair, _kernel, evaluate
 
 __all__ = ["StressReport", "stress_report"]
 
@@ -81,6 +84,7 @@ def _derive(fields: dict[str, Pair]) -> dict[str, Pair]:
 
 
 _COMPONENTS = _derive(FIELD_PAIRS)
+_COMPONENT_KERNEL = _kernel(tuple(_COMPONENTS.values()))
 
 
 def stress_report(fluct: FluctuationSet, ab: ABPair) -> StressReport:
@@ -92,9 +96,7 @@ def stress_report(fluct: FluctuationSet, ab: ABPair) -> StressReport:
     """
     d = fluct.dlambda_phi2
     if isinstance(d, float):
-        t = math.copysign(ab.B, d)
-    else:
-        import numpy as np
+        return StressReport(*_COMPONENT_KERNEL(ab.A, math.copysign(ab.B, d)))
+    import numpy as np
 
-        t = np.copysign(ab.B, d)
-    return StressReport(*evaluate(_COMPONENTS.values(), ab.A, t))
+    return StressReport(*evaluate(_COMPONENTS.values(), ab.A, np.copysign(ab.B, d)))

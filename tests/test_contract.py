@@ -1,0 +1,87 @@
+"""The scalar point API's contract: any numeric argument gives finite values or a PlateVacError.
+
+Every call is timed and held to a bound far above its microseconds, so
+an argument that sends a call into a long loop fails too.  Wrong types
+(str, None, complex) are outside the contract.  ``stress_report`` trusts
+its records, so it gets only records the library itself returned.
+"""
+
+import dataclasses
+import math
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from platevac import (
+    BoundaryCondition,
+    InteriorPoint,
+    PlateConfig,
+    ab_values,
+    expectation_set,
+    phi_squared,
+    phi_squared_single_plate,
+    stress_report,
+)
+from platevac.errors import PlateVacError
+
+CALL_BOUND_S = 0.5
+
+numbers = st.one_of(
+    st.floats(),  # NaN, infinities, signed zeros and subnormals among them
+    st.floats(min_value=0.0, max_value=4.0),  # angles and distances inside a unit gap
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-320,
+                     1e-300, -1e-300, 1e300, -1e300, 1e-6, math.pi - 1e-6]),
+    st.integers(min_value=-10, max_value=10),
+    st.sampled_from([True, False, 10**400, -10**400]),
+)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the double range
+        return False
+
+
+def _assert_finite(value, where: str) -> None:
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _assert_finite(getattr(value, field.name), f"{where}.{field.name}")
+    elif not isinstance(value, BoundaryCondition):
+        assert _finite(value), f"{where} = {value!r}"
+
+
+def _call(fn, *args):
+    """fn(*args), checked finite, or None where it raises a PlateVacError."""
+    start = time.perf_counter()
+    try:
+        value = fn(*args)
+    except PlateVacError:
+        value = None
+    elapsed = time.perf_counter() - start
+    assert elapsed < CALL_BOUND_S, f"{fn.__qualname__}{args!r} took {elapsed:.3f} s"
+    if value is not None:
+        _assert_finite(value, f"{fn.__qualname__}{args!r}")
+    return value
+
+
+@given(L=numbers, z=numbers, theta=numbers, bc=st.sampled_from(list(BoundaryCondition)))
+@settings(max_examples=400, deadline=None)
+def test_point_api_gives_finite_values_or_a_library_error(L, z, theta, bc):
+    _call(phi_squared_single_plate, bc, z)
+    configs = [PlateConfig(1.0)]
+    config = _call(PlateConfig, L)
+    if config is not None:
+        configs.append(config)
+    points = [_call(InteriorPoint, z, theta)]
+    for config in configs:
+        points += [_call(InteriorPoint.from_z, config, z),
+                   _call(InteriorPoint.from_theta, config, theta)]
+    for config in configs:
+        for point in points:
+            if point is None:
+                continue
+            _call(phi_squared, bc, config, point)
+            fluct, ab = _call(expectation_set, bc, config, point), _call(ab_values, config, point)
+            if fluct is not None and ab is not None:
+                _call(stress_report, fluct, ab)

@@ -73,6 +73,11 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: dimreg.quadrature_reference(2, HUGE, 1.0),
     lambda: PlateConfig(LONG),
     lambda: casimir.canonical_density_integral(PLATE, D, LONG),
+    # theta is authoritative, but the stored z must still be a finite double
+    lambda: fluctuations.InteriorPoint(math.nan, 0.5),
+    lambda: fluctuations.InteriorPoint(math.inf, 0.5),
+    lambda: fluctuations.InteriorPoint(-math.inf, 0.5),
+    lambda: fluctuations.InteriorPoint(HUGE, 0.5),
 ], ids=[
     "canonical_density_integral", "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
     "fit_finite_part-inf", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs",
@@ -88,6 +93,8 @@ LONG = 10**5000  # past the 4300 digits Python writes out
                                   "phi_squared_single_plate", "gamma_real", "abel_sum_oracle",
                                   "master_integral", "quadrature_reference")),
     "PlateConfig-long", "canonical_density_integral-long",
+    "InteriorPoint-nan-z", "InteriorPoint-inf-z", "InteriorPoint-minus-inf-z",
+    "InteriorPoint-huge-z",
 ])
 def test_bad_argument_raises_library_error(call):
     with pytest.raises(PlateVacError):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import pytest
 
-from platevac import cli, regsum
+from platevac import cli, fluctuations, regsum, stress
 from platevac.cli import VERIFY_CHECKS, RunConfig
 from platevac.errors import PlateVacError
 from platevac.spectrum import BoundaryCondition
@@ -53,6 +53,17 @@ class Edit(NamedTuple):
                 for attr, value in list(vars(holder).items()):
                     if value is original:
                         monkeypatch.setattr(holder, attr, namespace[self.function])
+
+
+class KernelEdit(Edit):
+    """An :class:`Edit` of ``fluctuations._kernel`` that also rebuilds the kernels built at import."""
+
+    def apply(self, monkeypatch) -> None:
+        super().apply(monkeypatch)
+        monkeypatch.setattr(fluctuations, "_FIELD_KERNEL",
+                            fluctuations._kernel(tuple(fluctuations.FIELD_PAIRS.values())))
+        monkeypatch.setattr(stress, "_COMPONENT_KERNEL",
+                            fluctuations._kernel(tuple(stress._COMPONENTS.values())))
 
 
 class SwapLabels(NamedTuple):
@@ -136,8 +147,17 @@ MUTATIONS = {
                    {"mode_sum_phidot2", "trace_canonical_sign"}, set()),
     "stress-t-unsigned": (Edit("stress", "stress_report", "np.copysign(ab.B, d)", "ab.B"),
                           {"trace_canonical_sign"}, set()),
-    "pair-sign": (Edit("fluctuations", "evaluate", "(A + ratio * t)", "(A - ratio * t)"),
-                  {"mode_sum_phidot2"}, set()),
+    "pair-sign": (KernelEdit("fluctuations", "_kernel", "(A + {ratio!r} * t)",
+                             "(A - {ratio!r} * t)"), {"mode_sum_phidot2"}, set()),
+    "pair-beta-zero-sign": (KernelEdit("fluctuations", "_kernel", 'f"{scale!r} * A"',
+                                       'f"-{scale!r} * A"'),
+                            {"improved_density_value", "tzz_equals_pressure",
+                             "integrated_density"}, set()),
+    # negates dlambda_phi2, huggins_00 and trace_canonical, which verify only
+    # reads through each other; test_fluctuations.py's test_contraction_identity
+    # pins it
+    "pair-alpha-zero-sign": (KernelEdit("fluctuations", "_kernel", 'f"{ratio!r} * t"',
+                                        'f"-{ratio!r} * t"'), set(), set()),
     "energy-closed-sign": (Edit("casimir", "total_energy", "-math.pi", "math.pi"), set(), GUARDED),
     # The boundary-condition sign.
     "bc-label-swap": (SwapLabels(), MODE_SUMS, set()),

@@ -17,6 +17,7 @@ from platevac.fluctuations import (
     FIELD_PAIRS,
     InteriorPoint,
     Pair,
+    _kernel,
     ab_values,
     evaluate,
     expectation_columns,
@@ -68,6 +69,38 @@ def _scalar_records(count=2000):
         yield fluct, ab, stress_report(fluct, ab)
 
 
+# exact rationals, 0 among them, and the doubles at the edges of the range
+COEFFICIENTS = st.one_of(st.just(Fraction(0)),
+                         st.fractions(min_value=-64, max_value=64, max_denominator=64))
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                               -1e-300, 1e300, -1e300, 1.7976931348623157e308, math.inf,
+                               -math.inf, math.nan])
+
+
+def _written(pair, A, t):
+    """alpha A + beta t in the form the kernel documents, from the rationals."""
+    if not pair.beta:
+        return float(pair.alpha) * A
+    if not pair.alpha:
+        return float(pair.beta) * t
+    return float(pair.alpha) * (A + float(pair.beta / pair.alpha) * t)
+
+
+def _bits(value):
+    """The double's bit pattern, sign of zero included; every NaN reads alike."""
+    value = float(value)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+class _Untouchable:
+    """A t that fails any arithmetic."""
+
+    def _fail(self, *args):
+        raise AssertionError("t was read")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _fail
+
+
 class TestPairAlgebra:
     def test_proved_components(self):
         pairs = stress._COMPONENTS
@@ -94,6 +127,28 @@ class TestPairAlgebra:
         pairs = [stress._COMPONENTS["energy_density_improved"], stress._COMPONENTS["t_zz"]]
         assert evaluate(pairs, 0.25, math.nan) == [-0.25, -0.75]
         assert evaluate(pairs, 0.25, math.inf) == [-0.25, -0.75]
+
+    @given(st.lists(st.builds(Pair, COEFFICIENTS, COEFFICIENTS), max_size=8),
+           st.one_of(st.floats(allow_nan=False), EDGE_FLOATS),
+           st.one_of(st.floats(), EDGE_FLOATS))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_of_any_table_is_its_written_form(self, table, A, t):
+        values = _kernel(tuple(table))(A, t)
+        assert isinstance(values, tuple) and len(values) == len(table)
+        for pair, value in zip(table, values):
+            assert _bits(value) == _bits(_written(pair, A, t)), pair
+        # beta = 0 terms never read t, whatever it is
+        untouched = [p for p in table if not p.beta]
+        assert [_bits(v) for v in _kernel(tuple(untouched))(A, _Untouchable())] == [
+            _bits(float(p.alpha) * A) for p in untouched]
+        # the array path gives each value at every element of t
+        scalar = evaluate(table, A, t)
+        assert [_bits(v) for v in scalar] == [_bits(v) for v in values]
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = evaluate(table, A, np.array([t, t]))
+        for column, value in zip(columns, scalar):
+            assert column.dtype == np.float64 and column.shape == (2,)
+            assert _bits(column[0]) == _bits(column[1]) == _bits(value)
 
     def test_zero_pair_is_positive_zero(self):
         [value] = evaluate([Pair(0, 0)], 0.25, -3.0)
