@@ -19,11 +19,9 @@ from .errors import (
     ConsistencyError,
     DomainError,
     ExtrapolationDivergenceError,
-    IllConditionedFitError,
     InvalidConfigError,
     PlateVacError,
     PoleError,
-    PrecisionError,
     QuadratureError,
 )
 from .fluctuations import (
@@ -53,10 +51,10 @@ from .stress import StressReport, stress_report
 __all__ = [
     "canonical_density_integral", "em_reference", "integrated_density_check", "pressure",
     "total_energy", "gamma_real", "master_integral", "quadrature_reference", "ConsistencyError",
-    "DomainError", "ExtrapolationDivergenceError", "IllConditionedFitError", "InvalidConfigError",
-    "PlateVacError", "PoleError", "PrecisionError", "QuadratureError", "ABPair", "FluctuationSet",
-    "InteriorPoint", "ab_values", "expectation_columns", "expectation_set", "phi_squared",
-    "phi_squared_single_plate", "mode_sum_finite_part", "FinitePartResult",
+    "DomainError", "ExtrapolationDivergenceError", "InvalidConfigError", "PlateVacError",
+    "PoleError", "QuadratureError", "ABPair", "FluctuationSet", "InteriorPoint", "ab_values",
+    "expectation_columns", "expectation_set", "phi_squared", "phi_squared_single_plate",
+    "mode_sum_finite_part", "FinitePartResult",
     "abel_sum_oracle", "bernoulli", "cutoff_sum_oracle", "f_theta", "trig_sum_n3_cos",
     "trig_sum_n_cos", "zeta_neg_int", "BoundaryCondition", "PlateConfig", "k_n", "StressReport",
     "stress_report",

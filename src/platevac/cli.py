@@ -625,8 +625,8 @@ def _canonical_density_divergence(config: RunConfig) -> float:
 # PlateVacError there does not count.
 VERIFY_CHECKS = (
     # Regularized power sums against the exponential-cutoff oracle (absolute).
-    VerifyCheck("zeta_cutoff_k1", 1e-6, lambda config: _cutoff_error(1)),
-    VerifyCheck("zeta_cutoff_k3", 1e-6, lambda config: _cutoff_error(3)),
+    VerifyCheck("zeta_cutoff_k1", 2e-15, lambda config: _cutoff_error(1)),
+    VerifyCheck("zeta_cutoff_k3", 2e-15, lambda config: _cutoff_error(3)),
     # Oscillatory sums against the Abel oracle (absolute).
     VerifyCheck("abel_n_cos", 1e-8, lambda config: _abel_error(1, regsum.trig_sum_n_cos)),
     VerifyCheck("abel_n3_cos", 1e-8, lambda config: _abel_error(3, regsum.trig_sum_n3_cos)),
@@ -637,8 +637,8 @@ VERIFY_CHECKS = (
     VerifyCheck("dimreg_recursion", 1e-10, _dimreg_recursion),
     # Mode-sum oracle: radial kernels against quadrature, finite parts against closed forms.
     VerifyCheck("oracle_transverse_kernel", 1e-9, _oracle_transverse_kernel),
-    VerifyCheck("mode_sum_phi2", 1e-4, lambda config: _mode_sum_error("phi2", config)),
-    VerifyCheck("mode_sum_phidot2", 1e-3, lambda config: _mode_sum_error("phidot2", config)),
+    VerifyCheck("mode_sum_phi2", 1e-13, lambda config: _mode_sum_error("phi2", config)),
+    VerifyCheck("mode_sum_phidot2", 1e-12, lambda config: _mode_sum_error("phidot2", config)),
     # Stress-tensor invariants on the interior grid.
     VerifyCheck("trace_canonical_sign", 1e-10, _trace_canonical_sign),
     VerifyCheck("improved_density_value", 1e-12, _improved_density_value),

@@ -27,14 +27,6 @@ class ExtrapolationDivergenceError(PlateVacError, ArithmeticError):
     """Successive extrapolants grow: the series has no Abel limit."""
 
 
-class IllConditionedFitError(PlateVacError, ArithmeticError):
-    """The least-squares system for a finite part is numerically singular."""
-
-
-class PrecisionError(PlateVacError, ArithmeticError):
-    """The platform's long double is too short for an oracle's cancellations."""
-
-
 class QuadratureError(PlateVacError, ArithmeticError):
     """An adaptive quadrature failed to converge to the requested accuracy."""
 

@@ -2,12 +2,12 @@
 
 Independently of every closed form elsewhere in the package, the raw
 mode sums are rebuilt here with an exponential frequency cutoff
-e^(-eps omega) and the finite part is extracted from a fixed set of
-cutoffs per field.  :func:`mode_sum_finite_part` takes the name of a
-``FluctuationSet`` field and the arguments of ``expectation_set``.  The
-cutoff is applied to omega, not to n alone, so the transverse momentum
-integral converges absolutely and reduces in closed radial form
-(substituting omega d omega = k dk):
+e^(-eps omega), and the finite part is read off as the constant term of
+the regulated sum's Laurent series in eps.  :func:`mode_sum_finite_part`
+takes the name of a ``FluctuationSet`` field and the arguments of
+``expectation_set``.  The cutoff is applied to omega, not to n alone,
+so the transverse momentum integral converges absolutely and reduces
+in closed radial form (substituting omega d omega = k dk):
 
     phi2:    integral d^2k/(2pi)^2 e^(-eps omega)/omega
                  = (1/2pi) int_{k_n}^inf e^(-eps w) dw
@@ -23,36 +23,33 @@ both against quadrature of the original integrand.
 Each kernel is e^(-eps k_n) times a polynomial sum_j c_j k_n^j with
 j <= 2, and k_n = n pi / L, so the regulated sum over every mode n >= 1
 with the boundary-condition weight (1 - s cos 2 n theta) is exact and
-finite: with q = e^(-eps pi / L) and z = q e^(2 i theta),
+finite: with q = e^(-eps pi / L),
 
-    sum_n n^j q^n (1 - s cos 2 n theta) = Li_j(q) - s Re Li_j(z),
+    sum_n n^j q^n (1 - s cos 2 n theta)
+        = Li_j(q) - (s/2) [Li_j(q e^(2i theta)) + Li_j(q e^(-2i theta))],
 
 where Li_j(x) = sum_n n^j x^n is the Eulerian closed form shared with
-the cutoff oracle.  Nothing is truncated.  Expanding in small eps, these
-sums behave like 1/(e^(a eps) - 1) and its derivatives (a = pi/L), so
-the divergent bases are known analytically per field:
-
-    phi2:    eps^-2, eps^-1   (constant, then all integer powers)
-    phidot2: eps^-4, eps^-3, eps^-2, eps^-1
-
-The least-squares machinery shared with the cutoff oracle strips those
-powers plus a low-degree polynomial tail, both per field in the one
-table :data:`_FIELDS`, which also fixes the field's cutoffs; the
-constant is the finite part and must land on the closed-form field.
-phidot2 carries a stronger eps^-4 divergence and correspondingly worse
-fit conditioning, hence its looser documented tolerance (1e-3 relative
-against 1e-4 for phi2).
+the cutoff oracle.  Nothing is truncated, and the sum is analytic in
+complex eps but for poles where q or q e^(+-2i theta) reaches 1.  The
+nearest of them after eps = 0 lies at |eps| = 2 min(theta, pi - theta)
+L / pi, so ``regsum.fit_finite_part`` takes the mean over a circle half
+that size around eps = 0.  The pole at 0 has order 2 (phi2) or 4
+(phidot2), :data:`_FIELDS`; its coefficients are known analytically,
+1/(4 pi^2) and -(1 - s)/(8 pi L) for phi2, 3/(2 pi^2),
+-(1 - s)/(4 pi L), 0 and 0 for phidot2, the (1 - s) terms being the
+omitted Neumann n = 0 mode.  The constant is the finite part and must
+land on the closed-form field, to about 1e-14 relative at any angle in
+(0, pi) where the sums on the circle stay finite doubles.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import InvalidConfigError
 from .fluctuations import InteriorPoint
-from .regsum import _FIT_CACHE_SIZE, FinitePartResult, _log_spaced, _power_series, fit_finite_part
+from .regsum import FinitePartResult, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition, PlateConfig
 
 if TYPE_CHECKING:
@@ -61,44 +58,18 @@ if TYPE_CHECKING:
 __all__ = ["mode_sum_finite_part"]
 
 
-class _Field(NamedTuple):
-    divergent_powers: int
-    smallest: float
-    largest: float
-    count: int
-    tail_degree: int
+# Per field: the order P of the pole at eps = 0, eps^-P ... eps^-1; the
+# kernel is _kernel_coefficients.
+_FIELDS = {"phi2": 2, "phidot2": 4}
+# What math.pi falls short of pi.
+_PI_LO = 1.2246467991473532e-16
 
 
-# Per field: P of the divergent basis eps^-P ... eps^-1, and ``count``
-# cutoffs from ``smallest`` to ``largest`` per unit L fitted with a tail
-# up to eps^``tail_degree``; the kernel is _kernel_coefficients.  The
-# cutoff eps carries length units (it multiplies a frequency), so the
-# cutoffs scale with L.  The oscillatory weight sums are analytic
-# in a disk of radius 2 theta in pi eps / L around zero cutoff, so the
-# largest cutoff must stay well inside it for the working range
-# theta >= 0.3, which caps it at 0.02 L; and the basis needs a quartic
-# (phi2) or quintic (phidot2) tail because those sums contribute every
-# integer power of eps with pole-driven coefficient growth.  phidot2
-# starts its cutoffs higher, its eps^-4 divergence being the fit's
-# worst conditioning case.
-_FIELDS = {
-    "phi2": _Field(2, 1e-3, 2e-2, 12, 4),
-    "phidot2": _Field(4, 2e-3, 2e-2, 16, 5),
-}
-
-
-def _field(field: str) -> _Field:
-    """The row of ``field`` in :data:`_FIELDS`; InvalidConfigError if it has none."""
+def _divergent_powers(field: str) -> int:
+    """The pole order of ``field`` in :data:`_FIELDS`; InvalidConfigError if it has none."""
     if isinstance(field, str) and field in _FIELDS:
         return _FIELDS[field]
     raise InvalidConfigError(f"the mode-sum oracle rebuilds {sorted(_FIELDS)}, got {field!r}")
-
-
-@lru_cache(maxsize=_FIT_CACHE_SIZE)
-def _cutoffs(field: str, config: PlateConfig) -> tuple[float, ...]:
-    """The cutoffs of ``field`` at the separation of ``config``, largest first."""
-    row, L = _field(field), config.L
-    return _log_spaced(row.smallest * L, row.largest * L, row.count)
 
 
 def _kernel_coefficients(field: str, eps):
@@ -116,29 +87,30 @@ def _transverse_closed(field: str, kn, eps):
 
 
 def _regulated_sums(field: str, bc: BoundaryCondition, L: float, theta: float,
-                    eps_values) -> np.ndarray:
-    """The cutoff-regulated mode sum at every cutoff in ``eps_values``, summed exactly.
+                    eps) -> np.ndarray:
+    """The cutoff-regulated mode sum at every complex cutoff in ``eps``, summed exactly.
 
     sum_{n>=1} (1 - s cos 2 n theta) T(k_n, eps) / (2 L) with T the
-    transverse kernel, as Li_j(q) - s Re Li_j(z) per power of k_n.
+    transverse kernel, as Li_j(q) - (s/2) [Li_j(z) + Li_j(z')] per power
+    of k_n, z and z' = q e^(+-2i theta).  The cosine is the mean of the
+    two phases, not Re Li_j(z), which is not analytic in eps; each
+    1 - x is taken through expm1, so it keeps its digits near a plate.
     """
     import numpy as np
 
-    eps = np.asarray(eps_values, dtype=np.longdouble)
-    a = np.longdouble(math.pi) / np.longdouble(L)
-    q = np.exp(-eps * a)
-    one_minus_q = -np.expm1(-eps * a)
-    z = q * np.exp(1j * np.longdouble(2.0 * theta))
-    one_minus_z = 1.0 - z
+    a = math.pi / L
+    w = -a * eps
+    phase = 1j * (2.0 * theta)
+    nodes = [(np.exp(v), -np.expm1(v)) for v in (w, w + phase, w - phase)]
     # s comes from the modes summed, not from BoundaryCondition.sign_upper,
     # so the oracle shares no sign convention with the closed forms:
     # Dirichlet sin^2 gives 1 - cos 2 n theta, Neumann cos^2 1 + cos 2 n theta.
     s = 1 if bc is BoundaryCondition.DIRICHLET else -1
-    total = np.zeros_like(eps)
+    total = 0.0
     for j, c in enumerate(_kernel_coefficients(field, eps)):
-        weighted = _power_series(j, q, one_minus_q) - s * _power_series(j, z, one_minus_z).real
-        total += c * a**j * weighted
-    return total / (2.0 * np.longdouble(L))
+        free, up, down = (_power_series(j, x, one_minus_x) for x, one_minus_x in nodes)
+        total += c * a**j * (free - s * 0.5 * (up + down))
+    return total / (2.0 * L)
 
 
 def mode_sum_finite_part(
@@ -148,19 +120,19 @@ def mode_sum_finite_part(
 
     ``field`` names a ``FluctuationSet`` field in :data:`_FIELDS`; the
     other arguments are those of ``expectation_set``, whose ``field``
-    the constant term reproduces.  For each cutoff of
-    :func:`_cutoffs` the transverse integrals are summed over all
-    n >= 1 with the boundary-condition weight (1 - s cos(2 n theta)),
-    in closed form, then the divergent powers are fitted away.
-
-    The sums run in extended precision.  At the smallest cutoff they
-    reach ~ eps^-4 while the finite part is O(1), so
-    double-precision round-off would already be comparable to the
-    quantity being extracted; x86 long double buys the three extra
-    digits the fit needs, and on a platform without it the fit raises
-    :class:`PrecisionError` instead of returning a degraded value.
+    the constant term reproduces.  The transverse integrals are summed
+    over all n >= 1 with the boundary-condition weight
+    (1 - s cos(2 n theta)), in closed form, on 64 complex cutoffs around
+    eps = 0, and ``regsum.fit_finite_part`` takes their mean.  The
+    circle's radius min(theta, pi - theta) L / pi is half the distance
+    to the nearest other singularity, so it shrinks toward a plate with
+    the finite part's own length scale; where it underflows, or a sum
+    overflows on it, the fit raises DomainError.
     """
-    row = _field(field)
-    cutoffs = _cutoffs(field, config)
-    sums = _regulated_sums(field, bc, config.L, point.theta, cutoffs)
-    return fit_finite_part(cutoffs, sums, row.divergent_powers, row.tail_degree)
+    powers = _divergent_powers(field)
+    L = config.L
+    # cos 2 n theta = cos 2 n (pi - theta): sum at the angle from the nearer
+    # plate, with pi - theta exact, so that e^(+-2i theta) - 1 keeps its digits
+    angle = min(point.theta, (math.pi - point.theta) + _PI_LO)
+    radius = angle * L / math.pi
+    return fit_finite_part(lambda eps: _regulated_sums(field, bc, L, angle, eps), radius, powers)

@@ -11,13 +11,13 @@ negative integers, the oscillatory sums through the closed forms
 Two independent numerical routes to the same finite parts are provided
 for cross-validation:
 
-* ``cutoff_sum_oracle`` evaluates S(eps) = sum_n n^k e^(-eps n) exactly
-  (closed form through Eulerian polynomials) at twelve fixed cutoffs,
-  then strips the divergent powers eps^-(k+1) ... eps^-1 by a
-  least-squares fit and returns the constant term.  The small-eps
-  expansion of S has a single divergent power k!/eps^(k+1) followed by
-  the constant zeta(-k), so the fitted intermediate coefficients are
-  expected to come out near zero.
+* ``cutoff_sum_oracle`` sums S(eps) = sum_n n^k e^(-eps n) exactly
+  (closed form through Eulerian polynomials) at complex cutoffs.  S is
+  analytic in eps but for poles at eps = 2 pi i m; the one at 0 is
+  k!/eps^(k+1) followed by the constant zeta(-k).  ``fit_finite_part``
+  reads that constant off as the mean of S over 64 equally spaced
+  points of the circle |eps| = pi, half way to the next pole: the
+  trapezoid rule for the Laurent coefficient, exact to about 2^-64.
 
 * ``abel_sum_oracle`` evaluates sum_n n^k r^n cos(2 n theta) in closed
   form at twelve fixed radii below the circle of convergence and
@@ -27,9 +27,9 @@ for cross-validation:
   is what makes polynomial extrapolation the right accelerator.
 
 All closed-form evaluations are exact rational or elementary-function
-expressions; only the oracles involve fits or extrapolation.  Each
-oracle fixes its own cutoffs or radii, and the fit (shared with the
-mode-sum oracle in ``oracle``) and the extrapolation trust them.
+expressions; only the oracles involve contour means or extrapolation,
+both in double precision.  Each oracle fixes its own circle or radii;
+the contour mean is shared with the mode-sum oracle in ``oracle``.
 """
 
 from __future__ import annotations
@@ -38,21 +38,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import (
     DomainError,
     ExtrapolationDivergenceError,
-    IllConditionedFitError,
-    PrecisionError,
     _is_count,
     _is_finite,
     _quoted,
     _require,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FinitePartResult",
@@ -195,8 +189,9 @@ def _power_series(k: int, x, one_minus_x):
     complex number or a numpy array of any float or complex dtype, and
     the arithmetic is the same element by element; ``1 - x`` is passed
     in so that callers near x = 1 can form it without cancellation.
-    It checks nothing; its callers pass only |x| < 1, at nodes where
-    the value is finite.
+    Past |x| = 1 it is the series' analytic continuation, which the
+    contour means reach on their circles.  It checks nothing; a caller
+    whose nodes can overflow checks the result.
     """
     poly = 0
     for a in reversed(_eulerian_row(k)):
@@ -283,208 +278,92 @@ def abel_sum_oracle(k: int, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Finite-part extraction from an exponentially regulated sum
+# Finite parts as Laurent coefficients: the trapezoid rule on a circle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FinitePartResult:
-    """Finite part of a cutoff-regulated sum plus the fitted divergences.
+    """Finite part of a cutoff-regulated sum plus its divergent coefficients.
 
     ``divergent_coeffs`` are ordered from the most divergent power down,
-    eps^-(p) ... eps^-1 for p = number of negative-power basis elements;
-    ``fit_residual`` is the root mean square of the scaled fit's residuals.
+    eps^-P ... eps^-1; ``error_estimate`` is how far the finite part
+    moves when every other node of the circle is dropped.
     """
 
     finite_part: float
     divergent_coeffs: tuple[float, ...]
-    fit_residual: float
+    error_estimate: float
 
 
-def _log_spaced(smallest: float, largest: float, count: int) -> tuple[float, ...]:
-    """``count`` cutoffs spaced logarithmically, from ``largest`` down to ``smallest``."""
-    import numpy as np
-
-    return tuple(float(v) for v in np.geomspace(largest, smallest, count))
-
-
-# At the small end of the phidot2 mode-sum schedule the regulated sums
-# exceed the finite part by ~1e11 (the eps^-4 divergence): 80-bit long
-# double (eps 1.1e-19) leaves the fit the digits it needs, a long double
-# that is only a double (eps 2.2e-16) does not.
-_LONGDOUBLE_EPS_MAX = 1e-18
+# Nodes of the trapezoid rule on the circle.  With the nearest other
+# singularity twice as far out as the circle, its error falls as 2^-N:
+# 2^-64 = 5e-20, below double round-off.
+_CIRCLE_NODES = 64
 
 
-def _require_long_double() -> None:
-    """Raise PrecisionError unless long double is 80-bit or wider."""
-    import numpy as np
+def fit_finite_part(regulated, radius: float, divergent_powers: int) -> FinitePartResult:
+    """The Laurent coefficients of ``regulated`` at its pole eps = 0, read off a circle.
 
-    ld_eps = float(np.finfo(np.longdouble).eps)
-    if not ld_eps <= _LONGDOUBLE_EPS_MAX:
-        raise PrecisionError(
-            f"long double eps {ld_eps:.3g} exceeds {_LONGDOUBLE_EPS_MAX:g}; "
-            "finite-part fits need 80-bit or wider extended precision"
-        )
+    ``regulated`` maps an array of complex cutoffs to the regulated sum
+    S at each.  S must be analytic in 0 < |eps| < 2 ``radius``, with a
+    pole of order P = ``divergent_powers`` at 0 and S(conj eps) =
+    conj S(eps).  Its coefficient of eps^-p is the contour integral
+    (1/2 pi i) of S(eps) eps^(p-1) d eps around the circle |eps| =
+    ``radius``, and the trapezoid rule on the N = 64 nodes
+    eps_k = radius e^(2 pi i k/N) takes it as the mean of S(eps_k) eps_k^p
+    (Lyness and Moler, SIAM J. Numer. Anal. 4, 202 (1967); Trefethen and
+    Weideman, SIAM Review 56, 385 (2014)).  The finite part is p = 0.
+    Each eps_k^p is formed as radius^p (eps_k/radius)^p, a node of the
+    unit circle times a real scale, so nothing underflows.
 
-
-def _householder_factor(design: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Householder QR of ``design``, dtype-preserving: (reflectors, R).
-
-    LAPACK only solves in single or double precision, so extended-
-    precision fits (the x86 80-bit long double the oracles accumulate
-    in) need their own triangularization.  Straight textbook QR; raises
-    when a diagonal of R collapses, which is the rank-deficiency signal.
-    ``reflectors`` holds (j, v_j, 2/|v_j|^2) for each column j whose
-    reflector is applied, in order, for :func:`_householder_solve`.
+    A function analytic out to twice the radius leaves the rule an
+    error of about 2^-N of its scale; the error estimate reported is
+    the distance to the rule on the N/2 even nodes, which is about
+    2^-(N/2) of it and so bounds the error from far above.  Everything
+    runs in double precision: each caller's radius follows its sum's
+    own length scale, so on the circle the divergent terms c_-p r^-p
+    are within a few decades of the finite part and the mean loses
+    only a few digits to cancellation.  A radius that is not a positive
+    finite float, or a sum that is not finite on the circle, raises
+    :class:`DomainError`.
     """
     import numpy as np
 
-    a = design.copy()
-    m, n = a.shape
-    reflectors = []
-    for j in range(n):
-        x = a[j:, j]
-        norm = np.sqrt(np.sum(x * x))
-        if norm == 0.0:
-            raise IllConditionedFitError("zero column encountered in QR sweep")
-        alpha = -norm if x[0] >= 0 else norm
-        v = x.copy()
-        v[0] -= alpha
-        vnorm2 = np.sum(v * v)
-        if vnorm2 > 0.0:
-            scale = 2.0 / vnorm2
-            a[j:, j:] -= np.outer(v, scale * (v @ a[j:, j:]))
-            reflectors.append((j, v, scale))
-        a[j, j] = alpha
-    diag = np.abs(np.diagonal(a)[:n])
-    eps_machine = float(np.finfo(a.dtype).eps)
-    if np.min(diag) <= m * eps_machine * np.max(diag):
-        raise IllConditionedFitError(
-            "finite-part design matrix is numerically rank deficient"
-        )
-    return tuple(reflectors), np.triu(a[:n])
-
-
-def _householder_solve(factor: tuple[tuple, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients for ``rhs`` from a :func:`_householder_factor`.
-
-    Applies the reflectors to ``rhs`` as the factorization applied them
-    to the design, then back-substitutes through R.
-    """
-    import numpy as np
-
-    reflectors, r = factor
-    b = rhs.copy()
-    for j, v, scale in reflectors:
-        b[j:] -= v * (scale * (v @ b[j:]))
-    n = r.shape[0]
-    coeffs = np.zeros(n, dtype=r.dtype)
-    for i in reversed(range(n)):
-        coeffs[i] = (b[i] - r[i, i + 1:] @ coeffs[i + 1:]) / r[i, i]
-    return coeffs
-
-
-# Cutoff tuples whose fit is kept factored; verify fits on four.
-_FIT_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=_FIT_CACHE_SIZE)
-def _schedule_fit(eps_values: tuple, degree: int) -> tuple:
-    """What a finite-part fit computes from the cutoffs alone, read-only.
-
-    (design, column norms, Householder factor of the column-normalised
-    design, eps_max^j for j = 0 .. degree) for the polynomial basis of
-    ``degree`` in tau = eps/eps_max.  Every column holds tau = 1 at the
-    largest cutoff, so none is zero.  Filled on first use; cutoffs that
-    cannot be factored raise on every call, as nothing is cached.
-    """
-    import numpy as np
-
-    eps = np.asarray(eps_values, dtype=np.longdouble)
-    tau = eps / eps.max()
-    design = np.vander(tau, degree + 1, increasing=True)
-    col_norms = np.sqrt(np.sum(design * design, axis=0))
-    reflectors, r = _householder_factor(design / col_norms)
-    eps_max_powers = eps.max() ** np.arange(degree + 1)
-    for array in (design, col_norms, r, eps_max_powers, *(v for _, v, _ in reflectors)):
-        array.flags.writeable = False
-    return design, col_norms, (reflectors, r), eps_max_powers
-
-
-def fit_finite_part(
-    cutoffs: tuple[float, ...], data, max_divergent_power: int, tail_degree: int
-) -> FinitePartResult:
-    """Strip divergent powers from data(eps) and return the constant term.
-
-    ``data`` holds one value per cutoff.  The model is data(eps) =
-    sum_{p=1}^{P} c_{-p} eps^-p + c_0 + c_1 eps + ... + c_D eps^D with
-    P = ``max_divergent_power`` and D = ``tail_degree``.  Internally
-    every row is multiplied by eps^P, turning the problem into an
-    ordinary polynomial fit whose dynamic range floating point can
-    actually represent; the basis and the minimizing coefficients are
-    unchanged in exact arithmetic.  Columns are normalized and the solve
-    runs in extended precision, which the constant term needs: its
-    column is eps^P-suppressed against the leading divergence, so
-    double-precision round-off in the triangularization would feed
-    straight into the finite part; a platform without an extended long
-    double raises :class:`PrecisionError` instead of returning a
-    degraded value.
-
-    Its two callers, :func:`cutoff_sum_oracle` and
-    ``oracle.mode_sum_finite_part``, fit on fixed cutoffs, and it trusts
-    them: a tuple of positive, strictly decreasing floats, at least
-    P + D + 1 of them, with one datum each.  It checks only what is
-    computed: non-finite data raise :class:`DomainError`, cutoffs that
-    cannot resolve the basis :class:`IllConditionedFitError`.
-
-    The factorization depends on the cutoffs and P + D alone, so it is
-    done once per cutoff tuple (:func:`_schedule_fit`); each call replays
-    its reflectors on the data, the same operations a one-pass solve does.
-    """
-    import numpy as np
-
-    _require_long_double()
-    y = np.asarray(data, dtype=np.longdouble)
-    if not np.isfinite(y).all():
+    if not 0.0 < radius < math.inf:
+        raise DomainError("the cutoff circle needs a positive finite radius, "
+                          f"got {_quoted(radius)}")
+    k = np.arange(_CIRCLE_NODES)
+    unit = np.exp((2j * math.pi / _CIRCLE_NODES) * k)
+    with np.errstate(all="ignore"):
+        values = np.asarray(regulated(radius * unit), dtype=complex)
+        mean = values.mean()  # not finite if any value is not
+        error_estimate = float(abs(mean - values[::2].mean()))
+        scale = np.float64(radius)  # whose power overflows to inf, not to OverflowError
+        divergent = tuple(float(scale ** p * (values * unit[p * k % _CIRCLE_NODES]).mean().real)
+                          for p in range(divergent_powers, 0, -1))
+    if not all(map(math.isfinite, (mean.real, error_estimate, *divergent))):
         raise DomainError("finite-part fit needs finite data")
-
-    # Scaled problem: eps^P * data = polynomial of degree P + D in eps,
-    # factored once per cutoff tuple; only the data is new on each call.
-    design, col_norms, factor, eps_max_powers = _schedule_fit(
-        cutoffs, max_divergent_power + tail_degree)
-    scaled_y = y * np.asarray(cutoffs, dtype=np.longdouble) ** max_divergent_power
-    coeffs_tau = _householder_solve(factor, scaled_y) / col_norms
-
-    residuals = design @ coeffs_tau - scaled_y
-    rms = float(np.sqrt(np.mean(residuals**2)))
-
-    # Back to coefficients of eps^j, then split into the contract layout.
-    coeffs_eps = coeffs_tau / eps_max_powers
-    divergent = tuple(float(c) for c in coeffs_eps[:max_divergent_power])
-    finite = float(coeffs_eps[max_divergent_power])
-    return FinitePartResult(finite_part=finite, divergent_coeffs=divergent, fit_residual=rms)
+    return FinitePartResult(float(mean.real), divergent, error_estimate)
 
 
 def cutoff_sum_oracle(k: int) -> FinitePartResult:
     """Exponential-cutoff oracle for the zeta-regularized power sum.
 
-    Evaluates S(eps) = sum_{n>=1} n^k e^(-eps n) exactly at twelve
-    cutoffs from 0.1 down to 0.001, with 1 - e^(-eps) taken through
-    expm1, and fits away the divergent basis {eps^-(k+1) ... eps^-1}
-    plus a quadratic tail; the constant term of the fit is the finite
-    part, which must agree with zeta(-k).  k must be 1 or 3, or
-    DomainError before any sum.
+    S(eps) = sum_{n>=1} n^k e^(-eps n) in closed form, with 1 - e^(-eps)
+    taken through expm1, is analytic in eps but for poles at
+    eps = 2 pi i m; the one at 0 has order k + 1 and leading coefficient
+    k!.  :func:`fit_finite_part` reads its constant term, which must
+    agree with zeta(-k), off the circle |eps| = pi, half way to the next
+    pole.  k must be 1 or 3, or DomainError before any sum.
 
-    Accuracy degrades steeply with k: the constant hides under a
-    k!/eps^(k+1) divergence, costing roughly three digits per extra
-    power.  These cutoffs resolve zeta(-1) and zeta(-3) to better than
-    1e-7 and no higher power: k = 5 misses zeta(-5) by 0.12 on them and
-    reaches ~2e-5 only on twenty cutoffs from 0.5 down to 0.03 with a
-    quartic tail.
+    On that circle the divergent terms are a few times zeta(-k) at most,
+    so the finite part is good to about 1e-16 absolute, and k! comes out
+    to about 1e-15 relative.
     """
     if not (_is_count(k) and k in (1, 3)):
-        raise DomainError(f"the cutoff oracle resolves the powers 1 and 3 alone on its 12 "
-                          f"cutoffs, got {_quoted(k)}")
+        raise DomainError(f"the cutoff oracle checks the powers 1 and 3 alone, got {_quoted(k)}")
     k = int(k)  # a numpy integer would take the powers through numpy's pow
-    cutoffs = _log_spaced(1e-3, 1e-1, 12)
-    values = [_power_series(k, math.exp(-e), -math.expm1(-e)) for e in cutoffs]
-    return fit_finite_part(cutoffs, values, k + 1, 2)
+    import numpy as np
+
+    return fit_finite_part(lambda eps: _power_series(k, np.exp(-eps), -np.expm1(-eps)),
+                           math.pi, k + 1)

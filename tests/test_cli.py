@@ -546,8 +546,8 @@ class TestVerifyCommand:
         ["--eps-count", "16"], ["--eps-degree", "5"],
     ])
     def test_ignored_options_rejected(self, option, capsys):
-        # verify checks both boundary conditions with the default cutoff
-        # schedules, and writes text
+        # verify checks both boundary conditions with the oracles' own
+        # cutoffs, and writes text
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", *option])
         assert exit_info.value.code == 2
@@ -615,6 +615,19 @@ def test_import_leaves_scipy_unloaded():
     assert all(line.startswith("PASS ") for line in report)
     assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
     assert modules == "[]"
+
+
+def test_verify_runs_where_long_double_is_a_double():
+    # as on a platform without an extended long double; -W error, so that a
+    # numpy RuntimeWarning fails the run too
+    probe = ("import sys, warnings, numpy; warnings.simplefilter('error'); "
+             "numpy.longdouble, numpy.clongdouble = numpy.float64, numpy.complex128; "
+             "import platevac.cli; sys.exit(platevac.cli.main(['verify']))")
+    proc = _probe(probe)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout + proc.stderr
+    *report, summary = proc.stdout.splitlines()
+    assert all(line.startswith("PASS ") for line in report)
+    assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
 
 
 # Where importing numpy fails: the scalar API, in point_worker's call

@@ -1,9 +1,12 @@
-"""The scalar point API's contract: any numeric argument gives finite values or a PlateVacError.
+"""The contract of the scalar point API and the oracles: any numeric argument gives
+finite values or a PlateVacError.
 
 Every call is timed and held to a bound far above its microseconds, so
-an argument that sends a call into a long loop fails too.  Wrong types
-(str, None, complex) are outside the contract.  ``stress_report`` trusts
-its records, so it gets only records the library itself returned.
+an argument that sends a call into a long loop fails too.  The suite
+turns warnings into errors, so a numpy RuntimeWarning fails a call as
+well.  Wrong types (str, None, complex) are outside the contract.
+``stress_report`` trusts its records, so it gets only records the
+library itself returned.
 """
 
 import dataclasses
@@ -17,7 +20,10 @@ from platevac import (
     InteriorPoint,
     PlateConfig,
     ab_values,
+    abel_sum_oracle,
+    cutoff_sum_oracle,
     expectation_set,
+    mode_sum_finite_part,
     phi_squared,
     phi_squared_single_plate,
     stress_report,
@@ -47,6 +53,9 @@ def _assert_finite(value, where: str) -> None:
     if dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
             _assert_finite(getattr(value, field.name), f"{where}.{field.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _assert_finite(item, f"{where}[{i}]")
     elif not isinstance(value, BoundaryCondition):
         assert _finite(value), f"{where} = {value!r}"
 
@@ -85,3 +94,19 @@ def test_point_api_gives_finite_values_or_a_library_error(L, z, theta, bc):
             fluct, ab = _call(expectation_set, bc, config, point), _call(ab_values, config, point)
             if fluct is not None and ab is not None:
                 _call(stress_report, fluct, ab)
+
+
+@given(L=numbers, theta=st.one_of(numbers, st.sampled_from([5e-324, 1e-200])), k=numbers,
+       field=st.sampled_from(["phi2", "phidot2"]), bc=st.sampled_from(list(BoundaryCondition)))
+@settings(max_examples=300, deadline=None)
+def test_oracles_give_finite_values_or_a_library_error(L, theta, k, field, bc):
+    _call(cutoff_sum_oracle, k)
+    _call(abel_sum_oracle, k, theta)
+    configs = [PlateConfig(1.0)]
+    config = _call(PlateConfig, L)
+    if config is not None:
+        configs.append(config)
+    for config in configs:
+        point = _call(InteriorPoint.from_theta, config, theta)
+        if point is not None:
+            _call(mode_sum_finite_part, field, bc, config, point)

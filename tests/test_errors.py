@@ -14,11 +14,13 @@ from platevac.spectrum import BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
 PLATE = PlateConfig(1.0)
-EPS5 = (0.1, 0.05, 0.02, 0.01, 0.005)  # enough for one divergent power and a quadratic tail
-TINY = regsum._log_spaced(1e-120, 1e-100, 12)
-# S(eps) = sum_n n^3 e^(-eps n) on TINY, finite only in long double
-TINY_EPS = np.asarray(TINY, dtype=np.longdouble)
-TINY_SUMS = regsum._power_series(3, np.exp(-TINY_EPS), -np.expm1(-TINY_EPS))
+
+
+def _cutoff_sums(eps):
+    """S(eps) = sum_n n^3 e^(-eps n), as the cutoff oracle sums it: 6/eps^4 overflows at 1e-100."""
+    return regsum._power_series(3, np.exp(-eps), -np.expm1(-eps))
+
+
 HUGE = 10**400  # past the double range
 LONG = 10**5000  # past the 4300 digits Python writes out
 
@@ -27,10 +29,13 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: casimir.canonical_density_integral(PLATE, D, 0.5),
     lambda: regsum.bernoulli(-1),
     lambda: regsum.zeta_neg_int(-1),
-    lambda: regsum.fit_finite_part(EPS5, (math.nan, 1.0, 1.0, 1.0, 1.0), 1, 2),
-    lambda: regsum.fit_finite_part(EPS5, (math.inf, 1.0, 1.0, 1.0, 1.0), 1, 2),
+    lambda: regsum.fit_finite_part(lambda eps: eps * math.nan, 1.0, 1),
+    lambda: regsum.fit_finite_part(lambda eps: eps * math.inf, 1.0, 1),
     lambda: regsum.cutoff_sum_oracle(2),
-    lambda: regsum.fit_finite_part(TINY, TINY_SUMS, 4, 2),
+    lambda: regsum.fit_finite_part(_cutoff_sums, 1e-100, 4),
+    # a radius that underflowed, or none at all
+    *(lambda radius=radius: regsum.fit_finite_part(_cutoff_sums, radius, 4)
+      for radius in (0.0, -1.0, math.nan, math.inf)),
     # k = 1 is an int, not a bool or a float
     lambda: regsum.abel_sum_oracle(True, 1.0),
     lambda: regsum.abel_sum_oracle(1.0, 1.0),
@@ -81,6 +86,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
 ], ids=[
     "canonical_density_integral", "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
     "fit_finite_part-inf", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs",
+    *(f"fit_finite_part-radius-{radius}" for radius in ("zero", "negative", "nan", "inf")),
     "abel_sum_oracle-bool", "abel_sum_oracle-float", "abel_sum_oracle-negative",
     "abel_sum_oracle-5", "abel_sum_oracle-str", "abel_sum_oracle-none", "k_n", "master_integral",
     *(f"{name}-{theta}" for name in ("f_theta", "trig_sum_n_cos", "trig_sum_n3_cos")
@@ -104,14 +110,13 @@ def test_bad_argument_raises_library_error(call):
 @pytest.mark.parametrize("k", [5, 7, 9, 171, HUGE, 2, True],
                          ids=["5", "7", "9", "171", "huge", "2", "True"])
 def test_cutoff_oracle_refuses_a_power_before_summing(k, monkeypatch):
-    # the 12 cutoffs resolve zeta(-1) and zeta(-3) alone (they miss zeta(-5)
-    # by 0.12 and zeta(-7) by 6e5); any other power is refused before an
-    # Eulerian row is built
+    # verify checks zeta(-1) and zeta(-3) alone; any other power is refused
+    # before an Eulerian row is built
     def never(*args):
         raise AssertionError("summed a refused power")
 
     monkeypatch.setattr(regsum, "_power_series", never)
-    with pytest.raises(DomainError, match=r"powers 1 and 3 alone on its 12 cutoffs"):
+    with pytest.raises(DomainError, match=r"powers 1 and 3 alone"):
         regsum.cutoff_sum_oracle(k)
 
 

@@ -175,8 +175,8 @@ MUTATIONS = {
     "pressure-L": (Edit("casimir", "pressure", "/ config.L", "/ config.L ** 2"),
                    {"length_scaling"}, set()),
     # unseen at L = 1; test_oracle_L_fails_the_mode_sums_off_L_1 runs it at L = 0.77
-    "oracle-L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(L))",
-                      "/ (2.0 * np.longdouble(L) ** 2)"), set(), set()),
+    "oracle-L": (Edit("oracle", "_regulated_sums", "/ (2.0 * L)", "/ (2.0 * L ** 2)"),
+                 set(), set()),
     # The oracle's kernel coefficients, and its other literals.
     "kernel-2pi": (Edit("oracle", "_kernel_coefficients", "(1.0 / (2.0 * math.pi * eps),)",
                         "(1.0 / (math.pi * eps),)"),
@@ -190,8 +190,16 @@ MUTATIONS = {
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}, set()),
     "oracle-half-angle": (Edit("oracle", "_regulated_sums", "2.0 * theta", "theta"),
                           MODE_SUMS, set()),
-    "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * np.longdouble(L))",
-                       "/ np.longdouble(L)"), MODE_SUMS, set()),
+    "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * L)", "/ L"), MODE_SUMS, set()),
+    # Re Li_j(z) is not analytic in eps: the circle's mean is not its constant term
+    "oracle-cos-real": (Edit("oracle", "_regulated_sums", "0.5 * (up + down)", "up.real"),
+                        MODE_SUMS, set()),
+    # Re Li_j(z) counted twice: the cosine weight loses its 1/2
+    "oracle-cos-half": (Edit("oracle", "_regulated_sums", "s * 0.5 *", "s *"), MODE_SUMS, set()),
+    # past pi/2 the circle reaches beyond the singularity at 2 (pi - theta) L / pi
+    "oracle-radius-theta": (Edit("oracle", "mode_sum_finite_part",
+                                 "min(point.theta, (math.pi - point.theta) + _PI_LO)",
+                                 "point.theta"), MODE_SUMS, set()),
     # Zeta, Bernoulli, Eulerian and master-integral inputs.
     "zeta-sign": (Edit("regsum", "zeta_neg_int", "-value if k % 2 else value",
                        "value if k % 2 else -value"), ZETA, GUARDED),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import dimreg, oracle, regsum
-from platevac.cli import VERIFY_CHECKS, RunConfig, run_verification
-from platevac.errors import InvalidConfigError, PlateVacError, PrecisionError, QuadratureError
+from platevac import dimreg, oracle
+from platevac.cli import _MODE_SUM_THETAS, VERIFY_CHECKS, RunConfig
+from platevac.errors import DomainError, InvalidConfigError, PlateVacError, QuadratureError
 from platevac.fluctuations import InteriorPoint, expectation_set
-from platevac.oracle import _cutoffs, mode_sum_finite_part
-from platevac.regsum import _log_spaced, fit_finite_part
+from platevac.oracle import mode_sum_finite_part
+from platevac.regsum import fit_finite_part
 from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 D = BoundaryCondition.DIRICHLET
@@ -30,10 +30,23 @@ def _oracle(field, bc, L, theta):
     return mode_sum_finite_part(field, bc, config, InteriorPoint.from_theta(config, theta))
 
 
-def _fit_on(cutoffs, tail_degree, field, bc, L, theta):
-    """The oracle's finite part on other cutoffs and tail than the field's own."""
-    sums = oracle._regulated_sums(field, bc, L, theta, cutoffs)
-    return fit_finite_part(cutoffs, sums, oracle._FIELDS[field].divergent_powers, tail_degree)
+def _fit_on(radius, field, bc, L, theta):
+    """The oracle's finite part on a circle of another radius than its own."""
+    return fit_finite_part(lambda eps: oracle._regulated_sums(field, bc, L, theta, eps),
+                           radius, oracle._FIELDS[field])
+
+
+def _relative_error(field, bc, L, theta):
+    closed = _closed_form(bc, L, theta, field)
+    return abs(_oracle(field, bc, L, theta).finite_part - closed) / abs(closed)
+
+
+def _analytic_divergences(field, bc, L):
+    """The coefficients of eps^-P ... eps^-1; the (1 - s) terms are the Neumann n = 0 mode."""
+    s = 1 if bc is D else -1
+    if field == "phi2":
+        return [1.0 / (4.0 * math.pi ** 2), -(1 - s) / (8.0 * math.pi * L)]
+    return [3.0 / (2.0 * math.pi ** 2), -(1 - s) / (4.0 * math.pi * L), 0.0, 0.0]
 
 
 class TestTransverseKernel:
@@ -54,80 +67,98 @@ class TestTransverseKernel:
 class TestModeSumFinitePart:
     def test_phi2_dirichlet_midpoint(self):
         result = _oracle("phi2", D, 1.0, math.pi / 2.0)
-        assert result.finite_part == pytest.approx(-1.0 / 24.0, rel=1e-4)
+        assert result.finite_part == pytest.approx(-1.0 / 24.0, rel=1e-14)
 
     def test_phi2_neumann_midpoint(self):
         result = _oracle("phi2", N, 1.0, math.pi / 2.0)
-        assert result.finite_part == pytest.approx(1.0 / 12.0, rel=1e-4)
+        assert result.finite_part == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_phidot2_dirichlet_midpoint(self):
         result = _oracle("phidot2", D, 1.0, math.pi / 2.0)
         a = math.pi**2 / 1440.0
         b = math.pi**2 / 96.0
-        assert result.finite_part == pytest.approx(b - a, rel=1e-3)
+        assert result.finite_part == pytest.approx(b - a, rel=1e-13)
 
     @pytest.mark.parametrize("bc", BOTH)
-    @pytest.mark.parametrize("field,rtol", [("phi2", 1e-4), ("phidot2", 1e-3)])
-    def test_profile_window(self, bc, field, rtol):
-        # the documented tolerance window theta in [0.3, pi - 0.3]
-        for i in range(5):
-            theta = 0.3 + i * (math.pi - 0.6) / 4.0
-            result = _oracle(field, bc, 1.0, theta)
-            closed = _closed_form(bc, 1.0, theta, field)
-            assert result.finite_part == pytest.approx(closed, rel=rtol)
+    @pytest.mark.parametrize("field,rtol", [("phi2", 1e-13), ("phidot2", 1e-12)])
+    def test_verify_angles(self, bc, field, rtol):
+        # verify's own tolerances, at its five angles
+        for theta in _MODE_SUM_THETAS:
+            assert _relative_error(field, bc, 1.0, theta) <= rtol
 
-    @pytest.mark.parametrize("L", [L_MIN, 0.1, 0.5, 2.0, 10.0, L_MAX])
-    def test_other_separations(self, L):
-        # the default schedule scales with L, so the oracle's relative
-        # accuracy is separation independent
-        result = _oracle("phi2", D, L, 1.0)
-        assert result.finite_part == pytest.approx(_closed_form(D, L, 1.0, "phi2"), rel=1e-4)
+    @pytest.mark.parametrize("L", [L_MIN, 1e-3, 0.1, 0.5, 2.0, 10.0, 1e3, L_MAX])
+    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    def test_other_separations(self, field, L):
+        # the circle scales with L, so the relative accuracy does not depend on it
+        for bc in BOTH:
+            assert _relative_error(field, bc, L, 1.0) <= 1e-13
 
-    def test_schedule_independence(self):
-        # disjoint cutoff windows must agree on the finite part
-        first = _log_spaced(1e-3, 1e-2, 12)
-        second = _log_spaced(5e-3, 5e-2, 12)
-        results = [_fit_on(cutoffs, 4, "phi2", D, 1.0, 1.0).finite_part for cutoffs in (first, second)]
-        assert results[0] == pytest.approx(results[1], rel=2e-4)
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("bc", BOTH)
+    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    @pytest.mark.parametrize("distance", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_near_a_plate(self, distance, field, bc, L):
+        # the circle shrinks with the distance to the nearer plate, on both sides
+        for theta in (distance, math.pi - distance):
+            assert _relative_error(field, bc, L, theta) <= 1e-8
+
+    @pytest.mark.parametrize("distance", [1e-6, 1e-8])
+    def test_far_plate_keeps_its_digits(self, distance):
+        # pi - theta taken from math.pi alone would be short by 1.2e-16,
+        # which is 1.2e-8 of the distance at 1e-8
+        for field in ("phi2", "phidot2"):
+            assert _relative_error(field, N, 1.0, math.pi - distance) <= 1e-13
+
+    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    def test_radius_independence(self, field):
+        # a sum that is analytic inside the circle has one constant term on
+        # every circle; Re Li_j(z) in place of the mean of the two phases is
+        # not analytic, and its constant term moves with the radius
+        own = _oracle(field, D, 1.0, 1.0).finite_part
+        smaller = _fit_on(0.5 * 1.0 / math.pi, field, D, 1.0, 1.0).finite_part
+        assert smaller == pytest.approx(own, rel=1e-13)
 
     @pytest.mark.parametrize("bc", BOTH)
     def test_mirror_symmetry(self, bc):
         theta = 0.7
         a = _oracle("phi2", bc, 1.0, theta).finite_part
         b = _oracle("phi2", bc, 1.0, math.pi - theta).finite_part
-        assert a == pytest.approx(b, rel=1e-6)
+        assert a == pytest.approx(b, rel=1e-14)
 
     def test_boundary_condition_duality_average(self):
         # (oracle_D + oracle_N)/2 isolates the profile-free part 1/(48 L^2)
         for theta in (0.5, 1.0, 2.0):
             total = sum(_oracle("phi2", bc, 1.0, theta).finite_part for bc in BOTH)
-            assert 0.5 * total == pytest.approx(1.0 / 48.0, rel=1e-6)
+            assert 0.5 * total == pytest.approx(1.0 / 48.0, rel=1e-14)
 
-    @pytest.mark.parametrize("field", list(oracle._FIELDS))
-    def test_tiny_smallest_cutoff_finishes(self, field):
-        # a truncated mode sum would need 2.3e10 modes at this cutoff; the
-        # closed form needs none, and the fit returns finite values or
-        # reports what it cannot resolve
-        try:
-            result = _fit_on(_log_spaced(1e-9, 2e-2, 16), 5, field, D, 1.0, 0.3)
-        except PlateVacError:
-            return
-        assert all(map(math.isfinite, (result.finite_part, *result.divergent_coeffs)))
+    @pytest.mark.parametrize("L", [L_MIN, 0.77, L_MAX])
+    @pytest.mark.parametrize("bc", BOTH)
+    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    def test_divergent_coefficients_are_analytic(self, field, bc, L):
+        expected = _analytic_divergences(field, bc, L)
+        for theta in _MODE_SUM_THETAS:
+            got = _oracle(field, bc, L, theta).divergent_coeffs
+            assert len(got) == oracle._FIELDS[field] == len(expected)
+            # a zero coefficient of eps^-(P - i) is measured against the leading
+            # one, c eps^-P, at the circle's scale |eps| ~ L / pi
+            scale = [abs(e) or expected[0] * (L / math.pi) ** -i for i, e in enumerate(expected)]
+            assert all(abs(g - e) <= 1e-10 * sc for g, e, sc in zip(got, expected, scale))
 
-    def test_divergent_coefficients_by_observable(self):
-        phi2 = _oracle("phi2", D, 1.0, 1.0)
-        assert len(phi2.divergent_coeffs) == 2
-        phidot2 = _oracle("phidot2", D, 1.0, 1.0)
-        assert len(phidot2.divergent_coeffs) == 4
-        assert phidot2.divergent_coeffs[0] > 0.0  # leading eps^-4 weight
+    def test_error_estimate_bounds_the_error(self):
+        for bc in BOTH:
+            for field in ("phi2", "phidot2"):
+                result = _oracle(field, bc, 1.0, 1.0)
+                closed = _closed_form(bc, 1.0, 1.0, field)
+                assert abs(result.finite_part - closed) <= result.error_estimate
 
 
 def _truncated_mode_sums(field, bc, L, theta, eps_values):
     """The regulated mode sums by brute force: n <= n_max, one term per mode.
 
-    Test-only reference for the oracle's closed-form sums.  n_max puts the
-    cutoff weight e^(-eps k_n) of the last mode below 1e-32 at the
-    smallest cutoff, far below long double round-off on the sum.
+    Test-only reference for the oracle's closed-form sums, at real cutoffs
+    and in long double.  n_max puts the cutoff weight e^(-eps k_n) of the
+    last mode below 1e-32 at the smallest cutoff, far below round-off on
+    the sum.
     """
     n_max = math.ceil(-math.log(1e-32) * L / (min(eps_values) * math.pi))
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
@@ -148,32 +179,23 @@ class TestClosedFormSums:
         (N, 1.0, math.pi / 2.0, "phidot2"),
     ])
     def test_match_truncated_brute_force(self, bc, L, theta, field):
-        eps_values = _cutoffs(field, PlateConfig(L))
-        exact = oracle._regulated_sums(field, bc, L, theta, eps_values)
+        # real cutoffs from the circle's radius down to a twentieth of it
+        radius = min(theta, math.pi - theta) * L / math.pi
+        eps_values = radius * np.geomspace(1.0, 0.05, 6)
+        exact = oracle._regulated_sums(field, bc, L, theta, eps_values.astype(complex))
         brute = _truncated_mode_sums(field, bc, L, theta, eps_values)
-        assert exact.dtype == np.longdouble
-        assert float(np.max(np.abs(exact - brute) / np.abs(brute))) <= 1e-15
+        assert np.all(exact.imag == 0.0)
+        assert float(np.max(np.abs(exact.real - brute) / np.abs(brute))) <= 2e-15
 
     @given(
         st.sampled_from(BOTH),
         st.floats(min_value=0.1, max_value=10.0),
-        st.floats(min_value=0.3, max_value=math.pi - 0.3),
+        st.floats(min_value=1e-4, max_value=math.pi - 1e-4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_finite_parts_within_documented_tolerance(self, bc, L, theta):
-        for field, rtol in (("phi2", 1e-4), ("phidot2", 1e-3)):
-            finite = _oracle(field, bc, L, theta).finite_part
-            assert finite == pytest.approx(_closed_form(bc, L, theta, field), rel=rtol)
-
-    def test_short_long_double_raises(self, monkeypatch):
-        # a platform whose long double is a plain double
-        real_finfo = np.finfo
-        monkeypatch.setattr(
-            np, "finfo",
-            lambda dtype: real_finfo(np.float64) if dtype is np.longdouble else real_finfo(dtype),
-        )
-        with pytest.raises(PrecisionError):
-            _oracle("phi2", D, 1.0, 1.0)
+    def test_finite_parts_within_tolerance(self, bc, L, theta):
+        for field in ("phi2", "phidot2"):
+            assert _relative_error(field, bc, L, theta) <= 1e-12
 
 
 class TestSpecValidation:
@@ -194,23 +216,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidConfigError):
             mode_sum_finite_part(field, D, config, point)
 
-    def test_cutoffs_differ_by_observable(self):
-        phi2 = _cutoffs("phi2", PlateConfig(1.0))
-        phidot2 = _cutoffs("phidot2", PlateConfig(1.0))
-        assert min(phi2) < min(phidot2)
-        assert oracle._FIELDS["phidot2"].tail_degree >= oracle._FIELDS["phi2"].tail_degree
+    @pytest.mark.parametrize("theta", [5e-324, 1e-200])
+    def test_radius_that_underflows_raises_domain_error(self, theta):
+        # 5e-324 L / pi underflows to 0; at 1e-200 the sums, ~ radius^-4,
+        # overflow on the circle instead
+        config = PlateConfig(1.0)
+        with pytest.raises(DomainError):
+            mode_sum_finite_part("phidot2", D, config, InteriorPoint.from_theta(config, theta))
 
-    def test_cutoffs_scale_with_separation(self):
-        # eps carries length units: the cutoffs follow the separation
-        unit = _cutoffs("phi2", PlateConfig(1.0))
-        scaled = _cutoffs("phi2", PlateConfig(3.0))
-        for a, b in zip(unit, scaled):
-            assert b == pytest.approx(3.0 * a, rel=1e-14)
+    @pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 2.0, 2.0, math.pi - 1e-3])
+    def test_radius_is_half_way_to_the_nearest_singularity(self, theta, monkeypatch):
+        # q e^(+-2i theta) = 1 at |eps| = 2 min(theta, pi - theta) L / pi
+        radii = []
+        real = oracle.fit_finite_part
 
-    def test_verify_builds_each_schedule_once(self):
-        # 20 mode-sum points over two fields at one separation
-        _cutoffs.cache_clear()
-        run_verification(RunConfig(bc=D, L=0.77))
-        info = _cutoffs.cache_info()
-        assert info.maxsize == regsum._FIT_CACHE_SIZE
-        assert (info.misses, info.hits) == (2, 18)
+        def recording(sums, radius, powers):
+            radii.append(radius)
+            return real(sums, radius, powers)
+
+        monkeypatch.setattr(oracle, "fit_finite_part", recording)
+        _oracle("phi2", D, 2.0, theta)
+        assert radii == [pytest.approx(min(theta, math.pi - theta) * 2.0 / math.pi, rel=1e-14)]

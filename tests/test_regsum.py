@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platevac import regsum
-from platevac.cli import RunConfig, run_verification
-from platevac.errors import (
-    DomainError,
-    ExtrapolationDivergenceError,
-    IllConditionedFitError,
-    PrecisionError,
-)
-from platevac.oracle import _FIELDS, _cutoffs
+from platevac.errors import DomainError, ExtrapolationDivergenceError
 from platevac.regsum import (
-    FinitePartResult,
     abel_sum_oracle,
     bernoulli,
     cutoff_sum_oracle,
@@ -27,7 +19,6 @@ from platevac.regsum import (
     trig_sum_n_cos,
     zeta_neg_int,
 )
-from platevac.spectrum import BoundaryCondition, PlateConfig
 
 # Classic table values, exact rationals.
 BERNOULLI_TABLE = {
@@ -224,80 +215,43 @@ class TestNeville:
         assert value == pytest.approx(1.0, abs=1e-15)
 
 
-# (smallest, largest, count) of every cutoff tuple the package and its tests build
-LOG_SPACED_CASES = [(1e-3, 1e-1, 12), (1e-3, 2e-2, 12), (2e-3, 2e-2, 16), (1e-120, 1e-100, 12)]
-
-
-class TestLogSpaced:
-    @pytest.mark.parametrize("smallest, largest, count", LOG_SPACED_CASES)
-    def test_same_floats_as_geomspace(self, smallest, largest, count):
-        cutoffs = regsum._log_spaced(smallest, largest, count)
-        expected = np.geomspace(largest, smallest, count)
-        assert [v.hex() for v in cutoffs] == [float(v).hex() for v in expected]
-
-    @pytest.mark.parametrize("smallest, largest, count", LOG_SPACED_CASES)
-    def test_plain_floats_largest_first(self, smallest, largest, count):
-        cutoffs = regsum._log_spaced(smallest, largest, count)
-        assert isinstance(cutoffs, tuple) and len(cutoffs) == count
-        assert all(type(v) is float for v in cutoffs)
-        assert all(b < a for a, b in zip(cutoffs, cutoffs[1:]))
-        assert cutoffs[0] == pytest.approx(largest, rel=1e-14)
-        assert cutoffs[-1] == pytest.approx(smallest, rel=1e-14)
-
-
-# The cutoff oracle's own cutoffs, 0.1 down to 0.001.
-ORACLE_CUTOFFS = regsum._log_spaced(1e-3, 1e-1, 12)
-
-
-def _cutoff_sums(k, cutoffs):
-    """S(eps) = sum_n n^k e^(-eps n) at every one of ``cutoffs``, as the cutoff oracle sums it."""
-    return [regsum._power_series(k, math.exp(-e), -math.expm1(-e)) for e in cutoffs]
+def _cutoff_sums(k):
+    """eps -> S(eps) = sum_n n^k e^(-eps n), as the cutoff oracle sums it."""
+    return lambda eps: regsum._power_series(k, np.exp(-eps), -np.expm1(-eps))
 
 
 class TestCutoffOracle:
-    def test_cutoffs_run_largest_first(self):
-        assert len(ORACLE_CUTOFFS) == 12
-        assert all(b < a for a, b in zip(ORACLE_CUTOFFS, ORACLE_CUTOFFS[1:]))
-        assert ORACLE_CUTOFFS[0] == pytest.approx(1e-1)
-        assert ORACLE_CUTOFFS[-1] == pytest.approx(1e-3)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_finite_part_is_zeta(self, k):
+        assert abs(cutoff_sum_oracle(k).finite_part - float(zeta_neg_int(k))) <= 1e-14
 
-    def test_k1_finite_part(self):
-        result = cutoff_sum_oracle(1)
-        assert result.finite_part == pytest.approx(-1.0 / 12.0, abs=1e-6)
-        assert len(result.divergent_coeffs) == 2
-        # leading divergence is 1/eps^2
-        assert result.divergent_coeffs[0] == pytest.approx(1.0, abs=1e-6)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_divergent_coefficients(self, k):
+        # S(eps) = k!/eps^(k+1) + zeta(-k) + O(eps): the intermediate powers are absent
+        result = cutoff_sum_oracle(k)
+        assert len(result.divergent_coeffs) == k + 1
+        assert abs(result.divergent_coeffs[0] - math.factorial(k)) <= 1e-12
+        assert all(abs(c) <= 1e-12 for c in result.divergent_coeffs[1:])
 
-    def test_k3_finite_part(self):
-        result = cutoff_sum_oracle(3)
-        assert result.finite_part == pytest.approx(1.0 / 120.0, abs=1e-6)
-        assert len(result.divergent_coeffs) == 4
-        # leading divergence is 6/eps^4
-        assert result.divergent_coeffs[0] == pytest.approx(6.0, abs=1e-5)
-        # intermediate powers are absent from the true expansion
-        assert abs(result.divergent_coeffs[1]) < 1e-6
-        assert abs(result.divergent_coeffs[2]) < 1e-6
-
-    def test_coarse_schedule_degrades_gracefully(self):
-        coarse = regsum._log_spaced(0.5, 0.9, 12)
-        default = cutoff_sum_oracle(3)
-        degraded = fit_finite_part(coarse, _cutoff_sums(3, coarse), 4, 4)
-        assert degraded.finite_part == pytest.approx(1.0 / 120.0, abs=1e-3)
-        assert degraded.fit_residual > default.fit_residual
-
-    def test_agrees_with_zeta(self):
+    def test_error_estimate_bounds_the_error(self):
         for k in (1, 3):
-            assert cutoff_sum_oracle(k).finite_part == pytest.approx(
-                float(zeta_neg_int(k)), abs=1e-6
-            )
+            result = cutoff_sum_oracle(k)
+            assert abs(result.finite_part - float(zeta_neg_int(k))) <= result.error_estimate < 1e-6
 
     def test_larger_odd_power(self):
-        # k = 5 needs higher, denser cutoffs than the oracle's; accuracy drops
-        # with each added divergent power but zeta(-5) is still clearly resolved
-        cutoffs = regsum._log_spaced(0.03, 0.5, 20)
-        result = fit_finite_part(cutoffs, _cutoff_sums(5, cutoffs), 6, 4)
-        assert result.finite_part == pytest.approx(float(zeta_neg_int(5)), abs=1e-4)
-        assert result.divergent_coeffs[0] == pytest.approx(math.factorial(5), rel=1e-8)
+        # the circle |eps| = pi resolves zeta(-5) too; the oracle takes 1 and 3 alone
+        result = fit_finite_part(_cutoff_sums(5), math.pi, 6)
+        assert result.finite_part == pytest.approx(float(zeta_neg_int(5)), abs=1e-13)
+        assert result.divergent_coeffs[0] == pytest.approx(math.factorial(5), rel=1e-11)
+
+    @pytest.mark.parametrize("fraction, bound", [(0.5, 1e-14), (0.75, 1e-5), (0.9, 1.0)])
+    def test_accuracy_falls_as_the_circle_nears_the_next_pole(self, fraction, bound):
+        # the next poles are at eps = +-2 pi i: the rule's error grows as
+        # (radius/2 pi)^N, and the error estimate grows with it
+        result = fit_finite_part(_cutoff_sums(3), fraction * 2.0 * math.pi, 4)
+        error = abs(result.finite_part - 1.0 / 120.0)
+        assert error <= result.error_estimate
+        assert error <= bound <= 1e3 * result.error_estimate
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_numpy_integer_power_accepted(self, k):
@@ -308,180 +262,53 @@ class TestCutoffOracle:
         with pytest.raises(ValueError):
             cutoff_sum_oracle(k)
 
-    def test_short_long_double_raises(self, monkeypatch):
-        # a platform whose long double is a plain double
-        real_finfo = np.finfo
-        monkeypatch.setattr(
-            np, "finfo",
-            lambda dtype: real_finfo(np.float64) if dtype is np.longdouble else real_finfo(dtype),
-        )
-        with pytest.raises(PrecisionError):
-            cutoff_sum_oracle(3)
 
-    def test_rank_deficient_fit_raises(self):
-        # near-coincident cutoffs collapse the design matrix
-        eps = (1e-2, 1e-2 * (1 - 1e-15), 1e-2 * (1 - 2e-15), 1e-2 * (1 - 3e-15),
-               1e-2 * (1 - 4e-15), 1e-2 * (1 - 5e-15), 1e-2 * (1 - 6e-15),
-               1e-2 * (1 - 7e-15))
-        data = _cutoff_sums(1, eps)
-        # on every call: a failed factorization leaves nothing in the cache
-        regsum._schedule_fit.cache_clear()
-        for _ in range(3):
-            with pytest.raises(IllConditionedFitError):
-                fit_finite_part(eps, data, 2, 2)
-        assert regsum._schedule_fit.cache_info().currsize == 0
+def _laurent_model(power, radius):
+    """eps -> sum_p (P - p + 1) (eps/r)^-p + 0.3 + (eps/r)/(2 - eps/r), r = ``radius``.
 
+    Its constant term is 0.3, its eps^-p coefficient (P - p + 1) r^p, and
+    the tail's pole at eps = 2 r lies as far out as the callers' nearest
+    other singularity.
+    """
+    def regulated(eps):
+        x = eps / radius
+        return sum((power - p + 1) * x ** -p for p in range(1, power + 1)) + 0.3 + x / (2.0 - x)
 
-def _one_pass_lstsq(design, rhs):
-    """Householder least squares in one sweep over design and data together:
-    the reference that factor-then-solve must match bit for bit."""
-    a = design.copy()
-    b = rhs.copy()
-    m, n = a.shape
-    for j in range(n):
-        x = a[j:, j]
-        norm = np.sqrt(np.sum(x * x))
-        alpha = -norm if x[0] >= 0 else norm
-        v = x.copy()
-        v[0] -= alpha
-        vnorm2 = np.sum(v * v)
-        if vnorm2 > 0.0:
-            a[j:, j:] -= np.outer(v, (2.0 / vnorm2) * (v @ a[j:, j:]))
-            b[j:] -= v * ((2.0 / vnorm2) * (v @ b[j:]))
-        a[j, j] = alpha
-    coeffs = np.zeros(n, dtype=a.dtype)
-    for i in reversed(range(n)):
-        coeffs[i] = (b[i] - a[i, i + 1:] @ coeffs[i + 1:]) / a[i, i]
-    return coeffs
-
-
-def _uncached_fit(eps_values, data, max_divergent_power, fit_basis_degree):
-    """fit_finite_part with nothing cached: the design is built and swept
-    together with the data on every call."""
-    eps = np.asarray(eps_values, dtype=np.longdouble)
-    y = np.asarray(data, dtype=np.longdouble)
-    tau = eps / eps.max()
-    degree = max_divergent_power + fit_basis_degree
-    design = np.vander(tau, degree + 1, increasing=True)
-    scaled_y = y * eps ** max_divergent_power
-    col_norms = np.sqrt(np.sum(design * design, axis=0))
-    coeffs_tau = _one_pass_lstsq(design / col_norms, scaled_y) / col_norms
-    residuals = design @ coeffs_tau - scaled_y
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    coeffs_eps = coeffs_tau / eps.max() ** np.arange(degree + 1)
-    return FinitePartResult(finite_part=float(coeffs_eps[max_divergent_power]),
-                            divergent_coeffs=tuple(float(c) for c in coeffs_eps[:max_divergent_power]),
-                            fit_residual=rms)
-
-
-def _bits(result: FinitePartResult) -> list[str]:
-    return [float(v).hex() for v in (result.finite_part, *result.divergent_coeffs, result.fit_residual)]
-
-
-def _fit_cases():
-    for field, row in _FIELDS.items():
-        for L in (1e-3, 1.0, 1e3):
-            yield (f"{field}-L{L:g}", _cutoffs(field, PlateConfig(L)), row.divergent_powers,
-                   row.tail_degree)
-    for k in (1, 3):  # the cutoff oracle's degrees 4 and 6
-        yield f"cutoff-k{k}", ORACLE_CUTOFFS, k + 1, 2
-
-
-FIT_CASES = {name: case for name, *case in _fit_cases()}
-
-
-class TestFactoredFit:
-    """fit_finite_part factors each cutoff tuple once; the data's arithmetic is unchanged."""
-
-    @pytest.mark.parametrize("cutoffs, power, tail_degree", FIT_CASES.values(), ids=FIT_CASES)
-    def test_bit_identical_to_uncached_fit(self, cutoffs, power, tail_degree):
-        rng = np.random.default_rng(power + len(cutoffs))
-        eps = np.asarray(cutoffs)
-        regsum._schedule_fit.cache_clear()
-        for draw in range(3):  # the first call fills the cache, the others hit it
-            # a leading eps^-P divergence over an O(1) remainder, as in the oracles
-            data = tuple(rng.standard_normal() / eps ** power + rng.standard_normal(eps.size))
-            expected = _uncached_fit(cutoffs, data, power, tail_degree)
-            fitted = fit_finite_part(cutoffs, data, power, tail_degree)
-            assert _bits(fitted) == _bits(expected)
-        assert regsum._schedule_fit.cache_info().misses == 1
-
-    def test_lstsq_is_factor_then_solve(self):
-        rng = np.random.default_rng(7)
-        design = rng.standard_normal((12, 6)).astype(np.longdouble)
-        rhs = rng.standard_normal(12).astype(np.longdouble)
-        factored = regsum._householder_solve(regsum._householder_factor(design), rhs)
-        assert factored.tobytes() == _one_pass_lstsq(design, rhs).tobytes()
-
-    def test_cached_arrays_are_read_only(self):
-        design, col_norms, (reflectors, r), eps_max_powers = regsum._schedule_fit(ORACLE_CUTOFFS, 4)
-        arrays = [design, col_norms, r, eps_max_powers, *(v for _, v, _ in reflectors)]
-        assert len(reflectors) == 5
-        for array in arrays:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-
-    def test_cache_is_bounded(self):
-        regsum._schedule_fit.cache_clear()
-        for count in range(8, 8 + 2 * regsum._FIT_CACHE_SIZE):
-            cutoffs = regsum._log_spaced(1e-3, 1e-1, count)
-            fit_finite_part(cutoffs, (1.0,) * count, 1, 2)
-        info = regsum._schedule_fit.cache_info()
-        assert info.maxsize == regsum._FIT_CACHE_SIZE
-        assert info.currsize == info.maxsize
-
-    def test_verify_factors_four_schedules(self):
-        # 22 fits: two cutoff-oracle schedules, and the phi2 and phidot2 schedules
-        regsum._schedule_fit.cache_clear()
-        run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
-        info = regsum._schedule_fit.cache_info()
-        assert (info.misses, info.hits) == (4, 18)
-
-
-# The fit's model on cutoffs 0.1 down to 0.01: eps^-P ... eps^-1 with
-# coefficients P ... 1, the constant 0.3 and a tail 0.5^j eps^j, j = 1 .. D.
-MODEL_CUTOFFS = regsum._log_spaced(1e-2, 1e-1, 12)
-MODEL_FINITE_PART = 0.3
-
-
-def _model_data(power, tail_degree):
-    eps = np.asarray(MODEL_CUTOFFS, dtype=np.longdouble)
-    divergent = [float(power - i) for i in range(power)]
-    data = sum(c * eps ** -(power - i) for i, c in enumerate(divergent)) + MODEL_FINITE_PART
-    return data + sum(0.5**j * eps**j for j in range(1, tail_degree + 1)), divergent
+    return regulated
 
 
 class TestFitContract:
-    """What fit_finite_part trusts of its callers, and what it returns on its model."""
+    """fit_finite_part on a known Laurent series, and what it returns."""
 
-    @pytest.mark.parametrize("cutoffs, power, tail_degree", FIT_CASES.values(), ids=FIT_CASES)
-    def test_callers_pass_decreasing_positive_cutoffs(self, cutoffs, power, tail_degree):
-        # the fit checks none of this: each caller's fixed cutoffs must hold it
-        assert isinstance(cutoffs, tuple)
-        assert all(type(e) is float and e > 0.0 for e in cutoffs)
-        assert all(b < a for a, b in zip(cutoffs, cutoffs[1:]))
-        assert len(cutoffs) >= power + tail_degree + 1
-
-    @pytest.mark.parametrize("tail_degree", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [1e-70, 1.0, 1e70])
     @pytest.mark.parametrize("power", [1, 2, 3, 4])
-    def test_recovers_the_model(self, power, tail_degree):
-        data, divergent = _model_data(power, tail_degree)
-        result = fit_finite_part(MODEL_CUTOFFS, data, power, tail_degree)
-        assert result.finite_part == pytest.approx(MODEL_FINITE_PART, abs=1e-9)
-        assert result.divergent_coeffs == pytest.approx(divergent, abs=1e-10)
-        assert 0.0 <= result.fit_residual < 1e-16
+    def test_recovers_the_model(self, power, radius):
+        result = fit_finite_part(_laurent_model(power, radius), radius, power)
+        assert result.finite_part == pytest.approx(0.3, abs=1e-15)
+        expected = [(power - p + 1) * radius ** p for p in range(power, 0, -1)]
+        assert result.divergent_coeffs == pytest.approx(expected, rel=1e-15)
+        # the rule on 32 nodes misses by (1/2)^32 of the tail
+        assert result.error_estimate == pytest.approx(0.5 ** 32, rel=1e-4)
 
-    def test_residual_measures_the_misfit(self):
-        # data off the model leave a residual; exact model data leave none
-        data, _ = _model_data(2, 2)
-        exact = fit_finite_part(MODEL_CUTOFFS, data, 2, 2)
-        noisy = fit_finite_part(MODEL_CUTOFFS, data + np.resize([1e-3, -1e-3], 12), 2, 2)
-        assert noisy.fit_residual > 1e6 * exact.fit_residual
+    def test_returns_plain_floats(self):
+        result = fit_finite_part(_laurent_model(2, 1.0), 1.0, 2)
+        values = (result.finite_part, result.error_estimate, *result.divergent_coeffs)
+        assert all(type(v) is float for v in values)
 
-    @pytest.mark.parametrize("as_data", [tuple, list, np.asarray, lambda v: np.asarray(v, np.longdouble)],
-                             ids=["tuple", "list", "float64", "longdouble"])
-    def test_data_types_give_the_same_bits(self, as_data):
-        values = _cutoff_sums(3, ORACLE_CUTOFFS)
-        expected = fit_finite_part(ORACLE_CUTOFFS, values, 4, 2)
-        assert _bits(fit_finite_part(ORACLE_CUTOFFS, as_data(values), 4, 2)) == _bits(expected)
+    def test_sixty_four_nodes_on_the_circle(self):
+        seen = []
+
+        def regulated(eps):
+            seen.append(eps)
+            return 1.0 / eps
+
+        fit_finite_part(regulated, 0.25, 1)
+        (eps,) = seen
+        assert eps.shape == (64,) and eps.dtype == complex
+        assert np.abs(eps) == pytest.approx(np.full(64, 0.25), rel=1e-15)
+        assert eps[0] == 0.25 and eps[16] == pytest.approx(0.25j, abs=1e-16)
+
+    def test_sums_that_overflow_on_the_circle_raise_without_a_warning(self):
+        # under the suite's warnings-as-errors, a numpy RuntimeWarning would fail it too
+        with pytest.raises(DomainError, match="finite data"):
+            fit_finite_part(_cutoff_sums(3), 1e-100, 4)
