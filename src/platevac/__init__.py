@@ -18,7 +18,6 @@ from .dimreg import gamma_real, master_integral, quadrature_reference
 from .errors import (
     ConsistencyError,
     DomainError,
-    ExtrapolationDivergenceError,
     InvalidConfigError,
     PlateVacError,
     PoleError,
@@ -51,7 +50,7 @@ from .stress import StressReport, stress_report
 __all__ = [
     "canonical_density_integral", "em_reference", "integrated_density_check", "pressure",
     "total_energy", "gamma_real", "master_integral", "quadrature_reference", "ConsistencyError",
-    "DomainError", "ExtrapolationDivergenceError", "InvalidConfigError", "PlateVacError",
+    "DomainError", "InvalidConfigError", "PlateVacError",
     "PoleError", "QuadratureError", "ABPair", "FluctuationSet", "InteriorPoint", "ab_values",
     "expectation_columns", "expectation_set", "phi_squared", "phi_squared_single_plate",
     "mode_sum_finite_part", "FinitePartResult",

@@ -445,8 +445,10 @@ def _worst(num, den) -> float:
         return float(np.max(np.where(den > 0.0, num / den, np.inf)))
 
 
-# The angles of the Abel checks, and of the mode-sum checks.
-_ABEL_THETAS = [0.1 * k for k in range(1, 31)]
+# The angles of the Abel checks, down to 1e-6 from either plate, and of the mode-sum checks.
+_NEAR_PLATE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_ABEL_THETAS = ([0.1 * k for k in range(1, 31)] + list(_NEAR_PLATE)
+                + [math.pi - t for t in _NEAR_PLATE])
 # The second list is np.linspace(0.3, math.pi - 0.3, 5), bit for bit.
 _MODE_SUM_THETAS = [i * ((math.pi - 0.3 - 0.3) / 4) + 0.3 for i in range(4)] + [math.pi - 0.3]
 
@@ -464,7 +466,9 @@ def _cutoff_error(k: int) -> float:
 
 
 def _abel_error(k: int, closed) -> float:
-    return _worst([regsum.abel_sum_oracle(k, t) - closed(t) for t in _ABEL_THETAS], 1.0)
+    """The Abel oracle against ``closed``, relative to max(1, |closed|)."""
+    pairs = [(regsum.abel_sum_oracle(k, t), closed(t)) for t in _ABEL_THETAS]
+    return _worst([a - c for a, c in pairs], [max(1.0, abs(c)) for _, c in pairs])
 
 
 def _dimreg_quadrature(config: RunConfig) -> float:
@@ -627,16 +631,16 @@ VERIFY_CHECKS = (
     # Regularized power sums against the exponential-cutoff oracle (absolute).
     VerifyCheck("zeta_cutoff_k1", 2e-15, lambda config: _cutoff_error(1)),
     VerifyCheck("zeta_cutoff_k3", 2e-15, lambda config: _cutoff_error(3)),
-    # Oscillatory sums against the Abel oracle (absolute).
-    VerifyCheck("abel_n_cos", 1e-8, lambda config: _abel_error(1, regsum.trig_sum_n_cos)),
-    VerifyCheck("abel_n3_cos", 1e-8, lambda config: _abel_error(3, regsum.trig_sum_n3_cos)),
-    VerifyCheck("abel_constant", 1e-8, lambda config: _abel_error(0, lambda t: -0.5)),
+    # Oscillatory sums against the Abel oracle (relative to max(1, |closed form|)).
+    VerifyCheck("abel_n_cos", 1e-13, lambda config: _abel_error(1, regsum.trig_sum_n_cos)),
+    VerifyCheck("abel_n3_cos", 1e-13, lambda config: _abel_error(3, regsum.trig_sum_n3_cos)),
+    VerifyCheck("abel_constant", 1e-13, lambda config: _abel_error(0, lambda t: -0.5)),
     # Continued master integral against direct quadrature plus identities.
-    VerifyCheck("dimreg_quadrature", 1e-8, _dimreg_quadrature),
+    VerifyCheck("dimreg_quadrature", 2e-14, _dimreg_quadrature),
     VerifyCheck("dimreg_scaling", 1e-12, _dimreg_scaling),
-    VerifyCheck("dimreg_recursion", 1e-10, _dimreg_recursion),
+    VerifyCheck("dimreg_recursion", 5e-14, _dimreg_recursion),
     # Mode-sum oracle: radial kernels against quadrature, finite parts against closed forms.
-    VerifyCheck("oracle_transverse_kernel", 1e-9, _oracle_transverse_kernel),
+    VerifyCheck("oracle_transverse_kernel", 2e-14, _oracle_transverse_kernel),
     VerifyCheck("mode_sum_phi2", 1e-13, lambda config: _mode_sum_error("phi2", config)),
     VerifyCheck("mode_sum_phidot2", 1e-12, lambda config: _mode_sum_error("phidot2", config)),
     # Stress-tensor invariants on the interior grid.

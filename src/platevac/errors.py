@@ -23,10 +23,6 @@ class PoleError(PlateVacError, ArithmeticError):
     """Gamma function, or a quantity built from it, evaluated at a pole."""
 
 
-class ExtrapolationDivergenceError(PlateVacError, ArithmeticError):
-    """Successive extrapolants grow: the series has no Abel limit."""
-
-
 class QuadratureError(PlateVacError, ArithmeticError):
     """An adaptive quadrature failed to converge to the requested accuracy."""
 
@@ -54,6 +50,8 @@ def _quoted(value) -> str:
 
 def _is_count(value) -> bool:
     """Whether ``value`` is a non-negative integer (a bool is not)."""
+    if type(value) is int:  # the common case, without the slow abstract-class check
+        return value >= 0
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 

@@ -19,29 +19,31 @@ for cross-validation:
   points of the circle |eps| = pi, half way to the next pole: the
   trapezoid rule for the Laurent coefficient, exact to about 2^-64.
 
-* ``abel_sum_oracle`` evaluates sum_n n^k r^n cos(2 n theta) in closed
-  form at twelve fixed radii below the circle of convergence and
-  extrapolates r -> 1- by polynomial (Richardson) extrapolation in
-  h = 1 - r.  The Abel limits of the oscillatory sums exist for theta
-  away from 0 and pi and have expansions in integer powers of h, which
-  is what makes polynomial extrapolation the right accelerator.
+* ``abel_sum_oracle`` takes the Abel limit r -> 1- of
+  sum_n n^k r^n cos(2 n theta) as the boundary value of its generating
+  function: sum_n n^k x^n = x P_k(x) / (1 - x)^(k+1), with P_k the
+  Eulerian polynomial, is rational with its one pole at x = 1, so the
+  limit is the real part of its value at x = e^(2i theta), in closed
+  form.  It holds for any finite theta off the plates theta = m pi and
+  raises DomainError on them, where no Abel limit exists, and wherever
+  the sum overflows a double.
 
 All closed-form evaluations are exact rational or elementary-function
-expressions; only the oracles involve contour means or extrapolation,
-both in double precision.  Each oracle fixes its own circle or radii;
-the contour mean is shared with the mode-sum oracle in ``oracle``.
+expressions; only the cutoff oracle takes a contour mean, in double
+precision on its own fixed circle, and it shares that mean with the
+mode-sum oracle in ``oracle``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
     DomainError,
-    ExtrapolationDivergenceError,
     _is_count,
     _is_finite,
     _quoted,
@@ -189,9 +191,9 @@ def _power_series(k: int, x, one_minus_x):
     complex number or a numpy array of any float or complex dtype, and
     the arithmetic is the same element by element; ``1 - x`` is passed
     in so that callers near x = 1 can form it without cancellation.
-    Past |x| = 1 it is the series' analytic continuation, which the
-    contour means reach on their circles.  It checks nothing; a caller
-    whose nodes can overflow checks the result.
+    On |x| = 1 it is the series' Abel limit, and past it the analytic
+    continuation, which the contour means reach on their circles.  It
+    checks nothing; a caller whose nodes can overflow checks the result.
     """
     poly = 0
     for a in reversed(_eulerian_row(k)):
@@ -200,80 +202,51 @@ def _power_series(k: int, x, one_minus_x):
 
 
 # ---------------------------------------------------------------------------
-# Richardson / Neville extrapolation to h = 0
+# The Abel limit: the generating function on the unit circle
 # ---------------------------------------------------------------------------
 
-def _neville(hs: list[float], ys: list[float]) -> tuple[float, list[float]]:
-    """Neville polynomial extrapolation of (h_i, y_i) to h = 0.
-
-    Returns the highest-order extrapolant together with the diagonal of
-    the tableau (the sequence of estimates of increasing order), which
-    the caller uses to judge convergence.  Unchecked: its one caller
-    passes the fixed, strictly decreasing steps of :data:`_ABEL_RADII`.
-    """
-    n = len(hs)
-    p = list(ys)
-    diagonal = [p[0]]
-    for m in range(1, n):
-        for i in range(n - m):
-            denom = hs[i + m] - hs[i]
-            p[i] = (hs[i + m] * p[i] - hs[i] * p[i + 1]) / denom
-        diagonal.append(p[0])
-    return p[0], diagonal
-
-
-# r = 1 - 2^-j, j = 3 .. 14: the Abel limits have expansions in integer
-# powers of 1 - r, and twelve halving steps push the extrapolation error
-# below 1e-11 on the whole working range of theta.
-_ABEL_RADII: tuple[float, ...] = tuple(1.0 - 0.5 ** j for j in range(3, 15))
-# Sensitivity of the divergence detector on the extrapolation diagonal.
-_DIVERGENCE_RTOL = 1e-9
-
-
 def abel_sum_oracle(k: int, theta: float) -> float:
-    """Abel-summation oracle for sum_{n>=1} n^k r^n cos(2 n theta), r -> 1-.
+    """Abel-summation oracle: the limit r -> 1- of sum_{n>=1} n^k r^n cos(2 n theta).
+
+    The generating function sum_{n>=1} n^k x^n = x P_k(x) / (1 - x)^(k+1)
+    (:func:`_power_series`, P_k the Eulerian polynomial) is rational, with
+    its one pole at x = 1.  So the limit r -> 1- at x = r e^(2i theta) is
+    its value on the unit circle, at x = e^(2i theta), and the Abel sum is
+    that value's real part.  The route is independent of the sin^2 closed
+    forms it checks.  1 - x is formed as -2i sin(theta) e^(i theta) =
+    2 sin^2 theta - 2i sin theta cos theta, which cancels nothing at any
+    angle, next to either plate as well.
 
     Parameters
     ----------
     k : int
         Power of n; one of 0, 1, 3 (the powers the closed forms cover).
     theta : float
-        Half the phase step of the cosine.
-
-    Returns
-    -------
-    float
-        The r -> 1- limit, extrapolated from twelve radii r = 1 - 2^-j,
-        j = 3 .. 14.
+        Half the phase step of the cosine: any finite angle off the plates
+        theta = m pi.  The sum is even and pi-periodic in theta.
 
     Raises
     ------
     DomainError
-        If k is not a supported power or theta is not finite.
-    ExtrapolationDivergenceError
-        If successive extrapolants grow instead of settling, which is
-        how a sum with no Abel limit (for example theta = 0 with k >= 1)
-        manifests here.
+        If k is not a supported power or theta is not finite; if
+        sin^2 theta is below the smallest normal double, which covers the
+        plates, where the sum has no Abel limit; or if the sum overflows a
+        double that close to a plate.
     """
     if not (_is_count(k) and k in (0, 1, 3)):
         raise DomainError(f"supported powers are 0, 1 and 3, got {_quoted(k)}")
     if not _is_finite(theta):
         raise DomainError(f"theta must be finite, got {_quoted(theta)}")
     k = int(k)  # a numpy integer would take the powers through numpy's pow
-    hs = [1.0 - r for r in _ABEL_RADII]  # decreasing toward 0
-    phase = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
-    zs = [r * phase for r in _ABEL_RADII]
-    ys = [_power_series(k, z, 1.0 - z).real for z in zs]
-
-    value, diagonal = _neville(hs, ys)
-
-    deltas = [abs(b - a) for a, b in zip(diagonal, diagonal[1:])]
-    scale = 1.0 + abs(diagonal[-1])
-    if deltas[-1] > _DIVERGENCE_RTOL * scale and deltas[-1] >= deltas[0]:
-        raise ExtrapolationDivergenceError(
-            f"extrapolants for k={k}, theta={theta!r} keep growing "
-            f"(last step {deltas[-1]:.3e}); the sum has no Abel limit"
-        )
+    s, c = math.sin(theta), math.cos(theta)
+    x = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
+    try:
+        value = _power_series(k, x, complex(2.0 * s * s, -2.0 * s * c)).real
+    except (ZeroDivisionError, OverflowError):  # (1 - x)^(k+1) underflows or overflows
+        value = math.inf
+    if not (s * s >= sys.float_info.min and abs(value) < math.inf):
+        raise DomainError(f"the Abel sum for k={k} has no finite double value at theta = "
+                          f"{_quoted(theta)}: the angle is too close to a plate")
     return value
 
 

@@ -80,13 +80,13 @@ class TestABValues:
         assert two.A == pytest.approx(one.A / 16.0, rel=1e-14)
         assert two.B == pytest.approx(one.B / 16.0, rel=1e-14)
 
-    def test_close_to_plate_matches_abel_oracle(self):
+    @pytest.mark.parametrize("theta", [0.05, 1e-6, math.pi - 1e-6])
+    def test_close_to_plate_matches_abel_oracle(self, theta):
         # B = (pi^2/12 L^4) * sum n^3 cos(2 n theta), resummed by Abel
         config = PlateConfig(1.0)
-        theta = 0.05
         ab = ab_values(config, InteriorPoint.from_theta(config, theta))
         oracle_value = (math.pi**2 / 12.0) * abel_sum_oracle(3, theta)
-        assert ab.B == pytest.approx(oracle_value, rel=1e-6)
+        assert ab.B == pytest.approx(oracle_value, rel=1e-13)
 
     def test_b_minimum_at_midpoint(self):
         config = PlateConfig(1.0)

@@ -103,6 +103,7 @@ GUARDED = {"tzz_equals_pressure", "length_scaling", "energy_pipeline",
            "pressure_finite_difference", "integrated_density"}
 MODE_SUMS = {"mode_sum_phi2", "mode_sum_phidot2"}
 ZETA = {"zeta_cutoff_k1", "zeta_cutoff_k3"}
+ABEL = {"abel_n_cos", "abel_n3_cos", "abel_constant"}
 
 # name: (mutation, FAIL set, raise set)
 MUTATIONS = {
@@ -211,7 +212,7 @@ MUTATIONS = {
                       {"zeta_cutoff_k3", "abel_n3_cos", "mode_sum_phidot2"}, set()),
     "power-series-exponent": (Edit("regsum", "_power_series", "one_minus_x ** (k + 1)",
                                    "one_minus_x ** k"),
-                              ZETA | MODE_SUMS | {"abel_n_cos", "abel_n3_cos", "abel_constant"},
+                              ZETA | MODE_SUMS | ABEL,
                               set()),
     "master-4pi": (Edit("dimreg", "master_integral", "(4.0 * math.pi)", "(2.0 * math.pi)"),
                    {"dimreg_quadrature"}, GUARDED),
@@ -232,7 +233,10 @@ MUTATIONS = {
     "scalar-half-angle": (Edit("fluctuations", "_sin2", "math.sin(theta)", "math.sin(0.5 * theta)"),
                           MODE_SUMS | {"single_plate_limit"}, set()),
     "abel-angle": (Edit("regsum", "abel_sum_oracle", "math.cos(2.0 * theta), math.sin(2.0 * theta)",
-                        "math.cos(theta), math.sin(theta)"), {"abel_n_cos", "abel_n3_cos"}, set()),
+                        "math.cos(theta), math.sin(theta)"), ABEL, set()),
+    # 1 - x conjugated: the pole's phase is wrong, at every angle
+    "abel-one-minus-x-sign": (Edit("regsum", "abel_sum_oracle", "-2.0 * s * c", "2.0 * s * c"),
+                              ABEL, set()),
 }
 
 
