@@ -18,7 +18,7 @@ import math
 
 from .dimreg import master_integral
 from .errors import ConsistencyError, DomainError, _quoted
-from .fluctuations import InteriorPoint, ab_values, expectation_columns, expectation_set
+from .fluctuations import InteriorPoint, ab_values, expectation_set
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import stress_report
@@ -86,25 +86,28 @@ def integrated_density_check(config: PlateConfig, bc: BoundaryCondition) -> tupl
     return integral, abs(integral - total_energy(config))
 
 
-# Midpoints of the canonical density quadrature.
-_CANONICAL_GRID_POINTS = 2000
-
-
 def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margin: float) -> float:
-    """Midpoint quadrature of the canonical energy density over [m L, (1-m) L].
+    """The canonical energy density -(A + 2t) integrated over [m L, (1-m) L], exactly.
 
-    The canonical density grows like theta^-4 toward the plates, so this
-    integral has no margin -> 0 limit; shrinking the margin makes it
-    grow without bound, which is precisely why only the improved density
-    can integrate up to the total energy.
+    With u = cot theta, f d theta = -(1 + 3u^2) du, and dz = (L/pi) d theta,
+    so for m = ``margin`` in (0, 0.5) the integral is
+
+        -A L (1 - 2m) - s pi/(24 L^3) (cot pi m + cot^3 pi m).
+
+    It grows like -s/(24 pi^2 L^3 m^3) without limit as m -> 0, which is
+    precisely why only the improved density can integrate up to the
+    total energy.  A value past the double range raises :class:`DomainError`.
     """
-    import numpy as np
-
     if not 0.0 < margin < 0.5:
         raise DomainError(f"margin must lie in (0, 0.5), got {_quoted(margin)}")
-    lo = margin * config.L
-    width = config.L - 2.0 * lo
-    h = width / _CANONICAL_GRID_POINTS
-    centers = lo + (np.arange(_CANONICAL_GRID_POINTS) + 0.5) * h
-    fluct, ab = expectation_columns(bc, config, math.pi * centers / config.L)
-    return float(np.sum(stress_report(fluct, ab).energy_density_canonical)) * h
+    L = config.L
+    cot = 1.0 / math.tan(math.pi * margin)
+    try:
+        value = (-math.pi ** 2 / (1440.0 * L ** 4) * L * (1.0 - 2.0 * margin)
+                 - bc.sign_upper * math.pi / (24.0 * L ** 3) * (cot + cot ** 3))
+    except OverflowError:  # cot^3
+        value = math.inf
+    if not abs(value) < math.inf:
+        raise DomainError(f"the canonical density integral overflows at margin {margin!r}: "
+                          "the margin is too close to a plate")
+    return value

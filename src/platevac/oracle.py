@@ -44,16 +44,13 @@ land on the closed-form field, to about 1e-14 relative at any angle in
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import TYPE_CHECKING
 
 from .errors import InvalidConfigError
 from .fluctuations import InteriorPoint
-from .regsum import FinitePartResult, _power_series, fit_finite_part
+from .regsum import FinitePartResult, _expm1, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition, PlateConfig
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["mode_sum_finite_part"]
 
@@ -79,29 +76,27 @@ def _kernel_coefficients(field: str, eps):
     return tuple(c / (2.0 * math.pi) for c in (2.0 / eps**3, 2.0 / eps**2, 1.0 / eps))
 
 
-def _transverse_closed(field: str, kn, eps):
-    import numpy as np
-
+def _transverse_closed(field: str, kn: float, eps: float) -> float:
+    """The transverse integral e^(-eps k_n) sum_j c_j k_n^j at one real k_n and eps."""
     coeffs = _kernel_coefficients(field, eps)
-    return np.exp(-eps * kn) * sum(c * kn**j for j, c in enumerate(coeffs))
+    return math.exp(-eps * kn) * sum(c * kn**j for j, c in enumerate(coeffs))
 
 
 def _regulated_sums(field: str, bc: BoundaryCondition, L: float, theta: float,
-                    eps) -> np.ndarray:
-    """The cutoff-regulated mode sum at every complex cutoff in ``eps``, summed exactly.
+                    eps: complex) -> complex:
+    """The cutoff-regulated mode sum at the complex cutoff ``eps``, summed exactly.
 
     sum_{n>=1} (1 - s cos 2 n theta) T(k_n, eps) / (2 L) with T the
     transverse kernel, as Li_j(q) - (s/2) [Li_j(z) + Li_j(z')] per power
     of k_n, z and z' = q e^(+-2i theta).  The cosine is the mean of the
     two phases, not Re Li_j(z), which is not analytic in eps; each
-    1 - x is taken through expm1, so it keeps its digits near a plate.
+    1 - x is taken through ``regsum._expm1``, so it keeps its digits
+    near a plate.
     """
-    import numpy as np
-
     a = math.pi / L
     w = -a * eps
     phase = 1j * (2.0 * theta)
-    nodes = [(np.exp(v), -np.expm1(v)) for v in (w, w + phase, w - phase)]
+    nodes = [(cmath.exp(v), -_expm1(v)) for v in (w, w + phase, w - phase)]
     # s comes from the modes summed, not from BoundaryCondition.sign_upper,
     # so the oracle shares no sign convention with the closed forms:
     # Dirichlet sin^2 gives 1 - cos 2 n theta, Neumann cos^2 1 + cos 2 n theta.
@@ -122,8 +117,9 @@ def mode_sum_finite_part(
     other arguments are those of ``expectation_set``, whose ``field``
     the constant term reproduces.  The transverse integrals are summed
     over all n >= 1 with the boundary-condition weight
-    (1 - s cos(2 n theta)), in closed form, on 64 complex cutoffs around
-    eps = 0, and ``regsum.fit_finite_part`` takes their mean.  The
+    (1 - s cos(2 n theta)), in closed form, on the 33 complex cutoffs of
+    the upper half of a circle around eps = 0, and
+    ``regsum.fit_finite_part`` takes the mean over the whole circle.  The
     circle's radius min(theta, pi - theta) L / pi is half the distance
     to the nearest other singularity, so it shrinks toward a plate with
     the finite part's own length scale; where it underflows, or a sum

@@ -24,31 +24,26 @@ for cross-validation:
   function: sum_n n^k x^n = x P_k(x) / (1 - x)^(k+1), with P_k the
   Eulerian polynomial, is rational with its one pole at x = 1, so the
   limit is the real part of its value at x = e^(2i theta), in closed
-  form.  It holds for any finite theta off the plates theta = m pi and
+  form.  It holds for any theta off the plates theta = m pi and
   raises DomainError on them, where no Abel limit exists, and wherever
   the sum overflows a double.
 
 All closed-form evaluations are exact rational or elementary-function
 expressions; only the cutoff oracle takes a contour mean, in double
-precision on its own fixed circle, and it shares that mean with the
-mode-sum oracle in ``oracle``.
+precision on Python complex numbers on its own fixed circle, and it
+shares that mean and a complex expm1 with the mode-sum oracle, ``oracle``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    DomainError,
-    _is_count,
-    _is_finite,
-    _quoted,
-    _require,
-)
+from .errors import DomainError, _is_count, _is_finite, _quoted, _require
 
 __all__ = [
     "FinitePartResult",
@@ -187,10 +182,9 @@ def _eulerian_row(k: int) -> tuple[int, ...]:
 def _power_series(k: int, x, one_minus_x):
     """sum_{n>=1} n^k x^n = x P_k(x) / (1-x)^(k+1), P_k the Eulerian polynomial.
 
-    The one place this closed form is written.  ``x`` may be a float, a
-    complex number or a numpy array of any float or complex dtype, and
-    the arithmetic is the same element by element; ``1 - x`` is passed
-    in so that callers near x = 1 can form it without cancellation.
+    The one place this closed form is written, for a float or complex
+    ``x``; ``1 - x`` is passed in so that callers near x = 1 can form it
+    without cancellation.
     On |x| = 1 it is the series' Abel limit, and past it the analytic
     continuation, which the contour means reach on their circles.  It
     checks nothing; a caller whose nodes can overflow checks the result.
@@ -222,21 +216,21 @@ def abel_sum_oracle(k: int, theta: float) -> float:
     k : int
         Power of n; one of 0, 1, 3 (the powers the closed forms cover).
     theta : float
-        Half the phase step of the cosine: any finite angle off the plates
-        theta = m pi.  The sum is even and pi-periodic in theta.
+        Half the phase step of the cosine: any angle off the plates
+        theta = m pi with 2 theta finite.  The sum is even and pi-periodic in theta.
 
     Raises
     ------
     DomainError
-        If k is not a supported power or theta is not finite; if
+        If k is not a supported power or 2 theta is not finite; if
         sin^2 theta is below the smallest normal double, which covers the
         plates, where the sum has no Abel limit; or if the sum overflows a
         double that close to a plate.
     """
     if not (_is_count(k) and k in (0, 1, 3)):
         raise DomainError(f"supported powers are 0, 1 and 3, got {_quoted(k)}")
-    if not _is_finite(theta):
-        raise DomainError(f"theta must be finite, got {_quoted(theta)}")
+    if not (_is_finite(theta) and abs(theta) <= 0.5 * sys.float_info.max):
+        raise DomainError(f"theta must be finite, and 2 theta too, got {_quoted(theta)}")
     k = int(k)  # a numpy integer would take the powers through numpy's pow
     s, c = math.sin(theta), math.cos(theta)
     x = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
@@ -259,8 +253,8 @@ class FinitePartResult:
     """Finite part of a cutoff-regulated sum plus its divergent coefficients.
 
     ``divergent_coeffs`` are ordered from the most divergent power down,
-    eps^-P ... eps^-1; ``error_estimate`` is how far the finite part
-    moves when every other node of the circle is dropped.
+    eps^-P ... eps^-1; ``error_estimate`` bounds the finite part's error
+    (:func:`fit_finite_part`).
     """
 
     finite_part: float
@@ -272,58 +266,77 @@ class FinitePartResult:
 # singularity twice as far out as the circle, its error falls as 2^-N:
 # 2^-64 = 5e-20, below double round-off.
 _CIRCLE_NODES = 64
+# e^(2 pi i k/N): k <= N/2 from math.cos and math.sin, the rest their conjugates
+_UPPER_NODES = tuple(complex(math.cos(a), math.sin(a)) for a in
+                     (math.pi * k / (_CIRCLE_NODES // 2) for k in range(_CIRCLE_NODES // 2 + 1)))
+_UNIT_NODES = _UPPER_NODES + tuple(u.conjugate() for u in reversed(_UPPER_NODES[1:-1]))
+
+
+def _expm1(z: complex) -> complex:
+    """e^z - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y, z = x + iy, without cancellation.
+
+    The oracles form every 1 - x of their sums through it.  A part past
+    the double range raises OverflowError.
+    """
+    h = math.sin(0.5 * z.imag)
+    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * h * h,
+                   math.exp(z.real) * math.sin(z.imag))
 
 
 def fit_finite_part(regulated, radius: float, divergent_powers: int) -> FinitePartResult:
     """The Laurent coefficients of ``regulated`` at its pole eps = 0, read off a circle.
 
-    ``regulated`` maps an array of complex cutoffs to the regulated sum
-    S at each.  S must be analytic in 0 < |eps| < 2 ``radius``, with a
-    pole of order P = ``divergent_powers`` at 0 and S(conj eps) =
-    conj S(eps).  Its coefficient of eps^-p is the contour integral
-    (1/2 pi i) of S(eps) eps^(p-1) d eps around the circle |eps| =
-    ``radius``, and the trapezoid rule on the N = 64 nodes
-    eps_k = radius e^(2 pi i k/N) takes it as the mean of S(eps_k) eps_k^p
-    (Lyness and Moler, SIAM J. Numer. Anal. 4, 202 (1967); Trefethen and
-    Weideman, SIAM Review 56, 385 (2014)).  The finite part is p = 0.
-    Each eps_k^p is formed as radius^p (eps_k/radius)^p, a node of the
-    unit circle times a real scale, so nothing underflows.
+    ``regulated`` maps one complex cutoff to the regulated sum S there.
+    S must be analytic in 0 < |eps| < 2 ``radius``, with a pole of order
+    P = ``divergent_powers`` at 0 and S(conj eps) = conj S(eps).  Its
+    coefficient of eps^-p is the contour integral (1/2 pi i) of
+    S(eps) eps^(p-1) d eps around the circle |eps| = ``radius``, and the
+    trapezoid rule on the N = 64 nodes eps_k = radius e^(2 pi i k/N)
+    takes it as the mean of S(eps_k) eps_k^p (Lyness and Moler, SIAM J.
+    Numer. Anal. 4, 202 (1967); Trefethen and Weideman, SIAM Review 56,
+    385 (2014)).  The finite part is p = 0.  S is called on the 33
+    nodes k = 0 .. 32 of the upper half circle; the other 31 values are
+    their conjugates.  Each eps_k^p is formed as radius^p (eps_k/radius)^p,
+    a node of the unit circle times a real scale, so nothing underflows,
+    and each mean is a ``math.fsum``.
 
     A function analytic out to twice the radius leaves the rule an
-    error of about 2^-N of its scale; the error estimate reported is
-    the distance to the rule on the N/2 even nodes, which is about
-    2^-(N/2) of it and so bounds the error from far above.  Everything
-    runs in double precision: each caller's radius follows its sum's
-    own length scale, so on the circle the divergent terms c_-p r^-p
-    are within a few decades of the finite part and the mean loses
-    only a few digits to cancellation.  A radius that is not a positive
-    finite float, or a sum that is not finite on the circle, raises
-    :class:`DomainError`.
+    error of about 2^-N of its scale M, the largest |S| on the circle.
+    The rule on the N/2 even nodes misses by d, about 2^-(N/2) M, so the
+    error estimate reported is d^2/M plus M times the machine epsilon,
+    the round-off.  Everything runs in double precision: each caller's
+    radius follows its sum's own length scale, so on the circle the
+    divergent terms c_-p r^-p are within a few decades of the finite
+    part and the mean loses only a few digits to cancellation.  A
+    radius that is not a positive finite float, or a sum that is not
+    finite on the circle (or raises ZeroDivisionError or OverflowError
+    there), raises :class:`DomainError`.
     """
-    import numpy as np
-
     if not 0.0 < radius < math.inf:
         raise DomainError("the cutoff circle needs a positive finite radius, "
                           f"got {_quoted(radius)}")
-    k = np.arange(_CIRCLE_NODES)
-    unit = np.exp((2j * math.pi / _CIRCLE_NODES) * k)
-    with np.errstate(all="ignore"):
-        values = np.asarray(regulated(radius * unit), dtype=complex)
-        mean = values.mean()  # not finite if any value is not
-        error_estimate = float(abs(mean - values[::2].mean()))
-        scale = np.float64(radius)  # whose power overflows to inf, not to OverflowError
-        divergent = tuple(float(scale ** p * (values * unit[p * k % _CIRCLE_NODES]).mean().real)
+    try:
+        upper = [regulated(radius * u) for u in _UPPER_NODES]
+        values = upper + [v.conjugate() for v in reversed(upper[1:-1])]
+        finite_part = math.fsum(v.real for v in values) / _CIRCLE_NODES
+        miss = abs(finite_part - math.fsum(v.real for v in values[::2]) / (_CIRCLE_NODES // 2))
+        scale = max(map(abs, upper))
+        error_estimate = (miss * (miss / scale) if miss else 0.0) + sys.float_info.epsilon * scale
+        divergent = tuple(radius ** p * math.fsum((v * _UNIT_NODES[p * k % _CIRCLE_NODES]).real
+                                                  for k, v in enumerate(values)) / _CIRCLE_NODES
                           for p in range(divergent_powers, 0, -1))
-    if not all(map(math.isfinite, (mean.real, error_estimate, *divergent))):
-        raise DomainError("finite-part fit needs finite data")
-    return FinitePartResult(float(mean.real), divergent, error_estimate)
+        if all(map(math.isfinite, (finite_part, error_estimate, *divergent))):
+            return FinitePartResult(finite_part, divergent, error_estimate)
+    except (ZeroDivisionError, OverflowError, ValueError):  # ValueError: fsum of inf - inf
+        pass
+    raise DomainError("finite-part fit needs finite data")
 
 
 def cutoff_sum_oracle(k: int) -> FinitePartResult:
     """Exponential-cutoff oracle for the zeta-regularized power sum.
 
     S(eps) = sum_{n>=1} n^k e^(-eps n) in closed form, with 1 - e^(-eps)
-    taken through expm1, is analytic in eps but for poles at
+    taken through a complex expm1, is analytic in eps but for poles at
     eps = 2 pi i m; the one at 0 has order k + 1 and leading coefficient
     k!.  :func:`fit_finite_part` reads its constant term, which must
     agree with zeta(-k), off the circle |eps| = pi, half way to the next
@@ -336,7 +349,5 @@ def cutoff_sum_oracle(k: int) -> FinitePartResult:
     if not (_is_count(k) and k in (1, 3)):
         raise DomainError(f"the cutoff oracle checks the powers 1 and 3 alone, got {_quoted(k)}")
     k = int(k)  # a numpy integer would take the powers through numpy's pow
-    import numpy as np
-
-    return fit_finite_part(lambda eps: _power_series(k, np.exp(-eps), -np.expm1(-eps)),
+    return fit_finite_part(lambda eps: _power_series(k, cmath.exp(-eps), -_expm1(-eps)),
                            math.pi, k + 1)

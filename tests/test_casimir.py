@@ -2,10 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from platevac import casimir
+from platevac import casimir, cli
 from platevac.casimir import (
     canonical_density_integral,
     em_reference,
@@ -100,24 +99,40 @@ class TestIntegratedDensity:
         assert integral == pytest.approx(-math.pi**2 / 180000.0, rel=1e-12)
 
 
-class TestMidpointSums:
-    """The array midpoint sums against per-point scalar evaluation."""
+# (margin, A L (1 - 2m), pi/(24 L^3) (cot pi m + cot^3 pi m)) at L = 1.7 and
+# the double nearest each margin, from mpmath at 50 digits
+CANONICAL_TERMS = [
+    (1e-8, 0.0013950522711425005, 8.592949287802579e+20),
+    (1e-6, 0.0013950495089389485, 859294928780258.1),
+    (1e-4, 0.0013947732885837378, 859294928.7802573),
+    (1e-3, 0.0013922621944454593, 859294.9287746777),
+    (1e-2, 0.0013671512530626757, 859.2948729606784),
+    (0.1, 0.0011160418392348371, 0.8587190552415754),
+    (0.25, 0.0006975261495217733, 0.05328707262347841),
+    (0.4, 0.00027901045980870923, 0.00957095455918797),
+    (0.49, 2.7901045980870955e-05, 0.0008381337932621785),
+]
+
+
+class TestDensityIntegrals:
+    """The density integrals against their exact values and per-point evaluation."""
 
     @pytest.mark.parametrize("bc", BOTH)
-    def test_canonical_integral_matches_point_loop(self, bc):
+    @pytest.mark.parametrize("margin, constant, profile", CANONICAL_TERMS)
+    def test_canonical_integral_matches_mpmath(self, margin, constant, profile, bc):
+        # -A L (1 - 2m) - s pi/(24 L^3) (cot pi m + cot^3 pi m), to 1e-14 of the larger term
+        value = canonical_density_integral(PlateConfig(1.7), bc, margin)
+        expected = -constant - bc.sign_upper * profile
+        assert abs(value - expected) <= 1e-14 * max(constant, profile)
+
+    @pytest.mark.parametrize("bc", BOTH)
+    @pytest.mark.parametrize("margin", [0.3, 1e-2, 1e-3, 1e-4])
+    def test_canonical_integral_matches_point_quadrature(self, margin, bc):
+        # the closed form against verify's tanh-sinh rule over the density
+        # evaluated one point at a time
         config = PlateConfig(1.7)
-        margin, n = 0.001, 2000
-        h = config.L * (1.0 - 2.0 * margin) / n
-        loop = 0.0
-        for i in range(n):
-            point = InteriorPoint.from_z(config, config.L * margin + (i + 0.5) * h)
-            loop += stress_report(expectation_set(bc, config, point),
-                                  ab_values(config, point)).energy_density_canonical
-        loop *= h
-        # same-sign terms summed in another order: each sum is within
-        # n ulp of the exact one
         assert canonical_density_integral(config, bc, margin) == pytest.approx(
-            loop, rel=n * np.finfo(float).eps)
+            cli._canonical_quadrature(config, bc, margin), rel=1e-12)
 
     @pytest.mark.parametrize("bc", BOTH)
     def test_improved_integral_matches_point_loop(self, bc):
@@ -128,7 +143,7 @@ class TestMidpointSums:
             point = InteriorPoint.from_z(config, (i + 0.5) * h)
             loop += stress_report(expectation_set(bc, config, point),
                                   ab_values(config, point)).energy_density_improved
-        # four terms: numpy adds them in order, as the loop does
+        # four terms, added in order, as the loop does
         assert integrated_density_check(config, bc)[0] == loop * h
 
 
@@ -147,6 +162,15 @@ class TestCanonicalDivergence:
         config = PlateConfig(1.0)
         assert canonical_density_integral(config, D, 0.001) < 0.0
         assert canonical_density_integral(config, N, 0.001) > 0.0
+
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_grows_as_the_inverse_cube_of_the_margin(self, bc):
+        # -s/(24 pi^2 L^3 m^3) leads: a thousandfold per tenfold smaller margin
+        config = PlateConfig(1.0)
+        for m in (1e-3, 1e-5, 1e-7):
+            ratio = (canonical_density_integral(config, bc, 0.1 * m)
+                     / canonical_density_integral(config, bc, m))
+            assert ratio == pytest.approx(1000.0, rel=1e-5)
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):

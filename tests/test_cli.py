@@ -212,6 +212,25 @@ def _scalar_render(config: RunConfig) -> str:
     return _json_render(doc) + "\n"
 
 
+def assert_columns_equal_scalar_path(config: RunConfig) -> None:
+    """The profile columns equal the scalar path point by point, bit for bit.
+
+    Where the scalar path raises a PlateVacError, so must the columns.
+    """
+    try:
+        scalar = _scalar_rows(config)
+    except PlateVacError:
+        with pytest.raises(PlateVacError):
+            _profile_rows(config)
+        return
+    columns = _profile_rows(config)
+    assert tuple(columns) == PROFILE_COLUMNS
+    for key in PROFILE_COLUMNS:
+        expected = np.array([row[key] for row in scalar])
+        assert columns[key].dtype == np.float64
+        assert np.array_equal(columns[key].view(np.uint64), expected.view(np.uint64)), key
+
+
 class TestColumnarProfile:
     @given(st.sampled_from(list(BoundaryCondition)),
            st.floats(min_value=1e-3, max_value=1e3),
@@ -219,19 +238,7 @@ class TestColumnarProfile:
            st.integers(min_value=3, max_value=300))
     @settings(max_examples=150, deadline=None)
     def test_columns_equal_scalar_path_bit_for_bit(self, bc, L, margin, n):
-        config = RunConfig(bc=bc, L=L, grid_points=n, z_margin=margin)
-        try:
-            scalar = _scalar_rows(config)
-        except PlateVacError:
-            with pytest.raises(PlateVacError):
-                _profile_rows(config)
-            return
-        columns = _profile_rows(config)
-        assert tuple(columns) == PROFILE_COLUMNS
-        for key in PROFILE_COLUMNS:
-            expected = np.array([row[key] for row in scalar])
-            assert columns[key].dtype == np.float64
-            assert np.array_equal(columns[key].view(np.uint64), expected.view(np.uint64)), key
+        assert_columns_equal_scalar_path(RunConfig(bc=bc, L=L, grid_points=n, z_margin=margin))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bc, L, n, margin", [
@@ -471,11 +478,14 @@ class TestVerifyCommand:
         ]
         assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
 
-    def test_mode_sum_angles_are_linspace(self):
-        # written without numpy, bit for bit what np.linspace gives
-        expected = np.linspace(0.3, math.pi - 0.3, 5)
-        assert np.array(cli._MODE_SUM_THETAS).view(np.uint64).tolist() == \
-            expected.view(np.uint64).tolist()
+    @pytest.mark.parametrize("grid, expected", [
+        (cli._MODE_SUM_THETAS, np.linspace(0.3, math.pi - 0.3, 5)),
+        (cli._STRESS_THETAS, np.linspace(0.4, math.pi - 0.4, 100)),
+        (cli._KERNEL_KN, np.geomspace(math.pi * 1e-3, 40.0, 8)),
+    ])
+    def test_grids_match_numpy(self, grid, expected):
+        # written without numpy, bit for bit what np.linspace and np.geomspace give
+        assert np.array(grid).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_golden_report(self, capsys):
         # every measured value to the printed digit, at an L where a wrong
@@ -496,19 +506,17 @@ class TestVerifyCommand:
     ])
     def test_trace_check_cannot_pass_vacuously(self, corrupt, value, shown, monkeypatch):
         if corrupt == "B":
-            real = cli.expectation_columns
+            real = cli.ab_values
 
-            def corrupted(bc, config, theta):
-                fluct, ab = real(bc, config, theta)
-                return fluct, dataclasses.replace(ab, B=np.full_like(ab.B, value))
+            def corrupted(config, point):
+                return dataclasses.replace(real(config, point), B=value)
 
-            monkeypatch.setattr(cli, "expectation_columns", corrupted)
+            monkeypatch.setattr(cli, "ab_values", corrupted)
         else:
             real = stress.stress_report
 
             def corrupted(fluct, ab):
-                report = real(fluct, ab)
-                return dataclasses.replace(report, **{corrupt: np.full_like(report.trace_canonical, value)})
+                return dataclasses.replace(real(fluct, ab), **{corrupt: value})
 
             monkeypatch.setattr(stress, "stress_report", corrupted)
         check = next(c for c in VERIFY_CHECKS if c.name == "trace_canonical_sign")
@@ -518,22 +526,21 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_stress_grid_evaluates_at_the_linspace_angles(self, mirror, monkeypatch):
-        # the angles go to expectation_columns as they are, with no trip through z
+        # the angles go to expectation_set as they are, with no trip through z
         seen = []
-        real = cli.expectation_columns
+        real = cli.expectation_set
 
-        def recording(bc, config, theta):
-            seen.append(np.array(theta))
-            return real(bc, config, theta)
+        def recording(bc, config, point):
+            seen.append(point.theta)
+            return real(bc, config, point)
 
-        monkeypatch.setattr(cli, "expectation_columns", recording)
+        monkeypatch.setattr(cli, "expectation_set", recording)
         cli._stress_grid(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77), mirror)
         expected = np.linspace(0.4, math.pi - 0.4, 100)
         if mirror:
             expected = math.pi - expected
-        assert len(seen) == len(BoundaryCondition)
-        for theta in seen:
-            assert np.array_equal(theta.view(np.uint64), expected.view(np.uint64))
+        expected = np.tile(expected, len(BoundaryCondition))
+        assert np.array(seen).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("flags", [[], ["--inject-sign-flip"]])
     def test_quick_is_ignored(self, flags, capsys):
@@ -631,10 +638,11 @@ def test_verify_runs_where_long_double_is_a_double():
 
 
 # Where importing numpy fails: the scalar API, in point_worker's call
-# sequence and through every other scalar entry point, and energy in both
-# formats.  Prints the numpy modules loaded at the end.
+# sequence and through every other scalar entry point, the oracles and the
+# quadrature, energy in both formats, and verify, which passes every check,
+# and fails with the sign flip.  Prints the numpy modules loaded at the end.
 NUMPY_FREE_PROBE = """
-import random, sys
+import contextlib, io, random, sys
 sys.modules["numpy"] = None
 import platevac, platevac.cli, point_worker
 bcs = {1: platevac.BoundaryCondition.DIRICHLET, -1: platevac.BoundaryCondition.NEUMANN}
@@ -650,14 +658,23 @@ for bc in platevac.BoundaryCondition:
 platevac.total_energy(plate), platevac.pressure(plate), platevac.em_reference(plate)
 platevac.f_theta(1.1), platevac.trig_sum_n_cos(1.1), platevac.trig_sum_n3_cos(1.1)
 platevac.zeta_neg_int(3), platevac.abel_sum_oracle(3, 1.1)
-platevac.master_integral(2.0, -0.5, 1.0)
+platevac.master_integral(2.0, -0.5, 1.0), platevac.quadrature_reference(2, 2.0, 1.0)
+platevac.cutoff_sum_oracle(3), platevac.mode_sum_finite_part("phidot2", bc, plate, point)
+platevac.canonical_density_integral(plate, bc, 1e-3)
 for fmt in ("csv", "json"):
     assert platevac.cli.main(["energy", "--length", "0.77", "--format", fmt]) == 0
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    assert platevac.cli.main(["verify", "--length", "0.77"]) == 0
+    assert platevac.cli.main(["verify", "--inject-sign-flip"]) == 1
+assert report.getvalue().count("FAIL") == 3, report.getvalue()
+checks = len(platevac.cli.VERIFY_CHECKS)
+assert f"{checks}/{checks} checks passed" in report.getvalue()
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod))
 """
 
 
-def test_scalar_api_and_energy_run_without_numpy():
+def test_scalar_api_energy_and_verify_run_without_numpy():
     proc = _probe(NUMPY_FREE_PROBE)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *energy, modules = proc.stdout.splitlines()
@@ -666,14 +683,19 @@ def test_scalar_api_and_energy_run_without_numpy():
     assert modules == "[]"
 
 
-@pytest.mark.parametrize("argv", [["profile", "--points", "3"], ["verify"]])
-def test_array_commands_import_numpy(argv):
-    # import platevac.cli alone leaves numpy unloaded; profile and verify load it
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["profile", "--points", "3"], True),
+    (["verify"], False),
+    (["verify", "--length", "1e72"], False),
+    (["verify", "--inject-sign-flip"], False),
+], ids=["profile", "verify", "verify-1e72", "verify-sign-flip"])
+def test_only_profile_imports_numpy(argv, loads_numpy):
+    # import platevac.cli alone leaves numpy unloaded; profile loads it, verify never does
     proc = _probe("import sys, platevac.cli; before = 'numpy' in sys.modules; "
                   f"code = platevac.cli.main({argv!r}); "
                   "print(before, 'numpy' in sys.modules); sys.exit(code)")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False True"
+    assert proc.returncode == (1 if "--inject-sign-flip" in argv else 0), proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"False {loads_numpy}"
 
 
 class TestDirectInvocation:

@@ -1,10 +1,10 @@
 """Every public entry point reports a bad argument as a PlateVacError."""
 
+import cmath
 import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import platevac
@@ -18,7 +18,7 @@ PLATE = PlateConfig(1.0)
 
 def _cutoff_sums(eps):
     """S(eps) = sum_n n^3 e^(-eps n), as the cutoff oracle sums it: 6/eps^4 overflows at 1e-100."""
-    return regsum._power_series(3, np.exp(-eps), -np.expm1(-eps))
+    return regsum._power_series(3, cmath.exp(-eps), -regsum._expm1(-eps))
 
 
 HUGE = 10**400  # past the double range
@@ -27,6 +27,9 @@ LONG = 10**5000  # past the 4300 digits Python writes out
 
 @pytest.mark.parametrize("call", [
     lambda: casimir.canonical_density_integral(PLATE, D, 0.5),
+    # cot^3 of the margin, or the L^-3 in front of it, past the double range
+    lambda: casimir.canonical_density_integral(PLATE, D, 1e-110),
+    lambda: casimir.canonical_density_integral(PlateConfig(1e-72), D, 1e-40),
     lambda: regsum.bernoulli(-1),
     lambda: regsum.zeta_neg_int(-1),
     lambda: regsum.fit_finite_part(lambda eps: eps * math.nan, 1.0, 1),
@@ -43,6 +46,8 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: regsum.abel_sum_oracle(5, 1.0),
     lambda: regsum.abel_sum_oracle("1", 1.0),
     lambda: regsum.abel_sum_oracle(None, 1.0),
+    # a finite theta whose 2 theta is not
+    lambda: regsum.abel_sum_oracle(0, 8.98846567431158e307),
     lambda: spectrum.k_n(PLATE, 0),
     lambda: dimreg.master_integral(3.0, 10.0, 1e-300),
     # sin^2 theta underflows to 0, or the value overflows, near a plate
@@ -84,11 +89,13 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: fluctuations.InteriorPoint(-math.inf, 0.5),
     lambda: fluctuations.InteriorPoint(HUGE, 0.5),
 ], ids=[
-    "canonical_density_integral", "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
+    "canonical_density_integral", "canonical_density_integral-cot-overflow",
+    "canonical_density_integral-L-overflow", "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
     "fit_finite_part-inf", "cutoff_sum_oracle", "cutoff_sums-tiny-cutoffs",
     *(f"fit_finite_part-radius-{radius}" for radius in ("zero", "negative", "nan", "inf")),
     "abel_sum_oracle-bool", "abel_sum_oracle-float", "abel_sum_oracle-negative",
-    "abel_sum_oracle-5", "abel_sum_oracle-str", "abel_sum_oracle-none", "k_n", "master_integral",
+    "abel_sum_oracle-5", "abel_sum_oracle-str", "abel_sum_oracle-none",
+    "abel_sum_oracle-2theta-overflow", "k_n", "master_integral",
     *(f"{name}-{theta}" for name in ("f_theta", "trig_sum_n_cos", "trig_sum_n3_cos")
       for theta in ("1e-200", "1e-320")),
     "f_theta-overflow", "k_n-inf", "k_n-nan", "k_n-fractional", "k_n-bool", "k_n-huge",

@@ -29,6 +29,7 @@ from platevac import cli, fluctuations, regsum, stress
 from platevac.cli import VERIFY_CHECKS, RunConfig
 from platevac.errors import PlateVacError
 from platevac.spectrum import BoundaryCondition
+from test_cli import assert_columns_equal_scalar_path
 
 
 class Edit(NamedTuple):
@@ -102,6 +103,8 @@ def _clear_caches() -> None:
 GUARDED = {"tzz_equals_pressure", "length_scaling", "energy_pipeline",
            "pressure_finite_difference", "integrated_density"}
 MODE_SUMS = {"mode_sum_phi2", "mode_sum_phidot2"}
+# The canonical density's quadrature against its closed-form integral.
+CANONICAL = "canonical_density_integral"
 ZETA = {"zeta_cutoff_k1", "zeta_cutoff_k3"}
 ABEL = {"abel_n_cos", "abel_n3_cos", "abel_constant"}
 
@@ -110,20 +113,20 @@ MUTATIONS = {
     # Literals of the closed forms.
     "A-1440": (Edit("fluctuations", "_ab", "1440.0", "1400.0"),
                {"mode_sum_phidot2", "improved_density_value", "tzz_equals_pressure",
-                "integrated_density"}, set()),
-    "B-96": (Edit("fluctuations", "_ab", "96.0", "69.0"), {"mode_sum_phidot2"}, set()),
+                "integrated_density", CANONICAL}, set()),
+    "B-96": (Edit("fluctuations", "_ab", "96.0", "69.0"), {"mode_sum_phidot2", CANONICAL}, set()),
     "phi2-48": (Edit("fluctuations", "_phi2", "48.0", "24.0"),
                 {"mode_sum_phi2", "single_plate_limit"}, set()),
     "phi2-3": (Edit("fluctuations", "_phi2", "s * 3.0", "s * 2.0"),
                {"mode_sum_phi2", "single_plate_limit"}, set()),
     "f-3": (Edit("regsum", "_f_of_sin2", "3.0 / s2", "2.0 / s2"),
-            {"abel_n3_cos", "mode_sum_phidot2"}, set()),
+            {"abel_n3_cos", "mode_sum_phidot2", CANONICAL}, set()),
     "f-2": (Edit("regsum", "_f_of_sin2", "- 2.0", "- 3.0"),
-            {"abel_n3_cos", "mode_sum_phidot2"}, set()),
+            {"abel_n3_cos", "mode_sum_phidot2", CANONICAL}, set()),
     # f bounded: the canonical density integral no longer grows at the plates
     "f-outer-division": (Edit("regsum", "_f_of_sin2", ") / s2", ") * s2"),
-                         {"abel_n3_cos", "mode_sum_phidot2", "canonical_density_divergence"},
-                         set()),
+                         {"abel_n3_cos", "mode_sum_phidot2", CANONICAL,
+                          "canonical_density_divergence"}, set()),
     "trig-quarter": (Edit("regsum", "trig_sum_n_cos", "-0.25", "-0.5"), {"abel_n_cos"}, set()),
     "trig-eighth": (Edit("regsum", "trig_sum_n3_cos", "0.125", "0.25"), {"abel_n3_cos"}, set()),
     "pressure-3": (Edit("casimir", "pressure", "3.0 *", "4.0 *"),
@@ -134,31 +137,36 @@ MUTATIONS = {
     # verify reads no EM value: test_casimir.py's test_exactly_twice_scalar pins it
     "em-2": (Edit("casimir", "em_reference", "2.0 * scalar_pressure", "4.0 * scalar_pressure"),
              set(), set()),
+    "canonical-24": (Edit("casimir", "canonical_density_integral", "24.0", "12.0"),
+                     {CANONICAL}, set()),
     # Signs.
     "phi2-sign": (Edit("fluctuations", "_phi2", "1.0 - s", "1.0 + s"),
                   {"mode_sum_phi2", "single_plate_limit"}, set()),
     "f-sign": (Edit("regsum", "_f_of_sin2", "- 2.0", "+ 2.0"),
-               {"abel_n3_cos", "mode_sum_phidot2"}, set()),
+               {"abel_n3_cos", "mode_sum_phidot2", CANONICAL}, set()),
     "trig-quarter-sign": (Edit("regsum", "trig_sum_n_cos", "-0.25", "0.25"), {"abel_n_cos"}, set()),
     "single-plate-sign": (Edit("fluctuations", "phi_squared_single_plate", "-bc.sign_upper",
                                "bc.sign_upper"), {"single_plate_limit"}, set()),
     "pressure-sign": (Edit("casimir", "pressure", "3.0 *", "-3.0 *"),
                       {"tzz_equals_pressure", "pressure_finite_difference"}, set()),
     "t-unsigned": (Edit("fluctuations", "_fluctuations", "s * B", "B"),
-                   {"mode_sum_phidot2", "trace_canonical_sign"}, set()),
+                   {"mode_sum_phidot2", "trace_canonical_sign", CANONICAL}, set()),
+    # the array branch, which verify does not run: it fails the comparison of
+    # test_cli.py's test_columns_equal_scalar_path_bit_for_bit
+    # (test_array_rows_fail_the_columns_comparison)
     "stress-t-unsigned": (Edit("stress", "stress_report", "np.copysign(ab.B, d)", "ab.B"),
-                          {"trace_canonical_sign"}, set()),
+                          set(), set()),
     "pair-sign": (KernelEdit("fluctuations", "_kernel", "(A + {ratio!r} * t)",
-                             "(A - {ratio!r} * t)"), {"mode_sum_phidot2"}, set()),
+                             "(A - {ratio!r} * t)"), {"mode_sum_phidot2", CANONICAL}, set()),
     "pair-beta-zero-sign": (KernelEdit("fluctuations", "_kernel", 'f"{scale!r} * A"',
                                        'f"-{scale!r} * A"'),
                             {"improved_density_value", "tzz_equals_pressure",
                              "integrated_density"}, set()),
-    # negates dlambda_phi2, huggins_00 and trace_canonical, which verify only
-    # reads through each other; test_fluctuations.py's test_contraction_identity
-    # pins it
+    # negates dlambda_phi2, huggins_00 and trace_canonical, which verify reads
+    # through each other, and the sign stress_report reads off dlambda_phi2, so
+    # that the canonical density takes the other condition's t
     "pair-alpha-zero-sign": (KernelEdit("fluctuations", "_kernel", 'f"{ratio!r} * t"',
-                                        'f"-{ratio!r} * t"'), set(), set()),
+                                        'f"-{ratio!r} * t"'), {CANONICAL}, set()),
     "energy-closed-sign": (Edit("casimir", "total_energy", "-math.pi", "math.pi"), set(), GUARDED),
     # The boundary-condition sign.
     "bc-label-swap": (SwapLabels(), MODE_SUMS, set()),
@@ -197,6 +205,16 @@ MUTATIONS = {
                         MODE_SUMS, set()),
     # Re Li_j(z) counted twice: the cosine weight loses its 1/2
     "oracle-cos-half": (Edit("oracle", "_regulated_sums", "s * 0.5 *", "s *"), MODE_SUMS, set()),
+    # the real part of e^z - 1 off by 4 sin^2(y/2): every 1 - x of both oracles' sums
+    "expm1-sign": (Edit("regsum", "_expm1", "- 2.0 * h * h", "+ 2.0 * h * h"),
+                   ZETA | MODE_SUMS, set()),
+    # the lower half circle's values unconjugated: the means' real parts are
+    # those of the upper half either way, so the finite parts verify reads
+    # keep their bits; the divergent coefficients are wrong, which
+    # test_regsum.py's test_divergent_coefficients and test_oracle.py's
+    # test_divergent_coefficients_are_analytic pin
+    "circle-mirror": (Edit("regsum", "fit_finite_part", "[v.conjugate() for v in",
+                           "[v for v in"), set(), set()),
     # past pi/2 the circle reaches beyond the singularity at 2 (pi - theta) L / pi
     "oracle-radius-theta": (Edit("oracle", "mode_sum_finite_part",
                                  "min(point.theta, (math.pi - point.theta) + _PI_LO)",
@@ -228,10 +246,13 @@ MUTATIONS = {
     # A hand-typed pi: 1.97e-13 off, under the guard's 1e-12.
     "k_n-pi": (Edit("spectrum", "k_n", "math.pi", "3.14159265359"), {"energy_pipeline"}, set()),
     # Half angles.
+    # the array path, which verify does not run: it fails the comparison of
+    # test_cli.py's test_columns_equal_scalar_path_bit_for_bit
+    # (test_array_rows_fail_the_columns_comparison)
     "columns-half-angle": (Edit("fluctuations", "expectation_columns", "np.sin(theta)",
-                                "np.sin(0.5 * theta)"), {"mirror_symmetry"}, set()),
+                                "np.sin(0.5 * theta)"), set(), set()),
     "scalar-half-angle": (Edit("fluctuations", "_sin2", "math.sin(theta)", "math.sin(0.5 * theta)"),
-                          MODE_SUMS | {"single_plate_limit"}, set()),
+                          MODE_SUMS | {"single_plate_limit", "mirror_symmetry", CANONICAL}, set()),
     "abel-angle": (Edit("regsum", "abel_sum_oracle", "math.cos(2.0 * theta), math.sin(2.0 * theta)",
                         "math.cos(theta), math.sin(theta)"), ABEL, set()),
     # 1 - x conjugated: the pole's phase is wrong, at every angle
@@ -243,6 +264,17 @@ MUTATIONS = {
 @pytest.mark.parametrize("mutation, fails, raises", MUTATIONS.values(), ids=MUTATIONS)
 def test_mutation_outcome(mutation, fails, raises, monkeypatch):
     assert outcome(mutation, monkeypatch) == (fails, raises)
+
+
+@pytest.mark.parametrize("name", ["columns-half-angle", "stress-t-unsigned"])
+def test_array_rows_fail_the_columns_comparison(name, monkeypatch):
+    # verify evaluates one point at a time; the array path it no longer runs
+    # is pinned to the scalar one, bit for bit, which each of these breaks
+    config = RunConfig(bc=BoundaryCondition.NEUMANN, L=0.77, grid_points=9)
+    assert_columns_equal_scalar_path(config)
+    MUTATIONS[name][0].apply(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_columns_equal_scalar_path(config)
 
 
 def test_oracle_L_fails_the_mode_sums_off_L_1(monkeypatch):

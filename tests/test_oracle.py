@@ -53,6 +53,7 @@ class TestTransverseKernel:
     def test_phi2_closed_form_value(self):
         closed = oracle._transverse_closed("phi2", math.pi, 0.1)
         assert closed == pytest.approx(math.exp(-0.1 * math.pi) / (0.2 * math.pi), rel=1e-14)
+        assert type(closed) is float
 
     def test_nan_quadrature_raises(self, monkeypatch):
         # the verify entry that checks the kernels must not pass on a
@@ -144,19 +145,25 @@ class TestModeSumFinitePart:
             scale = [abs(e) or expected[0] * (L / math.pi) ** -i for i, e in enumerate(expected)]
             assert all(abs(g - e) <= 1e-10 * sc for g, e, sc in zip(got, expected, scale))
 
-    def test_error_estimate_bounds_the_error(self):
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    def test_error_estimate_bounds_the_error(self, field, L):
+        # an honest estimate: above the error against the closed form, and
+        # within a few round-offs of it
         for bc in BOTH:
-            for field in ("phi2", "phidot2"):
-                result = _oracle(field, bc, 1.0, 1.0)
-                closed = _closed_form(bc, 1.0, 1.0, field)
-                assert abs(result.finite_part - closed) <= result.error_estimate
+            for theta in (1e-6, 1e-3, 0.3, 1.0, 1.57, 2.5, math.pi - 1e-4):
+                result = _oracle(field, bc, L, theta)
+                error = abs(result.finite_part - _closed_form(bc, L, theta, field))
+                assert error <= result.error_estimate <= 2e-14 * abs(result.finite_part)
 
 
 def _truncated_mode_sums(field, bc, L, theta, eps_values):
     """The regulated mode sums by brute force: n <= n_max, one term per mode.
 
     Test-only reference for the oracle's closed-form sums, at real cutoffs
-    and in long double.  n_max puts the cutoff weight e^(-eps k_n) of the
+    and in long double: each mode's transverse kernel e^(-eps k_n)
+    sum_j c_j k_n^j with the oracle's coefficients, weighted by
+    1 - s cos 2 n theta.  n_max puts the cutoff weight e^(-eps k_n) of the
     last mode below 1e-32 at the smallest cutoff, far below round-off on
     the sum.
     """
@@ -164,11 +171,12 @@ def _truncated_mode_sums(field, bc, L, theta, eps_values):
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
     kn = n * (np.longdouble(math.pi) / np.longdouble(L))
     weights = 1.0 - bc.sign_upper * np.cos(np.longdouble(2.0 * theta) * n)
-    return np.array([
-        np.sum(weights * oracle._transverse_closed(field, kn, np.longdouble(eps)))
-        / (2.0 * np.longdouble(L))
-        for eps in eps_values
-    ])
+    sums = []
+    for eps in map(np.longdouble, eps_values):
+        coeffs = oracle._kernel_coefficients(field, eps)
+        kernel = np.exp(-eps * kn) * sum(c * kn**j for j, c in enumerate(coeffs))
+        sums.append(float(np.sum(weights * kernel) / (2.0 * np.longdouble(L))))
+    return sums
 
 
 class TestClosedFormSums:
@@ -181,11 +189,11 @@ class TestClosedFormSums:
     def test_match_truncated_brute_force(self, bc, L, theta, field):
         # real cutoffs from the circle's radius down to a twentieth of it
         radius = min(theta, math.pi - theta) * L / math.pi
-        eps_values = radius * np.geomspace(1.0, 0.05, 6)
-        exact = oracle._regulated_sums(field, bc, L, theta, eps_values.astype(complex))
+        eps_values = (radius * np.geomspace(1.0, 0.05, 6)).tolist()
+        exact = [oracle._regulated_sums(field, bc, L, theta, complex(eps)) for eps in eps_values]
         brute = _truncated_mode_sums(field, bc, L, theta, eps_values)
-        assert np.all(exact.imag == 0.0)
-        assert float(np.max(np.abs(exact.real - brute) / np.abs(brute))) <= 2e-15
+        assert all(type(e) is complex and e.imag == 0.0 for e in exact)
+        assert max(abs(e.real - b) / abs(b) for e, b in zip(exact, brute)) <= 2e-15
 
     @given(
         st.sampled_from(BOTH),
