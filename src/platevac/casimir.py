@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 
 from .dimreg import master_integral
-from .errors import ConsistencyError, DomainError, _quoted
+from .errors import ConsistencyError, DomainError, _require
 from .fluctuations import InteriorPoint, ab_values, expectation_set
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import stress_report
 
 __all__ = ["total_energy", "pressure", "em_reference", "integrated_density_check",
-           "canonical_density_integral"]
+           "canonical_density_integral", "canonical_density_quadrature"]
 
 _PIPELINE_RTOL = 1e-12
 
@@ -98,8 +98,7 @@ def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margi
     precisely why only the improved density can integrate up to the
     total energy.  A value past the double range raises :class:`DomainError`.
     """
-    if not 0.0 < margin < 0.5:
-        raise DomainError(f"margin must lie in (0, 0.5), got {_quoted(margin)}")
+    _require(0.0 < margin < 0.5, margin, "margin must lie in (0, 0.5), got {}")
     L = config.L
     cot = 1.0 / math.tan(math.pi * margin)
     try:
@@ -111,3 +110,29 @@ def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margi
         raise DomainError(f"the canonical density integral overflows at margin {margin!r}: "
                           "the margin is too close to a plate")
     return value
+
+
+def canonical_density_quadrature(config: PlateConfig, bc: BoundaryCondition, margin: float) -> float:
+    """The pointwise canonical density integrated over [m L, (1 - m) L] by quadrature.
+
+    The second route to :func:`canonical_density_integral`: the density
+    of :func:`stress_report`, evaluated one point at a time, under the
+    tanh-sinh rule (Takahasi and Mori, Publ. RIMS 9, 721, 1974):
+    theta = a + w (1 + tanh u)/2, u = (pi/2) sinh t, a = pi m, w = pi (1 - 2m),
+    at t = k/24, |k| <= 80, which clusters the nodes where the density
+    grows as theta^-4.  Each node's distance to the nearer end,
+    w e/(1 + e) with e = exp(-2u), is formed directly, so none loses
+    digits to 1 - tanh u; dz = (L/pi) d theta.
+    """
+    _require(0.0 < margin < 0.5, margin, "margin must lie in (0, 0.5), got {}")
+    start, width, terms = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
+    for k in range(81):
+        t = k / 24
+        e = math.exp(-math.pi * math.sinh(t))
+        near = start + width * e / (1.0 + e)
+        weight = width * math.pi * math.cosh(t) * e / (1.0 + e) ** 2
+        for theta in (near, math.pi - near) if k else (near,):
+            point = InteriorPoint.from_theta(config, theta)
+            report = stress_report(expectation_set(bc, config, point), ab_values(config, point))
+            terms.append(weight * report.energy_density_canonical)
+    return math.fsum(terms) / 24 * config.L / math.pi

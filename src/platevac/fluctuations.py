@@ -32,7 +32,6 @@ off.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,37 +44,23 @@ __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
            "evaluate", "ab_values", "phi_squared", "phi_squared_single_plate",
            "expectation_set", "expectation_columns"]
 
-_DOUBLE_MAX = sys.float_info.max
-
 
 @dataclass(frozen=True)
 class InteriorPoint:
-    """A point strictly between the plates; theta = pi z / L is authoritative.
+    """A point strictly between the plates, held as theta = pi z / L, which every formula reads."""
 
-    Both coordinates are stored so that emitted tables are
-    self-describing, but every formula is a function of theta alone;
-    z need only be a finite double.
-    """
-
-    z: float
     theta: float
 
     def __post_init__(self) -> None:
         _check_theta(self.theta)
-        if not abs(self.z) <= _DOUBLE_MAX:  # NaN, an infinity or an int past the double range
-            raise DomainError(f"z must be a finite double, got {_quoted(self.z)}")
 
     @classmethod
     def from_z(cls, config: PlateConfig, z: float) -> "InteriorPoint":
-        return cls(z=z, theta=_theta_of_z(config, z))
+        return cls(_theta_of_z(config, z))
 
     @classmethod
     def from_theta(cls, config: PlateConfig, theta: float) -> "InteriorPoint":
-        try:
-            z = theta * config.L / math.pi
-        except OverflowError:  # an int past the double range, which the check refuses
-            z = math.inf
-        return cls(z=z, theta=theta)
+        return cls(theta)
 
 
 @dataclass

@@ -18,7 +18,7 @@ in closed radial form (substituting omega d omega = k dk):
                  = e^(-eps k_n) (k_n^2/eps + 2 k_n/eps^2 + 2/eps^3) / (2 pi)
 
 (the second is d^2/d eps^2 of the first's kernel).  ``verify`` checks
-both against quadrature of the original integrand.
+both against :func:`transverse_quadrature` of the original integrand.
 
 Each kernel is e^(-eps k_n) times a polynomial sum_j c_j k_n^j with
 j <= 2, and k_n = n pi / L, so the regulated sum over every mode n >= 1
@@ -47,12 +47,13 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import dimreg
 from .errors import InvalidConfigError
 from .fluctuations import InteriorPoint
 from .regsum import FinitePartResult, _expm1, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition, PlateConfig
 
-__all__ = ["mode_sum_finite_part"]
+__all__ = ["mode_sum_finite_part", "transverse_quadrature"]
 
 
 # Per field: the order P of the pole at eps = 0, eps^-P ... eps^-1; the
@@ -80,6 +81,17 @@ def _transverse_closed(field: str, kn: float, eps: float) -> float:
     """The transverse integral e^(-eps k_n) sum_j c_j k_n^j at one real k_n and eps."""
     coeffs = _kernel_coefficients(field, eps)
     return math.exp(-eps * kn) * sum(c * kn**j for j, c in enumerate(coeffs))
+
+
+def transverse_quadrature(field: str, kn: float, eps: float) -> float:
+    """:func:`_transverse_closed` by ``dimreg``'s exp-sinh rule, sharing no code with it.
+
+    integral_0^inf k omega^p e^(-eps omega) dk / (2 pi), omega = hypot(k, k_n), where
+    p = P - 3 for the pole order P in :data:`_FIELDS`: -1 for phi2, 1 for phidot2.
+    """
+    power = _divergent_powers(field) - 3
+    return dimreg._half_line_integral(lambda k: k * math.hypot(k, kn) ** power
+                                      * math.exp(-eps * math.hypot(k, kn)) / (2.0 * math.pi))
 
 
 def _regulated_sums(field: str, bc: BoundaryCondition, L: float, theta: float,

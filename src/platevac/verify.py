@@ -1,0 +1,277 @@
+"""The checks `platevac verify` runs, :data:`VERIFY_CHECKS`, and their measures.
+
+Every bound is an upper bound: a check passes when its measured value,
+a relative error unless noted, is at most its bound, so a NaN fails.
+This module loads neither numpy nor the CLI.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
+
+from . import casimir, dimreg, oracle, regsum, stress
+from .fluctuations import (InteriorPoint, ab_values, expectation_set, phi_squared,
+                           phi_squared_single_plate)
+from .spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
+
+
+@dataclass(frozen=True)
+class Check:
+    """A claim, its upper bound, and ``measure(L, sign_flip)`` for plates L apart."""
+
+    name: str
+    bound: float
+    measure: Callable[[float, bool], float]
+
+    def passes(self, measured: float) -> bool:
+        return measured <= self.bound
+
+
+def _worst(num, den) -> float:
+    """max |n| / |d| over lists (or floats; a float den pairs with every n).
+
+    A zero or NaN d reads inf, a NaN n makes it NaN.  Either way the
+    check fails: no comparison with a bound holds for NaN.
+    """
+    nums = num if isinstance(num, list) else [num]
+    dens = den if isinstance(den, list) else [den] * len(nums)
+    ratios = [abs(n) / abs(d) if abs(d) > 0.0 else math.inf for n, d in zip(nums, dens)]
+    return math.nan if any(map(math.isnan, ratios)) else max(ratios)
+
+
+# The angles of the Abel checks, down to 1e-6 from either plate.
+_NEAR_PLATE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_ABEL_THETAS = ([0.1 * k for k in range(1, 31)] + list(_NEAR_PLATE)
+                + [math.pi - t for t in _NEAR_PLATE])
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num), bit for bit."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+# The angles of the mode-sum checks and of the stress-tensor grid, the k_n
+# of the kernel check (np.geomspace(pi 1e-3, 40, 8), bit for bit) and the
+# plate margins of the canonical density checks.
+_MODE_SUM_THETAS = _linspace(0.3, math.pi - 0.3, 5)
+_STRESS_THETAS = _linspace(0.4, math.pi - 0.4, 100)
+_KERNEL_KN = [math.pi * 1e-3, *(10.0 ** x for x in _linspace(math.log10(math.pi * 1e-3),
+                                                             math.log10(40.0), 8)[1:-1]), 40.0]
+_CANONICAL_MARGINS = (1e-2, 1e-3, 1e-4)
+
+
+def _eval_bc(bc: BoundaryCondition, sign_flip: bool) -> BoundaryCondition:
+    # with sign_flip, Neumann points take the Dirichlet sign, which the checks must catch
+    return BoundaryCondition.DIRICHLET if sign_flip else bc
+
+
+def _cutoff_error(k: int) -> float:
+    return abs(regsum.cutoff_sum_oracle(k).finite_part - float(regsum.zeta_neg_int(k)))
+
+
+def _abel_error(k: int, closed) -> float:
+    """The Abel oracle against ``closed``, relative to max(1, |closed|)."""
+    pairs = [(regsum.abel_sum_oracle(k, t), closed(t)) for t in _ABEL_THETAS]
+    return _worst([a - c for a, c in pairs], [max(1.0, abs(c)) for _, c in pairs])
+
+
+def _dimreg_quadrature(L: float, sign_flip: bool) -> float:
+    analytic, numeric = [], []
+    for N in (1.5, 2.0, 3.0):
+        for m_sq in (0.5, 1.0, 4.0):
+            analytic.append(dimreg.master_integral(2.0, N, m_sq))
+            numeric.append(dimreg.quadrature_reference(2, N, m_sq))
+    return _worst([a - n for a, n in zip(analytic, numeric)], analytic)
+
+
+def _dimreg_scaling(L: float, sign_flip: bool) -> float:
+    lam = 3.7
+    a = dimreg.master_integral(2.0, 2.0, lam * 1.3)
+    b = lam ** (1.0 - 2.0) * dimreg.master_integral(2.0, 2.0, 1.3)
+    return _worst(a - b, a)
+
+
+def _dimreg_recursion(L: float, sign_flip: bool) -> float:
+    ratio, expected = [], []
+    for d, N in ((2.0, 3.0), (2.0, -0.5), (3.0, 3.0), (2.5, 0.3)):
+        ratio.append(dimreg.master_integral(d, N, 1.3) / dimreg.master_integral(d, N - 1.0, 1.3))
+        expected.append((N - 1.0 - d / 2.0) / ((N - 1.0) * 1.3))
+    return _worst([r - e for r, e in zip(ratio, expected)], expected)
+
+
+def _oracle_transverse_kernel(L: float, sign_flip: bool) -> float:
+    """The oracle's radial kernels against quadrature of their integrands.
+
+    k_n from pi 1e-3 to 40 at eps = 1 and 1/2 in turn, so that a wrong
+    power of eps shows: any L."""
+    closed, numeric = [], []
+    for field in ("phi2", "phidot2"):
+        for i, q in enumerate(_KERNEL_KN):
+            e = 0.5 if i % 2 else 1.0
+            closed.append(oracle._transverse_closed(field, q, e))
+            numeric.append(oracle.transverse_quadrature(field, q, e))
+    return _worst([c - n for c, n in zip(closed, numeric)], closed)
+
+
+def _mode_sum_error(field: str, L: float, sign_flip: bool) -> float:
+    """Mode-sum oracle against the closed-form profile of ``field``, both conditions."""
+    plate = PlateConfig(L)
+    finite, closed = [], []
+    for bc in BoundaryCondition:
+        for theta in _MODE_SUM_THETAS:
+            point = InteriorPoint.from_theta(plate, theta)
+            finite.append(oracle.mode_sum_finite_part(field, bc, plate, point).finite_part)
+            closed.append(getattr(expectation_set(_eval_bc(bc, sign_flip), plate, point), field))
+    return _worst([f - c for f, c in zip(finite, closed)], closed)
+
+
+def _stress_grid(L: float, sign_flip: bool, mirror: bool = False) -> dict[str, list[float]]:
+    """Every field and stress component on verify's interior grid, by name.
+
+    The grid is 100 angles in [0.4, pi - 0.4], or their mirror images
+    pi - theta, for Dirichlet then Neumann plates, one point at a time.
+    ``trace_expected`` is -6 s B, s the sign of the plates' true condition.
+    """
+    plate = PlateConfig(L)
+    grid: dict[str, list[float]] = {}
+    for bc in BoundaryCondition:
+        for theta in _STRESS_THETAS:
+            point = InteriorPoint.from_theta(plate, math.pi - theta if mirror else theta)
+            fluct = expectation_set(_eval_bc(bc, sign_flip), plate, point)
+            ab = ab_values(plate, point)
+            for name, value in {**vars(fluct), **vars(stress.stress_report(fluct, ab)),
+                                "trace_expected": -6.0 * bc.sign_upper * ab.B}.items():
+                grid.setdefault(name, []).append(value)
+    return grid
+
+
+def _trace_canonical_sign(L: float, sign_flip: bool) -> float:
+    grid = _stress_grid(L, sign_flip)
+    return _worst([t - e for t, e in zip(grid["trace_canonical"], grid["trace_expected"])],
+                  grid["trace_expected"])
+
+
+def _improved_density_value(L: float, sign_flip: bool) -> float:
+    """The improved energy density on the grid against -A, A = pi^2/(1440 L^4)."""
+    a_const = math.pi ** 2 / (1440.0 * L ** 4)
+    return _worst([e + a_const for e in _stress_grid(L, sign_flip)["energy_density_improved"]],
+                  a_const)
+
+
+def _tzz_equals_pressure(L: float, sign_flip: bool) -> float:
+    """T_zz on the grid against the pressure, and the pressure against its closed form."""
+    p_ref = casimir.pressure(PlateConfig(L))
+    closed = -math.pi ** 2 / (480.0 * L ** 4)
+    return max(_worst([t - p_ref for t in _stress_grid(L, sign_flip)["t_zz"]], p_ref),
+               _worst(p_ref - closed, closed))
+
+
+def _mirror_symmetry(L: float, sign_flip: bool) -> float:
+    grid, mirror = _stress_grid(L, sign_flip), _stress_grid(L, sign_flip, mirror=True)
+    return _worst([g - m for g, m in zip(grid["phidot2"], mirror["phidot2"])],
+                  [abs(p) + abs(d) for p, d in zip(grid["phidot2"], grid["dzphi2"])])
+
+
+def _length_scaling(L: float, sign_flip: bool) -> float:
+    """phi2 ~ L^-2, phidot2 and the pressure ~ L^-4 under L -> 2L (L -> L/2 where 2L > L_MAX)."""
+    ratio = 2.0 if 2.0 * L <= L_MAX else 0.5
+    plate, scaled = PlateConfig(L), PlateConfig(ratio * L)
+    f1 = expectation_set(BoundaryCondition.DIRICHLET, plate, InteriorPoint.from_theta(plate, 1.1))
+    f2 = expectation_set(BoundaryCondition.DIRICHLET, scaled,
+                         InteriorPoint.from_theta(scaled, 1.1))
+    p1, p2 = casimir.pressure(plate), casimir.pressure(scaled)
+    return _worst([f2.phidot2 * ratio ** 4 - f1.phidot2, f2.phi2 * ratio ** 2 - f1.phi2,
+                   p2 * ratio ** 4 - p1], [f1.phidot2, f1.phi2, p1])
+
+
+def _energy_pipeline(L: float, sign_flip: bool) -> float:
+    closed = -math.pi ** 2 / (1440.0 * L ** 3)
+    return _worst(casimir.total_energy(PlateConfig(L)) - closed, closed)
+
+
+def _pressure_finite_difference(L: float, sign_flip: bool) -> float:
+    # centred at least 1e-4 inside [L_MIN, L_MAX], so that L +- h are valid plates
+    L = min(max(L, L_MIN * (1.0 + 1e-4)), L_MAX * (1.0 - 1e-4))
+    h = 1e-5 * L
+    fd = -(casimir.total_energy(PlateConfig(L + h)) - casimir.total_energy(PlateConfig(L - h))) / (2.0 * h)
+    p_ref = casimir.pressure(PlateConfig(L))
+    return _worst(fd - p_ref, p_ref)
+
+
+def _single_plate_limit(L: float, sign_flip: bool) -> float:
+    """phi2 at 1e-4 L from one plate of the gap against the single-plate form."""
+    plate, z_near = PlateConfig(L), 1e-4 * L
+    gap = [phi_squared(bc, plate, InteriorPoint.from_z(plate, z_near)) for bc in BoundaryCondition]
+    single = [phi_squared_single_plate(bc, z_near) for bc in BoundaryCondition]
+    return _worst([g - s for g, s in zip(gap, single)], single)
+
+
+def _integrated_density(L: float, sign_flip: bool) -> float:
+    plate = PlateConfig(L)
+    mismatch = [casimir.integrated_density_check(plate, bc)[1] for bc in BoundaryCondition]
+    return _worst(mismatch, casimir.total_energy(plate))
+
+
+def _canonical_density_integral(L: float, sign_flip: bool) -> float:
+    """The canonical density integral by quadrature against its closed form, both conditions."""
+    plate = PlateConfig(L)
+    pairs = [(casimir.canonical_density_quadrature(plate, bc, m),
+              casimir.canonical_density_integral(plate, bc, m))
+             for bc in BoundaryCondition for m in _CANONICAL_MARGINS]
+    return _worst([q - c for q, c in pairs], [c for _, c in pairs])
+
+
+def _canonical_density_divergence(L: float, sign_flip: bool) -> float:
+    """Worst |growth / 1000 - 1| of the canonical density integral per tenfold smaller margin.
+
+    The canonical density has no finite margin -> 0 limit: it grows as
+    m^-3, so each step from margin 0.01 to 0.001 to 0.0001 must grow the
+    quadrature a thousandfold.  The steps read 1000.0, so the bound 0.1
+    fails a growth outside [900, 1100], or a NaN anywhere.
+    """
+    plate = PlateConfig(L)
+    rows = [[casimir.canonical_density_quadrature(plate, bc, m) for m in _CANONICAL_MARGINS]
+            for bc in BoundaryCondition]
+    steps = [(inner, outer) for row in rows for inner, outer in zip(row, row[1:])]
+    return _worst([outer - 1000.0 * inner for inner, outer in steps],
+                  [1000.0 * inner for inner, _ in steps])
+
+
+# Every claim `verify` checks, in report order.  A check belongs here only
+# if it compares two independently computed routes and some transcription
+# error in tests/test_mutations.py makes it FAIL; a raise does not count.
+VERIFY_CHECKS = (
+    # Regularized power sums against the exponential-cutoff oracle (absolute).
+    Check("zeta_cutoff_k1", 2e-15, lambda L, sign_flip: _cutoff_error(1)),
+    Check("zeta_cutoff_k3", 2e-15, lambda L, sign_flip: _cutoff_error(3)),
+    # Oscillatory sums against the Abel oracle (relative to max(1, |closed form|)).
+    Check("abel_n_cos", 1e-13, lambda L, sign_flip: _abel_error(1, regsum.trig_sum_n_cos)),
+    Check("abel_n3_cos", 1e-13, lambda L, sign_flip: _abel_error(3, regsum.trig_sum_n3_cos)),
+    Check("abel_constant", 1e-13, lambda L, sign_flip: _abel_error(0, lambda t: -0.5)),
+    # Continued master integral against direct quadrature plus identities.
+    Check("dimreg_quadrature", 2e-14, _dimreg_quadrature),
+    Check("dimreg_scaling", 1e-12, _dimreg_scaling),
+    Check("dimreg_recursion", 5e-14, _dimreg_recursion),
+    # Mode-sum oracle: radial kernels against quadrature, finite parts against closed forms.
+    Check("oracle_transverse_kernel", 2e-14, _oracle_transverse_kernel),
+    Check("mode_sum_phi2", 1e-13, partial(_mode_sum_error, "phi2")),
+    Check("mode_sum_phidot2", 1e-12, partial(_mode_sum_error, "phidot2")),
+    # Stress-tensor invariants on the interior grid.
+    Check("trace_canonical_sign", 1e-10, _trace_canonical_sign),
+    Check("improved_density_value", 1e-12, _improved_density_value),
+    Check("tzz_equals_pressure", 1e-12, _tzz_equals_pressure),
+    Check("mirror_symmetry", 1e-12, _mirror_symmetry),
+    Check("length_scaling", 1e-12, _length_scaling),
+    # Global quantities.
+    Check("energy_pipeline", 1e-14, _energy_pipeline),
+    Check("pressure_finite_difference", 1e-8, _pressure_finite_difference),
+    Check("single_plate_limit", 1e-5, _single_plate_limit),
+    Check("integrated_density", 1e-12, _integrated_density),
+    Check("canonical_density_integral", 4e-11, _canonical_density_integral),
+    # The growth per tenfold smaller margin against 1000 (relative).
+    Check("canonical_density_divergence", 0.1, _canonical_density_divergence),
+)

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from platevac import casimir, cli
+from platevac import casimir
 from platevac.casimir import (
     canonical_density_integral,
+    canonical_density_quadrature,
     em_reference,
     integrated_density_check,
     pressure,
@@ -128,11 +129,11 @@ class TestDensityIntegrals:
     @pytest.mark.parametrize("bc", BOTH)
     @pytest.mark.parametrize("margin", [0.3, 1e-2, 1e-3, 1e-4])
     def test_canonical_integral_matches_point_quadrature(self, margin, bc):
-        # the closed form against verify's tanh-sinh rule over the density
+        # the closed form against the tanh-sinh rule over the density
         # evaluated one point at a time
         config = PlateConfig(1.7)
         assert canonical_density_integral(config, bc, margin) == pytest.approx(
-            cli._canonical_quadrature(config, bc, margin), rel=1e-12)
+            canonical_density_quadrature(config, bc, margin), rel=1e-12)
 
     @pytest.mark.parametrize("bc", BOTH)
     def test_improved_integral_matches_point_loop(self, bc):
@@ -172,8 +173,10 @@ class TestCanonicalDivergence:
                      / canonical_density_integral(config, bc, m))
             assert ratio == pytest.approx(1000.0, rel=1e-5)
 
-    def test_margin_validation(self):
+    @pytest.mark.parametrize("integral", [canonical_density_integral,
+                                          canonical_density_quadrature])
+    def test_margin_validation(self, integral):
         with pytest.raises(ValueError):
-            canonical_density_integral(PlateConfig(1.0), D, 0.0)
+            integral(PlateConfig(1.0), D, 0.0)
         with pytest.raises(ValueError):
-            canonical_density_integral(PlateConfig(1.0), D, 0.5)
+            integral(PlateConfig(1.0), D, 0.5)

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -17,10 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import cli, render, stress
+from platevac import cli, render
 from platevac.cli import (
     PROFILE_COLUMNS,
-    VERIFY_CHECKS,
     RunConfig,
     _fmt,
     _json_render,
@@ -34,6 +32,7 @@ from platevac.errors import InvalidConfigError, PlateVacError
 from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import stress_report
+from platevac.verify import VERIFY_CHECKS
 
 GOLDEN = Path(__file__).parent / "golden"
 # SHA-256 of `profile --points 20001` (five write chunks), taken while
@@ -45,8 +44,6 @@ PROFILE_DIGESTS = {
     ("dirichlet", "6.229", "csv"): "6f4d7c715f8db479bfbf2be6d87265721a1dc227e7a1378530f35ce149d50b1c",
     ("neumann", "0.2821", "csv"): "2258506e1cb2ba28390b3cdebe6c5b9c2c971f0d75c385e601a04196d502d840",
 }
-# One verify report line, as the benchmark in perfbench/checks.py parses it.
-CHECK_LINE = re.compile(r"^(PASS|FAIL) (\S+) +measured=(\S+) (tol|floor)=(\S+)$")
 
 
 def _run(argv, capsys):
@@ -464,109 +461,6 @@ class TestEnergyCommand:
         assert out == (GOLDEN / f"energy_{bc}_L{length}.{fmt}").read_text()
 
 
-class TestVerifyCommand:
-    def test_output_contract(self, capsys):
-        # the line format the benchmark parses, one line per table entry
-        code, out, _ = _run(["verify"], capsys)
-        assert code == 0
-        *lines, summary = out.splitlines()
-        matches = [CHECK_LINE.match(line) for line in lines]
-        assert all(matches)
-        assert [m.group(1, 2, 4, 5) for m in matches] == [
-            ("PASS", c.name, "floor" if c.direction == "ge" else "tol", f"{c.tolerance:.3e}")
-            for c in VERIFY_CHECKS
-        ]
-        assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
-
-    @pytest.mark.parametrize("grid, expected", [
-        (cli._MODE_SUM_THETAS, np.linspace(0.3, math.pi - 0.3, 5)),
-        (cli._STRESS_THETAS, np.linspace(0.4, math.pi - 0.4, 100)),
-        (cli._KERNEL_KN, np.geomspace(math.pi * 1e-3, 40.0, 8)),
-    ])
-    def test_grids_match_numpy(self, grid, expected):
-        # written without numpy, bit for bit what np.linspace and np.geomspace give
-        assert np.array(grid).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-
-    def test_golden_report(self, capsys):
-        # every measured value to the printed digit, at an L where a wrong
-        # power of L shows
-        code, out, _ = _run(["verify", "--length", "0.77"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / "verify_L0.77.txt").read_text()
-
-    def test_injected_sign_flip_fails(self, capsys):
-        code, out, _ = _run(["verify", "--inject-sign-flip"], capsys)
-        assert code == 1
-        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == ["mode_sum_phi2", "mode_sum_phidot2", "trace_canonical_sign"]
-
-    @pytest.mark.parametrize("corrupt, value, shown", [
-        ("B", 0.0, "inf"),  # a zero denominator: used to be skipped, so the check passed
-        ("trace_canonical", math.nan, "nan"),
-    ])
-    def test_trace_check_cannot_pass_vacuously(self, corrupt, value, shown, monkeypatch):
-        if corrupt == "B":
-            real = cli.ab_values
-
-            def corrupted(config, point):
-                return dataclasses.replace(real(config, point), B=value)
-
-            monkeypatch.setattr(cli, "ab_values", corrupted)
-        else:
-            real = stress.stress_report
-
-            def corrupted(fluct, ab):
-                return dataclasses.replace(real(fluct, ab), **{corrupt: value})
-
-            monkeypatch.setattr(stress, "stress_report", corrupted)
-        check = next(c for c in VERIFY_CHECKS if c.name == "trace_canonical_sign")
-        result = check.run(RunConfig(bc=BoundaryCondition.DIRICHLET))
-        assert f"{result.measured:.3e}" == shown
-        assert not result.ok
-
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_stress_grid_evaluates_at_the_linspace_angles(self, mirror, monkeypatch):
-        # the angles go to expectation_set as they are, with no trip through z
-        seen = []
-        real = cli.expectation_set
-
-        def recording(bc, config, point):
-            seen.append(point.theta)
-            return real(bc, config, point)
-
-        monkeypatch.setattr(cli, "expectation_set", recording)
-        cli._stress_grid(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77), mirror)
-        expected = np.linspace(0.4, math.pi - 0.4, 100)
-        if mirror:
-            expected = math.pi - expected
-        expected = np.tile(expected, len(BoundaryCondition))
-        assert np.array(seen).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-
-    @pytest.mark.parametrize("flags", [[], ["--inject-sign-flip"]])
-    def test_quick_is_ignored(self, flags, capsys):
-        # verify has one configuration; --quick is still accepted
-        assert _run(["verify", "--quick", *flags], capsys) == _run(["verify", *flags], capsys)
-
-    @pytest.mark.parametrize("option", [
-        ["--bc", "neumann"], ["--format", "json"],
-        ["--eps-smallest", "2e-3"], ["--eps-largest", "2e-2"],
-        ["--eps-count", "16"], ["--eps-degree", "5"],
-    ])
-    def test_ignored_options_rejected(self, option, capsys):
-        # verify checks both boundary conditions with the oracles' own
-        # cutoffs, and writes text
-        with pytest.raises(SystemExit) as exit_info:
-            main(["verify", *option])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_report_to_file(self, tmp_path, capsys):
-        target = tmp_path / "report.txt"
-        code, _, _ = _run(["verify", "--output", str(target)], capsys)
-        assert code == 0
-        assert "checks passed" in target.read_text()
-
-
 @pytest.mark.parametrize("command", [["profile"], ["energy"], ["verify"]])
 @pytest.mark.parametrize("target", ["missing/report.txt", "."])
 def test_unopenable_output_exits_2(command, target, tmp_path, capsys):
@@ -575,6 +469,33 @@ def test_unopenable_output_exits_2(command, target, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: cannot open the output file")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [["profile", "--points", "20001"], ["energy"], ["verify"]],
+                         ids=["profile", "energy", "verify"])
+def test_failed_write_exits_2(command, forks, monkeypatch, capsys):
+    # every write to /dev/full fails with ENOSPC: profile's in the middle of
+    # its rows, energy's and verify's when the file is closed
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    code, out, err = _run([*command, "--output", "/dev/full"], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: \[Errno \d+\] [^\n]+\n", err)
+    assert len(forks) == (2 if command[0] == "profile" else 0)
+    _assert_no_child_left()
+
+
+def test_closed_pipe_exits_2_without_a_traceback():
+    # as in `platevac profile --points 100000 | head -c 10`; the interpreter's
+    # last flush of stdout must find nothing to complain about either
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "platevac.cli", "profile", "--points", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=root,
+                            env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 class TestSeparationDomain:
@@ -591,15 +512,6 @@ class TestSeparationDomain:
         code, out, _ = _run(["energy", "--length", length], capsys)
         assert code == 0
         assert "total_energy" in out
-
-    @pytest.mark.parametrize("length", ["1e-72", "1e70", "1e71", "1e72"])
-    def test_verify_passes_at_range_ends(self, length, capsys):
-        # every auxiliary plate verify builds stays inside the range
-        code, out, err = _run(["verify", "--length", length], capsys)
-        assert (code, err) == (0, "")
-        *lines, summary = out.splitlines()
-        assert all(line.startswith("PASS ") for line in lines)
-        assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
 
 
 def _probe(code: str) -> subprocess.CompletedProcess:
@@ -622,19 +534,6 @@ def test_import_leaves_scipy_unloaded():
     assert all(line.startswith("PASS ") for line in report)
     assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
     assert modules == "[]"
-
-
-def test_verify_runs_where_long_double_is_a_double():
-    # as on a platform without an extended long double; -W error, so that a
-    # numpy RuntimeWarning fails the run too
-    probe = ("import sys, warnings, numpy; warnings.simplefilter('error'); "
-             "numpy.longdouble, numpy.clongdouble = numpy.float64, numpy.complex128; "
-             "import platevac.cli; sys.exit(platevac.cli.main(['verify']))")
-    proc = _probe(probe)
-    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout + proc.stderr
-    *report, summary = proc.stdout.splitlines()
-    assert all(line.startswith("PASS ") for line in report)
-    assert summary == f"{len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)} checks passed"
 
 
 # Where importing numpy fails: the scalar API, in point_worker's call
@@ -668,7 +567,7 @@ with contextlib.redirect_stdout(report):
     assert platevac.cli.main(["verify", "--length", "0.77"]) == 0
     assert platevac.cli.main(["verify", "--inject-sign-flip"]) == 1
 assert report.getvalue().count("FAIL") == 3, report.getvalue()
-checks = len(platevac.cli.VERIFY_CHECKS)
+checks = len(platevac.verify.VERIFY_CHECKS)
 assert f"{checks}/{checks} checks passed" in report.getvalue()
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod))
 """

@@ -82,7 +82,7 @@ def test_point_api_gives_finite_values_or_a_library_error(L, z, theta, bc):
     config = _call(PlateConfig, L)
     if config is not None:
         configs.append(config)
-    points = [_call(InteriorPoint, z, theta)]
+    points = [_call(InteriorPoint, theta)]
     for config in configs:
         points += [_call(InteriorPoint.from_z, config, z),
                    _call(InteriorPoint.from_theta, config, theta)]

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from platevac import dimreg
-from platevac.cli import VERIFY_CHECKS, RunConfig
 from platevac.dimreg import gamma_real, master_integral, quadrature_reference
 from platevac.errors import DomainError, PlateVacError, PoleError, QuadratureError
-from platevac.spectrum import BoundaryCondition
+from platevac.verify import VERIFY_CHECKS
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -307,5 +306,5 @@ class TestHalfLineIntegral:
         monkeypatch.setattr(dimreg, "_half_line_integral", compared)
         for check in VERIFY_CHECKS:
             if check.name in ("dimreg_quadrature", "oracle_transverse_kernel"):
-                assert check.run(RunConfig(bc=BoundaryCondition.DIRICHLET)).ok
+                assert check.passes(check.measure(1.0, False))
         assert len(seen) == 25

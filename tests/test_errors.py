@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import platevac
-from platevac import casimir, dimreg, fluctuations, regsum, spectrum
+from platevac import casimir, dimreg, fluctuations, oracle, regsum, spectrum
 from platevac.errors import DomainError, PlateVacError
 from platevac.spectrum import BoundaryCondition, PlateConfig
 
@@ -50,6 +50,9 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: regsum.abel_sum_oracle(0, 8.98846567431158e307),
     lambda: spectrum.k_n(PLATE, 0),
     lambda: dimreg.master_integral(3.0, 10.0, 1e-300),
+    lambda: oracle.transverse_quadrature("dzphi2", 1.0, 1.0),
+    # no cutoff: the integral diverges
+    lambda: oracle.transverse_quadrature("phi2", 1.0, 0.0),
     # sin^2 theta underflows to 0, or the value overflows, near a plate
     *(lambda f=f, theta=theta: f(theta)
       for f in (regsum.f_theta, regsum.trig_sum_n_cos, regsum.trig_sum_n3_cos)
@@ -72,7 +75,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: regsum.bernoulli(LONG),
     lambda: spectrum.k_n(PLATE, -LONG),
     # an int past the double range is refused, not converted
-    lambda: fluctuations.InteriorPoint(HUGE, HUGE),
+    lambda: fluctuations.InteriorPoint(HUGE),
     lambda: fluctuations.InteriorPoint.from_z(PLATE, HUGE),
     lambda: fluctuations.InteriorPoint.from_theta(PLATE, HUGE),
     lambda: regsum.f_theta(HUGE),
@@ -83,11 +86,6 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: dimreg.quadrature_reference(2, HUGE, 1.0),
     lambda: PlateConfig(LONG),
     lambda: casimir.canonical_density_integral(PLATE, D, LONG),
-    # theta is authoritative, but the stored z must still be a finite double
-    lambda: fluctuations.InteriorPoint(math.nan, 0.5),
-    lambda: fluctuations.InteriorPoint(math.inf, 0.5),
-    lambda: fluctuations.InteriorPoint(-math.inf, 0.5),
-    lambda: fluctuations.InteriorPoint(HUGE, 0.5),
 ], ids=[
     "canonical_density_integral", "canonical_density_integral-cot-overflow",
     "canonical_density_integral-L-overflow", "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
@@ -96,6 +94,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     "abel_sum_oracle-bool", "abel_sum_oracle-float", "abel_sum_oracle-negative",
     "abel_sum_oracle-5", "abel_sum_oracle-str", "abel_sum_oracle-none",
     "abel_sum_oracle-2theta-overflow", "k_n", "master_integral",
+    "transverse_quadrature-field", "transverse_quadrature-no-cutoff",
     *(f"{name}-{theta}" for name in ("f_theta", "trig_sum_n_cos", "trig_sum_n3_cos")
       for theta in ("1e-200", "1e-320")),
     "f_theta-overflow", "k_n-inf", "k_n-nan", "k_n-fractional", "k_n-bool", "k_n-huge",
@@ -106,8 +105,6 @@ LONG = 10**5000  # past the 4300 digits Python writes out
                                   "phi_squared_single_plate", "gamma_real", "abel_sum_oracle",
                                   "master_integral", "quadrature_reference")),
     "PlateConfig-long", "canonical_density_integral-long",
-    "InteriorPoint-nan-z", "InteriorPoint-inf-z", "InteriorPoint-minus-inf-z",
-    "InteriorPoint-huge-z",
 ])
 def test_bad_argument_raises_library_error(call):
     with pytest.raises(PlateVacError):

@@ -37,8 +37,7 @@ class TestInteriorPoint:
         config = PlateConfig(2.0)
         point = InteriorPoint.from_z(config, 0.5)
         assert point.theta == pytest.approx(math.pi / 4.0)
-        again = InteriorPoint.from_theta(config, point.theta)
-        assert again.z == pytest.approx(0.5, rel=1e-15)
+        assert InteriorPoint.from_theta(config, point.theta) == point
 
     @pytest.mark.parametrize("z", [0.0, 1.0, -0.2, 1.5])
     def test_surface_and_outside_rejected(self, z):

@@ -9,7 +9,7 @@ test pins two exact sets: the checks that FAIL, and the checks that
 raise a :class:`PlateVacError` (here always ``total_energy``'s pipeline
 guard, which makes ``platevac verify`` exit 2 rather than 1).
 
-The keep rule for ``cli.VERIFY_CHECKS``: a check stays only if it
+The keep rule for ``verify.VERIFY_CHECKS``: a check stays only if it
 compares two independently computed routes and some mutation here makes
 it FAIL.  A raise does not count.  The rows with empty sets are errors
 no check sees at L = 1; the comment on each says what pins it instead.
@@ -26,9 +26,10 @@ from typing import NamedTuple
 import pytest
 
 from platevac import cli, fluctuations, regsum, stress
-from platevac.cli import VERIFY_CHECKS, RunConfig
+from platevac.cli import RunConfig
 from platevac.errors import PlateVacError
 from platevac.spectrum import BoundaryCondition
+from platevac.verify import VERIFY_CHECKS
 from test_cli import assert_columns_equal_scalar_path
 
 
@@ -83,7 +84,7 @@ def outcome(mutation, monkeypatch, L: float = 1.0) -> tuple[set[str], set[str]]:
         _clear_caches()
         for check in VERIFY_CHECKS:
             try:
-                if not check.run(RunConfig(bc=BoundaryCondition.DIRICHLET, L=L)).ok:
+                if not check.passes(check.measure(L, False)):
                     fails.add(check.name)
             except PlateVacError:
                 raises.add(check.name)

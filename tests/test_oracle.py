@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platevac import dimreg, oracle
-from platevac.cli import _MODE_SUM_THETAS, VERIFY_CHECKS, RunConfig
 from platevac.errors import DomainError, InvalidConfigError, PlateVacError, QuadratureError
 from platevac.fluctuations import InteriorPoint, expectation_set
 from platevac.oracle import mode_sum_finite_part
 from platevac.regsum import fit_finite_part
 from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
+from platevac.verify import _MODE_SUM_THETAS, VERIFY_CHECKS
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -62,7 +62,7 @@ class TestTransverseKernel:
         monkeypatch.setattr(dimreg, "_half_line_integral", lambda f: real(lambda k: f(k) * math.nan))
         check = next(c for c in VERIFY_CHECKS if c.name == "oracle_transverse_kernel")
         with pytest.raises(QuadratureError):
-            check.run(RunConfig(bc=D))
+            check.measure(1.0, False)
 
 
 class TestModeSumFinitePart:
