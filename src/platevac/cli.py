@@ -405,8 +405,8 @@ def cmd_energy(config: RunConfig, out) -> int:
 def run_verification(config: RunConfig) -> list[tuple[Check, float]]:
     """Each check of ``verify.VERIFY_CHECKS`` with its measured value, in report order."""
     from . import verify  # here, so that profile and energy start without the checks
-    return [(check, check.measure(config.L, config.inject_sign_flip))
-            for check in verify.VERIFY_CHECKS]
+    sample = verify.Sample(config.L, config.inject_sign_flip)
+    return [(check, check.measure(sample)) for check in verify.VERIFY_CHECKS]
 
 
 def cmd_verify(config: RunConfig, out) -> int:

@@ -14,9 +14,9 @@ to ``sig`` digits; so does this one:
   within eps 2^ceil(sig log2 10) of a rounding tie: 1/64 at 17 digits
   with the x87 80-bit format, 2^-23 at 12.
 * Those values, zero, and values whose power of ten is not exact in
-  long double go through Python's own ``'%.{sig-1}e'`` and are parsed
-  back to digits and exponent.  The bytes therefore never depend on the
-  platform's long double: a narrower one only sends more values to
+  long double are formatted by Python's own ``'%.{sig}g'``, which
+  overwrites their laid-out cells.  The bytes therefore never depend on
+  the platform's long double: a narrower one only sends more values to
   Python (every value at 17 digits, if long double is a double).
 
 A scaled value within that window of 10^(sig-1) needs no such care:
@@ -157,22 +157,6 @@ def _scaled_digits(a: np.ndarray, sig: int) -> tuple[np.ndarray, np.ndarray, np.
     return digits, (sig - 1) - shift + carry, fallback
 
 
-def _python_digits(a: np.ndarray, sig: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digits and exponent of each |x| in ``a``, read from Python's ``'%.{sig-1}e'``.
-
-    Each string is padded with spaces to the width of a three-digit
-    exponent, so that all of them are read as one byte matrix.
-    """
-    width = sig + 6
-    text = ("".join([f"%-{width}.{sig - 1}e"] * a.size) % tuple(a.tolist())).encode("ascii")
-    raw = np.frombuffer(text, dtype=np.uint8).reshape(a.size, width)
-    values = raw.astype(np.int64) - ord("0")
-    digits = values[:, np.r_[0, 2:sig + 1]] @ 10 ** np.arange(sig - 1, -1, -1, dtype=np.int64)
-    e1, e2, e3 = values[:, sig + 3:].T
-    magnitude = np.where(raw[:, -1] == ord(" "), 10 * e1 + e2, 100 * e1 + 10 * e2 + e3)
-    return digits, np.where(raw[:, sig + 2] == ord("-"), -magnitude, magnitude)
-
-
 def format_g(values: np.ndarray, sig: int) -> np.ndarray:
     """``'%.{sig}g' % x`` for each finite x of ``values``, as a numpy ``S`` array.
 
@@ -184,12 +168,10 @@ def format_g(values: np.ndarray, sig: int) -> np.ndarray:
     text = np.empty(x.size, dtype=f"S{_layout_table(sig).shape[1]}")
     for start in range(0, x.size, _BLOCK):
         block = x[start:start + _BLOCK]
-        a = np.abs(block)
-        digits, exponent, fallback = _scaled_digits(a, sig)
-        slow = np.flatnonzero(fallback)
-        if slow.size:
-            digits[slow], exponent[slow] = _python_digits(a[slow], sig)
+        digits, exponent, fallback = _scaled_digits(np.abs(block), sig)
         text[start:start + _BLOCK] = _layout(digits, exponent, np.signbit(block), sig)
+        slow = np.flatnonzero(fallback)
+        text[start + slow] = [b"%.*g" % (sig, v) for v in block[slow].tolist()]
     return text
 
 

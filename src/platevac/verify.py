@@ -2,6 +2,9 @@
 
 Every bound is an upper bound: a check passes when its measured value,
 a relative error unless noted, is at most its bound, so a NaN fails.
+Each measure takes one :class:`Sample`, the plates of a run, which
+holds what several checks read: the stress grid, its mirror image and
+the canonical quadratures.  The first check to read one pays for building it.
 This module loads neither numpy nor the CLI.
 """
 
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import casimir, dimreg, oracle, regsum, stress
 from .fluctuations import (InteriorPoint, ab_values, expectation_set, phi_squared,
@@ -20,11 +23,11 @@ from .spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 @dataclass(frozen=True)
 class Check:
-    """A claim, its upper bound, and ``measure(L, sign_flip)`` for plates L apart."""
+    """A claim, its upper bound, and ``measure(sample)``, its value on a :class:`Sample`."""
 
     name: str
     bound: float
-    measure: Callable[[float, bool], float]
+    measure: Callable[[Sample], float]
 
     def passes(self, measured: float) -> bool:
         return measured <= self.bound
@@ -64,9 +67,29 @@ _KERNEL_KN = [math.pi * 1e-3, *(10.0 ** x for x in _linspace(math.log10(math.pi 
 _CANONICAL_MARGINS = (1e-2, 1e-3, 1e-4)
 
 
-def _eval_bc(bc: BoundaryCondition, sign_flip: bool) -> BoundaryCondition:
-    # with sign_flip, Neumann points take the Dirichlet sign, which the checks must catch
-    return BoundaryCondition.DIRICHLET if sign_flip else bc
+@dataclass(frozen=True)
+class Sample:
+    """Plates L apart; ``sign_flip`` makes the closed forms take every plate as Dirichlet."""
+
+    L: float
+    sign_flip: bool = False
+
+    def evaluated(self, bc: BoundaryCondition) -> BoundaryCondition:
+        return BoundaryCondition.DIRICHLET if self.sign_flip else bc
+
+    @cached_property
+    def grid(self) -> dict[str, list[float]]:
+        return _stress_grid(self, _STRESS_THETAS)
+
+    @cached_property
+    def mirror(self) -> dict[str, list[float]]:
+        return _stress_grid(self, [math.pi - theta for theta in _STRESS_THETAS])
+
+    @cached_property
+    def canonical(self) -> list[float]:
+        plate = PlateConfig(self.L)
+        return [casimir.canonical_density_quadrature(plate, bc, m)
+                for bc in BoundaryCondition for m in _CANONICAL_MARGINS]
 
 
 def _cutoff_error(k: int) -> float:
@@ -79,7 +102,7 @@ def _abel_error(k: int, closed) -> float:
     return _worst([a - c for a, c in pairs], [max(1.0, abs(c)) for _, c in pairs])
 
 
-def _dimreg_quadrature(L: float, sign_flip: bool) -> float:
+def _dimreg_quadrature(sample: Sample) -> float:
     analytic, numeric = [], []
     for N in (1.5, 2.0, 3.0):
         for m_sq in (0.5, 1.0, 4.0):
@@ -88,14 +111,14 @@ def _dimreg_quadrature(L: float, sign_flip: bool) -> float:
     return _worst([a - n for a, n in zip(analytic, numeric)], analytic)
 
 
-def _dimreg_scaling(L: float, sign_flip: bool) -> float:
+def _dimreg_scaling(sample: Sample) -> float:
     lam = 3.7
     a = dimreg.master_integral(2.0, 2.0, lam * 1.3)
     b = lam ** (1.0 - 2.0) * dimreg.master_integral(2.0, 2.0, 1.3)
     return _worst(a - b, a)
 
 
-def _dimreg_recursion(L: float, sign_flip: bool) -> float:
+def _dimreg_recursion(sample: Sample) -> float:
     ratio, expected = [], []
     for d, N in ((2.0, 3.0), (2.0, -0.5), (3.0, 3.0), (2.5, 0.3)):
         ratio.append(dimreg.master_integral(d, N, 1.3) / dimreg.master_integral(d, N - 1.0, 1.3))
@@ -103,7 +126,7 @@ def _dimreg_recursion(L: float, sign_flip: bool) -> float:
     return _worst([r - e for r, e in zip(ratio, expected)], expected)
 
 
-def _oracle_transverse_kernel(L: float, sign_flip: bool) -> float:
+def _oracle_transverse_kernel(sample: Sample) -> float:
     """The oracle's radial kernels against quadrature of their integrands.
 
     k_n from pi 1e-3 to 40 at eps = 1 and 1/2 in turn, so that a wrong
@@ -117,31 +140,29 @@ def _oracle_transverse_kernel(L: float, sign_flip: bool) -> float:
     return _worst([c - n for c, n in zip(closed, numeric)], closed)
 
 
-def _mode_sum_error(field: str, L: float, sign_flip: bool) -> float:
+def _mode_sum_error(field: str, sample: Sample) -> float:
     """Mode-sum oracle against the closed-form profile of ``field``, both conditions."""
-    plate = PlateConfig(L)
+    plate = PlateConfig(sample.L)
     finite, closed = [], []
     for bc in BoundaryCondition:
         for theta in _MODE_SUM_THETAS:
             point = InteriorPoint.from_theta(plate, theta)
             finite.append(oracle.mode_sum_finite_part(field, bc, plate, point).finite_part)
-            closed.append(getattr(expectation_set(_eval_bc(bc, sign_flip), plate, point), field))
+            closed.append(getattr(expectation_set(sample.evaluated(bc), plate, point), field))
     return _worst([f - c for f, c in zip(finite, closed)], closed)
 
 
-def _stress_grid(L: float, sign_flip: bool, mirror: bool = False) -> dict[str, list[float]]:
-    """Every field and stress component on verify's interior grid, by name.
+def _stress_grid(sample: Sample, thetas: list[float]) -> dict[str, list[float]]:
+    """Every field and stress component at ``thetas``, Dirichlet then Neumann, by name.
 
-    The grid is 100 angles in [0.4, pi - 0.4], or their mirror images
-    pi - theta, for Dirichlet then Neumann plates, one point at a time.
-    ``trace_expected`` is -6 s B, s the sign of the plates' true condition.
+    One point at a time; ``trace_expected`` is -6 s B, s the sign of the true condition.
     """
-    plate = PlateConfig(L)
+    plate = PlateConfig(sample.L)
     grid: dict[str, list[float]] = {}
     for bc in BoundaryCondition:
-        for theta in _STRESS_THETAS:
-            point = InteriorPoint.from_theta(plate, math.pi - theta if mirror else theta)
-            fluct = expectation_set(_eval_bc(bc, sign_flip), plate, point)
+        for theta in thetas:
+            point = InteriorPoint.from_theta(plate, theta)
+            fluct = expectation_set(sample.evaluated(bc), plate, point)
             ab = ab_values(plate, point)
             for name, value in {**vars(fluct), **vars(stress.stress_report(fluct, ab)),
                                 "trace_expected": -6.0 * bc.sign_upper * ab.B}.items():
@@ -149,37 +170,36 @@ def _stress_grid(L: float, sign_flip: bool, mirror: bool = False) -> dict[str, l
     return grid
 
 
-def _trace_canonical_sign(L: float, sign_flip: bool) -> float:
-    grid = _stress_grid(L, sign_flip)
+def _trace_canonical_sign(sample: Sample) -> float:
+    grid = sample.grid
     return _worst([t - e for t, e in zip(grid["trace_canonical"], grid["trace_expected"])],
                   grid["trace_expected"])
 
 
-def _improved_density_value(L: float, sign_flip: bool) -> float:
+def _improved_density_value(sample: Sample) -> float:
     """The improved energy density on the grid against -A, A = pi^2/(1440 L^4)."""
-    a_const = math.pi ** 2 / (1440.0 * L ** 4)
-    return _worst([e + a_const for e in _stress_grid(L, sign_flip)["energy_density_improved"]],
-                  a_const)
+    a_const = math.pi ** 2 / (1440.0 * sample.L ** 4)
+    return _worst([e + a_const for e in sample.grid["energy_density_improved"]], a_const)
 
 
-def _tzz_equals_pressure(L: float, sign_flip: bool) -> float:
+def _tzz_equals_pressure(sample: Sample) -> float:
     """T_zz on the grid against the pressure, and the pressure against its closed form."""
-    p_ref = casimir.pressure(PlateConfig(L))
-    closed = -math.pi ** 2 / (480.0 * L ** 4)
-    return max(_worst([t - p_ref for t in _stress_grid(L, sign_flip)["t_zz"]], p_ref),
+    p_ref = casimir.pressure(PlateConfig(sample.L))
+    closed = -math.pi ** 2 / (480.0 * sample.L ** 4)
+    return max(_worst([t - p_ref for t in sample.grid["t_zz"]], p_ref),
                _worst(p_ref - closed, closed))
 
 
-def _mirror_symmetry(L: float, sign_flip: bool) -> float:
-    grid, mirror = _stress_grid(L, sign_flip), _stress_grid(L, sign_flip, mirror=True)
+def _mirror_symmetry(sample: Sample) -> float:
+    grid, mirror = sample.grid, sample.mirror
     return _worst([g - m for g, m in zip(grid["phidot2"], mirror["phidot2"])],
                   [abs(p) + abs(d) for p, d in zip(grid["phidot2"], grid["dzphi2"])])
 
 
-def _length_scaling(L: float, sign_flip: bool) -> float:
+def _length_scaling(sample: Sample) -> float:
     """phi2 ~ L^-2, phidot2 and the pressure ~ L^-4 under L -> 2L (L -> L/2 where 2L > L_MAX)."""
-    ratio = 2.0 if 2.0 * L <= L_MAX else 0.5
-    plate, scaled = PlateConfig(L), PlateConfig(ratio * L)
+    ratio = 2.0 if 2.0 * sample.L <= L_MAX else 0.5
+    plate, scaled = PlateConfig(sample.L), PlateConfig(ratio * sample.L)
     f1 = expectation_set(BoundaryCondition.DIRICHLET, plate, InteriorPoint.from_theta(plate, 1.1))
     f2 = expectation_set(BoundaryCondition.DIRICHLET, scaled,
                          InteriorPoint.from_theta(scaled, 1.1))
@@ -188,44 +208,43 @@ def _length_scaling(L: float, sign_flip: bool) -> float:
                    p2 * ratio ** 4 - p1], [f1.phidot2, f1.phi2, p1])
 
 
-def _energy_pipeline(L: float, sign_flip: bool) -> float:
-    closed = -math.pi ** 2 / (1440.0 * L ** 3)
-    return _worst(casimir.total_energy(PlateConfig(L)) - closed, closed)
+def _energy_pipeline(sample: Sample) -> float:
+    closed = -math.pi ** 2 / (1440.0 * sample.L ** 3)
+    return _worst(casimir.total_energy(PlateConfig(sample.L)) - closed, closed)
 
 
-def _pressure_finite_difference(L: float, sign_flip: bool) -> float:
+def _pressure_finite_difference(sample: Sample) -> float:
     # centred at least 1e-4 inside [L_MIN, L_MAX], so that L +- h are valid plates
-    L = min(max(L, L_MIN * (1.0 + 1e-4)), L_MAX * (1.0 - 1e-4))
+    L = min(max(sample.L, L_MIN * (1.0 + 1e-4)), L_MAX * (1.0 - 1e-4))
     h = 1e-5 * L
     fd = -(casimir.total_energy(PlateConfig(L + h)) - casimir.total_energy(PlateConfig(L - h))) / (2.0 * h)
     p_ref = casimir.pressure(PlateConfig(L))
     return _worst(fd - p_ref, p_ref)
 
 
-def _single_plate_limit(L: float, sign_flip: bool) -> float:
+def _single_plate_limit(sample: Sample) -> float:
     """phi2 at 1e-4 L from one plate of the gap against the single-plate form."""
-    plate, z_near = PlateConfig(L), 1e-4 * L
+    plate, z_near = PlateConfig(sample.L), 1e-4 * sample.L
     gap = [phi_squared(bc, plate, InteriorPoint.from_z(plate, z_near)) for bc in BoundaryCondition]
     single = [phi_squared_single_plate(bc, z_near) for bc in BoundaryCondition]
     return _worst([g - s for g, s in zip(gap, single)], single)
 
 
-def _integrated_density(L: float, sign_flip: bool) -> float:
-    plate = PlateConfig(L)
+def _integrated_density(sample: Sample) -> float:
+    plate = PlateConfig(sample.L)
     mismatch = [casimir.integrated_density_check(plate, bc)[1] for bc in BoundaryCondition]
     return _worst(mismatch, casimir.total_energy(plate))
 
 
-def _canonical_density_integral(L: float, sign_flip: bool) -> float:
+def _canonical_density_integral(sample: Sample) -> float:
     """The canonical density integral by quadrature against its closed form, both conditions."""
-    plate = PlateConfig(L)
-    pairs = [(casimir.canonical_density_quadrature(plate, bc, m),
-              casimir.canonical_density_integral(plate, bc, m))
-             for bc in BoundaryCondition for m in _CANONICAL_MARGINS]
-    return _worst([q - c for q, c in pairs], [c for _, c in pairs])
+    plate = PlateConfig(sample.L)
+    closed = [casimir.canonical_density_integral(plate, bc, m)
+              for bc in BoundaryCondition for m in _CANONICAL_MARGINS]
+    return _worst([q - c for q, c in zip(sample.canonical, closed)], closed)
 
 
-def _canonical_density_divergence(L: float, sign_flip: bool) -> float:
+def _canonical_density_divergence(sample: Sample) -> float:
     """Worst |growth / 1000 - 1| of the canonical density integral per tenfold smaller margin.
 
     The canonical density has no finite margin -> 0 limit: it grows as
@@ -233,9 +252,8 @@ def _canonical_density_divergence(L: float, sign_flip: bool) -> float:
     quadrature a thousandfold.  The steps read 1000.0, so the bound 0.1
     fails a growth outside [900, 1100], or a NaN anywhere.
     """
-    plate = PlateConfig(L)
-    rows = [[casimir.canonical_density_quadrature(plate, bc, m) for m in _CANONICAL_MARGINS]
-            for bc in BoundaryCondition]
+    n = len(_CANONICAL_MARGINS)
+    rows = sample.canonical[:n], sample.canonical[n:]  # Dirichlet, Neumann
     steps = [(inner, outer) for row in rows for inner, outer in zip(row, row[1:])]
     return _worst([outer - 1000.0 * inner for inner, outer in steps],
                   [1000.0 * inner for inner, _ in steps])
@@ -246,12 +264,12 @@ def _canonical_density_divergence(L: float, sign_flip: bool) -> float:
 # error in tests/test_mutations.py makes it FAIL; a raise does not count.
 VERIFY_CHECKS = (
     # Regularized power sums against the exponential-cutoff oracle (absolute).
-    Check("zeta_cutoff_k1", 2e-15, lambda L, sign_flip: _cutoff_error(1)),
-    Check("zeta_cutoff_k3", 2e-15, lambda L, sign_flip: _cutoff_error(3)),
+    Check("zeta_cutoff_k1", 2e-15, lambda sample: _cutoff_error(1)),
+    Check("zeta_cutoff_k3", 2e-15, lambda sample: _cutoff_error(3)),
     # Oscillatory sums against the Abel oracle (relative to max(1, |closed form|)).
-    Check("abel_n_cos", 1e-13, lambda L, sign_flip: _abel_error(1, regsum.trig_sum_n_cos)),
-    Check("abel_n3_cos", 1e-13, lambda L, sign_flip: _abel_error(3, regsum.trig_sum_n3_cos)),
-    Check("abel_constant", 1e-13, lambda L, sign_flip: _abel_error(0, lambda t: -0.5)),
+    Check("abel_n_cos", 1e-13, lambda sample: _abel_error(1, regsum.trig_sum_n_cos)),
+    Check("abel_n3_cos", 1e-13, lambda sample: _abel_error(3, regsum.trig_sum_n3_cos)),
+    Check("abel_constant", 1e-13, lambda sample: _abel_error(0, lambda t: -0.5)),
     # Continued master integral against direct quadrature plus identities.
     Check("dimreg_quadrature", 2e-14, _dimreg_quadrature),
     Check("dimreg_scaling", 1e-12, _dimreg_scaling),

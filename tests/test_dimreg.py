@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from platevac import dimreg
 from platevac.dimreg import gamma_real, master_integral, quadrature_reference
 from platevac.errors import DomainError, PlateVacError, PoleError, QuadratureError
-from platevac.verify import VERIFY_CHECKS
+from platevac.verify import VERIFY_CHECKS, Sample
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -306,5 +306,5 @@ class TestHalfLineIntegral:
         monkeypatch.setattr(dimreg, "_half_line_integral", compared)
         for check in VERIFY_CHECKS:
             if check.name in ("dimreg_quadrature", "oracle_transverse_kernel"):
-                assert check.passes(check.measure(1.0, False))
+                assert check.passes(check.measure(Sample(1.0)))
         assert len(seen) == 25

@@ -4,10 +4,11 @@ Each :class:`Edit` rewrites the source of one platevac function (``old``
 must occur in it exactly once), compiles it in its module and rebinds it
 in every ``platevac`` namespace that holds the original, as
 ``perfbench/spans.py`` does for its timing wrappers.  Every ``verify``
-check then runs on its own at L = 1, as in the acceptance suite, and the
-test pins two exact sets: the checks that FAIL, and the checks that
-raise a :class:`PlateVacError` (here always ``total_energy``'s pipeline
-guard, which makes ``platevac verify`` exit 2 rather than 1).
+check then runs at L = 1 on one fresh ``verify.Sample``, as in a
+``platevac verify`` run, and the test pins two exact sets: the checks
+that FAIL, and the checks that raise a :class:`PlateVacError` (here
+always ``total_energy``'s pipeline guard, which makes ``platevac
+verify`` exit 2 rather than 1).
 
 The keep rule for ``verify.VERIFY_CHECKS``: a check stays only if it
 compares two independently computed routes and some mutation here makes
@@ -29,7 +30,7 @@ from platevac import cli, fluctuations, regsum, stress
 from platevac.cli import RunConfig
 from platevac.errors import PlateVacError
 from platevac.spectrum import BoundaryCondition
-from platevac.verify import VERIFY_CHECKS
+from platevac.verify import VERIFY_CHECKS, Sample
 from test_cli import assert_columns_equal_scalar_path
 
 
@@ -82,9 +83,10 @@ def outcome(mutation, monkeypatch, L: float = 1.0) -> tuple[set[str], set[str]]:
     with monkeypatch.context() as patch:
         mutation.apply(patch)
         _clear_caches()
+        sample = Sample(L)  # one per mutation, so that no mutant sees another's grid
         for check in VERIFY_CHECKS:
             try:
-                if not check.passes(check.measure(L, False)):
+                if not check.passes(check.measure(sample)):
                     fails.add(check.name)
             except PlateVacError:
                 raises.add(check.name)

@@ -12,7 +12,7 @@ from platevac.fluctuations import InteriorPoint, expectation_set
 from platevac.oracle import mode_sum_finite_part
 from platevac.regsum import fit_finite_part
 from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
-from platevac.verify import _MODE_SUM_THETAS, VERIFY_CHECKS
+from platevac.verify import _MODE_SUM_THETAS, VERIFY_CHECKS, Sample
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -62,7 +62,7 @@ class TestTransverseKernel:
         monkeypatch.setattr(dimreg, "_half_line_integral", lambda f: real(lambda k: f(k) * math.nan))
         check = next(c for c in VERIFY_CHECKS if c.name == "oracle_transverse_kernel")
         with pytest.raises(QuadratureError):
-            check.measure(1.0, False)
+            check.measure(Sample(1.0))
 
 
 class TestModeSumFinitePart:

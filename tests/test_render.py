@@ -124,13 +124,14 @@ def test_python_formats_few_profile_values(sig, monkeypatch):
     # window) and almost none of the 12-digit ones
     columns = _profile_rows(RunConfig(bc=BoundaryCondition.NEUMANN, L=0.37, grid_points=4096))
     values = np.concatenate(_render_plan(columns, sig)[1])  # what the rows convert
-    seen, python_digits = [], render._python_digits
+    seen, scaled_digits = [], render._scaled_digits
 
     def counting(a, sig):
-        seen.append(a.size)
-        return python_digits(a, sig)
+        digits, exponent, fallback = scaled_digits(a, sig)
+        seen.append(int(fallback.sum()))
+        return digits, exponent, fallback
 
-    monkeypatch.setattr(render, "_python_digits", counting)
+    monkeypatch.setattr(render, "_scaled_digits", counting)
     assert format_g(values, sig).tolist() == _python(values, sig)
     assert sum(seen) <= {12: 0.001, 17: 0.05}[sig] * values.size
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from platevac import casimir, stress, verify
-from platevac.cli import main
+from platevac.cli import RunConfig, main, run_verification
 from platevac.spectrum import BoundaryCondition
 from platevac.verify import VERIFY_CHECKS
 from test_cli import GOLDEN, _probe, _run
@@ -76,7 +76,7 @@ class TestVerifyCommand:
 
             monkeypatch.setattr(stress, "stress_report", corrupted)
         check = _check("trace_canonical_sign")
-        measured = check.measure(1.0, False)
+        measured = check.measure(verify.Sample(1.0))
         assert f"{measured:.3e}" == shown
         assert not check.passes(measured)
 
@@ -92,12 +92,12 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(casimir, "canonical_density_quadrature", nan_at_the_smallest_margin)
         check = _check("canonical_density_divergence")
-        measured = check.measure(1.0, False)
+        measured = check.measure(verify.Sample(1.0))
         assert math.isnan(measured)
         assert not check.passes(measured)
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_stress_grid_evaluates_at_the_linspace_angles(self, mirror, monkeypatch):
+    @pytest.mark.parametrize("grid", ["grid", "mirror"])
+    def test_stress_grid_evaluates_at_the_linspace_angles(self, grid, monkeypatch):
         # the angles go to expectation_set as they are, with no trip through z
         seen = []
         real = verify.expectation_set
@@ -107,12 +107,31 @@ class TestVerifyCommand:
             return real(bc, config, point)
 
         monkeypatch.setattr(verify, "expectation_set", recording)
-        verify._stress_grid(0.77, False, mirror)
+        getattr(verify.Sample(0.77), grid)
         expected = np.linspace(0.4, math.pi - 0.4, 100)
-        if mirror:
+        if grid == "mirror":
             expected = math.pi - expected
         expected = np.tile(expected, len(BoundaryCondition))
         assert np.array(seen).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_each_shared_sample_is_built_once(self, monkeypatch):
+        # six canonical quadratures and the stress grid and its mirror, 2 x 200
+        # points, for the checks of one run that share them
+        calls = {"canonical_density_quadrature": 0, "stress_report": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(casimir, "canonical_density_quadrature")
+        counting(stress, "stress_report")
+        run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
+        assert calls == {"canonical_density_quadrature": 6, "stress_report": 400}
 
     @pytest.mark.parametrize("flags", [[], ["--inject-sign-flip"]])
     def test_quick_is_ignored(self, flags, capsys):
