@@ -7,7 +7,6 @@ import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +53,7 @@ def _run(argv, capsys):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pid of every worker the CLI forks in this test."""
+    """The pid of every process the CLI forks in this test."""
     pids, fork = [], os.fork
 
     def counting():
@@ -70,20 +69,6 @@ def forks(monkeypatch):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-class _FailingOut(io.StringIO):
-    """A stream whose ``fail_at``-th write raises a broken pipe."""
-
-    def __init__(self, fail_at: int) -> None:
-        super().__init__()
-        self.writes, self.fail_at = 0, fail_at
-
-    def write(self, text: str) -> int:
-        self.writes += 1
-        if self.writes == self.fail_at:
-            raise BrokenPipeError(32, "Broken pipe")
-        return super().write(text)
 
 
 class TestRunConfig:
@@ -243,9 +228,10 @@ class TestColumnarProfile:
         (BoundaryCondition.NEUMANN, 2.37, 5000, 0.02),
         (BoundaryCondition.DIRICHLET, 0.1239, 9000, 0.02),
         (BoundaryCondition.NEUMANN, 7.5, 4097, 0.31),
+        (BoundaryCondition.DIRICHLET, 1.3, 4096, 0.02),
     ])
     def test_output_equals_scalar_rendering(self, bc, L, n, margin, fmt):
-        # n > 4096 spans more than one write chunk
+        # n = 4096 fills exactly one write chunk; n > 4096 spans more than one
         config = RunConfig(bc=bc, L=L, grid_points=n, z_margin=margin, output_format=fmt)
         buffer = io.StringIO()
         assert cmd_profile(config, buffer) == 0
@@ -273,16 +259,13 @@ class TestColumnarProfile:
         assert out == ""
         assert "non-finite value nan" in err
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bc, length, fmt", list(PROFILE_DIGESTS))
-    def test_multi_chunk_bytes_pinned(self, bc, length, fmt, workers, forks, monkeypatch, capsys):
-        # the bytes do not depend on how many processes render the rows
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    def test_multi_chunk_bytes_pinned(self, bc, length, fmt, forks, capsys):
         code, out, _ = _run(["profile", "--bc", bc, "--length", length, "--points", "20001",
                              "--format", fmt], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[bc, length, fmt]
-        assert len(forks) == workers - 1  # five chunks: every process renders one
+        assert forks == []  # five chunks, all rendered in this process
         _assert_no_child_left()
 
     @pytest.mark.parametrize("bc, length, fmt", list(PROFILE_DIGESTS))
@@ -296,7 +279,6 @@ class TestColumnarProfile:
             return digits, exponent, fallback
 
         monkeypatch.setattr(render, "_scaled_digits", all_to_python)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         code, out, _ = _run(["profile", "--bc", bc, "--length", length, "--points", "20001",
                              "--format", fmt], capsys)
         assert code == 0
@@ -373,58 +355,49 @@ class TestColumnarProfile:
             assert err.getvalue().startswith("error: ")
 
 
-class TestParallelRendering:
-    """Rows rendered by forked workers, W = min(usable CPUs, 4096-row chunks)."""
+class _RecordingOut(io.StringIO):
+    """A stream that keeps each write's text and raises a broken pipe on the ``fail_at``-th."""
+
+    def __init__(self, fail_at: int = 0) -> None:
+        super().__init__()
+        self.writes, self.fail_at = [], fail_at
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        if len(self.writes) == self.fail_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+class TestChunkedWrites:
+    """Rows written by this process, one write per chunk of ``_ROW_CHUNK`` rows."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("points", [64, 4096])
-    def test_one_chunk_never_forks(self, points, fmt, monkeypatch, capsys):
-        def fork():
-            raise AssertionError("forked for a single chunk")
-
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(os, "fork", fork)
-        code, out, _ = _run(["profile", "--points", str(points), "--format", fmt], capsys)
-        assert code == 0
-        assert (out.count("\n") - 1 if fmt == "csv" else len(json.loads(out)["rows"])) == points
-
-    def test_no_fork_means_one_process(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        assert cli._usable_cpus() == 1
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("die, reason", [
-        # an exception inside the worker's rendering
-        (lambda: setattr(cli, "_ROW_CHUNK", None), "exited with status 1"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL}"),
-    ])
-    def test_failed_worker_exits_2(self, die, reason, fmt, monkeypatch, capfd):
-        fork = os.fork
-
-        def dying():
-            pid = fork()
-            if pid == 0:
-                try:
-                    die()
-                except BaseException:
-                    os._exit(99)
-            return pid
-
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", dying)
-        code = main(["profile", "--points", "20001", "--format", fmt])
-        _, err = capfd.readouterr()
-        assert code == 2
-        assert re.fullmatch(rf"error: profile worker \d+ {reason}\n", err)  # and no traceback
+    @pytest.mark.parametrize("points", [3, 4095, 4096, 4097, 8192, 8193])
+    def test_one_write_per_chunk(self, points, fmt, forks):
+        config = RunConfig(bc=BoundaryCondition.DIRICHLET, grid_points=points, output_format=fmt)
+        out = _RecordingOut()
+        assert cmd_profile(config, out) == 0
+        head, *chunks, tail = out.writes
+        # every CSV row ends in a newline, and every JSON row opens a brace
+        rows = [text.count("\n" if fmt == "csv" else "{") for text in chunks]
+        full, rest = divmod(points, cli._ROW_CHUNK)
+        assert rows == [cli._ROW_CHUNK] * full + ([rest] if rest else [])
+        assert forks == []
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("fail_at", [2, 3])  # this process's first chunk; a worker's
-    def test_failed_write_reaps_every_worker(self, fail_at, forks, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        config = RunConfig(bc=BoundaryCondition.NEUMANN, grid_points=20001, output_format="json")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fail_at", [1, 2, 4, 7])  # the head; the first, third chunk; the tail
+    def test_failed_write_stops_the_rows(self, fail_at, fmt, forks):
+        config = RunConfig(bc=BoundaryCondition.NEUMANN, grid_points=20001, output_format=fmt)
+        whole = io.StringIO()
+        assert cmd_profile(config, whole) == 0
+        out = _RecordingOut(fail_at)
         with pytest.raises(BrokenPipeError):
-            cmd_profile(config, _FailingOut(fail_at))
-        assert len(forks) == 2
+            cmd_profile(config, out)
+        assert len(out.writes) == fail_at  # nothing written after the failed write
+        assert whole.getvalue().startswith("".join(out.writes))
+        assert forks == []
         _assert_no_child_left()
 
 
@@ -474,14 +447,13 @@ def test_unopenable_output_exits_2(command, target, tmp_path, capsys):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("command", [["profile", "--points", "20001"], ["energy"], ["verify"]],
                          ids=["profile", "energy", "verify"])
-def test_failed_write_exits_2(command, forks, monkeypatch, capsys):
+def test_failed_write_exits_2(command, forks, capsys):
     # every write to /dev/full fails with ENOSPC: profile's in the middle of
     # its rows, energy's and verify's when the file is closed
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     code, out, err = _run([*command, "--output", "/dev/full"], capsys)
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: \[Errno \d+\] [^\n]+\n", err)
-    assert len(forks) == (2 if command[0] == "profile" else 0)
+    assert forks == []
     _assert_no_child_left()
 
 
