@@ -17,8 +17,10 @@ domain rather than mapped to infinities.
 Every 1/length^4 field is an exact rational combination alpha A + beta t
 with t = s B, held as a :class:`Pair` in :data:`FIELD_PAIRS`.
 A pair meets floating point in one place: :func:`_kernel` compiles a
-table of pairs into one straight-line function of A and t, built once
-for this table at import, and :func:`evaluate` runs it on arrays.
+table of pairs into one straight-line function of A and t.  The one
+for this table, built at import, returns the scalar path's
+:class:`FluctuationSet` itself; :func:`evaluate` runs the table's tuple
+kernel on arrays.
 
 Every formula is written once, in terms of L, s and s2 = sin^2 theta,
 and is shared by the scalar API (one point, Python floats, no numpy)
@@ -38,21 +40,21 @@ from functools import lru_cache
 
 from .errors import DomainError, _is_finite, _quoted, _require
 from .regsum import _check_theta, _f_of_sin2
-from .spectrum import BoundaryCondition, PlateConfig
+from .spectrum import BoundaryCondition, PlateConfig, _set_field
 
 __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
            "evaluate", "ab_values", "phi_squared", "phi_squared_single_plate",
            "expectation_set", "expectation_columns"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InteriorPoint:
     """A point strictly between the plates, held as theta = pi z / L, which every formula reads."""
 
     theta: float
 
-    def __post_init__(self) -> None:
-        _check_theta(self.theta)
+    def __init__(self, theta: float) -> None:
+        _set_field(self, "theta", _check_theta(theta))
 
     @classmethod
     def from_z(cls, config: PlateConfig, z: float) -> "InteriorPoint":
@@ -122,8 +124,13 @@ FIELD_PAIRS = {
 
 
 @lru_cache(maxsize=8)
-def _kernel(pairs: tuple):
-    """One compiled function (A, t) -> the tuple of alpha A + beta t of each pair.
+def _kernel(pairs: tuple, record=tuple, passed: tuple = ()):
+    """One compiled function (*passed, A, t) -> record(*passed, *values).
+
+    The values are alpha A + beta t of each pair.  ``passed`` names
+    arguments handed through to the record ahead of them; the default
+    record is a tuple literal, and any other (a dataclass) is called in
+    the compiled function itself, so no tuple is built and unpacked.
 
     A pair with both coefficients nonzero becomes the term
     alpha (A + (beta/alpha) t), the form every field above is written
@@ -140,13 +147,15 @@ def _kernel(pairs: tuple):
         scale, ratio = float(pair.alpha), float(ratio)
         terms.append(f"{scale!r} * A" if not ratio else f"{ratio!r} * t" if not scale
                      else f"{scale!r} * (A + {ratio!r} * t)")
-    body = "".join(f"{term}, " for term in terms)  # a tuple, of any length
+    args = ", ".join((*passed, "A", "t"))
+    body = "".join(f"{arg}, " for arg in (*passed, *terms))  # of any length
+    call = f"({body})" if record is tuple else f"record({body})"
     namespace: dict = {}
-    exec(f"def kernel(A, t):\n    return ({body})", {}, namespace)
+    exec(f"def kernel({args}):\n    return {call}", {"record": record}, namespace)
     return namespace["kernel"]
 
 
-_FIELD_KERNEL = _kernel(tuple(FIELD_PAIRS.values()))
+_FIELD_KERNEL = _kernel(tuple(FIELD_PAIRS.values()), FluctuationSet, ("phi2",))
 
 
 def evaluate(pairs, A, t) -> list:
@@ -183,9 +192,12 @@ def _sin2(theta: float) -> float:
     return s2
 
 
+_PI_SQUARED = math.pi ** 2
+
+
 def _ab(L, s2) -> tuple:
     """(A, B) at sin^2 theta = ``s2``, a float or an array; B is checked."""
-    scale = math.pi ** 2 / L ** 4
+    scale = _PI_SQUARED / L ** 4
     B = scale / 96.0 * _f_of_sin2(s2)
     # No field or tensor component exceeds 6 t, so a finite 6 B keeps
     # every value finite; a NaN fails this too.
@@ -202,13 +214,15 @@ def _phi2(s: int, L, s2):
 
 def _fluctuations(s: int, L, s2, A, B) -> FluctuationSet:
     t = s * B
-    values = _FIELD_KERNEL(A, t) if isinstance(t, float) else evaluate(FIELD_PAIRS.values(), A, t)
-    return FluctuationSet(_phi2(s, L, s2), *values)
+    if isinstance(t, float):
+        return _FIELD_KERNEL(_phi2(s, L, s2), A, t)
+    return FluctuationSet(_phi2(s, L, s2), *evaluate(FIELD_PAIRS.values(), A, t))
 
 
 def ab_values(config: PlateConfig, point: InteriorPoint) -> ABPair:
     """A = pi^2/(1440 L^4) and B = pi^2/(96 L^4) f(theta)."""
-    return ABPair(*_ab(config.L, _sin2(point.theta)))
+    A, B = _ab(config.L, _sin2(point.theta))
+    return ABPair(A, B)
 
 
 def phi_squared(bc: BoundaryCondition, config: PlateConfig, point: InteriorPoint) -> float:
@@ -232,7 +246,7 @@ def phi_squared_single_plate(bc: BoundaryCondition, z: float) -> float:
     """
     if not (_is_finite(z) and z > 0.0):
         raise DomainError(f"distance from the plate must be positive and finite, got {_quoted(z)}")
-    denominator = 16.0 * math.pi ** 2 * z * z
+    denominator = 16.0 * _PI_SQUARED * z * z
     if denominator > 0.0:  # z * z underflows to 0 below z ~ 1e-162
         value = -bc.sign_upper / denominator
         if abs(value) < math.inf:
@@ -259,7 +273,8 @@ def expectation_set(
     """
     L = config.L
     s2 = _sin2(point.theta)
-    return _fluctuations(bc.sign_upper, L, s2, *_ab(L, s2))
+    A, B = _ab(L, s2)
+    return _fluctuations(bc.sign_upper, L, s2, A, B)
 
 
 def expectation_columns(

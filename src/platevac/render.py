@@ -64,11 +64,19 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     trailing zeros (4 for 0000), and the exponent suffixes "-999" ...
     "+999" as uint32 words, indexed by exponent + 999.
     """
-    four = "".join(f"{i:04d}" for i in range(10000)).encode("ascii")
-    zeros = [len(f"{i:04d}") - len(f"{i:04d}".rstrip("0")) for i in range(10000)]
-    suffix = "".join(f"{'-' if e < 0 else '+'}{abs(e):03d}" for e in range(-999, 1000))
-    return (np.frombuffer(four, dtype=np.uint32), np.array(zeros, dtype=np.int64),
-            np.frombuffer(suffix.encode("ascii"), dtype=np.uint32))
+    def ascii_digits(n: np.ndarray, count: int) -> list:  # n's last count digits, leftmost first
+        return [n // 10 ** k % 10 + ord("0") for k in range(count - 1, -1, -1)]
+
+    def words(columns: list) -> np.ndarray:  # one byte per column, four columns per word
+        return np.stack(columns, axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+    i, e = np.arange(10000), np.arange(-999, 1000)
+    four = words(ascii_digits(i, 4))
+    zeros = sum((i % 10 ** k == 0).astype(np.int64) for k in range(1, 5))
+    suffix = words([np.where(e < 0, ord("-"), ord("+")), *ascii_digits(np.abs(e), 3)])
+    for table in (four, zeros, suffix):
+        table.flags.writeable = False
+    return four, zeros, suffix
 
 
 # Each value's symbol row is uint32 words: its digits, zero-padded on the

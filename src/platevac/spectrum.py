@@ -42,17 +42,22 @@ class BoundaryCondition(Enum):
 L_MIN, L_MAX = 1e-72, 1e72
 
 
-@dataclass(frozen=True)
+# How a frozen input stores its one validated field.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class PlateConfig:
     """Plate separation L (length units), within [L_MIN, L_MAX]."""
 
     L: float
 
-    def __post_init__(self) -> None:
-        if not L_MIN <= self.L <= L_MAX:
+    def __init__(self, L: float) -> None:
+        if not L_MIN <= L <= L_MAX:
             raise InvalidConfigError(
-                f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {_quoted(self.L)}"
+                f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {_quoted(L)}"
             )
+        _set_field(self, "L", L)
 
 
 def k_n(config: PlateConfig, n: int) -> float:

@@ -22,8 +22,8 @@ proved once, at import, in exact rational arithmetic on the table
 breaks one raises :class:`ConsistencyError`.  Only A and t are floats,
 so the improved density is -A and T_zz is -3A to the bit, however close
 the point is to a plate.  :func:`stress_report` takes one point (float
-fields), which it evaluates through the components' kernel
-(``fluctuations._kernel``, built once at import), or a grid
+fields), which the components' kernel (``fluctuations._kernel``,
+built once at import) evaluates into a StressReport, or a grid
 (:func:`fluctuations.expectation_columns`), through
 :func:`fluctuations.evaluate`.
 """
@@ -84,7 +84,7 @@ def _derive(fields: dict[str, Pair]) -> dict[str, Pair]:
 
 
 _COMPONENTS = _derive(FIELD_PAIRS)
-_COMPONENT_KERNEL = _kernel(tuple(_COMPONENTS.values()))
+_COMPONENT_KERNEL = _kernel(tuple(_COMPONENTS.values()), StressReport)
 
 
 def stress_report(fluct: FluctuationSet, ab: ABPair) -> StressReport:
@@ -96,7 +96,7 @@ def stress_report(fluct: FluctuationSet, ab: ABPair) -> StressReport:
     """
     d = fluct.dlambda_phi2
     if isinstance(d, float):
-        return StressReport(*_COMPONENT_KERNEL(ab.A, math.copysign(ab.B, d)))
+        return _COMPONENT_KERNEL(ab.A, math.copysign(ab.B, d))
     import numpy as np
 
     return StressReport(*evaluate(_COMPONENTS.values(), ab.A, np.copysign(ab.B, d)))

@@ -59,14 +59,18 @@ class Edit(NamedTuple):
 
 
 class KernelEdit(Edit):
-    """An :class:`Edit` of ``fluctuations._kernel`` that also rebuilds the kernels built at import."""
+    """An :class:`Edit` of ``fluctuations._kernel`` that also rebuilds the kernels built at import.
+
+    Each is rebuilt as at import, with its record, so that the scalar
+    path still returns a FluctuationSet and a StressReport.
+    """
 
     def apply(self, monkeypatch) -> None:
         super().apply(monkeypatch)
-        monkeypatch.setattr(fluctuations, "_FIELD_KERNEL",
-                            fluctuations._kernel(tuple(fluctuations.FIELD_PAIRS.values())))
-        monkeypatch.setattr(stress, "_COMPONENT_KERNEL",
-                            fluctuations._kernel(tuple(stress._COMPONENTS.values())))
+        monkeypatch.setattr(fluctuations, "_FIELD_KERNEL", fluctuations._kernel(
+            tuple(fluctuations.FIELD_PAIRS.values()), fluctuations.FluctuationSet, ("phi2",)))
+        monkeypatch.setattr(stress, "_COMPONENT_KERNEL", fluctuations._kernel(
+            tuple(stress._COMPONENTS.values()), stress.StressReport))
 
 
 class SwapLabels(NamedTuple):

@@ -150,3 +150,15 @@ def test_only_profile_loads_the_formatter():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=60)
     assert proc.stdout == "False 0\n", proc.stderr
+
+
+def test_digit_tables_are_the_python_strings():
+    # the tables are built by array arithmetic; these are the strings they spell
+    four = "".join(f"{i:04d}" for i in range(10000)).encode("ascii")
+    zeros = [len(f"{i:04d}") - len(f"{i:04d}".rstrip("0")) for i in range(10000)]
+    suffix = "".join(f"{'-' if e < 0 else '+'}{abs(e):03d}" for e in range(-999, 1000))
+    expected = (np.frombuffer(four, dtype=np.uint32), np.array(zeros, dtype=np.int64),
+                np.frombuffer(suffix.encode("ascii"), dtype=np.uint32))
+    for table, reference in zip(render._digit_tables(), expected, strict=True):
+        assert table.dtype == reference.dtype and table.shape == reference.shape
+        assert table.tobytes() == reference.tobytes()

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import stress
+from platevac import fluctuations, stress
 from platevac.errors import ConsistencyError, DomainError, PlateVacError
 from platevac.fluctuations import (
     FIELD_PAIRS,
+    FluctuationSet,
     InteriorPoint,
     Pair,
     _kernel,
@@ -149,6 +150,20 @@ class TestPairAlgebra:
         for column, value in zip(columns, scalar):
             assert column.dtype == np.float64 and column.shape == (2,)
             assert _bits(column[0]) == _bits(column[1]) == _bits(value)
+
+    @given(st.one_of(st.floats(allow_nan=False), EDGE_FLOATS), st.one_of(st.floats(), EDGE_FLOATS),
+           st.one_of(st.floats(), EDGE_FLOATS))
+    @settings(max_examples=150, deadline=None)
+    def test_record_kernels_are_the_tuple_kernels(self, A, t, phi2):
+        # the scalar path's kernels build their records themselves; each
+        # field holds the bits evaluate gives for the same table
+        fluct = fluctuations._FIELD_KERNEL(phi2, A, t)
+        report = stress._COMPONENT_KERNEL(A, t)
+        assert type(fluct) is FluctuationSet and type(report) is StressReport
+        for record, values in ((fluct, [phi2, *evaluate(FIELD_PAIRS.values(), A, t)]),
+                               (report, evaluate(stress._COMPONENTS.values(), A, t))):
+            assert [_bits(getattr(record, f.name)) for f in fields(record)] == [
+                _bits(v) for v in values]
 
     def test_zero_pair_is_positive_zero(self):
         [value] = evaluate([Pair(0, 0)], 0.25, -3.0)
