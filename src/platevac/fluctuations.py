@@ -17,10 +17,9 @@ domain rather than mapped to infinities.
 Every 1/length^4 field is an exact rational combination alpha A + beta t
 with t = s B, held as a :class:`Pair` in :data:`FIELD_PAIRS`.
 A pair meets floating point in one place: :func:`_kernel` compiles a
-table of pairs into one straight-line function of A and t.  The one
-for this table, built at import, returns the scalar path's
-:class:`FluctuationSet` itself; :func:`evaluate` runs the table's tuple
-kernel on arrays.
+table of pairs into one straight-line function of A and t that builds
+the table's record.  The one for this table, built at import, returns
+the :class:`FluctuationSet` of one point or of a whole grid.
 
 Every formula is written once, in terms of L, s and s2 = sin^2 theta,
 and is shared by the scalar API (one point, Python floats, no numpy)
@@ -36,14 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, _is_finite, _quoted, _require
 from .regsum import _check_theta, _f_of_sin2
 from .spectrum import BoundaryCondition, PlateConfig, _set_field
 
 __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
-           "evaluate", "ab_values", "phi_squared", "phi_squared_single_plate",
+           "ab_values", "phi_squared", "phi_squared_single_plate",
            "expectation_set", "expectation_columns"]
 
 
@@ -123,23 +121,21 @@ FIELD_PAIRS = {
 }
 
 
-@lru_cache(maxsize=8)
-def _kernel(pairs: tuple, record=tuple, passed: tuple = ()):
+def _kernel(pairs: tuple, record, passed: tuple = ()):
     """One compiled function (*passed, A, t) -> record(*passed, *values).
 
     The values are alpha A + beta t of each pair.  ``passed`` names
-    arguments handed through to the record ahead of them; the default
-    record is a tuple literal, and any other (a dataclass) is called in
-    the compiled function itself, so no tuple is built and unpacked.
+    arguments handed through to the record ahead of them; the record is
+    called in the compiled function itself, so no tuple is built and
+    unpacked.  A and t may be floats or float64 arrays; each value has
+    the shape of what it reads, so a beta = 0 value has A's.
 
     A pair with both coefficients nonzero becomes the term
     alpha (A + (beta/alpha) t), the form every field above is written
     in; beta = 0 gives alpha A, which never reads t, alpha = 0 gives
     beta t, and (0, 0) gives 0.0 A.  Each coefficient is the float of
     its exact rational, written into the source by ``repr``, which reads
-    back as the same double; nothing else enters the source.  Kernels
-    are cached by table: compiling one costs tens of microseconds and
-    raises the process's peak memory.
+    back as the same double; nothing else enters the source.
     """
     terms = []
     for pair in pairs:
@@ -148,30 +144,14 @@ def _kernel(pairs: tuple, record=tuple, passed: tuple = ()):
         terms.append(f"{scale!r} * A" if not ratio else f"{ratio!r} * t" if not scale
                      else f"{scale!r} * (A + {ratio!r} * t)")
     args = ", ".join((*passed, "A", "t"))
-    body = "".join(f"{arg}, " for arg in (*passed, *terms))  # of any length
-    call = f"({body})" if record is tuple else f"record({body})"
     namespace: dict = {}
-    exec(f"def kernel({args}):\n    return {call}", {"record": record}, namespace)
+    exec(f"def kernel({args}):\n    return record({', '.join((*passed, *terms))})",
+         {"record": record}, namespace)
     return namespace["kernel"]
 
 
+# Every pair here has beta != 0, so each field takes t's shape.
 _FIELD_KERNEL = _kernel(tuple(FIELD_PAIRS.values()), FluctuationSet, ("phi2",))
-
-
-def evaluate(pairs, A, t) -> list:
-    """alpha A + beta t of each pair in ``pairs``, from the floats A and t.
-
-    ``t`` may be a float or a float64 array (``A`` is a float); every
-    value has t's type and shape.  The values are those of the pairs'
-    kernel (:func:`_kernel`).
-    """
-    values = _kernel(tuple(pairs))(A, t)
-    if isinstance(t, float):
-        return list(values)
-    import numpy as np
-
-    # alpha A of a beta = 0 pair is a float: give it t's shape
-    return [v if isinstance(v, np.ndarray) else np.full_like(t, v) for v in values]
 
 
 def _theta_of_z(config: PlateConfig, z):
@@ -213,10 +193,7 @@ def _phi2(s: int, L, s2):
 
 
 def _fluctuations(s: int, L, s2, A, B) -> FluctuationSet:
-    t = s * B
-    if isinstance(t, float):
-        return _FIELD_KERNEL(_phi2(s, L, s2), A, t)
-    return FluctuationSet(_phi2(s, L, s2), *evaluate(FIELD_PAIRS.values(), A, t))
+    return _FIELD_KERNEL(_phi2(s, L, s2), A, s * B)
 
 
 def ab_values(config: PlateConfig, point: InteriorPoint) -> ABPair:

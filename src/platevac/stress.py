@@ -22,10 +22,9 @@ proved once, at import, in exact rational arithmetic on the table
 breaks one raises :class:`ConsistencyError`.  Only A and t are floats,
 so the improved density is -A and T_zz is -3A to the bit, however close
 the point is to a plate.  :func:`stress_report` takes one point (float
-fields), which the components' kernel (``fluctuations._kernel``,
-built once at import) evaluates into a StressReport, or a grid
-(:func:`fluctuations.expectation_columns`), through
-:func:`fluctuations.evaluate`.
+fields) or a grid (:func:`fluctuations.expectation_columns`), which the
+components' kernel (``fluctuations._kernel``, built once at import)
+evaluates into a StressReport.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .fluctuations import FIELD_PAIRS, ABPair, FluctuationSet, Pair, _kernel, evaluate
+from .fluctuations import FIELD_PAIRS, ABPair, FluctuationSet, Pair, _kernel
 
 __all__ = ["StressReport", "stress_report"]
 
@@ -99,4 +98,5 @@ def stress_report(fluct: FluctuationSet, ab: ABPair) -> StressReport:
         return _COMPONENT_KERNEL(ab.A, math.copysign(ab.B, d))
     import numpy as np
 
-    return StressReport(*evaluate(_COMPONENTS.values(), ab.A, np.copysign(ab.B, d)))
+    # A of t's shape (a view, no copy): the beta = 0 components are arrays too
+    return _COMPONENT_KERNEL(np.broadcast_to(ab.A, d.shape), np.copysign(ab.B, d))

@@ -1,5 +1,5 @@
-"""The contract of the scalar point API and the oracles: any numeric argument gives
-finite values or a PlateVacError.
+"""The contract of the scalar point API, the array path and the oracles: any numeric
+argument gives finite values or a PlateVacError.
 
 Every call is timed and held to a bound far above its microseconds, so
 an argument that sends a call into a long loop fails too.  The suite
@@ -13,6 +13,7 @@ import dataclasses
 import math
 import time
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from platevac import (
@@ -22,6 +23,7 @@ from platevac import (
     ab_values,
     abel_sum_oracle,
     cutoff_sum_oracle,
+    expectation_columns,
     expectation_set,
     mode_sum_finite_part,
     phi_squared,
@@ -29,6 +31,7 @@ from platevac import (
     stress_report,
 )
 from platevac.errors import PlateVacError
+from platevac.spectrum import L_MAX, L_MIN
 
 CALL_BOUND_S = 0.5
 
@@ -110,3 +113,40 @@ def test_oracles_give_finite_values_or_a_library_error(L, theta, k, field, bc):
         point = _call(InteriorPoint.from_theta, config, theta)
         if point is not None:
             _call(mode_sum_finite_part, field, bc, config, point)
+
+
+inside = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True)
+angles = st.one_of(inside, st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                                            1e-160, math.pi, math.pi - 1e-15]))
+
+
+def _assert_finite_columns(record, shape, where: str) -> None:
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64, f"{where}.{field.name}"
+        assert value.shape == shape, f"{where}.{field.name} has shape {value.shape}"
+        assert np.isfinite(value).all(), f"{where}.{field.name} = {value!r}"
+
+
+# half the grids hold only angles inside (0, pi), so that most of those pass
+@given(theta=st.one_of(st.lists(inside, max_size=12), st.lists(angles, max_size=12)),
+       L=st.one_of(st.floats(min_value=L_MIN, max_value=L_MAX), st.sampled_from([L_MIN, L_MAX])),
+       bc=st.sampled_from(list(BoundaryCondition)))
+@settings(max_examples=300, deadline=None)
+def test_array_path_gives_finite_columns_or_a_library_error(theta, L, bc):
+    theta = np.array(theta, dtype=np.float64)
+    config = PlateConfig(L)
+    start = time.perf_counter()
+    try:
+        fluct, ab = expectation_columns(bc, config, theta)
+    except PlateVacError:
+        return
+    middle = time.perf_counter()
+    report = stress_report(fluct, ab)
+    end = time.perf_counter()
+    where = f"expectation_columns({bc}, {L!r}, {theta!r})"
+    assert middle - start < CALL_BOUND_S and end - middle < CALL_BOUND_S, where
+    _assert_finite_columns(fluct, theta.shape, where)
+    _assert_finite_columns(report, theta.shape, f"stress_report of {where}")
+    assert math.isfinite(ab.A)
+    assert ab.B.shape == theta.shape and np.isfinite(ab.B).all()

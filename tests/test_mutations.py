@@ -61,8 +61,8 @@ class Edit(NamedTuple):
 class KernelEdit(Edit):
     """An :class:`Edit` of ``fluctuations._kernel`` that also rebuilds the kernels built at import.
 
-    Each is rebuilt as at import, with its record, so that the scalar
-    path still returns a FluctuationSet and a StressReport.
+    Each is rebuilt as at import, with its record, so that both the
+    scalar and the array path run the mutant.
     """
 
     def apply(self, monkeypatch) -> None:
@@ -163,6 +163,9 @@ MUTATIONS = {
     # (test_array_rows_fail_the_columns_comparison)
     "stress-t-unsigned": (Edit("stress", "stress_report", "np.copysign(ab.B, d)", "ab.B"),
                           set(), set()),
+    # the array branch's A, pinned by the same comparison
+    "stress-A-doubled": (Edit("stress", "stress_report", "np.broadcast_to(ab.A, d.shape)",
+                              "np.broadcast_to(2.0 * ab.A, d.shape)"), set(), set()),
     "pair-sign": (KernelEdit("fluctuations", "_kernel", "(A + {ratio!r} * t)",
                              "(A - {ratio!r} * t)"), {"mode_sum_phidot2", CANONICAL}, set()),
     "pair-beta-zero-sign": (KernelEdit("fluctuations", "_kernel", 'f"{scale!r} * A"',
@@ -273,7 +276,7 @@ def test_mutation_outcome(mutation, fails, raises, monkeypatch):
     assert outcome(mutation, monkeypatch) == (fails, raises)
 
 
-@pytest.mark.parametrize("name", ["columns-half-angle", "stress-t-unsigned"])
+@pytest.mark.parametrize("name", ["columns-half-angle", "stress-t-unsigned", "stress-A-doubled"])
 def test_array_rows_fail_the_columns_comparison(name, monkeypatch):
     # verify evaluates one point at a time; the array path it no longer runs
     # is pinned to the scalar one, bit for bit, which each of these breaks

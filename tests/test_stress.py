@@ -20,7 +20,6 @@ from platevac.fluctuations import (
     Pair,
     _kernel,
     ab_values,
-    evaluate,
     expectation_columns,
     expectation_set,
     phi_squared,
@@ -93,6 +92,11 @@ def _bits(value):
     return "nan" if math.isnan(value) else struct.pack("<d", value)
 
 
+def _values(*values):
+    """The record that keeps a kernel's values as they come."""
+    return values
+
+
 class _Untouchable:
     """A t that fails any arithmetic."""
 
@@ -125,55 +129,60 @@ class TestPairAlgebra:
 
     def test_beta_zero_never_touches_t(self):
         # the improved density and T_zz read A alone, whatever t holds
-        pairs = [stress._COMPONENTS["energy_density_improved"], stress._COMPONENTS["t_zz"]]
-        assert evaluate(pairs, 0.25, math.nan) == [-0.25, -0.75]
-        assert evaluate(pairs, 0.25, math.inf) == [-0.25, -0.75]
+        pairs = (stress._COMPONENTS["energy_density_improved"], stress._COMPONENTS["t_zz"])
+        assert _kernel(pairs, _values)(0.25, math.nan) == (-0.25, -0.75)
+        assert _kernel(pairs, _values)(0.25, math.inf) == (-0.25, -0.75)
 
     @given(st.lists(st.builds(Pair, COEFFICIENTS, COEFFICIENTS), max_size=8),
            st.one_of(st.floats(allow_nan=False), EDGE_FLOATS),
            st.one_of(st.floats(), EDGE_FLOATS))
     @settings(max_examples=150, deadline=None)
     def test_kernel_of_any_table_is_its_written_form(self, table, A, t):
-        values = _kernel(tuple(table))(A, t)
-        assert isinstance(values, tuple) and len(values) == len(table)
+        kernel = _kernel(tuple(table), _values)
+        values = kernel(A, t)
+        assert len(values) == len(table)
         for pair, value in zip(table, values):
             assert _bits(value) == _bits(_written(pair, A, t)), pair
         # beta = 0 terms never read t, whatever it is
         untouched = [p for p in table if not p.beta]
-        assert [_bits(v) for v in _kernel(tuple(untouched))(A, _Untouchable())] == [
+        assert [_bits(v) for v in _kernel(tuple(untouched), _values)(A, _Untouchable())] == [
             _bits(float(p.alpha) * A) for p in untouched]
-        # the array path gives each value at every element of t
-        scalar = evaluate(table, A, t)
-        assert [_bits(v) for v in scalar] == [_bits(v) for v in values]
+        # on arrays, as stress_report hands them over, each value at every element
         with np.errstate(over="ignore", invalid="ignore"):
-            columns = evaluate(table, A, np.array([t, t]))
-        for column, value in zip(columns, scalar):
+            columns = kernel(np.broadcast_to(A, (2,)), np.array([t, t]))
+        for column, value in zip(columns, values):
             assert column.dtype == np.float64 and column.shape == (2,)
             assert _bits(column[0]) == _bits(column[1]) == _bits(value)
 
     @given(st.one_of(st.floats(allow_nan=False), EDGE_FLOATS), st.one_of(st.floats(), EDGE_FLOATS),
            st.one_of(st.floats(), EDGE_FLOATS))
     @settings(max_examples=150, deadline=None)
-    def test_record_kernels_are_the_tuple_kernels(self, A, t, phi2):
-        # the scalar path's kernels build their records themselves; each
-        # field holds the bits evaluate gives for the same table
+    def test_import_kernels_give_the_written_forms(self, A, t, phi2):
+        # both kernels built at import hold in each field the written form
+        # of its pair, bit for bit, and hand phi2 through untouched
         fluct = fluctuations._FIELD_KERNEL(phi2, A, t)
         report = stress._COMPONENT_KERNEL(A, t)
         assert type(fluct) is FluctuationSet and type(report) is StressReport
-        for record, values in ((fluct, [phi2, *evaluate(FIELD_PAIRS.values(), A, t)]),
-                               (report, evaluate(stress._COMPONENTS.values(), A, t))):
-            assert [_bits(getattr(record, f.name)) for f in fields(record)] == [
-                _bits(v) for v in values]
+        assert _bits(fluct.phi2) == _bits(phi2)
+        for record, pairs in ((fluct, FIELD_PAIRS), (report, stress._COMPONENTS)):
+            assert [_bits(getattr(record, name)) for name in pairs] == [
+                _bits(_written(pair, A, t)) for pair in pairs.values()]
+        assert [f.name for f in fields(FluctuationSet)] == ["phi2", *FIELD_PAIRS]
+        assert [f.name for f in fields(StressReport)] == [*stress._COMPONENTS]
 
     def test_zero_pair_is_positive_zero(self):
-        [value] = evaluate([Pair(0, 0)], 0.25, -3.0)
+        [value] = _kernel((Pair(0, 0),), _values)(0.25, -3.0)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_array_results_take_the_shape_of_t(self):
-        t = np.array([1.0, -2.0, 3.0])
-        for value in evaluate(stress._COMPONENTS.values(), 0.25, t):
-            assert isinstance(value, np.ndarray) and value.shape == t.shape
-            assert value.dtype == np.float64
+        theta = np.linspace(0.1, 3.0, 7)
+        for bc in BOTH:
+            fluct, ab = expectation_columns(bc, PlateConfig(0.77), theta)
+            for record in (fluct, stress_report(fluct, ab)):
+                for f in fields(record):
+                    value = getattr(record, f.name)
+                    assert isinstance(value, np.ndarray) and value.shape == theta.shape, f.name
+                    assert value.dtype == np.float64, f.name
 
     @pytest.mark.parametrize("bc", BOTH)
     @pytest.mark.parametrize("L, margin", [(2.37, 0.05), (0.1239, 0.02), (1.825, 0.02),
