@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import casimir, stress
-from .errors import ConsistencyError, InvalidConfigError, PlateVacError
-from .fluctuations import FIELD_PAIRS, _theta_of_z, expectation_columns
+from .errors import InvalidConfigError, PlateVacError
+from .fluctuations import _theta_of_z, expectation_columns
 from .spectrum import BoundaryCondition, PlateConfig
 
 if TYPE_CHECKING:
@@ -44,29 +44,6 @@ _COLUMN_FIELDS = {
     "trace_canonical": "trace_canonical", "trace_improved": "trace_improved",
 }
 PROFILE_COLUMNS = ("z", "theta", *_COLUMN_FIELDS)
-# The proved pair alpha A + beta t of each column that is one (phi2, which
-# scales as 1/length^2, is not).
-_PAIRS = {**FIELD_PAIRS, **stress._COMPONENTS}
-_COLUMN_PAIRS = {column: _PAIRS[field] for column, field in _COLUMN_FIELDS.items()
-                 if field in _PAIRS}
-
-
-def _shared_leads(pairs: dict) -> dict[str, str]:
-    """Each column that prints another's magnitude, mapped to that column.
-
-    A pair beta t (alpha = 0) is beta s B with B > 0, so it has the sign
-    of beta s at every point.  Columns whose betas differ only in sign
-    therefore print one magnitude |beta t|, behind a fixed sign each; the
-    first of them in column order leads.
-    """
-    groups: dict = {}
-    for column, pair in pairs.items():
-        if pair.alpha == 0 and pair.beta != 0:
-            groups.setdefault(abs(pair.beta), []).append(column)
-    return {column: group[0] for group in groups.values() if len(group) > 1 for column in group}
-
-
-_SHARED_LEADS = _shared_leads(_COLUMN_PAIRS)
 
 _CSV_SIG_DIGITS = 12
 _JSON_SIG_DIGITS = 17
@@ -159,54 +136,35 @@ def _config_payload(config: RunConfig) -> dict:
     }
 
 
-def _require_bitwise(column: str, values: np.ndarray, expected: np.ndarray, claim: str) -> None:
-    """ConsistencyError unless ``values`` equals ``expected`` (which broadcasts) bit for bit."""
-    import numpy as np
-
-    expected = np.broadcast_to(expected, values.shape)
-    same = values.view(np.uint64) == expected.view(np.uint64)
-    if not same.all():
-        row = int(np.argmin(same))
-        raise ConsistencyError(f"{column} is proved {claim}, but row {row} reads "
-                               f"{float(values[row])!r}, not {float(expected[row])!r}")
-
-
 def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], list, list[int]]:
     """Each column's cell in the row template, and what fills the cells.
 
-    Derived from the proved pairs: a constant column (beta = 0) is
-    converted once and written as literal text; a column in
-    :data:`_SHARED_LEADS` writes its lead's magnitude, converted once
-    per row, behind a literal sign; every other column is converted per
-    row.  Each converted cell is a %s.  The facts this relies on are
-    checked on the values first, bit for bit, and a breach raises
-    :class:`ConsistencyError`.  Returns the cells, the arrays to convert
-    and each %s cell's index into them.
+    Read off the values, bit for bit: a column that holds one value is
+    converted once and written as literal text; a column whose values
+    are all negative (sign bit set) is converted as its magnitude,
+    behind a literal minus, since ``'%g' % v`` is ``'-'`` and the
+    digits of ``-v``; every other column is converted as it is.  A
+    column whose converted values repeat an earlier one's bit for bit
+    shares that conversion.  Each converted cell is a %s.  Returns the
+    cells, the arrays to convert and each %s cell's index into them;
+    the profile's z grid always varies, so there is at least one array.
     """
     import numpy as np
 
-    cells, sources, slots, shared = [], [], [], {}
-    for column, values in columns.items():
-        pair, lead = _COLUMN_PAIRS.get(column), _SHARED_LEADS.get(column)
-        if pair is not None and pair.beta == 0:
-            _require_bitwise(column, values, values[:1], "constant")
+    cells, sources, slots = [], [], []
+    for values in columns.values():
+        bits = values.view(np.uint64)
+        if (bits == bits[0]).all():
             cells.append(_fmt(float(values[0]), sig))
             continue
-        if lead is None:
-            cells.append("%s")
-            slots.append(len(sources))
-            sources.append(values)
-            continue
-        if lead not in shared:
-            sign = np.copysign(1.0, columns[lead])
-            _require_bitwise(lead, sign, sign[:1], "of one sign")
-            shared[lead] = len(sources), bool(sign[0] < 0.0)
-            sources.append(np.abs(columns[lead]))
-        index, negative = shared[lead]
-        flip = (pair.beta < 0) != (_COLUMN_PAIRS[lead].beta < 0)
-        if flip:
-            _require_bitwise(column, values, -columns[lead], f"minus {lead}")
-        cells.append(("-" if negative != flip else "") + "%s")
+        negative = bool(np.signbit(values).all())
+        shown = -values if negative else values
+        index = next((i for i, source in enumerate(sources) if source[0] == shown[0]
+                      and np.array_equal(source.view(np.uint64), shown.view(np.uint64))), None)
+        if index is None:
+            index = len(sources)
+            sources.append(shown)
+        cells.append("-%s" if negative else "%s")
         slots.append(index)
     return cells, sources, slots
 
@@ -262,6 +220,7 @@ def cmd_profile(config: RunConfig, out) -> int:
     csv = config.output_format == "csv"
     sig = _CSV_SIG_DIGITS if csv else _JSON_SIG_DIGITS
     cells, sources, slots = _render_plan(columns, sig)
+    del columns  # the rows read only the sources: free the constants and the negated originals
     if csv:
         head, tail, sep = ",".join(PROFILE_COLUMNS) + "\n", "", ""
         row = ",".join(cells) + "\n"

@@ -10,8 +10,9 @@ analytic continuation in d, which the gamma-function form realizes
 literally: negative gamma arguments are continued by the gamma function
 itself rather than through subtractions of divergent integrands.
 
-For genuinely convergent integer-dimensional cases a direct radial
-quadrature, by the double-exponential rule, is an independent cross-check.
+For convergent cases in d = 2, the transverse dimensions between the
+plates, a direct radial quadrature by the double-exponential rule is an
+independent cross-check.
 Both take d, N and m^2 as plain numbers and share one argument check.
 """
 
@@ -115,28 +116,27 @@ def _half_line_integral(f) -> float:
     return value
 
 
-_SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
-
 def quadrature_reference(d: int, N: float, m_sq: float) -> float:
-    """Direct radial quadrature of the convergent master integral.
+    """Direct radial quadrature of the convergent master integral in d = 2.
 
-    Only integer d in {1, 2, 3} has a direct numerical realization (the
-    angular factor is the unit-sphere surface S_{d-1}); the continued,
-    non-integer-d values are validated through scaling and recursion
-    identities instead.  Requires 2N > d; for 2N - d >= 1/2, N <= 10 and
-    m_sq in [1e-6, 1e6] it agrees with the gamma-function form to 2e-15.
+    The transverse momenta between the plates span two dimensions, the
+    one case any check asks for: I(2, N, m^2) is the radial integral of
+    k (k^2 + m^2)^-N times 2 pi / (2 pi)^2.  Any other d raises
+    :class:`DomainError`; the continued, non-integer-d values are
+    validated through scaling and recursion identities instead.
+    Requires N > 1; for N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it
+    agrees with the gamma-function form to 2e-15.
     """
-    if d not in _SPHERE_SURFACE:
-        raise DomainError(f"direct quadrature supports d in {{1, 2, 3}}, got {_quoted(d)}")
+    if d != 2:
+        raise DomainError(f"direct quadrature supports d = 2 alone, got {_quoted(d)}")
     _check_integral(d, N, m_sq)
     if not 2.0 * N > d:
         raise DomainError(f"integral diverges for 2N <= d (N={N}, d={d})")
 
-    def integrand(k):  # k^(d-1) (k^2 + m_sq)^-N, no power overflowing for k^2 > m_sq
+    def integrand(k):  # k (k^2 + m_sq)^-N, no power overflowing for k^2 > m_sq
         k_sq = k * k
         if k_sq > m_sq:
-            return k ** (d - 1 - 2.0 * N) / (1.0 + m_sq / k_sq) ** N
-        return k ** (d - 1) / (k_sq + m_sq) ** N
+            return k ** (1 - 2.0 * N) / (1.0 + m_sq / k_sq) ** N
+        return k / (k_sq + m_sq) ** N
 
-    return _SPHERE_SURFACE[d] / (2.0 * math.pi) ** d * _half_line_integral(integrand)
+    return 2.0 * math.pi / (2.0 * math.pi) ** 2 * _half_line_integral(integrand)

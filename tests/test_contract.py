@@ -1,4 +1,4 @@
-"""The contract of the scalar point API, the array path and the oracles: any numeric
+"""The contract of every function in ``platevac.__all__``: any numeric
 argument gives finite values or a PlateVacError.
 
 Every call is timed and held to a bound far above its microseconds, so
@@ -22,13 +22,27 @@ from platevac import (
     PlateConfig,
     ab_values,
     abel_sum_oracle,
+    bernoulli,
+    canonical_density_integral,
     cutoff_sum_oracle,
+    em_reference,
     expectation_columns,
     expectation_set,
+    f_theta,
+    gamma_real,
+    integrated_density_check,
+    k_n,
+    master_integral,
     mode_sum_finite_part,
     phi_squared,
     phi_squared_single_plate,
+    pressure,
+    quadrature_reference,
     stress_report,
+    total_energy,
+    trig_sum_n3_cos,
+    trig_sum_n_cos,
+    zeta_neg_int,
 )
 from platevac.errors import PlateVacError
 from platevac.spectrum import L_MAX, L_MIN
@@ -150,3 +164,24 @@ def test_array_path_gives_finite_columns_or_a_library_error(theta, L, bc):
     _assert_finite_columns(report, theta.shape, f"stress_report of {where}")
     assert math.isfinite(ab.A)
     assert ab.B.shape == theta.shape and np.isfinite(ab.B).all()
+
+
+# d = 2 is the one dimension quadrature_reference integrates
+@given(x=numbers, d=st.one_of(numbers, st.just(2)), N=numbers, L=numbers,
+       bc=st.sampled_from(list(BoundaryCondition)))
+@settings(max_examples=200, deadline=None)
+def test_rest_of_the_api_gives_finite_values_or_a_library_error(x, d, N, L, bc):
+    for fn in (bernoulli, zeta_neg_int, f_theta, trig_sum_n_cos, trig_sum_n3_cos, gamma_real):
+        _call(fn, x)
+    _call(master_integral, d, N, x)
+    _call(quadrature_reference, d, N, x)
+    configs = [PlateConfig(1.0)]
+    config = _call(PlateConfig, L)
+    if config is not None:
+        configs.append(config)
+    for config in configs:
+        for fn in (total_energy, pressure, em_reference):
+            _call(fn, config)
+        _call(integrated_density_check, config, bc)
+        _call(canonical_density_integral, config, bc, x)
+        _call(k_n, config, x)
