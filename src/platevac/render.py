@@ -3,25 +3,20 @@
 :func:`format_g` gives, for every element x of a float64 array, the
 ASCII of ``'%.{sig}g' % x`` as one numpy ``S`` array, so that a profile
 chunk costs a few array operations instead of one Python conversion
-per value.  Python's conversion rounds the exact binary value correctly
-to ``sig`` digits; so does this one:
+per value.  Python rounds the exact binary value correctly to ``sig``
+digits; so does this, in double-double arithmetic, on every platform:
 
-* |x| is scaled into [10^(sig-1), 10^sig) by an exact long-double power
-  of ten, in one correctly rounded multiplication or division, and
-  rounded to an integer there.  The scaled value is then within eps/2
-  relative of the exact one (eps of ``np.longdouble``), so the integer
-  is the correctly rounded digit string unless the scaled value lies
-  within eps 2^ceil(sig log2 10) of a rounding tie: 1/64 at 17 digits
-  with the x87 80-bit format, 2^-23 at 12.
-* Those values, zero, and values whose power of ten is not exact in
-  long double are formatted by Python's own ``'%.{sig}g'``, which
-  overwrites their laid-out cells.  The bytes therefore never depend on
-  the platform's long double: a narrower one only sends more values to
-  Python (every value at 17 digits, if long double is a double).
+* |x| = m 2^e is scaled into [10^(sig-1), 10^sig) by 10^k = (hi + lo) 2^b,
+  rounded to 107 bits.  With m hi exact by Dekker's product (Numer.
+  Math. 18, 224 (1971)), the pair (top, rest) is m 10^k to 2^-100 relative.
+* The pair, unrounded, decides the range, and the digits are
+  ``rint(top) + rint((top - rint(top)) + rest)``: correctly rounded
+  unless the pair lies within 2^-40 of a tie.  Python's own
+  ``'%.{sig}g'`` formats those, in practice the exact decimal ties, over
+  their laid-out cells.  Zero lays out as the digits 0 at exponent 0.
 
-A scaled value within that window of 10^(sig-1) needs no such care:
-whether its exact value lies just below 10^(sig-1) or just above, it
-rounds to the digits 10^(sig-1) at the same decimal exponent.
+A scaled value near 10^(sig-1) or 10^sig needs no such care: on either
+side of the bound it rounds to the digits 10^(sig-1) at one exponent.
 
 The layout, %g's choice between fixed and exponent notation with its
 trailing zeros stripped, is one index table per ``sig`` into each
@@ -36,24 +31,33 @@ from functools import lru_cache
 import numpy as np
 
 
-# The float type values are scaled in; the tests narrow it to a double.
-_WIDE = np.longdouble
+_SHIFTS = range(-310, 345)  # every k that |x| may need at 2 ... 17 digits
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = high + low, each of at most 26 bits, so that their products are exact."""
+    t = x * 134217729.0  # Veltkamp's split by 2^27 + 1
+    high = t - (t - x)
+    return high, x - high
 
 
 @lru_cache(maxsize=None)
-def _powers(dtype: type) -> np.ndarray:
-    """10^0, 10^1, ... in ``dtype``, as far as ``dtype`` holds them exactly.
-
-    10^k = 5^k 2^k is exact while 5^k fits the significand: k <= 27 for
-    the x87 80-bit long double, 22 for a double.
-    """
-    bits = np.finfo(dtype).nmant + 1
-    top = max(k for k in range(64) if 5 ** k < 2 ** bits)
-    powers = np.ones(top + 1, dtype=dtype)
-    for k in range(1, top + 1):
-        powers[k] = powers[k - 1] * 10
-    powers.flags.writeable = False
-    return powers
+def _powers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10^k = (hi + lo) 2^b to 107 bits, hi in [1/2, 1], indexed by k - _SHIFTS[0]."""
+    hi, lo, b = [], [], []
+    for k in _SHIFTS:  # 10^k = m 2^s, m rounded to 107 bits
+        q = 10 ** abs(k)
+        s = q.bit_length() - 107 if k >= 0 else -106 - q.bit_length()
+        twice = (q << 1 - s if s < 1 else q >> s - 1) if k >= 0 else (1 << 1 - s) // q
+        m = (twice + 1) >> 1
+        hi.append((m + (1 << 53)) >> 54)
+        lo.append(m - (hi[-1] << 54))
+        b.append(s + 107)
+    tables = (np.ldexp(np.array(hi, dtype=np.float64), -53),
+              np.ldexp(np.array(lo, dtype=np.float64), -107), np.array(b, dtype=np.int64))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -127,42 +131,37 @@ def _layout_table(sig: int) -> np.ndarray:
 def _scaled_digits(a: np.ndarray, sig: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Digits and decimal exponent of each |x| in ``a``, and which need Python.
 
-    The digits are the integer D < 10^sig with |x| ~ D 10^(X - sig + 1);
-    they are right wherever the returned mask is False.
+    The digits are the integer D < 10^sig with |x| ~ D 10^(X - sig + 1),
+    D = X = 0 for zero; they are right wherever the returned mask is False.
     """
-    powers = _powers(_WIDE)
-    lo, hi = powers[sig - 1], powers[sig]
-    window = np.ldexp(np.finfo(_WIDE).eps, (10 ** sig).bit_length())
+    hi, lo, b = _powers()
+    lower, upper = float(10 ** (sig - 1)), float(10 ** sig)
+    m, e = np.frexp(a)
     positive = a > 0.0
-    estimate = np.floor(np.log10(np.where(positive, a, 1.0))).astype(np.int64)
-    shift = (sig - 1) - estimate
-    # one correction step below may move the shift by one either way
-    exact = positive & (np.abs(shift) < len(powers) - 1)
-    shift[~exact] = 0
-    wide = a.astype(_WIDE)
-    wide[~exact] = lo
+    shift = (sig - 1) - np.floor(np.log10(np.where(positive, a, 1.0))).astype(np.int64)
 
-    def scaled(rows) -> np.ndarray:
-        k = shift[rows]
-        out = wide[rows] * powers[np.abs(k)]
-        down = np.flatnonzero(k < 0)
-        if down.size:
-            out[down] = wide[rows][down] / powers[-k[down]]
-        return out
+    def scaled(rows) -> tuple[np.ndarray, np.ndarray]:  # the pair (top, rest)
+        k = shift[rows] - _SHIFTS[0]
+        x, h = m[rows], hi[k]
+        (x1, x2), (h1, h2) = _halves(x), _halves(h)
+        top = x * h
+        rest = (((x1 * h1 - top) + x1 * h2 + x2 * h1) + x2 * h2) + x * lo[k]
+        return np.ldexp(top, e[rows] + b[k]), np.ldexp(rest, e[rows] + b[k])
 
-    s = scaled(slice(None))
-    step = (s >= hi).astype(np.int64) - (s < lo)
+    # log10 misses the exponent by at most one, so one step corrects it
+    top, rest = scaled(slice(None))
+    step = ((top - upper) + rest >= 0).astype(np.int64) - (((top - lower) + rest < 0) & positive)
     moved = np.flatnonzero(step)
     if moved.size:
         shift[moved] -= step[moved]
-        s[moved] = scaled(moved)
-    nearest = np.rint(s)
-    tie = np.abs(s - nearest) >= 0.5 - window
-    fallback = ~exact | (s < lo) | (s >= hi) | tie
-    digits = nearest.astype(np.int64)
+        top[moved], rest[moved] = scaled(moved)
+    nearest = np.rint(top)
+    fraction = (top - nearest) + rest
+    up = np.rint(fraction)
+    digits = nearest.astype(np.int64) + up.astype(np.int64)
     carry = digits == 10 ** sig
     digits[carry] = 10 ** (sig - 1)
-    return digits, (sig - 1) - shift + carry, fallback
+    return digits, (sig - 1) - shift + carry, np.abs(fraction - up) >= 0.5 - 2.0 ** -40
 
 
 def format_g(values: np.ndarray, sig: int) -> np.ndarray:

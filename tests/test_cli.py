@@ -274,7 +274,7 @@ class TestColumnarProfile:
 
     @pytest.mark.parametrize("bc, length, fmt", list(PROFILE_DIGESTS))
     def test_python_path_bytes_pinned(self, bc, length, fmt, monkeypatch, capsys):
-        # every value converted by Python's own '%.{sig-1}e', none by the fast path
+        # every value converted by Python's own '%.{sig}g', none by the fast path
         scaled = render._scaled_digits
 
         def all_to_python(a, sig):

@@ -16,6 +16,7 @@ from platevac.render import format_g
 from platevac.spectrum import BoundaryCondition
 
 SIGS = (12, 17)  # CSV and JSON
+TEN_L = (1e-72, 1e-3, 0.5, 0.77, 1.0, 1.3, 2.0, 10.0, 1e3, 1e72)
 
 
 def _python(values: np.ndarray, sig: int) -> list[bytes]:
@@ -70,13 +71,13 @@ def test_any_finite_doubles_match_python(values, sig):
 
 
 @given(st.lists(st.tuples(st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
-                          st.integers(min_value=-30, max_value=40), st.booleans()),
+                          st.integers(min_value=-290, max_value=290), st.booleans()),
                 min_size=1, max_size=64),
        st.sampled_from(SIGS))
 @settings(max_examples=300, deadline=None)
 def test_mixed_signs_and_exponents_match_python(parts, sig):
     # a uniform double almost never has a small exponent; these cover
-    # every notation %g picks, both signs and the long-double fast path
+    # every notation %g picks, both signs and most of the power table
     array = np.array([(-m if negative else m) * 10.0 ** e for m, e, negative in parts])
     assert format_g(array, sig).tolist() == _python(array, sig)
 
@@ -86,7 +87,7 @@ def _near_ties(sig: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(sig)
     values = []
     for digits, exponent in zip(rng.integers(10 ** (sig - 1), 10 ** sig, count).tolist(),
-                                rng.integers(-12, 30, count).tolist()):
+                                rng.integers(-290, 290, count).tolist()):
         tie = float(Fraction(2 * digits + 1, 2) * Fraction(10) ** (exponent - sig + 1))
         values += [np.nextafter(tie, 0.0), tie, np.nextafter(tie, np.inf)]
     return np.array(values)
@@ -94,8 +95,8 @@ def _near_ties(sig: int, count: int) -> np.ndarray:
 
 @pytest.mark.parametrize("sig", SIGS)
 def test_near_ties_match_python(sig):
-    # the scaled value of these sits within the rounding window of 1/2,
-    # so the fast path must hand them to Python
+    # the scaled value of these lies within a double's spacing of 1/2,
+    # so the double-double must round them exactly; exact ties go to Python
     values = _near_ties(sig, 2000)
     assert format_g(values, sig).tolist() == _python(values, sig)
 
@@ -107,22 +108,33 @@ def test_blocks_join_seamlessly(sig, monkeypatch):
     assert format_g(values, sig).tolist() == _python(values, sig)
 
 
-@pytest.mark.parametrize("sig", SIGS)
-def test_a_double_long_double_gives_the_same_bytes(sig, monkeypatch):
-    # where long double is only a double, the 17-digit window covers
-    # every value, so all of them go to Python
-    monkeypatch.setattr(render, "_WIDE", np.float64)
-    values = np.concatenate([EDGES, np.random.default_rng(3).standard_normal(500)])
-    assert format_g(values, sig).tolist() == _python(values, sig)
+def test_format_g_runs_where_long_double_is_a_double():
+    # as on a platform without an extended long double; -W error, so that a
+    # numpy RuntimeWarning fails the run too
+    probe = ("import sys, numpy; "
+             "numpy.longdouble, numpy.clongdouble = numpy.float64, numpy.complex128; "
+             "from platevac.cli import RunConfig, _profile_rows, _render_plan; "
+             "from platevac.render import format_g; "
+             "from platevac.spectrum import BoundaryCondition; "
+             "edges = numpy.frombuffer(sys.stdin.buffer.read()); "
+             "columns = _profile_rows(RunConfig(bc=BoundaryCondition.NEUMANN, L=0.37, "
+             "grid_points=4096)); "
+             "print([format_g(v, sig).tolist() == [b'%.*g' % (sig, x) for x in v.tolist()] "
+             "for sig in (12, 17) for v in (edges, *_render_plan(columns, sig)[1])])")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe], input=EDGES.tobytes(),
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          timeout=60)
+    assert (proc.stdout, proc.stderr) == (repr([True] * 20).encode() + b"\n", b"")
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not 80-bit")
+@pytest.mark.parametrize("length", TEN_L)
 @pytest.mark.parametrize("sig", SIGS)
-def test_python_formats_few_profile_values(sig, monkeypatch):
-    # the fast path is what makes the profile fast: with 80-bit long
-    # double, Python sees about 2 / 64 of the 17-digit values (the tie
-    # window) and almost none of the 12-digit ones
-    columns = _profile_rows(RunConfig(bc=BoundaryCondition.NEUMANN, L=0.37, grid_points=4096))
+def test_python_formats_few_profile_values(sig, length, monkeypatch):
+    # the exact scaling is what makes the profile fast: at every
+    # separation, Python sees only the exact decimal ties (none at 12
+    # digits, a few percent of the 17-digit values at some L)
+    columns = _profile_rows(RunConfig(bc=BoundaryCondition.NEUMANN, L=length, grid_points=4096))
     values = np.concatenate(_render_plan(columns, sig)[1])  # what the rows convert
     seen, scaled_digits = [], render._scaled_digits
 
@@ -134,6 +146,15 @@ def test_python_formats_few_profile_values(sig, monkeypatch):
     monkeypatch.setattr(render, "_scaled_digits", counting)
     assert format_g(values, sig).tolist() == _python(values, sig)
     assert sum(seen) <= {12: 0.001, 17: 0.05}[sig] * values.size
+
+
+def test_power_table_is_rounded_to_107_bits():
+    # each 10^k = (hi + lo) 2^b is the power of ten rounded to 107 bits
+    hi, lo, b = render._powers()
+    for k, h, l, e in zip(render._SHIFTS, hi.tolist(), lo.tolist(), b.tolist()):
+        approx = (Fraction(h) + Fraction(l)) * Fraction(2) ** e
+        assert abs(approx / Fraction(10) ** k - 1) <= Fraction(1, 2 ** 107), k
+        assert Fraction(1, 2) <= h <= 1 and abs(l) <= 2.0 ** -54, k
 
 
 def test_empty():
