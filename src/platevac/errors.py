@@ -29,8 +29,7 @@ class QuadratureError(PlateVacError, ArithmeticError):
 
 class ConsistencyError(PlateVacError, ArithmeticError):
     """An internal cross-check failed (for instance, a table of exact
-    pairs that breaks a proved cancellation, or a pipeline value off its
-    closed form)."""
+    pairs that breaks a proved cancellation)."""
 
 
 class InvalidConfigError(PlateVacError, ValueError):

@@ -261,7 +261,7 @@ def _canonical_density_divergence(sample: Sample) -> float:
 
 # Every claim `verify` checks, in report order.  A check belongs here only
 # if it compares two independently computed routes and some transcription
-# error in tests/test_mutations.py makes it FAIL; a raise does not count.
+# error in tests/test_mutations.py makes it FAIL.
 VERIFY_CHECKS = (
     # Regularized power sums against the exponential-cutoff oracle (absolute).
     Check("zeta_cutoff_k1", 2e-15, lambda sample: _cutoff_error(1)),
