@@ -16,6 +16,7 @@ from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.regsum import zeta_neg_int
 from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import stress_report
+from test_render import TEN_L
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -37,6 +38,12 @@ class TestTotalEnergy:
     @pytest.mark.parametrize("L,denominator", [(2.0, 11520.0), (0.5, 180.0)])
     def test_length_scaling(self, L, denominator):
         assert total_energy(PlateConfig(L)) == pytest.approx(-math.pi**2 / denominator, rel=1e-13)
+
+    @pytest.mark.parametrize("L", TEN_L)
+    def test_closed_form_at_every_length(self, L):
+        # verify's energy_pipeline makes this comparison at one L per run
+        closed = -math.pi**2 / (1440.0 * L**3)
+        assert total_energy(PlateConfig(L)) == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
 class TestPressure:
