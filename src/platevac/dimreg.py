@@ -122,8 +122,8 @@ def quadrature_reference(d: int, N: float, m_sq: float) -> float:
     The transverse momenta between the plates span two dimensions, the
     one case any check asks for: I(2, N, m^2) is the radial integral of
     k (k^2 + m^2)^-N times 2 pi / (2 pi)^2.  Any other d raises
-    :class:`DomainError`; the continued, non-integer-d values are
-    validated through scaling and recursion identities instead.
+    :class:`DomainError`; tests/test_dimreg.py checks the continued,
+    non-integer-d values through scaling and recursion identities instead.
     Requires N > 1; for N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it
     agrees with the gamma-function form to 2e-15.
     """

@@ -9,9 +9,12 @@ check then runs at L = 1 on one fresh ``verify.Sample``, as in a
 that FAIL.  A check that raises a :class:`PlateVacError` fails the test.
 
 The keep rule for ``verify.VERIFY_CHECKS``: a check stays only if it
-compares two independently computed routes and some mutation here makes
-it FAIL.  The rows with empty sets are errors no check sees at L = 1;
-the comment on each says what pins it instead.
+compares two independently computed routes and some mutation makes it
+FAIL, and it goes if one other check catches every mutant it catches,
+over this table and the generated sweep of ``tests/sweep_mutants.py``.
+A second rule, which would keep the only check of one of the paper's
+claims, is still to come.  The rows with empty sets are errors no check
+sees at L = 1; the comment on each says what pins it instead.
 """
 
 from __future__ import annotations
@@ -107,8 +110,8 @@ READS_ENERGY = ENERGY | {"length_scaling", "pressure_finite_difference"}
 MODE_SUMS = {"mode_sum_phi2", "mode_sum_phidot2"}
 # The canonical density's quadrature against its closed-form integral.
 CANONICAL = "canonical_density_integral"
-ZETA = {"zeta_cutoff_k1", "zeta_cutoff_k3"}
-ABEL = {"abel_n_cos", "abel_n3_cos", "abel_constant"}
+ZETA = {"zeta_cutoff_k3"}
+ABEL = {"abel_n_cos", "abel_n3_cos"}
 
 # name: (mutation, FAIL set)
 MUTATIONS = {
@@ -236,11 +239,10 @@ MUTATIONS = {
                    {"dimreg_quadrature"} | ENERGY),
     "master-gamma-N": (Edit("dimreg", "master_integral", "gamma_real(N)",
                             "gamma_real(N + 1.0)"),
-                       {"dimreg_quadrature", "dimreg_recursion"} | ENERGY),
+                       {"dimreg_quadrature"} | ENERGY),
     "master-exponent-sign": (Edit("dimreg", "master_integral", "d / 2.0 - N",
                                   "N - d / 2.0"),
-                             {"dimreg_quadrature", "dimreg_scaling", "dimreg_recursion"}
-                             | READS_ENERGY),
+                             {"dimreg_quadrature"} | READS_ENERGY),
     "energy-N": (Edit("casimir", "total_energy", "2.0, -0.5", "2.0, 0.5"), READS_ENERGY),
     "energy-zeta3": (Edit("casimir", "total_energy", "zeta_neg_int(3)", "zeta_neg_int(1)"), ENERGY),
     # A hand-typed pi: the energy 1.97e-13 off, inside the 1e-12 bounds of
@@ -302,7 +304,7 @@ def test_a_pipeline_mutation_prints_the_whole_report_and_exits_1(monkeypatch, ca
     lines = out.splitlines()
     assert err == "" and [line.split()[1] for line in lines[:-1]] == [c.name for c in VERIFY_CHECKS]
     assert {line.split()[1] for line in lines if line.startswith("FAIL ")} == ZETA | ENERGY
-    assert lines[-1] == "17/22 checks passed"
+    assert lines[-1] == "14/18 checks passed"
 
 
 def test_every_check_fails_under_some_mutation():

@@ -223,7 +223,8 @@ class TestComplexExpm1:
 class TestCutoffOracle:
     @pytest.mark.parametrize("k", [1, 3])
     def test_finite_part_is_zeta(self, k):
-        assert abs(cutoff_sum_oracle(k).finite_part - float(zeta_neg_int(k))) <= 1e-14
+        # verify checks k = 3 alone, to this bound; k = 1 reads 0
+        assert abs(cutoff_sum_oracle(k).finite_part - float(zeta_neg_int(k))) <= 2e-15
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_divergent_coefficients(self, k):
