@@ -50,11 +50,12 @@ def em_reference(config: PlateConfig) -> tuple[float, float, float]:
 
     Each component is exactly twice its scalar counterpart, the photon
     having two spin degrees of freedom: (-pi^2/720 L^3, -pi^2/720 L^4,
-    -pi^2/240 L^4).
+    -pi^2/240 L^4).  The pressure is :func:`pressure`'s expression in the
+    same energy, so the pipeline runs once.
     """
     scalar_energy = total_energy(config)
     scalar_density = scalar_energy / config.L
-    scalar_pressure = pressure(config)
+    scalar_pressure = 3.0 * scalar_energy / config.L
     return 2.0 * scalar_energy, 2.0 * scalar_density, 2.0 * scalar_pressure
 
 

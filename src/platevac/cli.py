@@ -18,15 +18,13 @@ stderr; a failed verification exits with status 1.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import casimir, stress
-from .errors import InvalidConfigError, PlateVacError
+from .errors import InvalidConfigError, PlateVacError, _FrozenRecord, _set_field
 from .fluctuations import _theta_of_z, expectation_columns
 from .spectrum import BoundaryCondition, PlateConfig
 
@@ -52,27 +50,23 @@ _JSON_SIG_DIGITS = 17
 _ROW_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_FrozenRecord):
     """Validated CLI configuration."""
 
-    bc: BoundaryCondition
-    L: float = 1.0
-    grid_points: int = 64
-    z_margin: float = 0.02
-    output_format: str = "csv"
-    inject_sign_flip: bool = False
-
-    def __post_init__(self) -> None:
-        PlateConfig(self.L)  # the one place the separation is validated
-        if self.grid_points < 3:
-            raise InvalidConfigError(f"need at least 3 grid points, got {self.grid_points}")
-        if not 0.0 < self.z_margin < 0.5:
-            raise InvalidConfigError(
-                f"margin must lie strictly inside (0, 0.5), got {self.z_margin}"
-            )
-        if self.output_format not in ("csv", "json"):
-            raise InvalidConfigError(f"unknown output format {self.output_format!r}")
+    def __init__(self, bc: BoundaryCondition, L: float = 1.0, grid_points: int = 64,
+                 z_margin: float = 0.02, output_format: str = "csv",
+                 inject_sign_flip: bool = False) -> None:
+        PlateConfig(L)  # the one place the separation is validated
+        if grid_points < 3:
+            raise InvalidConfigError(f"need at least 3 grid points, got {grid_points}")
+        if not 0.0 < z_margin < 0.5:
+            raise InvalidConfigError(f"margin must lie strictly inside (0, 0.5), got {z_margin}")
+        if output_format not in ("csv", "json"):
+            raise InvalidConfigError(f"unknown output format {output_format!r}")
+        for name, value in (("bc", bc), ("L", L), ("grid_points", grid_points),
+                            ("z_margin", z_margin), ("output_format", output_format),
+                            ("inject_sign_flip", inject_sign_flip)):
+            _set_field(self, name, value)
 
     def grid(self) -> np.ndarray:
         import numpy as np
@@ -89,6 +83,8 @@ def _fmt(value: float, sig: int) -> str:
 
 def _json_render(obj) -> str:
     """Deterministic JSON with floats at fixed significant digits."""
+    import json  # here, so that verify and CSV output start without it
+
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(k)}:{_json_render(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -225,6 +221,8 @@ def cmd_profile(config: RunConfig, out) -> int:
         head, tail, sep = ",".join(PROFILE_COLUMNS) + "\n", "", ""
         row = ",".join(cells) + "\n"
     else:
+        import json
+
         # The same document _json_render gives for {"config", "rows", "globals"}.
         head = '{"config":' + _json_render(_config_payload(config)) + ',"rows":['
         tail = '],"globals":' + _json_render(_globals_payload(config)) + "}\n"

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all platevac modules, the argument predicates
-they share, and how an error quotes an argument."""
+they share, how an error quotes an argument, and the bases of the records."""
 
 import math
 import numbers
@@ -75,3 +75,36 @@ def _require(ok, values, message: str) -> None:
     elif ok:
         return
     raise DomainError(message.format(_quoted(values)))
+
+
+class _Record:
+    """Value equality and the repr ``Name(field=value, ...)`` over the fields, ``vars(self)``.
+
+    A subclass's ``__init__`` sets each field, in order; whatever else is
+    stored on an instance (a ``cached_property``'s value) counts as a field
+    too.  Unhashable, since it defines ``__eq__`` alone.
+    """
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+# How a frozen record's __init__ stores each field.
+_set_field = object.__setattr__
+
+
+class _FrozenRecord(_Record):
+    """A hashable :class:`_Record` whose fields cannot be assigned or deleted."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -33,23 +33,19 @@ off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, _is_finite, _quoted, _require
+from .errors import DomainError, _FrozenRecord, _is_finite, _quoted, _Record, _require, _set_field
 from .regsum import _check_theta, _f_of_sin2
-from .spectrum import BoundaryCondition, PlateConfig, _set_field
+from .spectrum import BoundaryCondition, PlateConfig
 
 __all__ = ["InteriorPoint", "ABPair", "FluctuationSet", "Pair", "FIELD_PAIRS",
            "ab_values", "phi_squared", "phi_squared_single_plate",
            "expectation_set", "expectation_columns"]
 
 
-@dataclass(frozen=True, init=False)
-class InteriorPoint:
+class InteriorPoint(_FrozenRecord):
     """A point strictly between the plates, held as theta = pi z / L, which every formula reads."""
-
-    theta: float
 
     def __init__(self, theta: float) -> None:
         _set_field(self, "theta", _check_theta(theta))
@@ -63,16 +59,15 @@ class InteriorPoint:
         return cls(theta)
 
 
-@dataclass
-class ABPair:
+class ABPair(_Record):
     """Position-independent part A and profile part B, both 1/length^4."""
 
-    A: float
-    B: float
+    def __init__(self, A: float, B: float) -> None:
+        self.A = A
+        self.B = B
 
 
-@dataclass
-class FluctuationSet:
+class FluctuationSet(_Record):
     """The quadratic expectation values at one interior point.
 
     ``phi2`` scales as 1/length^2, all other fields as 1/length^4.
@@ -81,23 +76,25 @@ class FluctuationSet:
     between them is assumed anywhere.
     """
 
-    phi2: float
-    phidot2: float
-    dzphi2: float
-    gradTphi2: float
-    dlambda_phi2: float
-    phi_d2z_phi: float
+    def __init__(self, phi2: float, phidot2: float, dzphi2: float, gradTphi2: float,
+                 dlambda_phi2: float, phi_d2z_phi: float) -> None:
+        self.phi2 = phi2
+        self.phidot2 = phidot2
+        self.dzphi2 = dzphi2
+        self.gradTphi2 = gradTphi2
+        self.dlambda_phi2 = dlambda_phi2
+        self.phi_d2z_phi = phi_d2z_phi
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(_FrozenRecord):
     """alpha A + beta t, t = s B, with exact rational (int or Fraction) alpha, beta.
 
     Rational combinations of pairs are pairs, computed exactly.
     """
 
-    alpha: Fraction
-    beta: Fraction
+    def __init__(self, alpha: Fraction, beta: Fraction) -> None:
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
 
     def __add__(self, other: "Pair") -> "Pair":
         return Pair(self.alpha + other.alpha, self.beta + other.beta)

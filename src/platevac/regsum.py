@@ -39,11 +39,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, _is_count, _is_finite, _quoted, _require
+from .errors import DomainError, _FrozenRecord, _is_count, _is_finite, _quoted, _require, _set_field
 
 __all__ = [
     "FinitePartResult",
@@ -248,8 +247,7 @@ def abel_sum_oracle(k: int, theta: float) -> float:
 # Finite parts as Laurent coefficients: the trapezoid rule on a circle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FinitePartResult:
+class FinitePartResult(_FrozenRecord):
     """Finite part of a cutoff-regulated sum plus its divergent coefficients.
 
     ``divergent_coeffs`` are ordered from the most divergent power down,
@@ -257,9 +255,11 @@ class FinitePartResult:
     (:func:`fit_finite_part`).
     """
 
-    finite_part: float
-    divergent_coeffs: tuple[float, ...]
-    error_estimate: float
+    def __init__(self, finite_part: float, divergent_coeffs: tuple[float, ...],
+                 error_estimate: float) -> None:
+        _set_field(self, "finite_part", finite_part)
+        _set_field(self, "divergent_coeffs", divergent_coeffs)
+        _set_field(self, "error_estimate", error_estimate)
 
 
 # Nodes of the trapezoid rule on the circle.  With the nearest other

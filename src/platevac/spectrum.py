@@ -16,10 +16,9 @@ plus-minus pair (Dirichlet), -1 the lower sign (Neumann).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, InvalidConfigError, _is_count, _quoted
+from .errors import DomainError, InvalidConfigError, _FrozenRecord, _is_count, _quoted, _set_field
 
 __all__ = ["BoundaryCondition", "PlateConfig", "L_MIN", "L_MAX", "k_n"]
 
@@ -42,15 +41,8 @@ class BoundaryCondition(Enum):
 L_MIN, L_MAX = 1e-72, 1e72
 
 
-# How a frozen input stores its one validated field.
-_set_field = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
-class PlateConfig:
+class PlateConfig(_FrozenRecord):
     """Plate separation L (length units), within [L_MIN, L_MAX]."""
-
-    L: float
 
     def __init__(self, L: float) -> None:
         if not L_MIN <= L <= L_MAX:

@@ -30,25 +30,26 @@ evaluates into a StressReport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _Record
 from .fluctuations import FIELD_PAIRS, ABPair, FluctuationSet, Pair, _kernel
 
 __all__ = ["StressReport", "stress_report"]
 
 
-@dataclass
-class StressReport:
+class StressReport(_Record):
     """Canonical, improvement, and improved tensor components at a point."""
 
-    energy_density_canonical: float
-    huggins_00: float
-    energy_density_improved: float
-    t_zz: float
-    trace_canonical: float
-    trace_improved: float
+    def __init__(self, energy_density_canonical: float, huggins_00: float,
+                 energy_density_improved: float, t_zz: float, trace_canonical: float,
+                 trace_improved: float) -> None:
+        self.energy_density_canonical = energy_density_canonical
+        self.huggins_00 = huggins_00
+        self.energy_density_improved = energy_density_improved
+        self.t_zz = t_zz
+        self.trace_canonical = trace_canonical
+        self.trace_improved = trace_improved
 
 
 def _derive(fields: dict[str, Pair]) -> dict[str, Pair]:

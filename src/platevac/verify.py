@@ -12,22 +12,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import casimir, dimreg, oracle, regsum, stress
+from .errors import _FrozenRecord, _set_field
 from .fluctuations import (InteriorPoint, ab_values, expectation_set, phi_squared,
                            phi_squared_single_plate)
 from .spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_FrozenRecord):
     """A claim, its upper bound, and ``measure(sample)``, its value on a :class:`Sample`."""
 
-    name: str
-    bound: float
-    measure: Callable[[Sample], float]
+    def __init__(self, name: str, bound: float, measure: Callable[[Sample], float]) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "bound", bound)
+        _set_field(self, "measure", measure)
 
     def passes(self, measured: float) -> bool:
         return measured <= self.bound
@@ -67,12 +67,12 @@ _KERNEL_KN = [math.pi * 1e-3, *(10.0 ** x for x in _linspace(math.log10(math.pi 
 _CANONICAL_MARGINS = (1e-2, 1e-3, 1e-4)
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(_FrozenRecord):
     """Plates L apart; ``sign_flip`` makes the closed forms take every plate as Dirichlet."""
 
-    L: float
-    sign_flip: bool = False
+    def __init__(self, L: float, sign_flip: bool = False) -> None:
+        _set_field(self, "L", L)
+        _set_field(self, "sign_flip", sign_flip)
 
     def evaluated(self, bc: BoundaryCondition) -> BoundaryCondition:
         return BoundaryCondition.DIRICHLET if self.sign_flip else bc

@@ -73,12 +73,13 @@ class TestEmReference:
         assert density == pytest.approx(-math.pi**2 / 720.0, rel=1e-14)
         assert p == pytest.approx(-math.pi**2 / 240.0, rel=1e-14)
 
-    def test_exactly_twice_scalar(self):
-        config = PlateConfig(1.0)
-        energy, density, p = em_reference(config)
-        assert energy == 2.0 * total_energy(config)
-        assert density == 2.0 * total_energy(config) / config.L
-        assert p == 2.0 * pressure(config)
+    @pytest.mark.parametrize("L", TEN_L)
+    def test_exactly_twice_scalar(self, L):
+        # bit for bit, at every separation of the set
+        config = PlateConfig(L)
+        energy = total_energy(config)
+        expected = (2.0 * energy, 2.0 * (energy / L), 2.0 * pressure(config))
+        assert [x.hex() for x in em_reference(config)] == [x.hex() for x in expected]
 
     def test_length_scaling(self):
         energy, _, _ = em_reference(PlateConfig(2.0))

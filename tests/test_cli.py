@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platevac import cli, render
+from platevac import casimir, cli, render
 from platevac.cli import (
     PROFILE_COLUMNS,
     RunConfig,
@@ -477,6 +477,16 @@ class TestEnergyCommand:
         _, second, _ = _run(argv, capsys)
         assert first == second
 
+    def test_runs_the_energy_pipeline_once_per_value(self, monkeypatch, capsys):
+        # total_energy, pressure, em_reference and the density integral's
+        # comparison each evaluate the master integral once
+        calls = []
+        real = casimir.master_integral
+        monkeypatch.setattr(casimir, "master_integral",
+                            lambda *args: calls.append(args) or real(*args))
+        code, _, _ = _run(["energy"], capsys)
+        assert (code, len(calls)) == (0, 4)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bc, length", [("dirichlet", "0.77"), ("neumann", "3.1")])
     def test_golden_output(self, bc, length, fmt, capsys):
@@ -604,6 +614,45 @@ def test_scalar_api_energy_and_verify_run_without_numpy():
     golden = [(GOLDEN / f"energy_dirichlet_L0.77.{fmt}").read_text() for fmt in ("csv", "json")]
     assert "\n".join(energy) + "\n" == "".join(golden)
     assert modules == "[]"
+
+
+# Where importing dataclasses fails: point_worker's call sequence on seeded
+# points, then verify and energy in both formats at L = 0.77.  Prints each
+# command's output, then whether json was loaded at the start, after verify
+# and CSV energy, and after JSON energy.
+DATACLASS_FREE_PROBE = """
+import contextlib, io, math, random, sys
+sys.modules["dataclasses"] = None
+loaded = ["json" in sys.modules]
+import platevac, platevac.cli, platevac.verify
+rng = random.Random(33)
+for _ in range(200):
+    config = platevac.PlateConfig(10.0 ** rng.uniform(-3.0, 3.0))
+    point = platevac.InteriorPoint.from_theta(config, rng.uniform(1e-6, math.pi - 1e-6))
+    bc = rng.choice(list(platevac.BoundaryCondition))
+    fluct = platevac.expectation_set(bc, config, point)
+    report = platevac.stress_report(fluct, platevac.ab_values(config, point))
+    assert all(map(math.isfinite, [*vars(fluct).values(), *vars(report).values()]))
+for argv in (["verify"], ["energy", "--format", "csv"], ["energy", "--format", "json"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert platevac.cli.main([*argv, "--length", "0.77"]) == 0
+    print(out.getvalue(), end="")
+    loaded.append("json" in sys.modules)
+print(loaded[0], loaded[2], loaded[3])
+"""
+
+
+def test_cli_runs_without_dataclasses_and_json_only_for_json():
+    # the records are plain classes, and json is imported by JSON output alone
+    proc = _probe(DATACLASS_FREE_PROBE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *text, loaded = proc.stdout.splitlines(keepends=True)
+    golden = [(GOLDEN / name).read_text() for name in
+              ("verify_L0.77.txt", "energy_dirichlet_L0.77.csv", "energy_dirichlet_L0.77.json")]
+    assert "".join(text) == "".join(golden)
+    before, after, json_output = loaded.split()
+    assert (before, json_output) == (after, "True")
 
 
 @pytest.mark.parametrize("argv, loads_numpy", [

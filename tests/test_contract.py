@@ -9,7 +9,6 @@ well.  Wrong types (str, None, complex) are outside the contract.
 library itself returned.
 """
 
-import dataclasses
 import math
 import time
 
@@ -44,7 +43,7 @@ from platevac import (
     trig_sum_n_cos,
     zeta_neg_int,
 )
-from platevac.errors import PlateVacError
+from platevac.errors import PlateVacError, _Record
 from platevac.spectrum import L_MAX, L_MIN
 
 CALL_BOUND_S = 0.5
@@ -67,9 +66,9 @@ def _finite(value) -> bool:
 
 
 def _assert_finite(value, where: str) -> None:
-    if dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            _assert_finite(getattr(value, field.name), f"{where}.{field.name}")
+    if isinstance(value, _Record):
+        for name, field in vars(value).items():
+            _assert_finite(field, f"{where}.{name}")
     elif isinstance(value, tuple):
         for i, item in enumerate(value):
             _assert_finite(item, f"{where}[{i}]")
@@ -135,11 +134,10 @@ angles = st.one_of(inside, st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 
 
 
 def _assert_finite_columns(record, shape, where: str) -> None:
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        assert isinstance(value, np.ndarray) and value.dtype == np.float64, f"{where}.{field.name}"
-        assert value.shape == shape, f"{where}.{field.name} has shape {value.shape}"
-        assert np.isfinite(value).all(), f"{where}.{field.name} = {value!r}"
+    for name, value in vars(record).items():
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64, f"{where}.{name}"
+        assert value.shape == shape, f"{where}.{name} has shape {value.shape}"
+        assert np.isfinite(value).all(), f"{where}.{name} = {value!r}"
 
 
 # half the grids hold only angles inside (0, pi), so that most of those pass

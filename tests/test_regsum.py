@@ -297,6 +297,13 @@ class TestFitContract:
         # it bounds the error
         assert abs(result.finite_part - 0.3) <= result.error_estimate <= 1e-14
 
+    def test_error_estimate_where_both_rules_agree_to_the_bit(self):
+        # a constant: the 64-node and 32-node means agree exactly, so the
+        # estimate is the round-off on the circle alone, epsilon times |S|
+        result = fit_finite_part(lambda eps: 2.5 + 0j, 1.0, 0)
+        assert (result.finite_part, result.divergent_coeffs) == (2.5, ())
+        assert result.error_estimate == sys.float_info.epsilon * 2.5
+
     def test_returns_plain_floats(self):
         result = fit_finite_part(_laurent_model(2, 1.0), 1.0, 2)
         values = (result.finite_part, result.error_estimate, *result.divergent_coeffs)

@@ -1,6 +1,5 @@
 """Tests for the verify checks and the report `platevac verify` prints."""
 
-import dataclasses
 import math
 import re
 
@@ -9,7 +8,9 @@ import pytest
 
 from platevac import casimir, stress, verify
 from platevac.cli import RunConfig, main, run_verification
+from platevac.fluctuations import ABPair
 from platevac.spectrum import BoundaryCondition
+from platevac.stress import StressReport
 from platevac.verify import VERIFY_CHECKS
 from test_cli import GOLDEN, _probe, _run
 
@@ -65,14 +66,14 @@ class TestVerifyCommand:
             real = verify.ab_values
 
             def corrupted(config, point):
-                return dataclasses.replace(real(config, point), B=value)
+                return ABPair(**{**vars(real(config, point)), "B": value})
 
             monkeypatch.setattr(verify, "ab_values", corrupted)
         else:
             real = stress.stress_report
 
             def corrupted(fluct, ab):
-                return dataclasses.replace(real(fluct, ab), **{corrupt: value})
+                return StressReport(**{**vars(real(fluct, ab)), corrupt: value})
 
             monkeypatch.setattr(stress, "stress_report", corrupted)
         check = _check("trace_canonical_sign")
