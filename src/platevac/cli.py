@@ -21,13 +21,13 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import casimir, stress
 from .errors import InvalidConfigError, PlateVacError, _FrozenRecord, _set_field
 from .fluctuations import _theta_of_z, expectation_columns
 from .spectrum import BoundaryCondition, PlateConfig
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers read it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -45,9 +45,6 @@ PROFILE_COLUMNS = ("z", "theta", *_COLUMN_FIELDS)
 
 _CSV_SIG_DIGITS = 12
 _JSON_SIG_DIGITS = 17
-# Profile rows rendered and written at a time, so that the text of one
-# chunk is all that is held at once.
-_ROW_CHUNK = 4096
 
 
 class RunConfig(_FrozenRecord):
@@ -132,76 +129,6 @@ def _config_payload(config: RunConfig) -> dict:
     }
 
 
-def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], list, list[int]]:
-    """Each column's cell in the row template, and what fills the cells.
-
-    Read off the values, bit for bit: a column that holds one value is
-    converted once and written as literal text; a column whose values
-    are all negative (sign bit set) is converted as its magnitude,
-    behind a literal minus, since ``'%g' % v`` is ``'-'`` and the
-    digits of ``-v``; every other column is converted as it is.  A
-    column whose converted values repeat an earlier one's bit for bit
-    shares that conversion.  Each converted cell is a %s.  Returns the
-    cells, the arrays to convert and each %s cell's index into them;
-    the profile's z grid always varies, so there is at least one array.
-    """
-    import numpy as np
-
-    cells, sources, slots = [], [], []
-    for values in columns.values():
-        bits = values.view(np.uint64)
-        if (bits == bits[0]).all():
-            cells.append(_fmt(float(values[0]), sig))
-            continue
-        negative = bool(np.signbit(values).all())
-        shown = -values if negative else values
-        index = next((i for i, source in enumerate(sources) if source[0] == shown[0]
-                      and np.array_equal(source.view(np.uint64), shown.view(np.uint64))), None)
-        if index is None:
-            index = len(sources)
-            sources.append(shown)
-        cells.append("-%s" if negative else "%s")
-        slots.append(index)
-    return cells, sources, slots
-
-
-def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: int) -> None:
-    """Write every row of the template ``row``, joined by ``sep``.
-
-    Each source is converted once per row by :func:`render.format_g`,
-    which gives the bytes of ``'%.{sig}g' % v``, so the rows match
-    :func:`_fmt` digit for digit; ``slots`` names the source of each %s
-    in ``row``.  The rows go in chunks of :data:`_ROW_CHUNK`.  A chunk's
-    rows are laid out as one byte matrix, the template's text in every
-    row and each cell at its full width, and written without the cells'
-    NUL padding.
-    """
-    # imported here, so that energy and verify, which print no rows, start
-    # without loading the formatter
-    import numpy as np
-
-    from .render import format_g
-
-    pieces = [np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
-              for piece in (sep + row).split("%s")]
-    skip = len(sep)  # the first row has no separator before it
-    for start in range(0, len(sources[0]), _ROW_CHUNK):
-        chunk = np.stack([values[start:start + _ROW_CHUNK] for values in sources], axis=1)
-        cells = format_g(chunk.ravel(), sig)
-        width = cells.itemsize
-        cells = cells.view(np.uint8).reshape(*chunk.shape, width)
-        text = np.empty((len(chunk), sum(map(len, pieces)) + width * len(slots)), dtype=np.uint8)
-        at = 0
-        for slot, piece in enumerate(pieces):
-            text[:, at:at + len(piece)] = piece
-            at += len(piece)
-            if slot < len(slots):
-                text[:, at:at + width] = cells[:, slots[slot]]
-                at += width
-        text = text.ravel()[0 if start else skip:]
-        out.write(str(text[text != 0], "ascii"))
-
-
 def cmd_profile(config: RunConfig, out) -> int:
     import numpy as np
 
@@ -213,6 +140,10 @@ def cmd_profile(config: RunConfig, out) -> int:
         finite = np.isfinite(values)
         if not finite.all():
             raise InvalidConfigError(f"non-finite value {float(values[np.argmin(finite)])!r} in output")
+    # imported here, so that energy and verify, which print no rows, start
+    # without loading the formatter
+    from .render import _render_plan, _write_rows
+
     csv = config.output_format == "csv"
     sig = _CSV_SIG_DIGITS if csv else _JSON_SIG_DIGITS
     cells, sources, slots = _render_plan(columns, sig)

@@ -29,7 +29,11 @@ finite: with q = e^(-eps pi / L),
         = Li_j(q) - (s/2) [Li_j(q e^(2i theta)) + Li_j(q e^(-2i theta))],
 
 where Li_j(x) = sum_n n^j x^n is the Eulerian closed form shared with
-the cutoff oracle.  Nothing is truncated, and the sum is analytic in
+the cutoff oracle.  Only the c_j depend on the field, and only s on the
+condition, so the sums Li_j(q) and Li_j(z) + Li_j(z') at one (L, theta,
+eps) serve both fields under both conditions: :func:`_power_sums` keeps
+the last :data:`_SUMS_CACHED` of them, and ``verify`` computes each of
+its 165 once.  Nothing is truncated, and the sum is analytic in
 complex eps but for poles where q or q e^(+-2i theta) reaches 1.  The
 nearest of them after eps = 0 lies at |eps| = 2 min(theta, pi - theta)
 L / pi, so ``regsum.fit_finite_part`` takes the mean over a circle half
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 from . import dimreg
 from .errors import InvalidConfigError
@@ -90,8 +95,38 @@ def transverse_quadrature(field: str, kn: float, eps: float) -> float:
     p = P - 3 for the pole order P in :data:`_FIELDS`: -1 for phi2, 1 for phidot2.
     """
     power = _divergent_powers(field) - 3
-    return dimreg._half_line_integral(lambda k: k * math.hypot(k, kn) ** power
-                                      * math.exp(-eps * math.hypot(k, kn)) / (2.0 * math.pi))
+    two_pi = 2.0 * math.pi
+
+    def integrand(k):
+        omega = math.hypot(k, kn)
+        return k * omega ** power * math.exp(-eps * omega) / two_pi
+
+    return dimreg._half_line_integral(integrand)
+
+
+# Power sums held at once: a verify run reads 5 angles x 33 cutoffs at one L.
+_SUMS_CACHED = 256
+
+
+# typed: a numpy L or cutoff, which computes in numpy's arithmetic, must not
+# read the sums of an equal float
+@lru_cache(maxsize=_SUMS_CACHED, typed=True)
+def _power_sums(L: float, theta: float, eps: complex) -> tuple[tuple[complex, complex], ...]:
+    """(Li_j(q), Li_j(z) + Li_j(z')) for j = 0, 1, 2, the sums every mode-sum kernel reads.
+
+    q = e^(-eps pi / L) and z, z' = q e^(+-2i theta).  They depend on
+    neither the field nor the boundary condition, so both fields under
+    both conditions read one evaluation.  Each 1 - x is taken through
+    ``regsum._expm1``, so it keeps its digits near a plate.
+    """
+    w = -(math.pi / L) * eps
+    phase = 1j * (2.0 * theta)
+    nodes = [(cmath.exp(v), -_expm1(v)) for v in (w, w + phase, w - phase)]
+    sums = []
+    for j in range(3):
+        free, up, down = (_power_series(j, x, one_minus_x) for x, one_minus_x in nodes)
+        sums.append((free, up + down))
+    return tuple(sums)
 
 
 def _regulated_sums(field: str, bc: BoundaryCondition, L: float, theta: float,
@@ -100,23 +135,19 @@ def _regulated_sums(field: str, bc: BoundaryCondition, L: float, theta: float,
 
     sum_{n>=1} (1 - s cos 2 n theta) T(k_n, eps) / (2 L) with T the
     transverse kernel, as Li_j(q) - (s/2) [Li_j(z) + Li_j(z')] per power
-    of k_n, z and z' = q e^(+-2i theta).  The cosine is the mean of the
-    two phases, not Re Li_j(z), which is not analytic in eps; each
-    1 - x is taken through ``regsum._expm1``, so it keeps its digits
-    near a plate.
+    of k_n, z and z' = q e^(+-2i theta), from :func:`_power_sums`.  The
+    cosine is the mean of the two phases, not Re Li_j(z), which is not
+    analytic in eps.
     """
     a = math.pi / L
-    w = -a * eps
-    phase = 1j * (2.0 * theta)
-    nodes = [(cmath.exp(v), -_expm1(v)) for v in (w, w + phase, w - phase)]
     # s comes from the modes summed, not from BoundaryCondition.sign_upper,
     # so the oracle shares no sign convention with the closed forms:
     # Dirichlet sin^2 gives 1 - cos 2 n theta, Neumann cos^2 1 + cos 2 n theta.
     s = 1 if bc is BoundaryCondition.DIRICHLET else -1
     total = 0.0
-    for j, c in enumerate(_kernel_coefficients(field, eps)):
-        free, up, down = (_power_series(j, x, one_minus_x) for x, one_minus_x in nodes)
-        total += c * a**j * (free - s * 0.5 * (up + down))
+    for j, (c, (free, pair)) in enumerate(zip(_kernel_coefficients(field, eps),
+                                              _power_sums(L, theta, eps))):
+        total += c * a**j * (free - s * 0.5 * pair)
     return total / (2.0 * L)
 
 

@@ -22,6 +22,11 @@ The layout, %g's choice between fixed and exponent notation with its
 trailing zeros stripped, is one index table per ``sig`` into each
 value's digits and symbols, keyed by notation, kept digits and sign.
 Every table is built on first use.
+
+``platevac profile`` writes its rows through :func:`_render_plan`, which
+reads off the columns which cells are literal text and which arrays to
+convert, and :func:`_write_rows`, which converts them by
+:func:`format_g` a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -212,3 +217,70 @@ def _layout(digits: np.ndarray, exponent: np.ndarray, negative: np.ndarray,
     index = table[key]
     index += (np.arange(digits.size) * (symbols.itemsize * symbols.shape[1]))[:, None]
     return symbols.view(np.uint8).ravel()[index].view(f"S{table.shape[1]}").ravel()
+
+
+# Profile rows rendered and written at a time, so that the text of one
+# chunk is all that is held at once.
+_ROW_CHUNK = 4096
+
+
+def _render_plan(columns: dict[str, np.ndarray], sig: int) -> tuple[list[str], list, list[int]]:
+    """Each column's cell in the row template, and what fills the cells.
+
+    Read off the values, bit for bit: a column that holds one value is
+    converted once and written as literal text; a column whose values
+    are all negative (sign bit set) is converted as its magnitude,
+    behind a literal minus, since ``'%g' % v`` is ``'-'`` and the
+    digits of ``-v``; every other column is converted as it is.  A
+    column whose converted values repeat an earlier one's bit for bit
+    shares that conversion.  Each converted cell is a %s.  Returns the
+    cells, the arrays to convert and each %s cell's index into them;
+    the profile's z grid always varies, so there is at least one array.
+    """
+    cells, sources, slots = [], [], []
+    for values in columns.values():
+        bits = values.view(np.uint64)
+        if (bits == bits[0]).all():
+            cells.append(format(float(values[0]), f".{sig}g"))
+            continue
+        negative = bool(np.signbit(values).all())
+        shown = -values if negative else values
+        index = next((i for i, source in enumerate(sources) if source[0] == shown[0]
+                      and np.array_equal(source.view(np.uint64), shown.view(np.uint64))), None)
+        if index is None:
+            index = len(sources)
+            sources.append(shown)
+        cells.append("-%s" if negative else "%s")
+        slots.append(index)
+    return cells, sources, slots
+
+
+def _write_rows(out, row: str, sep: str, sources: list, slots: list[int], sig: int) -> None:
+    """Write every row of the template ``row``, joined by ``sep``.
+
+    Each source is converted once per row by :func:`format_g`,
+    which gives the bytes of ``'%.{sig}g' % v``, so the rows match
+    ``cli._fmt`` digit for digit; ``slots`` names the source of each %s
+    in ``row``.  The rows go in chunks of :data:`_ROW_CHUNK`.  A chunk's
+    rows are laid out as one byte matrix, the template's text in every
+    row and each cell at its full width, and written without the cells'
+    NUL padding.
+    """
+    pieces = [np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+              for piece in (sep + row).split("%s")]
+    skip = len(sep)  # the first row has no separator before it
+    for start in range(0, len(sources[0]), _ROW_CHUNK):
+        chunk = np.stack([values[start:start + _ROW_CHUNK] for values in sources], axis=1)
+        cells = format_g(chunk.ravel(), sig)
+        width = cells.itemsize
+        cells = cells.view(np.uint8).reshape(*chunk.shape, width)
+        text = np.empty((len(chunk), sum(map(len, pieces)) + width * len(slots)), dtype=np.uint8)
+        at = 0
+        for slot, piece in enumerate(pieces):
+            text[:, at:at + len(piece)] = piece
+            at += len(piece)
+            if slot < len(slots):
+                text[:, at:at + width] = cells[:, slots[slot]]
+                at += width
+        text = text.ravel()[0 if start else skip:]
+        out.write(str(text[text != 0], "ascii"))

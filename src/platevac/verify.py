@@ -79,11 +79,15 @@ class Sample(_FrozenRecord):
 
     @cached_property
     def grid(self) -> dict[str, list[float]]:
-        return _stress_grid(self, _STRESS_THETAS)
+        return _stress_grid(self)
 
     @cached_property
-    def mirror(self) -> dict[str, list[float]]:
-        return _stress_grid(self, [math.pi - theta for theta in _STRESS_THETAS])
+    def mirror(self) -> list[float]:
+        """phidot2 at pi - theta for the grid's theta, Dirichlet then Neumann."""
+        plate = PlateConfig(self.L)
+        points = [InteriorPoint.from_theta(plate, math.pi - theta) for theta in _STRESS_THETAS]
+        return [expectation_set(self.evaluated(bc), plate, point).phidot2
+                for bc in BoundaryCondition for point in points]
 
     @cached_property
     def canonical(self) -> list[float]:
@@ -125,29 +129,35 @@ def _mode_sum_error(field: str, sample: Sample) -> float:
     """Mode-sum oracle against the closed-form profile of ``field``, both conditions."""
     plate = PlateConfig(sample.L)
     finite, closed = [], []
-    for bc in BoundaryCondition:
-        for theta in _MODE_SUM_THETAS:
-            point = InteriorPoint.from_theta(plate, theta)
+    for theta in _MODE_SUM_THETAS:
+        point = InteriorPoint.from_theta(plate, theta)
+        for bc in BoundaryCondition:
             finite.append(oracle.mode_sum_finite_part(field, bc, plate, point).finite_part)
             closed.append(getattr(expectation_set(sample.evaluated(bc), plate, point), field))
     return _worst([f - c for f, c in zip(finite, closed)], closed)
 
 
-def _stress_grid(sample: Sample, thetas: list[float]) -> dict[str, list[float]]:
-    """Every field and stress component at ``thetas``, Dirichlet then Neumann, by name.
+def _stress_grid(sample: Sample) -> dict[str, list[float]]:
+    """Every field and stress component on the grid, Dirichlet then Neumann, by name.
 
-    One point at a time; ``trace_expected`` is -6 s B, s the sign of the true condition.
+    One point at a time; each point and its (A, B) serve both conditions.
+    ``trace_expected`` is -6 s B, s the sign of the true condition.
     """
     plate = PlateConfig(sample.L)
-    grid: dict[str, list[float]] = {}
+    points = [InteriorPoint.from_theta(plate, theta) for theta in _STRESS_THETAS]
+    pairs = [ab_values(plate, point) for point in points]
+    flucts, reports, expected = [], [], []
     for bc in BoundaryCondition:
-        for theta in thetas:
-            point = InteriorPoint.from_theta(plate, theta)
-            fluct = expectation_set(sample.evaluated(bc), plate, point)
-            ab = ab_values(plate, point)
-            for name, value in {**vars(fluct), **vars(stress.stress_report(fluct, ab)),
-                                "trace_expected": -6.0 * bc.sign_upper * ab.B}.items():
-                grid.setdefault(name, []).append(value)
+        evaluated = sample.evaluated(bc)
+        for point, ab in zip(points, pairs):
+            fluct = expectation_set(evaluated, plate, point)
+            flucts.append(fluct)
+            reports.append(stress.stress_report(fluct, ab))
+            expected.append(-6.0 * bc.sign_upper * ab.B)
+    grid = {"trace_expected": expected}
+    for records in (flucts, reports):
+        columns = zip(*(vars(record).values() for record in records))
+        grid.update(zip(vars(records[0]), map(list, columns)))
     return grid
 
 
@@ -173,7 +183,7 @@ def _tzz_equals_pressure(sample: Sample) -> float:
 
 def _mirror_symmetry(sample: Sample) -> float:
     grid, mirror = sample.grid, sample.mirror
-    return _worst([g - m for g, m in zip(grid["phidot2"], mirror["phidot2"])],
+    return _worst([g - m for g, m in zip(grid["phidot2"], mirror)],
                   [abs(p) + abs(d) for p, d in zip(grid["phidot2"], grid["dzphi2"])])
 
 

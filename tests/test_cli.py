@@ -299,7 +299,7 @@ class TestColumnarProfile:
         # are literal text; trace_canonical = -dlambda_phi2 shares its
         # magnitude, so nine conversions fill ten cells
         columns = _profile_rows(RunConfig(bc=bc))
-        cells, sources, slots = cli._render_plan(columns, sig)
+        cells, sources, slots = render._render_plan(columns, sig)
         shown = dict(zip(PROFILE_COLUMNS, cells))
         literal = {c for c, cell in shown.items() if "%" not in cell}
         assert literal == {"E_improved", "T_zz", "trace_improved"}
@@ -340,9 +340,9 @@ class TestColumnarProfile:
                 "copy": lambda: earlier.copy(),
                 "negation": lambda: -earlier,
             }[kind]()
-        cells, sources, slots = cli._render_plan(columns, sig)
+        cells, sources, slots = render._render_plan(columns, sig)
         out = io.StringIO()
-        cli._write_rows(out, ",".join(cells) + "\n", "", sources, slots, sig)
+        render._write_rows(out, ",".join(cells) + "\n", "", sources, slots, sig)
         expected = "".join(",".join(f"%.{sig}g" % v for v in row) + "\n"
                            for row in zip(*(values.tolist() for values in columns.values())))
         assert out.getvalue() == expected
@@ -433,8 +433,8 @@ class TestChunkedWrites:
         head, *chunks, tail = out.writes
         # every CSV row ends in a newline, and every JSON row opens a brace
         rows = [text.count("\n" if fmt == "csv" else "{") for text in chunks]
-        full, rest = divmod(points, cli._ROW_CHUNK)
-        assert rows == [cli._ROW_CHUNK] * full + ([rest] if rest else [])
+        full, rest = divmod(points, render._ROW_CHUNK)
+        assert rows == [render._ROW_CHUNK] * full + ([rest] if rest else [])
         assert forks == []
         _assert_no_child_left()
 
@@ -668,6 +668,26 @@ def test_only_profile_imports_numpy(argv, loads_numpy):
                   "print(before, 'numpy' in sys.modules); sys.exit(code)")
     assert proc.returncode == (1 if "--inject-sign-flip" in argv else 0), proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == f"False {loads_numpy}"
+
+
+def test_cli_and_verify_import_without_typing():
+    # in an interpreter without site, whose .pth files may load typing first:
+    # cli reads TYPE_CHECKING as a plain False, and no module of the run needs typing
+    root = Path(__file__).resolve().parents[1]
+    probe = ("import sys; import platevac.cli, platevac.verify; "
+             "print(sorted(m for m in ('typing', 'numpy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_shared_tables_are_built_on_first_use():
+    # the exp-sinh nodes and the oracle's power sums cost nothing at import
+    proc = _probe("import platevac.cli; from platevac import dimreg, oracle; "
+                  "print(dimreg._exp_sinh_nodes.cache_info().currsize, "
+                  "oracle._power_sums.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
 
 
 class TestDirectInvocation:

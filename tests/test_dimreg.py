@@ -291,6 +291,14 @@ class TestHalfLineIntegral:
         with pytest.raises(QuadratureError, match="not a finite double"):
             dimreg._half_line_integral(fails)
 
+    def test_shared_nodes_equal_nodes_formed_inline(self):
+        # the table every integral reads, against the nodes as the two-grid rule forms them
+        inline = []
+        for k in range(-6 * 64, 6 * 64 + 1):
+            t = k / 64
+            inline.append((math.exp(0.5 * math.pi * math.sinh(t)).hex(), math.cosh(t).hex()))
+        assert [(x.hex(), c.hex()) for x, c in dimreg._exp_sinh_nodes()] == inline
+
     def test_verify_integrands_same_bits(self, monkeypatch):
         # the integrands are compared as they are passed: the oracle's close
         # over loop variables, so they cannot be replayed afterwards

@@ -20,6 +20,7 @@ sees at L = 1; the comment on each says what pins it instead.
 from __future__ import annotations
 
 import __future__
+import ast
 import inspect
 import sys
 import textwrap
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import pytest
 
-from platevac import cli, fluctuations, regsum, stress, verify
+from platevac import cli, fluctuations, stress, verify
 from platevac.cli import RunConfig
 from platevac.errors import DomainError
 from platevac.spectrum import BoundaryCondition
@@ -95,11 +96,19 @@ def outcome(mutation, monkeypatch, L: float = 1.0) -> set[str]:
         _clear_caches()  # also after a check raised, which fails the calling test
 
 
+def _caches() -> list:
+    """Every ``functools`` cache a ``platevac`` module holds, found by introspection."""
+    return [value for name, module in list(sys.modules.items())
+            if name == "platevac" or name.startswith("platevac.")
+            for value in vars(module).values() if callable(getattr(value, "cache_clear", None))]
+
+
 def _clear_caches() -> None:
     # a mutant reached through a cached function must neither see nor leave
-    # a cached value of the other version
-    regsum.bernoulli.cache_clear()
-    regsum._eulerian_row.cache_clear()
+    # a cached value of the other version: the oracle's power sums, say, which
+    # call regsum._expm1 and regsum._power_series
+    for cache in _caches():
+        cache.cache_clear()
 
 
 # The checks that compare total_energy's value with another route.
@@ -201,11 +210,10 @@ MUTATIONS = {
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}),
     "kernel-c2": (Edit("oracle", "_kernel_coefficients", "1.0 / eps)", "2.0 / eps)"),
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}),
-    "oracle-half-angle": (Edit("oracle", "_regulated_sums", "2.0 * theta", "theta"),
-                          MODE_SUMS),
+    "oracle-half-angle": (Edit("oracle", "_power_sums", "2.0 * theta", "theta"), MODE_SUMS),
     "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * L)", "/ L"), MODE_SUMS),
     # Re Li_j(z) is not analytic in eps: the circle's mean is not its constant term
-    "oracle-cos-real": (Edit("oracle", "_regulated_sums", "0.5 * (up + down)", "up.real"),
+    "oracle-cos-real": (Edit("oracle", "_power_sums", "up + down", "2.0 * up.real"),
                         MODE_SUMS),
     # Re Li_j(z) counted twice: the cosine weight loses its 1/2
     "oracle-cos-half": (Edit("oracle", "_regulated_sums", "s * 0.5 *", "s *"), MODE_SUMS),
@@ -278,6 +286,37 @@ def test_array_rows_fail_the_columns_comparison(name, monkeypatch):
     MUTATIONS[name][0].apply(monkeypatch)
     with pytest.raises(AssertionError):
         assert_columns_equal_scalar_path(config)
+
+
+def test_the_caches_cleared_are_every_cache_in_the_source():
+    # a cache added to any module later is cleared too, and none is missed:
+    # each function the source decorates with lru_cache or cache is found
+    def name(decorator) -> str:
+        return ast.unparse(getattr(decorator, "func", decorator)).rsplit(".", 1)[-1]
+
+    decorated = set()
+    for module in [m for n, m in sys.modules.items() if n.startswith("platevac.")]:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+                decorated.add(f"{module.__name__}.{node.name}")
+    found = {f"{cache.__module__}.{cache.__qualname__}" for cache in _caches()}
+    assert found == decorated
+    assert {"platevac.dimreg._exp_sinh_nodes", "platevac.oracle._power_sums"} <= found
+    sample = Sample(1.0)
+    for check in VERIFY_CHECKS:
+        check.measure(sample)
+    _clear_caches()
+    assert [c for c in _caches() if c.cache_info().currsize] == []
+
+
+@pytest.mark.parametrize("name", ["expm1-sign", "eulerian-left", "power-series-exponent"])
+def test_a_warm_cache_hides_no_mutant(name, monkeypatch):
+    # the oracle's power sums, cached by an unmutated run, must not stand in
+    # for the sums of a mutant of the functions they call
+    sample = Sample(1.0)
+    assert all(check.passes(check.measure(sample)) for check in VERIFY_CHECKS)
+    assert outcome(MUTATIONS[name][0], monkeypatch) == MUTATIONS[name][1]
 
 
 def test_oracle_L_fails_the_mode_sums_off_L_1(monkeypatch):

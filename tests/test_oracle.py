@@ -245,3 +245,48 @@ class TestSpecValidation:
         monkeypatch.setattr(oracle, "fit_finite_part", recording)
         _oracle("phi2", D, 2.0, theta)
         assert radii == [pytest.approx(min(theta, math.pi - theta) * 2.0 / math.pi, rel=1e-14)]
+
+
+def _bits(result) -> tuple[str, ...]:
+    """Every field of a FinitePartResult, as exact bits."""
+    return (result.finite_part.hex(), *(c.hex() for c in result.divergent_coeffs),
+            result.error_estimate.hex())
+
+
+class TestSharedPowerSums:
+    """The power sums both fields and both conditions read, computed once per cutoff."""
+
+    @pytest.mark.parametrize("L", [1e-3, 0.77, 1e3])
+    def test_warm_results_equal_cold_ones_bit_for_bit(self, L):
+        # verify's calls, in verify's order: each read of the cache against
+        # the same call with the cache cleared before it
+        calls = [(field, theta, bc) for field in ("phi2", "phidot2")
+                 for theta in _MODE_SUM_THETAS for bc in BOTH]
+        cold = []
+        for field, theta, bc in calls:
+            oracle._power_sums.cache_clear()
+            cold.append(_bits(_oracle(field, bc, L, theta)))
+        oracle._power_sums.cache_clear()
+        warm = [_bits(_oracle(field, bc, L, theta)) for field, theta, bc in calls]
+        info = oracle._power_sums.cache_info()
+        # 5 angles x 33 cutoffs summed once, read by the other 19 x 33 calls
+        assert (info.misses, info.hits) == (5 * 33, 15 * 33)
+        assert warm == cold
+
+    def test_another_L_reads_its_own_sums(self):
+        # one angle at two separations: the second call must not read the first's sums
+        theta = _MODE_SUM_THETAS[1]
+        oracle._power_sums.cache_clear()
+        cold = _bits(_oracle("phidot2", N, 2.0, theta))
+        oracle._power_sums.cache_clear()
+        _oracle("phidot2", N, 1.0, theta)
+        assert _bits(_oracle("phidot2", N, 2.0, theta)) == cold
+        assert oracle._power_sums.cache_info().hits == 0
+
+    def test_bounded(self):
+        # a long run over many points holds at most _SUMS_CACHED entries
+        oracle._power_sums.cache_clear()
+        for theta in np.linspace(0.2, 1.5, 9).tolist():
+            _oracle("phi2", D, 1.0, theta)
+        info = oracle._power_sums.cache_info()
+        assert info.maxsize == oracle._SUMS_CACHED and info.currsize == info.maxsize

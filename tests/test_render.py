@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platevac import render
-from platevac.cli import RunConfig, _profile_rows, _render_plan
-from platevac.render import format_g
+from platevac.cli import RunConfig, _profile_rows
+from platevac.render import _render_plan, format_g
 from platevac.spectrum import BoundaryCondition
 
 SIGS = (12, 17)  # CSV and JSON
@@ -113,8 +113,8 @@ def test_format_g_runs_where_long_double_is_a_double():
     # numpy RuntimeWarning fails the run too
     probe = ("import sys, numpy; "
              "numpy.longdouble, numpy.clongdouble = numpy.float64, numpy.complex128; "
-             "from platevac.cli import RunConfig, _profile_rows, _render_plan; "
-             "from platevac.render import format_g; "
+             "from platevac.cli import RunConfig, _profile_rows; "
+             "from platevac.render import _render_plan, format_g; "
              "from platevac.spectrum import BoundaryCondition; "
              "edges = numpy.frombuffer(sys.stdin.buffer.read()); "
              "columns = _profile_rows(RunConfig(bc=BoundaryCondition.NEUMANN, L=0.37, "

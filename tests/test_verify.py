@@ -8,8 +8,8 @@ import pytest
 
 from platevac import casimir, stress, verify
 from platevac.cli import RunConfig, main, run_verification
-from platevac.fluctuations import ABPair
-from platevac.spectrum import BoundaryCondition
+from platevac.fluctuations import ABPair, InteriorPoint, ab_values, expectation_set
+from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import StressReport
 from platevac.verify import VERIFY_CHECKS
 from test_cli import GOLDEN, _probe, _run
@@ -116,9 +116,10 @@ class TestVerifyCommand:
         assert np.array(seen).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_each_shared_sample_is_built_once(self, monkeypatch):
-        # six canonical quadratures and the stress grid and its mirror, 2 x 200
-        # points, for the checks of one run that share them
-        calls = {"canonical_density_quadrature": 0, "stress_report": 0}
+        # six canonical quadratures, and the stress grid's 100 points and (A, B),
+        # each serving both conditions, for the checks of one run that share
+        # them; the mirror evaluates phidot2 alone, with no stress report
+        calls = {"canonical_density_quadrature": 0, "stress_report": 0, "ab_values": 0}
 
         def counting(module, name):
             real = getattr(module, name)
@@ -131,8 +132,30 @@ class TestVerifyCommand:
 
         counting(casimir, "canonical_density_quadrature")
         counting(stress, "stress_report")
+        counting(verify, "ab_values")
         run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
-        assert calls == {"canonical_density_quadrature": 6, "stress_report": 400}
+        assert calls == {"canonical_density_quadrature": 6, "stress_report": 200,
+                         "ab_values": 100}
+
+    @pytest.mark.parametrize("sign_flip", [False, True])
+    def test_grid_and_mirror_equal_a_loop_over_the_public_api(self, sign_flip):
+        # bit for bit what one point at a time gives, each condition on its own
+        sample = verify.Sample(0.77, sign_flip)
+        plate = PlateConfig(0.77)
+        grid: dict[str, list[float]] = {}
+        mirror = []
+        for bc in BoundaryCondition:
+            for theta in verify._STRESS_THETAS:
+                point = InteriorPoint.from_theta(plate, theta)
+                fluct = expectation_set(sample.evaluated(bc), plate, point)
+                ab = ab_values(plate, point)
+                for name, value in {**vars(fluct), **vars(stress.stress_report(fluct, ab)),
+                                    "trace_expected": -6.0 * bc.sign_upper * ab.B}.items():
+                    grid.setdefault(name, []).append(value.hex())
+                mirrored = InteriorPoint.from_theta(plate, math.pi - theta)
+                mirror.append(expectation_set(sample.evaluated(bc), plate, mirrored).phidot2.hex())
+        assert {name: [v.hex() for v in column] for name, column in sample.grid.items()} == grid
+        assert [v.hex() for v in sample.mirror] == mirror
 
     @pytest.mark.parametrize("flags", [[], ["--inject-sign-flip"]])
     def test_quick_is_ignored(self, flags, capsys):
