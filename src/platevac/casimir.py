@@ -118,8 +118,19 @@ def canonical_density_quadrature(config: PlateConfig, bc: BoundaryCondition, mar
     w e/(1 + e) with e = exp(-2u), is formed directly, so none loses
     digits to 1 - tanh u; dz = (L/pi) d theta.
     """
+    (value,) = _canonical_density_quadratures(config, margin, (bc,))
+    return value
+
+
+def _canonical_density_quadratures(
+        config: PlateConfig, margin: float,
+        bcs: tuple[BoundaryCondition, ...] = tuple(BoundaryCondition)) -> list[float]:
+    """:func:`canonical_density_quadrature` for each condition of ``bcs``, in order.
+
+    Each node's point and (A, B) are built once and serve every condition.
+    """
     _require(0.0 < margin < 0.5, margin, "margin must lie in (0, 0.5), got {}")
-    start, width, terms = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
+    start, width, nodes = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
     for k in range(81):
         t = k / 24
         e = math.exp(-math.pi * math.sinh(t))
@@ -127,6 +138,12 @@ def canonical_density_quadrature(config: PlateConfig, bc: BoundaryCondition, mar
         weight = width * math.pi * math.cosh(t) * e / (1.0 + e) ** 2
         for theta in (near, math.pi - near) if k else (near,):
             point = InteriorPoint.from_theta(config, theta)
-            report = stress_report(expectation_set(bc, config, point), ab_values(config, point))
+            nodes.append((weight, point, ab_values(config, point)))
+    values = []
+    for bc in bcs:
+        terms = []
+        for weight, point, ab in nodes:
+            report = stress_report(expectation_set(bc, config, point), ab)
             terms.append(weight * report.energy_density_canonical)
-    return math.fsum(terms) / 24 * config.L / math.pi
+        values.append(math.fsum(terms) / 24 * config.L / math.pi)
+    return values

@@ -130,6 +130,10 @@ def _config_payload(config: RunConfig) -> dict:
 
 
 def cmd_profile(config: RunConfig, out) -> int:
+    if "numpy" not in sys.modules:
+        # profile calls no BLAS routine, and OpenBLAS reads this once, when
+        # numpy loads it: without it, the import starts a thread per CPU
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     try:

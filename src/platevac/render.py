@@ -126,7 +126,9 @@ def _layout_table(sig: int) -> np.ndarray:
                     row += [zero, point] + [zero] * (-exponent - 1) + digits
                 rows.append(row)
     width = max(map(len, rows))
-    table = np.full((len(rows), width), nul, dtype=np.intp)
+    # int32: half the bytes of intp to add a block's row offsets to, and
+    # _BLOCK rows of symbols stay far below 2^31 bytes
+    table = np.full((len(rows), width), nul, dtype=np.int32)
     for i, row in enumerate(rows):
         table[i, :len(row)] = row
     table.flags.writeable = False
@@ -213,10 +215,10 @@ def _layout(digits: np.ndarray, exponent: np.ndarray, negative: np.ndarray,
     notation = np.where((exponent >= -4) & (exponent < sig), exponent + 4,
                         np.where(np.abs(exponent) < 100, sig + 4, sig + 5))
     table = _layout_table(sig)
-    key = (notation * (sig + 1) + kept) * 2 + negative
-    index = table[key]
-    index += (np.arange(digits.size) * (symbols.itemsize * symbols.shape[1]))[:, None]
-    return symbols.view(np.uint8).ravel()[index].view(f"S{table.shape[1]}").ravel()
+    index = np.take(table, (notation * (sig + 1) + kept) * 2 + negative, axis=0)
+    stride = symbols.itemsize * symbols.shape[1]
+    index += np.arange(0, digits.size * stride, stride, dtype=index.dtype)[:, None]
+    return np.take(symbols.view(np.uint8).ravel(), index).view(f"S{table.shape[1]}").ravel()
 
 
 # Profile rows rendered and written at a time, so that the text of one

@@ -91,9 +91,10 @@ class Sample(_FrozenRecord):
 
     @cached_property
     def canonical(self) -> list[float]:
+        """The canonical quadrature at each margin, Dirichlet then Neumann, on nodes both share."""
         plate = PlateConfig(self.L)
-        return [casimir.canonical_density_quadrature(plate, bc, m)
-                for bc in BoundaryCondition for m in _CANONICAL_MARGINS]
+        by_margin = [casimir._canonical_density_quadratures(plate, m) for m in _CANONICAL_MARGINS]
+        return [value for row in zip(*by_margin) for value in row]
 
 
 def _abel_error(k: int, closed) -> float:

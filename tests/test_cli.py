@@ -657,17 +657,58 @@ def test_cli_runs_without_dataclasses_and_json_only_for_json():
 
 @pytest.mark.parametrize("argv, loads_numpy", [
     (["profile", "--points", "3"], True),
+    (["energy"], False),
     (["verify"], False),
     (["verify", "--length", "1e72"], False),
     (["verify", "--inject-sign-flip"], False),
-], ids=["profile", "verify", "verify-1e72", "verify-sign-flip"])
+], ids=["profile", "energy", "verify", "verify-1e72", "verify-sign-flip"])
 def test_only_profile_imports_numpy(argv, loads_numpy):
-    # import platevac.cli alone leaves numpy unloaded; profile loads it, verify never does
-    proc = _probe("import sys, platevac.cli; before = 'numpy' in sys.modules; "
+    # import platevac.cli alone leaves numpy unloaded and the environment as it
+    # was; profile loads numpy with one OpenBLAS thread, energy and verify never
+    # load it
+    proc = _probe("import os, sys; os.environ.pop('OPENBLAS_NUM_THREADS', None); "
+                  "import platevac.cli; before = 'numpy' in sys.modules; "
+                  "unset = 'OPENBLAS_NUM_THREADS' not in os.environ; "
                   f"code = platevac.cli.main({argv!r}); "
-                  "print(before, 'numpy' in sys.modules); sys.exit(code)")
+                  "print(before, unset, 'numpy' in sys.modules, "
+                  "os.environ.get('OPENBLAS_NUM_THREADS')); sys.exit(code)")
     assert proc.returncode == (1 if "--inject-sign-flip" in argv else 0), proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"False {loads_numpy}"
+    threads = "1" if loads_numpy else None
+    assert proc.stdout.splitlines()[-1] == f"False True {loads_numpy} {threads}"
+
+
+# Runs profile in a process whose environment has OPENBLAS_NUM_THREADS as
+# given (None: unset), then prints the variable and the process's thread
+# count, None where /proc/self/task is missing.
+BLAS_THREADS_PROBE = """
+import os, sys
+preset = {preset!r}
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+if preset is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = preset
+import platevac.cli
+code = platevac.cli.main(["profile", "--points", "3", "--output", os.devnull])
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+sys.exit(code)
+"""
+
+
+def test_profile_loads_numpy_without_a_blas_thread_pool():
+    # profile calls no BLAS routine: OpenBLAS starts no worker thread
+    proc = _probe(BLAS_THREADS_PROBE.format(preset=None))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout + proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == "1"
+    if threads == "None":
+        pytest.skip("no /proc/self/task to count the threads in")
+    assert threads == "1"
+
+
+def test_profile_keeps_a_preset_blas_thread_count():
+    proc = _probe(BLAS_THREADS_PROBE.format(preset="2"))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout + proc.stderr
+    assert proc.stdout.split()[0] == "2"
 
 
 def test_cli_and_verify_import_without_typing():

@@ -148,6 +148,48 @@ def test_python_formats_few_profile_values(sig, length, monkeypatch):
     assert sum(seen) <= {12: 0.001, 17: 0.05}[sig] * values.size
 
 
+def _doubles_per_layout_row(sig: int) -> dict[tuple[int, int, int], list[float]]:
+    """Doubles for each (notation, kept digits, negative) that '%.{sig}g' can print.
+
+    Fixed notation n < sig + 4 has exponent n - 4; exponent notation is
+    taken at exponents +-50 (two digits, sig + 4) and +-200 (three, sig + 5).
+    Each kept-digit count is searched for among decimals of that many
+    digits and their neighbouring doubles, as Python prints them.
+    """
+    def kept_and_exponent(value: float) -> tuple[int, int]:
+        mantissa, exponent = (f"%.{sig - 1}e" % value).split("e")
+        return len(mantissa.replace(".", "").rstrip("0")), int(exponent)
+
+    rng = np.random.default_rng(sig)
+    exponents = {n: [n - 4] for n in range(sig + 4)} | {sig + 4: [50, -50], sig + 5: [200, -200]}
+    found = {}
+    for notation, targets in exponents.items():
+        for exponent in targets:
+            for kept in range(1, sig + 1):
+                for _ in range(200):
+                    digits = int(rng.integers(10 ** (kept - 1), 10 ** kept))
+                    value = float(f"{digits}e{exponent - kept + 1}")
+                    near = [value, *np.nextafter(value, [0.0, np.inf]).tolist()]
+                    hits = [v for v in near if kept_and_exponent(v) == (kept, exponent)]
+                    if hits:
+                        found.setdefault((notation, kept, 0), []).append(hits[0])
+                        found.setdefault((notation, kept, 1), []).append(-hits[0])
+                        break
+    return found
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_every_layout_row_matches_python(sig):
+    # each row of the layout table that %g reaches, kept >= 1, with both
+    # signs, so that no rare row goes unchecked
+    rows = _doubles_per_layout_row(sig)
+    assert sorted(rows) == [(notation, kept, negative) for notation in range(sig + 6)
+                            for kept in range(1, sig + 1) for negative in (0, 1)]
+    assert render._layout_table(sig).shape[0] == (sig + 6) * (sig + 1) * 2
+    values = np.concatenate(list(rows.values()))
+    assert format_g(values, sig).tolist() == _python(values, sig)
+
+
 def test_power_table_is_rounded_to_107_bits():
     # each 10^k = (hi + lo) 2^b is the power of ten rounded to 107 bits
     hi, lo, b = render._powers()

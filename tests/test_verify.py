@@ -22,6 +22,21 @@ def _check(name: str) -> verify.Check:
     return next(c for c in VERIFY_CHECKS if c.name == name)
 
 
+def _counting(monkeypatch, *targets) -> dict[str, int]:
+    """Count the calls of each (module, name) in ``targets``, by name."""
+    calls = {}
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestVerifyCommand:
     def test_output_contract(self, capsys):
         # the line format the benchmark parses, one line per table entry
@@ -84,14 +99,15 @@ class TestVerifyCommand:
     def test_nan_growth_fails_the_divergence_check(self, monkeypatch):
         # a NaN in the second growth; min([1000.0, nan]) is 1000.0, so a
         # measure that took the smallest growth passed it
-        real = casimir.canonical_density_quadrature
+        real = casimir._canonical_density_quadratures
 
-        def nan_at_the_smallest_margin(config, bc, margin):
-            if bc is BoundaryCondition.DIRICHLET and margin == 1e-4:
-                return math.nan
-            return real(config, bc, margin)
+        def nan_at_the_smallest_margin(config, margin):
+            values = real(config, margin)  # Dirichlet, Neumann
+            if margin == 1e-4:
+                values[0] = math.nan
+            return values
 
-        monkeypatch.setattr(casimir, "canonical_density_quadrature", nan_at_the_smallest_margin)
+        monkeypatch.setattr(casimir, "_canonical_density_quadratures", nan_at_the_smallest_margin)
         check = _check("canonical_density_divergence")
         measured = check.measure(verify.Sample(1.0))
         assert math.isnan(measured)
@@ -116,26 +132,44 @@ class TestVerifyCommand:
         assert np.array(seen).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_each_shared_sample_is_built_once(self, monkeypatch):
-        # six canonical quadratures, and the stress grid's 100 points and (A, B),
-        # each serving both conditions, for the checks of one run that share
-        # them; the mirror evaluates phidot2 alone, with no stress report
-        calls = {"canonical_density_quadrature": 0, "stress_report": 0, "ab_values": 0}
-
-        def counting(module, name):
-            real = getattr(module, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(module, name, counted)
-
-        counting(casimir, "canonical_density_quadrature")
-        counting(stress, "stress_report")
-        counting(verify, "ab_values")
+        # the canonical quadratures at three margins, and the stress grid's
+        # 100 points and (A, B), each serving both conditions, for the checks
+        # of one run that share them; the mirror evaluates phidot2 alone,
+        # with no stress report
+        calls = _counting(monkeypatch, (casimir, "_canonical_density_quadratures"),
+                          (stress, "stress_report"), (verify, "ab_values"))
         run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
-        assert calls == {"canonical_density_quadrature": 6, "stress_report": 200,
+        assert calls == {"_canonical_density_quadratures": 3, "stress_report": 200,
                          "ab_values": 100}
+
+    def test_canonical_nodes_serve_both_conditions(self, monkeypatch):
+        # 161 tanh-sinh nodes at each of three margins: each node's (A, B)
+        # once, its fluctuations and stress report once per condition
+        calls = _counting(monkeypatch, (casimir, "ab_values"), (casimir, "expectation_set"),
+                          (casimir, "stress_report"))
+        verify.Sample(0.77).canonical
+        assert calls == {"ab_values": 483, "expectation_set": 966, "stress_report": 966}
+
+    @pytest.mark.parametrize("length", [1e-72, 0.77, 1.3, 1e72])
+    def test_canonical_equals_a_loop_over_the_public_api(self, length):
+        # bit for bit what each condition and margin gives on its own nodes
+        plate = PlateConfig(length)
+        expected = []
+        for bc in BoundaryCondition:
+            for margin in verify._CANONICAL_MARGINS:
+                start, width, terms = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
+                for k in range(81):
+                    e = math.exp(-math.pi * math.sinh(k / 24))
+                    near = start + width * e / (1.0 + e)
+                    weight = width * math.pi * math.cosh(k / 24) * e / (1.0 + e) ** 2
+                    for theta in (near, math.pi - near) if k else (near,):
+                        point = InteriorPoint.from_theta(plate, theta)
+                        report = stress.stress_report(expectation_set(bc, plate, point),
+                                                      ab_values(plate, point))
+                        terms.append(weight * report.energy_density_canonical)
+                expected.append((math.fsum(terms) / 24 * length / math.pi).hex())
+                assert casimir.canonical_density_quadrature(plate, bc, margin).hex() == expected[-1]
+        assert [v.hex() for v in verify.Sample(length).canonical] == expected
 
     @pytest.mark.parametrize("sign_flip", [False, True])
     def test_grid_and_mirror_equal_a_loop_over_the_public_api(self, sign_flip):
