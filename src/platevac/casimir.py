@@ -106,28 +106,19 @@ def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margi
     return value
 
 
-def canonical_density_quadrature(config: PlateConfig, bc: BoundaryCondition, margin: float) -> float:
+def canonical_density_quadrature(config: PlateConfig, margin: float) -> tuple[float, float]:
     """The pointwise canonical density integrated over [m L, (1 - m) L] by quadrature.
 
-    The second route to :func:`canonical_density_integral`: the density
-    of :func:`stress_report`, evaluated one point at a time, under the
-    tanh-sinh rule (Takahasi and Mori, Publ. RIMS 9, 721, 1974):
+    The second route to :func:`canonical_density_integral`, returned as
+    (Dirichlet, Neumann): the density of :func:`stress_report`, evaluated
+    one point at a time, under the tanh-sinh rule (Takahasi and Mori,
+    Publ. RIMS 9, 721, 1974):
     theta = a + w (1 + tanh u)/2, u = (pi/2) sinh t, a = pi m, w = pi (1 - 2m),
     at t = k/24, |k| <= 80, which clusters the nodes where the density
     grows as theta^-4.  Each node's distance to the nearer end,
     w e/(1 + e) with e = exp(-2u), is formed directly, so none loses
-    digits to 1 - tanh u; dz = (L/pi) d theta.
-    """
-    (value,) = _canonical_density_quadratures(config, margin, (bc,))
-    return value
-
-
-def _canonical_density_quadratures(
-        config: PlateConfig, margin: float,
-        bcs: tuple[BoundaryCondition, ...] = tuple(BoundaryCondition)) -> list[float]:
-    """:func:`canonical_density_quadrature` for each condition of ``bcs``, in order.
-
-    Each node's point and (A, B) are built once and serve every condition.
+    digits to 1 - tanh u; dz = (L/pi) d theta.  Each node's point and
+    (A, B) are built once and serve both conditions.
     """
     _require(0.0 < margin < 0.5, margin, "margin must lie in (0, 0.5), got {}")
     start, width, nodes = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
@@ -140,10 +131,11 @@ def _canonical_density_quadratures(
             point = InteriorPoint.from_theta(config, theta)
             nodes.append((weight, point, ab_values(config, point)))
     values = []
-    for bc in bcs:
+    for bc in BoundaryCondition:  # Dirichlet, then Neumann
         terms = []
         for weight, point, ab in nodes:
             report = stress_report(expectation_set(bc, config, point), ab)
             terms.append(weight * report.energy_density_canonical)
         values.append(math.fsum(terms) / 24 * config.L / math.pi)
-    return values
+    dirichlet, neumann = values
+    return dirichlet, neumann

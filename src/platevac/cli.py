@@ -137,6 +137,9 @@ def cmd_profile(config: RunConfig, out) -> int:
     import numpy as np
 
     try:
+        # z and theta alone would pass the address space, where numpy raises ValueError
+        if 16 * config.grid_points > sys.maxsize:
+            raise MemoryError
         columns = _profile_rows(config)
     except MemoryError as exc:
         raise InvalidConfigError(f"{config.grid_points} grid points do not fit in memory") from exc

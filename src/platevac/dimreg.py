@@ -12,8 +12,8 @@ itself rather than through subtractions of divergent integrands.
 
 For convergent cases in d = 2, the transverse dimensions between the
 plates, a direct radial quadrature by the double-exponential rule is an
-independent cross-check.
-Both take d, N and m^2 as plain numbers and share one argument check.
+independent cross-check.  Both take plain numbers and share one check
+of N and m^2.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ def gamma_real(x: float) -> float:
         raise DomainError(f"Gamma({x}) overflows a double") from None
 
 
-def _check_integral(d: float, N: float, m_sq: float) -> None:
-    """DomainError unless d and N are finite and m_sq lies in (0, inf); 10**400 is not finite."""
-    if not (_is_finite(d) and _is_finite(N)):
-        raise DomainError(f"d and N must be finite, got d = {_quoted(d)}, N = {_quoted(N)}")
+def _check_integral(N: float, m_sq: float) -> None:
+    """DomainError unless N is finite and m_sq lies in (0, inf); 10**400 is not finite."""
+    if not _is_finite(N):
+        raise DomainError(f"N must be finite, got {_quoted(N)}")
     if not (_is_finite(m_sq) and m_sq > 0.0):
         raise DomainError(f"m_sq must be positive and finite, got {_quoted(m_sq)}")
 
@@ -67,7 +67,9 @@ def master_integral(d: float, N: float, m_sq: float) -> float:
     value is zero.  A value that is not a finite double raises
     :class:`DomainError`.
     """
-    _check_integral(d, N, m_sq)
+    if not _is_finite(d):
+        raise DomainError(f"d must be finite, got {_quoted(d)}")
+    _check_integral(N, m_sq)
     a = N - d / 2.0
     if _is_nonpositive_integer(a):
         raise PoleError(
@@ -128,22 +130,20 @@ def _half_line_integral(f) -> float:
     return value
 
 
-def quadrature_reference(d: int, N: float, m_sq: float) -> float:
+def quadrature_reference(N: float, m_sq: float) -> float:
     """Direct radial quadrature of the convergent master integral in d = 2.
 
     The transverse momenta between the plates span two dimensions, the
     one case any check asks for: I(2, N, m^2) is the radial integral of
-    k (k^2 + m^2)^-N times 2 pi / (2 pi)^2.  Any other d raises
-    :class:`DomainError`; tests/test_dimreg.py checks the continued,
-    non-integer-d values through scaling and recursion identities instead.
-    Requires N > 1; for N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it
+    k (k^2 + m^2)^-N times 2 pi / (2 pi)^2.  tests/test_dimreg.py checks
+    the continued, non-integer-d values of :func:`master_integral` through
+    scaling and recursion identities instead.  Requires N > 1, where the
+    integral converges; for N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it
     agrees with the gamma-function form to 2e-15.
     """
-    if d != 2:
-        raise DomainError(f"direct quadrature supports d = 2 alone, got {_quoted(d)}")
-    _check_integral(d, N, m_sq)
-    if not 2.0 * N > d:
-        raise DomainError(f"integral diverges for 2N <= d (N={N}, d={d})")
+    _check_integral(N, m_sq)
+    if not N > 1.0:
+        raise DomainError(f"the integral in d = 2 diverges for N <= 1, got N = {_quoted(N)}")
 
     def integrand(k):  # k (k^2 + m_sq)^-N, no power overflowing for k^2 > m_sq
         k_sq = k * k

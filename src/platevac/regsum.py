@@ -11,10 +11,10 @@ negative integers, the oscillatory sums through the closed forms
 Two independent numerical routes to the same finite parts are provided
 for cross-validation:
 
-* ``cutoff_sum_oracle`` sums S(eps) = sum_n n^k e^(-eps n) exactly
+* ``cutoff_sum_oracle`` sums S(eps) = sum_n n^3 e^(-eps n) exactly
   (closed form through Eulerian polynomials) at complex cutoffs.  S is
   analytic in eps but for poles at eps = 2 pi i m; the one at 0 is
-  k!/eps^(k+1) followed by the constant zeta(-k).  ``fit_finite_part``
+  3!/eps^4 followed by the constant zeta(-3).  ``fit_finite_part``
   reads that constant off as the mean of S over 64 equally spaced
   points of the circle |eps| = pi, half way to the next pole: the
   trapezoid rule for the Laurent coefficient, exact to about 2^-64.
@@ -61,8 +61,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # The largest k zeta_neg_int takes, so bernoulli stops at index 172.  The
-# exact recurrence costs about n^2.6 and the package asks for k = 1 and 3
-# alone; 171 keeps a cold call under 0.1 s (2-vCPU Xeon).  It is also the
+# exact recurrence costs about n^2.6 and the package asks for k = 3 alone;
+# 171 keeps a cold call under 0.1 s (2-vCPU Xeon).  It is also the
 # last row of Eulerian numbers that are all finite doubles.
 _MAX_SCALAR_POWER = 171
 
@@ -213,7 +213,7 @@ def abel_sum_oracle(k: int, theta: float) -> float:
     Parameters
     ----------
     k : int
-        Power of n; one of 0, 1, 3 (the powers the closed forms cover).
+        Power of n; 1 or 3 (the powers the closed forms cover).
     theta : float
         Half the phase step of the cosine: any angle off the plates
         theta = m pi with 2 theta finite.  The sum is even and pi-periodic in theta.
@@ -226,8 +226,8 @@ def abel_sum_oracle(k: int, theta: float) -> float:
         plates, where the sum has no Abel limit; or if the sum overflows a
         double that close to a plate.
     """
-    if not (_is_count(k) and k in (0, 1, 3)):
-        raise DomainError(f"supported powers are 0, 1 and 3, got {_quoted(k)}")
+    if not (_is_count(k) and k in (1, 3)):
+        raise DomainError(f"supported powers are 1 and 3, got {_quoted(k)}")
     if not (_is_finite(theta) and abs(theta) <= 0.5 * sys.float_info.max):
         raise DomainError(f"theta must be finite, and 2 theta too, got {_quoted(theta)}")
     k = int(k)  # a numpy integer would take the powers through numpy's pow
@@ -332,22 +332,18 @@ def fit_finite_part(regulated, radius: float, divergent_powers: int) -> FinitePa
     raise DomainError("finite-part fit needs finite data")
 
 
-def cutoff_sum_oracle(k: int) -> FinitePartResult:
-    """Exponential-cutoff oracle for the zeta-regularized power sum.
+def cutoff_sum_oracle() -> FinitePartResult:
+    """Exponential-cutoff oracle for zeta(-3), the zeta-regularized sum of n^3.
 
-    S(eps) = sum_{n>=1} n^k e^(-eps n) in closed form, with 1 - e^(-eps)
+    S(eps) = sum_{n>=1} n^3 e^(-eps n) in closed form, with 1 - e^(-eps)
     taken through a complex expm1, is analytic in eps but for poles at
-    eps = 2 pi i m; the one at 0 has order k + 1 and leading coefficient
-    k!.  :func:`fit_finite_part` reads its constant term, which must
-    agree with zeta(-k), off the circle |eps| = pi, half way to the next
-    pole.  k must be 1 or 3, or DomainError before any sum.
+    eps = 2 pi i m; the one at 0 has order 4 and leading coefficient
+    3!.  :func:`fit_finite_part` reads its constant term, which must
+    agree with zeta(-3), off the circle |eps| = pi, half way to the next
+    pole.
 
-    On that circle the divergent terms are a few times zeta(-k) at most,
-    so the finite part is good to about 1e-16 absolute, and k! comes out
+    On that circle the divergent terms are a few times zeta(-3) at most,
+    so the finite part is good to about 1e-16 absolute, and 3! comes out
     to about 1e-15 relative.
     """
-    if not (_is_count(k) and k in (1, 3)):
-        raise DomainError(f"the cutoff oracle checks the powers 1 and 3 alone, got {_quoted(k)}")
-    k = int(k)  # a numpy integer would take the powers through numpy's pow
-    return fit_finite_part(lambda eps: _power_series(k, cmath.exp(-eps), -_expm1(-eps)),
-                           math.pi, k + 1)
+    return fit_finite_part(lambda eps: _power_series(3, cmath.exp(-eps), -_expm1(-eps)), math.pi, 4)

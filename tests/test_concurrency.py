@@ -31,7 +31,7 @@ def test_parallel_oracles_and_caches():
     # from many threads must neither deadlock nor corrupt results
     bernoulli.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        zetas = list(pool.map(lambda _: cutoff_sum_oracle(3).finite_part, range(16)))
+        zetas = list(pool.map(lambda _: cutoff_sum_oracle().finite_part, range(16)))
         bernoullis = list(pool.map(bernoulli, list(range(24)) * 4))
     assert all(z == zetas[0] for z in zetas)
     assert abs(zetas[0] - 1.0 / 120.0) < 1e-6

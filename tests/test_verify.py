@@ -99,15 +99,13 @@ class TestVerifyCommand:
     def test_nan_growth_fails_the_divergence_check(self, monkeypatch):
         # a NaN in the second growth; min([1000.0, nan]) is 1000.0, so a
         # measure that took the smallest growth passed it
-        real = casimir._canonical_density_quadratures
+        real = casimir.canonical_density_quadrature
 
         def nan_at_the_smallest_margin(config, margin):
-            values = real(config, margin)  # Dirichlet, Neumann
-            if margin == 1e-4:
-                values[0] = math.nan
-            return values
+            dirichlet, neumann = real(config, margin)
+            return (math.nan if margin == 1e-4 else dirichlet), neumann
 
-        monkeypatch.setattr(casimir, "_canonical_density_quadratures", nan_at_the_smallest_margin)
+        monkeypatch.setattr(casimir, "canonical_density_quadrature", nan_at_the_smallest_margin)
         check = _check("canonical_density_divergence")
         measured = check.measure(verify.Sample(1.0))
         assert math.isnan(measured)
@@ -136,10 +134,10 @@ class TestVerifyCommand:
         # 100 points and (A, B), each serving both conditions, for the checks
         # of one run that share them; the mirror evaluates phidot2 alone,
         # with no stress report
-        calls = _counting(monkeypatch, (casimir, "_canonical_density_quadratures"),
+        calls = _counting(monkeypatch, (casimir, "canonical_density_quadrature"),
                           (stress, "stress_report"), (verify, "ab_values"))
         run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
-        assert calls == {"_canonical_density_quadratures": 3, "stress_report": 200,
+        assert calls == {"canonical_density_quadrature": 3, "stress_report": 200,
                          "ab_values": 100}
 
     def test_canonical_nodes_serve_both_conditions(self, monkeypatch):
@@ -155,7 +153,9 @@ class TestVerifyCommand:
         # bit for bit what each condition and margin gives on its own nodes
         plate = PlateConfig(length)
         expected = []
-        for bc in BoundaryCondition:
+        by_margin = {m: casimir.canonical_density_quadrature(plate, m)
+                     for m in verify._CANONICAL_MARGINS}
+        for i, bc in enumerate(BoundaryCondition):
             for margin in verify._CANONICAL_MARGINS:
                 start, width, terms = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
                 for k in range(81):
@@ -168,7 +168,7 @@ class TestVerifyCommand:
                                                       ab_values(plate, point))
                         terms.append(weight * report.energy_density_canonical)
                 expected.append((math.fsum(terms) / 24 * length / math.pi).hex())
-                assert casimir.canonical_density_quadrature(plate, bc, margin).hex() == expected[-1]
+                assert by_margin[margin][i].hex() == expected[-1]
         assert [v.hex() for v in verify.Sample(length).canonical] == expected
 
     @pytest.mark.parametrize("sign_flip", [False, True])
@@ -190,6 +190,16 @@ class TestVerifyCommand:
                 mirror.append(expectation_set(sample.evaluated(bc), plate, mirrored).phidot2.hex())
         assert {name: [v.hex() for v in column] for name, column in sample.grid.items()} == grid
         assert [v.hex() for v in sample.mirror] == mirror
+
+    @pytest.mark.parametrize("cached", ["grid", "mirror", "canonical"])
+    def test_sample_is_equal_and_hashed_by_its_fields_alone(self, cached):
+        # a value a property cached is no field: (L, sign_flip) decide
+        read, fresh = verify.Sample(0.77), verify.Sample(0.77)
+        getattr(read, cached)
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh) == hash((0.77, False))
+        assert read != verify.Sample(0.77, True) and read != verify.Sample(1.3)
+        assert len({read, fresh, verify.Sample(0.77, True)}) == 2
 
     @pytest.mark.parametrize("flags", [[], ["--inject-sign-flip"]])
     def test_quick_is_ignored(self, flags, capsys):
