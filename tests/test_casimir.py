@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from platevac import casimir
 from platevac.casimir import (
     canonical_density_integral,
     canonical_density_quadrature,
@@ -184,3 +185,15 @@ class TestCanonicalDivergence:
             integral(PlateConfig(1.0), margin=0.0)
         with pytest.raises(ValueError):
             integral(PlateConfig(1.0), margin=0.5)
+
+    @pytest.mark.parametrize("margin", [math.nan, -0.1, 0.6, math.inf])
+    def test_quadrature_refuses_a_margin_before_any_node(self, margin, monkeypatch):
+        # one guard serves both conditions, before a point or (A, B) is built
+        class NoPoints:
+            @staticmethod
+            def from_theta(*args):
+                raise AssertionError("built a node for a refused margin")
+
+        monkeypatch.setattr(casimir, "InteriorPoint", NoPoints)
+        with pytest.raises(ValueError, match=r"margin must lie in \(0, 0.5\)"):
+            canonical_density_quadrature(PlateConfig(1.0), margin)

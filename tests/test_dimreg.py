@@ -166,9 +166,15 @@ class TestQuadratureReference:
 
     @pytest.mark.parametrize("call", [
         lambda: quadrature_reference(1.0, 1.0),  # N <= 1 diverges in d = 2
+        lambda: quadrature_reference(0.5, 1.0),
+        lambda: quadrature_reference(-3.0, 1.0),
         lambda: quadrature_reference(math.nan, 1.0),
+        lambda: quadrature_reference(math.inf, 1.0),
+        lambda: quadrature_reference(-math.inf, 1.0),
         lambda: quadrature_reference(2.0, 0.0),
         lambda: quadrature_reference(2.0, -1.0),
+        lambda: quadrature_reference(2.0, -0.0),
+        lambda: quadrature_reference(2.0, -math.inf),
         lambda: quadrature_reference(2.0, math.nan),
         lambda: quadrature_reference(2.0, math.inf),
         lambda: master_integral(2.0, 1.0, 0.0),

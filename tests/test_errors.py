@@ -45,8 +45,10 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: regsum.abel_sum_oracle(5, 1.0),
     lambda: regsum.abel_sum_oracle("1", 1.0),
     lambda: regsum.abel_sum_oracle(None, 1.0),
+    lambda: regsum.abel_sum_oracle(0, 1.0),
     # a finite theta whose 2 theta is not
     lambda: regsum.abel_sum_oracle(1, 8.98846567431158e307),
+    lambda: regsum.abel_sum_oracle(3, -8.98846567431158e307),
     lambda: spectrum.k_n(PLATE, 0),
     lambda: dimreg.master_integral(3.0, 10.0, 1e-300),
     lambda: oracle.transverse_quadrature("dzphi2", 1.0, 1.0),
@@ -91,8 +93,8 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     "fit_finite_part-inf", "cutoff_sums-tiny-cutoffs",
     *(f"fit_finite_part-radius-{radius}" for radius in ("zero", "negative", "nan", "inf")),
     "abel_sum_oracle-bool", "abel_sum_oracle-float", "abel_sum_oracle-negative",
-    "abel_sum_oracle-5", "abel_sum_oracle-str", "abel_sum_oracle-none",
-    "abel_sum_oracle-2theta-overflow", "k_n", "master_integral",
+    "abel_sum_oracle-5", "abel_sum_oracle-str", "abel_sum_oracle-none", "abel_sum_oracle-0",
+    "abel_sum_oracle-2theta-overflow", "abel_sum_oracle-2theta-overflow-negative", "k_n", "master_integral",
     "transverse_quadrature-field", "transverse_quadrature-no-cutoff",
     *(f"{name}-{theta}" for name in ("f_theta", "trig_sum_n_cos", "trig_sum_n3_cos")
       for theta in ("1e-200", "1e-320")),

@@ -184,11 +184,13 @@ class TestAbelOracle:
         with pytest.raises(DomainError):
             abel_sum_oracle(k, theta)
 
-    def test_unsupported_power(self):
-        # the closed forms cover k = 1 and 3, the powers verify checks
-        for k in (0, 2):
-            with pytest.raises(DomainError, match="supported powers are 1 and 3"):
-                abel_sum_oracle(k, 1.0)
+    @pytest.mark.parametrize("k", [0, 2, 4, -1, np.int64(0), np.int64(2)],
+                             ids=["0", "2", "4", "-1", "int64-0", "int64-2"])
+    def test_unsupported_power(self, k):
+        # the closed forms cover k = 1 and 3, the powers verify checks; the
+        # plain cosine sum k = 0 is refused like any other
+        with pytest.raises(DomainError, match="supported powers are 1 and 3"):
+            abel_sum_oracle(k, 1.0)
 
     def test_numpy_integer_power_accepted(self):
         assert abel_sum_oracle(np.int64(1), 1.0).hex() == abel_sum_oracle(1, 1.0).hex()
@@ -227,6 +229,18 @@ class TestCutoffOracle:
     def test_is_the_fit_for_the_cube(self):
         # cutoff_sum_oracle() is zeta(-3)'s fit, bit for bit
         assert cutoff_sum_oracle() == _cutoff_fit(3)
+
+    def test_sums_the_cube_alone(self, monkeypatch):
+        # one sum of n^3 on each of the 33 nodes of the upper half circle
+        real, powers = regsum._power_series, []
+
+        def recorded(k, x, one_minus_x):
+            powers.append(k)
+            return real(k, x, one_minus_x)
+
+        monkeypatch.setattr(regsum, "_power_series", recorded)
+        cutoff_sum_oracle()
+        assert powers == [3] * 33
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_finite_part_is_zeta(self, k):

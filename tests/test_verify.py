@@ -1,12 +1,13 @@
 """Tests for the verify checks and the report `platevac verify` prints."""
 
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
-from platevac import casimir, stress, verify
+from platevac import casimir, dimreg, regsum, stress, verify
 from platevac.cli import RunConfig, main, run_verification
 from platevac.fluctuations import ABPair, InteriorPoint, ab_values, expectation_set
 from platevac.spectrum import BoundaryCondition, PlateConfig
@@ -200,6 +201,39 @@ class TestVerifyCommand:
         assert hash(read) == hash(fresh) == hash((0.77, False))
         assert read != verify.Sample(0.77, True) and read != verify.Sample(1.3)
         assert len({read, fresh, verify.Sample(0.77, True)}) == 2
+
+    def test_sample_is_not_equal_to_its_fields(self):
+        # a tuple of the same fields is no sample, whichever side compares
+        sample = verify.Sample(0.77)
+        assert sample.__eq__((0.77, False)) is NotImplemented
+        assert sample != (0.77, False) and (0.77, False) != sample
+
+    @pytest.mark.parametrize("module,name,params,expected", [
+        (regsum, "cutoff_sum_oracle", [], {()}),
+        (regsum, "abel_sum_oracle", ["k", "theta"],
+         {(k, theta) for k in (1, 3) for theta in verify._ABEL_THETAS}),
+        (dimreg, "quadrature_reference", ["N", "m_sq"],
+         {(N, m_sq) for N in (1.5, 2.0, 3.0) for m_sq in (0.5, 1.0, 4.0)}),
+        (casimir, "canonical_density_quadrature", ["config", "margin"],
+         {(1.0, margin) for margin in verify._CANONICAL_MARGINS}),
+    ], ids=["cutoff_sum_oracle", "abel_sum_oracle", "quadrature_reference",
+            "canonical_density_quadrature"])
+    def test_second_routes_take_the_inputs_verify_passes(self, module, name, params, expected,
+                                                         monkeypatch):
+        # each oracle's parameters are the ones the checks vary, and the
+        # checks pass it these values alone (a plate stands for its L)
+        real, passed = getattr(module, name), set()
+
+        def recorded(*args):
+            passed.add(tuple(a.L if isinstance(a, PlateConfig) else a for a in args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+        sample = verify.Sample(1.0)
+        for check in VERIFY_CHECKS:
+            check.measure(sample)
+        assert list(inspect.signature(real).parameters) == params
+        assert passed == expected
 
     @pytest.mark.parametrize("flags", [[], ["--inject-sign-flip"]])
     def test_quick_is_ignored(self, flags, capsys):
