@@ -2,17 +2,16 @@
 
 Every bound is an upper bound: a check passes when its measured value,
 a relative error unless noted, is at most its bound, so a NaN fails.
-Each measure takes one :class:`Sample`, the plates of a run, which
-holds what several checks read: the stress grid, its mirror image and
-the canonical quadratures.  The first check to read one pays for building it.
-This module loads neither numpy nor the CLI.
+Each measure takes one :class:`Sample`, the plates of a run, and
+computes what it reads itself, so a check costs the same wherever it
+stands in the report.  This module loads neither numpy nor the CLI.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import cached_property, partial
+from functools import partial
 
 from . import casimir, dimreg, oracle, regsum, stress
 from .errors import _FrozenRecord, _set_field
@@ -59,7 +58,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 # The angles of the mode-sum checks and of the stress-tensor grid, the k_n
 # of the kernel check (np.geomspace(pi 1e-3, 40, 8), bit for bit) and the
-# plate margins of the canonical density checks.
+# plate margins of the canonical density check.
 _MODE_SUM_THETAS = _linspace(0.3, math.pi - 0.3, 5)
 _STRESS_THETAS = _linspace(0.4, math.pi - 0.4, 100)
 _KERNEL_KN = [math.pi * 1e-3, *(10.0 ** x for x in _linspace(math.log10(math.pi * 1e-3),
@@ -74,35 +73,8 @@ class Sample(_FrozenRecord):
         _set_field(self, "L", L)
         _set_field(self, "sign_flip", sign_flip)
 
-    # Equal and hashed by its two fields, not by the values its properties cache.
-    def __eq__(self, other):
-        return ((self.L, self.sign_flip) == (other.L, other.sign_flip)
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.L, self.sign_flip))
-
     def evaluated(self, bc: BoundaryCondition) -> BoundaryCondition:
         return BoundaryCondition.DIRICHLET if self.sign_flip else bc
-
-    @cached_property
-    def grid(self) -> dict[str, list[float]]:
-        return _stress_grid(self)
-
-    @cached_property
-    def mirror(self) -> list[float]:
-        """phidot2 at pi - theta for the grid's theta, Dirichlet then Neumann."""
-        plate = PlateConfig(self.L)
-        points = [InteriorPoint.from_theta(plate, math.pi - theta) for theta in _STRESS_THETAS]
-        return [expectation_set(self.evaluated(bc), plate, point).phidot2
-                for bc in BoundaryCondition for point in points]
-
-    @cached_property
-    def canonical(self) -> list[float]:
-        """The canonical quadrature at each margin, Dirichlet then Neumann, on nodes both share."""
-        plate = PlateConfig(self.L)
-        by_margin = [casimir.canonical_density_quadrature(plate, m) for m in _CANONICAL_MARGINS]
-        return [value for row in zip(*by_margin) for value in row]
 
 
 def _abel_error(k: int, closed) -> float:
@@ -146,54 +118,28 @@ def _mode_sum_error(field: str, sample: Sample) -> float:
     return _worst([f - c for f, c in zip(finite, closed)], closed)
 
 
-def _stress_grid(sample: Sample) -> dict[str, list[float]]:
-    """Every field and stress component on the grid, Dirichlet then Neumann, by name.
+def _single_plate_limit(sample: Sample) -> float:
+    """phi2 at 1e-4 L from one plate of the gap against the single-plate form."""
+    plate, z_near = PlateConfig(sample.L), 1e-4 * sample.L
+    gap = [phi_squared(bc, plate, InteriorPoint.from_z(plate, z_near)) for bc in BoundaryCondition]
+    single = [phi_squared_single_plate(bc, z_near) for bc in BoundaryCondition]
+    return _worst([g - s for g, s in zip(gap, single)], single)
 
-    One point at a time; each point and its (A, B) serve both conditions.
-    ``trace_expected`` is -6 s B, s the sign of the true condition.
+
+def _tzz_equals_pressure(sample: Sample) -> float:
+    """T_zz on the stress grid against the pressure, and the pressure against its closed form.
+
+    Dirichlet then Neumann, one point at a time; each point and its (A, B)
+    serve both conditions.
     """
     plate = PlateConfig(sample.L)
     points = [InteriorPoint.from_theta(plate, theta) for theta in _STRESS_THETAS]
     pairs = [ab_values(plate, point) for point in points]
-    flucts, reports, expected = [], [], []
-    for bc in BoundaryCondition:
-        evaluated = sample.evaluated(bc)
-        for point, ab in zip(points, pairs):
-            fluct = expectation_set(evaluated, plate, point)
-            flucts.append(fluct)
-            reports.append(stress.stress_report(fluct, ab))
-            expected.append(-6.0 * bc.sign_upper * ab.B)
-    grid = {"trace_expected": expected}
-    for records in (flucts, reports):
-        columns = zip(*(vars(record).values() for record in records))
-        grid.update(zip(vars(records[0]), map(list, columns)))
-    return grid
-
-
-def _trace_canonical_sign(sample: Sample) -> float:
-    grid = sample.grid
-    return _worst([t - e for t, e in zip(grid["trace_canonical"], grid["trace_expected"])],
-                  grid["trace_expected"])
-
-
-def _improved_density_value(sample: Sample) -> float:
-    """The improved energy density on the grid against -A, A = pi^2/(1440 L^4)."""
-    a_const = math.pi ** 2 / (1440.0 * sample.L ** 4)
-    return _worst([e + a_const for e in sample.grid["energy_density_improved"]], a_const)
-
-
-def _tzz_equals_pressure(sample: Sample) -> float:
-    """T_zz on the grid against the pressure, and the pressure against its closed form."""
-    p_ref = casimir.pressure(PlateConfig(sample.L))
+    t_zz = [stress.stress_report(expectation_set(sample.evaluated(bc), plate, point), ab).t_zz
+            for bc in BoundaryCondition for point, ab in zip(points, pairs)]
+    p_ref = casimir.pressure(plate)
     closed = -math.pi ** 2 / (480.0 * sample.L ** 4)
-    return max(_worst([t - p_ref for t in sample.grid["t_zz"]], p_ref),
-               _worst(p_ref - closed, closed))
-
-
-def _mirror_symmetry(sample: Sample) -> float:
-    grid, mirror = sample.grid, sample.mirror
-    return _worst([g - m for g, m in zip(grid["phidot2"], mirror)],
-                  [abs(p) + abs(d) for p, d in zip(grid["phidot2"], grid["dzphi2"])])
+    return max(_worst([t - p_ref for t in t_zz], p_ref), _worst(p_ref - closed, closed))
 
 
 def _length_scaling(sample: Sample) -> float:
@@ -222,14 +168,6 @@ def _pressure_finite_difference(sample: Sample) -> float:
     return _worst(fd - p_ref, p_ref)
 
 
-def _single_plate_limit(sample: Sample) -> float:
-    """phi2 at 1e-4 L from one plate of the gap against the single-plate form."""
-    plate, z_near = PlateConfig(sample.L), 1e-4 * sample.L
-    gap = [phi_squared(bc, plate, InteriorPoint.from_z(plate, z_near)) for bc in BoundaryCondition]
-    single = [phi_squared_single_plate(bc, z_near) for bc in BoundaryCondition]
-    return _worst([g - s for g, s in zip(gap, single)], single)
-
-
 def _integrated_density(sample: Sample) -> float:
     plate = PlateConfig(sample.L)
     mismatch = [casimir.integrated_density_check(plate, bc)[1] for bc in BoundaryCondition]
@@ -239,35 +177,21 @@ def _integrated_density(sample: Sample) -> float:
 def _canonical_density_integral(sample: Sample) -> float:
     """The canonical density integral by quadrature against its closed form, both conditions."""
     plate = PlateConfig(sample.L)
+    by_margin = [casimir.canonical_density_quadrature(plate, m) for m in _CANONICAL_MARGINS]
     closed = [casimir.canonical_density_integral(plate, bc, m)
               for bc in BoundaryCondition for m in _CANONICAL_MARGINS]
-    return _worst([q - c for q, c in zip(sample.canonical, closed)], closed)
+    quadrature = [value for row in zip(*by_margin) for value in row]  # Dirichlet, Neumann
+    return _worst([q - c for q, c in zip(quadrature, closed)], closed)
 
 
-def _canonical_density_divergence(sample: Sample) -> float:
-    """Worst |growth / 1000 - 1| of the canonical density integral per tenfold smaller margin.
-
-    The canonical density has no finite margin -> 0 limit: it grows as
-    m^-3, so each step from margin 0.01 to 0.001 to 0.0001 must grow the
-    quadrature a thousandfold.  The steps read 1000.0, so the bound 0.1
-    fails a growth outside [900, 1100], or a NaN anywhere.
-    """
-    n = len(_CANONICAL_MARGINS)
-    rows = sample.canonical[:n], sample.canonical[n:]  # Dirichlet, Neumann
-    steps = [(inner, outer) for row in rows for inner, outer in zip(row, row[1:])]
-    return _worst([outer - 1000.0 * inner for inner, outer in steps],
-                  [1000.0 * inner for inner, _ in steps])
-
-
-# Every claim `verify` checks, in report order.  The keep rule: a check
-# compares two independently computed routes, some mutant makes it FAIL,
-# and it goes if one other check catches every mutant it catches, over the
-# generated sweep (tests/sweep_mutants.py) and the hand-picked table of
-# tests/test_mutations.py.  A second rule, which would keep the only check
-# of one of the paper's claims, is still to come; until it does, no check
-# that may stand alone for a claim is deleted.
+# Every check `verify` runs, in report order, grouped under the claim it
+# stands for.  Each compares two independently computed routes.  The keep
+# rule: a check stays only if some mutant FAILs it and no other check,
+# over the generated sweep (tests/sweep_mutants.py) and the hand-picked
+# table of tests/test_mutations.py, or if it is the only check of its claim.
 VERIFY_CHECKS = (
-    # The regularized power sum zeta(-3) against the exponential-cutoff oracle (absolute).
+    # Claim: the regularized sums and integrals the closed forms rest on.
+    # The power sum zeta(-3) against the exponential-cutoff oracle (absolute).
     Check("zeta_cutoff_k3", 2e-15, lambda sample: abs(
         regsum.cutoff_sum_oracle().finite_part - float(regsum.zeta_neg_int(3)))),
     # Oscillatory sums against the Abel oracle (relative to max(1, |closed form|)).
@@ -275,22 +199,21 @@ VERIFY_CHECKS = (
     Check("abel_n3_cos", 1e-13, lambda sample: _abel_error(3, regsum.trig_sum_n3_cos)),
     # Continued master integral against direct quadrature.
     Check("dimreg_quadrature", 2e-14, _dimreg_quadrature),
-    # Mode-sum oracle: radial kernels against quadrature, finite parts against closed forms.
+    # The mode-sum oracle's radial kernels against quadrature.
     Check("oracle_transverse_kernel", 2e-14, _oracle_transverse_kernel),
+    # Claim: the fluctuations of the field and its derivatives diverge toward
+    # a plate.  The closed forms against the mode sums' finite parts, and phi2
+    # near one plate of the gap against the single-plate form.
     Check("mode_sum_phi2", 1e-13, partial(_mode_sum_error, "phi2")),
     Check("mode_sum_phidot2", 1e-12, partial(_mode_sum_error, "phidot2")),
-    # Stress-tensor invariants on the interior grid.
-    Check("trace_canonical_sign", 1e-10, _trace_canonical_sign),
-    Check("improved_density_value", 1e-12, _improved_density_value),
+    Check("single_plate_limit", 1e-5, _single_plate_limit),
+    # Claim: the improved density and T_zz agree with the total Casimir energy.
     Check("tzz_equals_pressure", 1e-12, _tzz_equals_pressure),
-    Check("mirror_symmetry", 1e-12, _mirror_symmetry),
     Check("length_scaling", 1e-12, _length_scaling),
-    # Global quantities.
     Check("energy_pipeline", 1e-14, _energy_pipeline),
     Check("pressure_finite_difference", 1e-8, _pressure_finite_difference),
-    Check("single_plate_limit", 1e-5, _single_plate_limit),
     Check("integrated_density", 1e-12, _integrated_density),
+    # Claim: the canonical tensor does not, until the Huggins term is added:
+    # its density integral grows as margin^-3 toward the plates.
     Check("canonical_density_integral", 4e-11, _canonical_density_integral),
-    # The growth per tenfold smaller margin against 1000 (relative).
-    Check("canonical_density_divergence", 0.1, _canonical_density_divergence),
 )

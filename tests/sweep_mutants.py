@@ -28,7 +28,9 @@ The mutated text is the source of the mutated operator's expression,
 or of the expression that holds the mutated literal, widened to its
 enclosing expressions until the key is unique in its function (``#2``
 tells equal statements apart).  ``--json`` writes every mutant's outcome, the
-evidence for the keep rule above ``verify.VERIFY_CHECKS``.  The sweep
+evidence for the keep rule above ``verify.VERIFY_CHECKS``, and each run
+ends with one line per check that one other check covers: every mutant
+it catches, the other catches too.  The sweep
 needs the standard library alone; it exits 0 when every survivor is
 listed and no entry is stale, 1 otherwise, and 2 when the unmutated
 package does not pass every check.
@@ -259,6 +261,27 @@ def caught(outcome: dict) -> bool:
                 or any(outcome["fail"].values()) or any(outcome["raise"].values()))
 
 
+def covered(outcomes: list[dict]) -> list[str]:
+    """One line per check whose every caught mutant one other check catches too.
+
+    Each line gives the check's count of mutants caught, by a FAIL or a
+    raise at any L, and the count of each check that covers it.
+    """
+    catches: dict[str, set[int]] = {}
+    for i, outcome in enumerate(outcomes):
+        for by_length in (outcome.get("fail", {}), outcome.get("raise", {})):
+            for names in by_length.values():
+                for name in names:
+                    catches.setdefault(name, set()).add(i)
+    lines = []
+    for name, mine in sorted(catches.items()):
+        others = [f"{other} {len(theirs)}" for other, theirs in sorted(catches.items())
+                  if other != name and mine <= theirs]
+        if others:
+            lines.append(f"covered: {name} {len(mine)}, by {' and '.join(others)}")
+    return lines
+
+
 def read_allowlist(path: Path) -> dict[str, str]:
     """{key: reason}: the indented lines after one or more key lines are their reason."""
     groups: list[tuple[list[str], list[str]]] = []
@@ -331,6 +354,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{ended} ended the child (a timeout or a crash), "
           f"{len(survivors)} survive ({len(survivors) - len(unlisted)} listed); "
           f"{time.perf_counter() - started:.1f} s")
+    for line in covered(outcomes):
+        print(line)
     return 1 if unlisted or stale else 0
 
 

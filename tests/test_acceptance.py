@@ -3,8 +3,8 @@
 The checks and their bounds are ``verify.VERIFY_CHECKS``, the table
 ``platevac verify`` runs, evaluated here on the same grids.  Every bound
 is an upper bound.  ``pytest tests/test_acceptance.py -v`` lists one
-case per check and separation, and the checks at one separation share
-one :class:`verify.Sample`, as in a ``platevac verify`` run.
+case per check and separation, each on the :class:`verify.Sample` of its
+separation.
 """
 
 import pytest

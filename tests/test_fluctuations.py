@@ -23,6 +23,7 @@ from platevac.fluctuations import (
 )
 from platevac.regsum import abel_sum_oracle, f_theta, trig_sum_n_cos, zeta_neg_int
 from platevac.spectrum import BoundaryCondition, PlateConfig
+from test_render import TEN_L
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -226,6 +227,20 @@ class TestExpectationSet:
         for name in ("phi2", "phidot2", "dzphi2", "gradTphi2", "dlambda_phi2", "phi_d2z_phi"):
             a, b = getattr(fs, name), getattr(mirrored, name)
             assert b == pytest.approx(a, rel=1e-11, abs=1e-18 * (1.0 + abs(a)))
+
+    @pytest.mark.parametrize("L", TEN_L)
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_mirror_symmetry_on_the_stress_grid(self, L, bc):
+        # verify's 100 grid angles: each 1/L^4 field to 1e-12 of |phidot2| +
+        # |dzphi2| (worst 4.2e-15, dlambda_phi2), phi2 to 1e-12 of itself
+        config = PlateConfig(L)
+        for theta in np.linspace(0.4, math.pi - 0.4, 100).tolist():
+            fs = expectation_set(bc, config, InteriorPoint.from_theta(config, theta))
+            mirrored = expectation_set(bc, config, InteriorPoint.from_theta(config, math.pi - theta))
+            scale = abs(fs.phidot2) + abs(fs.dzphi2)
+            assert abs(mirrored.phi2 - fs.phi2) <= 1e-12 * abs(fs.phi2)
+            for name in ("phidot2", "dzphi2", "gradTphi2", "dlambda_phi2", "phi_d2z_phi"):
+                assert abs(getattr(mirrored, name) - getattr(fs, name)) <= 1e-12 * scale, name
 
     @given(interior_theta, lengths, st.floats(min_value=0.2, max_value=5.0),
            st.sampled_from(BOTH))

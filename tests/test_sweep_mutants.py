@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from sweep_mutants import ALLOWLIST, LENGTHS, MODULES, PACKAGE, caught, mutants, read_allowlist, run
+from sweep_mutants import (ALLOWLIST, LENGTHS, MODULES, PACKAGE, caught, covered, mutants,
+                           read_allowlist, run)
 
 
 def _module_source(module: str) -> bytes:
@@ -118,6 +119,21 @@ _PASSES = {"import": None, "fail": {"1.0": [], "0.77": []}, "raise": {"1.0": {},
 ], ids=["passes", "import", "fail", "raise", "child-ended"])
 def test_caught(outcome, expected):
     assert caught(outcome) is expected
+
+
+def test_covered_names_each_check_another_catches_every_mutant_of():
+    # a FAIL or a raise at any L counts; "b" is covered by "a" and by "c",
+    # "c" by "a", and nothing covers "a", which alone catches the third mutant
+    outcomes = [
+        {**_PASSES, "fail": {"1.0": ["a", "b"], "0.77": ["c"]}},
+        {**_PASSES, "fail": {"1.0": ["a"], "0.77": []}, "raise": {"1.0": {}, "0.77": {"c": "E"}}},
+        {**_PASSES, "fail": {"1.0": ["a"], "0.77": ["a"]}},
+        {"import": "ConsistencyError", "fail": {}, "raise": {}},
+        {"error": "timed out after 60 s"},
+        _PASSES,
+    ]
+    assert covered(outcomes) == ["covered: b 1, by a 3 and c 2", "covered: c 2, by a 3"]
+    assert covered(outcomes[3:]) == []
 
 
 def _mutated_package(key: str) -> dict[str, bytes]:

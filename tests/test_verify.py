@@ -3,15 +3,15 @@
 import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from platevac import casimir, dimreg, regsum, stress, verify
 from platevac.cli import RunConfig, main, run_verification
-from platevac.fluctuations import ABPair, InteriorPoint, ab_values, expectation_set
+from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.spectrum import BoundaryCondition, PlateConfig
-from platevac.stress import StressReport
 from platevac.verify import VERIFY_CHECKS
 from test_cli import GOLDEN, _probe, _run
 
@@ -71,49 +71,44 @@ class TestVerifyCommand:
         code, out, _ = _run(["verify", "--inject-sign-flip"], capsys)
         assert code == 1
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == ["mode_sum_phi2", "mode_sum_phidot2", "trace_canonical_sign"]
+        assert failed == ["mode_sum_phi2", "mode_sum_phidot2"]
+
+    @pytest.mark.parametrize("num, den, shown", [
+        ([1.0, 0.0], [1.0, 0.0], "inf"),  # a zero denominator, even under a zero numerator
+        ([1.0, 2.0], [1.0, math.nan], "inf"),
+        ([math.nan, 1.0], 1.0, "nan"),  # max([nan, 1.0]) is nan, max([1.0, nan]) is 1.0
+        ([1.0, math.nan], 1.0, "nan"),
+        (math.nan, 1.0, "nan"),
+    ], ids=["zero-den", "nan-den", "nan-first", "nan-last", "nan-float"])
+    def test_worst_reads_a_zero_or_nan_as_a_failure(self, num, den, shown):
+        measured = verify._worst(num, den)
+        assert f"{measured:.3e}" == shown
+        assert not verify.Check("any", sys.float_info.max, abs).passes(measured)
 
     @pytest.mark.parametrize("corrupt, value, shown", [
-        ("B", 0.0, "inf"),  # a zero denominator: used to be skipped, so the check passed
-        ("trace_canonical", math.nan, "nan"),
+        ("canonical_density_integral", 0.0, "inf"),  # a zero closed form: a zero denominator
+        ("canonical_density_quadrature", math.nan, "nan"),
     ])
-    def test_trace_check_cannot_pass_vacuously(self, corrupt, value, shown, monkeypatch):
-        if corrupt == "B":
-            real = verify.ab_values
+    def test_canonical_check_cannot_pass_vacuously(self, corrupt, value, shown, monkeypatch):
+        # the value at the smallest margin, 1e-4, alone, under the Dirichlet
+        # condition, the first; the other five pass
+        real = getattr(casimir, corrupt)
 
-            def corrupted(config, point):
-                return ABPair(**{**vars(real(config, point)), "B": value})
+        def corrupted(config, *args):
+            result = real(config, *args)
+            if args[-1] != 1e-4:
+                return result
+            if corrupt == "canonical_density_quadrature":
+                return value, result[1]
+            return value if args[0] is BoundaryCondition.DIRICHLET else result
 
-            monkeypatch.setattr(verify, "ab_values", corrupted)
-        else:
-            real = stress.stress_report
-
-            def corrupted(fluct, ab):
-                return StressReport(**{**vars(real(fluct, ab)), corrupt: value})
-
-            monkeypatch.setattr(stress, "stress_report", corrupted)
-        check = _check("trace_canonical_sign")
+        monkeypatch.setattr(casimir, corrupt, corrupted)
+        check = _check("canonical_density_integral")
         measured = check.measure(verify.Sample(1.0))
         assert f"{measured:.3e}" == shown
         assert not check.passes(measured)
 
-    def test_nan_growth_fails_the_divergence_check(self, monkeypatch):
-        # a NaN in the second growth; min([1000.0, nan]) is 1000.0, so a
-        # measure that took the smallest growth passed it
-        real = casimir.canonical_density_quadrature
-
-        def nan_at_the_smallest_margin(config, margin):
-            dirichlet, neumann = real(config, margin)
-            return (math.nan if margin == 1e-4 else dirichlet), neumann
-
-        monkeypatch.setattr(casimir, "canonical_density_quadrature", nan_at_the_smallest_margin)
-        check = _check("canonical_density_divergence")
-        measured = check.measure(verify.Sample(1.0))
-        assert math.isnan(measured)
-        assert not check.passes(measured)
-
-    @pytest.mark.parametrize("grid", ["grid", "mirror"])
-    def test_stress_grid_evaluates_at_the_linspace_angles(self, grid, monkeypatch):
+    def test_stress_grid_evaluates_at_the_linspace_angles(self, monkeypatch):
         # the angles go to expectation_set as they are, with no trip through z
         seen = []
         real = verify.expectation_set
@@ -123,18 +118,13 @@ class TestVerifyCommand:
             return real(bc, config, point)
 
         monkeypatch.setattr(verify, "expectation_set", recording)
-        getattr(verify.Sample(0.77), grid)
-        expected = np.linspace(0.4, math.pi - 0.4, 100)
-        if grid == "mirror":
-            expected = math.pi - expected
-        expected = np.tile(expected, len(BoundaryCondition))
+        _check("tzz_equals_pressure").measure(verify.Sample(0.77))
+        expected = np.tile(np.linspace(0.4, math.pi - 0.4, 100), len(BoundaryCondition))
         assert np.array(seen).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
-    def test_each_shared_sample_is_built_once(self, monkeypatch):
+    def test_one_run_evaluates_each_grid_point_and_margin_once(self, monkeypatch):
         # the canonical quadratures at three margins, and the stress grid's
-        # 100 points and (A, B), each serving both conditions, for the checks
-        # of one run that share them; the mirror evaluates phidot2 alone,
-        # with no stress report
+        # 100 points and (A, B), each serving both conditions
         calls = _counting(monkeypatch, (casimir, "canonical_density_quadrature"),
                           (stress, "stress_report"), (verify, "ab_values"))
         run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
@@ -146,7 +136,7 @@ class TestVerifyCommand:
         # once, its fluctuations and stress report once per condition
         calls = _counting(monkeypatch, (casimir, "ab_values"), (casimir, "expectation_set"),
                           (casimir, "stress_report"))
-        verify.Sample(0.77).canonical
+        _check("canonical_density_integral").measure(verify.Sample(0.77))
         assert calls == {"ab_values": 483, "expectation_set": 966, "stress_report": 966}
 
     @pytest.mark.parametrize("length", [1e-72, 0.77, 1.3, 1e72])
@@ -168,35 +158,37 @@ class TestVerifyCommand:
                         report = stress.stress_report(expectation_set(bc, plate, point),
                                                       ab_values(plate, point))
                         terms.append(weight * report.energy_density_canonical)
-                expected.append((math.fsum(terms) / 24 * length / math.pi).hex())
-                assert by_margin[margin][i].hex() == expected[-1]
-        assert [v.hex() for v in verify.Sample(length).canonical] == expected
+                expected.append(math.fsum(terms) / 24 * length / math.pi)
+                assert by_margin[margin][i].hex() == expected[-1].hex()
+        closed = [casimir.canonical_density_integral(plate, bc, m)
+                  for bc in BoundaryCondition for m in verify._CANONICAL_MARGINS]
+        worst = verify._worst([q - c for q, c in zip(expected, closed)], closed)
+        measured = _check("canonical_density_integral").measure(verify.Sample(length))
+        assert measured.hex() == worst.hex()
 
     @pytest.mark.parametrize("sign_flip", [False, True])
-    def test_grid_and_mirror_equal_a_loop_over_the_public_api(self, sign_flip):
+    def test_tzz_check_equals_a_loop_over_the_public_api(self, sign_flip):
         # bit for bit what one point at a time gives, each condition on its own
         sample = verify.Sample(0.77, sign_flip)
         plate = PlateConfig(0.77)
-        grid: dict[str, list[float]] = {}
-        mirror = []
+        t_zz = []
         for bc in BoundaryCondition:
             for theta in verify._STRESS_THETAS:
                 point = InteriorPoint.from_theta(plate, theta)
                 fluct = expectation_set(sample.evaluated(bc), plate, point)
-                ab = ab_values(plate, point)
-                for name, value in {**vars(fluct), **vars(stress.stress_report(fluct, ab)),
-                                    "trace_expected": -6.0 * bc.sign_upper * ab.B}.items():
-                    grid.setdefault(name, []).append(value.hex())
-                mirrored = InteriorPoint.from_theta(plate, math.pi - theta)
-                mirror.append(expectation_set(sample.evaluated(bc), plate, mirrored).phidot2.hex())
-        assert {name: [v.hex() for v in column] for name, column in sample.grid.items()} == grid
-        assert [v.hex() for v in sample.mirror] == mirror
+                t_zz.append(stress.stress_report(fluct, ab_values(plate, point)).t_zz)
+        p_ref = casimir.pressure(plate)
+        closed = -math.pi ** 2 / (480.0 * 0.77 ** 4)
+        worst = max(verify._worst([t - p_ref for t in t_zz], p_ref),
+                    verify._worst(p_ref - closed, closed))
+        assert _check("tzz_equals_pressure").measure(sample).hex() == worst.hex()
 
-    @pytest.mark.parametrize("cached", ["grid", "mirror", "canonical"])
-    def test_sample_is_equal_and_hashed_by_its_fields_alone(self, cached):
-        # a value a property cached is no field: (L, sign_flip) decide
+    def test_sample_is_equal_and_hashed_by_its_fields_alone(self):
+        # a run of every check stores nothing on the sample: (L, sign_flip) decide
         read, fresh = verify.Sample(0.77), verify.Sample(0.77)
-        getattr(read, cached)
+        for check in VERIFY_CHECKS:
+            check.measure(read)
+        assert repr(read) == "Sample(L=0.77, sign_flip=False)"
         assert read == fresh and fresh == read
         assert hash(read) == hash(fresh) == hash((0.77, False))
         assert read != verify.Sample(0.77, True) and read != verify.Sample(1.3)
