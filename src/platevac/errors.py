@@ -81,8 +81,8 @@ class _Record:
     """Value equality and the repr ``Name(field=value, ...)`` over the fields, ``vars(self)``.
 
     A subclass's ``__init__`` sets each field, in order; whatever else is
-    stored on an instance (a ``cached_property``'s value) counts as a field
-    too.  Unhashable, since it defines ``__eq__`` alone.
+    stored on an instance counts as a field too.  Unhashable, since it
+    defines ``__eq__`` alone.
     """
 
     def __eq__(self, other):

@@ -65,7 +65,8 @@ JOBS = min(4, os.cpu_count() or 1)  # children at once, each about 17 MB
 
 _SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
 
-# Run as ``python -c _CHILD root L ...``: import the package under root and
+# Run as ``python -S -c _CHILD root L ...``, without the site module, since
+# verify needs the standard library alone: import the package under root and
 # print one JSON line, {"import": error or null, "fail": {L: [names]},
 # "raise": {L: {name: error}}}.
 _CHILD = """
@@ -237,23 +238,28 @@ def mutants(module: str, source: bytes) -> list[Mutant]:
     return found
 
 
-def run(package: dict[str, bytes], workdir: Path) -> dict:
-    """The child's outcome for one copy of the package: its JSON, or {"error": why it ended}."""
-    root = workdir / "platevac"
-    root.mkdir(parents=True)
+def child(package: dict, workdir: Path, *args: str, path=()) -> subprocess.CompletedProcess:
+    """``python -B args`` on a copy of the package in ``workdir``, with ``path`` after it."""
+    (workdir / "platevac").mkdir(parents=True)
     for name, source in package.items():
-        (root / name).write_bytes(source)
+        (workdir / "platevac" / name).write_bytes(source)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (workdir, *path)))}
     try:
-        child = subprocess.run([sys.executable, "-B", "-I", "-c", _CHILD, str(workdir),
-                                *map(repr, LENGTHS)], capture_output=True,
-                               timeout=CHILD_TIMEOUT_S, check=False)
-    except subprocess.TimeoutExpired:
-        return {"error": f"timed out after {CHILD_TIMEOUT_S:g} s"}
+        return subprocess.run([sys.executable, "-B", *args], cwd=workdir, env=env, text=True,
+                              capture_output=True, timeout=CHILD_TIMEOUT_S, check=False)
     finally:
         shutil.rmtree(workdir)
-    if child.returncode != 0:
-        return {"error": f"exit {child.returncode}: {child.stderr.decode().strip()}"}
-    return json.loads(child.stdout)
+
+
+def run(package: dict[str, bytes], workdir: Path, lengths: tuple[float, ...]) -> dict:
+    """The child's outcome for a copy of the package at each L: its JSON, or {"error": why}."""
+    try:
+        done = child(package, workdir, "-I", "-S", "-c", _CHILD, str(workdir), *map(repr, lengths))
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {CHILD_TIMEOUT_S:g} s"}
+    if done.returncode != 0:
+        return {"error": f"exit {done.returncode}: {done.stderr.strip()}"}
+    return json.loads(done.stdout)
 
 
 def caught(outcome: dict) -> bool:
@@ -321,10 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="platevac-sweep-") as tmp:
         def outcome(i: int) -> dict:
             if i < 0:
-                return run(package, Path(tmp) / "unmutated")
+                return run(package, Path(tmp) / "unmutated", LENGTHS)
             m = found[i]
             name = f"{m.module}.py"
-            return run({**package, name: m.source(package[name])}, Path(tmp) / str(i))
+            return run({**package, name: m.source(package[name])}, Path(tmp) / str(i), LENGTHS)
 
         with ThreadPoolExecutor(JOBS) as pool:
             unmutated = outcome(-1)

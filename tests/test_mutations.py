@@ -1,113 +1,70 @@
 """Transcription errors that ``verify`` must catch, applied one at a time.
 
-Each :class:`Edit` rewrites the source of one platevac function (``old``
-must occur in it exactly once), compiles it in its module and rebinds it
-in every ``platevac`` namespace that holds the original, as
-``perfbench/spans.py`` does for its timing wrappers.  Every ``verify``
-check then runs at L = 1 on one fresh ``verify.Sample``, as in a
-``platevac verify`` run, and the test pins the exact set of checks
-that FAIL.  A check that raises a :class:`PlateVacError` fails the test.
+Each row's :class:`Edit` replaces one text in one platevac function of a
+copy of the package, and ``sweep_mutants.run`` imports the copy in a
+fresh child process, as it does the sweep's mutants, and evaluates every
+``verify`` check there at L = 1.  Each row pins the exact set of checks
+that FAIL; a check that raises, or an exception at import, fails it.
 
 The keep rule for ``verify.VERIFY_CHECKS``: a check stays only if some
 mutation makes it FAIL and no other check, over this table and the
 generated sweep of ``tests/sweep_mutants.py``, or if it is the only
-check of one of the claims ``VERIFY_CHECKS`` is grouped under.  The
-rows with empty sets are errors no check sees at L = 1; the comment on
-each says what pins it instead.
+check of one of the claims ``VERIFY_CHECKS`` is grouped under.  A row
+with an empty set is an error no check sees at L = 1; its comment says
+what pins it instead, or which ROADMAP.md item must make it FAIL.
 """
 
 from __future__ import annotations
 
-import __future__
 import ast
-import inspect
-import sys
-import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from platevac import cli, fluctuations, stress, verify
+from platevac import cli, verify
 from platevac.cli import RunConfig
 from platevac.errors import DomainError
 from platevac.spectrum import BoundaryCondition
-from platevac.verify import VERIFY_CHECKS, Check, Sample
+from platevac.verify import VERIFY_CHECKS, Check
+from sweep_mutants import JOBS, PACKAGE, child, run
 from test_cli import assert_columns_equal_scalar_path
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 class Edit(NamedTuple):
-    """Replace ``old`` by ``new`` in the source of ``platevac.<module>.<function>``."""
+    """Replace ``old`` by ``new`` in the source of ``platevac.<module>.<function>``.
+
+    ``function`` is a qualified name, as in the sweep's keys; ``<module>``
+    is the module's top-level code outside every def and class.
+    """
 
     module: str
     function: str
     old: str
     new: str
 
-    def apply(self, monkeypatch) -> None:
-        module = sys.modules[f"platevac.{self.module}"]
-        original = getattr(module, self.function)
-        source = textwrap.dedent(inspect.getsource(original))
-        assert source.count(self.old) == 1, f"{self.old!r} is not once in {self.function}"
-        code = compile(source.replace(self.old, self.new), f"<mutant {self.function}>", "exec",
-                       flags=__future__.annotations.compiler_flag, dont_inherit=True)
-        namespace: dict = {}
-        exec(code, vars(module), namespace)
-        for name, holder in list(sys.modules.items()):
-            if name == "platevac" or name.startswith("platevac."):
-                for attr, value in list(vars(holder).items()):
-                    if value is original:
-                        monkeypatch.setattr(holder, attr, namespace[self.function])
-
-
-class KernelEdit(Edit):
-    """An :class:`Edit` of ``fluctuations._kernel`` that also rebuilds the kernels built at import.
-
-    Each is rebuilt as at import, with its record, so that both the
-    scalar and the array path run the mutant.
-    """
-
-    def apply(self, monkeypatch) -> None:
-        super().apply(monkeypatch)
-        monkeypatch.setattr(fluctuations, "_FIELD_KERNEL", fluctuations._kernel(
-            tuple(fluctuations.FIELD_PAIRS.values()), fluctuations.FluctuationSet, ("phi2",)))
-        monkeypatch.setattr(stress, "_COMPONENT_KERNEL", fluctuations._kernel(
-            tuple(stress._COMPONENTS.values()), stress.StressReport))
-
-
-class SwapLabels(NamedTuple):
-    """Give Dirichlet plates the Neumann sign and Neumann plates the Dirichlet one."""
-
-    def apply(self, monkeypatch) -> None:
-        for bc in BoundaryCondition:
-            monkeypatch.setattr(bc, "sign_upper", -bc.sign_upper)
-
-
-def outcome(mutation, monkeypatch, L: float = 1.0) -> set[str]:
-    """The checks that FAIL under ``mutation``, at L = 1 by default."""
-    try:
-        with monkeypatch.context() as patch:
-            mutation.apply(patch)
-            _clear_caches()
-            sample = Sample(L)
-            return {check.name for check in VERIFY_CHECKS
-                    if not check.passes(check.measure(sample))}
-    finally:
-        _clear_caches()  # also after a check raised, which fails the calling test
-
-
-def _caches() -> list:
-    """Every ``functools`` cache a ``platevac`` module holds, found by introspection."""
-    return [value for name, module in list(sys.modules.items())
-            if name == "platevac" or name.startswith("platevac.")
-            for value in vars(module).values() if callable(getattr(value, "cache_clear", None))]
-
-
-def _clear_caches() -> None:
-    # a mutant reached through a cached function must neither see nor leave
-    # a cached value of the other version: the oracle's power sums, say, which
-    # call regsum._expm1 and regsum._power_series
-    for cache in _caches():
-        cache.cache_clear()
+    def apply(self, package: dict[str, bytes]) -> dict[str, bytes]:
+        """A copy of ``package``, {file name: source}, with this edit made."""
+        name = f"{self.module}.py"
+        source = package[name].decode()
+        nodes = [ast.parse(source)]
+        if self.function == "<module>":
+            nodes = [node for node in nodes[0].body if not isinstance(node, _DEFS)]
+        else:
+            for part in self.function.split("."):
+                nodes = [n for parent in nodes for n in parent.body
+                         if isinstance(n, _DEFS) and n.name == part]
+        # the nodes' whole lines; every other character masked
+        lines = {i for n in nodes for i in range(n.lineno, n.end_lineno + 1)}
+        masked = "\n".join(text if i in lines else "\0" * len(text)
+                           for i, text in enumerate(source.split("\n"), 1))
+        assert masked.count(self.old) == 1, f"old is not once in its function: {self}"
+        at = masked.index(self.old)
+        return {**package, name: (source[:at] + self.new + source[at + len(self.old):]).encode()}
 
 
 # The checks that compare total_energy's value with another route.
@@ -169,18 +126,30 @@ MUTATIONS = {
     # the array branch's A, pinned by the same comparison
     "stress-A-doubled": (Edit("stress", "stress_report", "np.broadcast_to(ab.A, d.shape)",
                               "np.broadcast_to(2.0 * ab.A, d.shape)"), set()),
-    "pair-sign": (KernelEdit("fluctuations", "_kernel", "(A + {ratio!r} * t)",
-                             "(A - {ratio!r} * t)"), {"mode_sum_phidot2", CANONICAL}),
-    "pair-beta-zero-sign": (KernelEdit("fluctuations", "_kernel", 'f"{scale!r} * A"',
-                                       'f"-{scale!r} * A"'),
+    # The kernels _kernel builds at import, for both the scalar and the array path.
+    "pair-sign": (Edit("fluctuations", "_kernel", "(A + {ratio!r} * t)", "(A - {ratio!r} * t)"),
+                  {"mode_sum_phidot2", CANONICAL}),
+    "pair-beta-zero-sign": (Edit("fluctuations", "_kernel", 'f"{scale!r} * A"',
+                                 'f"-{scale!r} * A"'),
                             {"tzz_equals_pressure", "integrated_density"}),
     # negates dlambda_phi2, huggins_00 and trace_canonical, which verify reads
     # through each other, and the sign stress_report reads off dlambda_phi2, so
     # that the canonical density takes the other condition's t
-    "pair-alpha-zero-sign": (KernelEdit("fluctuations", "_kernel", 'f"{ratio!r} * t"',
-                                        'f"-{ratio!r} * t"'), {CANONICAL}),
-    # The boundary-condition sign.
-    "bc-label-swap": (SwapLabels(), MODE_SUMS),
+    "pair-alpha-zero-sign": (Edit("fluctuations", "_kernel", 'f"{ratio!r} * t"',
+                                  'f"-{ratio!r} * t"'), {CANONICAL}),
+    # A wrong but self-consistent field table: stress's import-time proof
+    # passes, and so does every check.  ROADMAP item 14 must make it FAIL
+    # single_plate_limit, and item 1 must make its import raise ConsistencyError.
+    "self-consistent-table": (
+        Edit("fluctuations", "<module>",
+             '"dzphi2": Pair(-3, -3),\n    "gradTphi2": Pair(2, -2),\n'
+             '    "dlambda_phi2": Pair(0, 6),\n    "phi_d2z_phi": Pair(3, -3)',
+             '"dzphi2": Pair(-3, -2),\n    "gradTphi2": Pair(2, -3),\n'
+             '    "dlambda_phi2": Pair(0, 6),\n    "phi_d2z_phi": Pair(3, -1)'), set()),
+    # The boundary-condition sign: each plate takes the other condition's.
+    "bc-label-swap": (Edit("spectrum", "BoundaryCondition.__init__",
+                           '1 if value == "dirichlet" else -1',
+                           '-1 if value == "dirichlet" else 1'), MODE_SUMS),
     "oracle-bc-swap": (Edit("oracle", "_regulated_sums", "s = 1 if", "s = -1 if"), MODE_SUMS),
     "oracle-weight-sign": (Edit("oracle", "_regulated_sums", "- s *", "+ s *"), MODE_SUMS),
     # L exponents: verify evaluates the closed forms at one L, so only the
@@ -207,6 +176,10 @@ MUTATIONS = {
     "kernel-c2": (Edit("oracle", "_kernel_coefficients", "1.0 / eps)", "2.0 / eps)"),
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}),
     "oracle-half-angle": (Edit("oracle", "_power_sums", "2.0 * theta", "theta"), MODE_SUMS),
+    # phidot2's power sums of k_n^0 alone: its k_n and k_n^2 kernel terms add
+    # +1 and -1 times sum k_n^3 to the finite part, so dropping them moves only
+    # the divergent coefficients, which ROADMAP item 13 must check
+    "oracle-power-sums-j0": (Edit("oracle", "_power_sums", "range(3)", "range(1)"), set()),
     "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * L)", "/ L"), MODE_SUMS),
     # Re Li_j(z) is not analytic in eps: the circle's mean is not its constant term
     "oracle-cos-real": (Edit("oracle", "_power_sums", "up + down", "2.0 * up.real"),
@@ -268,55 +241,75 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("mutation, fails", MUTATIONS.values(), ids=MUTATIONS)
-def test_mutation_outcome(mutation, fails, monkeypatch):
-    assert outcome(mutation, monkeypatch) == fails
+# The rows of the array path, which verify does not run.
+ARRAY_ROWS = ("columns-half-angle", "stress-t-unsigned", "stress-A-doubled")
+# Run by _python: the profile columns against the scalar path.
+_COLUMNS = """
+from platevac.cli import RunConfig
+from platevac.spectrum import BoundaryCondition
+from test_cli import assert_columns_equal_scalar_path
+assert_columns_equal_scalar_path(RunConfig(bc=BoundaryCondition.NEUMANN, L=0.77, grid_points=9))
+"""
+# A child of these tests' own, which imports test_cli from here.
+_python = partial(child, path=[Path(__file__).parent])
 
 
-@pytest.mark.parametrize("name", ["columns-half-angle", "stress-t-unsigned", "stress-A-doubled"])
-def test_array_rows_fail_the_columns_comparison(name, monkeypatch):
+def _package() -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@pytest.fixture(scope="session")
+def children(tmp_path_factory):
+    """Every child run of this module, all submitted at once to the sweep's JOBS workers:
+    {row: future of its outcome at L = 1}, and one future per (row, what) the tests below read."""
+    package = _package()
+    tmp = tmp_path_factory.mktemp("mutants")
+    jobs = {(name, "columns"): (name, _python, "-c", _COLUMNS) for name in ARRAY_ROWS}
+    jobs["zeta-sign", "verify"] = ("zeta-sign", _python, "-m", "platevac.cli", "verify")
+    jobs["oracle-L", 0.77] = ("oracle-L", run, (0.77,))
+    jobs.update({name: (name, run, (1.0,)) for name in MUTATIONS})
+
+    def start(workdir: Path, name: str, how, *args):
+        return how(MUTATIONS[name][0].apply(package), workdir, *args)
+
+    pool = ThreadPoolExecutor(JOBS)
+    yield {key: pool.submit(start, tmp / str(i), *job) for i, (key, job) in enumerate(jobs.items())}
+    pool.shutdown(cancel_futures=True)
+
+
+@pytest.mark.parametrize("edit", [
+    Edit("spectrum", "<module>", '1 if value == "dirichlet"', "0"),  # in a method
+    Edit("spectrum", "BoundaryCondition", "L_MIN", "0"),  # in top-level code
+    Edit("spectrum", "BoundaryCondition.__init__", "-1", "0"),  # twice there
+    Edit("spectrum", "Boundary.__init__", "-1", "0"),  # no such function
+], ids=["module", "class", "twice", "missing"])
+def test_an_edit_refuses_an_old_text_not_once_in_its_function(edit):
+    with pytest.raises(AssertionError, match="old is not once in its function"):
+        edit.apply(_package())
+
+
+def _outcome(fails: set[str], L: float) -> dict:  # exactly fails FAIL at L, and none raises
+    return {"import": None, "fail": {repr(L): [c.name for c in VERIFY_CHECKS if c.name in fails]},
+            "raise": {repr(L): {}}}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_mutation_outcome(name, children):
+    assert children[name].result() == _outcome(MUTATIONS[name][1], 1.0)
+
+
+def test_oracle_L_fails_the_mode_sums_off_L_1(children):
+    assert children["oracle-L", 0.77].result() == _outcome(MODE_SUMS, 0.77)
+
+
+@pytest.mark.parametrize("name", ARRAY_ROWS)
+def test_array_rows_fail_the_columns_comparison(name, children):
     # verify evaluates one point at a time; the array path it no longer runs
     # is pinned to the scalar one, bit for bit, which each of these breaks
-    config = RunConfig(bc=BoundaryCondition.NEUMANN, L=0.77, grid_points=9)
-    assert_columns_equal_scalar_path(config)
-    MUTATIONS[name][0].apply(monkeypatch)
-    with pytest.raises(AssertionError):
-        assert_columns_equal_scalar_path(config)
-
-
-def test_the_caches_cleared_are_every_cache_in_the_source():
-    # a cache added to any module later is cleared too, and none is missed:
-    # each function the source decorates with lru_cache or cache is found
-    def name(decorator) -> str:
-        return ast.unparse(getattr(decorator, "func", decorator)).rsplit(".", 1)[-1]
-
-    decorated = set()
-    for module in [m for n, m in sys.modules.items() if n.startswith("platevac.")]:
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
-            if isinstance(node, ast.FunctionDef) and any(
-                    name(d) in ("lru_cache", "cache") for d in node.decorator_list):
-                decorated.add(f"{module.__name__}.{node.name}")
-    found = {f"{cache.__module__}.{cache.__qualname__}" for cache in _caches()}
-    assert found == decorated
-    assert {"platevac.dimreg._exp_sinh_nodes", "platevac.oracle._power_sums"} <= found
-    sample = Sample(1.0)
-    for check in VERIFY_CHECKS:
-        check.measure(sample)
-    _clear_caches()
-    assert [c for c in _caches() if c.cache_info().currsize] == []
-
-
-@pytest.mark.parametrize("name", ["expm1-sign", "eulerian-left", "power-series-exponent"])
-def test_a_warm_cache_hides_no_mutant(name, monkeypatch):
-    # the oracle's power sums, cached by an unmutated run, must not stand in
-    # for the sums of a mutant of the functions they call
-    sample = Sample(1.0)
-    assert all(check.passes(check.measure(sample)) for check in VERIFY_CHECKS)
-    assert outcome(MUTATIONS[name][0], monkeypatch) == MUTATIONS[name][1]
-
-
-def test_oracle_L_fails_the_mode_sums_off_L_1(monkeypatch):
-    assert outcome(MUTATIONS["oracle-L"][0], monkeypatch, L=0.77) == MODE_SUMS
+    assert_columns_equal_scalar_path(RunConfig(bc=BoundaryCondition.NEUMANN, L=0.77, grid_points=9))
+    done = children[name, "columns"].result()
+    assert done.returncode == 1 and done.stderr.splitlines()[-1].startswith("AssertionError"), \
+        done.stderr
 
 
 def test_a_raising_check_makes_verify_exit_2(monkeypatch, capsys):
@@ -332,12 +325,11 @@ def test_a_raising_check_makes_verify_exit_2(monkeypatch, capsys):
     assert out == "" and err.splitlines() == ["error: a check's measure raised"]
 
 
-def test_a_pipeline_mutation_prints_the_whole_report_and_exits_1(monkeypatch, capsys):
-    MUTATIONS["zeta-sign"][0].apply(monkeypatch)
-    assert cli.main(["verify"]) == 1
-    out, err = capsys.readouterr()
-    lines = out.splitlines()
-    assert err == "" and [line.split()[1] for line in lines[:-1]] == [c.name for c in VERIFY_CHECKS]
+def test_a_pipeline_mutation_prints_the_whole_report_and_exits_1(children):
+    done = children["zeta-sign", "verify"].result()
+    lines = done.stdout.splitlines()
+    assert (done.returncode, done.stderr) == (1, "")
+    assert [line.split()[1] for line in lines[:-1]] == [c.name for c in VERIFY_CHECKS]
     assert {line.split()[1] for line in lines if line.startswith("FAIL ")} == ZETA | ENERGY
     assert lines[-1] == "10/14 checks passed"
 

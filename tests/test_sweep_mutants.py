@@ -144,7 +144,7 @@ def _mutated_package(key: str) -> dict[str, bytes]:
 
 
 def test_child_passes_the_unmutated_package(tmp_path):
-    outcome = run(_package(), tmp_path / "unmutated")
+    outcome = run(_package(), tmp_path / "unmutated", LENGTHS)
     assert not caught(outcome), outcome
     assert sorted(outcome["fail"]) == sorted(map(repr, LENGTHS))
     assert not (tmp_path / "unmutated").exists()
@@ -152,12 +152,12 @@ def test_child_passes_the_unmutated_package(tmp_path):
 
 def test_child_catches_a_mutant_at_import(tmp_path):
     key = "fluctuations.Pair.__add__: `self.alpha + other.alpha` -> `self.alpha - other.alpha`"
-    outcome = run(_mutated_package(key), tmp_path / "mutant")
+    outcome = run(_mutated_package(key), tmp_path / "mutant", LENGTHS)
     assert outcome == {"import": "ConsistencyError", "fail": {}, "raise": {}}
 
 
 def test_child_catches_a_mutant_by_its_checks(tmp_path):
     key = "regsum.bernoulli: `Fraction(1)` -> `Fraction(2)`"
-    outcome = run(_mutated_package(key), tmp_path / "mutant")
+    outcome = run(_mutated_package(key), tmp_path / "mutant", LENGTHS)
     assert caught(outcome)
     assert all("zeta_cutoff_k3" in fails for fails in outcome["fail"].values()), outcome
