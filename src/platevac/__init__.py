@@ -14,7 +14,7 @@ from .casimir import (
     pressure,
     total_energy,
 )
-from .dimreg import gamma_real, master_integral, quadrature_reference
+from .dimreg import master_integral, quadrature_reference
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -49,7 +49,7 @@ from .stress import StressReport, stress_report
 
 __all__ = [
     "canonical_density_integral", "em_reference", "integrated_density_check", "pressure",
-    "total_energy", "gamma_real", "master_integral", "quadrature_reference", "ConsistencyError",
+    "total_energy", "master_integral", "quadrature_reference", "ConsistencyError",
     "DomainError", "InvalidConfigError", "PlateVacError",
     "PoleError", "QuadratureError", "ABPair", "FluctuationSet", "InteriorPoint", "ab_values",
     "expectation_columns", "expectation_set", "phi_squared", "phi_squared_single_plate",

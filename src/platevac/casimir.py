@@ -36,7 +36,7 @@ def total_energy(config: PlateConfig) -> float:
     coefficient times the exact zeta(-3); ``master_integral`` raises
     :class:`DomainError` unless its value is a finite double.
     """
-    per_mode = 0.5 * master_integral(2.0, -0.5, k_n(config, 1) ** 2)
+    per_mode = 0.5 * master_integral(-0.5, k_n(config, 1) ** 2)
     return per_mode * float(zeta_neg_int(3))
 
 

@@ -1,19 +1,19 @@
-"""Dimensionally continued transverse-momentum integrals.
+"""The transverse momentum integral between the plates, continued in N.
 
-The master integral
+The master integral over the two transverse dimensions,
 
-    I(d, N, m^2) = integral d^d k / (2 pi)^d  (k^2 + m^2)^-N
-                 = Gamma(N - d/2) / ((4 pi)^(d/2) Gamma(N)) (m^2)^(d/2 - N)
+    I(N, m^2) = integral d^2 k / (2 pi)^2  (k^2 + m^2)^-N
+              = Gamma(N - 1) / (4 pi Gamma(N)) (m^2)^(1 - N),
 
-converges only for 2N > d; everywhere else its value is defined by
-analytic continuation in d, which the gamma-function form realizes
+converges only for N > 1; everywhere else its value is defined by
+analytic continuation in N, which the gamma-function form realizes
 literally: negative gamma arguments are continued by the gamma function
-itself rather than through subtractions of divergent integrands.
+itself rather than through subtractions of divergent integrands.  The
+Casimir energy takes it at N = -1/2.
 
-For convergent cases in d = 2, the transverse dimensions between the
-plates, a direct radial quadrature by the double-exponential rule is an
-independent cross-check.  Both take plain numbers and share one check
-of N and m^2.
+For convergent N, a direct radial quadrature by the double-exponential
+rule is an independent cross-check.  Both take plain numbers and share
+one check of N and m^2.
 """
 
 from __future__ import annotations
@@ -23,29 +23,7 @@ from functools import lru_cache
 
 from .errors import DomainError, PoleError, QuadratureError, _is_finite, _quoted
 
-__all__ = ["gamma_real", "master_integral", "quadrature_reference"]
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == round(x)
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function on the real axis, poles excluded.
-
-    ``math.gamma`` continues to negative arguments itself; the poles at
-    the non-positive integers raise :class:`PoleError`, and arguments
-    whose Gamma overflows a double (x above about 171.6) or that are not
-    finite raise :class:`DomainError`.
-    """
-    if not _is_finite(x):
-        raise DomainError(f"gamma_real needs a finite argument, got {_quoted(x)}")
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"Gamma has a pole at {x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise DomainError(f"Gamma({x}) overflows a double") from None
+__all__ = ["master_integral", "quadrature_reference"]
 
 
 def _check_integral(N: float, m_sq: float) -> None:
@@ -56,35 +34,28 @@ def _check_integral(N: float, m_sq: float) -> None:
         raise DomainError(f"m_sq must be positive and finite, got {_quoted(m_sq)}")
 
 
-def master_integral(d: float, N: float, m_sq: float) -> float:
-    """The continued momentum integral I(d, N, m^2) in closed form.
+def master_integral(N: float, m_sq: float) -> float:
+    """The continued momentum integral I(N, m^2) in closed form.
 
-    d and N must be finite and m_sq must lie in (0, inf), or
-    :class:`DomainError`.  Raises :class:`PoleError` when N - d/2 hits a
-    non-positive integer; that signals a case needing a different
-    regularization, not a numerical failure.  When N itself is a
-    non-positive integer the reciprocal gamma vanishes and the continued
-    value is zero.  A value that is not a finite double raises
-    :class:`DomainError`.
+    N must be finite and m_sq must lie in (0, inf), or
+    :class:`DomainError`.  Raises :class:`PoleError` when N - 1 is a
+    non-positive integer, which covers every pole of Gamma(N) too; that
+    signals a case needing a different regularization, not a numerical
+    failure.  A value that is not a finite double, a Gamma that
+    overflows among them, raises :class:`DomainError`.
     """
-    if not _is_finite(d):
-        raise DomainError(f"d must be finite, got {_quoted(d)}")
     _check_integral(N, m_sq)
-    a = N - d / 2.0
-    if _is_nonpositive_integer(a):
-        raise PoleError(
-            f"master integral pole: N - d/2 = {a} is a non-positive integer"
-        )
-    if _is_nonpositive_integer(N):
-        return 0.0
+    a = N - 1.0
+    if a <= 0.0 and a == round(a):
+        raise PoleError(f"master integral pole: N - 1 = {a} is a non-positive integer")
     try:
-        prefactor = gamma_real(a) / ((4.0 * math.pi) ** (d / 2.0) * gamma_real(N))
+        prefactor = math.gamma(a) / (4.0 * math.pi * math.gamma(N))
         # float(): a numpy m_sq would overflow to inf instead of raising
-        value = prefactor * float(m_sq) ** (d / 2.0 - N)
+        value = prefactor * float(m_sq) ** (1.0 - N)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"the master integral at (d, N, m_sq) = {d, N, m_sq} "
+        raise DomainError(f"the master integral at (N, m_sq) = {N, m_sq} "
                           "is not a finite double")
     return value
 
@@ -131,15 +102,12 @@ def _half_line_integral(f) -> float:
 
 
 def quadrature_reference(N: float, m_sq: float) -> float:
-    """Direct radial quadrature of the convergent master integral in d = 2.
+    """Direct radial quadrature of the convergent master integral.
 
-    The transverse momenta between the plates span two dimensions, the
-    one case any check asks for: I(2, N, m^2) is the radial integral of
-    k (k^2 + m^2)^-N times 2 pi / (2 pi)^2.  tests/test_dimreg.py checks
-    the continued, non-integer-d values of :func:`master_integral` through
-    scaling and recursion identities instead.  Requires N > 1, where the
-    integral converges; for N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it
-    agrees with the gamma-function form to 2e-15.
+    I(N, m^2) is the radial integral of k (k^2 + m^2)^-N times
+    2 pi / (2 pi)^2.  Requires N > 1, where the integral converges; for
+    N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it agrees with the
+    gamma-function form to 2e-15.
     """
     _check_integral(N, m_sq)
     if not N > 1.0:

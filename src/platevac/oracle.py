@@ -53,7 +53,7 @@ import math
 from functools import lru_cache
 
 from . import dimreg
-from .errors import InvalidConfigError
+from .errors import ConsistencyError, InvalidConfigError
 from .fluctuations import InteriorPoint
 from .regsum import FinitePartResult, _expm1, _power_series, fit_finite_part
 from .spectrum import BoundaryCondition, PlateConfig
@@ -137,16 +137,22 @@ def _regulated_sums(field: str, bc: BoundaryCondition, L: float, theta: float,
     transverse kernel, as Li_j(q) - (s/2) [Li_j(z) + Li_j(z')] per power
     of k_n, z and z' = q e^(+-2i theta), from :func:`_power_sums`.  The
     cosine is the mean of the two phases, not Re Li_j(z), which is not
-    analytic in eps.
+    analytic in eps.  A kernel with more powers of k_n than there are
+    sums raises :class:`ConsistencyError`, not a ValueError, which
+    ``fit_finite_part`` would report as non-finite data.
     """
     a = math.pi / L
     # s comes from the modes summed, not from BoundaryCondition.sign_upper,
     # so the oracle shares no sign convention with the closed forms:
     # Dirichlet sin^2 gives 1 - cos 2 n theta, Neumann cos^2 1 + cos 2 n theta.
     s = 1 if bc is BoundaryCondition.DIRICHLET else -1
+    coefficients = _kernel_coefficients(field, eps)
+    sums = _power_sums(L, theta, eps)
+    if len(sums) < len(coefficients):
+        raise ConsistencyError(f"the {field} kernel has {len(coefficients)} powers of k_n, "
+                               f"but only {len(sums)} power sums are summed")
     total = 0.0
-    for j, (c, (free, pair)) in enumerate(zip(_kernel_coefficients(field, eps),
-                                              _power_sums(L, theta, eps))):
+    for j, (c, (free, pair)) in enumerate(zip(coefficients, sums)):
         total += c * a**j * (free - s * 0.5 * pair)
     return total / (2.0 * L)
 

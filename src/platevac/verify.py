@@ -3,8 +3,10 @@
 Every bound is an upper bound: a check passes when its measured value,
 a relative error unless noted, is at most its bound, so a NaN fails.
 Each measure takes one :class:`Sample`, the plates of a run, and
-computes what it reads itself, so a check costs the same wherever it
-stands in the report.  This module loads neither numpy nor the CLI.
+computes what it reads itself, with one exception: the two mode-sum
+checks share the oracle's cached power sums (``oracle._power_sums``),
+so whichever runs second reads the sums the first computed, and costs
+less.  This module loads neither numpy nor the CLI.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _dimreg_quadrature(sample: Sample) -> float:
     analytic, numeric = [], []
     for N in (1.5, 2.0, 3.0):
         for m_sq in (0.5, 1.0, 4.0):
-            analytic.append(dimreg.master_integral(2.0, N, m_sq))
+            analytic.append(dimreg.master_integral(N, m_sq))
             numeric.append(dimreg.quadrature_reference(N, m_sq))
     return _worst([a - n for a, n in zip(analytic, numeric)], analytic)
 

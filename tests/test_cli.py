@@ -27,11 +27,10 @@ from platevac.cli import (
     cmd_verify,
     main,
 )
-from platevac.errors import InvalidConfigError, PlateVacError
-from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
-from platevac.spectrum import BoundaryCondition, PlateConfig
-from platevac.stress import stress_report
+from platevac.errors import InvalidConfigError
+from platevac.spectrum import BoundaryCondition
 from platevac.verify import VERIFY_CHECKS
+from scalar_path import assert_columns_equal_scalar_path, scalar_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 # SHA-256 of `profile --points 20001` (five write chunks), taken while
@@ -163,25 +162,6 @@ def _assert_same_text(actual: str, expected: str) -> None:
     )
 
 
-def _scalar_rows(config: RunConfig) -> list[dict[str, float]]:
-    """The profile evaluated one point at a time through the scalar API."""
-    plate = PlateConfig(config.L)
-    rows = []
-    for z in config.grid().tolist():
-        point = InteriorPoint.from_z(plate, z)
-        fluct = expectation_set(config.bc, plate, point)
-        report = stress_report(fluct, ab_values(plate, point))
-        rows.append({
-            "z": z, "theta": point.theta, "phi2": fluct.phi2, "phidot2": fluct.phidot2,
-            "dzphi2": fluct.dzphi2, "gradTphi2": fluct.gradTphi2,
-            "dlambda_phi2": fluct.dlambda_phi2,
-            "E_canonical": report.energy_density_canonical, "huggins00": report.huggins_00,
-            "E_improved": report.energy_density_improved, "T_zz": report.t_zz,
-            "trace_canonical": report.trace_canonical, "trace_improved": report.trace_improved,
-        })
-    return rows
-
-
 def _render_rows(config: RunConfig, rows: list[dict[str, float]]) -> str:
     """cmd_profile's output for ``rows``, each value rendered alone by _fmt/_json_render."""
     if config.output_format == "csv":
@@ -195,26 +175,7 @@ def _render_rows(config: RunConfig, rows: list[dict[str, float]]) -> str:
 
 def _scalar_render(config: RunConfig) -> str:
     """cmd_profile's output rebuilt from the scalar rows."""
-    return _render_rows(config, _scalar_rows(config))
-
-
-def assert_columns_equal_scalar_path(config: RunConfig) -> None:
-    """The profile columns equal the scalar path point by point, bit for bit.
-
-    Where the scalar path raises a PlateVacError, so must the columns.
-    """
-    try:
-        scalar = _scalar_rows(config)
-    except PlateVacError:
-        with pytest.raises(PlateVacError):
-            _profile_rows(config)
-        return
-    columns = _profile_rows(config)
-    assert tuple(columns) == PROFILE_COLUMNS
-    for key in PROFILE_COLUMNS:
-        expected = np.array([row[key] for row in scalar])
-        assert columns[key].dtype == np.float64
-        assert np.array_equal(columns[key].view(np.uint64), expected.view(np.uint64)), key
+    return _render_rows(config, scalar_rows(config))
 
 
 class TestColumnarProfile:
@@ -593,7 +554,7 @@ for bc in platevac.BoundaryCondition:
 platevac.total_energy(plate), platevac.pressure(plate), platevac.em_reference(plate)
 platevac.f_theta(1.1), platevac.trig_sum_n_cos(1.1), platevac.trig_sum_n3_cos(1.1)
 platevac.zeta_neg_int(3), platevac.abel_sum_oracle(3, 1.1)
-platevac.master_integral(2.0, -0.5, 1.0), platevac.quadrature_reference(2.0, 1.0)
+platevac.master_integral(-0.5, 1.0), platevac.quadrature_reference(2.0, 1.0)
 platevac.cutoff_sum_oracle(), platevac.mode_sum_finite_part("phidot2", bc, plate, point)
 platevac.canonical_density_integral(plate, bc, 1e-3)
 for fmt in ("csv", "json"):

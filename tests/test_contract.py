@@ -27,7 +27,6 @@ from platevac import (
     expectation_columns,
     expectation_set,
     f_theta,
-    gamma_real,
     integrated_density_check,
     k_n,
     master_integral,
@@ -162,13 +161,13 @@ def test_array_path_gives_finite_columns_or_a_library_error(theta, L, bc):
     assert ab.B.shape == theta.shape and np.isfinite(ab.B).all()
 
 
-@given(x=numbers, d=numbers, N=numbers, L=numbers,
+@given(x=numbers, N=numbers, L=numbers,
        bc=st.sampled_from(list(BoundaryCondition)))
 @settings(max_examples=200, deadline=None)
-def test_rest_of_the_api_gives_finite_values_or_a_library_error(x, d, N, L, bc):
-    for fn in (bernoulli, zeta_neg_int, f_theta, trig_sum_n_cos, trig_sum_n3_cos, gamma_real):
+def test_rest_of_the_api_gives_finite_values_or_a_library_error(x, N, L, bc):
+    for fn in (bernoulli, zeta_neg_int, f_theta, trig_sum_n_cos, trig_sum_n3_cos):
         _call(fn, x)
-    _call(master_integral, d, N, x)
+    _call(master_integral, N, x)
     _call(quadrature_reference, N, x)
     configs = [PlateConfig(1.0)]
     config = _call(PlateConfig, L)

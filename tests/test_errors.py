@@ -50,7 +50,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: regsum.abel_sum_oracle(1, 8.98846567431158e307),
     lambda: regsum.abel_sum_oracle(3, -8.98846567431158e307),
     lambda: spectrum.k_n(PLATE, 0),
-    lambda: dimreg.master_integral(3.0, 10.0, 1e-300),
+    lambda: dimreg.master_integral(10.0, 1e-300),
     lambda: oracle.transverse_quadrature("dzphi2", 1.0, 1.0),
     # no cutoff: the integral diverges
     lambda: oracle.transverse_quadrature("phi2", 1.0, 0.0),
@@ -81,9 +81,8 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: fluctuations.InteriorPoint.from_theta(PLATE, HUGE),
     lambda: regsum.f_theta(HUGE),
     lambda: fluctuations.phi_squared_single_plate(D, HUGE),
-    lambda: dimreg.gamma_real(HUGE),
     lambda: regsum.abel_sum_oracle(1, HUGE),
-    lambda: dimreg.master_integral(2.0, HUGE, 1.0),
+    lambda: dimreg.master_integral(HUGE, 1.0),
     lambda: dimreg.quadrature_reference(HUGE, 1.0),
     lambda: PlateConfig(LONG),
     lambda: casimir.canonical_density_integral(PLATE, D, LONG),
@@ -103,7 +102,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     "zeta_neg_int-huge", "bernoulli-float", "bernoulli-bool", "bernoulli-above-bound",
     "zeta_neg_int-long", "bernoulli-long", "k_n-long",
     *(f"{name}-huge" for name in ("InteriorPoint", "from_z", "from_theta", "f_theta",
-                                  "phi_squared_single_plate", "gamma_real", "abel_sum_oracle",
+                                  "phi_squared_single_plate", "abel_sum_oracle",
                                   "master_integral", "quadrature_reference")),
     "PlateConfig-long", "canonical_density_integral-long",
 ])

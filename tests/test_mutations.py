@@ -4,7 +4,9 @@ Each row's :class:`Edit` replaces one text in one platevac function of a
 copy of the package, and ``sweep_mutants.run`` imports the copy in a
 fresh child process, as it does the sweep's mutants, and evaluates every
 ``verify`` check there at L = 1.  Each row pins the exact set of checks
-that FAIL; a check that raises, or an exception at import, fails it.
+that FAIL, and, as an optional third element, the checks that raise,
+each with its error's class; any other raise, or an exception at
+import, fails it.
 
 The keep rule for ``verify.VERIFY_CHECKS``: a check stays only if some
 mutation makes it FAIL and no other check, over this table and the
@@ -30,7 +32,7 @@ from platevac.errors import DomainError
 from platevac.spectrum import BoundaryCondition
 from platevac.verify import VERIFY_CHECKS, Check
 from sweep_mutants import JOBS, PACKAGE, child, run
-from test_cli import assert_columns_equal_scalar_path
+from scalar_path import assert_columns_equal_scalar_path
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -78,7 +80,7 @@ CANONICAL = "canonical_density_integral"
 ZETA = {"zeta_cutoff_k3"}
 ABEL = {"abel_n_cos", "abel_n3_cos"}
 
-# name: (mutation, FAIL set)
+# name: (mutation, FAIL set[, {raising check: error class}])
 MUTATIONS = {
     # Literals of the closed forms.
     "A-1440": (Edit("fluctuations", "_ab", "1440.0", "1400.0"),
@@ -177,9 +179,11 @@ MUTATIONS = {
                   {"oracle_transverse_kernel", "mode_sum_phidot2"}),
     "oracle-half-angle": (Edit("oracle", "_power_sums", "2.0 * theta", "theta"), MODE_SUMS),
     # phidot2's power sums of k_n^0 alone: its k_n and k_n^2 kernel terms add
-    # +1 and -1 times sum k_n^3 to the finite part, so dropping them moves only
-    # the divergent coefficients, which ROADMAP item 13 must check
-    "oracle-power-sums-j0": (Edit("oracle", "_power_sums", "range(3)", "range(1)"), set()),
+    # +1 and -1 times sum k_n^3 to the finite part, so dropping them would move
+    # only the divergent coefficients; the oracle refuses a kernel with more
+    # terms than power sums instead
+    "oracle-power-sums-j0": (Edit("oracle", "_power_sums", "range(3)", "range(1)"), set(),
+                             {"mode_sum_phidot2": "ConsistencyError"}),
     "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * L)", "/ L"), MODE_SUMS),
     # Re Li_j(z) is not analytic in eps: the circle's mean is not its constant term
     "oracle-cos-real": (Edit("oracle", "_power_sums", "up + down", "2.0 * up.real"),
@@ -212,15 +216,15 @@ MUTATIONS = {
     "power-series-exponent": (Edit("regsum", "_power_series", "one_minus_x ** (k + 1)",
                                    "one_minus_x ** k"),
                               ZETA | MODE_SUMS | ABEL),
-    "master-4pi": (Edit("dimreg", "master_integral", "(4.0 * math.pi)", "(2.0 * math.pi)"),
+    "master-4pi": (Edit("dimreg", "master_integral", "4.0 * math.pi", "2.0 * math.pi"),
                    {"dimreg_quadrature"} | ENERGY),
-    "master-gamma-N": (Edit("dimreg", "master_integral", "gamma_real(N)",
-                            "gamma_real(N + 1.0)"),
+    "master-gamma-N": (Edit("dimreg", "master_integral", "math.gamma(N)",
+                            "math.gamma(N + 1.0)"),
                        {"dimreg_quadrature"} | ENERGY),
-    "master-exponent-sign": (Edit("dimreg", "master_integral", "d / 2.0 - N",
-                                  "N - d / 2.0"),
+    "master-exponent-sign": (Edit("dimreg", "master_integral", "1.0 - N", "N - 1.0"),
                              {"dimreg_quadrature"} | READS_ENERGY),
-    "energy-N": (Edit("casimir", "total_energy", "2.0, -0.5", "2.0, 0.5"), READS_ENERGY),
+    "energy-N": (Edit("casimir", "total_energy", "master_integral(-0.5", "master_integral(0.5"),
+                 READS_ENERGY),
     "energy-zeta3": (Edit("casimir", "total_energy", "zeta_neg_int(3)", "zeta_neg_int(1)"), ENERGY),
     # A hand-typed pi: the energy 1.97e-13 off, inside the 1e-12 bounds of
     # integrated_density and tzz_equals_pressure.
@@ -247,10 +251,10 @@ ARRAY_ROWS = ("columns-half-angle", "stress-t-unsigned", "stress-A-doubled")
 _COLUMNS = """
 from platevac.cli import RunConfig
 from platevac.spectrum import BoundaryCondition
-from test_cli import assert_columns_equal_scalar_path
+from scalar_path import assert_columns_equal_scalar_path
 assert_columns_equal_scalar_path(RunConfig(bc=BoundaryCondition.NEUMANN, L=0.77, grid_points=9))
 """
-# A child of these tests' own, which imports test_cli from here.
+# A child of these tests' own, which imports scalar_path from here.
 _python = partial(child, path=[Path(__file__).parent])
 
 
@@ -288,14 +292,16 @@ def test_an_edit_refuses_an_old_text_not_once_in_its_function(edit):
         edit.apply(_package())
 
 
-def _outcome(fails: set[str], L: float) -> dict:  # exactly fails FAIL at L, and none raises
+def _outcome(fails: set[str], L: float, raises: dict[str, str] | None = None) -> dict:
+    """Exactly ``fails`` FAIL at L, and exactly ``raises`` raise, {check: error class}."""
     return {"import": None, "fail": {repr(L): [c.name for c in VERIFY_CHECKS if c.name in fails]},
-            "raise": {repr(L): {}}}
+            "raise": {repr(L): raises or {}}}
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_mutation_outcome(name, children):
-    assert children[name].result() == _outcome(MUTATIONS[name][1], 1.0)
+    _, fails, *raises = MUTATIONS[name]
+    assert children[name].result() == _outcome(fails, 1.0, *raises)
 
 
 def test_oracle_L_fails_the_mode_sums_off_L_1(children):
@@ -335,5 +341,5 @@ def test_a_pipeline_mutation_prints_the_whole_report_and_exits_1(children):
 
 
 def test_every_check_fails_under_some_mutation():
-    failed = set().union(*(fails for _, fails in MUTATIONS.values()))
+    failed = set().union(*(fails for _, fails, *_ in MUTATIONS.values()))
     assert [check.name for check in VERIFY_CHECKS if check.name not in failed] == []

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platevac import dimreg, oracle
-from platevac.errors import DomainError, InvalidConfigError, PlateVacError, QuadratureError
+from platevac.errors import (ConsistencyError, DomainError, InvalidConfigError, PlateVacError,
+                             QuadratureError)
 from platevac.fluctuations import InteriorPoint, expectation_set
 from platevac.oracle import mode_sum_finite_part
 from platevac.regsum import fit_finite_part
@@ -231,6 +232,19 @@ class TestSpecValidation:
         config = PlateConfig(1.0)
         with pytest.raises(DomainError):
             mode_sum_finite_part("phidot2", D, config, InteriorPoint.from_theta(config, theta))
+
+    @pytest.mark.parametrize("summed", [1, 2])
+    def test_a_kernel_longer_than_its_power_sums_raises(self, summed, monkeypatch):
+        # phidot2's k_n and k_n^2 terms must not be dropped: with fewer
+        # sums than kernel terms the oracle names the field, rather than
+        # returning a finite part, or a fit error about non-finite data;
+        # phi2, whose kernel is one term, reads the first sum alone
+        phi2 = _bits(_oracle("phi2", D, 1.0, 1.0))
+        real = oracle._power_sums.__wrapped__
+        monkeypatch.setattr(oracle, "_power_sums", lambda *args: real(*args)[:summed])
+        with pytest.raises(ConsistencyError, match="the phidot2 kernel has 3 powers"):
+            _oracle("phidot2", D, 1.0, 1.0)
+        assert _bits(_oracle("phi2", D, 1.0, 1.0)) == phi2
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 2.0, 2.0, math.pi - 1e-3])
     def test_radius_is_half_way_to_the_nearest_singularity(self, theta, monkeypatch):
