@@ -58,7 +58,36 @@ class TestMasterIntegral:
         expected = lam ** -1.0 * master_integral(2.0, m_sq)
         assert abs(scaled - expected) <= 1e-12 * abs(scaled)
 
-    @pytest.mark.parametrize("N", [1.0, 0.0, -1.0])
+    @pytest.mark.parametrize("N", [*map(float, range(2, 16)), 170.0, 171.0,
+                                   2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    def test_gamma_ratio_at_integer_and_half_integer_powers(self, N):
+        # Gamma(N - 1) / Gamma(N) = 1 / (N - 1); at N = 171, Gamma(N) is
+        # within a factor 4 pi of the largest double.  Every case reads at
+        # most 4.6e-16
+        expected = 1.0 / (4.0 * math.pi * (N - 1.0))
+        assert abs(master_integral(N, 1.0) - expected) <= 1e-14 * abs(expected)
+
+    @pytest.mark.parametrize("pole", [0.0, -1.0, -2.0, -5.0, -9.0])
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3])
+    def test_near_pole_accuracy(self, pole, offset):
+        # N - 1 = pole + offset: both gammas are large, their ratio is not.
+        # math.gamma loses some |pole| ulp / |offset| there; every case
+        # reads at most 8.9e-13
+        N = 1.0 + pole + offset
+        expected = 1.0 / (4.0 * math.pi * (N - 1.0))
+        assert abs(master_integral(N, 1.0) - expected) <= 5e-12 * abs(expected)
+
+    def test_continuation_on_grid(self):
+        # N on [-10, 30] in steps of 0.0137, more than 1.2e-3 from the
+        # integers; every point reads at most 8e-15
+        N = -10.0 + 0.0137
+        while N < 30.0:
+            if abs(N - round(N)) > 1.2e-3:
+                expected = 1.0 / (4.0 * math.pi * (N - 1.0))
+                assert abs(master_integral(N, 1.0) - expected) <= 1e-12 * abs(expected), N
+            N += 0.0137
+
+    @pytest.mark.parametrize("N", [1.0, 0.0, -1.0, -2.0, -16.0])
     def test_gamma_pole_raises(self, N):
         # Gamma(N - 1) has a pole wherever Gamma(N) has one, and at N = 1
         with pytest.raises(PoleError):
@@ -84,6 +113,13 @@ class TestMasterIntegral:
         N, m_sq = spec
         with pytest.raises(DomainError, match="not a finite double"):
             master_integral(N, number(m_sq))
+
+    @pytest.mark.parametrize("N", [172.0, 200.0, 1e300, -180.5, -200.5])
+    def test_gamma_out_of_range_raises_domain_error(self, N):
+        # Gamma(N) overflows above N = 171.62; below N = -180, both gammas
+        # underflow to zero, and their ratio is 0 / 0
+        with pytest.raises(DomainError, match="not a finite double"):
+            master_integral(N, 1.0)
 
     @given(st.floats(-1e3, 1e3),
            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))

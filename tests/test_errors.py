@@ -51,6 +51,10 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: regsum.abel_sum_oracle(3, -8.98846567431158e307),
     lambda: spectrum.k_n(PLATE, 0),
     lambda: dimreg.master_integral(10.0, 1e-300),
+    # a pole of Gamma(N - 1), Gamma(N) past the double range, both gammas zero
+    lambda: dimreg.master_integral(1.0, 1.0),
+    lambda: dimreg.master_integral(172.0, 1.0),
+    lambda: dimreg.master_integral(-180.5, 1.0),
     lambda: oracle.transverse_quadrature("dzphi2", 1.0, 1.0),
     # no cutoff: the integral diverges
     lambda: oracle.transverse_quadrature("phi2", 1.0, 0.0),
@@ -94,6 +98,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     "abel_sum_oracle-bool", "abel_sum_oracle-float", "abel_sum_oracle-negative",
     "abel_sum_oracle-5", "abel_sum_oracle-str", "abel_sum_oracle-none", "abel_sum_oracle-0",
     "abel_sum_oracle-2theta-overflow", "abel_sum_oracle-2theta-overflow-negative", "k_n", "master_integral",
+    "master_integral-pole", "master_integral-gamma-overflow", "master_integral-gamma-underflow",
     "transverse_quadrature-field", "transverse_quadrature-no-cutoff",
     *(f"{name}-{theta}" for name in ("f_theta", "trig_sum_n_cos", "trig_sum_n3_cos")
       for theta in ("1e-200", "1e-320")),
