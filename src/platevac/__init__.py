@@ -34,16 +34,7 @@ from .fluctuations import (
     phi_squared_single_plate,
 )
 from .oracle import mode_sum_finite_part
-from .regsum import (
-    FinitePartResult,
-    abel_sum_oracle,
-    bernoulli,
-    cutoff_sum_oracle,
-    f_theta,
-    trig_sum_n3_cos,
-    trig_sum_n_cos,
-    zeta_neg_int,
-)
+from .regsum import FinitePartResult, bernoulli, zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import StressReport, stress_report
 
@@ -53,10 +44,8 @@ __all__ = [
     "DomainError", "InvalidConfigError", "PlateVacError",
     "PoleError", "QuadratureError", "ABPair", "FluctuationSet", "InteriorPoint", "ab_values",
     "expectation_columns", "expectation_set", "phi_squared", "phi_squared_single_plate",
-    "mode_sum_finite_part", "FinitePartResult",
-    "abel_sum_oracle", "bernoulli", "cutoff_sum_oracle", "f_theta", "trig_sum_n3_cos",
-    "trig_sum_n_cos", "zeta_neg_int", "BoundaryCondition", "PlateConfig", "k_n", "StressReport",
-    "stress_report",
+    "mode_sum_finite_part", "FinitePartResult", "bernoulli", "zeta_neg_int",
+    "BoundaryCondition", "PlateConfig", "k_n", "StressReport", "stress_report",
 ]
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ one check of N and m^2.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .errors import DomainError, PoleError, QuadratureError, _is_finite, _quoted
@@ -41,22 +42,28 @@ def master_integral(N: float, m_sq: float) -> float:
     :class:`DomainError`.  Raises :class:`PoleError` when N - 1 is a
     non-positive integer, which covers every pole of Gamma(N) too; that
     signals a case needing a different regularization, not a numerical
-    failure.  A value that is not a finite double, a Gamma that
-    overflows among them, raises :class:`DomainError`.
+    failure.  A value that is not a finite double raises
+    :class:`DomainError`, and so does one whose Gamma(N - 1) or Gamma(N)
+    is not a normal double, or whose 4 pi Gamma(N) overflows: there the
+    ratio would lose digits, or all of them.
     """
     _check_integral(N, m_sq)
+    # float(): a numpy N or m_sq would overflow to inf with a warning instead of raising
+    N = float(N)
     a = N - 1.0
     if a <= 0.0 and a == round(a):
         raise PoleError(f"master integral pole: N - 1 = {a} is a non-positive integer")
     try:
-        prefactor = math.gamma(a) / (4.0 * math.pi * math.gamma(N))
-        # float(): a numpy m_sq would overflow to inf instead of raising
+        gamma_a, gamma_N = math.gamma(a), math.gamma(N)
+        denominator = 4.0 * math.pi * gamma_N
+        normal = min(abs(gamma_a), abs(gamma_N)) >= sys.float_info.min
+        prefactor = gamma_a / denominator if normal and abs(denominator) < math.inf else math.inf
         value = prefactor * float(m_sq) ** (1.0 - N)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"the master integral at (N, m_sq) = {N, m_sq} "
-                          "is not a finite double")
+        raise DomainError(f"the master integral at (N, m_sq) = {N, m_sq} is not a finite "
+                          "double, or Gamma(N - 1) or Gamma(N) is not a normal double")
     return value
 
 

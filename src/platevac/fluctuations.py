@@ -14,6 +14,18 @@ s = sign_upper (+1 Dirichlet, -1 Neumann).  The individual fluctuations
 diverge on the plates; the surfaces are therefore excluded from the
 domain rather than mapped to infinities.
 
+The literals are those of the regularized mode sums: zeta(-1) = -1/12,
+zeta(-3) = 1/120, and
+
+    sum_n n   cos(2 n theta) = -1 / (4 sin^2 theta),
+    sum_n n^3 cos(2 n theta) = f(theta) / 8,
+
+in phi2 = -(zeta(-1) - s sum_n n cos(2 n theta)) / (4 L^2) and
+(A, B) = pi^2 / (12 L^4) (zeta(-3), sum_n n^3 cos(2 n theta)).  So
+1440 = 12 / zeta(-3), 96 = 12 * 8, and phi2's 48 = 4 / (-zeta(-1)) and
+3 = (-1/4) / zeta(-1).  The mode-sum oracle rebuilds phi2 and phidot2
+from these sums independently, at a complex cutoff.
+
 Every 1/length^4 field is an exact rational combination alpha A + beta t
 with t = s B, held as a :class:`Pair` in :data:`FIELD_PAIRS`.
 A pair meets floating point in one place: :func:`_kernel` compiles a

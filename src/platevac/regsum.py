@@ -1,58 +1,40 @@
-"""Regularized lattice sums and their independent numerical oracles.
+"""Regularized lattice sums: zeta at negative integers, the power series
+sum_n n^k x^n, and the circle fit that reads off a finite part.
 
-The divergent sums sum_n n^k and sum_n n^k cos(2 n theta) over the
-longitudinal mode number n are assigned finite values by analytic
-continuation: the pure power sums through the Riemann zeta function at
-negative integers, the oscillatory sums through the closed forms
+The divergent power sums sum_n n^k over the longitudinal mode number n
+are assigned finite values by analytic continuation, through the
+Riemann zeta function at negative integers, exactly in rational
+arithmetic (:func:`zeta_neg_int`); ``casimir`` reads zeta(-3).  The
+profile function f(theta) = 3/sin^4 theta - 2/sin^2 theta, which
+``fluctuations`` evaluates after :func:`_check_theta` has validated
+its angle, is 8 times the regularized sum_n n^3 cos(2 n theta).
 
-    sum_n n   cos(2 n theta) = -1 / (4 sin^2 theta)
-    sum_n n^3 cos(2 n theta) = (1/8) (3/sin^4 theta - 2/sin^2 theta)
+The mode-sum oracle, ``oracle``, reads the rest:
 
-Two independent numerical routes to the same finite parts are provided
-for cross-validation:
+* :func:`_power_series`, the closed form
+  sum_{n>=1} n^k x^n = x P_k(x) / (1 - x)^(k+1), with P_k the Eulerian
+  polynomial, for a complex x; each 1 - x is taken through the complex
+  expm1 :func:`_expm1`, so that it keeps its digits near x = 1.
 
-* ``cutoff_sum_oracle`` sums S(eps) = sum_n n^3 e^(-eps n) exactly
-  (closed form through Eulerian polynomials) at complex cutoffs.  S is
-  analytic in eps but for poles at eps = 2 pi i m; the one at 0 is
-  3!/eps^4 followed by the constant zeta(-3).  ``fit_finite_part``
-  reads that constant off as the mean of S over 64 equally spaced
-  points of the circle |eps| = pi, half way to the next pole: the
-  trapezoid rule for the Laurent coefficient, exact to about 2^-64.
-
-* ``abel_sum_oracle`` takes the Abel limit r -> 1- of
-  sum_n n^k r^n cos(2 n theta) as the boundary value of its generating
-  function: sum_n n^k x^n = x P_k(x) / (1 - x)^(k+1), with P_k the
-  Eulerian polynomial, is rational with its one pole at x = 1, so the
-  limit is the real part of its value at x = e^(2i theta), in closed
-  form.  It holds for any theta off the plates theta = m pi and
-  raises DomainError on them, where no Abel limit exists, and wherever
-  the sum overflows a double.
-
-All closed-form evaluations are exact rational or elementary-function
-expressions; only the cutoff oracle takes a contour mean, in double
-precision on Python complex numbers on its own fixed circle, and it
-shares that mean and a complex expm1 with the mode-sum oracle, ``oracle``.
+* :func:`fit_finite_part`, which reads the constant term of a regulated
+  sum's Laurent series at eps = 0 off the mean over 64 equally spaced
+  points of a circle around it: the trapezoid rule for the Laurent
+  coefficient, in double precision on Python complex numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, _FrozenRecord, _is_count, _is_finite, _quoted, _require, _set_field
+from .errors import DomainError, _FrozenRecord, _is_count, _quoted, _require, _set_field
 
 __all__ = [
     "FinitePartResult",
     "bernoulli",
     "zeta_neg_int",
-    "f_theta",
-    "trig_sum_n_cos",
-    "trig_sum_n3_cos",
-    "abel_sum_oracle",
-    "cutoff_sum_oracle",
 ]
 
 
@@ -103,7 +85,7 @@ def zeta_neg_int(k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms of the regularized oscillatory sums
+# The angle and the profile function f
 # ---------------------------------------------------------------------------
 
 def _check_theta(theta):
@@ -129,39 +111,8 @@ def _f_of_sin2(s2):
     return (3.0 / s2 - 2.0) / s2
 
 
-def _scalar_of_sin2(theta: float, of_sin2) -> float:
-    """``of_sin2(sin^2 theta)`` at one angle inside (0, pi), if it is a finite double.
-
-    DomainError where sin^2 theta underflows to 0 or the value
-    overflows: the angle is too close to a plate.
-    """
-    _check_theta(theta)
-    s = math.sin(theta)
-    s2 = s * s
-    value = of_sin2(s2) if s2 > 0.0 else math.inf
-    if not abs(value) < math.inf:
-        raise DomainError(f"the sum overflows at theta = {theta!r}: the angle is too close "
-                          "to a plate")
-    return value
-
-
-def f_theta(theta: float) -> float:
-    """Profile function 3/sin^4(theta) - 2/sin^2(theta), minimum 1 at pi/2."""
-    return _scalar_of_sin2(theta, _f_of_sin2)
-
-
-def trig_sum_n_cos(theta: float) -> float:
-    """Regularized value of sum_{n>=1} n cos(2 n theta) = -1/(4 sin^2 theta)."""
-    return _scalar_of_sin2(theta, lambda s2: -0.25 / s2)
-
-
-def trig_sum_n3_cos(theta: float) -> float:
-    """Regularized value of sum_{n>=1} n^3 cos(2 n theta) = f(theta)/8."""
-    return 0.125 * f_theta(theta)
-
-
 # ---------------------------------------------------------------------------
-# Convergent power-geometric sums (shared by the oracles)
+# Convergent power-geometric sums (read by the mode-sum oracle)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -185,62 +136,13 @@ def _power_series(k: int, x, one_minus_x):
     ``x``; ``1 - x`` is passed in so that callers near x = 1 can form it
     without cancellation.
     On |x| = 1 it is the series' Abel limit, and past it the analytic
-    continuation, which the contour means reach on their circles.  It
+    continuation, which the mode-sum oracle's circles reach.  It
     checks nothing; a caller whose nodes can overflow checks the result.
     """
     poly = 0
     for a in reversed(_eulerian_row(k)):
         poly = poly * x + a
     return x * poly / one_minus_x ** (k + 1)
-
-
-# ---------------------------------------------------------------------------
-# The Abel limit: the generating function on the unit circle
-# ---------------------------------------------------------------------------
-
-def abel_sum_oracle(k: int, theta: float) -> float:
-    """Abel-summation oracle: the limit r -> 1- of sum_{n>=1} n^k r^n cos(2 n theta).
-
-    The generating function sum_{n>=1} n^k x^n = x P_k(x) / (1 - x)^(k+1)
-    (:func:`_power_series`, P_k the Eulerian polynomial) is rational, with
-    its one pole at x = 1.  So the limit r -> 1- at x = r e^(2i theta) is
-    its value on the unit circle, at x = e^(2i theta), and the Abel sum is
-    that value's real part.  The route is independent of the sin^2 closed
-    forms it checks.  1 - x is formed as -2i sin(theta) e^(i theta) =
-    2 sin^2 theta - 2i sin theta cos theta, which cancels nothing at any
-    angle, next to either plate as well.
-
-    Parameters
-    ----------
-    k : int
-        Power of n; 1 or 3 (the powers the closed forms cover).
-    theta : float
-        Half the phase step of the cosine: any angle off the plates
-        theta = m pi with 2 theta finite.  The sum is even and pi-periodic in theta.
-
-    Raises
-    ------
-    DomainError
-        If k is not a supported power or 2 theta is not finite; if
-        sin^2 theta is below the smallest normal double, which covers the
-        plates, where the sum has no Abel limit; or if the sum overflows a
-        double that close to a plate.
-    """
-    if not (_is_count(k) and k in (1, 3)):
-        raise DomainError(f"supported powers are 1 and 3, got {_quoted(k)}")
-    if not (_is_finite(theta) and abs(theta) <= 0.5 * sys.float_info.max):
-        raise DomainError(f"theta must be finite, and 2 theta too, got {_quoted(theta)}")
-    k = int(k)  # a numpy integer would take the powers through numpy's pow
-    s, c = math.sin(theta), math.cos(theta)
-    x = complex(math.cos(2.0 * theta), math.sin(2.0 * theta))
-    try:
-        value = _power_series(k, x, complex(2.0 * s * s, -2.0 * s * c)).real
-    except (ZeroDivisionError, OverflowError):  # (1 - x)^(k+1) underflows or overflows
-        value = math.inf
-    if not (s * s >= sys.float_info.min and abs(value) < math.inf):
-        raise DomainError(f"the Abel sum for k={k} has no finite double value at theta = "
-                          f"{_quoted(theta)}: the angle is too close to a plate")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +177,8 @@ _UNIT_NODES = _UPPER_NODES + tuple(u.conjugate() for u in reversed(_UPPER_NODES[
 def _expm1(z: complex) -> complex:
     """e^z - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y, z = x + iy, without cancellation.
 
-    The oracles form every 1 - x of their sums through it.  A part past
-    the double range raises OverflowError.
+    The mode-sum oracle forms every 1 - x of its sums through it.  A
+    part past the double range raises OverflowError.
     """
     h = math.sin(0.5 * z.imag)
     return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * h * h,
@@ -330,20 +232,3 @@ def fit_finite_part(regulated, radius: float, divergent_powers: int) -> FinitePa
     except (ZeroDivisionError, OverflowError, ValueError):  # ValueError: fsum of inf - inf
         pass
     raise DomainError("finite-part fit needs finite data")
-
-
-def cutoff_sum_oracle() -> FinitePartResult:
-    """Exponential-cutoff oracle for zeta(-3), the zeta-regularized sum of n^3.
-
-    S(eps) = sum_{n>=1} n^3 e^(-eps n) in closed form, with 1 - e^(-eps)
-    taken through a complex expm1, is analytic in eps but for poles at
-    eps = 2 pi i m; the one at 0 has order 4 and leading coefficient
-    3!.  :func:`fit_finite_part` reads its constant term, which must
-    agree with zeta(-3), off the circle |eps| = pi, half way to the next
-    pole.
-
-    On that circle the divergent terms are a few times zeta(-3) at most,
-    so the finite part is good to about 1e-16 absolute, and 3! comes out
-    to about 1e-15 relative.
-    """
-    return fit_finite_part(lambda eps: _power_series(3, cmath.exp(-eps), -_expm1(-eps)), math.pi, 4)

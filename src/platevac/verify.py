@@ -15,7 +15,7 @@ import math
 from collections.abc import Callable
 from functools import partial
 
-from . import casimir, dimreg, oracle, regsum, stress
+from . import casimir, dimreg, oracle, stress
 from .errors import _FrozenRecord, _set_field
 from .fluctuations import (InteriorPoint, ab_values, expectation_set, phi_squared,
                            phi_squared_single_plate)
@@ -46,12 +46,6 @@ def _worst(num, den) -> float:
     return math.nan if any(map(math.isnan, ratios)) else max(ratios)
 
 
-# The angles of the Abel checks, down to 1e-6 from either plate.
-_NEAR_PLATE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-_ABEL_THETAS = ([0.1 * k for k in range(1, 31)] + list(_NEAR_PLATE)
-                + [math.pi - t for t in _NEAR_PLATE])
-
-
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """np.linspace(start, stop, num), bit for bit."""
     step = (stop - start) / (num - 1)
@@ -77,12 +71,6 @@ class Sample(_FrozenRecord):
 
     def evaluated(self, bc: BoundaryCondition) -> BoundaryCondition:
         return BoundaryCondition.DIRICHLET if self.sign_flip else bc
-
-
-def _abel_error(k: int, closed) -> float:
-    """The Abel oracle against ``closed``, relative to max(1, |closed|)."""
-    pairs = [(regsum.abel_sum_oracle(k, t), closed(t)) for t in _ABEL_THETAS]
-    return _worst([a - c for a, c in pairs], [max(1.0, abs(c)) for _, c in pairs])
 
 
 def _dimreg_quadrature(sample: Sample) -> float:
@@ -188,17 +176,19 @@ def _canonical_density_integral(sample: Sample) -> float:
 
 # Every check `verify` runs, in report order, grouped under the claim it
 # stands for.  Each compares two independently computed routes.  The keep
-# rule: a check stays only if some mutant FAILs it and no other check,
-# over the generated sweep (tests/sweep_mutants.py) and the hand-picked
-# table of tests/test_mutations.py, or if it is the only check of its claim.
+# rule, over the generated sweep (tests/sweep_mutants.py) and the
+# hand-picked table of tests/test_mutations.py:
+# - A check stays if some mutant FAILs it and no other check, and that
+#   mutant changes something a user reads: a value of the point API
+#   (expectation_set, ab_values, stress_report, phi_squared*,
+#   total_energy, pressure, integrated_density_check) or a byte of
+#   `profile` or `energy`.  A unique catch in code that only checks read
+#   keeps nothing.
+# - An anchor, a check of an oracle against its defining integral, stays
+#   while a check this rule keeps reads that oracle.
+# - The only check of a claim stays.
 VERIFY_CHECKS = (
     # Claim: the regularized sums and integrals the closed forms rest on.
-    # The power sum zeta(-3) against the exponential-cutoff oracle (absolute).
-    Check("zeta_cutoff_k3", 2e-15, lambda sample: abs(
-        regsum.cutoff_sum_oracle().finite_part - float(regsum.zeta_neg_int(3)))),
-    # Oscillatory sums against the Abel oracle (relative to max(1, |closed form|)).
-    Check("abel_n_cos", 1e-13, lambda sample: _abel_error(1, regsum.trig_sum_n_cos)),
-    Check("abel_n3_cos", 1e-13, lambda sample: _abel_error(3, regsum.trig_sum_n3_cos)),
     # Continued master integral against direct quadrature.
     Check("dimreg_quadrature", 2e-14, _dimreg_quadrature),
     # The mode-sum oracle's radial kernels against quadrature.

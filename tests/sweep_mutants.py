@@ -21,16 +21,18 @@ does a listed entry that no surviving mutant matches any more (the
 mutant is caught now, or is gone), since the entry is stale.  An entry
 is keyed by module, function and mutated text, not by line number::
 
-    regsum.cutoff_sum_oracle: `(1, 3)` -> `(2, 3)`
+    regsum.zeta_neg_int: `k % 2` -> `k % 4`
         the reason, on the indented line(s) after one or more keys
 
 The mutated text is the source of the mutated operator's expression,
 or of the expression that holds the mutated literal, widened to its
 enclosing expressions until the key is unique in its function (``#2``
 tells equal statements apart).  ``--json`` writes every mutant's outcome, the
-evidence for the keep rule above ``verify.VERIFY_CHECKS``, and each run
-ends with one line per check that one other check covers: every mutant
-it catches, the other catches too.  The sweep
+evidence for the keep rule above ``verify.VERIFY_CHECKS``.  Each run
+ends with one line per check that one other check covers (every mutant
+it catches, the other catches too), then one line per check with its
+unique catches, the mutants no other check catches, counted by the
+function mutated.  The sweep
 needs the standard library alone; it exits 0 when every survivor is
 listed and no entry is stale, 1 otherwise, and 2 when the unmutated
 package does not pass every check.
@@ -47,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
 from pathlib import Path
@@ -267,6 +270,12 @@ def caught(outcome: dict) -> bool:
                 or any(outcome["fail"].values()) or any(outcome["raise"].values()))
 
 
+def _catchers(outcome: dict) -> set[str]:
+    """The checks that FAIL or raise on a mutant, at any L."""
+    return {name for by_length in (outcome.get("fail", {}), outcome.get("raise", {}))
+            for names in by_length.values() for name in names}
+
+
 def covered(outcomes: list[dict]) -> list[str]:
     """One line per check whose every caught mutant one other check catches too.
 
@@ -275,16 +284,35 @@ def covered(outcomes: list[dict]) -> list[str]:
     """
     catches: dict[str, set[int]] = {}
     for i, outcome in enumerate(outcomes):
-        for by_length in (outcome.get("fail", {}), outcome.get("raise", {})):
-            for names in by_length.values():
-                for name in names:
-                    catches.setdefault(name, set()).add(i)
+        for name in _catchers(outcome):
+            catches.setdefault(name, set()).add(i)
     lines = []
     for name, mine in sorted(catches.items()):
         others = [f"{other} {len(theirs)}" for other, theirs in sorted(catches.items())
                   if other != name and mine <= theirs]
         if others:
             lines.append(f"covered: {name} {len(mine)}, by {' and '.join(others)}")
+    return lines
+
+
+def unique(functions: list[str], outcomes: list[dict]) -> list[str]:
+    """One line per check that catches a mutant: the mutants it alone catches, by function.
+
+    ``functions[i]`` is the module.function that mutant i changes.  Each
+    line gives the check's count of unique catches, then the count in
+    each function, the most first.
+    """
+    alone: dict[str, Counter] = {}
+    for function, outcome in zip(functions, outcomes):
+        names = _catchers(outcome)
+        for name in names:
+            counts = alone.setdefault(name, Counter())
+            if len(names) == 1:
+                counts[function] += 1
+    lines = []
+    for name, counts in sorted(alone.items()):
+        where = ", ".join(f"{f} {n}" for f, n in sorted(counts.items(), key=lambda c: (-c[1], c[0])))
+        lines.append(f"unique: {name} {sum(counts.values())}" + (f", in {where}" if where else ""))
     return lines
 
 
@@ -360,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{ended} ended the child (a timeout or a crash), "
           f"{len(survivors)} survive ({len(survivors) - len(unlisted)} listed); "
           f"{time.perf_counter() - started:.1f} s")
-    for line in covered(outcomes):
+    for line in covered(outcomes) + unique([f"{m.module}.{m.function}" for m in found], outcomes):
         print(line)
     return 1 if unlisted or stale else 0
 

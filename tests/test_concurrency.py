@@ -5,7 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from platevac.casimir import total_energy
 from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
-from platevac.regsum import bernoulli, cutoff_sum_oracle
+from platevac.oracle import _power_sums, mode_sum_finite_part
+from platevac.regsum import _eulerian_row, bernoulli
 from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import stress_report
 
@@ -27,14 +28,24 @@ def test_parallel_profile_evaluation_is_deterministic():
 
 
 def test_parallel_oracles_and_caches():
-    # bernoulli and the Eulerian rows memoize recursively; hammering them
-    # from many threads must neither deadlock nor corrupt results
+    # bernoulli and the Eulerian rows memoize recursively, and the mode-sum
+    # oracle caches its power sums; hammering them from many threads must
+    # neither deadlock nor corrupt results
     bernoulli.cache_clear()
+    _eulerian_row.cache_clear()
+    _power_sums.cache_clear()
+    config, bc = PlateConfig(1.0), BoundaryCondition.DIRICHLET
+    point = InteriorPoint.from_theta(config, 1.1)
+
+    def finite_part(_):
+        return mode_sum_finite_part("phidot2", bc, config, point).finite_part
+
     with ThreadPoolExecutor(max_workers=8) as pool:
-        zetas = list(pool.map(lambda _: cutoff_sum_oracle().finite_part, range(16)))
+        parts = list(pool.map(finite_part, range(16)))
         bernoullis = list(pool.map(bernoulli, list(range(24)) * 4))
-    assert all(z == zetas[0] for z in zetas)
-    assert abs(zetas[0] - 1.0 / 120.0) < 1e-6
+    assert all(p == parts[0] for p in parts)
+    closed = expectation_set(bc, config, point).phidot2
+    assert abs(parts[0] - closed) <= 1e-12 * abs(closed)
     assert bernoullis[:24] == [bernoulli(n) for n in range(24)]
 
 

@@ -20,13 +20,11 @@ from platevac import (
     InteriorPoint,
     PlateConfig,
     ab_values,
-    abel_sum_oracle,
     bernoulli,
     canonical_density_integral,
     em_reference,
     expectation_columns,
     expectation_set,
-    f_theta,
     integrated_density_check,
     k_n,
     master_integral,
@@ -37,8 +35,6 @@ from platevac import (
     quadrature_reference,
     stress_report,
     total_energy,
-    trig_sum_n3_cos,
-    trig_sum_n_cos,
     zeta_neg_int,
 )
 from platevac.errors import PlateVacError, _Record
@@ -110,11 +106,10 @@ def test_point_api_gives_finite_values_or_a_library_error(L, z, theta, bc):
                 _call(stress_report, fluct, ab)
 
 
-@given(L=numbers, theta=st.one_of(numbers, st.sampled_from([5e-324, 1e-200])), k=numbers,
+@given(L=numbers, theta=st.one_of(numbers, st.sampled_from([5e-324, 1e-200])),
        field=st.sampled_from(["phi2", "phidot2"]), bc=st.sampled_from(list(BoundaryCondition)))
 @settings(max_examples=300, deadline=None)
-def test_oracles_give_finite_values_or_a_library_error(L, theta, k, field, bc):
-    _call(abel_sum_oracle, k, theta)
+def test_oracles_give_finite_values_or_a_library_error(L, theta, field, bc):
     configs = [PlateConfig(1.0)]
     config = _call(PlateConfig, L)
     if config is not None:
@@ -165,7 +160,7 @@ def test_array_path_gives_finite_columns_or_a_library_error(theta, L, bc):
        bc=st.sampled_from(list(BoundaryCondition)))
 @settings(max_examples=200, deadline=None)
 def test_rest_of_the_api_gives_finite_values_or_a_library_error(x, N, L, bc):
-    for fn in (bernoulli, zeta_neg_int, f_theta, trig_sum_n_cos, trig_sum_n3_cos):
+    for fn in (bernoulli, zeta_neg_int):
         _call(fn, x)
     _call(master_integral, N, x)
     _call(quadrature_reference, N, x)

@@ -121,6 +121,20 @@ class TestMasterIntegral:
         with pytest.raises(DomainError, match="not a finite double"):
             master_integral(N, 1.0)
 
+    @pytest.mark.parametrize("N", [171.5, -177.9, -175.5, -170.5])
+    def test_gamma_outside_the_normal_range_raises_domain_error(self, N):
+        # 4 pi Gamma(N) overflows at 171.5, where the ratio read 0.0, not
+        # 4.667e-4; Gamma(N) is subnormal at -177.9 (the value read -0.0)
+        # and at -175.5 (0.13 % off), Gamma(N - 1) at -170.5
+        with pytest.raises(DomainError, match="not a normal double"):
+            master_integral(N, 1.0)
+
+    def test_numpy_power_raises_without_a_warning(self):
+        # m_sq ** (1 - N) overflows; a numpy N took the power through numpy's
+        # pow, which warned (an error in this suite) before raising
+        with pytest.raises(DomainError, match="not a finite double"):
+            master_integral(np.float64(-150.5), 1e300)
+
     @given(st.floats(-1e3, 1e3),
            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     @settings(max_examples=300, deadline=None)

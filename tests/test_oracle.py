@@ -104,12 +104,15 @@ class TestModeSumFinitePart:
         for theta in (distance, math.pi - distance):
             assert _relative_error(field, bc, L, theta) <= 1e-8
 
+    @pytest.mark.parametrize("bc", BOTH)
     @pytest.mark.parametrize("distance", [1e-6, 1e-8])
-    def test_far_plate_keeps_its_digits(self, distance):
+    def test_far_plate_keeps_its_digits(self, distance, bc):
         # pi - theta taken from math.pi alone would be short by 1.2e-16,
-        # which is 1.2e-8 of the distance at 1e-8
+        # which is 1.2e-8 of the distance at 1e-8; the plate at 0 keeps
+        # its digits as well
         for field in ("phi2", "phidot2"):
-            assert _relative_error(field, N, 1.0, math.pi - distance) <= 1e-13
+            for theta in (distance, math.pi - distance):
+                assert _relative_error(field, bc, 1.0, theta) <= 1e-13
 
     @pytest.mark.parametrize("field", ["phi2", "phidot2"])
     def test_radius_independence(self, field):

@@ -1,4 +1,4 @@
-"""Tests for the regularized sums and their numerical oracles."""
+"""Tests for the regularized sums, the power series and the circle fit."""
 
 import cmath
 import math
@@ -7,20 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from platevac import regsum
 from platevac.errors import DomainError
-from platevac.regsum import (
-    abel_sum_oracle,
-    bernoulli,
-    cutoff_sum_oracle,
-    f_theta,
-    fit_finite_part,
-    trig_sum_n3_cos,
-    trig_sum_n_cos,
-    zeta_neg_int,
-)
+from platevac.regsum import bernoulli, fit_finite_part, zeta_neg_int
 
 # Classic table values, exact rationals.
 BERNOULLI_TABLE = {
@@ -74,53 +64,12 @@ class TestZetaNegInt:
             zeta_neg_int(-1)
 
 
-class TestClosedTrigSums:
-    def test_f_theta_values(self):
-        assert f_theta(math.pi / 2) == pytest.approx(1.0, rel=1e-15)
-        assert f_theta(math.pi / 4) == pytest.approx(8.0, rel=1e-14)
-
-    def test_f_theta_reflection(self):
-        assert f_theta(math.pi - 0.2) == pytest.approx(f_theta(0.2), rel=1e-12)
-
-    @given(st.floats(min_value=0.05, max_value=math.pi - 0.05))
-    @settings(max_examples=100, deadline=None)
-    def test_f_theta_at_least_one(self, theta):
-        assert f_theta(theta) >= 1.0 - 1e-12
-
-    def test_n_cos_values(self):
-        assert trig_sum_n_cos(math.pi / 2) == pytest.approx(-0.25, rel=1e-15)
-        assert trig_sum_n_cos(math.pi / 4) == pytest.approx(-0.5, rel=1e-14)
-
-    def test_n3_cos_values(self):
-        assert trig_sum_n3_cos(math.pi / 2) == pytest.approx(0.125, rel=1e-15)
-        assert trig_sum_n3_cos(math.pi / 4) == pytest.approx(1.0, rel=1e-14)
-
-    @pytest.mark.parametrize("theta", [0.1, 0.3, 0.7, 1.2, 2.0, 2.9])
-    def test_mirror_symmetry(self, theta):
-        assert trig_sum_n_cos(math.pi - theta) == pytest.approx(trig_sum_n_cos(theta), rel=1e-12)
-        assert trig_sum_n3_cos(math.pi - theta) == pytest.approx(trig_sum_n3_cos(theta), rel=1e-12)
-
-    @pytest.mark.parametrize("theta", [0.0, math.pi, -0.5, 4.0])
-    def test_domain_errors(self, theta):
-        for fn in (f_theta, trig_sum_n_cos, trig_sum_n3_cos):
-            with pytest.raises(DomainError):
-                fn(theta)
-
-    @pytest.mark.parametrize("theta", [0.3, 0.6, 1.0, 1.5, 2.2, 2.8])
-    def test_n_cos_is_derivative_of_cot(self, theta):
-        # sum n cos(2n theta) = (1/4) d/d theta cot(theta); central
-        # differences of (1/4) cot must land on the closed form.
-        h = 1e-5
-        derivative = (0.25 / math.tan(theta + h) - 0.25 / math.tan(theta - h)) / (2.0 * h)
-        assert derivative == pytest.approx(trig_sum_n_cos(theta), rel=1e-7)
-
-
 def _brute_force_power_sum(k, z, terms=4000):
     return sum(n**k * z**n for n in range(1, terms + 1))
 
 
 class TestGeometricPowerSum:
-    """``regsum._power_series``, sum_n n^k x^n, as the oracles call it."""
+    """``regsum._power_series``, sum_n n^k x^n, as the mode-sum oracle calls it."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("z", [0.5, -0.8, 0.9, 0.3 + 0.6j, -0.2 + 0.85j])
@@ -134,7 +83,7 @@ class TestGeometricPowerSum:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.7])
     def test_exp_cutoff_matches_geometric(self, k, eps):
-        # the cutoff oracle's 1 - e^(-eps) through expm1 against direct subtraction
+        # 1 - e^(-eps) through expm1 against direct subtraction
         x = math.exp(-eps)
         assert regsum._power_series(k, x, -math.expm1(-eps)) == pytest.approx(
             regsum._power_series(k, x, 1.0 - x), rel=1e-10
@@ -147,57 +96,8 @@ class TestGeometricPowerSum:
             [float(a) for a in regsum._eulerian_row(bound + 1)]
 
 
-class TestAbelOracle:
-    def test_alternating_sum(self):
-        # k=1 at theta=pi/2 is sum n (-1)^n r^n = -r/(1+r)^2 -> -1/4.
-        assert abel_sum_oracle(1, math.pi / 2) == pytest.approx(-0.25, abs=1e-10)
-
-    def test_cubic_sum_at_quarter(self):
-        assert abel_sum_oracle(3, math.pi / 4) == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("k,closed", [(1, trig_sum_n_cos), (3, trig_sum_n3_cos)])
-    def test_matches_closed_forms_on_grid(self, k, closed):
-        # verify's grid, then down to either plate: the boundary value loses
-        # nothing to the divergence, within 1e-14 relative wherever the
-        # closed form is a finite double
-        near = [10.0 ** -j for j in range(1, 151)]
-        thetas = ([0.1 * i for i in range(1, 31)] + near
-                  + [math.pi - t for t in near if math.pi - t != math.pi])
-        checked = 0
-        for theta in thetas:
-            try:
-                expected = closed(theta)
-            except DomainError:
-                continue
-            assert abs(abel_sum_oracle(k, theta) - expected) <= 1e-14 * max(1.0, abs(expected))
-            checked += 1
-        assert checked >= 90
-
-    @pytest.mark.parametrize("k,theta", [
-        # sin^2 theta below the smallest normal double, the plate itself
-        # included, where the sum has no Abel limit
-        *((k, theta) for k in (1, 3) for theta in (0.0, -0.0, 1e-160, 1e-200, 5e-324)),
-        (3, 1e-100),  # sin^2 theta is a normal double, but (1 - x)^4 underflows to 0
-        (1, math.nan), (1, math.inf), (1, -math.inf),
-    ])
-    def test_divergence_detected(self, k, theta):
-        with pytest.raises(DomainError):
-            abel_sum_oracle(k, theta)
-
-    @pytest.mark.parametrize("k", [0, 2, 4, -1, np.int64(0), np.int64(2)],
-                             ids=["0", "2", "4", "-1", "int64-0", "int64-2"])
-    def test_unsupported_power(self, k):
-        # the closed forms cover k = 1 and 3, the powers verify checks; the
-        # plain cosine sum k = 0 is refused like any other
-        with pytest.raises(DomainError, match="supported powers are 1 and 3"):
-            abel_sum_oracle(k, 1.0)
-
-    def test_numpy_integer_power_accepted(self):
-        assert abel_sum_oracle(np.int64(1), 1.0).hex() == abel_sum_oracle(1, 1.0).hex()
-
-
 def _cutoff_sums(k):
-    """eps -> S(eps) = sum_n n^k e^(-eps n), as the cutoff oracle sums it."""
+    """eps -> S(eps) = sum_n n^k e^(-eps n), with 1 - e^(-eps) through the complex expm1."""
     return lambda eps: regsum._power_series(k, cmath.exp(-eps), -regsum._expm1(-eps))
 
 
@@ -221,30 +121,16 @@ class TestComplexExpm1:
 
 
 def _cutoff_fit(k):
-    """The cutoff oracle's fit for the power k on its circle |eps| = pi."""
+    """The fit of sum_n n^k e^(-eps n) on the circle |eps| = pi, half way to the next pole."""
     return fit_finite_part(_cutoff_sums(k), math.pi, k + 1)
 
 
-class TestCutoffOracle:
-    def test_is_the_fit_for_the_cube(self):
-        # cutoff_sum_oracle() is zeta(-3)'s fit, bit for bit
-        assert cutoff_sum_oracle() == _cutoff_fit(3)
-
-    def test_sums_the_cube_alone(self, monkeypatch):
-        # one sum of n^3 on each of the 33 nodes of the upper half circle
-        real, powers = regsum._power_series, []
-
-        def recorded(k, x, one_minus_x):
-            powers.append(k)
-            return real(k, x, one_minus_x)
-
-        monkeypatch.setattr(regsum, "_power_series", recorded)
-        cutoff_sum_oracle()
-        assert powers == [3] * 33
+class TestCutoffSums:
+    """fit_finite_part on sum_n n^k e^(-eps n), whose finite part is zeta(-k)."""
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_finite_part_is_zeta(self, k):
-        # verify checks k = 3 alone, to this bound; k = 1 reads 0
+        # to a few 1e-16 absolute; zeta(-1) is -1/12, zeta(-3) 1/120
         assert abs(_cutoff_fit(k).finite_part - float(zeta_neg_int(k))) <= 2e-15
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -262,7 +148,7 @@ class TestCutoffOracle:
         assert abs(result.finite_part - float(zeta_neg_int(k))) <= result.error_estimate <= 2e-15
 
     def test_larger_odd_power(self):
-        # the circle |eps| = pi resolves zeta(-5) too; cutoff_sum_oracle sums k = 3 alone
+        # the circle |eps| = pi resolves zeta(-5) too
         result = fit_finite_part(_cutoff_sums(5), math.pi, 6)
         assert result.finite_part == pytest.approx(float(zeta_neg_int(5)), abs=1e-13)
         assert result.divergent_coeffs[0] == pytest.approx(math.factorial(5), rel=1e-11)

@@ -5,7 +5,7 @@ in a child process; that takes tens of seconds, so the sweep itself is
 not part of this suite.  These tests pin its parts instead: the mutants
 it generates and the keys the allow-list names them by, the
 allow-list's format, the rule that decides whether a child's outcome
-catches its mutant, and three child runs (the unmutated package, a
+catches its mutant, the per-check summaries, and three child runs (the unmutated package, a
 mutant caught at import and one caught by a check).
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from sweep_mutants import (ALLOWLIST, LENGTHS, MODULES, PACKAGE, caught, covered, mutants,
-                           read_allowlist, run)
+                           read_allowlist, run, unique)
 
 
 def _module_source(module: str) -> bytes:
@@ -113,7 +113,7 @@ _PASSES = {"import": None, "fail": {"1.0": [], "0.77": []}, "raise": {"1.0": {},
 @pytest.mark.parametrize("outcome, expected", [
     (_PASSES, False),
     ({"import": "ConsistencyError", "fail": {}, "raise": {}}, True),
-    ({**_PASSES, "fail": {"1.0": [], "0.77": ["zeta_cutoff_k3"]}}, True),
+    ({**_PASSES, "fail": {"1.0": [], "0.77": ["energy_pipeline"]}}, True),
     ({**_PASSES, "raise": {"1.0": {"single_plate_limit": "DomainError"}, "0.77": {}}}, True),
     ({"error": "timed out after 60 s"}, True),
 ], ids=["passes", "import", "fail", "raise", "child-ended"])
@@ -134,6 +134,30 @@ def test_covered_names_each_check_another_catches_every_mutant_of():
     ]
     assert covered(outcomes) == ["covered: b 1, by a 3 and c 2", "covered: c 2, by a 3"]
     assert covered(outcomes[3:]) == []
+
+
+def test_unique_counts_each_check_s_lone_catches_by_function():
+    # a FAIL or a raise at any L counts; "a" alone catches mutants 2 and 3,
+    # "c" alone mutant 1, and "b" nothing alone; a mutant caught at import
+    # or by an ended child is no check's catch
+    outcomes = [
+        {**_PASSES, "fail": {"1.0": ["a", "b"], "0.77": ["c"]}},
+        {**_PASSES, "fail": {"1.0": [], "0.77": []}, "raise": {"1.0": {}, "0.77": {"c": "E"}}},
+        {**_PASSES, "fail": {"1.0": ["a"], "0.77": ["a"]}},
+        {**_PASSES, "fail": {"1.0": [], "0.77": ["a"]}},
+        {"import": "ConsistencyError", "fail": {}, "raise": {}},
+        {"error": "timed out after 60 s"},
+        _PASSES,
+    ]
+    functions = ["m.f", "m.g", "n.h", "m.f", "m.f", "m.f", "m.f"]
+    assert unique(functions, outcomes) == [
+        "unique: a 2, in m.f 1, n.h 1", "unique: b 0", "unique: c 1, in m.g 1"]
+    assert unique(functions[4:], outcomes[4:]) == []
+
+
+def test_unique_orders_functions_by_count():
+    outcomes = [{**_PASSES, "fail": {"1.0": ["a"], "0.77": []}}] * 3
+    assert unique(["m.z", "m.y", "m.z"], outcomes) == ["unique: a 3, in m.z 2, m.y 1"]
 
 
 def _mutated_package(key: str) -> dict[str, bytes]:
@@ -160,4 +184,4 @@ def test_child_catches_a_mutant_by_its_checks(tmp_path):
     key = "regsum.bernoulli: `Fraction(1)` -> `Fraction(2)`"
     outcome = run(_mutated_package(key), tmp_path / "mutant", LENGTHS)
     assert caught(outcome)
-    assert all("zeta_cutoff_k3" in fails for fails in outcome["fail"].values()), outcome
+    assert all("energy_pipeline" in fails for fails in outcome["fail"].values()), outcome

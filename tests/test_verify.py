@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from platevac import casimir, dimreg, regsum, stress, verify
+from platevac import casimir, dimreg, stress, verify
 from platevac.cli import RunConfig, main, run_verification
 from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.spectrum import BoundaryCondition, PlateConfig
@@ -201,15 +201,11 @@ class TestVerifyCommand:
         assert sample != (0.77, False) and (0.77, False) != sample
 
     @pytest.mark.parametrize("module,name,params,expected", [
-        (regsum, "cutoff_sum_oracle", [], {()}),
-        (regsum, "abel_sum_oracle", ["k", "theta"],
-         {(k, theta) for k in (1, 3) for theta in verify._ABEL_THETAS}),
         (dimreg, "quadrature_reference", ["N", "m_sq"],
          {(N, m_sq) for N in (1.5, 2.0, 3.0) for m_sq in (0.5, 1.0, 4.0)}),
         (casimir, "canonical_density_quadrature", ["config", "margin"],
          {(1.0, margin) for margin in verify._CANONICAL_MARGINS}),
-    ], ids=["cutoff_sum_oracle", "abel_sum_oracle", "quadrature_reference",
-            "canonical_density_quadrature"])
+    ], ids=["quadrature_reference", "canonical_density_quadrature"])
     def test_second_routes_take_the_inputs_verify_passes(self, module, name, params, expected,
                                                          monkeypatch):
         # each oracle's parameters are the ones the checks vary, and the
