@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import platevac
@@ -72,6 +73,13 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: dimreg.quadrature_reference(HUGE, 1.0),
     lambda: PlateConfig(LONG),
     lambda: casimir.canonical_density_integral(PLATE, D, LONG),
+    # sin^2 theta underflows to 0 (1e-200, 1e-320), or B overflows (1e-100)
+    *(lambda theta=theta: fluctuations.ab_values(PLATE, fluctuations.InteriorPoint(theta))
+      for theta in (1e-100, 1e-200, 1e-320)),
+    *(lambda theta=theta: fluctuations.phi_squared(D, PLATE, fluctuations.InteriorPoint(theta))
+      for theta in (1e-200, 1e-320)),
+    lambda: fluctuations.expectation_set(D, PLATE, fluctuations.InteriorPoint(1e-320)),
+    lambda: fluctuations.expectation_columns(D, PLATE, np.array([1.0, 1e-320])),
 ], ids=[
     "canonical_density_integral", "canonical_density_integral-cot-overflow",
     "canonical_density_integral-L-overflow", "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
@@ -88,6 +96,9 @@ LONG = 10**5000  # past the 4300 digits Python writes out
                                   "phi_squared_single_plate", "master_integral",
                                   "quadrature_reference")),
     "PlateConfig-long", "canonical_density_integral-long",
+    *(f"ab_values-{theta}" for theta in ("1e-100", "1e-200", "1e-320")),
+    *(f"phi_squared-{theta}" for theta in ("1e-200", "1e-320")),
+    "expectation_set-1e-320", "expectation_columns-1e-320",
 ])
 def test_bad_argument_raises_library_error(call):
     with pytest.raises(PlateVacError):

@@ -1,5 +1,6 @@
 """Tests for the local expectation values between the plates."""
 
+import cmath
 import inspect
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from platevac import regsum
 from platevac.errors import DomainError
 from platevac.fluctuations import (
     FIELD_PAIRS,
@@ -78,6 +80,16 @@ class TestABValues:
         two = ab_values(PlateConfig(2.0), InteriorPoint.from_theta(PlateConfig(2.0), math.pi / 2))
         assert two.A == pytest.approx(one.A / 16.0, rel=1e-14)
         assert two.B == pytest.approx(one.B / 16.0, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.05, 1e-6, math.pi - 1e-6])
+    def test_close_to_plate_matches_abel_limit(self, theta):
+        # B = (pi^2/12 L^4) * sum n^3 cos(2 n theta), the Abel limit of
+        # sum n^3 x^n at x = e^(2 i theta), with 1 - x through the complex expm1
+        config = PlateConfig(1.0)
+        ab = ab_values(config, InteriorPoint.from_theta(config, theta))
+        v = 2j * theta
+        n3_cos = regsum._power_series(3, cmath.exp(v), -regsum._expm1(v)).real
+        assert ab.B == pytest.approx((math.pi**2 / 12.0) * n3_cos, rel=1e-13)
 
     def test_b_minimum_at_midpoint(self):
         config = PlateConfig(1.0)

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platevac import regsum
 from platevac.errors import DomainError
@@ -64,6 +66,20 @@ class TestZetaNegInt:
             zeta_neg_int(-1)
 
 
+class TestEulerianRow:
+    """``regsum._eulerian_row``, the coefficients of P_k in sum_n n^k x^n = x P_k(x)/(1-x)^(k+1)."""
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_counts_the_permutations_by_descents(self, k):
+        # A(k, m) permutations of k elements have m descents: the row sums
+        # to k!, reads the same backwards, and has max(k, 1) entries
+        row = regsum._eulerian_row(k)
+        assert len(row) == max(k, 1)
+        assert sum(row) == math.factorial(k)
+        assert row == row[::-1]
+        assert row[0] == 1 and all(type(a) is int and a > 0 for a in row)
+
+
 def _brute_force_power_sum(k, z, terms=4000):
     return sum(n**k * z**n for n in range(1, terms + 1))
 
@@ -94,6 +110,122 @@ class TestGeometricPowerSum:
         assert all(math.isfinite(float(a)) for a in regsum._eulerian_row(bound))
         with pytest.raises(OverflowError):
             [float(a) for a in regsum._eulerian_row(bound + 1)]
+
+
+def _abel_limit(k, theta):
+    """sum_n n^k e^(2 i n theta), the Abel limit of ``regsum._power_series`` on |x| = 1.
+
+    1 - e^(2 i theta) is taken through the complex expm1, as the mode-sum
+    oracle takes it, so that it keeps its digits near either plate.
+    """
+    v = 2j * theta
+    return regsum._power_series(k, cmath.exp(v), -regsum._expm1(v))
+
+
+GRID = [0.1, 0.3, 0.7, 1.2, 1.5, 2.0, 2.5, 2.9]
+
+
+class TestAbelLimitOnTheUnitCircle:
+    """The real parts are the regularized sums sum_n n^k cos(2 n theta) of the profiles."""
+
+    @pytest.mark.parametrize("k, theta, value", [
+        (1, math.pi / 2, -0.25), (1, math.pi / 4, -0.5),
+        (3, math.pi / 2, 0.125), (3, math.pi / 4, 1.0),
+    ])
+    def test_values(self, k, theta, value):
+        assert _abel_limit(k, theta).real == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", GRID)
+    def test_n_cos_is_minus_a_quarter_cosecant_squared(self, theta):
+        # the sum phi2 reads: sum n cos(2 n theta) = -1/(4 sin^2 theta)
+        closed = -0.25 / math.sin(theta) ** 2
+        assert _abel_limit(1, theta).real == pytest.approx(closed, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", GRID)
+    def test_n3_cos_is_the_profile_function_over_eight(self, theta):
+        # the sum B reads: sum n^3 cos(2 n theta) = f(theta)/8
+        closed = regsum._f_of_sin2(math.sin(theta) ** 2) / 8.0
+        assert _abel_limit(3, theta).real == pytest.approx(closed, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
+    def test_even_powers(self, k, theta):
+        # sum cos(2 n theta) = -1/2 = zeta(0), sum n^2 cos(2 n theta) = 0 = zeta(-2)
+        assert _abel_limit(k, theta).real == pytest.approx(float(zeta_neg_int(k)), abs=1e-14)
+
+    @pytest.mark.parametrize("theta", GRID)
+    def test_mirror_symmetry(self, theta):
+        for k in (1, 3):
+            assert _abel_limit(k, math.pi - theta).real == pytest.approx(
+                _abel_limit(k, theta).real, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.6, 1.0, 1.5, 2.2, 2.8])
+    def test_n_cos_is_derivative_of_cot(self, theta):
+        # sum n cos(2n theta) = (1/4) d/d theta cot(theta); central
+        # differences of (1/4) cot must land on the Abel limit
+        h = 1e-5
+        derivative = (0.25 / math.tan(theta + h) - 0.25 / math.tan(theta - h)) / (2.0 * h)
+        assert derivative == pytest.approx(_abel_limit(1, theta).real, rel=1e-7)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_keeps_its_digits_near_either_plate(self, k):
+        # the grid, then down to either plate: the limit loses nothing to
+        # the divergence, within 1e-14 relative wherever the closed form
+        # and |1 - x|^(k+1) = (2 sin theta)^(k+1) are finite and nonzero doubles
+        near = [10.0 ** -j for j in range(1, 151)]
+        thetas = ([0.1 * i for i in range(1, 32)] + near
+                  + [math.pi - t for t in near if math.pi - t != math.pi])
+        checked = 0
+        for theta in thetas:
+            s2 = math.sin(theta) ** 2
+            closed = -0.25 / s2 if k == 1 else regsum._f_of_sin2(s2) / 8.0
+            if not math.isfinite(closed) or (2.0 * math.sin(theta)) ** (k + 1) == 0.0:
+                continue
+            assert abs(_abel_limit(k, theta).real - closed) <= 1e-14 * max(1.0, abs(closed))
+            checked += 1
+        assert checked >= 120
+
+
+class TestProfileFunction:
+    """``regsum._f_of_sin2``, f = 3/sin^4 theta - 2/sin^2 theta, and ``_check_theta``."""
+
+    @pytest.mark.parametrize("theta, value", [(math.pi / 2, 1.0), (math.pi / 4, 8.0),
+                                              (math.pi / 6, 40.0)])
+    def test_values(self, theta, value):
+        assert regsum._f_of_sin2(math.sin(theta) ** 2) == pytest.approx(value, rel=1e-14)
+
+    def test_reflection(self):
+        f = regsum._f_of_sin2
+        assert f(math.sin(math.pi - 0.2) ** 2) == pytest.approx(f(math.sin(0.2) ** 2), rel=1e-12)
+
+    @given(st.floats(min_value=0.05, max_value=math.pi - 0.05))
+    @settings(max_examples=100, deadline=None)
+    def test_at_least_one(self, theta):
+        assert regsum._f_of_sin2(math.sin(theta) ** 2) >= 1.0 - 1e-12
+
+    def test_array_is_the_scalar_element_by_element(self):
+        s2 = np.sin(np.array(GRID)) ** 2
+        values = regsum._f_of_sin2(s2)
+        assert values.dtype == np.float64
+        assert values.tolist() == [regsum._f_of_sin2(float(x)) for x in s2]
+
+    @pytest.mark.parametrize("theta", [1e-300, 0.3, math.pi / 2, math.pi - 1e-12])
+    def test_an_inside_angle_is_returned_as_it_is(self, theta):
+        assert regsum._check_theta(theta) is theta
+        array = np.array([theta, 1.0])
+        assert regsum._check_theta(array) is array
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0, math.pi, -0.5, 4.0, math.nan, math.inf,
+                                       -math.inf])
+    def test_an_angle_outside_raises(self, theta):
+        with pytest.raises(DomainError, match="strictly between 0 and pi"):
+            regsum._check_theta(theta)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0, math.pi, -0.5, 4.0, math.nan, math.inf,
+                                       -math.inf])
+    def test_an_array_quotes_its_first_angle_outside(self, theta):
+        with pytest.raises(DomainError, match=re.escape(f"got {theta!r};")):
+            regsum._check_theta(np.array([0.3, theta, 1.0, 0.0]))
 
 
 def _cutoff_sums(k):
