@@ -4,7 +4,7 @@ The total energy per unit plate area is computed through the full
 regularization pipeline rather than stored as a constant: the continued
 transverse integral turns the zero-point sum into
 
-    E0 = (1/2) sum_n I(d=2, N=-1/2, m^2=k_n^2)
+    E0 = (1/2) sum_n I(N=-1/2, m^2=k_n^2) = (1/2) sum_n k_n^3 / (4 pi (-3/2))
        = (-pi^2 / (12 L^3)) sum_n n^3,
 
 and the remaining power sum is the exact rational zeta(-3) = 1/120,
@@ -32,9 +32,10 @@ def total_energy(config: PlateConfig) -> float:
     """Casimir energy per unit plate area, -pi^2/(1440 L^3).
 
     Identical for Dirichlet and Neumann plates: both spectra give the
-    same continued value.  The value is produced by the master-integral
-    coefficient times the exact zeta(-3); ``master_integral`` raises
-    :class:`DomainError` unless its value is a finite double.
+    same continued value.  The value is half the master integral at
+    N = -1/2 and m^2 = k_1^2, -k_1^3 / (6 pi), times the exact zeta(-3);
+    ``master_integral`` raises :class:`DomainError` unless its value is
+    a normal double, which it is at every L in [L_MIN, L_MAX].
     """
     per_mode = 0.5 * master_integral(-0.5, k_n(config, 1) ** 2)
     return per_mode * float(zeta_neg_int(3))

@@ -6,10 +6,11 @@ The master integral over the two transverse dimensions,
               = Gamma(N - 1) / (4 pi Gamma(N)) (m^2)^(1 - N),
 
 converges only for N > 1; everywhere else its value is defined by
-analytic continuation in N, which the gamma-function form realizes
-literally: negative gamma arguments are continued by the gamma function
-itself rather than through subtractions of divergent integrands.  The
-Casimir energy takes it at N = -1/2.
+analytic continuation in N.  Since Gamma(N) = (N - 1) Gamma(N - 1)
+(DLMF 5.5.1), it is (m^2)^(1 - N) / (4 pi (N - 1)), a power over a
+linear function of N, which continues it with no gamma function and no
+subtraction of divergent integrands.  The Casimir energy takes it at
+N = -1/2.
 
 For convergent N, a direct radial quadrature by the double-exponential
 rule is an independent cross-check.  Both take plain numbers and share
@@ -36,16 +37,18 @@ def _check_integral(N: float, m_sq: float) -> None:
 
 
 def master_integral(N: float, m_sq: float) -> float:
-    """The continued momentum integral I(N, m^2) in closed form.
+    """The continued momentum integral I(N, m^2) = (m^2)^(1 - N) / (4 pi (N - 1)).
 
     N must be finite and m_sq must lie in (0, inf), or
     :class:`DomainError`.  Raises :class:`PoleError` when N - 1 is a
-    non-positive integer, which covers every pole of Gamma(N) too; that
-    signals a case needing a different regularization, not a numerical
-    failure.  A value that is not a finite double raises
-    :class:`DomainError`, and so does one whose Gamma(N - 1) or Gamma(N)
-    is not a normal double, or whose 4 pi Gamma(N) overflows: there the
-    ratio would lose digits, or all of them.
+    non-positive integer; that signals a case needing a different
+    regularization, not a numerical failure.  At N = 1 the integral
+    diverges.  At N = 0, -1, ... Gamma(N - 1) / Gamma(N) is inf / inf:
+    its limit in N is 1 / (N - 1), but its limit in the dimension, at
+    fixed N, is 0, so no value is the integral's.  A value that is not
+    a normal double raises :class:`DomainError`, and so does a power
+    (m^2)^(1 - N) past the double range, even where the division by
+    4 pi (N - 1) would bring the value back.
     """
     _check_integral(N, m_sq)
     # float(): a numpy N or m_sq would overflow to inf with a warning instead of raising
@@ -54,16 +57,11 @@ def master_integral(N: float, m_sq: float) -> float:
     if a <= 0.0 and a == round(a):
         raise PoleError(f"master integral pole: N - 1 = {a} is a non-positive integer")
     try:
-        gamma_a, gamma_N = math.gamma(a), math.gamma(N)
-        denominator = 4.0 * math.pi * gamma_N
-        normal = min(abs(gamma_a), abs(gamma_N)) >= sys.float_info.min
-        prefactor = gamma_a / denominator if normal and abs(denominator) < math.inf else math.inf
-        value = prefactor * float(m_sq) ** (1.0 - N)
-    except (OverflowError, ZeroDivisionError):
+        value = float(m_sq) ** (1.0 - N) / (4.0 * math.pi * a)
+    except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"the master integral at (N, m_sq) = {N, m_sq} is not a finite "
-                          "double, or Gamma(N - 1) or Gamma(N) is not a normal double")
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise DomainError(f"the master integral at (N, m_sq) = {N, m_sq} is not a normal double")
     return value
 
 
@@ -113,8 +111,8 @@ def quadrature_reference(N: float, m_sq: float) -> float:
 
     I(N, m^2) is the radial integral of k (k^2 + m^2)^-N times
     2 pi / (2 pi)^2.  Requires N > 1, where the integral converges; for
-    N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it agrees with the
-    gamma-function form to 2e-15.
+    N >= 1.25, N <= 10 and m_sq in [1e-6, 1e6] it agrees with
+    :func:`master_integral` to 2e-15.
     """
     _check_integral(N, m_sq)
     if not N > 1.0:

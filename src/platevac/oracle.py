@@ -28,8 +28,8 @@ finite: with q = e^(-eps pi / L),
     sum_n n^j q^n (1 - s cos 2 n theta)
         = Li_j(q) - (s/2) [Li_j(q e^(2i theta)) + Li_j(q e^(-2i theta))],
 
-where Li_j(x) = sum_n n^j x^n is the Eulerian closed form shared with
-the cutoff oracle.  Only the c_j depend on the field, and only s on the
+where Li_j(x) = sum_n n^j x^n is the Eulerian closed form of
+``regsum._power_series``.  Only the c_j depend on the field, and only s on the
 condition, so the sums Li_j(q) and Li_j(z) + Li_j(z') at one (L, theta,
 eps) serve both fields under both conditions: :func:`_power_sums` keeps
 the last :data:`_SUMS_CACHED` of them, and ``verify`` computes each of

@@ -184,6 +184,12 @@ def _canonical_density_integral(sample: Sample) -> float:
 #   total_energy, pressure, integrated_density_check) or a byte of
 #   `profile` or `energy`.  A unique catch in code that only checks read
 #   keeps nothing.
+# - Two checks that are the only ones to FAIL such a mutant (the sweep's
+#   `pair:` lines) both stay, and are decided together.
+#   tzz_equals_pressure and pressure_finite_difference share
+#   casimir.pressure, until the spectral energy of ROADMAP item 3 decides
+#   them; mode_sum_phidot2 and canonical_density_integral share
+#   fluctuations._ab and regsum._f_of_sin2.
 # - An anchor, a check of an oracle against its defining integral, stays
 #   while a check this rule keeps reads that oracle.
 # - The only check of a claim stays.

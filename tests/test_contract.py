@@ -6,14 +6,15 @@ an argument that sends a call into a long loop fails too.  The suite
 turns warnings into errors, so a numpy RuntimeWarning fails a call as
 well.  Wrong types (str, None, complex) are outside the contract.
 ``stress_report`` trusts its records, so it gets only records the
-library itself returned.
+library itself returned.  A finite value can still be wrong, so each
+``master_integral`` value must also meet its identity.
 """
 
 import math
 import time
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from platevac import (
     BoundaryCondition,
@@ -156,13 +157,33 @@ def test_array_path_gives_finite_columns_or_a_library_error(theta, L, bc):
     assert ab.B.shape == theta.shape and np.isfinite(ab.B).all()
 
 
+def _assert_master_identity(value: float, N, m_sq) -> None:
+    """value 4 pi (N - 1) (m^2)^(N - 1) = 1, in logs where the power overflows.
+
+    Of 300 000 seeded draws, the 57 830 values returned read at most
+    4.4e-16; the power overflows only beside a value below the normal range.
+    """
+    where = f"master_integral{(N, m_sq)!r} = {value!r}"
+    scaled = value * 4.0 * math.pi * (N - 1.0)
+    assert scaled > 0.0, where
+    try:
+        error = scaled * m_sq ** (N - 1.0) - 1.0
+    except OverflowError:
+        error = (math.log(scaled) + (N - 1.0) * math.log(m_sq)) / abs((N - 1.0) * math.log(m_sq))
+    assert abs(error) <= 4e-15, where
+
+
 @given(x=numbers, N=numbers, L=numbers,
        bc=st.sampled_from(list(BoundaryCondition)))
 @settings(max_examples=200, deadline=None)
+# the value near 2.7e-902 underflows, and must raise rather than read 0.0
+@example(x=1e300, N=4.0, L=1.0, bc=BoundaryCondition.DIRICHLET)
 def test_rest_of_the_api_gives_finite_values_or_a_library_error(x, N, L, bc):
     for fn in (bernoulli, zeta_neg_int):
         _call(fn, x)
-    _call(master_integral, N, x)
+    value = _call(master_integral, N, x)
+    if value is not None:
+        _assert_master_identity(value, N, x)
     _call(quadrature_reference, N, x)
     configs = [PlateConfig(1.0)]
     config = _call(PlateConfig, L)

@@ -1,6 +1,8 @@
 """Tests for the master integral, continued in N, and its radial quadrature."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,9 +14,20 @@ from platevac.errors import DomainError, PlateVacError, PoleError, QuadratureErr
 from platevac.verify import VERIFY_CHECKS, Sample
 
 
+PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _relative_error(N: float, m_sq: float) -> float:
+    """master_integral(N, m_sq) against (m^2)^(1 - N) / (4 pi (N - 1)) in 50 digits."""
+    with localcontext() as context:
+        context.prec = 50
+        exact = Decimal(m_sq) ** (1 - Decimal(N)) / (4 * PI * (Decimal(N) - 1))
+        return float(abs(Decimal(master_integral(N, m_sq)) - exact) / abs(exact))
+
+
 class TestMasterIntegral:
     def test_vacuum_energy_case(self):
-        # N = -1/2: Gamma(-3/2)/Gamma(-1/2) = -2/3 gives -m^3/(6 pi)
+        # N = -1/2: (m^2)^(3/2) / (4 pi (-3/2)) = -m^3/(6 pi)
         m = 1.7
         value = master_integral(-0.5, m * m)
         assert value == pytest.approx(-(m**3) / (6.0 * math.pi), rel=1e-13)
@@ -60,36 +73,30 @@ class TestMasterIntegral:
 
     @pytest.mark.parametrize("N", [*map(float, range(2, 16)), 170.0, 171.0,
                                    2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
-    def test_gamma_ratio_at_integer_and_half_integer_powers(self, N):
-        # Gamma(N - 1) / Gamma(N) = 1 / (N - 1); at N = 171, Gamma(N) is
-        # within a factor 4 pi of the largest double.  Every case reads at
-        # most 4.6e-16
-        expected = 1.0 / (4.0 * math.pi * (N - 1.0))
-        assert abs(master_integral(N, 1.0) - expected) <= 1e-14 * abs(expected)
+    def test_exact_at_integer_and_half_integer_powers(self, N):
+        # every case reads at most 1.9e-16
+        assert _relative_error(N, 1.0) <= 1e-15
 
     @pytest.mark.parametrize("pole", [0.0, -1.0, -2.0, -5.0, -9.0])
     @pytest.mark.parametrize("offset", [1e-3, -1e-3])
     def test_near_pole_accuracy(self, pole, offset):
-        # N - 1 = pole + offset: both gammas are large, their ratio is not.
-        # math.gamma loses some |pole| ulp / |offset| there; every case
-        # reads at most 8.9e-13
-        N = 1.0 + pole + offset
-        expected = 1.0 / (4.0 * math.pi * (N - 1.0))
-        assert abs(master_integral(N, 1.0) - expected) <= 5e-12 * abs(expected)
+        # N - 1 = pole + offset: Gamma(N - 1) and Gamma(N) are both large
+        # there, their ratio 1 / (N - 1) is not; every case reads at most 2.2e-16
+        assert _relative_error(1.0 + pole + offset, 1.0) <= 1e-15
 
     def test_continuation_on_grid(self):
         # N on [-10, 30] in steps of 0.0137, more than 1.2e-3 from the
-        # integers; every point reads at most 8e-15
+        # integers; every point reads at most 2.5e-16
         N = -10.0 + 0.0137
         while N < 30.0:
             if abs(N - round(N)) > 1.2e-3:
-                expected = 1.0 / (4.0 * math.pi * (N - 1.0))
-                assert abs(master_integral(N, 1.0) - expected) <= 1e-12 * abs(expected), N
+                assert _relative_error(N, 1.0) <= 1e-15, N
             N += 0.0137
 
     @pytest.mark.parametrize("N", [1.0, 0.0, -1.0, -2.0, -16.0])
     def test_gamma_pole_raises(self, N):
-        # Gamma(N - 1) has a pole wherever Gamma(N) has one, and at N = 1
+        # the integral's own pole at N = 1; at N = 0, -1, ... Gamma(N - 1) /
+        # Gamma(N) is inf / inf, and its limits in N and in the dimension differ
         with pytest.raises(PoleError):
             master_integral(N, 1.0)
 
@@ -105,45 +112,46 @@ class TestMasterIntegral:
         with pytest.raises(DomainError):
             master_integral(N, 1.0)
 
-    @pytest.mark.parametrize("spec", [(10.0, 1e-300), (-0.5, 1e300), (172.7, 1.0)])
+    @pytest.mark.parametrize("spec", [(10.0, 1e-300), (-0.5, 1e300), (172.7, 1e-3)])
     @pytest.mark.parametrize("number", [float, np.float64])
     def test_overflowing_power_raises_domain_error(self, spec, number):
         # m_sq ** (1 - N) overflows: a float raised OverflowError, a numpy
-        # float returned inf; at N = 172.7, Gamma(N - 1) does
+        # float returned inf
         N, m_sq = spec
-        with pytest.raises(DomainError, match="not a finite double"):
+        with pytest.raises(DomainError, match="not a normal double"):
             master_integral(N, number(m_sq))
 
-    @pytest.mark.parametrize("N", [172.0, 200.0, 1e300, -180.5, -200.5])
-    def test_gamma_out_of_range_raises_domain_error(self, N):
-        # Gamma(N) overflows above N = 171.62; below N = -180, both gammas
-        # underflow to zero, and their ratio is 0 / 0
-        with pytest.raises(DomainError, match="not a finite double"):
-            master_integral(N, 1.0)
+    @pytest.mark.parametrize("N", [171.5, 172.0, 200.0, 1e300,
+                                   -170.5, -175.5, -177.9, -180.5, -200.5])
+    def test_exact_where_the_gamma_values_leave_the_double_range(self, N):
+        # Gamma(N) overflows above N = 171.62 (4 pi Gamma(N) at 171.5), and
+        # Gamma(N - 1) or Gamma(N) is subnormal or zero below N = -170.5;
+        # their ratio 1 / (N - 1) is not.  Every case reads at most 1.1e-16
+        assert _relative_error(N, 1.0) <= 1e-15
 
-    @pytest.mark.parametrize("N", [171.5, -177.9, -175.5, -170.5])
-    def test_gamma_outside_the_normal_range_raises_domain_error(self, N):
-        # 4 pi Gamma(N) overflows at 171.5, where the ratio read 0.0, not
-        # 4.667e-4; Gamma(N) is subnormal at -177.9 (the value read -0.0)
-        # and at -175.5 (0.13 % off), Gamma(N - 1) at -170.5
+    @pytest.mark.parametrize("N, m_sq", [(60.5, 1e10), (-100.5, 1e-10), (4.0, 1e300),
+                                         (4.0, 1e103)])
+    def test_underflowing_value_raises_domain_error(self, N, m_sq):
+        # the values near 1.3e-598, -7.8e-1019 and 2.7e-902 round to 0.0 or
+        # -0.0, and the one near 2.7e-311 to a subnormal that lost digits
         with pytest.raises(DomainError, match="not a normal double"):
-            master_integral(N, 1.0)
+            master_integral(N, m_sq)
 
     def test_numpy_power_raises_without_a_warning(self):
         # m_sq ** (1 - N) overflows; a numpy N took the power through numpy's
         # pow, which warned (an error in this suite) before raising
-        with pytest.raises(DomainError, match="not a finite double"):
+        with pytest.raises(DomainError, match="not a normal double"):
             master_integral(np.float64(-150.5), 1e300)
 
     @given(st.floats(-1e3, 1e3),
            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     @settings(max_examples=300, deadline=None)
-    def test_any_spec_is_finite_or_library_error(self, N, m_sq):
+    def test_any_spec_is_normal_or_library_error(self, N, m_sq):
         try:
             value = master_integral(N, m_sq)
         except PlateVacError:
             return
-        assert math.isfinite(value)
+        assert sys.float_info.min <= abs(value) < math.inf
 
 
 class TestQuadratureReference:
@@ -181,7 +189,7 @@ class TestQuadratureReference:
         st.floats(min_value=-6.0, max_value=6.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_gamma_form(self, N, log_m_sq):
+    def test_matches_closed_form(self, N, log_m_sq):
         # the documented range: N >= 1.25 (2N - d >= 1/2), N <= 10, m_sq in [1e-6, 1e6]
         m_sq = 10.0 ** log_m_sq
         exact = master_integral(N, m_sq)

@@ -213,9 +213,9 @@ MUTATIONS = {
                               MODE_SUMS),
     "master-4pi": (Edit("dimreg", "master_integral", "4.0 * math.pi", "2.0 * math.pi"),
                    {"dimreg_quadrature"} | ENERGY),
-    "master-gamma-N": (Edit("dimreg", "master_integral", "math.gamma(N)",
-                            "math.gamma(N + 1.0)"),
-                       {"dimreg_quadrature"} | ENERGY),
+    "master-denominator-N": (Edit("dimreg", "master_integral", "4.0 * math.pi * a",
+                                  "4.0 * math.pi * N"),
+                             {"dimreg_quadrature"} | ENERGY),
     "master-exponent-sign": (Edit("dimreg", "master_integral", "1.0 - N", "N - 1.0"),
                              {"dimreg_quadrature"} | READS_ENERGY),
     "energy-N": (Edit("casimir", "total_energy", "master_integral(-0.5", "master_integral(0.5"),

@@ -155,6 +155,22 @@ def test_unique_counts_each_check_s_lone_catches_by_function():
     assert unique(functions[4:], outcomes[4:]) == []
 
 
+def test_pair_counts_the_mutants_two_checks_alone_catch_by_function():
+    # "a" and "b" alone catch mutants 0 and 1, "b" and "c" mutant 2; mutant 3
+    # is a's alone and mutant 4, caught by all three, is no pair's
+    outcomes = [
+        {**_PASSES, "fail": {"1.0": ["b"], "0.77": ["a"]}},
+        {**_PASSES, "fail": {"1.0": ["a"], "0.77": []}, "raise": {"1.0": {"b": "E"}, "0.77": {}}},
+        {**_PASSES, "fail": {"1.0": ["c", "b"], "0.77": []}},
+        {**_PASSES, "fail": {"1.0": ["a"], "0.77": []}},
+        {**_PASSES, "fail": {"1.0": ["a", "b", "c"], "0.77": []}},
+    ]
+    functions = ["m.g", "n.h", "m.g", "m.f", "m.f"]
+    assert unique(functions, outcomes) == [
+        "unique: a 1, in m.f 1", "unique: b 0", "unique: c 0",
+        "pair: a + b 2, in m.g 1, n.h 1", "pair: b + c 1, in m.g 1"]
+
+
 def test_unique_orders_functions_by_count():
     outcomes = [{**_PASSES, "fail": {"1.0": ["a"], "0.77": []}}] * 3
     assert unique(["m.z", "m.y", "m.z"], outcomes) == ["unique: a 3, in m.z 2, m.y 1"]
