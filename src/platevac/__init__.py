@@ -7,13 +7,7 @@ plates, cross-validating every closed form against independent
 brute-force summation oracles.
 """
 
-from .casimir import (
-    canonical_density_integral,
-    em_reference,
-    integrated_density_check,
-    pressure,
-    total_energy,
-)
+from .casimir import em_reference, integrated_density_check, pressure, total_energy
 from .dimreg import master_integral, quadrature_reference
 from .errors import (
     ConsistencyError,
@@ -39,10 +33,9 @@ from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import StressReport, stress_report
 
 __all__ = [
-    "canonical_density_integral", "em_reference", "integrated_density_check", "pressure",
-    "total_energy", "master_integral", "quadrature_reference", "ConsistencyError",
-    "DomainError", "InvalidConfigError", "PlateVacError",
-    "PoleError", "QuadratureError", "ABPair", "FluctuationSet", "InteriorPoint", "ab_values",
+    "em_reference", "integrated_density_check", "pressure", "total_energy", "master_integral",
+    "quadrature_reference", "ConsistencyError", "DomainError", "InvalidConfigError",
+    "PlateVacError", "PoleError", "QuadratureError", "ABPair", "FluctuationSet", "InteriorPoint", "ab_values",
     "expectation_columns", "expectation_set", "phi_squared", "phi_squared_single_plate",
     "mode_sum_finite_part", "FinitePartResult", "bernoulli", "zeta_neg_int",
     "BoundaryCondition", "PlateConfig", "k_n", "StressReport", "stress_report",

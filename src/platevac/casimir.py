@@ -18,14 +18,12 @@ from __future__ import annotations
 import math
 
 from .dimreg import master_integral
-from .errors import DomainError, _require
 from .fluctuations import InteriorPoint, ab_values, expectation_set
 from .regsum import zeta_neg_int
 from .spectrum import BoundaryCondition, PlateConfig, k_n
 from .stress import stress_report
 
-__all__ = ["total_energy", "pressure", "em_reference", "integrated_density_check",
-           "canonical_density_integral", "canonical_density_quadrature"]
+__all__ = ["total_energy", "pressure", "em_reference", "integrated_density_check"]
 
 
 def total_energy(config: PlateConfig) -> float:
@@ -79,64 +77,3 @@ def integrated_density_check(config: PlateConfig, bc: BoundaryCondition) -> tupl
         integral += stress_report(fluct, ab_values(config, point)).energy_density_improved
     integral *= h
     return integral, abs(integral - total_energy(config))
-
-
-def canonical_density_integral(config: PlateConfig, bc: BoundaryCondition, margin: float) -> float:
-    """The canonical energy density -(A + 2t) integrated over [m L, (1-m) L], exactly.
-
-    With u = cot theta, f d theta = -(1 + 3u^2) du, and dz = (L/pi) d theta,
-    so for m = ``margin`` in (0, 0.5) the integral is
-
-        -A L (1 - 2m) - s pi/(24 L^3) (cot pi m + cot^3 pi m).
-
-    It grows like -s/(24 pi^2 L^3 m^3) without limit as m -> 0, which is
-    precisely why only the improved density can integrate up to the
-    total energy.  A value past the double range raises :class:`DomainError`.
-    """
-    _require(0.0 < margin < 0.5, margin, "margin must lie in (0, 0.5), got {}")
-    L = config.L
-    cot = 1.0 / math.tan(math.pi * margin)
-    try:
-        value = (-math.pi ** 2 / (1440.0 * L ** 4) * L * (1.0 - 2.0 * margin)
-                 - bc.sign_upper * math.pi / (24.0 * L ** 3) * (cot + cot ** 3))
-    except OverflowError:  # cot^3
-        value = math.inf
-    if not abs(value) < math.inf:
-        raise DomainError(f"the canonical density integral overflows at margin {margin!r}: "
-                          "the margin is too close to a plate")
-    return value
-
-
-def canonical_density_quadrature(config: PlateConfig, margin: float) -> tuple[float, float]:
-    """The pointwise canonical density integrated over [m L, (1 - m) L] by quadrature.
-
-    The second route to :func:`canonical_density_integral`, returned as
-    (Dirichlet, Neumann): the density of :func:`stress_report`, evaluated
-    one point at a time, under the tanh-sinh rule (Takahasi and Mori,
-    Publ. RIMS 9, 721, 1974):
-    theta = a + w (1 + tanh u)/2, u = (pi/2) sinh t, a = pi m, w = pi (1 - 2m),
-    at t = k/24, |k| <= 80, which clusters the nodes where the density
-    grows as theta^-4.  Each node's distance to the nearer end,
-    w e/(1 + e) with e = exp(-2u), is formed directly, so none loses
-    digits to 1 - tanh u; dz = (L/pi) d theta.  Each node's point and
-    (A, B) are built once and serve both conditions.
-    """
-    _require(0.0 < margin < 0.5, margin, "margin must lie in (0, 0.5), got {}")
-    start, width, nodes = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
-    for k in range(81):
-        t = k / 24
-        e = math.exp(-math.pi * math.sinh(t))
-        near = start + width * e / (1.0 + e)
-        weight = width * math.pi * math.cosh(t) * e / (1.0 + e) ** 2
-        for theta in (near, math.pi - near) if k else (near,):
-            point = InteriorPoint.from_theta(config, theta)
-            nodes.append((weight, point, ab_values(config, point)))
-    values = []
-    for bc in BoundaryCondition:  # Dirichlet, then Neumann
-        terms = []
-        for weight, point, ab in nodes:
-            report = stress_report(expectation_set(bc, config, point), ab)
-            terms.append(weight * report.energy_density_canonical)
-        values.append(math.fsum(terms) / 24 * config.L / math.pi)
-    dirichlet, neumann = values
-    return dirichlet, neumann

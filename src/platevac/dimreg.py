@@ -46,20 +46,25 @@ def master_integral(N: float, m_sq: float) -> float:
     diverges.  At N = 0, -1, ... Gamma(N - 1) / Gamma(N) is inf / inf:
     its limit in N is 1 / (N - 1), but its limit in the dimension, at
     fixed N, is 0, so no value is the integral's.  A value that is not
-    a normal double raises :class:`DomainError`, and so does a power
-    (m^2)^(1 - N) past the double range, even where the division by
-    4 pi (N - 1) would bring the value back.
+    a normal double raises :class:`DomainError`.
     """
     _check_integral(N, m_sq)
     # float(): a numpy N or m_sq would overflow to inf with a warning instead of raising
-    N = float(N)
+    N, m_sq = float(N), float(m_sq)
     a = N - 1.0
     if a <= 0.0 and a == round(a):
         raise PoleError(f"master integral pole: N - 1 = {a} is a non-positive integer")
+    power, denominator = 1.0 - N, 4.0 * math.pi * a
     try:
-        value = float(m_sq) ** (1.0 - N) / (4.0 * math.pi * a)
+        value = m_sq ** power / denominator
     except OverflowError:
-        value = math.inf
+        # the power alone past the double range: divide by 4 pi (N - 1)
+        # between its two halves, which may bring the value back
+        try:
+            half = m_sq ** (0.5 * power)
+        except OverflowError:
+            half = math.inf
+        value = half / denominator * half
     if not sys.float_info.min <= abs(value) < math.inf:
         raise DomainError(f"the master integral at (N, m_sq) = {N, m_sq} is not a normal double")
     return value

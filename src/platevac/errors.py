@@ -20,7 +20,8 @@ class DomainError(PlateVacError, ValueError):
 
 
 class PoleError(PlateVacError, ArithmeticError):
-    """Gamma function, or a quantity built from it, evaluated at a pole."""
+    """A quantity evaluated at a pole, such as the master integral where N - 1
+    is a non-positive integer."""
 
 
 class QuadratureError(PlateVacError, ArithmeticError):

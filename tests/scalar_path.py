@@ -6,7 +6,7 @@ process of ``tests/test_mutations.py`` can run it without pytest.
 
 import numpy as np
 
-from platevac.cli import PROFILE_COLUMNS, RunConfig, _profile_rows
+from platevac.cli import _COLUMN_FIELDS, PROFILE_COLUMNS, RunConfig, _profile_rows
 from platevac.errors import PlateVacError
 from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.spectrum import PlateConfig
@@ -14,21 +14,20 @@ from platevac.stress import stress_report
 
 
 def scalar_rows(config: RunConfig) -> list[dict[str, float]]:
-    """The profile evaluated one point at a time through the scalar API."""
+    """The profile evaluated one point at a time through the scalar API.
+
+    Each column reads the field that ``cli._COLUMN_FIELDS`` maps it to,
+    of the point's FluctuationSet or StressReport.
+    """
     plate = PlateConfig(config.L)
     rows = []
     for z in config.grid().tolist():
         point = InteriorPoint.from_z(plate, z)
         fluct = expectation_set(config.bc, plate, point)
         report = stress_report(fluct, ab_values(plate, point))
-        rows.append({
-            "z": z, "theta": point.theta, "phi2": fluct.phi2, "phidot2": fluct.phidot2,
-            "dzphi2": fluct.dzphi2, "gradTphi2": fluct.gradTphi2,
-            "dlambda_phi2": fluct.dlambda_phi2,
-            "E_canonical": report.energy_density_canonical, "huggins00": report.huggins_00,
-            "E_improved": report.energy_density_improved, "T_zz": report.t_zz,
-            "trace_canonical": report.trace_canonical, "trace_improved": report.trace_improved,
-        })
+        fields = {**vars(fluct), **vars(report)}
+        rows.append({"z": z, "theta": point.theta,
+                     **{column: fields[field] for column, field in _COLUMN_FIELDS.items()}})
     return rows
 
 

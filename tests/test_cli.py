@@ -557,14 +557,14 @@ for bc in platevac.BoundaryCondition:
 platevac.total_energy(plate), platevac.pressure(plate), platevac.em_reference(plate)
 platevac.zeta_neg_int(3), platevac.master_integral(-0.5, 1.0)
 platevac.quadrature_reference(2.0, 1.0), platevac.mode_sum_finite_part("phidot2", bc, plate, point)
-platevac.canonical_density_integral(plate, bc, 1e-3)
+platevac.mode_sum_finite_part("energy_density_canonical", bc, plate, point)
 for fmt in ("csv", "json"):
     assert platevac.cli.main(["energy", "--length", "0.77", "--format", fmt]) == 0
 report = io.StringIO()
 with contextlib.redirect_stdout(report):
     assert platevac.cli.main(["verify", "--length", "0.77"]) == 0
     assert platevac.cli.main(["verify", "--inject-sign-flip"]) == 1
-assert report.getvalue().count("FAIL") == 2, report.getvalue()
+assert report.getvalue().count("FAIL") == 3, report.getvalue()
 checks = len(platevac.verify.VERIFY_CHECKS)
 assert f"{checks}/{checks} checks passed" in report.getvalue()
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod))

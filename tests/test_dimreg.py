@@ -115,11 +115,19 @@ class TestMasterIntegral:
     @pytest.mark.parametrize("spec", [(10.0, 1e-300), (-0.5, 1e300), (172.7, 1e-3)])
     @pytest.mark.parametrize("number", [float, np.float64])
     def test_overflowing_power_raises_domain_error(self, spec, number):
-        # m_sq ** (1 - N) overflows: a float raised OverflowError, a numpy
-        # float returned inf
+        # m_sq ** (1 - N) overflows, and so does the value: a float raised
+        # OverflowError, a numpy float returned inf
         N, m_sq = spec
         with pytest.raises(DomainError, match="not a normal double"):
             master_integral(N, number(m_sq))
+
+    @pytest.mark.parametrize("N, m_sq", [(-0.5, 1e206), (-1.5, 3e123), (150.5, 0.0085)])
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_normal_value_past_an_overflowing_power(self, N, m_sq, number):
+        # m_sq ** (1 - N) alone passes the double range, and 4 pi (N - 1)
+        # brings the value back, near -5.3e307, -1.6e307 and 1.9e306; each
+        # reads at most 2.3e-16
+        assert _relative_error(N, number(m_sq)) <= 1e-15
 
     @pytest.mark.parametrize("N", [171.5, 172.0, 200.0, 1e300,
                                    -170.5, -175.5, -177.9, -180.5, -200.5])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import platevac
-from platevac import casimir, dimreg, fluctuations, oracle, regsum, spectrum
+from platevac import dimreg, fluctuations, oracle, regsum, spectrum
 from platevac.errors import PlateVacError
 from platevac.spectrum import BoundaryCondition, PlateConfig
 
@@ -27,10 +27,6 @@ LONG = 10**5000  # past the 4300 digits Python writes out
 
 
 @pytest.mark.parametrize("call", [
-    lambda: casimir.canonical_density_integral(PLATE, D, 0.5),
-    # cot^3 of the margin, or the L^-3 in front of it, past the double range
-    lambda: casimir.canonical_density_integral(PLATE, D, 1e-110),
-    lambda: casimir.canonical_density_integral(PlateConfig(1e-72), D, 1e-40),
     lambda: regsum.bernoulli(-1),
     lambda: regsum.zeta_neg_int(-1),
     lambda: regsum.fit_finite_part(lambda eps: eps * math.nan, 1.0, 1),
@@ -41,7 +37,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
       for radius in (0.0, -1.0, math.nan, math.inf)),
     lambda: spectrum.k_n(PLATE, 0),
     lambda: dimreg.master_integral(10.0, 1e-300),
-    # the pole at N = 1, a power past the double range, a value that underflows
+    # the pole at N = 1, a value past the double range, a value that underflows
     lambda: dimreg.master_integral(1.0, 1.0),
     lambda: dimreg.master_integral(-0.5, 1e300),
     lambda: dimreg.master_integral(60.5, 1e10),
@@ -72,7 +68,6 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: dimreg.master_integral(HUGE, 1.0),
     lambda: dimreg.quadrature_reference(HUGE, 1.0),
     lambda: PlateConfig(LONG),
-    lambda: casimir.canonical_density_integral(PLATE, D, LONG),
     # sin^2 theta underflows to 0 (1e-200, 1e-320), or B overflows (1e-100)
     *(lambda theta=theta: fluctuations.ab_values(PLATE, fluctuations.InteriorPoint(theta))
       for theta in (1e-100, 1e-200, 1e-320)),
@@ -81,8 +76,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     lambda: fluctuations.expectation_set(D, PLATE, fluctuations.InteriorPoint(1e-320)),
     lambda: fluctuations.expectation_columns(D, PLATE, np.array([1.0, 1e-320])),
 ], ids=[
-    "canonical_density_integral", "canonical_density_integral-cot-overflow",
-    "canonical_density_integral-L-overflow", "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
+    "bernoulli", "zeta_neg_int", "fit_finite_part-nan",
     "fit_finite_part-inf", "cutoff_sums-tiny-cutoffs",
     *(f"fit_finite_part-radius-{radius}" for radius in ("zero", "negative", "nan", "inf")),
     "k_n", "master_integral",
@@ -95,7 +89,7 @@ LONG = 10**5000  # past the 4300 digits Python writes out
     *(f"{name}-huge" for name in ("InteriorPoint", "from_z", "from_theta",
                                   "phi_squared_single_plate", "master_integral",
                                   "quadrature_reference")),
-    "PlateConfig-long", "canonical_density_integral-long",
+    "PlateConfig-long",
     *(f"ab_values-{theta}" for theta in ("1e-100", "1e-200", "1e-320")),
     *(f"phi_squared-{theta}" for theta in ("1e-200", "1e-320")),
     "expectation_set-1e-320", "expectation_columns-1e-320",

@@ -74,9 +74,10 @@ ENERGY = {"energy_pipeline", "integrated_density", "tzz_equals_pressure"}
 # The checks that call total_energy: the other two read ratios of its values
 # at two separations, in which a constant factor cancels.
 READS_ENERGY = ENERGY | {"length_scaling", "pressure_finite_difference"}
-MODE_SUMS = {"mode_sum_phi2", "mode_sum_phidot2"}
-# The canonical density's quadrature against its closed-form integral.
-CANONICAL = "canonical_density_integral"
+# The canonical density's mode sum against its closed form.
+CANONICAL = "mode_sum_canonical_density"
+# The checks that read the mode-sum oracle's finite parts.
+MODE_SUMS = {"mode_sum_phi2", "mode_sum_phidot2", CANONICAL}
 
 # name: (mutation, FAIL set[, {raising check: error class}])
 MUTATIONS = {
@@ -102,8 +103,6 @@ MUTATIONS = {
     # verify reads no EM value: test_casimir.py's test_exactly_twice_scalar pins it
     "em-2": (Edit("casimir", "em_reference", "2.0 * scalar_pressure", "4.0 * scalar_pressure"),
              set()),
-    "canonical-24": (Edit("casimir", "canonical_density_integral", "24.0", "12.0"),
-                     {CANONICAL}),
     # Signs.
     "phi2-sign": (Edit("fluctuations", "_phi2", "1.0 - s", "1.0 + s"),
                   {"mode_sum_phi2", "single_plate_limit"}),
@@ -148,7 +147,7 @@ MUTATIONS = {
                            '1 if value == "dirichlet" else -1',
                            '-1 if value == "dirichlet" else 1'), MODE_SUMS),
     "oracle-bc-swap": (Edit("oracle", "_regulated_sums", "s = 1 if", "s = -1 if"), MODE_SUMS),
-    "oracle-weight-sign": (Edit("oracle", "_regulated_sums", "- s *", "+ s *"), MODE_SUMS),
+    "oracle-weight-sign": (Edit("oracle", "_regulated_sums", "- w * s *", "+ w * s *"), MODE_SUMS),
     # L exponents: verify evaluates the closed forms at one L, so only the
     # checks that step off L = 1 FAIL: length_scaling, and for the energy's
     # L the pressure's finite difference.
@@ -166,19 +165,21 @@ MUTATIONS = {
                         "(1.0 / (math.pi * eps),)"),
                    {"oracle_transverse_kernel", "mode_sum_phi2"}),
     "kernel-c0": (Edit("oracle", "_kernel_coefficients", "2.0 / eps**3", "1.0 / eps**3"),
-                  {"oracle_transverse_kernel", "mode_sum_phidot2"}),
+                  {"oracle_transverse_kernel", "mode_sum_phidot2", CANONICAL}),
     # k^1/eps^2 becomes k^1/eps: the kernel is unchanged at eps = 1, not at 1/2
     "kernel-c1": (Edit("oracle", "_kernel_coefficients", "2.0 / eps**2", "2.0 / eps"),
-                  {"oracle_transverse_kernel", "mode_sum_phidot2"}),
+                  {"oracle_transverse_kernel", "mode_sum_phidot2", CANONICAL}),
     "kernel-c2": (Edit("oracle", "_kernel_coefficients", "1.0 / eps)", "2.0 / eps)"),
-                  {"oracle_transverse_kernel", "mode_sum_phidot2"}),
+                  {"oracle_transverse_kernel", "mode_sum_phidot2", CANONICAL}),
     "oracle-half-angle": (Edit("oracle", "_power_sums", "2.0 * theta", "theta"), MODE_SUMS),
-    # phidot2's power sums of k_n^0 alone: its k_n and k_n^2 kernel terms add
+    # phidot2's power sums of k_n^0 alone, which the canonical density reads
+    # too: its k_n and k_n^2 kernel terms add
     # +1 and -1 times sum k_n^3 to the finite part, so dropping them would move
     # only the divergent coefficients; the oracle refuses a kernel with more
     # terms than power sums instead
     "oracle-power-sums-j0": (Edit("oracle", "_power_sums", "range(3)", "range(1)"), set(),
-                             {"mode_sum_phidot2": "ConsistencyError"}),
+                             {"mode_sum_phidot2": "ConsistencyError",
+                              CANONICAL: "ConsistencyError"}),
     "oracle-2L": (Edit("oracle", "_regulated_sums", "/ (2.0 * L)", "/ L"), MODE_SUMS),
     # Re Li_j(z) is not analytic in eps: the circle's mean is not its constant term
     "oracle-cos-real": (Edit("oracle", "_power_sums", "up + down", "2.0 * up.real"),
@@ -207,7 +208,7 @@ MUTATIONS = {
                        ENERGY),
     "eulerian-left": (Edit("regsum", "_eulerian_row", "(k - m) * prev[m - 1]",
                            "(k - m + 1) * prev[m - 1]"),
-                      {"mode_sum_phidot2"}),
+                      {"mode_sum_phidot2", CANONICAL}),
     "power-series-exponent": (Edit("regsum", "_power_series", "one_minus_x ** (k + 1)",
                                    "one_minus_x ** k"),
                               MODE_SUMS),

@@ -9,20 +9,30 @@ from hypothesis import given, settings, strategies as st
 from platevac import dimreg, oracle
 from platevac.errors import (ConsistencyError, DomainError, InvalidConfigError, PlateVacError,
                              QuadratureError)
-from platevac.fluctuations import InteriorPoint, expectation_set
+from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
 from platevac.oracle import mode_sum_finite_part
 from platevac.regsum import fit_finite_part
 from platevac.spectrum import L_MAX, L_MIN, BoundaryCondition, PlateConfig
-from platevac.verify import _MODE_SUM_THETAS, VERIFY_CHECKS, Sample
+from platevac.stress import stress_report
+from platevac.verify import _CANONICAL_THETAS, _MODE_SUM_THETAS, VERIFY_CHECKS, Sample
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
 BOTH = (D, N)
 
 
+CANONICAL = "energy_density_canonical"
+FIELDS = ("phi2", "phidot2", CANONICAL)
+
+
 def _closed_form(bc, L, theta, field):
+    """``field`` of expectation_set, or of stress_report where it is a tensor component."""
     config = PlateConfig(L)
-    return getattr(expectation_set(bc, config, InteriorPoint.from_theta(config, theta)), field)
+    point = InteriorPoint.from_theta(config, theta)
+    values = expectation_set(bc, config, point)
+    if field == CANONICAL:
+        values = stress_report(values, ab_values(config, point))
+    return getattr(values, field)
 
 
 def _oracle(field, bc, L, theta):
@@ -43,7 +53,10 @@ def _relative_error(field, bc, L, theta):
 
 
 def _analytic_divergences(field, bc, L):
-    """The coefficients of eps^-P ... eps^-1; the (1 - s) terms are the Neumann n = 0 mode."""
+    """The coefficients of eps^-P ... eps^-1; the (1 - s) terms are the Neumann n = 0 mode.
+
+    The canonical density's are phidot2's: the k_n^2 term it weights
+    differently has a finite sum of k_n^2 cos 2 n theta."""
     s = 1 if bc is D else -1
     if field == "phi2":
         return [1.0 / (4.0 * math.pi ** 2), -(1 - s) / (8.0 * math.pi * L)]
@@ -82,14 +95,15 @@ class TestModeSumFinitePart:
         assert result.finite_part == pytest.approx(b - a, rel=1e-13)
 
     @pytest.mark.parametrize("bc", BOTH)
-    @pytest.mark.parametrize("field,rtol", [("phi2", 1e-13), ("phidot2", 1e-12)])
+    @pytest.mark.parametrize("field,rtol", [("phi2", 1e-13), ("phidot2", 1e-12),
+                                            (CANONICAL, 4e-13)])
     def test_verify_angles(self, bc, field, rtol):
-        # verify's own tolerances, at its five angles
-        for theta in _MODE_SUM_THETAS:
+        # verify's own tolerances, at its angles
+        for theta in _CANONICAL_THETAS if field == CANONICAL else _MODE_SUM_THETAS:
             assert _relative_error(field, bc, 1.0, theta) <= rtol
 
     @pytest.mark.parametrize("L", [L_MIN, 1e-3, 0.1, 0.5, 2.0, 10.0, 1e3, L_MAX])
-    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    @pytest.mark.parametrize("field", FIELDS)
     def test_other_separations(self, field, L):
         # the circle scales with L, so the relative accuracy does not depend on it
         for bc in BOTH:
@@ -97,7 +111,7 @@ class TestModeSumFinitePart:
 
     @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("bc", BOTH)
-    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("distance", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_near_a_plate(self, distance, field, bc, L):
         # the circle shrinks with the distance to the nearer plate, on both sides
@@ -110,7 +124,7 @@ class TestModeSumFinitePart:
         # pi - theta taken from math.pi alone would be short by 1.2e-16,
         # which is 1.2e-8 of the distance at 1e-8; the plate at 0 keeps
         # its digits as well
-        for field in ("phi2", "phidot2"):
+        for field in FIELDS:
             for theta in (distance, math.pi - distance):
                 assert _relative_error(field, bc, 1.0, theta) <= 1e-13
 
@@ -138,7 +152,7 @@ class TestModeSumFinitePart:
 
     @pytest.mark.parametrize("L", [L_MIN, 0.77, L_MAX])
     @pytest.mark.parametrize("bc", BOTH)
-    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    @pytest.mark.parametrize("field", FIELDS)
     def test_divergent_coefficients_are_analytic(self, field, bc, L):
         expected = _analytic_divergences(field, bc, L)
         for theta in _MODE_SUM_THETAS:
@@ -150,7 +164,7 @@ class TestModeSumFinitePart:
             assert all(abs(g - e) <= 1e-10 * sc for g, e, sc in zip(got, expected, scale))
 
     @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("field", ["phi2", "phidot2"])
+    @pytest.mark.parametrize("field", FIELDS)
     def test_error_estimate_bounds_the_error(self, field, L):
         # an honest estimate: above the error against the closed form, and
         # within a few round-offs of it
@@ -161,25 +175,54 @@ class TestModeSumFinitePart:
                 assert error <= result.error_estimate <= 2e-14 * abs(result.finite_part)
 
 
-def _truncated_mode_sums(field, bc, L, theta, eps_values):
+class TestCanonicalDensity:
+    """The canonical energy density, phidot2's kernel with an unweighted k_n^2 term."""
+
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_divergent_coefficients_equal_phidot2s(self, bc):
+        # 3/(2 pi^2), -(1 - s)/(4 pi L), 0 and 0, each on the circle's
+        # scale, as test_divergent_coefficients_are_analytic measures them
+        L, theta = 1.3, 1.0
+        got = _oracle(CANONICAL, bc, L, theta).divergent_coeffs
+        expected = _analytic_divergences("phidot2", bc, L)
+        assert len(got) == len(expected) == oracle._FIELDS["phidot2"]
+        scale = [expected[0] * (L / math.pi) ** -i for i in range(len(expected))]
+        assert all(abs(g - e) <= 1e-15 * sc for g, e, sc in zip(got, expected, scale))
+
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("bc", BOTH)
+    def test_grows_as_the_inverse_fourth_power_toward_either_plate(self, bc, L):
+        # -(A + 2 s B) with B ~ pi^2 / (32 L^4 theta^4): the sign of -s, and
+        # ten thousandfold per tenfold smaller distance; the spectral
+        # counterpart of the canonical integral's m^-3 growth
+        s = 1 if bc is D else -1
+        for side in (lambda d: d, lambda d: math.pi - d):
+            finite = [_oracle(CANONICAL, bc, L, side(d)).finite_part for d in (1e-2, 1e-3, 1e-4)]
+            assert all(math.copysign(1.0, f) == -s for f in finite)
+            for near, far in zip(finite[1:], finite):
+                assert near / far == pytest.approx(1e4, rel=1e-6)
+
+
+def _truncated_mode_sums(field, bc, L, theta, eps_values, cos_weights):
     """The regulated mode sums by brute force: n <= n_max, one term per mode.
 
     Test-only reference for the oracle's closed-form sums, at real cutoffs
     and in long double: each mode's transverse kernel e^(-eps k_n)
-    sum_j c_j k_n^j with the oracle's coefficients, weighted by
-    1 - s cos 2 n theta.  n_max puts the cutoff weight e^(-eps k_n) of the
-    last mode below 1e-32 at the smallest cutoff, far below round-off on
-    the sum.
+    sum_j c_j k_n^j with the oracle's coefficients, its k_n^j term
+    weighted by 1 - w_j s cos 2 n theta, w_j = ``cos_weights[j]``.
+    n_max puts the cutoff weight e^(-eps k_n) of the last mode below
+    1e-32 at the smallest cutoff, far below round-off on the sum.
     """
     n_max = math.ceil(-math.log(1e-32) * L / (min(eps_values) * math.pi))
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
     kn = n * (np.longdouble(math.pi) / np.longdouble(L))
-    weights = 1.0 - bc.sign_upper * np.cos(np.longdouble(2.0 * theta) * n)
+    cosine = bc.sign_upper * np.cos(np.longdouble(2.0 * theta) * n)
     sums = []
     for eps in map(np.longdouble, eps_values):
         coeffs = oracle._kernel_coefficients(field, eps)
-        kernel = np.exp(-eps * kn) * sum(c * kn**j for j, c in enumerate(coeffs))
-        sums.append(float(np.sum(weights * kernel) / (2.0 * np.longdouble(L))))
+        terms = sum(c * kn**j * (1.0 - w * cosine)
+                    for j, (c, w) in enumerate(zip(coeffs, cos_weights)))
+        sums.append(float(np.sum(np.exp(-eps * kn) * terms) / (2.0 * np.longdouble(L))))
     return sums
 
 
@@ -189,13 +232,18 @@ class TestClosedFormSums:
         (N, 0.3, 0.45, "phi2"),
         (D, 2.0, 2.6, "phidot2"),
         (N, 1.0, math.pi / 2.0, "phidot2"),
+        (D, 1.3, 1.0, CANONICAL),
+        (N, 0.7, 2.2, CANONICAL),
     ])
     def test_match_truncated_brute_force(self, bc, L, theta, field):
-        # real cutoffs from the circle's radius down to a twentieth of it
+        # real cutoffs from the circle's radius down to a twentieth of it;
+        # the canonical density is phidot2's kernel with no cos 2 n theta
+        # on its k_n^2 term
+        cos_weights = (1, 1, 0) if field == CANONICAL else (1, 1, 1)
         radius = min(theta, math.pi - theta) * L / math.pi
         eps_values = (radius * np.geomspace(1.0, 0.05, 6)).tolist()
         exact = [oracle._regulated_sums(field, bc, L, theta, complex(eps)) for eps in eps_values]
-        brute = _truncated_mode_sums(field, bc, L, theta, eps_values)
+        brute = _truncated_mode_sums(field, bc, L, theta, eps_values, cos_weights)
         assert all(type(e) is complex and e.imag == 0.0 for e in exact)
         assert max(abs(e.real - b) / abs(b) for e, b in zip(exact, brute)) <= 2e-15
 
@@ -206,7 +254,7 @@ class TestClosedFormSums:
     )
     @settings(max_examples=40, deadline=None)
     def test_finite_parts_within_tolerance(self, bc, L, theta):
-        for field in ("phi2", "phidot2"):
+        for field in FIELDS:
             assert _relative_error(field, bc, L, theta) <= 1e-12
 
 
@@ -277,8 +325,10 @@ class TestSharedPowerSums:
     def test_warm_results_equal_cold_ones_bit_for_bit(self, L):
         # verify's calls, in verify's order: each read of the cache against
         # the same call with the cache cleared before it
-        calls = [(field, theta, bc) for field in ("phi2", "phidot2")
-                 for theta in _MODE_SUM_THETAS for bc in BOTH]
+        calls = [(field, theta, bc) for field, thetas in (("phi2", _MODE_SUM_THETAS),
+                                                          ("phidot2", _MODE_SUM_THETAS),
+                                                          (CANONICAL, _CANONICAL_THETAS))
+                 for theta in thetas for bc in BOTH]
         cold = []
         for field, theta, bc in calls:
             oracle._power_sums.cache_clear()
@@ -286,8 +336,10 @@ class TestSharedPowerSums:
         oracle._power_sums.cache_clear()
         warm = [_bits(_oracle(field, bc, L, theta)) for field, theta, bc in calls]
         info = oracle._power_sums.cache_info()
-        # 5 angles x 33 cutoffs summed once, read by the other 19 x 33 calls
-        assert (info.misses, info.hits) == (5 * 33, 15 * 33)
+        # 7 angles x 33 cutoffs summed once, read by the other 27 x 33 calls:
+        # 231 sums, within the cache's 256
+        assert (info.misses, info.hits) == (7 * 33, 27 * 33)
+        assert info.currsize <= oracle._SUMS_CACHED
         assert warm == cold
 
     def test_another_L_reads_its_own_sums(self):

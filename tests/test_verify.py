@@ -11,6 +11,8 @@ import pytest
 from platevac import casimir, dimreg, stress, verify
 from platevac.cli import RunConfig, main, run_verification
 from platevac.fluctuations import InteriorPoint, ab_values, expectation_set
+from platevac.oracle import mode_sum_finite_part
+from platevac.regsum import FinitePartResult
 from platevac.spectrum import BoundaryCondition, PlateConfig
 from platevac.verify import VERIFY_CHECKS
 from test_cli import GOLDEN, _probe, _run
@@ -71,7 +73,7 @@ class TestVerifyCommand:
         code, out, _ = _run(["verify", "--inject-sign-flip"], capsys)
         assert code == 1
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == ["mode_sum_phi2", "mode_sum_phidot2"]
+        assert failed == ["mode_sum_phi2", "mode_sum_phidot2", "mode_sum_canonical_density"]
 
     @pytest.mark.parametrize("num, den, shown", [
         ([1.0, 0.0], [1.0, 0.0], "inf"),  # a zero denominator, even under a zero numerator
@@ -85,25 +87,38 @@ class TestVerifyCommand:
         assert f"{measured:.3e}" == shown
         assert not verify.Check("any", sys.float_info.max, abs).passes(measured)
 
-    @pytest.mark.parametrize("corrupt, value, shown", [
-        ("canonical_density_integral", 0.0, "inf"),  # a zero closed form: a zero denominator
-        ("canonical_density_quadrature", math.nan, "nan"),
+    @pytest.mark.parametrize("corrupt, shown", [
+        ("closed", "inf"),  # a zero closed form: a zero denominator
+        ("oracle", "nan"),
     ])
-    def test_canonical_check_cannot_pass_vacuously(self, corrupt, value, shown, monkeypatch):
-        # the value at the smallest margin, 1e-4, alone, under the Dirichlet
-        # condition, the first; the other five pass
-        real = getattr(casimir, corrupt)
+    def test_canonical_check_cannot_pass_vacuously(self, corrupt, shown, monkeypatch):
+        # the value next to the plate at 0 alone, under the Dirichlet
+        # condition, the first; the other thirteen pass
+        plate = PlateConfig(1.0)
+        near = InteriorPoint.from_theta(plate, 1e-4)
+        D = BoundaryCondition.DIRICHLET
+        if corrupt == "closed":
+            real, near_ab = stress.stress_report, ab_values(plate, near)
 
-        def corrupted(config, *args):
-            result = real(config, *args)
-            if args[-1] != 1e-4:
+            def corrupted(fluct, ab):
+                report = real(fluct, ab)
+                if ab == near_ab and fluct == expectation_set(D, plate, near):
+                    report.energy_density_canonical = 0.0
+                return report
+
+            monkeypatch.setattr(stress, "stress_report", corrupted)
+        else:
+            real = verify.oracle.mode_sum_finite_part
+
+            def corrupted(field, bc, config, point):
+                result = real(field, bc, config, point)
+                if (bc, point) == (D, near):
+                    return FinitePartResult(math.nan, result.divergent_coeffs,
+                                            result.error_estimate)
                 return result
-            if corrupt == "canonical_density_quadrature":
-                return value, result[1]
-            return value if args[0] is BoundaryCondition.DIRICHLET else result
 
-        monkeypatch.setattr(casimir, corrupt, corrupted)
-        check = _check("canonical_density_integral")
+            monkeypatch.setattr(verify.oracle, "mode_sum_finite_part", corrupted)
+        check = _check("mode_sum_canonical_density")
         measured = check.measure(verify.Sample(1.0))
         assert f"{measured:.3e}" == shown
         assert not check.passes(measured)
@@ -122,49 +137,31 @@ class TestVerifyCommand:
         expected = np.tile(np.linspace(0.4, math.pi - 0.4, 100), len(BoundaryCondition))
         assert np.array(seen).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
-    def test_one_run_evaluates_each_grid_point_and_margin_once(self, monkeypatch):
-        # the canonical quadratures at three margins, and the stress grid's
-        # 100 points and (A, B), each serving both conditions
-        calls = _counting(monkeypatch, (casimir, "canonical_density_quadrature"),
-                          (stress, "stress_report"), (verify, "ab_values"))
+    def test_one_run_evaluates_each_grid_point_once(self, monkeypatch):
+        # the stress grid's 100 points and (A, B), each serving both
+        # conditions, and the canonical check's 7 angles, once per condition
+        calls = _counting(monkeypatch, (stress, "stress_report"), (verify, "ab_values"))
         run_verification(RunConfig(bc=BoundaryCondition.DIRICHLET, L=0.77))
-        assert calls == {"canonical_density_quadrature": 3, "stress_report": 200,
-                         "ab_values": 100}
-
-    def test_canonical_nodes_serve_both_conditions(self, monkeypatch):
-        # 161 tanh-sinh nodes at each of three margins: each node's (A, B)
-        # once, its fluctuations and stress report once per condition
-        calls = _counting(monkeypatch, (casimir, "ab_values"), (casimir, "expectation_set"),
-                          (casimir, "stress_report"))
-        _check("canonical_density_integral").measure(verify.Sample(0.77))
-        assert calls == {"ab_values": 483, "expectation_set": 966, "stress_report": 966}
+        assert calls == {"stress_report": 200 + 14, "ab_values": 100 + 14}
 
     @pytest.mark.parametrize("length", [1e-72, 0.77, 1.3, 1e72])
     def test_canonical_equals_a_loop_over_the_public_api(self, length):
-        # bit for bit what each condition and margin gives on its own nodes
+        # bit for bit what each condition and angle gives on its own, with
+        # and without the sign flip
         plate = PlateConfig(length)
-        expected = []
-        by_margin = {m: casimir.canonical_density_quadrature(plate, m)
-                     for m in verify._CANONICAL_MARGINS}
-        for i, bc in enumerate(BoundaryCondition):
-            for margin in verify._CANONICAL_MARGINS:
-                start, width, terms = math.pi * margin, math.pi * (1.0 - 2.0 * margin), []
-                for k in range(81):
-                    e = math.exp(-math.pi * math.sinh(k / 24))
-                    near = start + width * e / (1.0 + e)
-                    weight = width * math.pi * math.cosh(k / 24) * e / (1.0 + e) ** 2
-                    for theta in (near, math.pi - near) if k else (near,):
-                        point = InteriorPoint.from_theta(plate, theta)
-                        report = stress.stress_report(expectation_set(bc, plate, point),
-                                                      ab_values(plate, point))
-                        terms.append(weight * report.energy_density_canonical)
-                expected.append(math.fsum(terms) / 24 * length / math.pi)
-                assert by_margin[margin][i].hex() == expected[-1].hex()
-        closed = [casimir.canonical_density_integral(plate, bc, m)
-                  for bc in BoundaryCondition for m in verify._CANONICAL_MARGINS]
-        worst = verify._worst([q - c for q, c in zip(expected, closed)], closed)
-        measured = _check("canonical_density_integral").measure(verify.Sample(length))
-        assert measured.hex() == worst.hex()
+        for sample in (verify.Sample(length), verify.Sample(length, True)):
+            finite, closed = [], []
+            for theta in (1e-4, *np.linspace(0.3, math.pi - 0.3, 5).tolist(), math.pi - 1e-4):
+                point = InteriorPoint.from_theta(plate, theta)
+                for bc in BoundaryCondition:
+                    finite.append(mode_sum_finite_part("energy_density_canonical", bc, plate,
+                                                       point).finite_part)
+                    fluct = expectation_set(sample.evaluated(bc), plate, point)
+                    closed.append(stress.stress_report(fluct, ab_values(plate, point))
+                                  .energy_density_canonical)
+            worst = verify._worst([f - c for f, c in zip(finite, closed)], closed)
+            measured = _check("mode_sum_canonical_density").measure(sample)
+            assert measured.hex() == worst.hex()
 
     @pytest.mark.parametrize("sign_flip", [False, True])
     def test_tzz_check_equals_a_loop_over_the_public_api(self, sign_flip):
@@ -203,9 +200,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("module,name,params,expected", [
         (dimreg, "quadrature_reference", ["N", "m_sq"],
          {(N, m_sq) for N in (1.5, 2.0, 3.0) for m_sq in (0.5, 1.0, 4.0)}),
-        (casimir, "canonical_density_quadrature", ["config", "margin"],
-         {(1.0, margin) for margin in verify._CANONICAL_MARGINS}),
-    ], ids=["quadrature_reference", "canonical_density_quadrature"])
+        (verify.oracle, "mode_sum_finite_part", ["field", "bc", "config", "point"],
+         {(field, bc, 1.0, InteriorPoint(theta)) for field, thetas in (
+             ("phi2", verify._MODE_SUM_THETAS), ("phidot2", verify._MODE_SUM_THETAS),
+             ("energy_density_canonical", [1e-4, *verify._MODE_SUM_THETAS, math.pi - 1e-4]))
+          for theta in thetas for bc in BoundaryCondition}),
+    ], ids=["quadrature_reference", "mode_sum_finite_part"])
     def test_second_routes_take_the_inputs_verify_passes(self, module, name, params, expected,
                                                          monkeypatch):
         # each oracle's parameters are the ones the checks vary, and the
